@@ -1,0 +1,9 @@
+"""Path set-up for ``python -m pytest perfbench/tests -q`` (not tier-1)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent.parent
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
