@@ -317,6 +317,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         "and run the journal-aware per-shard check (default: off)",
     )
     args = parser.parse_args(argv)
+    if args.shards < 0:
+        parser.error("--shards must be non-negative")
     schemes = ALL_SCHEMES if args.scheme == "all" else (args.scheme,)
     dirty = False
     for scheme in schemes:

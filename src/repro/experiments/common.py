@@ -100,11 +100,8 @@ XL_SCALE = Scale(
 
 #: GB-class scale, only practical on the batch execution path
 #: (:mod:`repro.exec`): group commit and one-pass accounting cut the
-#: per-op overhead that dominates wall-clock at this size.  The full
-#: STANDARD_GRID completes in roughly a minute of wall-clock on a
-#: current laptop core (BENCH_7.json records a measured run); the
-#: per-op path takes several times that.  Like ``xl``, feasible only
-#: because payloads are length-only.
+#: per-op overhead that dominates wall-clock at this size.  Like
+#: ``xl``, feasible only because payloads are length-only.
 XXL_SCALE = Scale(
     name="xxl",
     object_bytes=1024 * MB,

@@ -12,7 +12,6 @@ share runs instead of recomputing them.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.experiments.common import (
@@ -144,13 +143,7 @@ def compute_run(key: RunKey, config: SystemConfig = PAPER_CONFIG) -> RunResult:
         seed=WORKLOAD_SEED,
     )
     runner = WorkloadRunner(store.manager, oid, generator)
-    # Batched execution (repro.exec) is the default: bit-identical
-    # windows, several times faster.  REPRO_EXEC=perop forces the
-    # original per-op dispatch (the equivalence tests exercise both).
-    if os.environ.get("REPRO_EXEC", "batch") == "perop":
-        windows = runner.run(key.n_ops, window=key.window)
-    else:
-        windows = runner.run_batched(key.n_ops, window=key.window)
+    windows = runner.run_batched(key.n_ops, window=key.window)
     return RunResult(key=key, windows=windows)
 
 

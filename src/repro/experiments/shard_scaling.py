@@ -10,9 +10,9 @@ sum.  This experiment sweeps the shard count for each scheme and
 reports makespan speedup and its efficiency against the one-shard run.
 
 The metric is purely simulated (no wall clocks), so the report is
-deterministic and safe to pin in tests; the per-shard replays reuse the
-exact program machinery the parallel bench path executes, with the
-workload split evenly across shards and a per-shard seed.
+deterministic and safe to pin in tests; the per-shard replays are
+:mod:`repro.shard.program` programs, with the workload split evenly
+across shards and a per-shard seed.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ counter, so a plan is exactly reproducible: the same plan against the
 same (deterministic) workload injects the same faults at the same
 physical calls every run, in any process.
 
-This generalizes the original single hand-armed crash point of
-``repro.recovery.crash.CrashInjector`` into the systematic harness the
-recovery literature validates shadowing with (EXODUS, Starburst): crash
-at *every* write point, tear multi-page writes, flip bits, fail reads.
+This generalizes a single hand-armed crash point into the systematic
+harness the recovery literature validates shadowing with (EXODUS,
+Starburst): crash at *every* write point, tear multi-page writes, flip
+bits, fail reads.
 """
 
 from __future__ import annotations

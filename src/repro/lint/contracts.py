@@ -129,7 +129,7 @@ def pure_read(func: F) -> F:
     def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
         # runtime_checks_enabled() inlined: the wrapper sits on paths hot
         # enough that even one extra function call per invocation shows
-        # up in the bench grid.
+        # up in perfbench.
         if _ENV_DATA is not None:
             if _ENV_DATA.get(_FLAG_KEY) != _FLAG_ON:
                 return func(self, *args, **kwargs)

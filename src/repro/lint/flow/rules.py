@@ -608,14 +608,13 @@ class NondeterministicSourceRule(FlowRule):
 
     Reports are pure functions of the workload; the only sanctioned
     randomness is a seeded ``random.Random(seed)`` instance, and the only
-    sanctioned wall-clock reads live in the bench harness (whose job is
-    measuring wall time) and CLI entry points.
+    sanctioned wall-clock reads live in CLI entry points.
     """
 
     rule_id = "DET002"
     summary = (
         "no time.*/unseeded random.*/os.listdir/glob/uuid calls outside "
-        "the bench layer and CLI entry points; use random.Random(seed)"
+        "CLI entry points; use random.Random(seed)"
     )
 
     _sources: dict[str, frozenset[str]] = {
@@ -632,14 +631,11 @@ class NondeterministicSourceRule(FlowRule):
     #: Listing sources whose only nondeterminism is *order*; a direct
     #: ``sorted(...)`` wrapper is the sanctioned fix.
     _sortable = frozenset({"listdir", "glob", "iglob"})
-    _exempt_layers = frozenset({"bench"})
     _cli_files = frozenset({"cli.py", "__main__.py"})
 
     def check(self, program: Program) -> Iterator[Violation]:
         for info in program.functions.values():
             ctx = info.ctx
-            if ctx.layer in self._exempt_layers:
-                continue
             if ctx.path.name in self._cli_files:
                 continue
             for call in program.iter_calls(info):
@@ -927,10 +923,9 @@ class MetricRegistrationRule(FlowRule):
     catalogue (:data:`repro.obs.taxonomy.METRIC_NAMES` plus the
     :data:`~repro.obs.taxonomy.METRIC_FAMILY_PREFIXES` families); an
     ``inc``/``set_gauge``/``observe`` call minting a name outside it
-    would silently desynchronize dashboards, the bench ``--health``
-    section, and the docs.  Constant names must be known exactly;
-    f-string names must have a constant leading fragment compatible
-    with a registered family or exact name.
+    would silently desynchronize dashboards and the docs.  Constant
+    names must be known exactly; f-string names must have a constant
+    leading fragment compatible with a registered family or exact name.
     """
 
     rule_id = "CHG002"

@@ -8,7 +8,6 @@ Usage::
     repro-obs validate TRACE             # schema check, non-zero on problems
     repro-obs health [--scheme S]        # probe a deterministic store
     repro-obs timeline FILE [--diff B]   # render/diff/drift-flag a timeline
-    repro-obs bench-history [--dir D]    # whole BENCH_*.json trajectory
 
 ``diff`` follows diff(1) conventions: exit 0 when the traces attribute
 cost identically, 1 when they differ.  ``flame`` output feeds directly
@@ -20,8 +19,7 @@ fixed batch workload, and prints the :mod:`repro.obs.health` gauge
 report — every gauge cross-checked against allocator/pool ground truth
 as it is computed.  ``timeline`` renders a timeline JSONL file (see
 ``repro-experiments --timeline``), diffs two of them, and flags
-cost-per-op drift.  ``bench-history`` reads the committed BENCH_*.json
-trajectory and flags step-wise regressions and improvements.
+cost-per-op drift.
 """
 
 from __future__ import annotations
@@ -177,21 +175,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from repro.obs.history import collect_flags, load_history, render_history
-
-    documents = load_history(args.dir)
-    print(render_history(documents, factor=args.factor))
-    if args.strict:
-        regressions = [
-            flag for flag in collect_flags(documents, factor=args.factor)
-            if flag.kind == "regressed"
-        ]
-        if regressions:
-            return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -280,24 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 when drift is flagged",
     )
     timeline.set_defaults(func=_cmd_timeline)
-
-    bench_history = subparsers.add_parser(
-        "bench-history",
-        help="per-point wall-clock across every committed BENCH_*.json",
-    )
-    bench_history.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory holding BENCH_*.json files (default: .)",
-    )
-    bench_history.add_argument(
-        "--factor", type=float, default=1.5, metavar="X",
-        help="step-wise ratio that flags a point (default: 1.5)",
-    )
-    bench_history.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any step regressed past the factor",
-    )
-    bench_history.set_defaults(func=_cmd_bench_history)
 
     args = parser.parse_args(argv)
     try:

@@ -33,12 +33,12 @@ OP_SPAN_KINDS: frozenset[str] = frozenset({
 })
 
 #: Interior spans: segment I/O, tree maintenance, batch execution,
-#: bench phases, and sharded execution.  ``exec.batch`` wraps the
+#: and sharded execution.  ``exec.batch`` wraps the
 #: engine's dispatch of one submitted batch (between ``op.batch`` and
 #: the per-op spans); ``exec.multi`` is its multi-object counterpart.
 #: ``shard.batch`` wraps the router's multi-shard batch split, and
 #: ``shard.setup`` / ``shard.measure`` are the per-shard phases of a
-#: replayed shard program (the sharded analogue of ``bench.*``).
+#: replayed shard program.
 #: ``atomic.prepare`` wraps one shard's phase-1 work (PREPARE record +
 #: held execution), ``atomic.commit`` the decision write and each
 #: shard's phase-2 apply, and ``atomic.recover`` one shard's journal
@@ -50,8 +50,6 @@ INTERIOR_SPAN_KINDS: frozenset[str] = frozenset({
     "tree.flush",
     "exec.batch",
     "exec.multi",
-    "bench.setup",
-    "bench.measure",
     "shard.batch",
     "shard.setup",
     "shard.measure",

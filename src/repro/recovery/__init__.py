@@ -9,7 +9,6 @@ remaining names resolve lazily on first attribute access.
 from repro.recovery.shadow import DEFAULT_SHADOW, NO_SHADOW, ShadowPolicy
 
 __all__ = [
-    "CrashInjector",
     "DEFAULT_SHADOW",
     "MUTATING_OPS",
     "NO_SHADOW",
@@ -21,7 +20,7 @@ __all__ = [
     "sweep_operation",
 ]
 
-_CRASH = {"CrashInjector", "rebuild_content"}
+_CRASH = {"rebuild_content"}
 _SWEEP = {
     "MUTATING_OPS",
     "SWEEP_SCHEMES",

@@ -8,19 +8,13 @@ shadowing buys is testable: *if a crash interrupts an operation at any
 point before the root/descriptor write (the commit point), the object's
 previous state is fully reconstructible from the disk image*.
 
-:class:`CrashInjector` arms a write budget on a store's simulated disk;
-the budgeted write raises :class:`CrashError`, leaving the disk torn.
-While armed, frees do not discard page content (a real disk keeps the
-bytes of freed blocks; discarding them is a memory-saving artifact of
-the simulation).  The ``rebuild_*`` functions then reconstruct an
-object's content purely from serialized disk images — the recovery path.
-
-The injector is a thin veneer over :mod:`repro.faults`: arming installs
-a :class:`~repro.faults.FaultInjector` through the disk's sanctioned
-:class:`~repro.disk.disk.FaultSite` hook (the historical implementation
-swapped the disk's bound methods, which a mid-sweep exception could
-leave permanently patched).  ``disarm`` — called by ``__exit__`` no
-matter how the block exits — always restores the clean disk.
+:class:`~repro.faults.FaultInjector` armed with
+``FaultPlan(crash_writes=at(n + 1))`` lets ``n`` physical writes land and
+raises :class:`CrashError` on the next, leaving the disk torn.  While
+armed, frees do not discard page content (a real disk keeps the bytes of
+freed blocks; discarding them is a memory-saving artifact of the
+simulation).  The ``rebuild_*`` functions then reconstruct an object's
+content purely from serialized disk images — the recovery path.
 """
 
 from __future__ import annotations
@@ -29,52 +23,16 @@ from repro.blockbased.manager import BlockBasedManager
 from repro.buddy.area import DATA_AREA_BASE, META_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.errors import CrashError, InvalidArgumentError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, at
 from repro.starburst.descriptor import LongFieldDescriptor
 from repro.tree.node import IndexNode
 
 __all__ = [
     "CrashError",
-    "CrashInjector",
     "rebuild_blockbased_content",
     "rebuild_content",
     "rebuild_starburst_content",
     "rebuild_tree_content",
 ]
-
-
-class CrashInjector:
-    """Arms a crash after a fixed number of physical page writes."""
-
-    def __init__(self, env: StorageEnvironment) -> None:
-        self.env = env
-        self._injector: FaultInjector | None = None
-
-    # ------------------------------------------------------------------
-    # Arming
-    # ------------------------------------------------------------------
-    def arm(self, writes_before_crash: int) -> None:
-        """Crash on the (N+1)-th physical write call from now."""
-        if writes_before_crash < 0:
-            raise InvalidArgumentError("write budget must be non-negative")
-        self.disarm()
-        plan = FaultPlan(crash_writes=at(writes_before_crash + 1))
-        self._injector = FaultInjector(self.env, plan).install()
-
-    def disarm(self) -> None:
-        """Remove the injection; the disk behaves normally again."""
-        if self._injector is not None:
-            self._injector.uninstall()
-            self._injector = None
-
-    def __enter__(self) -> "CrashInjector":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        # Unconditional teardown: a raising sweep iteration cannot leave
-        # the disk armed.
-        self.disarm()
 
 
 # ----------------------------------------------------------------------

@@ -407,6 +407,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         "path (with --shards)",
     )
     args = parser.parse_args(argv)
+    if args.shards < 0:
+        parser.error("--shards must be non-negative")
+    if args.shards == 0 and (args.jobs != 1 or args.table):
+        parser.error("--jobs and --table require --shards")
 
     if args.shards > 0:
         from repro.recovery.shard_sweep import cli_main as shard_cli_main

@@ -14,7 +14,7 @@ it installs an independent injector — independent counters, independent
 RNG, independent retain-freed bookkeeping — on each selected shard's
 disk, and uninstalls all of them on exit no matter how the block ends
 (the same unconditional-teardown discipline as
-:class:`~repro.recovery.crash.CrashInjector`).  Chaos schedules
+:class:`~repro.faults.injector.FaultInjector`).  Chaos schedules
 therefore hit exactly the shard they name, deterministically, while
 sibling shards' logical I/O counters never advance a fault counter at
 all.

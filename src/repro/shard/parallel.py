@@ -18,10 +18,7 @@ everything merged from it — independent of worker count and scheduling.
 * ``sim_ms`` is the aggregate simulated I/O of the merged ledger —
   total device work, equal to the sum over shards;
 * ``makespan_sim_ms`` is the max per-shard simulated time — what a host
-  with one independent disk per shard would observe;
-* wall clocks follow the same split: ``wall_s`` is the makespan (max
-  per-shard measured wall — the wall an N-core host achieves),
-  ``sum_wall_s`` the total CPU work.
+  with one independent disk per shard would observe.
 """
 
 from __future__ import annotations
@@ -52,9 +49,6 @@ class MergedOutcome(NamedTuple):
     stats: IOStats
     sim_ms: float
     makespan_sim_ms: float
-    wall_s: float
-    sum_wall_s: float
-    setup_wall_s: float
     pool: PoolStats
     shards: tuple[ShardOutcome, ...]
 
@@ -63,8 +57,7 @@ def default_jobs(n_programs: int) -> int:
     """Worker processes used when the caller does not pin ``jobs``.
 
     One worker per shard, capped at the machine's core count — more
-    workers than cores just interleaves shard replays and muddies the
-    per-shard wall clocks the makespan is computed from.
+    workers than cores just interleaves shard replays.
     """
     return max(1, min(n_programs, os.cpu_count() or 1))
 
@@ -137,9 +130,6 @@ def merge_outcomes(
         stats=stats,
         sim_ms=stats.elapsed_ms(config),
         makespan_sim_ms=max((o.sim_ms for o in ordered), default=0.0),
-        wall_s=max((o.wall_s for o in ordered), default=0.0),
-        sum_wall_s=sum(o.wall_s for o in ordered),
-        setup_wall_s=max((o.setup_wall_s for o in ordered), default=0.0),
         pool=pool,
         shards=tuple(ordered),
     )

@@ -23,7 +23,6 @@ report by :func:`repro.shard.parallel.merge_outcomes`.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import ContextManager, NamedTuple
 
 import contextlib
@@ -81,9 +80,9 @@ class ShardProgram(NamedTuple):
     """One shard's full replayable lifetime (pure data, picklable).
 
     ``setup`` steps run before the measured phase snapshot; ``measured``
-    steps are timed, journaled, and reported.  ``keep_image`` retains
-    the shard's final raw disk image in the outcome (tests use it for
-    bit-identity fingerprints; benches leave it off).
+    steps are journaled and reported.  ``keep_image`` retains the
+    shard's final raw disk image in the outcome (tests use it for
+    bit-identity fingerprints).
     """
 
     shard_index: int
@@ -119,8 +118,6 @@ class ShardOutcome(NamedTuple):
 
     shard_index: int
     scheme: str
-    setup_wall_s: float
-    wall_s: float
     stats: IOStats
     sim_ms: float
     pool: PoolStats
@@ -179,8 +176,7 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
     """Replay one shard program from an empty store (pure function).
 
     Safe to run in a worker process: the program and the outcome are
-    plain picklable values, and the result depends only on the program
-    (wall-clock fields excepted, as everywhere in the bench).
+    plain picklable values, and the result depends only on the program.
     """
     store = LargeObjectStore(
         program.scheme,
@@ -192,11 +188,9 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
     )
     tracer = store.env.tracer
     oids: list[int] = []
-    start = time.perf_counter()  # repro-lint: disable=DET002 -- wall timing is this function's bench duty; every simulated field derives from the ledger, not the clock
     with _span(tracer, "shard.setup", program.shard_index):
         for step in program.setup:
             _run_step(store, oids, step)
-    setup_wall = time.perf_counter() - start  # repro-lint: disable=DET002 -- wall timing is this function's bench duty; every simulated field derives from the ledger, not the clock
     before = store.snapshot()
     log: ChargeLog | None = None
     if tracer is None:
@@ -205,7 +199,6 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
         log = ChargeLog()
         store.env.cost.install_log(log)
     step_results: list[object] = []
-    start = time.perf_counter()  # repro-lint: disable=DET002 -- wall timing is this function's bench duty; every simulated field derives from the ledger, not the clock
     try:
         with _span(tracer, "shard.measure", program.shard_index):
             for step in program.measured:
@@ -214,14 +207,11 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
         if log is not None:
             store.env.cost.clear_log()
             log.commit_to(store.env.cost.stats)
-    wall = time.perf_counter() - start  # repro-lint: disable=DET002 -- wall timing is this function's bench duty; every simulated field derives from the ledger, not the clock
     delta = store.stats.delta(before)
     pool = store.env.pool.stats
     return ShardOutcome(
         shard_index=program.shard_index,
         scheme=program.scheme,
-        setup_wall_s=setup_wall,
-        wall_s=wall,
         stats=delta,
         sim_ms=delta.elapsed_ms(program.config),
         pool=dataclasses.replace(pool),

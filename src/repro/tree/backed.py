@@ -121,7 +121,7 @@ class TreeBackedManager(LargeObjectManager):
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def allocated_pages(self, oid: int) -> int:  # repro-lint: disable=CHG001 -- space accounting run between timed phases; its reads are charged to the enclosing bench phase, not to a paper op
+    def allocated_pages(self, oid: int) -> int:  # repro-lint: disable=CHG001 -- space accounting run between timed phases; its reads are charged to the enclosing phase, not to a paper op
         """Leaf pages plus index pages currently allocated to the object."""
         tree = self._tree(oid)
         leaf_pages = sum(

@@ -44,7 +44,7 @@ SCHEMES = ("esm", "starburst", "eos")
 # Equivalence harness
 # ----------------------------------------------------------------------
 def _fingerprint(store: LargeObjectStore) -> dict[str, object]:
-    """Everything a bench/experiment run can observe, in one dict."""
+    """Everything an experiment run can observe, in one dict."""
     stats = store.stats
     pool = store.env.pool.stats
     return {

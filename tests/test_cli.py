@@ -97,3 +97,18 @@ def test_report_unknown_experiment(tmp_path):
 
     with pytest.raises(ValueError):
         build_report(names=("fig99",))
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--shards", "-3"],
+    ["fsck", "--shards", "-1"],
+    ["chaos", "--table", "t.tsv"],
+    ["chaos", "--jobs", "4"],
+])
+def test_out_of_range_shard_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert "CLEAN" not in captured.out

@@ -11,7 +11,9 @@ import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.recovery.crash import CrashError, CrashInjector, rebuild_content
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, at
+from repro.recovery.crash import CrashError, rebuild_content
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -27,6 +29,12 @@ SCHEME_SETTINGS = [
 
 def make_store(scheme, options, shadowing=True):
     return LargeObjectStore(scheme, CONFIG, shadowing=shadowing, **options)
+
+
+def arm_crash(store, writes_before_crash):
+    """Crash on the (N+1)-th physical write call from now."""
+    plan = FaultPlan(crash_writes=at(writes_before_crash + 1))
+    return FaultInjector(store.env, plan).install()
 
 
 def committed_object(store):
@@ -56,16 +64,15 @@ class TestCrashWithShadowing:
         while True:
             store = make_store(scheme, options)
             oid, committed = committed_object(store)
-            injector = CrashInjector(store.env)
-            injector.arm(budget)
+            injector = arm_crash(store, budget)
             try:
                 store.insert(
                     oid, 3 * PAGE + 17, pattern_bytes(3 * PAGE, salt=9)
                 )
-                injector.disarm()
+                injector.uninstall()
                 break  # the operation completed: sweep done
             except CrashError:
-                injector.disarm()
+                injector.uninstall()
                 recovered = rebuild_content(store, oid)
                 assert recovered == committed, (
                     f"{scheme}: crash after {budget} writes lost data"
@@ -77,11 +84,10 @@ class TestCrashWithShadowing:
     def test_crash_during_delete_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)  # crash on the very first write
+        injector = arm_crash(store, 0)  # crash on the very first write
         with pytest.raises(CrashError):
             store.delete(oid, PAGE, 4 * PAGE)
-        injector.disarm()
+        injector.uninstall()
         assert rebuild_content(store, oid) == committed
 
     def test_completed_operation_commits_new_state(self):
@@ -102,14 +108,13 @@ class TestCrashWithoutShadowing:
         oid = store.create(data)
         store.manager.trim(oid)
         committed = store.read(oid, 0, store.size(oid))
-        injector = CrashInjector(store.env)
         # Let the data overwrite land, then crash.
-        injector.arm(1)
+        injector = arm_crash(store, 1)
         try:
             store.replace(oid, 0, pattern_bytes(2 * PAGE, salt=7))
         except CrashError:
             pass
-        injector.disarm()
+        injector.uninstall()
         recovered = rebuild_content(store, oid)
         assert recovered != committed, (
             "without shadowing the old state should be gone"
@@ -120,20 +125,19 @@ class TestInjector:
     def test_rejects_negative_budget(self):
         store = make_store("eos", {})
         with pytest.raises(ValueError):
-            CrashInjector(store.env).arm(-1)
+            arm_crash(store, -1)
 
     def test_disarm_restores_normal_writes(self):
         store = make_store("eos", {})
-        injector = CrashInjector(store.env)
-        injector.arm(0)
-        injector.disarm()
+        injector = arm_crash(store, 0)
+        injector.uninstall()
         oid = store.create(b"works fine")
         assert store.read(oid, 0, 10) == b"works fine"
 
     def test_context_manager_disarms(self):
         store = make_store("eos", {})
-        with CrashInjector(store.env) as injector:
-            injector.arm(0)
+        with FaultInjector(store.env, FaultPlan(crash_writes=at(1))):
+            pass
         oid = store.create(b"xy")
         assert store.size(oid) == 2
 
@@ -143,11 +147,10 @@ class TestMoreCrashScenarios:
     def test_crash_during_append_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)
+        injector = arm_crash(store, 0)
         with pytest.raises(CrashError):
             store.append(oid, pattern_bytes(4 * PAGE, salt=11))
-        injector.disarm()
+        injector.uninstall()
         recovered = rebuild_content(store, oid)
         # The committed prefix survives: in-place appends only ever write
         # past the committed bytes (or into fresh segments).
@@ -157,11 +160,10 @@ class TestMoreCrashScenarios:
     def test_crash_during_replace_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)
+        injector = arm_crash(store, 0)
         with pytest.raises(CrashError):
             store.replace(oid, PAGE, pattern_bytes(3 * PAGE, salt=12))
-        injector.disarm()
+        injector.uninstall()
         assert rebuild_content(store, oid) == committed
 
     def test_repeated_crashes_then_success(self):
@@ -172,14 +174,13 @@ class TestMoreCrashScenarios:
         while True:
             store = make_store("eos", {"threshold_pages": 2})
             oid, committed = committed_object(store)
-            injector = CrashInjector(store.env)
-            injector.arm(budget)
+            injector = arm_crash(store, budget)
             try:
                 store.insert(oid, 100, patch)
-                injector.disarm()
+                injector.uninstall()
                 break  # the retry finally succeeded
             except CrashError:
-                injector.disarm()
+                injector.uninstall()
                 crashes += 1
                 # Model recovery: reopen from the committed image.
                 assert rebuild_content(store, oid) == committed

@@ -559,14 +559,14 @@ class TestDeterminism:
             """)
         assert rule_ids(flow(path)) == ["DET002"]
 
-    def test_bench_layer_may_read_the_clock(self, tmp_path):
+    def test_bench_layer_is_not_exempt(self, tmp_path):
         path = write(tmp_path, "repro/bench/mod.py", """\
             import time
 
             def f():
                 return time.perf_counter()
             """)
-        assert flow(path) == []
+        assert rule_ids(flow(path)) == ["DET002"]
 
     def test_seeded_random_is_fine(self, tmp_path):
         path = write(tmp_path, "repro/workload/mod.py", """\
@@ -913,6 +913,7 @@ class TestShippedTree:
         from repro.obs.taxonomy import OP_SPAN_KINDS, SPAN_KINDS
 
         assert OP_SPAN_KINDS <= SPAN_KINDS
+        assert not any(kind.startswith("bench.") for kind in SPAN_KINDS)
         pattern = re.compile(r"_op_span\(\s*\"(\w+)\"")
         for path in sorted(REPO_SRC.rglob("*.py")):
             for name in pattern.findall(path.read_text()):

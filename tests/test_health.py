@@ -364,27 +364,6 @@ class TestParallelTimelines:
 
 
 # ----------------------------------------------------------------------
-# Bench --health section
-# ----------------------------------------------------------------------
-class TestBenchHealth:
-    def test_health_section_attached_without_timing_drift(self):
-        from repro.bench.harness import measure_random
-        from repro.experiments.common import resolve_scale
-
-        scale = resolve_scale("tiny")
-        plain = measure_random("eos", scale)
-        probed = measure_random("eos", scale, health=True)
-        assert plain.health is None
-        assert probed.health is not None
-        assert probed.sim_s == plain.sim_s
-        assert probed.io_calls == plain.io_calls
-        assert probed.pages == plain.pages
-        assert "health" in probed.to_dict()
-        assert "health" not in plain.to_dict()
-        assert probed.health["shards"][0]["layout"]["objects"] == 1
-
-
-# ----------------------------------------------------------------------
 # CLI smoke
 # ----------------------------------------------------------------------
 class TestHealthCli:
@@ -431,28 +410,6 @@ class TestHealthCli:
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
         assert obs_main(["timeline", str(path)]) == 2
-
-    def test_bench_history_subcommand(self, tmp_path, capsys):
-        def bench(number: int, wall: float, sim: float) -> None:
-            (tmp_path / f"BENCH_{number}.json").write_text(json.dumps({
-                "version": 4,
-                "bench": number,
-                "points": [{
-                    "name": "tiny/random/eos",
-                    "wall_s": wall,
-                    "sim_s": sim,
-                }],
-            }), encoding="utf-8")
-
-        bench(2, 0.010, 5.0)
-        bench(3, 0.100, 5.0)
-        assert obs_main(["bench-history", "--dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "BENCH_2" in out and "BENCH_3" in out
-        assert "regressed" in out
-        assert obs_main(
-            ["bench-history", "--dir", str(tmp_path), "--strict"]
-        ) == 1
 
     def test_experiments_timeline_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SCALE", "tiny")

@@ -360,6 +360,28 @@ def test_traced_replay_merges_worker_count_independently() -> None:
     assert "shard.measure" in kinds
 
 
+def test_shard_span_costs_accumulate_to_the_merged_ledger() -> None:
+    """Per-shard ``shard.measure`` spans sum to the merged ``IOStats``."""
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
+    outcomes = run_shard_programs(_programs(), jobs=1, tracer=tracer)
+    merged = merge_outcomes(outcomes)
+    spans = [r for r in tracer.records if r["t"] == "span"]
+
+    def total(kind: str, *fields: str) -> int:
+        return sum(r[f] for r in spans if r["kind"] == kind for f in fields)
+
+    calls = ("read_calls", "write_calls")
+    assert total("shard.measure", *calls) == merged.stats.io_calls
+    assert total("shard.measure", "pages_read", "pages_written") == (
+        merged.stats.pages_transferred
+    )
+    assert total("shard.setup", *calls) > 0
+    # The per-op breakdown survives the shard merge.
+    assert total("op.insert", *calls) > 0
+
+
 # ----------------------------------------------------------------------
 # Sharded workload runner
 # ----------------------------------------------------------------------
@@ -490,61 +512,6 @@ def test_cross_shard_crash_never_corrupts_siblings(
         else:
             assert sibling_content == pre[sibling]
     assert "pre" in seen  # the earliest crash must predate the commit
-
-
-# ----------------------------------------------------------------------
-# Bench integration: shard=1 sharded points equal unsharded points
-# ----------------------------------------------------------------------
-def test_sharded_bench_point_at_one_shard_matches_unsharded() -> None:
-    from repro.bench.harness import (
-        measure_random,
-        measure_sharded,
-    )
-    from repro.experiments.common import resolve_scale
-
-    scale = resolve_scale("tiny")
-    plain = measure_random("eos", scale)
-    sharded = measure_sharded("random", "eos", scale, shards=1)
-    assert sharded.sim_s == plain.sim_s
-    assert sharded.io_calls == plain.io_calls
-    assert sharded.pages == plain.pages
-    assert sharded.pool_hit_rate == plain.pool_hit_rate
-    assert sharded.shards == 1
-    assert sharded.fanout_wall_s is not None
-    assert sharded.name == "random/eos@shards1"
-    data = sharded.to_dict()
-    assert data["shards"] == 1
-    assert "spans" not in data
-    assert "shards" not in plain.to_dict()
-
-
-def test_sharded_bench_jobs_do_not_change_simulated_fields() -> None:
-    from repro.bench.harness import measure_sharded
-    from repro.experiments.common import resolve_scale
-
-    scale = resolve_scale("tiny")
-    serial = measure_sharded("random", "esm", scale, shards=2, jobs=1)
-    fanned = measure_sharded("random", "esm", scale, shards=2, jobs=2)
-    assert serial.sim_s == fanned.sim_s
-    assert serial.io_calls == fanned.io_calls
-    assert serial.pages == fanned.pages
-    assert serial.pool_hit_rate == fanned.pool_hit_rate
-
-
-def test_sharded_span_summary_accumulates_across_shards() -> None:
-    from repro.bench.harness import measure_sharded
-    from repro.experiments.common import resolve_scale
-
-    scale = resolve_scale("tiny")
-    point = measure_sharded("random", "eos", scale, shards=2, traced=True)
-    assert point.spans is not None
-    measure = point.spans["measure"]
-    assert measure["io_calls"] == point.io_calls
-    assert measure["pages"] == point.pages
-    assert measure["cost_ms"] == pytest.approx(point.sim_s * 1000.0)
-    assert measure["ops"]  # per-op breakdown survives the shard merge
-    setup = point.spans["setup"]
-    assert setup["io_calls"] > 0
 
 
 # ----------------------------------------------------------------------
