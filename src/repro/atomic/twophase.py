@@ -39,10 +39,9 @@ import contextlib
 from typing import TYPE_CHECKING, ContextManager, Sequence
 
 from repro.atomic.journal import IntentJournal
-from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload
-from repro.exec.engine import BatchResult, HeldCommit
-from repro.exec.plan import OP_KINDS, MultiOp
+from repro.exec.engine import BatchResult, HeldCommit, check_op_kinds
+from repro.exec.plan import MultiOp
 
 if TYPE_CHECKING:
     from repro.core.api import LargeObjectStore
@@ -85,12 +84,7 @@ class AtomicCoordinator:
         restores atomicity from the disk images before further use.
         """
         store = self.store
-        for mop in mops:
-            if mop.op.kind not in OP_KINDS:
-                raise InvalidArgumentError(
-                    f"unknown batch op kind {mop.op.kind!r}; "
-                    f"expected one of {sorted(OP_KINDS)}"
-                )
+        check_op_kinds(mop.op for mop in mops)
         groups: dict[int, tuple[list[int], list[MultiOp]]] = {}
         for index, mop in enumerate(mops):
             shard = mop.oid % store.n_shards

@@ -47,6 +47,13 @@ class PoolStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    def add(self, other: "PoolStats") -> None:
+        """Accumulate another pool's counters into this one."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.evictions += other.evictions
+        self.dirty_writebacks += other.dirty_writebacks
+
 
 class BufferPool:
     """LRU buffer pool over a :class:`~repro.disk.disk.SimulatedDisk`."""

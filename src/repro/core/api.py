@@ -167,8 +167,9 @@ class LargeObjectStore:
 
     def submit_ops(self, oid: int, ops: "Sequence[BatchOp]") -> "BatchResult":
         """Execute a batch of byte-range operations under the batch
-        engine (:mod:`repro.exec`): group commit, one-pass accounting,
-        bit-identical counters versus per-op submission."""
+        engine (:mod:`repro.exec`): group commit, per-op costs read
+        off the one ledger, bit-identical counters versus per-op
+        submission."""
         return self.manager.submit_ops(oid, ops)
 
     def submit_multi(self, mops: "Sequence[MultiOp]") -> "BatchResult":

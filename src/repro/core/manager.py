@@ -133,10 +133,10 @@ class LargeObjectManager(abc.ABC):
 
         The ops run in order under the :class:`~repro.exec.engine
         .BatchEngine`: uncharged root/descriptor flushes are
-        group-committed once at the batch boundary and cost accounting
-        is folded in one pass, but every charged access executes exactly
-        as the per-op path would — reports, IOStats, and pool counters
-        are bit-identical to running the same ops one by one.
+        group-committed once at the batch boundary, but every charged
+        access executes — and lands in the ledger — exactly as the
+        per-op path would, so reports, IOStats, and pool counters are
+        bit-identical to running the same ops one by one.
 
         Returns a :class:`~repro.exec.engine.BatchResult` with per-op
         read payloads and per-op simulated costs.
@@ -149,9 +149,9 @@ class LargeObjectManager(abc.ABC):
 
         Same contract as :meth:`submit_ops`, but each op names its own
         object: one batch lifecycle covers the whole sequence, so root
-        pokes and descriptor flushes are deduplicated across objects and
-        the accounting folds in one pass.  Ops run in submission order;
-        results and costs line up index-for-index with ``mops``.
+        pokes and descriptor flushes are deduplicated across objects.
+        Ops run in submission order; results and costs line up
+        index-for-index with ``mops``.
         """
         with self._op_span("multi"):
             return self.env.exec.run_multi(self, mops)

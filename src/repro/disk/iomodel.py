@@ -17,13 +17,9 @@ few auxiliary counters used by the experiments.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 from repro.core.config import SystemConfig
 from repro.core.errors import InvalidArgumentError
-
-if TYPE_CHECKING:
-    from repro.exec.accounting import ChargeLog
 
 
 @dataclasses.dataclass
@@ -123,45 +119,11 @@ class CostModel:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.stats = IOStats()
-        self._log: "ChargeLog | None" = None
-
-    def install_log(self, log: "ChargeLog") -> None:
-        """Divert charges into a batch journal instead of the ledger.
-
-        While a log is installed, :attr:`stats` (and therefore
-        :meth:`snapshot` / :meth:`elapsed_since`) lags the physical
-        activity — the journaled charges land in one arithmetic pass
-        when the batch engine folds the log back.  Only the engine
-        installs logs, only in untraced environments, and only for the
-        duration of one batch.
-        """
-        if self._log is not None:
-            raise InvalidArgumentError("a charge log is already installed")
-        self._log = log
-
-    def clear_log(self) -> None:
-        """Stop journaling; the caller owns folding the log's charges."""
-        self._log = None
-
-    @property
-    def installed_log(self) -> "ChargeLog | None":
-        """The charge journal currently diverting charges, if any.
-
-        The batch engine consults this so a batch opened *inside* an
-        outer journaled phase (a sharded measure phase journals a whole
-        shard's batches into one log) reuses the outer log for its per-op
-        marks instead of trying to install a second one.
-        """
-        return self._log
 
     def charge_read(self, n_pages: int) -> None:
         """Charge one physical read call transferring ``n_pages`` pages."""
         if n_pages <= 0:
             raise InvalidArgumentError("a physical read must transfer at least one page")
-        log = self._log
-        if log is not None:
-            log.log_read(n_pages)
-            return
         self.stats.read_calls += 1
         self.stats.pages_read += n_pages
 
@@ -169,10 +131,6 @@ class CostModel:
         """Charge one physical write call transferring ``n_pages`` pages."""
         if n_pages <= 0:
             raise InvalidArgumentError("a physical write must transfer at least one page")
-        log = self._log
-        if log is not None:
-            log.log_write(n_pages)
-            return
         self.stats.write_calls += 1
         self.stats.pages_written += n_pages
 
@@ -182,27 +140,11 @@ class CostModel:
         The repeat is a real physical call — seek plus transfer — and is
         additionally attributed to :attr:`IOStats.retries`.
         """
-        log = self._log
-        if log is not None:
-            if n_pages <= 0:
-                raise InvalidArgumentError(
-                    "a physical read must transfer at least one page"
-                )
-            log.log_retry_read(n_pages)
-            return
         self.charge_read(n_pages)
         self.stats.retries += 1
 
     def charge_retry_write(self, n_pages: int) -> None:
         """Charge one *retried* write attempt (a transient fault fired)."""
-        log = self._log
-        if log is not None:
-            if n_pages <= 0:
-                raise InvalidArgumentError(
-                    "a physical write must transfer at least one page"
-                )
-            log.log_retry_write(n_pages)
-            return
         self.charge_write(n_pages)
         self.stats.retries += 1
 

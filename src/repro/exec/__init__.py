@@ -16,9 +16,9 @@ wall-clock cost once the simulated workload grows past the paper's
   pool calls;
 * the :class:`~repro.exec.engine.BatchEngine` executes whole plans and
   whole *op batches* (``submit_ops``), group-committing the uncharged
-  root/descriptor flushes once per batch and folding cost accounting
-  into one arithmetic pass per batch via
-  :class:`~repro.exec.accounting.ChargeLog`.
+  root/descriptor flushes once per batch and pricing each op from the
+  one :class:`~repro.disk.iomodel.IOStats` ledger, read before and
+  after it.
 
 The engine is strictly an execution strategy: reports, IOStats, and
 buffer-pool counters are bit-identical to the per-op path (enforced by
@@ -29,7 +29,6 @@ structure because coalescing them would change the paper's cost model.
 
 from __future__ import annotations
 
-from repro.exec.accounting import ChargeLog
 from repro.exec.engine import BatchEngine, BatchResult
 from repro.exec.plan import (
     CHARGED,
@@ -51,7 +50,6 @@ __all__ = [
     "BatchEngine",
     "BatchOp",
     "BatchResult",
-    "ChargeLog",
     "CHARGED",
     "UNCHARGED",
     "IOPlan",

@@ -4,7 +4,7 @@ One :class:`BatchEngine` hangs off every
 :class:`~repro.core.env.StorageEnvironment` (``env.exec``).  Outside a
 batch it is inert — plan execution delegates straight to the segment
 I/O layer and managers commit their own root pages and descriptors per
-operation, exactly as before.  Inside :meth:`BatchEngine.batch` three
+operation, exactly as before.  Inside :meth:`BatchEngine.batch` two
 batch-scoped strategies switch on:
 
 * **Group commit.**  Root-page pokes (ESM/EOS) and long-field
@@ -13,13 +13,6 @@ batch-scoped strategies switch on:
   the engine commits each distinct root/descriptor exactly once at the
   batch boundary.  Charged index-page flushes still run inside each
   operation — deferring those would change the paper's cost model.
-
-* **Vectorized accounting.**  In untraced environments the cost model
-  journals charges into a :class:`~repro.exec.accounting.ChargeLog`
-  (prefix sums) instead of updating the ledger per call; the ledger is
-  folded once per batch and per-op costs are O(1) mark subtractions.
-  Traced environments keep per-call charging so span cost attribution
-  observes a live ledger.
 
 * **Crash-consistent frees.**  While a fault injector is armed, segment
   and index-page frees are deferred to the batch boundary (after the
@@ -34,16 +27,27 @@ batch-scoped strategies switch on:
 The engine never coalesces charged runs: one :class:`ReadRun` or
 :class:`LeafWrite` maps to exactly the per-op path's physical calls, in
 the same order.  Only the uncharged flush intents are deduplicated.
+
+Simulated cost has one home: every charge lands in the environment's
+:class:`~repro.disk.iomodel.IOStats` ledger as it happens — batched or
+not, traced or not — and the dispatch loop prices each op from it.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Protocol, Sequence
+import itertools
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Protocol,
+    Sequence,
+)
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload, payload_concat
-from repro.exec.accounting import ChargeLog
 from repro.exec.plan import (
     APPEND,
     DELETE,
@@ -97,8 +101,8 @@ class HeldCommit(NamedTuple):
     boundary packages its pending root pokes, descriptor flushes, and
     deferred frees into one of these instead of running them;
     :meth:`BatchEngine.apply_held` releases them later, in the original
-    order (uncharged pokes first, charged frees after), exactly as a
-    normal commit would have.
+    order (uncharged pokes first, charged frees after).  A normal commit
+    is the same capture handed to ``apply_held`` at once.
     """
 
     roots: tuple[RootHost, ...]
@@ -126,8 +130,6 @@ class BatchEngine:
         #: True while a batch is open; managers consult this to decide
         #: whether flush intents go to the engine or run inline.
         self.active = False
-        self._log: ChargeLog | None = None
-        self._owns_log = False
         self._pending_roots: dict[int, RootHost] = {}
         self._pending_descriptors: dict[
             int, tuple[DescriptorHost, DescriptorPage]
@@ -194,11 +196,9 @@ class BatchEngine:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
-        """Open a batch: group commit, charge journal, deferred frees.
+        """Open a batch: group commit and (fault-armed) deferred frees.
 
-        On success the pending flush intents are committed and the
-        charge journal folded into the ledger.  On error the physically
-        performed charges are still folded (the I/O happened), but
+        On success the pending flush intents are committed.  On error
         nothing is poked at the disk — after an injected crash the
         environment is dead, and pushing state from cleanup is the PR 4
         bug class.  Deferred roots are re-marked dirty so the next
@@ -208,17 +208,6 @@ class BatchEngine:
             raise InvalidArgumentError("op batches do not nest")
         env = self.env
         self.active = True
-        if env.tracer is None:
-            outer = env.cost.installed_log
-            if outer is None:
-                self._log = ChargeLog()
-                self._owns_log = True
-                env.cost.install_log(self._log)
-            else:
-                # An enclosing journaled phase (a sharded measure phase)
-                # already diverts charges; reuse its log for the per-op
-                # marks and leave folding to whoever installed it.
-                self._log = outer
         if env.disk.fault_site is not None or self._hold:
             # Hold mode defers frees even with no fault armed: a held
             # commit's old pages must stay allocated until the global
@@ -237,86 +226,47 @@ class BatchEngine:
             env.sampler.tick()
 
     def _commit(self) -> None:
-        """Batch boundary: pokes, descriptor flushes, frees, accounting."""
-        env = self.env
+        """Batch boundary: capture the commit effects, close, release.
+
+        The engine's own state is reset *before* anything is applied, so
+        a crash injected into the trailing frees (a directory writeback)
+        leaves the engine closed with the batch-end image committed.
+        Under hold mode (two-phase commit's phase 1) the capture is kept
+        for :meth:`take_held` instead — the batch's I/O physically
+        happened and is in the ledger; only its *visibility* is held.
+        """
+        held = HeldCommit(
+            roots=tuple(self._pending_roots.values()),
+            descriptors=tuple(self._pending_descriptors.values()),
+            frees=tuple(self._deferred_frees),
+        )
+        self._close()
         if self._hold:
-            # Two-phase commit's phase 1: capture the commit effects for
-            # a later apply_held instead of running them.  The charge
-            # journal is still folded below — the batch's I/O physically
-            # happened; only its *visibility* is held.
-            self._held = HeldCommit(
-                roots=tuple(self._pending_roots.values()),
-                descriptors=tuple(self._pending_descriptors.values()),
-                frees=tuple(self._deferred_frees),
-            )
-            self._pending_roots.clear()
-            self._pending_descriptors.clear()
-            self._deferred_frees = []
-            self._uninstall_free_sinks()
-            log = self._log
-            if log is not None and self._owns_log:
-                env.cost.clear_log()
-                log.commit_to(env.cost.stats)
-            self._log = None
-            self._owns_log = False
-            self.active = False
-            return
-        # 1. Group commit: each distinct root/descriptor exactly once.
-        #    These are uncharged pokes, so they cannot fire an injected
-        #    crash — every crash point inside the batch precedes them.
-        for tree in self._pending_roots.values():
-            tree.commit_root()
-        self._pending_roots.clear()
-        for host, descriptor in self._pending_descriptors.values():
-            host.flush_descriptor(descriptor)
-        self._pending_descriptors.clear()
-        # 2. Apply deferred frees (fault-armed batches only), in original
-        #    order so buddy coalescing is deterministic.  They run after
-        #    the pokes: a crash during a directory writeback here leaves
-        #    the *committed* batch-end image behind.
-        frees = self._deferred_frees
-        self._uninstall_free_sinks()
-        for allocator, page_id, n_pages in frees:
-            allocator.free(page_id, n_pages)
-        self._deferred_frees = []
-        # 3. Fold the charge journal into the ledger in one pass (only
-        #    when this batch installed it; an outer phase log is folded
-        #    by its owner).
-        log = self._log
-        if log is not None and self._owns_log:
-            env.cost.clear_log()
-            log.commit_to(env.cost.stats)
-        self._log = None
-        self._owns_log = False
-        self.active = False
+            self._held = held
+        else:
+            self.apply_held(held)
 
     def _abort(self) -> None:
         """Unwind a failed batch without touching pool or disk state.
 
-        The journaled charges are folded — that I/O physically happened
-        before the failure — and deferred roots are re-marked dirty in
-        memory so the next successful op span commits their images.
-        Deferred frees are dropped: their ops never committed.
+        Deferred roots are re-marked dirty in memory so the next
+        successful op span commits their images.  Deferred frees are
+        dropped: their ops never committed.
         """
         for tree in self._pending_roots.values():
             tree.mark_root_dirty()
+        self._close()
+
+    def _close(self) -> None:
+        """Drop every batch-scoped intent and mark the engine idle."""
         self._pending_roots.clear()
         self._pending_descriptors.clear()
         self._deferred_frees = []
-        self._uninstall_free_sinks()
-        log = self._log
-        if log is not None and self._owns_log:
-            self.env.cost.clear_log()
-            log.commit_to(self.env.cost.stats)
-        self._log = None
-        self._owns_log = False
-        self.active = False
-
-    def _uninstall_free_sinks(self) -> None:
         if self._frees_deferred:
             self.env.areas.meta.free_sink = None
             self.env.areas.data.free_sink = None
             self._frees_deferred = False
+        self.active = False
 
     def _defer_free(
         self, allocator: "BuddyAllocator", page_id: int, n_pages: int
@@ -359,13 +309,15 @@ class BatchEngine:
         return held
 
     def apply_held(self, held: HeldCommit) -> None:
-        """Release a held commit: pokes, flushes, then charged frees.
+        """Release a commit: pokes, flushes, then charged frees.
 
-        The uncharged pokes cannot fire an injected crash, so a caller
+        Each distinct root/descriptor is poked exactly once.  The pokes
+        are uncharged, so they cannot fire an injected crash: a caller
         that writes its durability marker immediately before this call
-        leaves no crash window between the marker and visibility; a
-        crash during the trailing frees lands after the batch-end image
-        is already committed.
+        leaves no crash window between the marker and visibility.  The
+        frees run last, in original order so buddy coalescing is
+        deterministic; a crash during a directory writeback there lands
+        after the batch-end image is already committed.
         """
         for tree in held.roots:
             tree.commit_root()
@@ -407,19 +359,13 @@ class BatchEngine:
         Invalid op kinds are rejected before anything executes, so the
         only mid-batch failures are real operation errors.
         """
-        for op in ops:
-            if op.kind not in OP_KINDS:
-                raise InvalidArgumentError(
-                    f"unknown batch op kind {op.kind!r}; "
-                    f"expected one of {sorted(OP_KINDS)}"
-                )
+        check_op_kinds(ops)
+        pairs = zip(itertools.repeat(oid), ops)
         tracer = self.env.tracer
         if tracer is None:
-            with self.batch():
-                return self._dispatch(manager, oid, ops)
+            return self._dispatch(manager, pairs)
         with tracer.span("exec.batch", ops=len(ops), scheme=manager.scheme):
-            with self.batch():
-                return self._dispatch(manager, oid, ops)
+            return self._dispatch(manager, pairs)
 
     def run_multi(
         self,
@@ -430,21 +376,14 @@ class BatchEngine:
 
         One batch lifecycle covers every (oid, op) pair: group commit
         dedups root pokes and descriptor flushes *across* the batch's
-        objects, and the charge journal spans the whole run.  The ops
-        execute in submission order; per-op results and costs line up
-        index-for-index with ``mops``, exactly as ``run_batch`` does for
-        a single object.
+        objects.  The ops execute in submission order; per-op results
+        and costs line up index-for-index with ``mops``, exactly as
+        ``run_batch`` does for a single object.
         """
-        for mop in mops:
-            if mop.op.kind not in OP_KINDS:
-                raise InvalidArgumentError(
-                    f"unknown batch op kind {mop.op.kind!r}; "
-                    f"expected one of {sorted(OP_KINDS)}"
-                )
+        check_op_kinds(mop.op for mop in mops)
         tracer = self.env.tracer
         if tracer is None:
-            with self.batch():
-                return self._dispatch_multi(manager, mops)
+            return self._dispatch(manager, mops)
         objects = len({mop.oid for mop in mops})
         with tracer.span(
             "exec.multi",
@@ -452,96 +391,64 @@ class BatchEngine:
             objects=objects,
             scheme=manager.scheme,
         ):
-            with self.batch():
-                return self._dispatch_multi(manager, mops)
-
-    def _dispatch_multi(
-        self,
-        manager: "LargeObjectManager",
-        mops: Sequence[MultiOp],
-    ) -> BatchResult:
-        # Mirrors _dispatch below with a per-op oid; kept as its own loop
-        # so the single-object hot path allocates no (oid, op) pairs.
-        results: list["Payload | None"] = []
-        costs: list[float] = []
-        cost = self.env.cost
-        config = self.env.config
-        seek = config.seek_ms
-        transfer = config.transfer_ms_per_page
-        log = self._log
-        sampler = self.env.sampler
-        shard = self.env.shard_index
-        for oid, op in mops:
-            kind = op.kind
-            if log is not None:
-                lo = log.mark()
-            else:
-                before = cost.snapshot()
-            if kind == READ:
-                results.append(manager.read(oid, op.offset, op.nbytes))
-            elif kind == INSERT:
-                manager.insert(oid, op.offset, op.data)
-                results.append(None)
-            elif kind == DELETE:
-                manager.delete(oid, op.offset, op.nbytes)
-                results.append(None)
-            elif kind == APPEND:
-                manager.append(oid, op.data)
-                results.append(None)
-            else:  # REPLACE (kinds were validated up front)
-                assert kind == REPLACE
-                manager.replace(oid, op.offset, op.data)
-                results.append(None)
-            if log is not None:
-                op_cost = log.cost_ms_between(lo, log.mark(), seek, transfer)
-            else:
-                op_cost = cost.elapsed_since(before)
-            costs.append(op_cost)
-            if sampler is not None:
-                sampler.record_op(kind, manager.scheme, shard, op_cost)
-        return BatchResult(tuple(results), tuple(costs))
+            return self._dispatch(manager, mops)
 
     def _dispatch(
         self,
         manager: "LargeObjectManager",
-        oid: int,
-        ops: Sequence[BatchOp],
+        pairs: Iterable[tuple[int, BatchOp]],
     ) -> BatchResult:
+        """Run ``(oid, op)`` pairs as one batch, pricing each from the ledger.
+
+        An op's cost is the ledger's call and page counts after it minus
+        before it, times the cost constants — the arithmetic of
+        ``IOStats.delta(...).elapsed_ms(...)`` without the two snapshot
+        records per op.
+        """
         results: list["Payload | None"] = []
         costs: list[float] = []
-        cost = self.env.cost
+        stats = self.env.cost.stats
         config = self.env.config
         seek = config.seek_ms
         transfer = config.transfer_ms_per_page
-        log = self._log
         sampler = self.env.sampler
         shard = self.env.shard_index
-        for op in ops:
-            kind = op.kind
-            if log is not None:
-                lo = log.mark()
-            else:
-                before = cost.snapshot()
-            if kind == READ:
-                results.append(manager.read(oid, op.offset, op.nbytes))
-            elif kind == INSERT:
-                manager.insert(oid, op.offset, op.data)
-                results.append(None)
-            elif kind == DELETE:
-                manager.delete(oid, op.offset, op.nbytes)
-                results.append(None)
-            elif kind == APPEND:
-                manager.append(oid, op.data)
-                results.append(None)
-            else:  # REPLACE (kinds were validated up front)
-                assert kind == REPLACE
-                manager.replace(oid, op.offset, op.data)
-                results.append(None)
-            if log is not None:
-                op_cost = log.cost_ms_between(lo, log.mark(), seek, transfer)
-            else:
-                op_cost = cost.elapsed_since(before)
-            costs.append(op_cost)
-            if sampler is not None:
-                sampler.record_op(kind, manager.scheme, shard, op_cost)
+        with self.batch():
+            for oid, op in pairs:
+                kind = op.kind
+                calls = stats.read_calls + stats.write_calls
+                pages = stats.pages_read + stats.pages_written
+                if kind == READ:
+                    results.append(manager.read(oid, op.offset, op.nbytes))
+                elif kind == INSERT:
+                    manager.insert(oid, op.offset, op.data)
+                    results.append(None)
+                elif kind == DELETE:
+                    manager.delete(oid, op.offset, op.nbytes)
+                    results.append(None)
+                elif kind == APPEND:
+                    manager.append(oid, op.data)
+                    results.append(None)
+                else:  # REPLACE (kinds were validated up front)
+                    assert kind == REPLACE
+                    manager.replace(oid, op.offset, op.data)
+                    results.append(None)
+                op_cost = (
+                    stats.read_calls + stats.write_calls - calls
+                ) * seek + (
+                    stats.pages_read + stats.pages_written - pages
+                ) * transfer
+                costs.append(op_cost)
+                if sampler is not None:
+                    sampler.record_op(kind, manager.scheme, shard, op_cost)
         return BatchResult(tuple(results), tuple(costs))
+
+
+def check_op_kinds(ops: Iterable[BatchOp]) -> None:
+    """Reject any op whose kind a batch cannot execute."""
+    for op in ops:
+        if op.kind not in OP_KINDS:
+            raise InvalidArgumentError(
+                f"unknown batch op kind {op.kind!r}; "
+                f"expected one of {sorted(OP_KINDS)}"
+            )

@@ -169,6 +169,16 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.experiments if name not in EXPERIMENTS]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s) {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(EXPERIMENTS))}"
+        )
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    if args.timeline_every_ops is not None and args.timeline_every_ops < 1:
+        parser.error("--timeline-every-ops must be at least 1")
     if args.list_only:
         print(_list_text())
         return 0

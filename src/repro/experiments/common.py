@@ -99,8 +99,8 @@ XL_SCALE = Scale(
 )
 
 #: GB-class scale, only practical on the batch execution path
-#: (:mod:`repro.exec`): group commit and one-pass accounting cut the
-#: per-op overhead that dominates wall-clock at this size.  Like
+#: (:mod:`repro.exec`): group commit cuts the per-op overhead that
+#: dominates wall-clock at this size.  Like
 #: ``xl``, feasible only because payloads are length-only.
 XXL_SCALE = Scale(
     name="xxl",
@@ -189,7 +189,7 @@ def build_object_batched(
     Same appends in the same order through ``submit_ops``
     (:mod:`repro.exec`), so the built object, its counters, and the
     final image are bit-identical to the per-op build; the batch engine's
-    group commit and one-pass accounting make it several times faster.
+    group commit makes it several times faster.
     The trailing trim stays per-op (it is a lifecycle fix-up, not a
     batch op kind).
     """

@@ -33,26 +33,27 @@ shard and asserts the batch *succeeds* (the disk's bounded retry policy
 absorbs the fault) with clean fsck — proving the protocol does not
 confuse a retried write with a crash.
 
-``--jobs N`` fans the (scheme, target shard) grid out to worker
-processes; tasks are independent and results merge in grid order, so
-the report is identical at any job count.
+``--jobs N`` fans the (scheme, target shard) grid out through the
+experiment grid runner (:func:`repro.experiments.parallel.run_grid`);
+tasks are independent and results merge in task order, so the report is
+identical at any job count.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 from collections.abc import Sequence
+from typing import NamedTuple
 
 from repro.core.config import SystemConfig, small_page_config
 from repro.core.errors import CrashError, InvalidArgumentError, ReproError
 from repro.exec.plan import BatchOp, MultiOp
-from repro.experiments.parallel import DegradationLog
+from repro.experiments.parallel import DegradationLog, run_grid
 from repro.faults.plan import FaultPlan, at, every
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
 from repro.recovery.crash import rebuild_content
-from repro.recovery.sweep import SWEEP_SCHEMES
+from repro.recovery.sweep import _MAX_WRITES, _SCHEME_OPTIONS, SWEEP_SCHEMES
 from repro.shard.router import ShardedStore
 
 __all__ = [
@@ -63,15 +64,6 @@ __all__ = [
     "run_cross_shard_sweep",
     "sweep_scheme_shard",
 ]
-
-_SCHEME_OPTIONS: dict[str, dict[str, int]] = {
-    "esm": {"leaf_pages": 2},
-    "starburst": {},
-    "eos": {"threshold_pages": 2},
-}
-
-#: Safety valve, mirroring the single-store sweep.
-_MAX_WRITES = 2000
 
 
 def _pattern(n: int, salt: int = 0) -> bytes:
@@ -397,9 +389,24 @@ def sweep_scheme_shard(
     return report
 
 
-def _worker(task: tuple[str, int, int, bool]) -> ShardSweepReport:
-    scheme, shards, target, torn = task
-    return sweep_scheme_shard(scheme, shards, target, torn=torn)
+class _SweepTask(NamedTuple):
+    """One (scheme, target shard) unit of the fan-out (picklable)."""
+
+    scheme: str
+    shards: int
+    target: int
+    torn: bool
+
+    @property
+    def label(self) -> str:
+        """Human label used by the grid runner's degradation log."""
+        return f"shard-sweep:{self.scheme}/shard{self.target}"
+
+
+def _worker(task: _SweepTask) -> ShardSweepReport:
+    return sweep_scheme_shard(
+        task.scheme, task.shards, task.target, torn=task.torn
+    )
 
 
 def run_cross_shard_sweep(
@@ -413,20 +420,15 @@ def run_cross_shard_sweep(
     if shards < 1:
         raise InvalidArgumentError("shards must be >= 1")
     tasks = [
-        (scheme, shards, target, torn)
+        _SweepTask(scheme, shards, target, torn)
         for scheme in schemes
         for target in range(shards)
     ]
     report = ShardSweepReport()
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            report.merge(_worker(task))
-        return report
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map() yields in task order, so the merged report is identical
-        # to the serial one at any worker count.
-        for partial in pool.map(_worker, tasks):
-            report.merge(partial)
+    # run_grid returns results in task order, so the merged report is
+    # identical to the serial one at any worker count.
+    for partial in run_grid(tasks, jobs=jobs, compute=_worker):
+        report.merge(partial)
     return report
 
 

@@ -13,9 +13,9 @@ Because shards share no state, shard work parallelizes *exactly*:
 :mod:`repro.shard.program` describes a shard's whole life as a pure
 picklable program, :mod:`repro.shard.parallel` replays programs across
 worker processes with the grid runner's deterministic fan-out, and the
-merge folds per-shard prefix-summed charge journals in shard order —
-results are bit-identical whatever the worker count, and a one-shard
-store is bit-identical to the unsharded one.
+merge sums the per-shard ledger deltas in shard order — results are
+bit-identical whatever the worker count, and a one-shard store is
+bit-identical to the unsharded one.
 """
 
 from __future__ import annotations

@@ -11,10 +11,8 @@ everything merged from it — independent of worker count and scheduling.
 
 :func:`merge_outcomes` folds the per-shard results in **shard order**:
 
-* the merged :class:`~repro.disk.iomodel.IOStats` ledger is folded from
-  each shard's prefix-summed :class:`~repro.exec.accounting.ChargeLog`
-  (one O(1) commit per shard; the stats delta is the fallback under
-  tracing, where charges stay per-call for span attribution);
+* the merged :class:`~repro.disk.iomodel.IOStats` ledger is the sum of
+  each shard's measured-phase ledger delta (five integer adds a shard);
 * ``sim_ms`` is the aggregate simulated I/O of the merged ledger —
   total device work, equal to the sum over shards;
 * ``makespan_sim_ms`` is the max per-shard simulated time — what a host
@@ -80,26 +78,18 @@ def run_shard_programs(
     """
     if jobs is None:
         jobs = default_jobs(len(programs))
-    if tracer is None:
-        outcomes = run_grid(
-            programs,
-            jobs=jobs,
-            retries=retries,
-            timeout_s=timeout_s,
-            compute=execute_program,
-            log=log,
-        )
-        return list(outcomes)
-    pairs = run_grid(
+    results = run_grid(
         programs,
         jobs=jobs,
         retries=retries,
         timeout_s=timeout_s,
-        compute=execute_program_traced,
+        compute=execute_program if tracer is None else execute_program_traced,
         log=log,
     )
+    if tracer is None:
+        return results
     outcomes = []
-    for outcome, state in pairs:
+    for outcome, state in results:
         tracer.absorb(state)
         outcomes.append(outcome)
     return outcomes
@@ -118,14 +108,8 @@ def merge_outcomes(
     stats = IOStats()
     pool = PoolStats()
     for outcome in ordered:
-        if outcome.charge is not None:
-            outcome.charge.commit_to(stats)
-        else:
-            stats.add(outcome.stats)
-        pool.hits += outcome.pool.hits
-        pool.misses += outcome.pool.misses
-        pool.evictions += outcome.pool.evictions
-        pool.dirty_writebacks += outcome.pool.dirty_writebacks
+        stats.add(outcome.stats)
+        pool.add(outcome.pool)
     return MergedOutcome(
         stats=stats,
         sim_ms=stats.elapsed_ms(config),

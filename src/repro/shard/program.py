@@ -8,16 +8,14 @@ bit-identity contract.  Instead, each shard's entire life is described
 as a :class:`ShardProgram` — a pure, picklable value listing the setup
 and measured steps to replay from an empty store — and executed from
 scratch wherever convenient (in-process or in a worker).  Replaying the
-same program always produces the same simulated counters, windows, and
-charge journal, so results are independent of worker count and
-scheduling (the same property :mod:`repro.experiments.parallel` relies
-on for grid points).
+same program always produces the same simulated counters and windows,
+so results are independent of worker count and scheduling (the same
+property :mod:`repro.experiments.parallel` relies on for grid points).
 
-The measured phase journals every charge into one
-:class:`~repro.exec.accounting.ChargeLog` (untraced runs): the batch
-engine reuses the installed phase log for its per-op marks, and the
-resulting per-shard prefix-summed journals are folded into one merged
-report by :func:`repro.shard.parallel.merge_outcomes`.
+The measured phase is reported as the ledger delta across it
+(:class:`~repro.disk.iomodel.IOStats`), and the per-shard deltas are
+summed into one merged report by
+:func:`repro.shard.parallel.merge_outcomes`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.errors import InvalidArgumentError
 from repro.disk.iomodel import IOStats
 from repro.buffer.pool import PoolStats
-from repro.exec.accounting import ChargeLog
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp, read_op
 from repro.experiments.common import build_object_batched
@@ -80,7 +77,7 @@ class ShardProgram(NamedTuple):
     """One shard's full replayable lifetime (pure data, picklable).
 
     ``setup`` steps run before the measured phase snapshot; ``measured``
-    steps are journaled and reported.  ``keep_image`` retains the
+    steps are the ones reported.  ``keep_image`` retains the
     shard's final raw disk image in the outcome (tests use it for
     bit-identity fingerprints).
     """
@@ -108,9 +105,7 @@ class ShardProgram(NamedTuple):
 class ShardOutcome(NamedTuple):
     """Everything one replayed shard program reports back (picklable).
 
-    ``stats`` is the measured-phase ledger delta; ``charge`` the
-    prefix-summed journal of the same charges (``None`` under tracing,
-    where the engine keeps per-call charging so span attribution works).
+    ``stats`` is the measured-phase ledger delta.
     ``step_results`` lines up with the program's measured steps:
     build → local oid, scan → bytes scanned, workload → window tuple,
     ops → :class:`~repro.exec.engine.BatchResult`.
@@ -122,7 +117,6 @@ class ShardOutcome(NamedTuple):
     sim_ms: float
     pool: PoolStats
     step_results: tuple[object, ...]
-    charge: ChargeLog | None
     image: "dict[int, object] | None"
 
 
@@ -192,31 +186,18 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
         for step in program.setup:
             _run_step(store, oids, step)
     before = store.snapshot()
-    log: ChargeLog | None = None
-    if tracer is None:
-        # Journal the whole measured phase into one prefix-summed log;
-        # batches opened inside reuse it for their per-op marks.
-        log = ChargeLog()
-        store.env.cost.install_log(log)
-    step_results: list[object] = []
-    try:
-        with _span(tracer, "shard.measure", program.shard_index):
-            for step in program.measured:
-                step_results.append(_run_step(store, oids, step))
-    finally:
-        if log is not None:
-            store.env.cost.clear_log()
-            log.commit_to(store.env.cost.stats)
+    with _span(tracer, "shard.measure", program.shard_index):
+        step_results = [
+            _run_step(store, oids, step) for step in program.measured
+        ]
     delta = store.stats.delta(before)
-    pool = store.env.pool.stats
     return ShardOutcome(
         shard_index=program.shard_index,
         scheme=program.scheme,
         stats=delta,
         sim_ms=delta.elapsed_ms(program.config),
-        pool=dataclasses.replace(pool),
+        pool=dataclasses.replace(store.env.pool.stats),
         step_results=tuple(step_results),
-        charge=log,
         image=dict(store.env.disk._pages) if program.keep_image else None,
     )
 

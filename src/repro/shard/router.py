@@ -43,8 +43,8 @@ from repro.core.payload import Payload
 from repro.disk.iomodel import IOStats
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.shard.faults import ShardedFaultInjector
 
 
 class ShardedStore:
@@ -254,24 +254,45 @@ class ShardedStore:
         *,
         shard: int | None = None,
         plans: "dict[int, FaultPlan] | None" = None,
-    ) -> ShardedFaultInjector:
+    ) -> ContextManager[object]:
         """Arm fault plans against individual shards' disks.
 
-        Fault schedules count *logical I/O calls of one disk*; before
-        this hook, targeting one shard of a sharded store meant hand
-        plumbing an injector into ``store.shards[k].env``, and a
-        schedule like ``every(5)`` could not be expressed against the
-        store at all (there is no store-wide I/O counter — each shard
-        counts its own calls).  This returns a context manager that
-        installs an independent injector per selected shard, so
-        schedules fire on that shard's own deterministic counters and
-        sibling shards' counters are never perturbed.
+        Fault schedules count *logical I/O calls of one disk*, and a
+        sharded store has no store-wide I/O counter — each shard counts
+        its own calls.  This arms an independent
+        :class:`~repro.faults.injector.FaultInjector` (own counters, own
+        RNG, own retain-freed bookkeeping) on each selected shard, in
+        ascending shard order, so schedules fire on that shard's own
+        deterministic counters and sibling shards' counters are never
+        perturbed.  The shards are armed on return, so use the result
+        as a ``with`` block at once: leaving it disarms every shard
+        however the block ends.
 
         ``shard=k`` arms only shard ``k``; ``plans`` maps shard index
         to a per-shard plan (overriding ``plan``); with neither, every
         shard is armed with ``plan``.
         """
-        return ShardedFaultInjector(self, plan, shard=shard, plans=plans)
+        if shard is not None and plans is not None:
+            raise InvalidArgumentError(
+                "pass either shard= or plans=, not both"
+            )
+        if shard is not None:
+            selected = {shard: plan}
+        elif plans is not None:
+            selected = dict(plans)
+        else:
+            selected = {index: plan for index in range(self.n_shards)}
+        for index in selected:
+            if not 0 <= index < self.n_shards:
+                raise InvalidArgumentError(
+                    f"shard {index} out of range for {self.n_shards} shards"
+                )
+        with contextlib.ExitStack() as stack:
+            for index in sorted(selected):
+                stack.enter_context(
+                    FaultInjector(self.shards[index].env, selected[index])
+                )
+            return stack.pop_all()
 
     def _batch_span(self, ops: int, touched: int) -> ContextManager[object]:
         tracer = self.shards[0].env.tracer
@@ -295,11 +316,7 @@ class ShardedStore:
         """Buffer-pool counters summed over shards in shard order."""
         merged = PoolStats()
         for store in self.shards:
-            pool = store.env.pool.stats
-            merged.hits += pool.hits
-            merged.misses += pool.misses
-            merged.evictions += pool.evictions
-            merged.dirty_writebacks += pool.dirty_writebacks
+            merged.add(store.env.pool.stats)
         return merged
 
     def snapshot(self) -> IOStats:

@@ -20,9 +20,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.errors import InvalidArgumentError
-from repro.exec.plan import DELETE as B_DELETE
-from repro.exec.plan import INSERT as B_INSERT
-from repro.exec.plan import READ as B_READ
 from repro.exec.plan import MultiOp
 from repro.shard.router import ShardedStore
 from repro.workload.generator import WorkloadGenerator
@@ -84,29 +81,9 @@ class ShardedWorkloadRunner:
             done += take
             for s in range(streams):
                 current = WindowStats(ops_done=done)
-                for j in range(take):
-                    index = j * streams + s
-                    bop = mops[index].op
-                    cost = result.op_costs_ms[index]
-                    if bop.kind == B_READ:
-                        current.reads += 1
-                        current.read_ms_total += cost
-                        if keep_op_costs:
-                            current.read_samples.append(cost)
-                    elif bop.kind == B_INSERT:
-                        current.inserts += 1
-                        current.insert_ms_total += cost
-                        if keep_op_costs:
-                            current.insert_samples.append(cost)
-                    elif bop.kind == B_DELETE:
-                        current.deletes += 1
-                        current.delete_ms_total += cost
-                        if keep_op_costs:
-                            current.delete_samples.append(cost)
-                    else:
-                        raise InvalidArgumentError(
-                            f"unexpected batch op kind {bop.kind!r}"
-                        )
+                stream_costs = result.op_costs_ms[s::streams]
+                for bop, cost in zip(per_stream[s], stream_costs):
+                    current.record(bop.kind, cost, keep_op_costs)
                 current.utilization = store.utilization(self.oids[s])
                 windows[s].append(current)
         return windows

@@ -77,6 +77,26 @@ class WindowStats:
         """Average simulated delete cost in the window, in milliseconds."""
         return self.delete_ms_total / self.deletes if self.deletes else 0.0
 
+    def record(self, kind: str, cost_ms: float, keep_op_costs: bool) -> None:
+        """Account one ``kind`` operation that cost ``cost_ms``."""
+        if kind == READ:
+            self.reads += 1
+            self.read_ms_total += cost_ms
+            if keep_op_costs:
+                self.read_samples.append(cost_ms)
+        elif kind == INSERT:
+            self.inserts += 1
+            self.insert_ms_total += cost_ms
+            if keep_op_costs:
+                self.insert_samples.append(cost_ms)
+        elif kind == DELETE:
+            self.deletes += 1
+            self.delete_ms_total += cost_ms
+            if keep_op_costs:
+                self.delete_samples.append(cost_ms)
+        else:
+            raise InvalidArgumentError(f"unknown workload op kind {kind!r}")
+
 
 class WorkloadRunner:
     """Runs a generated workload against one object of one manager."""
@@ -114,27 +134,14 @@ class WorkloadRunner:
             before = env.snapshot()
             if op.kind == READ:
                 self.manager.read(self.oid, op.offset, op.nbytes)
-                cost = env.elapsed_ms_since(before)
-                current.reads += 1
-                current.read_ms_total += cost
-                if keep_op_costs:
-                    current.read_samples.append(cost)
             elif op.kind == INSERT:
                 self.manager.insert(self.oid, op.offset, self._bytes(op.nbytes))
-                cost = env.elapsed_ms_since(before)
-                current.inserts += 1
-                current.insert_ms_total += cost
-                if keep_op_costs:
-                    current.insert_samples.append(cost)
             elif op.kind == DELETE:
                 self.manager.delete(self.oid, op.offset, op.nbytes)
-                cost = env.elapsed_ms_since(before)
-                current.deletes += 1
-                current.delete_ms_total += cost
-                if keep_op_costs:
-                    current.delete_samples.append(cost)
             else:
                 continue
+            cost = env.elapsed_ms_since(before)
+            current.record(op.kind, cost, keep_op_costs)
             if sampler is not None:
                 sampler.record_op(op.kind, scheme, env.shard_index, cost)
             if index % window == 0 or index == n_ops:
@@ -175,21 +182,7 @@ class WorkloadRunner:
             if index % window == 0 or index == n_ops:
                 result = manager.submit_ops(self.oid, pending)
                 for bop, cost in zip(pending, result.op_costs_ms):
-                    if bop.kind == B_READ:
-                        current.reads += 1
-                        current.read_ms_total += cost
-                        if keep_op_costs:
-                            current.read_samples.append(cost)
-                    elif bop.kind == B_INSERT:
-                        current.inserts += 1
-                        current.insert_ms_total += cost
-                        if keep_op_costs:
-                            current.insert_samples.append(cost)
-                    else:
-                        current.deletes += 1
-                        current.delete_ms_total += cost
-                        if keep_op_costs:
-                            current.delete_samples.append(cost)
+                    current.record(bop.kind, cost, keep_op_costs)
                 pending = []
                 current.ops_done = index
                 current.utilization = manager.utilization(self.oid)

@@ -16,6 +16,8 @@ the batch start or the batch end — never to a half-applied middle.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.api import LargeObjectStore
@@ -280,3 +282,78 @@ def test_batch_crash_recovers_committed_state_from_image(scheme: str) -> None:
         )
         seen.add("post" if recovered == post else "pre")
     assert "pre" in seen  # at least the earliest crash predates commit
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_crash_inside_batch_commit_leaves_engine_closed(scheme: str) -> None:
+    """A crash in the batch-boundary commit must not wedge the engine.
+
+    The trailing deferred frees can evict a dirty buddy-directory page —
+    a charged write, hence a crash point *after* the group commit.  The
+    dry run is taken with an empty plan armed so frees are deferred as
+    in the crashing runs and those commit-time writes are counted (on
+    Starburst the last dozen or so of several hundred).  After every
+    crash the engine must be idle with nothing pending, the ledger must
+    still see charges, and the next batch must open.
+    """
+    config = small_page_config()
+    page = config.page_size
+    size = 200 * page + 5
+    content = _pattern(size)
+    rng = random.Random(7)
+    batch: list[BatchOp] = []
+    for i in range(40):
+        nbytes = rng.randint(1, 3) * page
+        if i % 2 == 0:
+            batch.append(delete_op(rng.randrange(size - nbytes), nbytes))
+            size -= nbytes
+        else:
+            batch.append(
+                insert_op(rng.randrange(size), _pattern(nbytes, salt=i))
+            )
+            size += nbytes
+
+    def fresh() -> tuple[LargeObjectStore, int]:
+        store = LargeObjectStore(
+            scheme, config, leaf_pages=2, threshold_pages=2
+        )
+        return store, store.create(content)
+
+    store, oid = fresh()
+    with FaultInjector(store.env, FaultPlan()) as armed:
+        store.submit_ops(oid, batch)
+        n_writes = armed.write_calls
+    post = bytes(store.read(oid, 0, store.size(oid)))
+    assert 1 <= n_writes <= 2000
+
+    seen: set[str] = set()
+    for k in range(1, n_writes + 1):
+        store, oid = fresh()
+        with FaultInjector(store.env, FaultPlan(crash_writes=at(k))):
+            with pytest.raises(CrashError):
+                store.submit_ops(oid, batch)
+        recovered = bytes(rebuild_content(store, oid))
+        assert recovered in (content, post), (
+            f"{scheme}: crash at write {k}/{n_writes} tore the batch"
+        )
+        seen.add("post" if recovered == post else "pre")
+
+        where = f"{scheme}: after crash at write {k}/{n_writes}"
+        engine = store.env.exec
+        areas = store.env.areas
+        assert engine.active is False, where
+        assert areas.meta.free_sink is None, where
+        assert areas.data.free_sink is None, where
+        assert not engine._pending_roots, where
+        assert not engine._pending_descriptors, where
+        assert not engine._deferred_frees, where
+        calls = store.stats.io_calls
+        store.read(oid, 0, 4 * page)
+        assert store.stats.io_calls > calls, f"{where}: ledger is stuck"
+        result = store.submit_ops(
+            oid, [read_op(0, page), append_op(_pattern(page, salt=k))]
+        )
+        assert len(result.op_costs_ms) == 2, where
+    assert "pre" in seen
+    if scheme == "starburst":
+        assert "post" in seen  # the trailing frees were reached

@@ -28,9 +28,11 @@ def test_multiple_experiments(capsys):
     assert "Figure 5" in out
 
 
-def test_unknown_experiment_raises():
-    with pytest.raises(ValueError):
+def test_unknown_experiment_raises(capsys):
+    with pytest.raises(SystemExit) as excinfo:
         main(["fig99"])
+    assert excinfo.value.code == 2
+    assert "unknown experiment(s) fig99" in capsys.readouterr().err
 
 
 def test_list_flag_runs_nothing(capsys):
@@ -112,3 +114,21 @@ def test_out_of_range_shard_flags_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert "usage:" in captured.err
     assert "CLEAN" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables23", "nosuch"],
+    ["tables23", "--timeline", "t.jsonl", "--timeline-every-ops", "0"],
+    ["tables23", "--jobs", "0"],
+    ["tables23", "--jobs", "-2"],
+])
+def test_bad_experiment_arguments_are_usage_errors(
+    argv, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""  # rejected before any experiment ran
