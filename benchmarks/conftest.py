@@ -2,7 +2,7 @@
 
 Each benchmark regenerates one table or figure of the paper and prints
 the same rows/series the paper reports.  The default scale is reduced
-(``REPRO_SCALE=small``); run with ``REPRO_FULL=1`` to reproduce the
+(``REPRO_SCALE=small``); run with ``REPRO_SCALE=paper`` to reproduce the
 paper-size experiments recorded in EXPERIMENTS.md.
 """
 

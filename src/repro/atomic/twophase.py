@@ -35,16 +35,15 @@ batch-start state.  See :mod:`repro.recovery.atomic`.
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, ContextManager, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.atomic.journal import IntentJournal
 from repro.core.payload import Payload
 from repro.exec.engine import BatchResult, HeldCommit, check_op_kinds
 from repro.exec.plan import MultiOp
+from repro.obs.tracer import span_of
 
 if TYPE_CHECKING:
-    from repro.core.api import LargeObjectStore
     from repro.shard.router import ShardedStore
 
 
@@ -61,14 +60,6 @@ class AtomicCoordinator:
         )
         #: Monotonic batch ids — deterministic, no wall clock.
         self._batch_seq = 0
-
-    def _span(
-        self, shard_store: "LargeObjectStore", kind: str, **attrs: object
-    ) -> ContextManager[object]:
-        tracer = shard_store.env.tracer
-        if tracer is None:
-            return contextlib.nullcontext()
-        return tracer.span(kind, **attrs)
 
     def submit_many(self, mops: Sequence[MultiOp]) -> BatchResult:
         """Execute a cross-shard batch all-or-nothing.
@@ -100,14 +91,17 @@ class AtomicCoordinator:
         results: list[Payload | None] = [None] * len(mops)
         costs: list[float] = [0.0] * len(mops)
         held: dict[int, HeldCommit] = {}
-        with store._batch_span(len(mops), len(groups)):
+        with span_of(
+            store.shards[0].env.tracer,
+            "shard.batch", ops=len(mops), shards=len(groups),
+        ):
             # Phase 1: prepare + held execution, shards ascending.
             for shard in participants:
                 positions, local_mops = groups[shard]
                 shard_store = store.shards[shard]
                 engine = shard_store.env.exec
-                with self._span(
-                    shard_store, "atomic.prepare",
+                with span_of(
+                    shard_store.env.tracer, "atomic.prepare",
                     shard=shard, batch=batch_id, ops=len(local_mops),
                 ):
                     self.journals[shard].write_prepare(
@@ -124,8 +118,8 @@ class AtomicCoordinator:
                     costs[index] = cost
             # The global commit point: one atomic single-page write.
             coord_store = store.shards[coordinator]
-            with self._span(
-                coord_store, "atomic.commit",
+            with span_of(
+                coord_store.env.tracer, "atomic.commit",
                 shard=coordinator, batch=batch_id, phase="decision",
             ):
                 self.journals[coordinator].write_decision(
@@ -134,8 +128,8 @@ class AtomicCoordinator:
             # Phase 2: apply, shards ascending.
             for shard in participants:
                 shard_store = store.shards[shard]
-                with self._span(
-                    shard_store, "atomic.commit",
+                with span_of(
+                    shard_store.env.tracer, "atomic.commit",
                     shard=shard, batch=batch_id, phase="apply",
                 ):
                     self.journals[shard].write_applied(batch_id, shard)

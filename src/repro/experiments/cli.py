@@ -15,9 +15,21 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from repro.experiments.common import PAPER_SCALE, SMALL_SCALE, TINY_SCALE
+from repro.core.errors import InvalidArgumentError
+from repro.experiments.common import (
+    PAPER_SCALE,
+    SMALL_SCALE,
+    TINY_SCALE,
+    resolve_scale,
+)
+from repro.experiments.parallel import (
+    DEFAULT_RETRIES,
+    DegradationLog,
+    precompute,
+)
 from repro.experiments.registry import (
     CSV_EXPORTS,
     EXPERIMENTS,
@@ -27,13 +39,18 @@ from repro.experiments.registry import (
     run,
     run_plot,
 )
+from repro.obs import runtime as obs_runtime
+from repro.obs import timeline as obs_timeline
+from repro.obs.export import dump_trace
+from repro.obs.tracer import Tracer, span_of
 
 _EPILOG = """\
 --jobs N computes the experiment grid (every scheme x setting x
-operation-size point) in N worker processes before rendering; reports and
-simulated-cost counters are bit-identical to a serial run because every
-point is an isolated simulation with a fixed per-point seed.  --jobs 1
-(the default) keeps the fully serial path.  --list prints the known
+operation-size point) in N worker processes before rendering; reports,
+simulated-cost counters, traces and timelines are bit-identical for
+every N because every point is an isolated simulation with a fixed
+per-point seed.  --jobs 1 (the default) takes the same path and
+computes the grid in this process.  --list prints the known
 experiments, their grid sizes, and the available REPRO_SCALE values
 without running anything.
 """
@@ -79,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-experiments",
         description=(
             "Regenerate the tables and figures of Biliris (SIGMOD 1992). "
-            "Scale is controlled by REPRO_SCALE=tiny|small|paper "
-            "(or REPRO_FULL=1)."
+            "Scale is controlled by REPRO_SCALE=tiny|small|paper."
         ),
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -99,13 +115,13 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help=(
             "worker processes for the experiment grid (default: 1, "
-            "fully serial)"
+            "computed in this process)"
         ),
     )
     parser.add_argument(
         "--retries",
         type=int,
-        default=None,
+        default=DEFAULT_RETRIES,
         metavar="N",
         help=(
             "with --jobs, times a grid point lost to a worker failure is "
@@ -179,51 +195,48 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be at least 1")
     if args.timeline_every_ops is not None and args.timeline_every_ops < 1:
         parser.error("--timeline-every-ops must be at least 1")
+    if args.retries < 0:
+        parser.error("--retries must be at least 0")
+    if args.timeout is not None and args.timeout <= 0:
+        parser.error("--timeout must be greater than 0")
+    try:
+        scale = resolve_scale()
+    except InvalidArgumentError as exc:
+        parser.error(f"REPRO_SCALE: {exc}")
     if args.list_only:
         print(_list_text())
         return 0
     names = args.experiments or sorted(EXPERIMENTS)
     tracer = None
     if args.trace:
-        from repro.obs.tracer import Tracer
-
         tracer = Tracer(meta={"tool": "repro-experiments",
                               "experiments": names})
     sampler = None
     if args.timeline:
-        from repro.obs.timeline import DEFAULT_EVERY_OPS, TimelineSampler
-
-        sampler = TimelineSampler(
+        sampler = obs_timeline.TimelineSampler(
             every_ops=(
-                DEFAULT_EVERY_OPS
+                obs_timeline.DEFAULT_EVERY_OPS
                 if args.timeline_every_ops is None
                 else args.timeline_every_ops
             ),
             meta={"tool": "repro-experiments", "experiments": names},
         )
-    if args.jobs > 1:
-        # Warm the memo caches from worker processes; the serial assembly
-        # below then renders from cached results, bit-identically.
-        from repro.experiments.parallel import (
-            DEFAULT_RETRIES,
-            DegradationLog,
-            precompute,
-        )
-
-        log = DegradationLog()
-        precompute(
-            names,
-            jobs=args.jobs,
-            retries=(
-                DEFAULT_RETRIES if args.retries is None else args.retries
-            ),
-            timeout_s=args.timeout,
-            log=log,
-            tracer=tracer,
-            sampler=sampler,
-        )
-        if log.degraded:
-            print(log.summary(), file=sys.stderr)
+    # Every --jobs takes this one path: compute the grid (in this process
+    # at --jobs 1, in workers otherwise), fill the result table, then
+    # render from it.
+    log = DegradationLog()
+    precompute(
+        names,
+        jobs=args.jobs,
+        scale=scale,
+        retries=args.retries,
+        timeout_s=args.timeout,
+        log=log,
+        tracer=tracer,
+        sampler=sampler,
+    )
+    if log.degraded:
+        print(log.summary(), file=sys.stderr)
 
     def render_all() -> None:
         for name in names:
@@ -235,35 +248,22 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"wrote {export_csv(name, args.csv)}")
             print()
 
-    import contextlib
-
     with contextlib.ExitStack() as stack:
         # Ambient tracer/sampler are picked up by every
-        # StorageEnvironment the serial pass builds; with --jobs the
-        # expensive points are already cached (and their worker
-        # traces/timelines absorbed above), so this only adds whatever
-        # the assembly itself computes.
+        # StorageEnvironment the assembly builds; the grid's points are
+        # already memoized (and their per-point traces/timelines
+        # absorbed above), so this only adds whatever the assembly
+        # itself computes.
         if tracer is not None:
-            from repro.obs.runtime import installed
-
-            stack.enter_context(installed(tracer))
+            stack.enter_context(obs_runtime.installed(tracer))
         if sampler is not None:
-            from repro.obs.timeline import installed as sampler_installed
-
-            stack.enter_context(sampler_installed(sampler))
+            stack.enter_context(obs_timeline.installed(sampler))
         render_all()
     if sampler is not None:
-        from repro.obs.timeline import dump_timeline
-
-        if tracer is not None:
-            with tracer.span("obs.timeline", samples=len(sampler.samples)):
-                dump_timeline(sampler, args.timeline)
-        else:
-            dump_timeline(sampler, args.timeline)
+        with span_of(tracer, "obs.timeline", samples=len(sampler.samples)):
+            obs_timeline.dump_timeline(sampler, args.timeline)
         print(f"wrote timeline {args.timeline}")
     if tracer is not None:
-        from repro.obs.export import dump_trace
-
         dump_trace(tracer, args.trace)
         print(f"wrote trace {args.trace}")
     return 0

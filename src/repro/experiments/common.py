@@ -4,14 +4,19 @@ All experiments default to the paper's setup (Section 4.1): Table 1
 system parameters and a 10 MB object.  Because a pure-Python simulation
 of the full parameter sweep takes minutes, the pytest-benchmark harness
 runs a scaled-down configuration by default; set ``REPRO_SCALE=paper``
-(or ``REPRO_FULL=1``) to reproduce the paper-size runs, exactly as
-recorded in EXPERIMENTS.md.
+to reproduce the paper-size runs, exactly as recorded in EXPERIMENTS.md.
+
+This module also owns the harness's one result table (:func:`memoized`,
+:func:`prime`, :func:`clear`): the paper's figures are columns of the
+same runs, so every expensive point is computed once per process and
+shared by whichever reports read it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from typing import Any, Callable
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import PAPER_CONFIG, SystemConfig
@@ -125,18 +130,45 @@ def format_object_size(nbytes: int) -> str:
 
 
 def resolve_scale(name: str | None = None) -> Scale:
-    """Pick a scale: explicit name, else REPRO_SCALE / REPRO_FULL env."""
+    """Pick a scale: explicit name, else the REPRO_SCALE env var."""
     if name is None:
-        if os.environ.get("REPRO_FULL"):
-            name = "paper"
-        else:
-            name = os.environ.get("REPRO_SCALE", "small")
+        name = os.environ.get("REPRO_SCALE", "small")
     try:
         return _SCALES[name]
     except KeyError:
         raise InvalidArgumentError(
             f"unknown scale {name!r}; expected one of {sorted(_SCALES)}"
         ) from None
+
+
+#: The one result table, keyed by the ``compute_*`` function and its
+#: arguments (all frozen dataclasses, ints and strings, so keys are
+#: hashable and pickle-stable).  An explicit dict rather than
+#: ``functools.lru_cache`` so the parallel runner can *prime* it with
+#: results computed in worker processes.
+_RESULTS: dict[tuple[Callable[..., Any], tuple[Any, ...]], Any] = {}
+
+
+def memoized(compute: Callable[..., Any], *args: Any) -> Any:
+    """``compute(*args)``, computed at most once per process."""
+    key = (compute, args)
+    try:
+        return _RESULTS[key]
+    except KeyError:
+        result = _RESULTS[key] = compute(*args)
+        return result
+
+
+def prime(
+    compute: Callable[..., Any], args: tuple[Any, ...], result: Any
+) -> None:
+    """Record a result computed elsewhere (never overwrites an entry)."""
+    _RESULTS.setdefault((compute, args), result)
+
+
+def clear() -> None:
+    """Forget every memoized result (tests use this for isolation)."""
+    _RESULTS.clear()
 
 
 def make_store(

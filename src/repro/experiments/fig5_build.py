@@ -19,6 +19,7 @@ from repro.experiments.common import (
     build_object,
     format_object_size,
     make_store,
+    memoized,
     resolve_scale,
 )
 
@@ -57,12 +58,6 @@ class BuildTimeResult:
         )
 
 
-#: Memoized build times keyed like :func:`build_time_seconds`'s arguments;
-#: an explicit dict so the parallel runner can prime it (see
-#: :mod:`repro.experiments.parallel`).
-_BUILD_CACHE: dict[tuple[str, int, int, int, SystemConfig], float] = {}
-
-
 def compute_build_time(
     scheme: str,
     append_kb: int,
@@ -86,33 +81,9 @@ def build_time_seconds(
     config: SystemConfig = PAPER_CONFIG,
 ) -> float:
     """Simulated seconds to build one object with fixed-size appends."""
-    key = (scheme, append_kb, object_bytes, leaf_pages, config)
-    cached = _BUILD_CACHE.get(key)
-    if cached is None:
-        cached = compute_build_time(
-            scheme, append_kb, object_bytes, leaf_pages, config
-        )
-        _BUILD_CACHE[key] = cached
-    return cached
-
-
-def prime(
-    scheme: str,
-    append_kb: int,
-    object_bytes: int,
-    leaf_pages: int,
-    config: SystemConfig,
-    seconds: float,
-) -> None:
-    """Insert a precomputed build time (parallel runner hook)."""
-    _BUILD_CACHE.setdefault(
-        (scheme, append_kb, object_bytes, leaf_pages, config), seconds
+    return memoized(
+        compute_build_time, scheme, append_kb, object_bytes, leaf_pages, config
     )
-
-
-def clear_cache() -> None:
-    """Drop memoized build times."""
-    _BUILD_CACHE.clear()
 
 
 def run_fig5(

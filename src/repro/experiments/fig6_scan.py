@@ -18,6 +18,7 @@ from repro.experiments.common import (
     build_object,
     format_object_size,
     make_store,
+    memoized,
     resolve_scale,
 )
 
@@ -55,11 +56,6 @@ class ScanTimeResult:
         )
 
 
-#: Memoized scan times; an explicit dict so the parallel runner can prime
-#: it (see :mod:`repro.experiments.parallel`).
-_SCAN_CACHE: dict[tuple[str, int, int, int, SystemConfig], float] = {}
-
-
 def compute_scan_time(
     scheme: str,
     scan_kb: int,
@@ -95,33 +91,9 @@ def scan_time_seconds(
     appends" — slightly important for Starburst/EOS, whose structure
     depends on the size of the first append.
     """
-    key = (scheme, scan_kb, object_bytes, leaf_pages, config)
-    cached = _SCAN_CACHE.get(key)
-    if cached is None:
-        cached = compute_scan_time(
-            scheme, scan_kb, object_bytes, leaf_pages, config
-        )
-        _SCAN_CACHE[key] = cached
-    return cached
-
-
-def prime(
-    scheme: str,
-    scan_kb: int,
-    object_bytes: int,
-    leaf_pages: int,
-    config: SystemConfig,
-    seconds: float,
-) -> None:
-    """Insert a precomputed scan time (parallel runner hook)."""
-    _SCAN_CACHE.setdefault(
-        (scheme, scan_kb, object_bytes, leaf_pages, config), seconds
+    return memoized(
+        compute_scan_time, scheme, scan_kb, object_bytes, leaf_pages, config
     )
-
-
-def clear_cache() -> None:
-    """Drop memoized scan times."""
-    _SCAN_CACHE.clear()
 
 
 def run_fig6(

@@ -3,10 +3,11 @@
 Each experiment in the registry is a sweep over (scheme × setting ×
 operation-size / append-size) points.  Historically the figure runners
 looped over those points internally; this module makes the loop structure
-explicit so the parallel runner (:mod:`repro.experiments.parallel`) can
-fan the points across worker processes and prime the per-module memo
-caches with the results before the (serial, deterministic) assembly pass
-renders the reports.
+explicit so the runner (:mod:`repro.experiments.parallel`) can compute
+the points — in-process or across worker processes — and prime the one
+result table (:func:`repro.experiments.common.memoized`) with the
+results before the (serial, deterministic) assembly pass renders the
+reports.
 
 A :class:`GridPoint` is a frozen, picklable value object.  Seeding is per
 point: every point's workload generator is seeded with the fixed
@@ -211,7 +212,7 @@ def full_grid(names: list[str], scale: Scale | None = None) -> list[GridPoint]:
     Points shared between experiments (Figures 7-12 all consume the same
     random-update runs) appear once, in first-seen order, so the parallel
     runner computes each underlying run exactly once — mirroring what the
-    serial memo caches achieve.
+    result table achieves for direct ``run_*`` calls.
     """
     scale = scale or resolve_scale()
     seen: set[GridPoint] = set()

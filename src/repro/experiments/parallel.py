@@ -11,15 +11,18 @@ that in three steps:
    :class:`concurrent.futures.ProcessPoolExecutor`; ``executor.map``
    preserves submission order, so results come back deterministically
    ordered regardless of which worker finished first.
-2. :func:`prime_results` inserts the computed values into the per-module
-   memo caches (``random_ops``, ``fig5_build``, ``fig6_scan``,
-   ``scaling``, ``summary``).
+2. :func:`prime_results` records the computed values in the one result
+   table (:func:`repro.experiments.common.memoized`), under the key
+   :func:`binding` gives each point — the same ``(compute function,
+   arguments)`` pair the figure modules' memo wrappers look up.
 3. The caller then runs the ordinary serial assembly
    (:func:`repro.experiments.registry.run`), which finds every expensive
-   point already cached and renders reports **bit-identical** to a serial
-   run — the invariance contract checked by ``tests/test_parallel.py``.
+   point already memoized and renders reports **bit-identical** for any
+   worker count — the invariance contract checked by
+   ``tests/test_parallel.py``.
 
-:func:`precompute` bundles the three steps for the CLI's ``--jobs N``.
+:func:`precompute` bundles the three steps; the CLI goes through it for
+every ``--jobs``, 1 included, so there is no separate serial path.
 
 Because every point is a pure function of its :class:`GridPoint`, worker
 failures are recoverable by recomputation: :func:`run_grid` degrades
@@ -36,6 +39,7 @@ bit-identical in its results but visibly degraded in its report.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 from concurrent.futures.process import BrokenProcessPool
@@ -50,12 +54,53 @@ from repro.experiments import (
     shard_scaling,
     summary,
 )
-from repro.experiments.common import Scale, resolve_scale
+from repro.experiments.common import Scale, clear, prime, resolve_scale
 from repro.experiments.grid import GridPoint, full_grid
 from repro.obs import timeline as obs_timeline
 from repro.obs.runtime import installed
 from repro.obs.timeline import TimelineSampler
 from repro.obs.tracer import Tracer
+
+
+def binding(point: GridPoint) -> tuple[Callable[..., Any], tuple[Any, ...]]:
+    """The one ``GridPoint -> (compute function, arguments)`` binding.
+
+    Each pair is exactly what the kind's public memo wrapper
+    (``run_random_ops``, ``build_time_seconds``, ...) hands to
+    :func:`repro.experiments.common.memoized`, so :func:`compute_point`
+    and :func:`prime_results` agree with the assembly's lookups by
+    construction.
+    """
+    scale = resolve_scale(point.scale_name)
+    if point.kind == "random-ops":
+        key = random_ops.make_run_key(
+            point.scheme, point.setting, point.mean_op, scale
+        )
+        return random_ops.compute_run, (key, point.config)
+    if point.kind == "build":
+        return fig5_build.compute_build_time, (
+            point.scheme, point.append_kb, scale.object_bytes,
+            point.setting, point.config,
+        )
+    if point.kind == "scan":
+        return fig6_scan.compute_scan_time, (
+            point.scheme, point.append_kb, scale.object_bytes,
+            point.setting, point.config,
+        )
+    if point.kind == "scaling":
+        return scaling.compute_scaling, (
+            point.scheme, scale, point.config,
+            scaling.DEFAULT_STEPS, scaling.DEFAULT_INSERT_BYTES,
+        )
+    if point.kind == "shard":
+        return shard_scaling.compute_shard_point, (
+            point.scheme, point.setting, scale, point.config
+        )
+    if point.kind == "summary-scan":
+        return summary.compute_scan_seconds, (
+            point.scheme, point.setting, scale, point.config
+        )
+    raise InvalidArgumentError(f"unknown grid point kind {point.kind!r}")
 
 
 def compute_point(point: GridPoint) -> Any:
@@ -67,75 +112,41 @@ def compute_point(point: GridPoint) -> Any:
     scaling points, and a float (simulated seconds) for build/scan
     points.  All of these pickle cleanly back to the parent.
     """
-    scale = resolve_scale(point.scale_name)
-    if point.kind == "random-ops":
-        key = random_ops.make_run_key(
-            point.scheme, point.setting, point.mean_op, scale
-        )
-        return random_ops.compute_run(key, point.config)
-    if point.kind == "build":
-        return fig5_build.compute_build_time(
-            point.scheme, point.append_kb, scale.object_bytes,
-            point.setting, point.config,
-        )
-    if point.kind == "scan":
-        return fig6_scan.compute_scan_time(
-            point.scheme, point.append_kb, scale.object_bytes,
-            point.setting, point.config,
-        )
-    if point.kind == "scaling":
-        return scaling.compute_scaling(point.scheme, scale, point.config)
-    if point.kind == "shard":
-        return shard_scaling.compute_shard_point(
-            point.scheme, point.setting, scale, point.config
-        )
-    if point.kind == "summary-scan":
-        return summary.compute_scan_seconds(
-            point.scheme, point.setting, scale, point.config
-        )
-    raise InvalidArgumentError(f"unknown grid point kind {point.kind!r}")
+    compute, args = binding(point)
+    return compute(*args)
 
 
-def compute_point_traced(point: GridPoint) -> tuple[Any, dict[str, object]]:
-    """Compute one grid point under a private ambient tracer.
-
-    Returns ``(result, captured_trace_state)``; the state is picklable
-    and is absorbed into the parent's tracer in grid-point order, so the
-    merged trace does not depend on worker count or scheduling.
-    """
-    tracer = Tracer(meta={"point": _point_label(point)})
-    with installed(tracer):
-        result = compute_point(point)
-    return result, tracer.capture_state()
-
-
-def compute_point_instrumented(
+def compute_point_observed(
     point: GridPoint,
     *,
     traced: bool,
-    every_ops: int | None,
-    every_sim_ms: float | None,
-) -> tuple[Any, dict[str, object] | None, dict[str, object]]:
-    """Compute one grid point under a private sampler (and tracer).
+    cadence: tuple[int | None, float | None] | None,
+) -> tuple[Any, dict[str, object] | None, dict[str, object] | None]:
+    """Compute one grid point under a private tracer and/or sampler.
 
-    The timeline analogue of :func:`compute_point_traced`: returns
-    ``(result, trace_state_or_None, sampler_state)``; both states are
-    picklable and absorbed by the parent in grid order, so the merged
-    timeline (like the merged trace) is independent of worker count.
+    Returns ``(result, trace_state_or_None, sampler_state_or_None)``;
+    ``cadence`` is the sampler's ``(every_ops, every_sim_ms)``.  Both
+    states are picklable and absorbed by the parent in grid-point order,
+    so the merged trace and timeline do not depend on worker count or
+    scheduling.
     """
-    sampler = TimelineSampler(
-        every_ops=every_ops, every_sim_ms=every_sim_ms
-    )
-    trace_state: dict[str, object] | None = None
-    with obs_timeline.installed(sampler):
+    tracer: Tracer | None = None
+    sampler: TimelineSampler | None = None
+    with contextlib.ExitStack() as stack:
+        if cadence is not None:
+            sampler = stack.enter_context(
+                obs_timeline.installed(TimelineSampler(*cadence))
+            )
         if traced:
-            tracer = Tracer(meta={"point": _point_label(point)})
-            with installed(tracer):
-                result = compute_point(point)
-            trace_state = tracer.capture_state()
-        else:
-            result = compute_point(point)
-    return result, trace_state, sampler.capture_state()
+            tracer = stack.enter_context(
+                installed(Tracer(meta={"point": _point_label(point)}))
+            )
+        result = compute_point(point)
+    return (
+        result,
+        None if tracer is None else tracer.capture_state(),
+        None if sampler is None else sampler.capture_state(),
+    )
 
 
 #: Times a failed point is re-fanned to workers before serial fallback.
@@ -318,41 +329,9 @@ def run_grid(
 def prime_results(
     points: Sequence[GridPoint], results: Sequence[Any]
 ) -> None:
-    """Insert computed grid results into the per-module memo caches."""
+    """Record computed grid results in the experiments' result table."""
     for point, result in zip(points, results):
-        scale = resolve_scale(point.scale_name)
-        if point.kind == "random-ops":
-            key = random_ops.make_run_key(
-                point.scheme, point.setting, point.mean_op, scale
-            )
-            random_ops.prime(key, point.config, result)
-        elif point.kind == "build":
-            fig5_build.prime(
-                point.scheme, point.append_kb, scale.object_bytes,
-                point.setting, point.config, result,
-            )
-        elif point.kind == "scan":
-            fig6_scan.prime(
-                point.scheme, point.append_kb, scale.object_bytes,
-                point.setting, point.config, result,
-            )
-        elif point.kind == "scaling":
-            scaling.prime(
-                point.scheme, scale, point.config,
-                scaling.DEFAULT_STEPS, scaling.DEFAULT_INSERT_BYTES, result,
-            )
-        elif point.kind == "shard":
-            shard_scaling.prime(
-                point.scheme, point.setting, scale, point.config, result
-            )
-        elif point.kind == "summary-scan":
-            summary.prime_scan(
-                point.scheme, point.setting, scale, point.config, result
-            )
-        else:
-            raise InvalidArgumentError(
-                f"unknown grid point kind {point.kind!r}"
-            )
+        prime(*binding(point), result)
 
 
 def precompute(
@@ -366,68 +345,43 @@ def precompute(
     tracer: Tracer | None = None,
     sampler: TimelineSampler | None = None,
 ) -> int:
-    """Fan the selected experiments' grids out and warm the memo caches.
+    """Compute the selected experiments' grids and fill the result table.
 
     Returns the number of distinct points computed.  After this, running
-    the experiments serially (the normal registry path) reuses every
-    primed result, so report text and cost counters match a purely serial
-    run bit for bit.  Worker failures degrade per :func:`run_grid`; pass
+    the experiments (the normal registry path) finds every point already
+    memoized, so report text and cost counters are the same bits for
+    every ``jobs``.  Worker failures degrade per :func:`run_grid`; pass
     a :class:`DegradationLog` to see what was healed.
 
-    With a ``tracer``, every worker computes its point under a private
-    tracer and the captured per-point traces are absorbed here in grid
-    order — the merged trace is independent of ``jobs``.  A ``sampler``
-    works the same way for timelines (alone or combined with a tracer).
+    With a ``tracer`` and/or a ``sampler``, every point is computed
+    under a private one (:func:`compute_point_observed`) and the
+    captured states are absorbed here in grid order — the merged trace
+    and timeline are independent of ``jobs``, 1 included.
     """
     scale = scale or resolve_scale()
     points = full_grid(names, scale)
-    if tracer is None and sampler is None:
-        results = run_grid(
-            points, jobs=jobs, retries=retries, timeout_s=timeout_s, log=log
-        )
-    elif sampler is None:
-        pairs = run_grid(
-            points,
-            jobs=jobs,
-            retries=retries,
-            timeout_s=timeout_s,
-            compute=compute_point_traced,
-            log=log,
-        )
-        results = []
-        for result, state in pairs:
-            tracer.absorb(state)
-            results.append(result)
-    else:
-        compute = functools.partial(
-            compute_point_instrumented,
-            traced=tracer is not None,
-            every_ops=sampler.every_ops,
-            every_sim_ms=sampler.every_sim_ms,
-        )
-        triples = run_grid(
-            points,
-            jobs=jobs,
-            retries=retries,
-            timeout_s=timeout_s,
-            compute=compute,
-            log=log,
-        )
-        results = []
-        for result, trace_state, sample_state in triples:
-            if trace_state is not None:
-                tracer.absorb(trace_state)  # type: ignore[union-attr]
-            sampler.absorb(sample_state)
-            results.append(result)
+    compute = functools.partial(
+        compute_point_observed,
+        traced=tracer is not None,
+        cadence=(
+            None if sampler is None
+            else (sampler.every_ops, sampler.every_sim_ms)
+        ),
+    )
+    results = []
+    for result, trace_state, sample_state in run_grid(
+        points, jobs=jobs, retries=retries, timeout_s=timeout_s,
+        compute=compute, log=log,
+    ):
+        if trace_state is not None:
+            tracer.absorb(trace_state)  # type: ignore[union-attr]
+        if sample_state is not None:
+            sampler.absorb(sample_state)  # type: ignore[union-attr]
+        results.append(result)
     prime_results(points, results)
     return len(points)
 
 
 def clear_caches() -> None:
-    """Drop every experiment memo cache (tests use this for isolation)."""
-    random_ops.clear_cache()
-    fig5_build.clear_cache()
-    fig6_scan.clear_cache()
-    scaling.clear_cache()
-    shard_scaling.clear_cache()
-    summary.clear_cache()
+    """Forget every memoized experiment result (tests: isolation)."""
+    clear()

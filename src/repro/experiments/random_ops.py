@@ -19,6 +19,7 @@ from repro.experiments.common import (
     Scale,
     build_object,
     make_store,
+    memoized,
     resolve_scale,
 )
 from repro.workload.generator import WorkloadGenerator
@@ -89,13 +90,6 @@ def _steady(windows: list[WindowStats], kind: str) -> float:
     return total / count if count else 0.0
 
 
-#: Memoized runs keyed by (RunKey, SystemConfig) — an explicit dict (not
-#: ``functools.lru_cache``) so the parallel runner can *prime* it with
-#: results computed in worker processes; both key halves are frozen
-#: dataclasses, so the cache key is hashable and pickle-stable.
-_RUN_CACHE: dict[tuple[RunKey, SystemConfig], RunResult] = {}
-
-
 def make_run_key(
     scheme: str,
     setting: int,
@@ -105,9 +99,9 @@ def make_run_key(
 ) -> RunKey:
     """The canonical run identity for one (scheme, setting, op-size) point.
 
-    Shared by :func:`run_random_ops` and the grid builders so that a run
-    computed in a worker process primes exactly the cache entry the figure
-    assembly will look up.
+    Shared by :func:`run_random_ops` and the parallel runner's binding,
+    so a run computed in a worker process primes exactly the entry the
+    figure assembly will look up.
     """
     n_ops = scale.starburst_ops if scheme == "starburst" else scale.n_ops
     window = max(1, n_ops // scale.marks) if scale.marks else n_ops
@@ -158,18 +152,4 @@ def run_random_ops(
     """Run (or fetch the memoized) random-update experiment."""
     scale = scale or resolve_scale()
     key = make_run_key(scheme, setting, mean_op, scale, shadowing)
-    cached = _RUN_CACHE.get((key, config))
-    if cached is None:
-        cached = compute_run(key, config)
-        _RUN_CACHE[(key, config)] = cached
-    return cached
-
-
-def prime(key: RunKey, config: SystemConfig, result: RunResult) -> None:
-    """Insert a precomputed run into the memo (parallel runner hook)."""
-    _RUN_CACHE.setdefault((key, config), result)
-
-
-def clear_cache() -> None:
-    """Drop memoized runs (tests use this to control memory)."""
-    _RUN_CACHE.clear()
+    return memoized(compute_run, key, config)

@@ -28,6 +28,7 @@ from repro.experiments.common import (
     build_object,
     format_object_size,
     make_store,
+    memoized,
     resolve_scale,
 )
 
@@ -72,10 +73,6 @@ class ScalingResult:
 DEFAULT_STEPS = 3
 DEFAULT_INSERT_BYTES = 10 * KB
 
-#: Memoized scaling sweeps; an explicit dict so the parallel runner can
-#: prime it (see :mod:`repro.experiments.parallel`).
-_SCALING_CACHE: dict[tuple[str, Scale, SystemConfig, int, int], ScalingResult] = {}
-
 
 def run_scaling(
     scheme: str,
@@ -87,21 +84,15 @@ def run_scaling(
 ) -> ScalingResult:
     """Run (or fetch the memoized) scaling sweep for one scheme."""
     scale = scale or resolve_scale()
-    key = (scheme, scale, config, steps, insert_bytes)
-    cached = _SCALING_CACHE.get(key)
-    if cached is None:
-        cached = compute_scaling(
-            scheme, scale, config, steps=steps, insert_bytes=insert_bytes
-        )
-        _SCALING_CACHE[key] = cached
-    return cached
+    return memoized(
+        compute_scaling, scheme, scale, config, steps, insert_bytes
+    )
 
 
 def compute_scaling(
     scheme: str,
     scale: Scale,
     config: SystemConfig = PAPER_CONFIG,
-    *,
     steps: int = DEFAULT_STEPS,
     insert_bytes: int = DEFAULT_INSERT_BYTES,
 ) -> ScalingResult:
@@ -128,25 +119,6 @@ def compute_scaling(
         build_s=build_s,
         insert_ms=insert_ms,
     )
-
-
-def prime(
-    scheme: str,
-    scale: Scale,
-    config: SystemConfig,
-    steps: int,
-    insert_bytes: int,
-    result: ScalingResult,
-) -> None:
-    """Insert a precomputed scaling sweep (parallel runner hook)."""
-    _SCALING_CACHE.setdefault(
-        (scheme, scale, config, steps, insert_bytes), result
-    )
-
-
-def clear_cache() -> None:
-    """Drop memoized scaling sweeps."""
-    _SCALING_CACHE.clear()
 
 
 def format_scaling(results: list[ScalingResult]) -> str:

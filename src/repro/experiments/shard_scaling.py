@@ -21,7 +21,7 @@ import dataclasses
 
 from repro.analysis.report import format_table
 from repro.core.config import PAPER_CONFIG, SystemConfig
-from repro.experiments.common import KB, Scale, resolve_scale
+from repro.experiments.common import KB, Scale, memoized, resolve_scale
 from repro.experiments.random_ops import WORKLOAD_SEED
 from repro.shard.program import (
     BuildStep,
@@ -52,11 +52,6 @@ class ShardPointResult:
     total_sim_ms: float
     io_calls: int
     pages: int
-
-
-#: Memoized sweep points; an explicit dict so the parallel runner can
-#: prime it (see :mod:`repro.experiments.parallel`).
-_CACHE: dict[tuple[str, int, Scale, SystemConfig], ShardPointResult] = {}
 
 
 def _split_even(total: int, parts: int) -> list[int]:
@@ -124,28 +119,7 @@ def run_shard_point(
 ) -> ShardPointResult:
     """Run (or fetch the memoized) sweep point."""
     scale = scale or resolve_scale()
-    key = (scheme, shards, scale, config)
-    cached = _CACHE.get(key)
-    if cached is None:
-        cached = compute_shard_point(scheme, shards, scale, config)
-        _CACHE[key] = cached
-    return cached
-
-
-def prime(
-    scheme: str,
-    shards: int,
-    scale: Scale,
-    config: SystemConfig,
-    result: ShardPointResult,
-) -> None:
-    """Insert a precomputed sweep point (parallel runner hook)."""
-    _CACHE.setdefault((scheme, shards, scale, config), result)
-
-
-def clear_cache() -> None:
-    """Drop memoized sweep points."""
-    _CACHE.clear()
+    return memoized(compute_shard_point, scheme, shards, scale, config)
 
 
 def format_shard_scaling(

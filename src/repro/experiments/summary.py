@@ -19,6 +19,7 @@ from repro.experiments.common import (
     Scale,
     build_object,
     make_store,
+    memoized,
     resolve_scale,
 )
 from repro.experiments.random_ops import run_random_ops
@@ -61,11 +62,6 @@ def summarize_scheme(
     )
 
 
-#: Memoized full-object scan times; an explicit dict so the parallel
-#: runner can prime it (see :mod:`repro.experiments.parallel`).
-_SCAN_CACHE: dict[tuple[str, int, Scale, SystemConfig], float] = {}
-
-
 def compute_scan_seconds(
     scheme: str, setting: int, scale: Scale, config: SystemConfig
 ) -> float:
@@ -91,28 +87,7 @@ def scan_seconds(
     config: SystemConfig = PAPER_CONFIG,
 ) -> float:
     """Memoized full-object sequential scan time for the summary table."""
-    key = (scheme, setting, scale, config)
-    cached = _SCAN_CACHE.get(key)
-    if cached is None:
-        cached = compute_scan_seconds(scheme, setting, scale, config)
-        _SCAN_CACHE[key] = cached
-    return cached
-
-
-def prime_scan(
-    scheme: str,
-    setting: int,
-    scale: Scale,
-    config: SystemConfig,
-    seconds: float,
-) -> None:
-    """Insert a precomputed scan time (parallel runner hook)."""
-    _SCAN_CACHE.setdefault((scheme, setting, scale, config), seconds)
-
-
-def clear_cache() -> None:
-    """Drop memoized scan times."""
-    _SCAN_CACHE.clear()
+    return memoized(compute_scan_seconds, scheme, setting, scale, config)
 
 
 def matched_setting(mean_op: int, config: SystemConfig = PAPER_CONFIG) -> int:

@@ -30,26 +30,42 @@ F = TypeVar("F", bound=Callable[..., Any])
 #: Environment variable that switches the runtime checks on.
 RUNTIME_FLAG = "REPRO_DEBUG"
 
-# ``os.environ.get`` costs ~1 microsecond per call (key encode + mapping
-# lookup), and the @pure_read wrapper sits on paths invoked hundreds of
-# thousands of times per experiment run.  Reading the flag through the
-# environment's underlying dict keeps the check dynamic (tests monkeypatch
-# REPRO_DEBUG mid-process) at plain-dict-lookup cost.
-try:
-    _ENV_DATA = os.environ._data  # type: ignore[attr-defined]
-    _FLAG_KEY = os.environ.encodekey(RUNTIME_FLAG)  # type: ignore[attr-defined]
-    _FLAG_ON = os.environ.encodevalue("1")  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - non-CPython environ layout
-    _ENV_DATA = None
-    _FLAG_KEY = RUNTIME_FLAG
-    _FLAG_ON = "1"
+#: Environment variable that switches the pin-balance sanitizer on.  The
+#: sanitizer is the runtime mirror of the static FLOW001 typestate rule
+#: (``repro.lint --flow``): FLOW001 proves fix/unfix balance over the
+#: modeled CFG; ``REPRO_SAN=1`` asserts it on the paths actually taken,
+#: with acquisition-site attribution, so each check validates the other.
+SANITIZER_FLAG = "REPRO_SAN"
+
+Probe = tuple[dict[Any, Any] | None, object, object]
 
 
-def runtime_checks_enabled() -> bool:
-    """True when ``REPRO_DEBUG=1`` is set in the environment."""
-    if _ENV_DATA is not None:
-        return _ENV_DATA.get(_FLAG_KEY) == _FLAG_ON
-    return os.environ.get(RUNTIME_FLAG, "") == "1"
+def env_flag(name: str) -> tuple[Probe, Callable[[], bool]]:
+    """The ``(env, key, on)`` probe and ``enabled()`` check of ``NAME=1``.
+
+    ``os.environ.get`` costs ~1 microsecond per call (key encode +
+    mapping lookup), and the flags guard paths invoked hundreds of
+    thousands of times per experiment run.  Reading a flag through the
+    environment's underlying dict keeps the check dynamic (tests
+    monkeypatch the variables mid-process) at plain-dict-lookup cost.
+    """
+    try:
+        probe: Probe = (
+            os.environ._data,  # type: ignore[attr-defined]
+            os.environ.encodekey(name),  # type: ignore[attr-defined]
+            os.environ.encodevalue("1"),  # type: ignore[attr-defined]
+        )
+    except AttributeError:  # pragma: no cover - non-CPython environ layout
+        probe = (None, name, "1")
+    env, key, on = probe
+
+    def enabled() -> bool:
+        if env is not None:
+            return env.get(key) == on
+        return os.environ.get(name, "") == "1"
+
+    enabled.__doc__ = f"True when ``{name}=1`` is set in the environment."
+    return probe, enabled
 
 
 #: Public probes for inlining the flag checks on the hottest call sites
@@ -64,32 +80,9 @@ def runtime_checks_enabled() -> bool:
 #: comparison; the ``None`` fallback routes non-CPython layouts through
 #: the full function.  The probes stay dynamic because the underlying
 #: dict is ``os.environ``'s own mutable storage.
-DEBUG_PROBE: "tuple[dict | None, object, object]"
-SAN_PROBE: "tuple[dict | None, object, object]"
-
-
-#: Environment variable that switches the pin-balance sanitizer on.  The
-#: sanitizer is the runtime mirror of the static FLOW001 typestate rule
-#: (``repro.lint --flow``): FLOW001 proves fix/unfix balance over the
-#: modeled CFG; ``REPRO_SAN=1`` asserts it on the paths actually taken,
-#: with acquisition-site attribution, so each check validates the other.
-SANITIZER_FLAG = "REPRO_SAN"
-
-try:
-    _SAN_KEY = os.environ.encodekey(SANITIZER_FLAG)  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - non-CPython environ layout
-    _SAN_KEY = SANITIZER_FLAG
-
-
-def sanitizer_enabled() -> bool:
-    """True when ``REPRO_SAN=1`` is set in the environment."""
-    if _ENV_DATA is not None:
-        return _ENV_DATA.get(_SAN_KEY) == _FLAG_ON
-    return os.environ.get(SANITIZER_FLAG, "") == "1"
-
-
-DEBUG_PROBE = (_ENV_DATA, _FLAG_KEY, _FLAG_ON)
-SAN_PROBE = (_ENV_DATA, _SAN_KEY, _FLAG_ON)
+DEBUG_PROBE, runtime_checks_enabled = env_flag(RUNTIME_FLAG)
+SAN_PROBE, sanitizer_enabled = env_flag(SANITIZER_FLAG)
+_ENV_DATA, _FLAG_KEY, _FLAG_ON = DEBUG_PROBE
 
 
 def _find_disk(obj: Any) -> Any | None:

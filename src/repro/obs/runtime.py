@@ -17,41 +17,26 @@ The installed-tracer stack is module-level mutable state, which the
 reproduction otherwise avoids; it is confined to this module, LIFO, and
 normally managed through the :func:`installed` context manager.
 
-The environment-variable check mirrors the ``REPRO_DEBUG`` fast-flag
-pattern from :mod:`repro.lint.contracts`: environments are constructed in
-inner loops of the crash sweep and the randomized tests, so the flag is
-read through ``os.environ``'s underlying dict at plain-lookup cost while
-staying dynamic for tests that monkeypatch it.
+The environment-variable check is :func:`repro.lint.contracts.env_flag`,
+shared with ``REPRO_DEBUG`` and ``REPRO_SAN``: environments are
+constructed in inner loops of the crash sweep and the randomized tests,
+so the flag is read through ``os.environ``'s underlying dict at
+plain-lookup cost while staying dynamic for tests that monkeypatch it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Iterator
 
 from repro.core.errors import InvalidArgumentError
-
+from repro.lint.contracts import env_flag
 from repro.obs.tracer import Tracer
 
 #: Environment variable that gives every environment a private tracer.
 SELFCHECK_FLAG = "REPRO_OBS_SELFCHECK"
 
-try:
-    _ENV_DATA = os.environ._data  # type: ignore[attr-defined]
-    _FLAG_KEY = os.environ.encodekey(SELFCHECK_FLAG)  # type: ignore[attr-defined]
-    _FLAG_ON = os.environ.encodevalue("1")  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - non-CPython environ layout
-    _ENV_DATA = None
-    _FLAG_KEY = SELFCHECK_FLAG
-    _FLAG_ON = "1"
-
-
-def selfcheck_enabled() -> bool:
-    """True when ``REPRO_OBS_SELFCHECK=1`` is set in the environment."""
-    if _ENV_DATA is not None:
-        return _ENV_DATA.get(_FLAG_KEY) == _FLAG_ON
-    return os.environ.get(SELFCHECK_FLAG, "") == "1"
+_, selfcheck_enabled = env_flag(SELFCHECK_FLAG)
 
 
 #: LIFO stack of ambiently installed tracers (innermost last).

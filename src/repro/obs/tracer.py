@@ -33,7 +33,7 @@ importing :class:`repro.disk.iomodel.IOStats`.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Protocol
+from typing import ContextManager, Iterator, Protocol
 
 from repro.core.config import SystemConfig
 from repro.core.errors import InvalidArgumentError
@@ -343,3 +343,20 @@ class Tracer:
         self._next_id += int(state["next_id"]) - 1  # type: ignore[call-overload]
         self._next_seq += int(state["next_seq"])  # type: ignore[call-overload]
         self.metrics.merge(MetricsRegistry.from_dict(state["metrics"]))  # type: ignore[arg-type]
+
+
+#: The one shared no-op context used wherever tracing is off.
+NULL_SPAN: ContextManager[None] = contextlib.nullcontext()
+
+
+def span_of(
+    tracer: Tracer | None, kind: str, **attrs: object
+) -> ContextManager[None]:
+    """``tracer.span(kind, **attrs)``, or a no-op when tracing is off.
+
+    Layers open spans on hot paths, so the disabled case hands back one
+    shared null context and allocates nothing per call.
+    """
+    if tracer is None:
+        return NULL_SPAN
+    return tracer.span(kind, **attrs)

@@ -42,9 +42,8 @@ operators a structured account of what recovery had to heal.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-from typing import TYPE_CHECKING, ContextManager, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.atomic.journal import CLEAN, PREPARE, IntentJournal, JournalState
 from repro.buddy.area import DATA_AREA_BASE
@@ -52,6 +51,7 @@ from repro.buddy.allocator import BuddyAllocator
 from repro.core.errors import InvalidArgumentError
 from repro.core.fsck import FsckReport, check, object_page_runs
 from repro.experiments.parallel import DegradationLog
+from repro.obs.tracer import span_of
 from repro.starburst.descriptor import LongFieldDescriptor
 from repro.starburst.manager import StarburstManager
 from repro.tree.backed import TreeBackedManager
@@ -253,15 +253,6 @@ def _runs(pages: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _recover_span(
-    shard_store: "LargeObjectStore", **attrs: object
-) -> ContextManager[object]:
-    tracer = shard_store.env.tracer
-    if tracer is None:
-        return contextlib.nullcontext()
-    return tracer.span("atomic.recover", **attrs)
-
-
 # ----------------------------------------------------------------------
 # The recovery driver
 # ----------------------------------------------------------------------
@@ -301,8 +292,9 @@ def recover_sharded_store(
         journal = journals[shard]
         prepare = state.prepare
         in_flight = prepare is not None and prepare.kind == PREPARE
-        with _recover_span(
-            shard_store,
+        with span_of(
+            shard_store.env.tracer,
+            "atomic.recover",
             shard=shard,
             batch=prepare.batch_id if in_flight and prepare else 0,
         ):

@@ -19,17 +19,11 @@ stale leaf data.
 
 from __future__ import annotations
 
-import contextlib
-from typing import ContextManager
-
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError
 from repro.core.payload import Payload, payload_concat
-
-#: Shared no-op context returned by :meth:`SegmentIO._span` when tracing
-#: is off, so the disabled path allocates nothing per call.
-_NULL_SPAN: ContextManager[None] = contextlib.nullcontext()
+from repro.obs.tracer import span_of
 
 
 class SegmentIO:
@@ -50,13 +44,6 @@ class SegmentIO:
         self.record_leaf_data = record_leaf_data
         self.bypass_pool = bypass_pool
         self.always_pool = always_pool
-
-    def _span(self, kind: str, **attrs: object) -> ContextManager[None]:
-        """A tracing span around one segment-level access (or a no-op)."""
-        tracer = self.pool.disk.tracer
-        if tracer is None:
-            return _NULL_SPAN
-        return tracer.span(kind, **attrs)
 
     # ------------------------------------------------------------------
     # Reads
@@ -91,8 +78,12 @@ class SegmentIO:
         if buffered and self.pool.disk.tracer is None:
             return self.pool.read_run(start_page, n_pages,
                                       record=self.record_leaf_data)
-        with self._span(
-            "segio.read", start=start_page, pages_n=n_pages, buffered=buffered
+        with span_of(
+            self.pool.disk.tracer,
+            "segio.read",
+            start=start_page,
+            pages_n=n_pages,
+            buffered=buffered,
         ):
             if buffered:
                 return self.pool.read_run(start_page, n_pages,
@@ -152,7 +143,8 @@ class SegmentIO:
             if start == 0 and nbytes == len(data):
                 return data
             return data[start : start + nbytes]
-        with self._span(
+        with span_of(
+            self.pool.disk.tracer,
             "segio.read_unaligned",
             start=segment_page + first,
             pages_n=n_pages,
@@ -205,7 +197,9 @@ class SegmentIO:
                 start_page, n_pages, data, record=self.record_leaf_data
             )
             return
-        with self._span("segio.write", start=start_page, pages_n=n_pages):
+        with span_of(
+            pool.disk.tracer, "segio.write", start=start_page, pages_n=n_pages
+        ):
             pool.write_run(
                 start_page, n_pages, data, record=self.record_leaf_data
             )

@@ -21,9 +21,7 @@ summed into one merged report by
 from __future__ import annotations
 
 import dataclasses
-from typing import ContextManager, NamedTuple
-
-import contextlib
+from typing import NamedTuple
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import PAPER_CONFIG, SystemConfig
@@ -34,7 +32,7 @@ from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp, read_op
 from repro.experiments.common import build_object_batched
 from repro.obs.runtime import installed
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, span_of
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WindowStats, WorkloadRunner
 
@@ -120,14 +118,6 @@ class ShardOutcome(NamedTuple):
     image: "dict[int, object] | None"
 
 
-def _span(
-    tracer: Tracer | None, kind: str, shard: int
-) -> ContextManager[object]:
-    if tracer is None:
-        return contextlib.nullcontext()
-    return tracer.span(kind, shard=shard)
-
-
 def _run_step(
     store: LargeObjectStore, oids: list[int], step: Step
 ) -> object:
@@ -182,11 +172,11 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
     )
     tracer = store.env.tracer
     oids: list[int] = []
-    with _span(tracer, "shard.setup", program.shard_index):
+    with span_of(tracer, "shard.setup", shard=program.shard_index):
         for step in program.setup:
             _run_step(store, oids, step)
     before = store.snapshot()
-    with _span(tracer, "shard.measure", program.shard_index):
+    with span_of(tracer, "shard.measure", shard=program.shard_index):
         step_results = [
             _run_step(store, oids, step) for step in program.measured
         ]

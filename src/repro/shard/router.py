@@ -45,6 +45,7 @@ from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.obs.tracer import span_of
 
 
 class ShardedStore:
@@ -214,7 +215,10 @@ class ShardedStore:
             )
         results: list[Payload | None] = [None] * len(mops)
         costs: list[float] = [0.0] * len(mops)
-        with self._batch_span(len(mops), len(groups)):
+        with span_of(
+            self.shards[0].env.tracer,
+            "shard.batch", ops=len(mops), shards=len(groups),
+        ):
             for shard in sorted(groups):
                 positions, local_mops = groups[shard]
                 outcome = self.shards[shard].submit_multi(local_mops)
@@ -293,12 +297,6 @@ class ShardedStore:
                     FaultInjector(self.shards[index].env, selected[index])
                 )
             return stack.pop_all()
-
-    def _batch_span(self, ops: int, touched: int) -> ContextManager[object]:
-        tracer = self.shards[0].env.tracer
-        if tracer is None:
-            return contextlib.nullcontext()
-        return tracer.span("shard.batch", ops=ops, shards=touched)
 
     # ------------------------------------------------------------------
     # Cost accounting (merged in shard order)

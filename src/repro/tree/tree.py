@@ -17,25 +17,21 @@ all modified pages are flushed at the end of the operation.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import dataclasses
 import itertools
-from typing import Callable, ContextManager, Iterator
+from typing import Callable, Iterator
 
 from repro.buddy.allocator import BuddyAllocator
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, StorageCorruptionError
+from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
 from repro.tree.node import Entry, IndexNode, LeafExtent
 
 #: Signature of the hook that recomputes a segment's allocated page count
 #: when a node is rebuilt from disk: (used_bytes, is_rightmost) -> pages.
 LeafAllocFn = Callable[[int, bool], int]
-
-#: Shared no-op context used when tracing is off, so the disabled flush
-#: path allocates nothing per operation.
-_NULL_SPAN: ContextManager[None] = contextlib.nullcontext()
 
 
 @dataclasses.dataclass(slots=True)
@@ -120,13 +116,6 @@ class PositionalTree:
     # ------------------------------------------------------------------
     # Tracing hooks
     # ------------------------------------------------------------------
-    def _span(self, kind: str, **attrs: object) -> ContextManager[None]:
-        """A tracing span around one tree-level action (or a no-op)."""
-        tracer = self.pool.disk.tracer
-        if tracer is None:
-            return _NULL_SPAN
-        return tracer.span(kind, **attrs)
-
     def _event(self, kind: str, **attrs: object) -> None:
         """Record a structural tree event (split/merge/borrow) if traced."""
         tracer = self.pool.disk.tracer
@@ -164,7 +153,8 @@ class PositionalTree:
             return
         root_dirty = self.root_page_id in self._dirty
         self._dirty.discard(self.root_page_id)
-        with self._span(
+        with span_of(
+            self.pool.disk.tracer,
             "tree.flush",
             pages_n=len(self._dirty),
             root_dirty=root_dirty,

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.experiments import random_ops
+from repro.experiments import common
 from repro.experiments.cli import main
 
 
 @pytest.fixture(autouse=True)
 def tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
-    random_ops.clear_cache()
+    common.clear()
     yield
-    random_ops.clear_cache()
+    common.clear()
 
 
 def test_single_experiment(capsys):
@@ -121,6 +121,9 @@ def test_out_of_range_shard_flags_are_usage_errors(argv, capsys):
     ["tables23", "--timeline", "t.jsonl", "--timeline-every-ops", "0"],
     ["tables23", "--jobs", "0"],
     ["tables23", "--jobs", "-2"],
+    ["tables23", "--jobs", "2", "--timeout", "-1"],
+    ["tables23", "--timeout", "0"],
+    ["tables23", "--retries", "-3"],
 ])
 def test_bad_experiment_arguments_are_usage_errors(
     argv, capsys, tmp_path, monkeypatch
@@ -132,3 +135,30 @@ def test_bad_experiment_arguments_are_usage_errors(
     captured = capsys.readouterr()
     assert "usage:" in captured.err
     assert captured.out == ""  # rejected before any experiment ran
+
+
+def test_unknown_repro_scale_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "huge")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig5"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown scale 'huge'" in captured.err
+    assert "tiny" in captured.err and "paper" in captured.err
+    assert captured.out == ""  # rejected before any experiment ran
+
+
+def test_trace_and_timeline_do_not_depend_on_jobs(tmp_path, capsys):
+    dumps = []
+    for jobs in ("1", "2"):
+        common.clear()
+        trace = tmp_path / f"trace-{jobs}.jsonl"
+        timeline = tmp_path / f"timeline-{jobs}.jsonl"
+        assert main([
+            "fig5", "fig7-8", "--jobs", jobs,
+            "--trace", str(trace), "--timeline", str(timeline),
+        ]) == 0
+        dumps.append((trace.read_bytes(), timeline.read_bytes()))
+    capsys.readouterr()
+    assert dumps[0][0] == dumps[1][0]
+    assert dumps[0][1] == dumps[1][1]

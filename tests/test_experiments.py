@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import random_ops
+from repro.experiments import common, random_ops
 from repro.experiments.common import (
     APPEND_SIZES_KB,
     EOS_THRESHOLDS,
@@ -23,9 +23,9 @@ from repro.experiments.tables import run_starburst_costs, table1
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    random_ops.clear_cache()
+    common.clear()
     yield
-    random_ops.clear_cache()
+    common.clear()
 
 
 class TestScales:
@@ -44,11 +44,18 @@ class TestScales:
         assert resolve_scale("tiny") is TINY_SCALE
 
     def test_resolve_by_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert resolve_scale().name == "paper"
-        monkeypatch.delenv("REPRO_FULL")
+        monkeypatch.delenv("REPRO_FULL", raising=False)
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         assert resolve_scale().name == "tiny"
+        monkeypatch.setenv("REPRO_SCALE", "paper")
+        assert resolve_scale().name == "paper"
+        # REPRO_FULL is not a switch: no value of it selects anything.
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        for value in ("0", "1"):
+            monkeypatch.setenv("REPRO_FULL", value)
+            assert resolve_scale().name == "tiny"
+        monkeypatch.delenv("REPRO_SCALE")
+        assert resolve_scale().name == "small"
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError):

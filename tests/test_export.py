@@ -7,7 +7,7 @@ from repro.analysis.export import (
     series_to_csv,
     write_series_csv,
 )
-from repro.experiments import random_ops
+from repro.experiments import common
 from repro.experiments.registry import export_csv
 
 
@@ -35,7 +35,7 @@ class TestSeriesCsv:
 class TestRegistryExport:
     def test_fig5_export(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
-        random_ops.clear_cache()
+        common.clear()
         path = export_csv("fig5", str(tmp_path))
         x_header, xs, series = read_series_csv(path)
         assert x_header == "append_kb"

@@ -1,7 +1,7 @@
 """Paper-scale pin tests: exact and near-exact numeric matches.
 
 These run the paper's full 10 MB configuration, so they are skipped
-unless ``REPRO_FULL=1`` (they take a couple of minutes); the regular
+unless ``REPRO_SCALE=paper`` (they take a couple of minutes); the regular
 suite asserts the same *shapes* at reduced scale.  Numbers quoted from
 the paper; see EXPERIMENTS.md for the complete accounting.
 """
@@ -15,8 +15,8 @@ from repro.experiments.random_ops import run_random_ops
 from repro.experiments.tables import run_starburst_costs
 
 paper_scale = pytest.mark.skipif(
-    not os.environ.get("REPRO_FULL"),
-    reason="paper-scale pins run only with REPRO_FULL=1",
+    os.environ.get("REPRO_SCALE") != "paper",
+    reason="paper-scale pins run only with REPRO_SCALE=paper",
 )
 
 

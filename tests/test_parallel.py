@@ -11,14 +11,21 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import parallel, random_ops, registry
+from repro.core.env import StorageEnvironment
+from repro.core.errors import InvalidArgumentError
+from repro.experiments import common, parallel, random_ops, registry
 from repro.experiments.common import (
     BUILD_CHUNK_BYTES,
     build_object,
     make_store,
     resolve_scale,
 )
-from repro.experiments.grid import GridPoint, full_grid, grid_for
+from repro.experiments.grid import (
+    POINT_KINDS,
+    GridPoint,
+    full_grid,
+    grid_for,
+)
 from repro.experiments.registry import run
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
@@ -97,6 +104,87 @@ class TestReportInvariance:
     def test_precompute_counts_distinct_points(self):
         n = parallel.precompute(["fig7-8", "fig9-10"], jobs=2)
         assert n == len(grid_for("fig7-8"))
+
+
+@pytest.fixture
+def built_envs(monkeypatch):
+    """Call to start recording every StorageEnvironment constructed."""
+
+    def start() -> list:
+        built: list = []
+        original = StorageEnvironment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StorageEnvironment, "__init__", counting_init)
+        return built
+
+    return start
+
+
+class TestOneResultTable:
+    """The harness has one memo and one point->computation binding."""
+
+    def test_every_point_kind_resolves_through_the_binding(self):
+        scale = resolve_scale("tiny")
+        points = full_grid(sorted(registry.EXPERIMENTS), scale)
+        assert {p.kind for p in points} == set(POINT_KINDS)
+        for kind in POINT_KINDS:
+            point = next(p for p in points if p.kind == kind)
+            compute, args = parallel.binding(point)
+            assert callable(compute)
+            hash(args)  # usable as a result-table key
+        bogus = GridPoint(kind="nonsense", scheme="esm", scale_name="tiny")
+        with pytest.raises(InvalidArgumentError):
+            parallel.binding(bogus)
+        with pytest.raises(InvalidArgumentError):
+            parallel.prime_results([bogus], [0.0])
+
+    def test_primed_grid_renders_without_building_an_environment(
+        self, built_envs
+    ):
+        scale = resolve_scale("tiny")
+        names = sorted(registry.EXPERIMENTS)
+        points = full_grid(names, scale)
+        results = parallel.run_grid(points, jobs=2)
+        parallel.clear_caches()
+        parallel.prime_results(points, results)
+        built = built_envs()
+        for name in names:
+            run(name)
+        assert built == []
+        # ...and the count is live: an unprimed table has to build some.
+        parallel.clear_caches()
+        run("fig5")
+        assert built
+
+    def test_clear_leaves_nothing_memoized(self, built_envs):
+        built = built_envs()
+        names = ["fig5", "scaling", "shards"]
+        for name in names:
+            run(name)
+        first = len(built)
+        assert first > 0
+        for name in names:
+            run(name)
+        assert len(built) == first  # everything came from the table
+        parallel.clear_caches()
+        for name in names:
+            run(name)
+        assert len(built) == 2 * first  # every point computed again
+
+    def test_prime_never_overwrites_an_entry(self):
+        def compute(x):
+            return x * 2
+
+        assert common.memoized(compute, 21) == 42
+        common.prime(compute, (21,), "stale")
+        assert common.memoized(compute, 21) == 42
+        common.prime(compute, (5,), "primed")
+        common.prime(compute, (5,), "second")
+        assert common.memoized(compute, 5) == "primed"
 
 
 def _random_run_io_counters(point: GridPoint) -> dict:

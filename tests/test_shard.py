@@ -513,9 +513,9 @@ def test_cross_shard_crash_never_corrupts_siblings(
 # Shard scaling experiment
 # ----------------------------------------------------------------------
 def test_shard_scaling_experiment_is_deterministic_and_consistent() -> None:
+    from repro.experiments.common import clear as clear_cache
     from repro.experiments.common import resolve_scale
     from repro.experiments.shard_scaling import (
-        clear_cache,
         compute_shard_point,
         run_shard_point,
     )
