@@ -116,6 +116,10 @@ class BlockBasedManager(LargeObjectManager):
         """Current object size in bytes (sum of per-page byte counts)."""
         return sum(page.used_bytes for page in self._pages(oid))
 
+    def oids(self) -> list[int]:
+        """Ids of every live object, sorted."""
+        return sorted(self._objects)
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.buffer.frame import Frame
 from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, payload_concat
-from repro.disk.disk import SimulatedDisk
+from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.lint.contracts import SAN_PROBE, pure_read, sanitizer_enabled
 
 # fix()/unfix() bracket every index-page and directory access, so the
@@ -295,7 +295,7 @@ class BufferPool:
                     self._pinned += 1
         stats.hits += n_pages - len(missing)
         stats.misses += len(missing)
-        for run_start, run_len in _contiguous_runs(missing):
+        for run_start, run_len in contiguous_runs(missing):
             self._make_room(run_len)
             views = self.disk.read_page_views(run_start, run_len)
             for i, data in enumerate(views):
@@ -398,7 +398,7 @@ class BufferPool:
         dirty_ids = sorted(
             page_id for page_id, f in self._frames.items() if f.dirty
         )
-        for run_start, run_len in _contiguous_runs(dirty_ids):
+        for run_start, run_len in contiguous_runs(dirty_ids):
             data = payload_concat([
                 _page_image(
                     self._frames[run_start + i].content(),
@@ -511,14 +511,3 @@ def _page_image(content: Payload, page_size: int) -> Payload:
     if len(content) == page_size:
         return content
     return content.ljust(page_size, b"\x00")
-
-
-def _contiguous_runs(page_ids: list[int]) -> list[tuple[int, int]]:
-    """Group a sorted list of page ids into (start, length) runs."""
-    runs: list[tuple[int, int]] = []
-    for page in page_ids:
-        if runs and runs[-1][0] + runs[-1][1] == page:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((page, 1))
-    return runs

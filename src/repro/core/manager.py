@@ -94,6 +94,10 @@ class LargeObjectManager(abc.ABC):
     def size(self, oid: int) -> int:
         """Current object size in bytes."""
 
+    @abc.abstractmethod
+    def oids(self) -> list[int]:
+        """Ids of every live object, sorted (a deterministic order)."""
+
     # ------------------------------------------------------------------
     # Byte-range operations
     # ------------------------------------------------------------------

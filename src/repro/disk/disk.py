@@ -518,3 +518,14 @@ class SimulatedDisk:
             raise AllocationError(f"negative page id {start}")
         if n_pages <= 0:
             raise AllocationError(f"page count must be positive, got {n_pages}")
+
+
+def contiguous_runs(page_ids: list[int]) -> list[tuple[int, int]]:
+    """Group a sorted list of page ids into (start, length) runs."""
+    runs: list[tuple[int, int]] = []
+    for page in page_ids:
+        if runs and runs[-1][0] + runs[-1][1] == page:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((page, 1))
+    return runs

@@ -9,6 +9,7 @@ Usage::
     repro-experiments --plot fig5         # add an ASCII chart rendering
     repro-experiments fsck --scheme eos   # workload + consistency check
     repro-experiments chaos --scale tiny  # exhaustive crash-sweep check
+    repro-experiments chaos --shards 4    # ... of a cross-shard batch
     REPRO_SCALE=paper repro-experiments   # the paper's full 10 MB scale
 """
 
@@ -88,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
 
         return cli_main(argv[1:])
     if argv and argv[0] == "chaos":
-        # Exhaustive crash-sweep subcommand; see repro.recovery.sweep.
+        # The one crash-sweep subcommand, single-store and --shards
+        # alike; see repro.recovery.sweep.
         from repro.recovery.sweep import cli_main as chaos_main
 
         return chaos_main(argv[1:])

@@ -12,8 +12,9 @@ The subsystem has two halves:
 Detection and recovery live elsewhere: per-page checksums in the disk
 envelope (:class:`~repro.core.errors.ChecksumError`), bounded retries
 under :class:`~repro.disk.iomodel.RetryPolicy` (accounted in
-``IOStats.retries``), and the exhaustive crash sweep of
-:mod:`repro.recovery.sweep`.  See ``docs/robustness.md``.
+``IOStats.retries``), and the one exhaustive crash sweep —
+:func:`repro.recovery.sweep.sweep`, over single-store operations and
+cross-shard batches alike.  See ``docs/robustness.md``.
 """
 
 from repro.core.errors import ChecksumError, CrashError, IOFaultError

@@ -99,7 +99,7 @@ class FaultPlan:
         Write calls that never happen: the machine crashes first
         (:class:`~repro.core.errors.CrashError`).  ``crash_writes=at(k)``
         for every ``k`` is the exhaustive sweep of
-        :mod:`repro.recovery.sweep`.
+        :func:`repro.recovery.sweep.sweep`.
     transient_failures:
         Consecutive failing attempts per fired read/write fault.  Set it
         at or above the retry policy's ``max_attempts`` to make the fault

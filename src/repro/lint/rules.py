@@ -613,7 +613,7 @@ class FaultHandlingRule(Rule):
     or a broad ``except Exception`` / ``except ReproError`` / bare
     ``except`` that swallows them incidentally — would absorb an injected
     crash mid-operation and invalidate every guarantee the crash sweep
-    (:mod:`repro.recovery.sweep`) verifies.  Only the fault-injection and
+    (:func:`repro.recovery.sweep.sweep`) verifies.  Only the fault-injection and
     recovery layers (``repro.faults``, ``repro.recovery``) may catch
     them.  Handlers that re-raise with a bare ``raise`` are exempt
     (cleanup-and-propagate), as are sites suppressed with

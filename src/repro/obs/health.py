@@ -33,13 +33,10 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Iterable
 
-from repro.blockbased.manager import BlockBasedManager
-from repro.core.errors import ContractViolationError, InvalidArgumentError
+from repro.core.errors import ContractViolationError
 from repro.core.fsck import object_page_runs
 from repro.lint.contracts import pure_read
 from repro.obs.metrics import MetricsRegistry
-from repro.starburst.manager import StarburstManager
-from repro.tree.backed import TreeBackedManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.buddy.allocator import BuddyAllocator
@@ -297,19 +294,6 @@ class HealthReport:
 # ----------------------------------------------------------------------
 # Probing
 # ----------------------------------------------------------------------
-def _known_oids(manager: object) -> list[int]:
-    """Every live object id, in sorted (deterministic) order."""
-    if isinstance(manager, TreeBackedManager):
-        return sorted(manager._objects)
-    if isinstance(manager, StarburstManager):
-        return sorted(manager._fields)
-    if isinstance(manager, BlockBasedManager):
-        return sorted(manager._objects)
-    raise InvalidArgumentError(
-        f"cannot probe manager of type {type(manager)!r}"
-    )
-
-
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise ContractViolationError(f"health gauge drift: {message}")
@@ -381,7 +365,7 @@ class HealthProbe:
         store = self.store
         manager = store.manager
         max_segment = store.config.max_segment_pages
-        oids = _known_oids(manager)
+        oids = manager.oids()
         total_bytes = 0
         data_pages = 0
         meta_pages = 0

@@ -43,23 +43,23 @@ operators a structured account of what recovery had to heal.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.atomic.journal import CLEAN, PREPARE, IntentJournal, JournalState
 from repro.buddy.area import DATA_AREA_BASE
 from repro.buddy.allocator import BuddyAllocator
 from repro.core.errors import InvalidArgumentError
 from repro.core.fsck import FsckReport, check, object_page_runs
+from repro.disk.disk import contiguous_runs
 from repro.experiments.parallel import DegradationLog
 from repro.obs.tracer import span_of
 from repro.starburst.descriptor import LongFieldDescriptor
 from repro.starburst.manager import StarburstManager
 from repro.tree.backed import TreeBackedManager
-from repro.tree.node import IndexNode
-from repro.tree.tree import PositionalTree
 
 if TYPE_CHECKING:
     from repro.core.api import LargeObjectStore
+    from repro.exec.plan import MultiOp
     from repro.shard.router import ShardedStore
 
 __all__ = [
@@ -119,64 +119,17 @@ class RecoveryReport:
 # ----------------------------------------------------------------------
 # Rebuilding in-memory object state from raw page images
 # ----------------------------------------------------------------------
-def _reload_tree(manager: TreeBackedManager, oid: int) -> PositionalTree:
-    """Reopen one positional tree from its on-disk root page.
-
-    The root deserializes uncharged (it is memory-resident with the
-    object descriptor, as in the per-op path); interior nodes below it
-    are materialized through the buffer pool — charged recovery reads —
-    so the reloaded tree supports the uncharged accounting walks
-    (``iter_extents(charged=False)``, ``_walk_nodes``) fsck relies on.
-    """
-    env = manager.env
-    tree = PositionalTree(
-        manager.config,
-        env.pool,
-        env.areas.meta,
-        data_base=DATA_AREA_BASE,
-        shadow=env.shadow,
-        leaf_alloc_pages=manager._leaf_alloc_pages,
-    )
-    tree.root_page_id = oid
-    root, total, rightmost_alloc = IndexNode.deserialize(
-        env.disk.peek_pages(oid, 1),
-        oid,
-        is_root=True,
-        data_base=DATA_AREA_BASE,
-        meta_base=env.areas.meta.base_page_id,
-        leaf_alloc_pages=tree.leaf_alloc_pages,
-    )
-    tree.total_bytes = total
-    tree.height = root.level
-    tree._nodes[oid] = root
-    _load_children(tree, root)
-    if rightmost_alloc:
-        # The root header records the rightmost segment's true
-        # allocation (it may carry untrimmed append slack that
-        # ``leaf_alloc_pages`` cannot recompute from used bytes alone);
-        # without the patch, reconciliation would reclaim live slack.
-        last = tree._rightmost_extent_uncharged()
-        if last is not None:
-            last.alloc_pages = rightmost_alloc
-    return tree
-
-
-def _load_children(tree: PositionalTree, node: IndexNode) -> None:
-    if node.is_leaf_parent:
-        return
-    for entry in node.entries:
-        _load_children(tree, tree._get_node(entry.ref))
-
-
 def _reload_shard_objects(shard_store: "LargeObjectStore") -> None:
     """Rebuild every object's in-memory structure from the disk image."""
     manager = shard_store.manager
     if isinstance(manager, TreeBackedManager):
-        for oid in sorted(manager._objects):
-            manager._objects[oid] = _reload_tree(manager, oid)
+        for oid in manager.oids():
+            tree = manager._new_tree()
+            tree.reopen(oid)
+            manager._objects[oid] = tree
     elif isinstance(manager, StarburstManager):
         env = manager.env
-        for oid in sorted(manager._fields):
+        for oid in manager.oids():
             image = env.disk.peek_pages(oid, 1)
             manager._fields[oid] = LongFieldDescriptor.deserialize(
                 image, oid, manager.config, DATA_AREA_BASE
@@ -196,14 +149,9 @@ def _referenced_pages(shard_store: "LargeObjectStore") -> tuple[
 ]:
     """(data pages, meta pages) the reloaded objects reference."""
     manager = shard_store.manager
-    if isinstance(manager, TreeBackedManager):
-        oids: Iterable[int] = manager._objects
-    else:
-        assert isinstance(manager, StarburstManager)
-        oids = manager._fields
     data: set[int] = set()
     meta: set[int] = set()
-    for oid in sorted(oids):
+    for oid in manager.oids():
         data_runs, meta_runs = object_page_runs(manager, oid)
         for start, count in data_runs:
             data.update(range(start, start + count))
@@ -237,20 +185,10 @@ def _reclaim_orphans(
                 and page not in keep
             ):
                 orphans.append(page)
-    runs = _runs(orphans)
+    runs = contiguous_runs(orphans)
     for start, count in runs:
         allocator.free(start, count)
     return len(orphans), len(runs), scanned
-
-
-def _runs(pages: list[int]) -> list[tuple[int, int]]:
-    runs: list[tuple[int, int]] = []
-    for page in pages:
-        if runs and runs[-1][0] + runs[-1][1] == page:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((page, 1))
-    return runs
 
 
 # ----------------------------------------------------------------------
@@ -290,72 +228,65 @@ def recover_sharded_store(
     for shard, shard_store in enumerate(store.shards):
         state = states[shard]
         journal = journals[shard]
+        # Only a PREPARE record means a batch was in flight on this shard.
         prepare = state.prepare
-        in_flight = prepare is not None and prepare.kind == PREPARE
+        if prepare is not None and prepare.kind != PREPARE:
+            prepare = None
         with span_of(
             shard_store.env.tracer,
             "atomic.recover",
             shard=shard,
-            batch=prepare.batch_id if in_flight and prepare else 0,
+            batch=prepare.batch_id if prepare is not None else 0,
         ):
             _reload_shard_objects(shard_store)
-            if not in_flight:
-                reclaimed, runs, scanned = _reconcile(shard_store, journal)
-                report.shards.append(ShardRecovery(
-                    shard, "none", None, reclaimed,
-                    reclaimed_runs=runs, pages_scanned=scanned,
-                ))
-                continue
-            assert prepare is not None
-            if state.applied is not None:
+            replay: tuple[MultiOp, ...] = ()
+            if prepare is None:
+                action = "none"
+            elif state.applied is not None:
                 # Committed and released here; at worst the trailing
                 # frees were interrupted.  The image is the batch-end
                 # state — reconciliation reclaims any free-time residue.
-                reclaimed, runs, scanned = _reconcile(shard_store, journal)
-                journal.write_clean(prepare.batch_id, shard)
-                report.shards.append(ShardRecovery(
-                    shard, "already-applied", prepare.batch_id, reclaimed,
-                    reclaimed_runs=runs, pages_scanned=scanned,
-                ))
-                continue
-            decision = journals[prepare.coordinator].read_decision(
+                action = "already-applied"
+            elif journals[prepare.coordinator].read_decision(
                 prepare.batch_id
-            )
-            if decision is not None:
+            ) is not None:
                 # Decided but never applied here: this shard's image is
                 # the batch-start state (its root pokes were held), so
                 # re-executing the journaled ops lands exactly the
-                # batch-end state.  Reconcile first: the crashed held
-                # execution's shadow pages are orphans.
-                reclaimed, runs, scanned = _reconcile(shard_store, journal)
-                shard_store.submit_multi(list(prepare.mops))
-                journal.write_clean(prepare.batch_id, shard)
-                report.log.add(
-                    shard, f"shard{shard}", 1, "crash-recovery",
-                    f"batch {prepare.batch_id} decided but not applied; "
-                    f"replayed {len(prepare.mops)} journaled op(s)",
-                    "replayed",
-                )
-                report.shards.append(ShardRecovery(
-                    shard, "replayed", prepare.batch_id, reclaimed,
-                    reclaimed_runs=runs, pages_scanned=scanned,
-                    replayed_ops=len(prepare.mops),
-                ))
-                continue
-            # No durable decision: the batch globally never happened.
-            # The image is already the batch-start state; drop the
-            # orphaned shadow allocations and mark the area clean.
+                # batch-end state.
+                action = "replayed"
+                replay = prepare.mops
+            else:
+                # No durable decision: the batch globally never happened
+                # and the image is already the batch-start state.
+                action = "rolled-back"
+            # Reconcile before any replay: the crashed held execution's
+            # shadow pages are orphans.
             reclaimed, runs, scanned = _reconcile(shard_store, journal)
-            journal.write_clean(prepare.batch_id, shard)
-            report.log.add(
-                shard, f"shard{shard}", 1, "crash-recovery",
-                f"batch {prepare.batch_id} prepared but undecided; "
-                f"rolled back ({reclaimed} orphaned page(s) reclaimed)",
-                "rolled-back",
-            )
+            healed = ""
+            if action == "replayed":
+                shard_store.submit_multi(list(replay))
+                healed = (
+                    "decided but not applied; "
+                    f"replayed {len(replay)} journaled op(s)"
+                )
+            elif action == "rolled-back":
+                healed = (
+                    "prepared but undecided; rolled back "
+                    f"({reclaimed} orphaned page(s) reclaimed)"
+                )
+            if prepare is not None:
+                journal.write_clean(prepare.batch_id, shard)
+                if healed:
+                    report.log.add(
+                        shard, f"shard{shard}", 1, "crash-recovery",
+                        f"batch {prepare.batch_id} {healed}", action,
+                    )
             report.shards.append(ShardRecovery(
-                shard, "rolled-back", prepare.batch_id, reclaimed,
-                reclaimed_runs=runs, pages_scanned=scanned,
+                shard, action,
+                prepare.batch_id if prepare is not None else None,
+                reclaimed, reclaimed_runs=runs, pages_scanned=scanned,
+                replayed_ops=len(replay),
             ))
     return report
 
@@ -393,18 +324,10 @@ def fsck_sharded_store(store: "ShardedStore") -> list[FsckReport]:
     reports: list[FsckReport] = []
     for shard, shard_store in enumerate(store.shards):
         manager = shard_store.manager
-        if isinstance(manager, TreeBackedManager):
-            oids = sorted(manager._objects)
-        elif isinstance(manager, StarburstManager):
-            oids = sorted(manager._fields)
-        else:
-            raise InvalidArgumentError(
-                f"scheme {shard_store.scheme!r} is not fsck-sharded-aware"
-            )
         journals = (
             [store.coordinator.journals[shard]]
             if store.coordinator is not None
             else None
         )
-        reports.append(check([(manager, oids)], journals=journals))
+        reports.append(check([(manager, manager.oids())], journals=journals))
     return reports

@@ -49,7 +49,7 @@ def rebuild_tree_content(
     When ``runs`` is given, every page run the image references —
     index pages and leaf extents alike — is appended to it as a
     ``(first page id, page count)`` pair, for structural verification
-    of the image (see :mod:`repro.recovery.sweep`).
+    of the image (see :meth:`repro.recovery.sweep.SingleOp.judge`).
     """
     pieces: list[bytes] = []
     _walk_node(env, root_page_id, True, leaf_alloc_pages, pieces, runs)

@@ -109,6 +109,10 @@ class StarburstManager(LargeObjectManager):
         """Current long-field size in bytes, from the descriptor."""
         return self._descriptor(oid).total_bytes
 
+    def oids(self) -> list[int]:
+        """Ids of every live long field, sorted."""
+        return sorted(self._fields)
+
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

@@ -36,17 +36,22 @@ class TreeBackedManager(LargeObjectManager):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _new_tree(self) -> PositionalTree:
+        """An unrooted tree on this manager's environment and leaf policy;
+        ``create()`` or ``reopen()`` it."""
+        return PositionalTree(
+            self.config,
+            self.env.pool,
+            self.env.areas.meta,
+            data_base=DATA_AREA_BASE,
+            shadow=self.env.shadow,
+            leaf_alloc_pages=self._leaf_alloc_pages,
+        )
+
     def create(self, data: Payload = b"") -> int:
         """Create an object backed by a fresh positional count tree."""
         with self._op_span("create"):
-            tree = PositionalTree(
-                self.config,
-                self.env.pool,
-                self.env.areas.meta,
-                data_base=DATA_AREA_BASE,
-                shadow=self.env.shadow,
-                leaf_alloc_pages=self._leaf_alloc_pages,
-            )
+            tree = self._new_tree()
             oid = tree.create()
             self._objects[oid] = tree
             with self._op(tree):
@@ -65,6 +70,10 @@ class TreeBackedManager(LargeObjectManager):
     def size(self, oid: int) -> int:
         """Current object size in bytes (the tree's total count)."""
         return self._tree(oid).total_bytes
+
+    def oids(self) -> list[int]:
+        """Ids of every live object, sorted."""
+        return sorted(self._objects)
 
     # ------------------------------------------------------------------
     # Reads

@@ -25,6 +25,7 @@ from repro.buddy.allocator import BuddyAllocator
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, StorageCorruptionError
+from repro.disk.disk import contiguous_runs
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
 from repro.tree.node import Entry, IndexNode, LeafExtent
@@ -97,6 +98,40 @@ class PositionalTree:
         self.height = 1
         self._mark_node_dirty(root)
         return self.root_page_id
+
+    def reopen(self, root_page_id: int) -> None:
+        """Rebuild the in-memory tree from its on-disk root page.
+
+        The root deserializes uncharged (it is memory-resident with the
+        object descriptor); the interior nodes below it are materialized
+        through the buffer pool — charged reads — so the reopened tree
+        supports the uncharged accounting walks fsck relies on.
+        """
+        if self.root_page_id is not None:
+            raise StorageCorruptionError("tree already created")
+        self.root_page_id = root_page_id
+        root, self.total_bytes, rightmost_alloc = IndexNode.deserialize(
+            self.pool.disk.peek_pages(root_page_id, 1),
+            root_page_id,
+            is_root=True,
+            data_base=self.data_base,
+            meta_base=self.meta.base_page_id,
+            leaf_alloc_pages=self.leaf_alloc_pages,
+        )
+        self.height = root.level
+        self._nodes[root_page_id] = root
+        self._load_children(root)
+        last = self._rightmost_extent_uncharged()
+        if rightmost_alloc and last is not None:
+            # The root header records the rightmost segment's true
+            # allocation: it may carry untrimmed append slack that
+            # ``leaf_alloc_pages`` cannot recompute from used bytes.
+            last.alloc_pages = rightmost_alloc
+
+    def _load_children(self, node: IndexNode) -> None:
+        if not node.is_leaf_parent:
+            for entry in node.entries:
+                self._load_children(self._get_node(entry.ref))
 
     def destroy(self) -> list[LeafExtent]:
         """Free every index page; returns the extents for the caller to free."""
@@ -205,14 +240,7 @@ class PositionalTree:
     def _flush_non_root(self) -> None:
         if not self._dirty:
             return
-        dirty_ids = sorted(self._dirty)
-        runs: list[tuple[int, int]] = []
-        for page_id in dirty_ids:
-            if runs and runs[-1][0] + runs[-1][1] == page_id:
-                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-            else:
-                runs.append((page_id, 1))
-        for run_start, run_len in runs:
+        for run_start, run_len in contiguous_runs(sorted(self._dirty)):
             data = b"".join(
                 self._serialize_node(self._nodes[run_start + i])
                 for i in range(run_len)
@@ -449,8 +477,7 @@ class PositionalTree:
         else:
             start = 0
             while not node.is_leaf_parent:
-                index, child_start = _choose_child(node, position - start,
-                                                   for_boundary=True)
+                index, child_start = _choose_child(node, position - start)
                 start += child_start
                 path.append((node, index))
                 node = self._get_node(node.entries[index].ref)
@@ -658,21 +685,6 @@ class PositionalTree:
             # Dirty nodes live in memory until the end-of-op flush; the
             # root is memory-resident with the object descriptor, so its
             # accesses are never charged.
-            return node
-        if is_root:
-            # First access after a reopen: rebuild the root, uncharged.
-            data = self.pool.disk.peek_pages(page_id, 1)
-            node, total, _rightmost = IndexNode.deserialize(
-                data,
-                page_id,
-                is_root=True,
-                data_base=self.data_base,
-                meta_base=self.meta.base_page_id,
-                leaf_alloc_pages=self.leaf_alloc_pages,
-            )
-            self.total_bytes = total
-            self.height = node.level
-            self._nodes[page_id] = node
             return node
         self.pool.fix(page_id)
         try:
@@ -888,9 +900,7 @@ class PositionalTree:
 # ----------------------------------------------------------------------
 # Descent helpers
 # ----------------------------------------------------------------------
-def _choose_child(
-    node: IndexNode, offset: int, for_boundary: bool = False
-) -> tuple[int, int]:
+def _choose_child(node: IndexNode, offset: int) -> tuple[int, int]:
     """Pick the child covering ``offset`` (bytes relative to the node).
 
     Returns (child index, byte offset of that child within the node).  An

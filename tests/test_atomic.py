@@ -39,7 +39,7 @@ from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
 from repro.obs.tracer import Tracer
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
-from repro.recovery.shard_sweep import sweep_scheme_shard
+from repro.recovery.sweep import CrossShardBatch, sweep
 from repro.shard.router import ShardedStore
 
 SCHEMES = ("esm", "starburst", "eos")
@@ -219,7 +219,7 @@ def test_read_only_cross_shard_batch_stays_atomic() -> None:
 def test_exhaustive_cross_shard_sweep_is_clean(scheme: str) -> None:
     """Every physical write point of every shard, crash and torn."""
     for target in range(2):
-        report = sweep_scheme_shard(scheme, 2, target)
+        report = sweep(CrossShardBatch(scheme, 2, target))
         assert report.clean, "\n".join(
             f.detail for f in report.failures
         )

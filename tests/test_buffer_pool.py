@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.buffer.pool import BufferPool, _contiguous_runs
+from repro.buffer.pool import BufferPool
 from repro.core.config import small_page_config
 from repro.core.errors import BufferPoolError
-from repro.disk.disk import SimulatedDisk
+from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
 
 
@@ -173,6 +173,6 @@ class TestFlush:
 
 
 def test_contiguous_runs_helper():
-    assert _contiguous_runs([]) == []
-    assert _contiguous_runs([5]) == [(5, 1)]
-    assert _contiguous_runs([1, 2, 3, 7, 9, 10]) == [(1, 3), (7, 1), (9, 2)]
+    assert contiguous_runs([]) == []
+    assert contiguous_runs([5]) == [(5, 1)]
+    assert contiguous_runs([1, 2, 3, 7, 9, 10]) == [(1, 3), (7, 1), (9, 2)]

@@ -104,16 +104,34 @@ def test_report_unknown_experiment(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["chaos", "--shards", "-3"],
     ["fsck", "--shards", "-1"],
-    ["chaos", "--table", "t.tsv"],
-    ["chaos", "--jobs", "4"],
+    ["chaos", "--shards", "2", "--jobs", "0"],
+    ["chaos", "--shards", "2", "--jobs", "-3"],
+    ["chaos", "--shards", "2", "--op", "delete"],
+    ["chaos", "--shards", "2", "--scale", "small"],
+    ["chaos", "--shards", "2", "--table", "no-such-dir/t.tsv"],
 ])
-def test_out_of_range_shard_flags_are_usage_errors(argv, capsys):
+def test_out_of_range_shard_flags_are_usage_errors(
+    argv, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     captured = capsys.readouterr()
     assert "usage:" in captured.err
-    assert "CLEAN" not in captured.out
+    assert "CLEAN" not in captured.out  # rejected before any sweep ran
+
+
+def test_chaos_jobs_and_table_work_without_shards(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(["chaos", "--scheme", "eos", "--table", "t.tsv"]) == 0
+    assert main(["chaos", "--scheme", "eos", "--jobs", "4"]) == 0
+    assert capsys.readouterr().out.count("sweep CLEAN") == 2
+    rows = (tmp_path / "t.tsv").read_text().splitlines()
+    assert rows[0].split("\t")[:2] == ["scheme", "target"]
+    assert any(row.startswith("eos\tappend\t") for row in rows[1:])
 
 
 @pytest.mark.parametrize("argv", [

@@ -169,7 +169,10 @@ class TestHealthGauges:
 
     def test_probe_rejects_unknown_manager(self):
         class Fake:
-            pass
+            """Has live objects but a layout the run walk cannot read."""
+
+            def oids(self):
+                return [1]
 
         store = LargeObjectStore("eos", CONFIG, shadowing=True)
         probe = HealthProbe(store)

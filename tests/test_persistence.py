@@ -19,6 +19,18 @@ PAGE = 128
 CONFIG = small_page_config()
 
 
+def _reopen(store, oid, **tree_options):
+    tree = PositionalTree(
+        store.config,
+        store.env.pool,
+        store.env.areas.meta,
+        data_base=DATA_AREA_BASE,
+        **tree_options,
+    )
+    tree.reopen(oid)
+    return tree
+
+
 class TestTreeReopen:
     @pytest.mark.parametrize("scheme", ["esm", "eos"])
     def test_tree_rebuilds_from_disk(self, scheme, store_factory):
@@ -33,14 +45,9 @@ class TestTreeReopen:
             for e in old_tree.iter_extents(charged=False)
         ]
 
-        reopened = PositionalTree(
-            store.config,
-            store.env.pool,
-            store.env.areas.meta,
-            data_base=DATA_AREA_BASE,
-            leaf_alloc_pages=store.manager._leaf_alloc_pages,
+        reopened = _reopen(
+            store, oid, leaf_alloc_pages=store.manager._leaf_alloc_pages
         )
-        reopened.root_page_id = oid
         assert reopened._get_node(oid) is not None
         assert reopened.total_bytes == store.size(oid)
         assert reopened.height == old_tree.height
@@ -54,16 +61,31 @@ class TestTreeReopen:
         store = store_factory("eos")
         data = pattern_bytes(10 * PAGE)
         oid = store.create(data)
-        reopened = PositionalTree(
-            store.config,
-            store.env.pool,
-            store.env.areas.meta,
-            data_base=DATA_AREA_BASE,
-        )
-        reopened.root_page_id = oid
-        reopened._get_node(oid)
+        reopened = _reopen(store, oid)
         cursor = reopened.locate(5 * PAGE)
         assert cursor.extent_start <= 5 * PAGE
+
+    @pytest.mark.parametrize("scheme", ["esm", "eos"])
+    def test_reopen_keeps_every_extents_allocation(
+        self, scheme, store_factory
+    ):
+        """EOS leaves untrimmed slack on the rightmost segment after an
+        append; only the root header records it, and a reopen that drops
+        it would leak those pages on the next free."""
+        store = store_factory(scheme, threshold_pages=2)
+        oid = store.create(pattern_bytes(3 * PAGE + 5))
+        store.append(oid, pattern_bytes(200))
+        live = store.manager.tree_of(oid)
+        reopened = _reopen(
+            store, oid, leaf_alloc_pages=store.manager._leaf_alloc_pages
+        )
+        assert [
+            (e.page_id, e.alloc_pages)
+            for e in reopened.iter_extents(charged=False)
+        ] == [
+            (e.page_id, e.alloc_pages)
+            for e in live.iter_extents(charged=False)
+        ]
 
 
 class TestDescriptorReopen:

@@ -4,7 +4,9 @@ The sweep is itself a verification harness, so the tests here check
 both directions: shadowing stores survive a crash at *every* physical
 write point (the sweep reports clean), and the harness genuinely
 detects unsafety — with shadowing disabled, in-place updates lose
-committed state and the sweep must say so.
+committed state and the sweep must say so.  Both scenario kinds — one
+operation on one store, one atomic batch over N shards — go through the
+one ``sweep`` / ``run_sweep`` / ``cli_main`` entry point.
 """
 
 import pytest
@@ -12,36 +14,56 @@ import pytest
 from repro.recovery.sweep import (
     MUTATING_OPS,
     SWEEP_SCHEMES,
+    CrossShardBatch,
+    SingleOp,
     SweepReport,
     cli_main,
     run_sweep,
-    sweep_operation,
+    sweep,
 )
+
+BOTH = ("crash", "torn")
 
 
 class TestExhaustiveSweep:
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     @pytest.mark.parametrize("op", MUTATING_OPS)
     def test_every_crash_point_recovers(self, scheme, op):
-        report = sweep_operation(scheme, op)
+        report = sweep(SingleOp(scheme, op))
         assert report.clean, report.summary()
         assert report.outcomes, "sweep must exercise at least one crash"
         # Every crash landed before the (uncharged) commit write, so every
         # image rebuilds to the committed pre-state (or, for create, to no
         # object at all).
-        assert all(
-            o.recovered_to in ("pre", "absent") for o in report.outcomes
-        )
+        assert all(o.outcome in ("pre", "absent") for o in report.outcomes)
 
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     def test_torn_writes_never_damage_committed_state(self, scheme):
-        report = sweep_operation(scheme, "append", torn=True)
+        report = sweep(SingleOp(scheme, "append", kinds=("torn",)))
         assert report.clean, report.summary()
         # Appends at this scale include at least one multi-page write.
         assert report.outcomes
 
+    @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
+    def test_every_shard_fault_is_all_or_nothing(self, scheme):
+        report = sweep(CrossShardBatch(scheme, shards=2, target=1))
+        assert report.clean, report.summary()
+        assert {o.kind for o in report.outcomes} == {
+            "crash", "torn", "transient"
+        }
+        assert {o.outcome for o in report.outcomes} >= {
+            "batch-absent", "batch-present", "completed"
+        }
+        # Recovery had shards to heal, and said so.
+        assert report.log.degraded
+        assert "shard recoveries logged" in report.summary()
+
     def test_full_sweep_is_clean(self):
-        report = run_sweep(torn=True)
+        report = run_sweep([
+            SingleOp(scheme, op, kinds=BOTH)
+            for scheme in SWEEP_SCHEMES
+            for op in MUTATING_OPS
+        ])
         assert report.clean, report.summary()
         assert len(report.outcomes) > 30
         assert "CLEAN" in report.summary()
@@ -52,13 +74,14 @@ class TestNegativeControl:
     def test_sweep_detects_unsafe_inplace_updates(self, scheme):
         """Without shadowing, overwrites destroy committed state in place;
         the sweep must fail — proving it can detect violations at all."""
-        report = sweep_operation(scheme, "overwrite", shadowing=False)
+        report = sweep(SingleOp(scheme, "overwrite", shadowing=False))
         assert not report.clean
         assert any(
             "neither pre- nor post-state" in failure.detail
             for failure in report.failures
         )
         assert "FAILED" in report.summary()
+        assert "\tFAILED\t" in report.classification_table()
 
 
 class TestReport:
@@ -66,10 +89,22 @@ class TestReport:
         assert SweepReport().clean
 
     def test_summary_counts_by_scheme_and_op(self):
-        report = sweep_operation("starburst", "insert")
+        report = sweep(SingleOp("starburst", "insert"))
         line = report.summary().splitlines()[0]
         assert line.startswith("starburst/insert:")
         assert "recovered" in line
+
+    @pytest.mark.parametrize("scenarios", [
+        [SingleOp(scheme, op, kinds=BOTH)
+         for scheme in ("esm", "eos") for op in ("append", "insert")],
+        [CrossShardBatch("eos", 2, target) for target in range(2)],
+    ], ids=["single-op", "cross-shard"])
+    def test_report_does_not_depend_on_jobs(self, scenarios):
+        serial = run_sweep(scenarios, jobs=1)
+        fanned = run_sweep(scenarios, jobs=2)
+        assert serial == fanned
+        assert serial.classification_table() == fanned.classification_table()
+        assert serial.summary() == fanned.summary()
 
 
 class TestChaosCLI:
@@ -89,3 +124,21 @@ class TestChaosCLI:
 
         assert main(["chaos", "--scheme", "starburst", "--op", "delete"]) == 0
         assert "starburst/delete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("select", [
+        ["--scheme", "esm"],
+        ["--scheme", "esm", "--shards", "2"],
+    ], ids=["single-op", "cross-shard"])
+    def test_table_does_not_depend_on_jobs(self, select, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            table = tmp_path / f"jobs{jobs}.tsv"
+            assert cli_main(
+                [*select, "--jobs", jobs, "--table", str(table)]
+            ) == 0
+            out = capsys.readouterr().out.replace(str(table), "TABLE")
+            outputs.append((table.read_text(), out))
+        assert outputs[0] == outputs[1]
+        header, *rows = outputs[0][0].splitlines()
+        assert header.startswith("scheme\ttarget\twrite\tkind\toutcome")
+        assert rows and all(row.startswith("esm\t") for row in rows)
