@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.buddy.directory import check_directory_fits, serialize_directory
-from repro.buddy.space import BuddySpace, ceil_log2
+from repro.buddy.space import BuddySpace
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError, OutOfSpaceError
@@ -139,12 +139,9 @@ class BuddyAllocator:
         pool = self.pool
         pool.invalidate_run(page_id, n_pages)
         pool.disk.discard_pages(page_id, n_pages)
-        # _visit_directory inlined without the mutation closure: a free
-        # always changes the space's state (free_range raises on
-        # already-free blocks), so the before/after comparison that the
-        # generic visit performs is a foregone conclusion and the
-        # directory page is unconditionally unfixed dirty.  The pool
-        # access sequence (fix, provider, unfix) is identical.
+        # A free always changes the space's state (free_range raises on
+        # already-free blocks), so once it returns the directory page is
+        # unconditionally unfixed dirty.
         directory_page = self.base_page_id + space_index * self._stride_pages
         changed = False
         pool.fix(directory_page)
@@ -195,10 +192,8 @@ class BuddyAllocator:
     ) -> int | None:
         """Visit a space's directory and try to allocate there.
 
-        Inlined :meth:`_visit_directory` for the hot allocation path: the
-        directory state changed exactly when the allocation succeeded, so
-        no before/after comparison or mutation closure is needed.  The
-        pool access sequence (fix, provider on change, unfix) is identical.
+        The directory state changed exactly when the allocation succeeded:
+        fix, correct the superdirectory, set the provider on change, unfix.
         """
         space = self._spaces[index]
         page_id = self.base_page_id + index * self._stride_pages
@@ -220,27 +215,6 @@ class BuddyAllocator:
         finally:
             pool.unfix(page_id, dirty=changed)
         return offset
-
-    def _visit_directory(
-        self, space_index: int, mutate: Callable[[], None]
-    ) -> None:
-        """Fix the directory page, apply a mutation, correct the
-        superdirectory, and unfix (dirty if the mutation changed state)."""
-        space = self._spaces[space_index]
-        page_id = self._directory_page(space_index)
-        before = (space.free_blocks, space.max_free_order())
-        changed = False
-        self.pool.fix(page_id)
-        try:
-            mutate()
-            changed = (space.free_blocks, space.max_free_order()) != before
-            self._superdirectory[space_index] = space.max_free_order()
-            if changed:
-                self.pool.set_provider(
-                    page_id, lambda: serialize_directory(space)
-                )
-        finally:
-            self.pool.unfix(page_id, dirty=changed)
 
     def _add_space(self) -> int:
         """Grow the area by one buddy space; returns its index."""

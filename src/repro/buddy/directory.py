@@ -37,7 +37,9 @@ def check_directory_fits(config: SystemConfig) -> None:
 
 def serialize_directory(space: BuddySpace) -> bytes:
     """Encode the space's allocation bitmap as directory-page content."""
-    return _HEADER.pack(_MAGIC, space.order) + bytes(space.bitmap)
+    return _HEADER.pack(_MAGIC, space.order) + space.bitmap.to_bytes(
+        -(-space.total_blocks // 8), "little"
+    )
 
 
 def deserialize_directory(data: bytes) -> BuddySpace:
@@ -57,19 +59,17 @@ def deserialize_directory(data: bytes) -> BuddySpace:
         raise StorageCorruptionError("directory bitmap truncated")
 
     space = BuddySpace(order)
-    # Mark every allocated block.  Start from a fully free space and
-    # allocate the used runs; allocating run-by-run keeps free lists exact.
-    run_start = None
-    for block in range(space.total_blocks + 1):
-        used = (
-            block < space.total_blocks
-            and bool(bitmap[block >> 3] & (1 << (block & 7)))
-        )
-        if used and run_start is None:
-            run_start = block
-        elif not used and run_start is not None:
-            _allocate_exact_run(space, run_start, block - run_start)
-            run_start = None
+    # Start from a fully free space and allocate the used runs in
+    # ascending order; allocating run-by-run keeps free lists exact.
+    rest = int.from_bytes(bitmap, "little") & ((1 << space.total_blocks) - 1)
+    block = 0
+    while rest:
+        skip = (rest & -rest).bit_length() - 1  # free blocks before the run
+        rest >>= skip
+        run = (~rest & (rest + 1)).bit_length() - 1  # its trailing one bits
+        _allocate_exact_run(space, block + skip, run)
+        rest >>= run
+        block += skip + run
     return space
 
 
@@ -77,6 +77,8 @@ def _allocate_exact_run(space: BuddySpace, offset: int, n_blocks: int) -> None:
     """Force-allocate an exact run (used only when rebuilding from disk)."""
     # Decompose the run into aligned power-of-two chunks and carve each out
     # of the free lists by splitting; this mirrors BuddySpace._release_range.
+    space.bitmap |= ((1 << n_blocks) - 1) << offset
+    space._free_blocks -= n_blocks
     end = offset + n_blocks
     while offset < end:
         align = (offset & -offset).bit_length() - 1 if offset else space.order
@@ -104,5 +106,3 @@ def _carve(space: BuddySpace, offset: int, k: int) -> None:
         other_half = base if half_with_target != base else base + (1 << j)
         space._free_add(j, other_half)
         base = half_with_target
-    space._set_bits(offset, 1 << k, True)
-    space._free_blocks -= 1 << k

@@ -14,8 +14,10 @@ scheme:
 * *Partial free*: a client may free any sub-range of a previously allocated
   segment, not necessarily the whole segment.
 
-The allocation state also maintains, incrementally, the 1-bit-per-block
-bitmap that is persisted in the space's one-page directory block.
+The allocation state also maintains the 1-bit-per-block bitmap that is
+persisted in the space's one-page directory block.  The bitmap is one
+Python ``int``, so a run of any length is allocated, freed or checked
+with a single mask operation instead of a loop over its blocks.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class BuddySpace:
         #: a scan over every order.
         self._order_mask = 1 << order
         self._free_blocks = self.total_blocks
-        #: 1 bit per block; bit set means the block is allocated.
-        self.bitmap = bytearray(-(-self.total_blocks // 8))
+        #: Bit ``b`` set iff block ``b`` is allocated.
+        self.bitmap = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -73,7 +75,7 @@ class BuddySpace:
     def is_block_allocated(self, offset: int) -> bool:
         """True if the block at ``offset`` is currently allocated."""
         self._check_offset(offset)
-        return bool(self.bitmap[offset >> 3] & (1 << (offset & 7)))
+        return bool(self.bitmap >> offset & 1)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -100,7 +102,7 @@ class BuddySpace:
                 f"no free extent of order {k} in this buddy space"
             )
         surplus = (1 << k) - n_blocks
-        self._set_bits(offset, n_blocks, True)
+        self.bitmap |= ((1 << n_blocks) - 1) << offset
         self._free_blocks -= n_blocks
         if surplus:
             # Trim: hand the unused right end straight back.
@@ -116,23 +118,14 @@ class BuddySpace:
         if n_blocks <= 0:
             raise AllocationError("free size must be positive")
         self._check_offset(offset)
-        if n_blocks == 1:
-            # Single-block free: the shadow-relocation hot path (every
-            # relocated index page frees exactly one block).
-            byte, bit = offset >> 3, 1 << (offset & 7)
-            if not self.bitmap[byte] & bit:
-                raise AllocationError(f"block {offset} is already free")
-            self.bitmap[byte] &= ~bit
-            self._free_blocks += 1
-            self._insert_free(offset, 0)
-            return
         if offset + n_blocks > self.total_blocks:
             raise AllocationError("free range extends past end of space")
-        bitmap = self.bitmap
-        for b in range(offset, offset + n_blocks):
-            if not bitmap[b >> 3] & (1 << (b & 7)):
-                raise AllocationError(f"block {b} is already free")
-        self._set_bits(offset, n_blocks, False)
+        run = ((1 << n_blocks) - 1) << offset
+        free = run & ~self.bitmap
+        if free:
+            first = (free & -free).bit_length() - 1
+            raise AllocationError(f"block {first} is already free")
+        self.bitmap ^= run
         self._free_blocks += n_blocks
         self._release_range(offset, n_blocks)
 
@@ -185,8 +178,7 @@ class BuddySpace:
             k = min(align, n_blocks.bit_length() - 1)
             step = 1 << k
             start = offset
-            # Inlined coalescing cascade (see _insert_free) against the
-            # local mask.
+            # Coalescing cascade against the local mask.
             while k < order:
                 buddy = start ^ (1 << k)
                 extents = free_sets[k]
@@ -204,32 +196,6 @@ class BuddySpace:
             n_blocks -= step
         self._order_mask = mask
 
-    def _insert_free(self, offset: int, k: int) -> None:
-        """Insert a free extent of order ``k``, coalescing with buddies.
-
-        ``_free_discard`` / ``_free_add`` are inlined: coalescing cascades
-        through every order on the single-block free/reallocate churn of
-        shadow relocation, so the per-level method calls are measurable.
-        The order mask is maintained the same way — one local copy edited
-        through the cascade, one store at the end.
-        """
-        free_sets = self._free_sets
-        order = self.order
-        mask = self._order_mask
-        while k < order:
-            buddy = offset ^ (1 << k)
-            extents = free_sets[k]
-            if buddy not in extents:
-                break
-            extents.discard(buddy)
-            if not extents:
-                mask &= ~(1 << k)
-            if buddy < offset:
-                offset = buddy
-            k += 1
-        free_sets[k].add(offset)
-        self._order_mask = mask | (1 << k)
-
     def _free_add(self, k: int, offset: int) -> None:
         """Add a free extent, keeping the order index in sync."""
         self._free_sets[k].add(offset)
@@ -242,15 +208,6 @@ class BuddySpace:
         if not extents:
             self._order_mask &= ~(1 << k)
 
-    def _set_bits(self, offset: int, n_blocks: int, value: bool) -> None:
-        bitmap = self.bitmap
-        if value:
-            for b in range(offset, offset + n_blocks):
-                bitmap[b >> 3] |= 1 << (b & 7)
-        else:
-            for b in range(offset, offset + n_blocks):
-                bitmap[b >> 3] &= ~(1 << (b & 7))
-
     def _check_offset(self, offset: int) -> None:
         if not 0 <= offset < self.total_blocks:
             raise AllocationError(
@@ -262,24 +219,23 @@ class BuddySpace:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Verify internal consistency; raises AssertionError on violation."""
-        seen: set[int] = set()
+        seen = 0
         free_from_lists = 0
         for k, extents in enumerate(self._free_sets):
             for offset in extents:
                 assert offset % (1 << k) == 0, "free extent misaligned"
-                blocks = range(offset, offset + (1 << k))
-                assert not seen.intersection(blocks), "overlapping free extents"
-                seen.update(blocks)
-                for b in blocks:
-                    assert not self.is_block_allocated(b), (
-                        "free-list block marked allocated in bitmap"
-                    )
+                run = ((1 << (1 << k)) - 1) << offset
+                assert not seen & run, "overlapping free extents"
+                seen |= run
+                assert not self.bitmap & run, (
+                    "free-list block marked allocated in bitmap"
+                )
                 free_from_lists += 1 << k
                 if k < self.order:
                     buddy = offset ^ (1 << k)
                     assert buddy not in self._free_sets[k], "uncoalesced buddies"
         assert free_from_lists == self._free_blocks, "free count drift"
-        bitmap_allocated = sum(bin(byte).count("1") for byte in self.bitmap)
+        bitmap_allocated = bin(self.bitmap).count("1")
         assert bitmap_allocated == self.allocated_blocks, "bitmap count drift"
         expected_mask = 0
         for k, extents in enumerate(self._free_sets):

@@ -1,12 +1,11 @@
 """Positional count tree shared by the ESM and EOS managers."""
 
 from repro.tree.backed import TreeBackedManager
-from repro.tree.node import Entry, IndexNode, LeafExtent
+from repro.tree.node import IndexNode, LeafExtent
 from repro.tree.tree import Cursor, PositionalTree
 
 __all__ = [
     "Cursor",
-    "Entry",
     "IndexNode",
     "LeafExtent",
     "PositionalTree",

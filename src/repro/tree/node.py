@@ -1,10 +1,12 @@
 """Index nodes and leaf extents of the positional count tree (Section 2.1).
 
-Each node holds a sequence of (count, pointer) pairs.  On disk the counts
-are cumulative, exactly as in the paper's Figure 1; in memory we keep the
-per-child byte counts, which makes updates simpler.  A pair occupies 8
-bytes (4-byte count + 4-byte pointer), so a 4 KB root holds up to 507
-pairs and a 4 KB internal page holds 511 (Section 4.1).
+Each node holds a sequence of (count, pointer) pairs.  The counts are
+cumulative, exactly as in the paper's Figure 1, on disk and in memory
+alike: an :class:`IndexNode` is two parallel lists, ``cums`` and
+``refs``, and the per-child byte counts are differences of neighbouring
+``cums``.  A pair occupies 8 bytes (4-byte count + 4-byte pointer), so a
+4 KB root holds up to 507 pairs and a 4 KB internal page holds 511
+(Section 4.1).
 
 Level-1 nodes (the lowest index level) point at *leaf extents* — the data
 segments themselves.  Higher levels point at child index pages.
@@ -13,21 +15,15 @@ segments themselves.  Higher levels point at child index pages.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import struct
+from typing import Any
 
 from repro.core.config import SystemConfig
 from repro.core.errors import InvalidArgumentError, StorageCorruptionError
-from repro.lint.contracts import DEBUG_PROBE, runtime_checks_enabled
-
-# cums() and serialize() run tens of thousands of times per experiment;
-# the stale-cache verification they guard is REPRO_DEBUG-only, so the
-# flag check itself must cost one dict lookup (see contracts.DEBUG_PROBE).
-_DBG_ENV, _DBG_KEY, _DBG_ON = DEBUG_PROBE
 
 _NODE_HEADER = struct.Struct("<2sBBHH")  # magic, level, flags, n_entries, pad
 _ROOT_HEADER = struct.Struct("<2sBBHHQIQQI")  # + total_bytes, rightmost_alloc, rsvd
-_PAIR = struct.Struct("<II")
+_PAIR_BYTES = 8  # 4-byte cumulative count + 4-byte pointer
 
 _NODE_MAGIC = b"IN"
 _ROOT_MAGIC = b"RT"
@@ -63,106 +59,137 @@ class LeafExtent:
         return self.alloc_pages * page_size - self.used_bytes
 
 
-@dataclasses.dataclass(slots=True)
-class Entry:
-    """An in-memory (count, pointer) pair of an index node."""
-
-    bytes_count: int
-    #: Child index page id (internal node) or a LeafExtent (level-1 node).
-    ref: "int | LeafExtent"
-
-
 class IndexNode:
-    """One index page of the positional tree."""
+    """One index page of the positional tree.
+
+    The node *is* its two parallel lists and is the only code that
+    changes them: every mutator below keeps the prefix sums in ``cums``
+    current and lowers the packed-image watermark itself, so callers
+    read ``cums`` / ``refs`` freely but never assign to or mutate them.
+    Extents held by a level-1 node are likewise changed only through
+    :meth:`update_extent`.
+    """
 
     def __init__(self, page_id: int, level: int) -> None:
         if level < 1:
             raise InvalidArgumentError("index node level starts at 1")
         self.page_id = page_id
+        #: Changes only while the node is empty (root split and collapse).
         self.level = level
-        self.entries: list[Entry] = []
+        #: ``cums[i]`` is the byte count under children ``0..i``: the
+        #: on-disk form of the counts and the bisect key of every descent.
+        self.cums: list[int] = []
+        #: Child index page ids (``int``), or at level 1 the
+        #: :class:`LeafExtent` objects themselves.
+        self.refs: list[Any] = []
         #: Set while the node has unflushed changes in the current operation.
         self.dirty = False
         #: Set once the node has been relocated (shadowed) in the current op.
         self.shadowed_this_op = False
-        #: Cached cumulative byte counts (see :meth:`cums`); the first
-        #: ``_cums_valid`` items are current.  Every mutation of entries
-        #: must call :meth:`counts_changed` with the first changed index.
-        self._cums: list[int] = []
-        self._cums_valid = 0
-        #: Packed on-disk (cumulative, pointer) pairs for the first
-        #: ``_packed_pairs`` entries; appends extend it incrementally, so
-        #: serializing after an append repacks only the new tail.
+        #: On-disk image of the first ``_packed_upto`` pairs.  Every
+        #: mutator lowers the watermark to the first pair it touched, so
+        #: :meth:`serialize` repacks only from there: a rightmost append
+        #: to a several-hundred-pair leaf parent packs one pair, not all.
+        #: Kept because it is measured to earn its lines: against the same
+        #: node packing every pair on every serialize, 10 seed-paired
+        #: ``perfbench/compare.py`` runs of ``seq_build`` gave +11.0 %
+        #: ``host_ops_per_s`` (10/10 pairs, spread of the differences
+        #: 2.5 %) and -12.5 % ``host_op_us_p90``.
         self._packed = bytearray()
-        self._packed_pairs = 0
-        #: Pointer base the packed pairs were encoded against; a different
-        #: base (never expected for one tree) forces a full repack.
-        self._packed_base: int | None = None
+        self._packed_upto = 0
 
     @property
     def is_leaf_parent(self) -> bool:
-        """True if this node's entries reference data segments."""
+        """True if this node's pairs reference data segments."""
         return self.level == 1
 
     @property
     def total_bytes(self) -> int:
         """Bytes stored in the subtree rooted at this node."""
-        cums = self.cums()
-        return cums[-1] if cums else 0
+        return self.cums[-1] if self.cums else 0
 
-    def entry_bytes(self) -> list[int]:
+    def count(self, index: int) -> int:
+        """Bytes under child ``index`` alone."""
+        cums = self.cums
+        return cums[index] - cums[index - 1] if index else cums[0]
+
+    def counts(self) -> list[int]:
         """Per-child byte counts, in order."""
-        return [entry.bytes_count for entry in self.entries]
+        cums = self.cums
+        return [after - before for before, after in zip([0] + cums, cums)]
 
     # ------------------------------------------------------------------
-    # Cumulative-count cache
+    # Mutators: the only code that changes cums / refs
     # ------------------------------------------------------------------
-    def cums(self) -> list[int]:
-        """Cumulative byte counts of the entries (``cums[i]`` covers
-        entries ``0..i``), cached until :meth:`counts_changed`.
+    def _touched(self, index: int) -> None:
+        if index < self._packed_upto:
+            self._packed_upto = index
 
-        This array is the node's on-disk representation of the counts and
-        the search key for every descent, so sharing one cached copy
-        between :meth:`serialize`, child choice, and boundary lookups
-        turns repeated per-entry Python loops into a single rebuild per
-        mutation — and mutations invalidate only from the first changed
-        entry, so append-heavy workloads extend the cache by one item
-        instead of rebuilding it.  Callers must not mutate the returned
-        list.
+    def insert(self, index: int, count: int, ref: "int | LeafExtent") -> None:
+        """Insert a pair of ``count`` bytes before position ``index``."""
+        cums = self.cums
+        before = cums[index - 1] if index else 0
+        cums[index:] = [before + count] + [c + count for c in cums[index:]]
+        self.refs.insert(index, ref)
+        self._touched(index)
+
+    def pop(self, index: int) -> "tuple[int, int | LeafExtent]":
+        """Remove pair ``index``; returns its (count, ref)."""
+        count = self.count(index)
+        self.cums[index:] = [c - count for c in self.cums[index + 1:]]
+        self._touched(index)
+        return count, self.refs.pop(index)
+
+    def add_count(self, index: int, delta: int) -> None:
+        """Grow (or shrink) the byte count of child ``index`` by ``delta``."""
+        self.cums[index:] = [c + delta for c in self.cums[index:]]
+        self._touched(index)
+
+    def set_ref(self, index: int, ref: int) -> None:
+        """Repoint child ``index`` (a shadowed index page moved)."""
+        self.refs[index] = ref
+        self._touched(index)
+
+    def update_extent(
+        self,
+        index: int,
+        used_bytes: int | None = None,
+        page_id: int | None = None,
+        alloc_pages: int | None = None,
+    ) -> int:
+        """Change the segment referenced by pair ``index`` of a level-1
+        node in place; returns the change in its byte count."""
+        extent = self.refs[index]
+        delta = 0
+        if used_bytes is not None:
+            delta = used_bytes - extent.used_bytes
+            extent.used_bytes = used_bytes
+        if page_id is not None:
+            extent.page_id = page_id
+        if alloc_pages is not None:
+            extent.alloc_pages = alloc_pages
+        if delta:
+            self.add_count(index, delta)
+        else:
+            self._touched(index)
+        return delta
+
+    def take(self, source: "IndexNode", start: int) -> int:
+        """Move the pairs ``source[start:]`` to the end of this node;
+        returns the bytes moved.
+
+        One slice move expresses a split (an empty sibling takes the
+        tail), a merge (the keeper takes all of the victim) and a root
+        collapse (the emptied root takes all of its only child).
         """
-        entries = self.entries
-        n = len(entries)
-        cums = self._cums
-        valid = self._cums_valid
-        if valid < n or len(cums) != n:
-            del cums[valid:]
-            total = cums[-1] if cums else 0
-            for entry in entries[valid:]:
-                total += entry.bytes_count
-                cums.append(total)
-            self._cums_valid = n
-        if (_DBG_ENV is None or _DBG_ENV.get(_DBG_KEY) == _DBG_ON) and (
-            runtime_checks_enabled()
-        ):
-            counts = [entry.bytes_count for entry in entries]
-            if cums != list(itertools.accumulate(counts)):
-                raise StorageCorruptionError(
-                    f"stale cumulative-count cache on index page "
-                    f"{self.page_id}: a mutation missed counts_changed()"
-                )
-        return cums
-
-    def counts_changed(self, index: int = 0) -> None:
-        """Invalidate the caches from entry ``index`` onwards.
-
-        Must be called after any mutation of the entries list, an entry's
-        ``bytes_count``, or an entry's ``ref``, with the lowest affected
-        index; everything before ``index`` stays cached.
-        """
-        if index < self._cums_valid:
-            self._cums_valid = index
-        if index < self._packed_pairs:
-            self._packed_pairs = index
+        before = self.total_bytes
+        shift = before - (source.cums[start - 1] if start else 0)
+        self.cums.extend([c + shift for c in source.cums[start:]])
+        self.refs.extend(source.refs[start:])
+        del source.cums[start:]
+        del source.refs[start:]
+        source._touched(start)
+        return self.total_bytes - before
 
     # ------------------------------------------------------------------
     # Serialization
@@ -170,60 +197,36 @@ class IndexNode:
     def serialize(self, config: SystemConfig, *, is_root: bool,
                   total_bytes: int = 0, rightmost_alloc: int = 0,
                   data_base: int, meta_base: int) -> bytes:
-        """Encode the node as page content with cumulative counts."""
+        """Encode the node as page content.
+
+        ``data_base`` / ``meta_base`` are the owning tree's pointer
+        bases and must be the same on every call for one node.
+        """
+        cums = self.cums
+        n = len(cums)
         if is_root:
             header = _ROOT_HEADER.pack(
-                _ROOT_MAGIC, self.level, 0, len(self.entries), 0,
+                _ROOT_MAGIC, self.level, 0, n, 0,
                 total_bytes, rightmost_alloc, 0, 0, 0,
             )
         else:
-            header = _NODE_HEADER.pack(
-                _NODE_MAGIC, self.level, 0, len(self.entries), 0
-            )
-        entries = self.entries
-        n = len(entries)
+            header = _NODE_HEADER.pack(_NODE_MAGIC, self.level, 0, n, 0)
         packed = self._packed
-        serialize_base = data_base if self.is_leaf_parent else meta_base
-        if serialize_base != self._packed_base:
-            self._packed_pairs = 0
-            self._packed_base = serialize_base
-        k = self._packed_pairs
+        k = self._packed_upto
         if k < n or len(packed) != 8 * n:
-            # Repack only the entries past the valid prefix in one
-            # C-level struct.pack; after an append that is a single pair.
             del packed[8 * k:]
-            cums = self.cums()
-            base = serialize_base
+            flat = [0] * (2 * (n - k))
+            flat[0::2] = cums[k:]
             if self.is_leaf_parent:
-                ptrs = [entry.ref.page_id - base for entry in entries[k:]]
+                flat[1::2] = [ref.page_id - data_base for ref in self.refs[k:]]
             else:
-                ptrs = [entry.ref - base for entry in entries[k:]]
-            flat = list(
-                itertools.chain.from_iterable(zip(cums[k:], ptrs))
-            )
+                flat[1::2] = [ref - meta_base for ref in self.refs[k:]]
             packed += struct.pack(f"<{len(flat)}I", *flat)
-            self._packed_pairs = n
-        if (_DBG_ENV is None or _DBG_ENV.get(_DBG_KEY) == _DBG_ON) and (
-            runtime_checks_enabled()
-        ):
-            base = data_base if self.is_leaf_parent else meta_base
-            expected = b"".join(
-                _PAIR.pack(
-                    cumulative,
-                    (entry.ref.page_id if self.is_leaf_parent
-                     else entry.ref) - base,
-                )
-                for cumulative, entry in zip(self.cums(), entries)
-            )
-            if bytes(packed) != expected:
-                raise StorageCorruptionError(
-                    f"stale packed-pair cache on index page "
-                    f"{self.page_id}: a mutation missed counts_changed()"
-                )
+            self._packed_upto = n
         page = header + packed
         if len(page) > config.page_size:
             raise StorageCorruptionError(
-                f"index node with {len(self.entries)} entries overflows page"
+                f"index node with {n} entries overflows page"
             )
         return page.ljust(config.page_size, b"\x00")
 
@@ -236,7 +239,10 @@ class IndexNode:
         ``leaf_alloc_pages(used_bytes, is_rightmost)`` supplies the
         allocated page count of each referenced segment (it depends on the
         storage scheme).  Returns ``(node, total_bytes, rightmost_alloc)``;
-        the last two are meaningful only for the root.
+        the last two are meaningful only for the root.  The page is not
+        trusted — recovery feeds this images that bypassed the CRC check —
+        so a pair count beyond the page, a level below 1 or counts that do
+        not increase raise :class:`StorageCorruptionError`.
         """
         if is_root:
             magic, level, _flags, n, _pad, total, rightmost_alloc, _r1, _r2, _r3 = (
@@ -251,39 +257,35 @@ class IndexNode:
                 raise StorageCorruptionError("not an index page")
             total, rightmost_alloc = 0, 0
             offset = _NODE_HEADER.size
-        node = cls(page_id, max(level, 1))
-        base = data_base if node.is_leaf_parent else meta_base
-        # Decode every pair in one C-level unpack; the cumulative counts
-        # are exactly the node's cums() cache, so seed it directly.
+        if level < 1:
+            raise StorageCorruptionError(f"index page {page_id} has level 0")
+        if n > (len(data) - offset) // _PAIR_BYTES:
+            raise StorageCorruptionError(
+                f"index page {page_id} claims {n} pairs, more than fit"
+            )
         flat = struct.unpack_from(f"<{2 * n}I", data, offset)
-        cums = list(flat[0::2])
-        ptrs = flat[1::2]
-        counts = [
-            cumulative - previous
-            for cumulative, previous in zip(cums, [0] + cums[:-1])
-        ]
-        entries = node.entries
+        node = cls(page_id, level)
+        cums = node.cums = list(flat[0::2])
+        if any(after <= before for before, after in zip(cums, cums[1:])):
+            raise StorageCorruptionError(
+                f"index page {page_id} has non-increasing cumulative counts"
+            )
         if node.is_leaf_parent:
+            counts = node.counts()
             last = n - 1
-            for i, count in enumerate(counts):
-                extent = LeafExtent(
-                    page_id=base + ptrs[i],
+            node.refs = [
+                LeafExtent(
+                    page_id=data_base + pointer,
                     used_bytes=count,
-                    alloc_pages=leaf_alloc_pages(
-                        count, is_root and i == last
-                    ),
+                    alloc_pages=leaf_alloc_pages(count, is_root and i == last),
                 )
-                entries.append(Entry(count, extent))
+                for i, (count, pointer) in enumerate(zip(counts, flat[1::2]))
+            ]
         else:
-            for i, count in enumerate(counts):
-                entries.append(Entry(count, base + ptrs[i]))
-        # Seed both caches from the decoded page: the cumulative counts
-        # are exactly cums() and the raw pair region is the packed cache.
-        node._cums = cums
-        node._cums_valid = n
-        node._packed = bytearray(data[offset : offset + 8 * n])
-        node._packed_pairs = n
-        node._packed_base = base
+            node.refs = [meta_base + pointer for pointer in flat[1::2]]
+        # The raw pair region is exactly the packed image.
+        node._packed = bytearray(data[offset : offset + _PAIR_BYTES * n])
+        node._packed_upto = n
         return node, total, rightmost_alloc
 
 

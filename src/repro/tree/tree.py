@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import itertools
 from typing import Callable, Iterator
 
 from repro.buddy.allocator import BuddyAllocator
@@ -28,7 +27,7 @@ from repro.core.errors import ByteRangeError, StorageCorruptionError
 from repro.disk.disk import contiguous_runs
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
-from repro.tree.node import Entry, IndexNode, LeafExtent
+from repro.tree.node import IndexNode, LeafExtent
 
 #: Signature of the hook that recomputes a segment's allocated page count
 #: when a node is rebuilt from disk: (used_bytes, is_rightmost) -> pages.
@@ -47,16 +46,6 @@ class Cursor:
     extent: LeafExtent
     extent_start: int
     path: list[tuple[IndexNode, int]]
-
-    @property
-    def leaf_parent(self) -> IndexNode:
-        """The level-1 node holding the located extent's entry."""
-        return self.path[-1][0]
-
-    @property
-    def entry_index(self) -> int:
-        """Index of the extent's entry within the leaf parent."""
-        return self.path[-1][1]
 
 
 class PositionalTree:
@@ -121,17 +110,17 @@ class PositionalTree:
         self.height = root.level
         self._nodes[root_page_id] = root
         self._load_children(root)
-        last = self._rightmost_extent_uncharged()
-        if rightmost_alloc and last is not None:
+        node = self._rightmost_leaf_parent()
+        if rightmost_alloc and node is not None and node.refs:
             # The root header records the rightmost segment's true
             # allocation: it may carry untrimmed append slack that
             # ``leaf_alloc_pages`` cannot recompute from used bytes.
-            last.alloc_pages = rightmost_alloc
+            node.update_extent(len(node.refs) - 1, alloc_pages=rightmost_alloc)
 
     def _load_children(self, node: IndexNode) -> None:
         if not node.is_leaf_parent:
-            for entry in node.entries:
-                self._load_children(self._get_node(entry.ref))
+            for page_id in node.refs:
+                self._load_children(self._get_node(page_id))
 
     def destroy(self) -> list[LeafExtent]:
         """Free every index page; returns the extents for the caller to free."""
@@ -269,7 +258,7 @@ class PositionalTree:
                 f"offset {offset} outside object of {self.total_bytes} bytes"
             )
         node = self._get_node(self.root_page_id)
-        if not node.entries:
+        if not node.refs:
             raise ByteRangeError("object is empty")
         path: list[tuple[IndexNode, int]] = []
         if offset == self.total_bytes:
@@ -277,27 +266,25 @@ class PositionalTree:
             # descent needs no cumulative counts or bisection at all —
             # the rightmost extent starts ``used_bytes`` before the end.
             while True:
-                index = len(node.entries) - 1
+                index = len(node.refs) - 1
                 path.append((node, index))
-                entry = node.entries[index]
+                ref = node.refs[index]
                 if node.is_leaf_parent:
-                    assert isinstance(entry.ref, LeafExtent)
                     return Cursor(
-                        extent=entry.ref,
-                        extent_start=offset - entry.ref.used_bytes,
+                        extent=ref,
+                        extent_start=offset - ref.used_bytes,
                         path=path,
                     )
-                node = self._get_node(entry.ref)
+                node = self._get_node(ref)
         start = 0
         while True:
             index, child_start = _choose_child(node, offset - start)
             start += child_start
             path.append((node, index))
-            entry = node.entries[index]
+            ref = node.refs[index]
             if node.is_leaf_parent:
-                assert isinstance(entry.ref, LeafExtent)
-                return Cursor(extent=entry.ref, extent_start=start, path=path)
-            node = self._get_node(entry.ref)
+                return Cursor(extent=ref, extent_start=start, path=path)
+            node = self._get_node(ref)
 
     def extents_covering(
         self, offset: int, nbytes: int
@@ -350,7 +337,7 @@ class PositionalTree:
                 if self.root_page_id is not None
                 else None
             )
-            if root is None or not root.entries:
+            if root is None or not root.refs:
                 return
         if charged:
             cursor = self.locate(0)
@@ -397,26 +384,15 @@ class PositionalTree:
         Byte-count changes propagate up the recorded path; the path's
         nodes are shadowed and marked dirty.
         """
-        extent = cursor.extent
-        delta = 0
-        if used_bytes is not None:
-            if used_bytes <= 0:
-                raise ByteRangeError("an extent must keep at least one byte")
-            delta = used_bytes - extent.used_bytes
-            extent.used_bytes = used_bytes
-        if page_id is not None:
-            extent.page_id = page_id
-        if alloc_pages is not None:
-            extent.alloc_pages = alloc_pages
+        if used_bytes is not None and used_bytes <= 0:
+            raise ByteRangeError("an extent must keep at least one byte")
         node, index = cursor.path[-1]
-        node.entries[index].bytes_count = extent.used_bytes
-        node.counts_changed(index)
+        delta = node.update_extent(index, used_bytes, page_id, alloc_pages)
         if delta:
             for ancestor, child_index in cursor.path[:-1]:
-                ancestor.entries[child_index].bytes_count += delta
-                ancestor.counts_changed(child_index)
+                ancestor.add_count(child_index, delta)
             self.total_bytes += delta
-        self._shadow_path(cursor.path)
+        self._shadow_path(cursor.path[:-1], node)
 
     def append_extent(self, extent: LeafExtent) -> None:
         """Add an extent at the end of the object."""
@@ -456,9 +432,8 @@ class PositionalTree:
         if not 0 <= position <= self.total_bytes:
             raise ByteRangeError("insert position outside object")
         root = self._get_node(self.root_page_id)
-        if not root.entries:
-            root.entries.append(Entry(extent.used_bytes, extent))
-            root.counts_changed()
+        if not root.refs:
+            root.insert(0, extent.used_bytes, extent)
             self.total_bytes += extent.used_bytes
             self._mark_node_dirty(root)
             return
@@ -467,28 +442,30 @@ class PositionalTree:
         node = root
         if position == self.total_bytes:
             # Append: the boundary is the right edge, so each level takes
-            # its last child and the entry lands at the end of the leaf
+            # its last child and the pair lands at the end of the leaf
             # parent — no cumulative counts or bisection needed.
             while not node.is_leaf_parent:
-                index = len(node.entries) - 1
+                index = len(node.refs) - 1
                 path.append((node, index))
-                node = self._get_node(node.entries[index].ref)
-            insert_at = len(node.entries)
+                node = self._get_node(node.refs[index])
+            insert_at = len(node.refs)
         else:
             start = 0
             while not node.is_leaf_parent:
                 index, child_start = _choose_child(node, position - start)
                 start += child_start
                 path.append((node, index))
-                node = self._get_node(node.entries[index].ref)
-            insert_at = _boundary_index(node, position - start)
-        node.entries.insert(insert_at, Entry(extent.used_bytes, extent))
-        node.counts_changed(insert_at)
+                node = self._get_node(node.refs[index])
+            insert_at, child_start = _choose_child(node, position - start)
+            if start + child_start != position:
+                raise StorageCorruptionError(
+                    "insert position is not an extent boundary"
+                )
+        node.insert(insert_at, extent.used_bytes, extent)
         for ancestor, child_index in path:
-            ancestor.entries[child_index].bytes_count += extent.used_bytes
-            ancestor.counts_changed(child_index)
+            ancestor.add_count(child_index, extent.used_bytes)
         self.total_bytes += extent.used_bytes
-        self._shadow_path(path + [(node, insert_at)])
+        self._shadow_path(path, node)
         self._fix_overflow(path, node)
 
     def _delete_extent_at(self, position: int) -> int:
@@ -500,15 +477,13 @@ class PositionalTree:
                 f"byte {position} is not an extent boundary"
             )
         node, index = cursor.path[-1]
-        removed = node.entries.pop(index)
-        node.counts_changed(index)
+        removed, _extent = node.pop(index)
         for ancestor, child_index in cursor.path[:-1]:
-            ancestor.entries[child_index].bytes_count -= removed.bytes_count
-            ancestor.counts_changed(child_index)
-        self.total_bytes -= removed.bytes_count
-        self._shadow_path(cursor.path[:-1] + [(node, None)])
+            ancestor.add_count(child_index, -removed)
+        self.total_bytes -= removed
+        self._shadow_path(cursor.path[:-1], node)
         self._fix_underflow(cursor.path[:-1], node)
-        return removed.bytes_count
+        return removed
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -529,26 +504,19 @@ class PositionalTree:
     def _fix_overflow(
         self, path: list[tuple[IndexNode, int]], node: IndexNode
     ) -> None:
-        while len(node.entries) > self._max_fanout(node):
+        while len(node.refs) > self._max_fanout(node):
             if node.page_id == self.root_page_id:
                 self._split_root(node)
                 return
             parent, child_index = path[-1]
             self._event("tree.split.node", level=node.level)
             sibling = self._new_node(node.level)
-            half = len(node.entries) // 2
-            sibling.entries = node.entries[half:]
-            sibling.counts_changed()
-            node.entries = node.entries[:half]
-            node.counts_changed(half)
-            parent.entries[child_index].bytes_count = node.total_bytes
-            parent.entries.insert(
-                child_index + 1, Entry(sibling.total_bytes, sibling.page_id)
-            )
-            parent.counts_changed(child_index)
+            moved = sibling.take(node, len(node.refs) // 2)
+            parent.add_count(child_index, -moved)
+            parent.insert(child_index + 1, moved, sibling.page_id)
             self._mark_node_dirty(node)
             self._mark_node_dirty(sibling)
-            self._shadow_path(path[:-1] + [(parent, None)])
+            self._shadow_path(path[:-1], parent)
             node = parent
             path = path[:-1]
 
@@ -559,17 +527,11 @@ class PositionalTree:
         )
         left = self._new_node(root.level)
         right = self._new_node(root.level)
-        half = len(root.entries) // 2
-        left.entries = root.entries[:half]
-        left.counts_changed()
-        right.entries = root.entries[half:]
-        right.counts_changed()
-        root.entries = [
-            Entry(left.total_bytes, left.page_id),
-            Entry(right.total_bytes, right.page_id),
-        ]
-        root.counts_changed()
+        right.take(root, len(root.refs) // 2)
+        left.take(root, 0)
         root.level += 1
+        root.insert(0, left.total_bytes, left.page_id)
+        root.insert(1, right.total_bytes, right.page_id)
         self.height += 1
         self._mark_node_dirty(left)
         self._mark_node_dirty(right)
@@ -582,7 +544,7 @@ class PositionalTree:
             if node.page_id == self.root_page_id:
                 self._maybe_collapse_root(node)
                 return
-            if len(node.entries) >= self._min_fanout(node):
+            if len(node.refs) >= self._min_fanout(node):
                 return
             parent, child_index = path[-1]
             merged = self._borrow_or_merge(parent, child_index, node)
@@ -594,44 +556,37 @@ class PositionalTree:
     def _borrow_or_merge(
         self, parent: IndexNode, child_index: int, node: IndexNode
     ) -> bool:
-        """Fix an underfull child; returns True if a merge removed an entry
+        """Fix an underfull child; returns True if a merge removed a pair
         from the parent (which may itself now be underfull)."""
         left_sibling = (
-            self._get_node(parent.entries[child_index - 1].ref)
+            self._get_node(parent.refs[child_index - 1])
             if child_index > 0
             else None
         )
         right_sibling = (
-            self._get_node(parent.entries[child_index + 1].ref)
-            if child_index + 1 < len(parent.entries)
+            self._get_node(parent.refs[child_index + 1])
+            if child_index + 1 < len(parent.refs)
             else None
         )
         minimum = self._min_fanout(node)
-        if left_sibling is not None and len(left_sibling.entries) > minimum:
-            self._event("tree.borrow", level=node.level, source="left")
-            self._relocate_if_needed(left_sibling, (parent, child_index - 1))
-            moved = left_sibling.entries.pop()
-            left_sibling.counts_changed(len(left_sibling.entries))
-            node.entries.insert(0, moved)
-            node.counts_changed()
-            parent.entries[child_index - 1].bytes_count -= moved.bytes_count
-            parent.entries[child_index].bytes_count += moved.bytes_count
-            parent.counts_changed(child_index - 1)
-            self._mark_node_dirty(left_sibling)
-            self._mark_node_dirty(node)
-            self._mark_node_dirty(parent)
-            return False
-        if right_sibling is not None and len(right_sibling.entries) > minimum:
-            self._event("tree.borrow", level=node.level, source="right")
-            self._relocate_if_needed(right_sibling, (parent, child_index + 1))
-            moved = right_sibling.entries.pop(0)
-            right_sibling.counts_changed()
-            node.entries.append(moved)
-            node.counts_changed(len(node.entries) - 1)
-            parent.entries[child_index + 1].bytes_count -= moved.bytes_count
-            parent.entries[child_index].bytes_count += moved.bytes_count
-            parent.counts_changed(child_index)
-            self._mark_node_dirty(right_sibling)
+        for source, sibling, sibling_index in (
+            ("left", left_sibling, child_index - 1),
+            ("right", right_sibling, child_index + 1),
+        ):
+            if sibling is None or len(sibling.refs) <= minimum:
+                continue
+            self._event("tree.borrow", level=node.level, source=source)
+            self._relocate_if_needed(sibling, (parent, sibling_index))
+            # The sibling's pair nearest the underfull node moves over.
+            if source == "left":
+                moved, ref = sibling.pop(len(sibling.refs) - 1)
+                node.insert(0, moved, ref)
+            else:
+                moved, ref = sibling.pop(0)
+                node.insert(len(node.refs), moved, ref)
+            parent.add_count(sibling_index, -moved)
+            parent.add_count(child_index, moved)
+            self._mark_node_dirty(sibling)
             self._mark_node_dirty(node)
             self._mark_node_dirty(parent)
             return False
@@ -648,12 +603,9 @@ class PositionalTree:
             return False
         self._event("tree.merge", level=node.level)
         self._relocate_if_needed(keeper, (parent, keeper_index))
-        keeper_old_len = len(keeper.entries)
-        keeper.entries.extend(victim.entries)
-        keeper.counts_changed(keeper_old_len)
-        parent.entries[keeper_index].bytes_count = keeper.total_bytes
-        parent.entries.pop(keeper_index + 1)
-        parent.counts_changed(keeper_index)
+        moved = keeper.take(victim, 0)
+        parent.pop(keeper_index + 1)
+        parent.add_count(keeper_index, moved)
         self._drop_node(victim)
         self._mark_node_dirty(keeper)
         self._mark_node_dirty(parent)
@@ -661,16 +613,16 @@ class PositionalTree:
 
     def _maybe_collapse_root(self, root: IndexNode) -> None:
         """Shrink the height while the root has a single index child."""
-        while root.level > 1 and len(root.entries) == 1:
-            child = self._get_node(root.entries[0].ref)
-            if len(child.entries) > self.config.root_fanout:
+        while root.level > 1 and len(root.refs) == 1:
+            child = self._get_node(root.refs[0])
+            if len(child.refs) > self.config.root_fanout:
                 return
             self._event(
                 "tree.collapse.root", level=child.level, height=self.height - 1
             )
-            root.entries = child.entries
-            root.counts_changed()
+            root.pop(0)
             root.level = child.level
+            root.take(child, 0)
             self.height -= 1
             self._drop_node(child)
             self._mark_node_dirty(root)
@@ -725,23 +677,24 @@ class PositionalTree:
         node.dirty = True
         self._dirty.add(node.page_id)
 
-    def _shadow_path(self, path: list[tuple[IndexNode, int | None]]) -> None:
-        """Shadow and dirty every node on a root-to-leaf path.
+    def _shadow_path(
+        self, path: list[tuple[IndexNode, int]], node: IndexNode
+    ) -> None:
+        """Shadow and dirty ``node`` and every ancestor on its descent
+        ``path`` of (ancestor, child index) pairs.
 
         Processing bottom-up lets each relocated node fix up the pointer
-        held by its parent (the entry index recorded in the path).
+        held by its parent (the pair index recorded in the path).
         """
-        for depth in range(len(path) - 1, -1, -1):
-            node, _index = path[depth]
-            self._relocate_if_needed(
-                node, parent=path[depth - 1] if depth > 0 else None
-            )
+        for parent in reversed(path):
+            self._relocate_if_needed(node, parent)
             self._mark_node_dirty(node)
+            node = parent[0]
+        self._relocate_if_needed(node, None)
+        self._mark_node_dirty(node)
 
     def _relocate_if_needed(
-        self,
-        node: IndexNode,
-        parent: tuple[IndexNode, int | None] | None,
+        self, node: IndexNode, parent: tuple[IndexNode, int] | None
     ) -> None:
         is_root = node.page_id == self.root_page_id
         if node.shadowed_this_op:
@@ -759,28 +712,15 @@ class PositionalTree:
         self.meta.free(old_page, 1)
         if parent is not None:
             parent_node, child_index = parent
-            if child_index is not None:
-                parent_node.entries[child_index].ref = new_page
-                parent_node.counts_changed(child_index)
-            else:
-                self._repoint_child(parent_node, old_page, new_page)
-
-    def _repoint_child(
-        self, parent: IndexNode, old_page: int, new_page: int
-    ) -> None:
-        for index, entry in enumerate(parent.entries):
-            if entry.ref == old_page:
-                entry.ref = new_page
-                parent.counts_changed(index)
-                return
-        raise StorageCorruptionError("shadowed node missing from its parent")
+            parent_node.set_ref(child_index, new_page)
 
     def _serialize_node(self, node: IndexNode) -> bytes:
         is_root = node.page_id == self.root_page_id
         rightmost_alloc = 0
         if is_root:
-            last = self._rightmost_extent_uncharged()
-            rightmost_alloc = last.alloc_pages if last is not None else 0
+            leaf_parent = self._rightmost_leaf_parent()
+            if leaf_parent is not None and leaf_parent.refs:
+                rightmost_alloc = leaf_parent.refs[-1].alloc_pages
         return node.serialize(
             self.config,
             is_root=is_root,
@@ -794,13 +734,12 @@ class PositionalTree:
     # Uncharged walks (verification / accounting)
     # ------------------------------------------------------------------
     def _iter_extents_uncharged(self, node: IndexNode) -> Iterator[LeafExtent]:
-        for entry in node.entries:
-            if node.is_leaf_parent:
-                assert isinstance(entry.ref, LeafExtent)
-                yield entry.ref
-            else:
+        if node.is_leaf_parent:
+            yield from node.refs
+        else:
+            for page_id in node.refs:
                 yield from self._iter_extents_uncharged(
-                    self._peek_node(entry.ref)
+                    self._peek_node(page_id)
                 )
 
     def _walk_nodes(self) -> Iterator[IndexNode]:
@@ -811,21 +750,16 @@ class PositionalTree:
             node = stack.pop()
             yield node
             if not node.is_leaf_parent:
-                stack.extend(
-                    self._peek_node(entry.ref) for entry in node.entries
-                )
+                stack.extend(self._peek_node(ref) for ref in node.refs)
 
-    def _rightmost_extent_uncharged(self) -> LeafExtent | None:
+    def _rightmost_leaf_parent(self) -> IndexNode | None:
+        """The level-1 node on the right edge (uncharged), if reachable."""
         if self.root_page_id is None:
             return None
         node = self._peek_node(self.root_page_id)
-        while node.entries and not node.is_leaf_parent:
-            node = self._peek_node(node.entries[-1].ref)
-        if not node.entries:
-            return None
-        ref = node.entries[-1].ref
-        assert isinstance(ref, LeafExtent)
-        return ref
+        while node.refs and not node.is_leaf_parent:
+            node = self._peek_node(node.refs[-1])
+        return node if node.is_leaf_parent else None
 
     def _advance(
         self, path: list[tuple[IndexNode, int]]
@@ -834,7 +768,7 @@ class PositionalTree:
         depth = len(path) - 1
         while depth >= 0:
             node, index = path[depth]
-            if index + 1 < len(node.entries):
+            if index + 1 < len(node.refs):
                 break
             depth -= 1
         if depth < 0:
@@ -845,19 +779,18 @@ class PositionalTree:
         node_start = self._path_prefix_bytes(path)
         node = path[-1][0]
         while not node.is_leaf_parent:
-            child = self._get_node(node.entries[path[-1][1]].ref)
+            child = self._get_node(node.refs[path[-1][1]])
             path.append((child, 0))
             node = child
-        entry = node.entries[path[-1][1]]
-        assert isinstance(entry.ref, LeafExtent)
-        return entry.ref, node_start
+        ref = node.refs[path[-1][1]]
+        return ref, node_start
 
     def _path_prefix_bytes(self, path: list[tuple[IndexNode, int]]) -> int:
-        """Byte offset of the entry selected by the path's last element."""
+        """Byte offset of the pair selected by the path's last element."""
         total = 0
         for node, index in path:
             if index:
-                total += node.cums()[index - 1]
+                total += node.cums[index - 1]
         return total
 
     # ------------------------------------------------------------------
@@ -875,25 +808,26 @@ class PositionalTree:
         )
 
     def _check_subtree(self, node: IndexNode, is_root: bool) -> int:
-        assert len(node.entries) <= self._max_fanout(node), "node overfull"
+        assert len(node.refs) == len(node.cums), "pair lists out of step"
+        assert len(node.refs) <= self._max_fanout(node), "node overfull"
         if not is_root:
-            assert len(node.entries) >= self._min_fanout(node), "node underfull"
+            assert len(node.refs) >= self._min_fanout(node), "node underfull"
         total = 0
-        for entry in node.entries:
+        for count, ref in zip(node.counts(), node.refs):
             if node.is_leaf_parent:
-                extent = entry.ref
+                extent = ref
                 assert isinstance(extent, LeafExtent)
-                assert entry.bytes_count == extent.used_bytes, "count mismatch"
+                assert count == extent.used_bytes, "count mismatch"
                 assert extent.used_bytes > 0, "empty extent"
                 assert extent.alloc_pages >= extent.used_pages(
                     self.config.page_size
                 ), "extent data exceeds allocation"
             else:
-                child = self._peek_node(entry.ref)
+                child = self._peek_node(ref)
                 assert child.level == node.level - 1, "level mismatch"
                 child_total = self._check_subtree(child, is_root=False)
-                assert child_total == entry.bytes_count, "subtree count drift"
-            total += entry.bytes_count
+                assert child_total == count, "subtree count drift"
+            total += count
         return total
 
 
@@ -907,24 +841,10 @@ def _choose_child(node: IndexNode, offset: int) -> tuple[int, int]:
     offset equal to a boundary between children selects the right-hand
     child; an offset equal to the node's total selects the last child.
     """
-    cumulative = node.cums()
+    cumulative = node.cums
     # First child whose cumulative total exceeds the offset; an offset at
     # or past the node total clamps to the last child.
     index = bisect.bisect_right(cumulative, offset)
     if index >= len(cumulative):
         index = len(cumulative) - 1
     return index, cumulative[index - 1] if index else 0
-
-
-def _boundary_index(node: IndexNode, offset: int) -> int:
-    """Entry index at which a new extent starting at ``offset`` (relative
-    to the node) must be inserted.  ``offset`` must be a boundary."""
-    if offset == 0:
-        return 0
-    cumulative = node.cums()
-    # The entry inserted at index i starts at the cumulative total of the
-    # first i entries, so a boundary offset must appear in ``cumulative``.
-    index = bisect.bisect_left(cumulative, offset)
-    if index < len(cumulative) and cumulative[index] == offset:
-        return index + 1
-    raise StorageCorruptionError("insert position is not an extent boundary")

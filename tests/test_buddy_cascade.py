@@ -2,7 +2,7 @@
 
 ``BuddySpace`` maintains a one-bit-per-order index (``_order_mask``) of
 which free lists are non-empty.  The hot paths — the split cascade of
-``_take_extent`` and the coalescing cascades of ``_insert_free`` /
+``_take_extent`` and the coalescing cascade of
 ``_release_range`` — now edit a *local* copy of that mask and store it
 back once per cascade instead of once per level.  The optimization must
 be invisible: free lists, mask, bitmap, and counters after every

@@ -114,7 +114,7 @@ class TestDirectoryReopen:
         for index in range(allocator.space_count):
             space = allocator._spaces[index]
             rebuilt = deserialize_directory(serialize_directory(space))
-            assert bytes(rebuilt.bitmap) == bytes(space.bitmap)
+            assert serialize_directory(rebuilt) == serialize_directory(space)
             assert rebuilt.free_blocks == space.free_blocks
             rebuilt.check_invariants()
 

@@ -185,23 +185,24 @@ class TestPinLeakRegressions:
             store.get(rid)
         env.pool.assert_pin_balanced()
 
-    def test_buddy_visit_directory_unwinds_balanced(self, monkeypatch):
-        # BuddyAllocator._visit_directory used to skip the unfix when the
-        # mutation callback raised.
+    def test_buddy_free_unwinds_balanced(self, monkeypatch):
+        # A directory visit used to skip the unfix when the space
+        # mutation raised; free() is one of the two visits left.
         config = small_page_config()
         pool = BufferPool(config, SimulatedDisk(config, CostModel(config)))
         allocator = BuddyAllocator(config, pool, base_page_id=0, name="test")
-        allocator.allocate(1)
+        page_id = allocator.allocate(1)
 
-        def explode():
+        def explode(self, offset, n_blocks):
             raise _Boom
 
+        monkeypatch.setattr(BuddySpace, "free_range", explode)
         with pytest.raises(_Boom):
-            allocator._visit_directory(0, mutate=explode)
+            allocator.free(page_id, 1)
         pool.assert_pin_balanced()
 
     def test_buddy_allocate_unwinds_balanced(self, monkeypatch):
-        # Same bug class on the inlined hot path (_try_allocate_in_space).
+        # Same bug class on the other visit (_try_allocate_in_space).
         config = small_page_config()
         pool = BufferPool(config, SimulatedDisk(config, CostModel(config)))
         allocator = BuddyAllocator(config, pool, base_page_id=0, name="test")
@@ -228,7 +229,7 @@ class TestPinLeakRegressions:
         tree.end_op()
         assert tree.height >= 2
         root = tree._get_node(tree.root_page_id)
-        child = root.entries[0].ref
+        child = root.refs[0]
         assert isinstance(child, int)
         del tree._nodes[child]  # force the reload path
 

@@ -57,7 +57,7 @@ class TestMultiLevelNavigation:
         assert tree.height == 2
         # Find the boundary between the two leaf-parent nodes.
         root = tree._peek_node(tree.root_page_id)
-        first_child_bytes = root.entries[0].bytes_count
+        first_child_bytes = root.count(0)
         cursor = tree.locate(first_child_bytes)  # first extent of node 2
         left, right = tree.neighbors(cursor)
         assert left is not None
@@ -72,7 +72,7 @@ class TestMultiLevelNavigation:
         count = fanout + 4
         tree = make_tree(env, extents=count, size=10)
         root = tree._peek_node(tree.root_page_id)
-        boundary = root.entries[0].bytes_count
+        boundary = root.count(0)
         # Replace a span straddling the boundary with one big extent.
         span_start = boundary - 20
         tree.replace_span(span_start, 40, [extent(env, 40)])
