@@ -24,12 +24,7 @@ from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, payload_concat
 from repro.disk.disk import SimulatedDisk, contiguous_runs
-from repro.lint.contracts import SAN_PROBE, pure_read, sanitizer_enabled
-
-# fix()/unfix() bracket every index-page and directory access, so the
-# REPRO_SAN flag check inside them is inlined to one dict lookup (see
-# contracts.SAN_PROBE).
-_SAN_ENV, _SAN_KEY, _SAN_ON = SAN_PROBE
+from repro.lint.contracts import checks_enabled, pure_read
 
 
 @dataclasses.dataclass
@@ -72,7 +67,7 @@ class BufferPool:
         #: every pin/unpin so availability queries are O(1).
         self._pinned = 0
         self.stats = PoolStats()
-        #: ``REPRO_SAN=1`` bookkeeping: page id -> acquisition sites of
+        #: ``REPRO_CHECKS=1`` bookkeeping: page id -> acquisition sites of
         #: the pins currently held on it, for leak attribution.  Empty
         #: (and never touched) when the sanitizer is off.
         self._san_pins: dict[int, list[str]] = {}
@@ -100,9 +95,7 @@ class BufferPool:
         if frame.pin_count == 1:
             self._pinned += 1
         frames.move_to_end(page_id)
-        if (_SAN_ENV is None or _SAN_ENV.get(_SAN_KEY) == _SAN_ON) and (
-            sanitizer_enabled()
-        ):
+        if checks_enabled():
             self._san_note(page_id)
         return frame
 
@@ -121,9 +114,7 @@ class BufferPool:
         self._frames[page_id] = frame
         self._pinned += 1
         self._touch(frame)
-        if (_SAN_ENV is None or _SAN_ENV.get(_SAN_KEY) == _SAN_ON) and (
-            sanitizer_enabled()
-        ):
+        if checks_enabled():
             self._san_note(page_id)
         return frame
 
@@ -145,7 +136,7 @@ class BufferPool:
                     del self._san_pins[page_id]
 
     # ------------------------------------------------------------------
-    # REPRO_SAN pin-balance sanitizer
+    # REPRO_CHECKS pin-balance sanitizer
     # ------------------------------------------------------------------
     def _san_note(self, page_id: int) -> None:
         """Record the call site that just pinned ``page_id``."""
@@ -160,7 +151,7 @@ class BufferPool:
         """Raise unless every page's pin count is back to zero.
 
         The runtime mirror of the static FLOW001 typestate rule: called
-        between operations (``REPRO_SAN=1`` hooks it into every manager
+        between operations (``REPRO_CHECKS=1`` hooks it into every manager
         op span), when no frame may still be pinned.  The error message
         names the leaked pages and, when the sanitizer recorded them,
         the exact fix()/fix_new() call sites that acquired the pins.

@@ -91,4 +91,4 @@ class ChecksumError(StorageCorruptionError):
 
 
 class ContractViolationError(StorageCorruptionError):
-    """A runtime ``@pure_read`` contract check failed (REPRO_DEBUG=1)."""
+    """A runtime ``@pure_read`` contract check failed (REPRO_CHECKS=1)."""

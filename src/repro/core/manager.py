@@ -18,17 +18,13 @@ from repro.core.errors import ByteRangeError, ObjectNotFoundError
 from repro.core.payload import Payload
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
-from repro.lint.contracts import SAN_PROBE, sanitizer_enabled
+from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import NULL_SPAN
-
-# _op_span brackets every operation; the REPRO_SAN flag check is inlined
-# to one dict lookup (see contracts.SAN_PROBE).
-_SAN_ENV, _SAN_KEY, _SAN_ON = SAN_PROBE
 
 
 @contextlib.contextmanager
 def _san_guarded(pool, op: str, span: ContextManager[None]):
-    """Wrap an op span with the ``REPRO_SAN=1`` pin-balance assertion.
+    """Wrap an op span with the ``REPRO_CHECKS=1`` pin-balance assertion.
 
     The check runs on *normal* exit only: a crashed or failed operation
     legitimately unwinds through ``finally:`` cleanup, and asserting
@@ -65,9 +61,7 @@ class LargeObjectManager(abc.ABC):
             span = tracer.span(f"op.{op}", scheme=self.scheme)
         else:
             span = tracer.span(f"op.{op}", scheme=self.scheme, oid=oid)
-        if (_SAN_ENV is None or _SAN_ENV.get(_SAN_KEY) == _SAN_ON) and (
-            sanitizer_enabled()
-        ):
+        if checks_enabled():
             return _san_guarded(self.env.pool, f"op.{op}", span)
         return span
 

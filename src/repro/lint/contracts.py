@@ -8,13 +8,18 @@ discard them.  The declaration is enforced twice:
   of decorated methods and rejects calls to ``write_pages`` /
   ``poke_pages`` / ``discard_pages`` / ``charge_write`` and assignments
   through a ``disk`` attribute;
-* **at runtime** — when the environment variable ``REPRO_DEBUG=1`` is
+* **at runtime** — when the environment variable ``REPRO_CHECKS=1`` is
   set, the decorator snapshots the disk's write counters and page count
   around each call and raises
   :class:`~repro.core.errors.ContractViolationError` if they moved.
 
-With ``REPRO_DEBUG`` unset the runtime wrapper is a cheap passthrough, so
-the contract costs nothing in benchmarks.
+``REPRO_CHECKS=1`` is the one switch for every runtime self-check: these
+purity contracts, the buffer pool's pin-balance sanitizer (the runtime
+mirror of the static FLOW001 typestate rule: acquisition sites recorded
+on every fix, balance asserted after every manager operation) and a
+private throwaway tracer for every untraced environment
+(:func:`repro.obs.runtime.resolve_tracer`), so the tracing code paths run
+under the whole test suite.  Unset, each check is one cheap test.
 """
 
 from __future__ import annotations
@@ -28,61 +33,26 @@ from repro.core.errors import ContractViolationError
 F = TypeVar("F", bound=Callable[..., Any])
 
 #: Environment variable that switches the runtime checks on.
-RUNTIME_FLAG = "REPRO_DEBUG"
+CHECKS_FLAG = "REPRO_CHECKS"
 
-#: Environment variable that switches the pin-balance sanitizer on.  The
-#: sanitizer is the runtime mirror of the static FLOW001 typestate rule
-#: (``repro.lint --flow``): FLOW001 proves fix/unfix balance over the
-#: modeled CFG; ``REPRO_SAN=1`` asserts it on the paths actually taken,
-#: with acquisition-site attribution, so each check validates the other.
-SANITIZER_FLAG = "REPRO_SAN"
-
-Probe = tuple[dict[Any, Any] | None, object, object]
-
-
-def env_flag(name: str) -> tuple[Probe, Callable[[], bool]]:
-    """The ``(env, key, on)`` probe and ``enabled()`` check of ``NAME=1``.
-
-    ``os.environ.get`` costs ~1 microsecond per call (key encode +
-    mapping lookup), and the flags guard paths invoked hundreds of
-    thousands of times per experiment run.  Reading a flag through the
-    environment's underlying dict keeps the check dynamic (tests
-    monkeypatch the variables mid-process) at plain-dict-lookup cost.
-    """
-    try:
-        probe: Probe = (
-            os.environ._data,  # type: ignore[attr-defined]
-            os.environ.encodekey(name),  # type: ignore[attr-defined]
-            os.environ.encodevalue("1"),  # type: ignore[attr-defined]
-        )
-    except AttributeError:  # pragma: no cover - non-CPython environ layout
-        probe = (None, name, "1")
-    env, key, on = probe
-
-    def enabled() -> bool:
-        if env is not None:
-            return env.get(key) == on
-        return os.environ.get(name, "") == "1"
-
-    enabled.__doc__ = f"True when ``{name}=1`` is set in the environment."
-    return probe, enabled
+# ``os.environ.get`` costs ~1 microsecond per call (key encode + mapping
+# lookup) and the flag guards paths invoked hundreds of thousands of
+# times per experiment run, so it is read through the environment's
+# underlying dict: still dynamic (tests monkeypatch the variable
+# mid-process) at plain-dict-lookup cost.
+try:
+    _ENV: dict[Any, Any] | None = os.environ._data  # type: ignore[attr-defined]
+    _KEY = os.environ.encodekey(CHECKS_FLAG)  # type: ignore[attr-defined]
+    _ON = os.environ.encodevalue("1")  # type: ignore[attr-defined]
+except AttributeError:  # pragma: no cover - non-CPython environ layout
+    _ENV = None
 
 
-#: Public probes for inlining the flag checks on the hottest call sites
-#: (node count caches, pool fixes, op spans).  Usage::
-#:
-#:     _ENV, _KEY, _ON = DEBUG_PROBE
-#:     if _ENV is None or _ENV.get(_KEY) == _ON:
-#:         if runtime_checks_enabled():
-#:             ... slow verification ...
-#:
-#: On CPython the common (flag off) case is one dict lookup and one
-#: comparison; the ``None`` fallback routes non-CPython layouts through
-#: the full function.  The probes stay dynamic because the underlying
-#: dict is ``os.environ``'s own mutable storage.
-DEBUG_PROBE, runtime_checks_enabled = env_flag(RUNTIME_FLAG)
-SAN_PROBE, sanitizer_enabled = env_flag(SANITIZER_FLAG)
-_ENV_DATA, _FLAG_KEY, _FLAG_ON = DEBUG_PROBE
+def checks_enabled() -> bool:
+    """True when ``REPRO_CHECKS=1`` is set in the environment."""
+    if _ENV is not None:
+        return _ENV.get(_KEY) == _ON
+    return os.environ.get(CHECKS_FLAG, "") == "1"
 
 
 def _find_disk(obj: Any) -> Any | None:
@@ -111,7 +81,7 @@ def _disk_fingerprint(disk: Any) -> tuple[int, int, int]:
 
 
 def pure_read(func: F) -> F:
-    """Declare (and under ``REPRO_DEBUG=1`` assert) disk purity.
+    """Declare (and under ``REPRO_CHECKS=1`` assert) disk purity.
 
     The decorated method must not mutate the simulated disk: no page
     writes, pokes, or discards, directly or transitively.  Reading —
@@ -120,13 +90,7 @@ def pure_read(func: F) -> F:
 
     @functools.wraps(func)
     def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-        # runtime_checks_enabled() inlined: the wrapper sits on paths hot
-        # enough that even one extra function call per invocation shows
-        # up in perfbench.
-        if _ENV_DATA is not None:
-            if _ENV_DATA.get(_FLAG_KEY) != _FLAG_ON:
-                return func(self, *args, **kwargs)
-        elif not runtime_checks_enabled():
+        if not checks_enabled():
             return func(self, *args, **kwargs)
         disk = _find_disk(self)
         if disk is None:

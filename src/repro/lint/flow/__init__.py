@@ -20,7 +20,7 @@ properties no per-file pass can see:
 
 Entry point: :func:`repro.lint.flow.rules.analyze_paths`, surfaced on the
 CLI as ``python -m repro.lint --flow``.  Static findings are mirrored at
-runtime by the ``REPRO_SAN=1`` pin-balance sanitizer in
+runtime by the ``REPRO_CHECKS=1`` pin-balance sanitizer in
 :mod:`repro.buffer.pool`, so the two validate each other.
 """
 

@@ -426,7 +426,7 @@ class PureReadContractRule(Rule):
     to leave the simulated disk untouched: no ``write_pages`` /
     ``poke_pages`` / ``discard_pages`` calls, no ``charge_write``, and no
     assignment through a ``disk`` attribute.  The same contract asserts at
-    runtime under ``REPRO_DEBUG=1``; this rule proves it statically.
+    runtime under ``REPRO_CHECKS=1``; this rule proves it statically.
     """
 
     rule_id = "INV001"

@@ -32,7 +32,7 @@ from repro.obs.export import (
     validate_trace,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.runtime import current, installed, resolve_tracer, selfcheck_enabled
+from repro.obs.runtime import current, installed, resolve_tracer
 from repro.obs.timeline import (
     TIMELINE_FORMAT_VERSION,
     TimelineDocument,
@@ -94,7 +94,6 @@ __all__ = [
     "probe_store",
     "resolve_sampler",
     "resolve_tracer",
-    "selfcheck_enabled",
     "validate_timeline",
     "validate_trace",
 ]

@@ -303,7 +303,7 @@ class HealthProbe:
     """Read-only walker over one :class:`LargeObjectStore`.
 
     Holds ``self.env`` so the ``@pure_read`` contract can fingerprint
-    the store's simulated disk under ``REPRO_DEBUG=1`` — any charged
+    the store's simulated disk under ``REPRO_CHECKS=1`` — any charged
     write attempted during a probe raises ``ContractViolationError``.
     """
 

@@ -1,4 +1,4 @@
-"""Ambient tracer installation and the ``REPRO_OBS_SELFCHECK`` flag.
+"""Ambient tracer installation.
 
 Most callers hand a :class:`~repro.obs.tracer.Tracer` to a
 :class:`~repro.core.env.StorageEnvironment` explicitly.  Two situations
@@ -8,20 +8,15 @@ need an *ambient* mechanism instead:
   through every ``build_object``/``WorkloadRunner`` signature — it
   installs one here and every environment constructed underneath picks
   it up;
-* CI runs the entire test suite with ``REPRO_OBS_SELFCHECK=1``, which
-  gives every environment a private throwaway tracer so all tracing code
-  paths execute everywhere, and the suite itself becomes the
-  tracing-on/off invariance check.
+* CI runs the entire test suite with ``REPRO_CHECKS=1``, which (among
+  the other runtime checks of :mod:`repro.lint.contracts`) gives every
+  environment a private throwaway tracer so all tracing code paths
+  execute everywhere, and the suite itself becomes the tracing-on/off
+  invariance check.
 
 The installed-tracer stack is module-level mutable state, which the
 reproduction otherwise avoids; it is confined to this module, LIFO, and
 normally managed through the :func:`installed` context manager.
-
-The environment-variable check is :func:`repro.lint.contracts.env_flag`,
-shared with ``REPRO_DEBUG`` and ``REPRO_SAN``: environments are
-constructed in inner loops of the crash sweep and the randomized tests,
-so the flag is read through ``os.environ``'s underlying dict at
-plain-lookup cost while staying dynamic for tests that monkeypatch it.
 """
 
 from __future__ import annotations
@@ -30,14 +25,8 @@ import contextlib
 from typing import Iterator
 
 from repro.core.errors import InvalidArgumentError
-from repro.lint.contracts import env_flag
+from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import Tracer
-
-#: Environment variable that gives every environment a private tracer.
-SELFCHECK_FLAG = "REPRO_OBS_SELFCHECK"
-
-_, selfcheck_enabled = env_flag(SELFCHECK_FLAG)
-
 
 #: LIFO stack of ambiently installed tracers (innermost last).
 _TRACER_STACK: list[Tracer] = []
@@ -76,7 +65,7 @@ def resolve_tracer(explicit: Tracer | None) -> Tracer | None:
     """Pick the tracer a new environment should use.
 
     Preference order: the explicitly passed tracer, then the innermost
-    ambient one, then — only under ``REPRO_OBS_SELFCHECK=1`` — a fresh
+    ambient one, then — only under ``REPRO_CHECKS=1`` — a fresh
     private tracer so the tracing paths run even in untraced tests.
     """
     if explicit is not None:
@@ -84,6 +73,6 @@ def resolve_tracer(explicit: Tracer | None) -> Tracer | None:
     ambient = current()
     if ambient is not None:
         return ambient
-    if selfcheck_enabled():
+    if checks_enabled():
         return Tracer()
     return None

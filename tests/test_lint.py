@@ -11,7 +11,7 @@ from repro.core.config import small_page_config
 from repro.core.errors import ContractViolationError
 from repro.lint import RULES, lint_file, lint_paths
 from repro.lint.cli import main as lint_main
-from repro.lint.contracts import pure_read, runtime_checks_enabled
+from repro.lint.contracts import checks_enabled, pure_read
 
 #: The shipped package, linted by the meta-test below.
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -448,7 +448,7 @@ class TestCli:
 
 
 # ----------------------------------------------------------------------
-# Runtime contracts (REPRO_DEBUG=1)
+# Runtime contracts (REPRO_CHECKS=1)
 # ----------------------------------------------------------------------
 class _NaughtyReader:
     """A @pure_read method that writes — should trip the runtime check."""
@@ -468,22 +468,22 @@ class TestRuntimeContracts:
         return LargeObjectStore("eos", small_page_config()).env.disk
 
     def test_flag_detection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEBUG", raising=False)
-        assert not runtime_checks_enabled()
-        monkeypatch.setenv("REPRO_DEBUG", "1")
-        assert runtime_checks_enabled()
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
+        assert not checks_enabled()
+        monkeypatch.setenv("REPRO_CHECKS", "1")
+        assert checks_enabled()
 
     def test_violation_raises_under_debug(self, disk, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG", "1")
+        monkeypatch.setenv("REPRO_CHECKS", "1")
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty()
 
     def test_passthrough_without_debug(self, disk, monkeypatch):
-        monkeypatch.delenv("REPRO_DEBUG", raising=False)
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
         assert _NaughtyReader(disk).naughty() is True
 
     def test_pure_methods_pass_under_debug(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG", "1")
+        monkeypatch.setenv("REPRO_CHECKS", "1")
         store = LargeObjectStore("eos", small_page_config())
         oid = store.create(b"x" * 4096)
         pool = store.env.pool

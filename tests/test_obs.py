@@ -410,7 +410,7 @@ class TestExportAndCli:
 # ----------------------------------------------------------------------
 class TestRuntime:
     def test_untraced_env_has_no_tracer(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_SELFCHECK", raising=False)
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
         env = StorageEnvironment(CONFIG)
         assert env.tracer is None
         assert env.disk.tracer is None
@@ -424,8 +424,8 @@ class TestRuntime:
     def test_selfcheck_flag_resolves_private_tracer(self, monkeypatch):
         from repro.obs.runtime import resolve_tracer
 
-        monkeypatch.setenv("REPRO_OBS_SELFCHECK", "1")
+        monkeypatch.setenv("REPRO_CHECKS", "1")
         tracer = resolve_tracer(None)
         assert tracer is not None
-        monkeypatch.delenv("REPRO_OBS_SELFCHECK")
+        monkeypatch.delenv("REPRO_CHECKS")
         assert resolve_tracer(None) is None

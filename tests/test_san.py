@@ -1,9 +1,9 @@
-"""REPRO_SAN runtime sanitizer and pin-leak regression tests.
+"""Runtime pin-balance sanitizer and pin-leak regression tests.
 
-Two halves.  The first exercises the sanitizer itself: the ``REPRO_SAN``
-flag, site attribution on :meth:`BufferPool.assert_pin_balanced`, and
-the per-operation guard that :meth:`LargeObjectManager._op_span` installs
-around every manager op.  The second half pins down the concrete leak
+Two halves.  The first exercises the sanitizer itself: the
+``REPRO_CHECKS`` flag, site attribution on
+:meth:`BufferPool.assert_pin_balanced`, and the per-operation guard that
+:meth:`LargeObjectManager._op_span` installs around every manager op.  The second half pins down the concrete leak
 sites the FLOW001/FLOW002 sweep found and fixed — each test forces the
 original exception path and asserts the pool comes out balanced (or, for
 the tree-backed operation bracket, that no flush happens on failure).
@@ -21,7 +21,7 @@ from repro.core.env import StorageEnvironment
 from repro.core.errors import ByteRangeError, ContractViolationError
 from repro.disk.disk import SimulatedDisk
 from repro.disk.iomodel import CostModel
-from repro.lint.contracts import sanitizer_enabled
+from repro.lint.contracts import checks_enabled
 from repro.records.schema import Schema
 from repro.records.store import RecordStore
 from repro.tree.node import IndexNode, LeafExtent
@@ -31,8 +31,8 @@ from tests.conftest import pattern_bytes
 
 @pytest.fixture
 def san(monkeypatch):
-    """Run the test with the REPRO_SAN sanitizer switched on."""
-    monkeypatch.setenv("REPRO_SAN", "1")
+    """Run the test with the REPRO_CHECKS sanitizer switched on."""
+    monkeypatch.setenv("REPRO_CHECKS", "1")
 
 
 @pytest.fixture
@@ -58,14 +58,14 @@ def make_tree(env):
 # ----------------------------------------------------------------------
 class TestSanitizerFlag:
     def test_off_by_default(self, monkeypatch, pool):
-        monkeypatch.delenv("REPRO_SAN", raising=False)
-        assert not sanitizer_enabled()
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
+        assert not checks_enabled()
         pool.fix(0)
         assert pool._san_pins == {}
         pool.unfix(0)
 
     def test_on_when_flag_set(self, san):
-        assert sanitizer_enabled()
+        assert checks_enabled()
 
     def test_balanced_pool_passes(self, san, pool):
         pool.fix(0)
@@ -108,8 +108,8 @@ class TestSanitizerFlag:
     def test_without_flag_no_sites_but_leak_still_caught(self, monkeypatch,
                                                          pool):
         # assert_pin_balanced works regardless of the flag; only the
-        # call-site attribution needs REPRO_SAN=1.
-        monkeypatch.delenv("REPRO_SAN", raising=False)
+        # call-site attribution needs REPRO_CHECKS=1.
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
         pool.fix(4)
         with pytest.raises(ContractViolationError) as exc:
             pool.assert_pin_balanced()
