@@ -136,12 +136,17 @@ class BuddyAllocator:
         space = self._spaces[space_index]
         if offset + n_pages > space.total_blocks:
             raise AllocationError("free range crosses a buddy space boundary")
+        # Reject a bad free while the pages it names are still intact:
+        # past this check the resident copies and the content are gone.
+        # (The map itself changes after them, under the directory fix:
+        # fixing first could evict a frame the invalidation is about to
+        # drop for nothing, which is a different simulated I/O count.)
+        space.check_allocated(offset, n_pages)
         pool = self.pool
         pool.invalidate_run(page_id, n_pages)
         pool.disk.discard_pages(page_id, n_pages)
-        # A free always changes the space's state (free_range raises on
-        # already-free blocks), so once it returns the directory page is
-        # unconditionally unfixed dirty.
+        # A free always changes the space's state, so once free_range
+        # returns the directory page is unconditionally unfixed dirty.
         directory_page = self.base_page_id + space_index * self._stride_pages
         changed = False
         pool.fix(directory_page)

@@ -109,23 +109,28 @@ class BuddySpace:
             self._release_range(offset + n_blocks, surplus)
         return offset
 
+    def check_allocated(self, offset: int, n_blocks: int) -> None:
+        """Raise unless the range lies in the space and is all allocated."""
+        if n_blocks <= 0:
+            raise AllocationError("free size must be positive")
+        self._check_offset(offset)
+        if offset + n_blocks > self.total_blocks:
+            raise AllocationError("free range extends past end of space")
+        run = (1 << n_blocks) - 1
+        allocated = self.bitmap >> offset & run
+        if allocated != run:
+            free = allocated ^ run
+            first = offset + (free & -free).bit_length() - 1
+            raise AllocationError(f"block {first} is already free")
+
     def free_range(self, offset: int, n_blocks: int) -> None:
         """Free ``n_blocks`` blocks starting at ``offset``.
 
         The range must be entirely allocated.  It may be any sub-range of
         one or more previous allocations (partial free is allowed).
         """
-        if n_blocks <= 0:
-            raise AllocationError("free size must be positive")
-        self._check_offset(offset)
-        if offset + n_blocks > self.total_blocks:
-            raise AllocationError("free range extends past end of space")
-        run = ((1 << n_blocks) - 1) << offset
-        free = run & ~self.bitmap
-        if free:
-            first = (free & -free).bit_length() - 1
-            raise AllocationError(f"block {first} is already free")
-        self.bitmap ^= run
+        self.check_allocated(offset, n_blocks)
+        self.bitmap ^= ((1 << n_blocks) - 1) << offset
         self._free_blocks += n_blocks
         self._release_range(offset, n_blocks)
 

@@ -322,16 +322,12 @@ class BufferPool:
         """
         self.disk.write_pages(start, n_pages, data, record=record)
         page_size = self.config.page_size
-        frames = self._frames
-        for i in range(n_pages):
-            page_id = start + i
-            if page_id in frames:
-                # Slice the page once and hand the finished image through;
-                # update_if_resident stores it as-is.
-                page = _page_image(
-                    data[i * page_size : (i + 1) * page_size], page_size
-                )
-                self.update_if_resident(page_id, page)
+        for page_id in self._resident_in(start, n_pages):
+            # Slice the page once and hand the finished image through;
+            # update_if_resident stores it as-is.
+            lo = (page_id - start) * page_size
+            page = _page_image(data[lo : lo + page_size], page_size)
+            self.update_if_resident(page_id, page)
 
     def update_if_resident(self, page_id: int, data: Payload,
                            dirty: bool = False) -> None:
@@ -355,9 +351,39 @@ class BufferPool:
         del self._frames[page_id]
 
     def invalidate_run(self, start: int, n_pages: int) -> None:
-        """Invalidate every resident page in the run."""
-        for page in range(start, start + n_pages):
-            self.invalidate(page)
+        """Invalidate every resident page in the run, or none of them.
+
+        Raises if any of them is pinned, before dropping anything.
+        """
+        frames = self._frames
+        resident = self._resident_in(start, n_pages)
+        for page_id in resident:
+            if frames[page_id].pin_count:
+                raise BufferPoolError(
+                    f"cannot invalidate pinned page {page_id}"
+                )
+        for page_id in resident:
+            del frames[page_id]
+
+    def _resident_in(self, start: int, n_pages: int) -> list[int]:
+        """The run's resident page ids, ascending.
+
+        Whichever is smaller is probed, the run or the pool: a freed
+        Starburst tail is ~1,000 pages against at most ``capacity`` frames.
+        """
+        frames = self._frames
+        if n_pages <= len(frames):
+            # (A plain loop: a comprehension's call costs more than the
+            # one to three probes of the typical short run.)
+            resident = []
+            for page_id in range(start, start + n_pages):
+                if page_id in frames:
+                    resident.append(page_id)
+            return resident
+        end = start + n_pages
+        return sorted(
+            [page_id for page_id in frames if start <= page_id < end]
+        )
 
     def reset(self) -> None:
         """Drop every frame without writeback: reboot semantics.

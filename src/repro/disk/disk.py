@@ -12,6 +12,16 @@ two database areas (Section 4.1):
   disk; phantom mode is the same trick.  Reads of phantom pages return
   zero-filled bytes of the correct length.
 
+Page state is kept *by the run*, the paper's unit of space and of I/O
+(Sections 3.1, 4.1), not by the page.  ``_pages`` holds recorded images
+only; "written in phantom mode" and "has a recorded image" are two bitmaps
+of one Python ``int`` per chunk of ``1 << _CHUNK_BITS`` consecutive page
+ids (page ids start at ``1 << 40``, so one area-wide ``int`` would make
+every operation cost the area).  Writing, discarding or reading a run that
+holds no recorded bytes is one mask operation per chunk it touches — a
+maximal 8,192-page segment touches three — however long the run is; only
+pages that carry bytes are visited one by one.
+
 Every :meth:`read_pages` / :meth:`write_pages` call models one physical
 access of physically adjacent blocks: it charges exactly one seek plus one
 page-transfer per page through the shared :class:`~repro.disk.iomodel.CostModel`.
@@ -89,12 +99,40 @@ class FaultSite(Protocol):
     ) -> None:
         """Called after a write persisted (e.g. to plant silent corruption)."""
 
-#: Marker stored for pages written in phantom (count-only) mode.
-_PHANTOM = None
+#: Page-state bitmaps are one ``int`` per ``1 << _CHUNK_BITS`` page ids.
+_CHUNK_BITS = 12
+_CHUNK_PAGES = 1 << _CHUNK_BITS
+_CHUNK_MASK = _CHUNK_PAGES - 1
 
-#: Distinguishes "never written" from "written in phantom mode" in a
-#: single dict lookup (``_pages`` stores ``None`` for phantom pages).
-_ABSENT: "object" = object()
+
+def _run_bits(bitmaps: dict[int, int], start: int, n_pages: int) -> int:
+    """The run's slice of a chunked bitmap: bit ``i`` is page ``start + i``."""
+    chunk = start >> _CHUNK_BITS
+    offset = start & _CHUNK_MASK
+    bits = bitmaps.get(chunk, 0) >> offset
+    have = _CHUNK_PAGES - offset
+    while have < n_pages:
+        chunk += 1
+        bits |= bitmaps.get(chunk, 0) << have
+        have += _CHUNK_PAGES
+    return bits & ((1 << n_pages) - 1)
+
+
+def _mark_run(
+    bitmaps: dict[int, int], start: int, n_pages: int, value: bool
+) -> None:
+    """Set (or clear) every page of the run in a chunked bitmap."""
+    chunk = start >> _CHUNK_BITS
+    offset = start & _CHUNK_MASK
+    while n_pages > 0:
+        span = min(n_pages, _CHUNK_PAGES - offset)
+        run = ((1 << span) - 1) << offset
+        bits = bitmaps.get(chunk, 0)
+        # (x ^ (x & run) clears the run at a third of the cost of x & ~run.)
+        bitmaps[chunk] = bits | run if value else bits ^ (bits & run)
+        n_pages -= span
+        chunk += 1
+        offset = 0
 
 
 class SimulatedDisk:
@@ -103,7 +141,16 @@ class SimulatedDisk:
     def __init__(self, config: SystemConfig, cost_model: CostModel) -> None:
         self.config = config
         self.cost = cost_model
-        self._pages: dict[int, bytes | None] = {}
+        #: Recorded page images only; :attr:`_recorded` mirrors its keys.
+        self._pages: dict[int, bytes] = {}
+        #: Chunk -> bitmap of the pages that hold a recorded image (the
+        #: keys of ``_pages``), so a run is tested for content in one
+        #: mask operation per chunk instead of a probe per page.
+        self._recorded: dict[int, int] = {}
+        #: Chunk -> bitmap of the pages written in phantom (count-only)
+        #: mode.  Disjoint from ``_recorded``: a page is never-written,
+        #: phantom or recorded.
+        self._phantom: dict[int, int] = {}
         #: Shared all-zero page returned for unwritten/phantom single pages.
         #: Safe to alias because page images are immutable ``bytes``.
         self._zero_page = bytes(config.page_size)
@@ -157,28 +204,39 @@ class SimulatedDisk:
         self.cost.charge_read(n_pages)
         if self.tracer is not None:
             self.tracer.io_event("disk.read", start, n_pages)
-        pages = self._pages
-        get = pages.get
-        any_content = False
-        all_phantom = True
-        for i in range(n_pages):
-            content = get(start + i, _ABSENT)
-            if content is None:
-                continue
-            if content is _ABSENT:
-                all_phantom = False
-            else:
-                any_content = True
-                self._verify_checksum(start + i, content)
-        if not any_content:
-            if all_phantom:
+        run = (1 << n_pages) - 1
+        offset = start & _CHUNK_MASK
+        if offset + n_pages <= _CHUNK_PAGES:
+            # One chunk, the common case: no helper call, no arithmetic
+            # on a bitmap the chunk does not have (the leaf area of a
+            # phantom store has no recorded pages, the meta area no
+            # phantom ones), and the bits stay where they are in the
+            # chunk — masking is cheaper than shifting 4,096 bits down.
+            chunk = start >> _CHUNK_BITS
+            run <<= offset
+            bits = self._recorded.get(chunk)
+            recorded = bits & run if bits else 0
+            bits = self._phantom.get(chunk)
+            phantom = bits & run if bits else 0
+        else:
+            offset = 0
+            recorded = _run_bits(self._recorded, start, n_pages)
+            phantom = _run_bits(self._phantom, start, n_pages)
+        if not recorded:
+            if phantom == run:
                 return SizedPayload(n_pages * self.config.page_size)
             return self._zero_run(n_pages)
+        get = self._pages.get
         zero = self._zero_page
-        return b"".join(
-            content if (content := get(start + i)) is not None else zero
-            for i in range(n_pages)
-        )
+        images: list[bytes] = []
+        for page_id in range(start, start + n_pages):
+            content = get(page_id)
+            if content is None:
+                images.append(zero)
+            else:
+                self._verify_checksum(page_id, content)
+                images.append(content)
+        return b"".join(images)
 
     def read_page_views(self, start: int, n_pages: int) -> list[Payload]:
         """Read a run in one I/O call, returned as one object per page.
@@ -196,19 +254,39 @@ class SimulatedDisk:
         self.cost.charge_read(n_pages)
         if self.tracer is not None:
             self.tracer.io_event("disk.read", start, n_pages)
+        run = (1 << n_pages) - 1
+        offset = start & _CHUNK_MASK
+        if offset + n_pages <= _CHUNK_PAGES:
+            # One chunk: inlined as in read_pages; bit ``offset + i`` of
+            # ``phantom`` is page ``start + i``.
+            chunk = start >> _CHUNK_BITS
+            run <<= offset
+            bits = self._recorded.get(chunk)
+            recorded = bits & run if bits else 0
+            bits = self._phantom.get(chunk)
+            phantom = bits & run if bits else 0
+        else:
+            offset = 0
+            recorded = _run_bits(self._recorded, start, n_pages)
+            phantom = _run_bits(self._phantom, start, n_pages)
+        if not recorded:
+            if phantom == run:
+                return [self._zero_payload] * n_pages
+            if not phantom:
+                return [self._zero_page] * n_pages
         get = self._pages.get
         zero = self._zero_page
         zero_payload = self._zero_payload
         views: list[Payload] = []
         for i in range(n_pages):
-            content = get(start + i, _ABSENT)
-            if content is None:
-                views.append(zero_payload)
-            elif content is _ABSENT:
-                views.append(zero)
-            else:
+            content = get(start + i)
+            if content is not None:
                 self._verify_checksum(start + i, content)
                 views.append(content)
+            elif phantom >> (offset + i) & 1:
+                views.append(zero_payload)
+            else:
+                views.append(zero)
         return views
 
     def write_pages(
@@ -266,16 +344,31 @@ class SimulatedDisk:
         """Persist (a prefix of) a page run, maintaining the checksum map."""
         page_size = self.config.page_size
         stop = n_pages if limit is None else min(limit, n_pages)
+        if not record:
+            # One mask operation per chunk.  Recorded images under the run
+            # (the meta area shares the disk, and tests mix the modes) are
+            # found by the same kind of mask and dropped with their
+            # checksums: a phantom page stores no bytes.
+            offset = start & _CHUNK_MASK
+            if offset + stop <= _CHUNK_PAGES:
+                chunk = start >> _CHUNK_BITS
+                run = ((1 << stop) - 1) << offset
+                bits = self._recorded.get(chunk)
+                if bits and bits & run:
+                    self._recorded[chunk] = bits ^ (bits & run)
+                    self._drop_images(start, stop)
+                phantom = self._phantom
+                phantom[chunk] = phantom.get(chunk, 0) | run
+            else:
+                if _run_bits(self._recorded, start, stop):
+                    _mark_run(self._recorded, start, stop, False)
+                    self._drop_images(start, stop)
+                _mark_run(self._phantom, start, stop, True)
+            return
         pages = self._pages
         checksums = self._checksums
-        if not record:
-            # One C-level bulk insert; stale checksums are popped only
-            # when any exist at all (phantom areas never record them).
-            pages.update(dict.fromkeys(range(start, start + stop), _PHANTOM))
-            if checksums:
-                for i in range(stop):
-                    checksums.pop(start + i, None)
-        elif isinstance(data, SizedPayload):
+        known = len(pages)
+        if isinstance(data, SizedPayload):
             zero = self._zero_page
             zero_crc = self._zero_crc
             for i in range(stop):
@@ -302,6 +395,35 @@ class SimulatedDisk:
                     crc = zlib.crc32(image)
                 pages[start + i] = image
                 checksums[start + i] = crc
+        if len(pages) != known:
+            self._mark_recorded(start, stop)
+
+    def _mark_recorded(self, start: int, n_pages: int) -> None:
+        """Note that the run's pages now hold images in ``_pages``.
+
+        Callers skip this when the write added no key to ``_pages``: every
+        page was recorded already, so neither bitmap changes.
+        """
+        offset = start & _CHUNK_MASK
+        if offset + n_pages <= _CHUNK_PAGES:
+            chunk = start >> _CHUNK_BITS
+            run = ((1 << n_pages) - 1) << offset
+            self._recorded[chunk] = self._recorded.get(chunk, 0) | run
+            bits = self._phantom.get(chunk)
+            if bits:
+                self._phantom[chunk] = bits ^ (bits & run)
+        else:
+            _mark_run(self._recorded, start, n_pages, True)
+            _mark_run(self._phantom, start, n_pages, False)
+
+    def _drop_images(self, start: int, n_pages: int) -> None:
+        """Forget the images and checksums of the run's recorded pages
+        (the caller clears them in ``_recorded``)."""
+        pop_page = self._pages.pop
+        pop_checksum = self._checksums.pop
+        for page_id in range(start, start + n_pages):
+            pop_page(page_id, None)
+            pop_checksum(page_id, None)
 
     # ------------------------------------------------------------------
     # Fault injection and checksum verification
@@ -405,7 +527,7 @@ class SimulatedDisk:
         :meth:`verify_checksums` localizes the page.
         """
         content = self._pages.get(page_id)
-        if not isinstance(content, bytes):
+        if content is None:
             raise InvalidArgumentError(
                 f"page {page_id} has no recorded content to corrupt"
             )
@@ -423,8 +545,6 @@ class SimulatedDisk:
         """
         bad = []
         for page_id, content in self._pages.items():
-            if content is None:
-                continue
             expected = self._checksums.get(page_id)
             if expected is not None and zlib.crc32(content) != expected:
                 bad.append(page_id)
@@ -481,15 +601,33 @@ class SimulatedDisk:
         n_pages = -(-len(data) // page_size)
         self._check_range(start, n_pages)
         padded = bytes(data).ljust(n_pages * page_size, b"\x00")
+        known = len(self._pages)
         for i in range(n_pages):
             image = padded[i * page_size : (i + 1) * page_size]
             self._pages[start + i] = image
             self._checksums[start + i] = zlib.crc32(image)
+        if len(self._pages) != known:
+            self._mark_recorded(start, n_pages)
 
     @pure_read
     def was_written(self, page_id: int) -> bool:
         """True if the page has ever been written (recorded or phantom)."""
-        return page_id in self._pages
+        if page_id in self._pages:
+            return True
+        bits = self._phantom.get(page_id >> _CHUNK_BITS, 0)
+        return bool(bits >> (page_id & _CHUNK_MASK) & 1)
+
+    @pure_read
+    def image(self) -> dict[int, bytes | None]:
+        """The raw device image: every written page's recorded bytes, or
+        ``None`` for a page written in phantom mode (no I/O cost)."""
+        image: dict[int, bytes | None] = dict(self._pages)
+        for chunk, bits in self._phantom.items():
+            base = chunk << _CHUNK_BITS
+            for offset, bit in enumerate(format(bits, "b")[::-1]):
+                if bit == "1":
+                    image[base + offset] = None
+        return image
 
     def discard_pages(self, start: int, n_pages: int) -> None:
         """Forget page contents (called when space is freed).
@@ -503,14 +641,29 @@ class SimulatedDisk:
         self._check_halted()
         if self.retain_freed:
             return
-        for i in range(n_pages):
-            self._pages.pop(start + i, None)
-            self._checksums.pop(start + i, None)
+        offset = start & _CHUNK_MASK
+        if offset + n_pages <= _CHUNK_PAGES:
+            chunk = start >> _CHUNK_BITS
+            run = ((1 << n_pages) - 1) << offset
+            bits = self._phantom.get(chunk)
+            if bits:
+                self._phantom[chunk] = bits ^ (bits & run)
+            bits = self._recorded.get(chunk)
+            if bits and bits & run:
+                self._recorded[chunk] = bits ^ (bits & run)
+                self._drop_images(start, n_pages)
+        else:
+            _mark_run(self._phantom, start, n_pages, False)
+            if _run_bits(self._recorded, start, n_pages):
+                _mark_run(self._recorded, start, n_pages, False)
+                self._drop_images(start, n_pages)
 
     @property
     def pages_in_use(self) -> int:
         """Number of distinct pages ever written and not discarded."""
-        return len(self._pages)
+        return len(self._pages) + sum(
+            bits.bit_count() for bits in self._phantom.values()
+        )
 
     @staticmethod
     def _check_range(start: int, n_pages: int) -> None:

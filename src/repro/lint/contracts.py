@@ -68,16 +68,14 @@ def _find_disk(obj: Any) -> Any | None:
         getattr(getattr(obj, "env", None), "disk", None),
     )
     for candidate in candidates:
-        if candidate is not None and hasattr(candidate, "_pages") and hasattr(
-            candidate, "cost"
-        ):
+        if hasattr(candidate, "discard_pages") and hasattr(candidate, "cost"):
             return candidate
     return None
 
 
 def _disk_fingerprint(disk: Any) -> tuple[int, int, int]:
     stats = disk.cost.stats
-    return (stats.write_calls, stats.pages_written, len(disk._pages))
+    return (stats.write_calls, stats.pages_written, disk.pages_in_use)
 
 
 def pure_read(func: F) -> F:

@@ -188,7 +188,7 @@ def execute_program(program: ShardProgram) -> ShardOutcome:
         sim_ms=delta.elapsed_ms(program.config),
         pool=dataclasses.replace(store.env.pool.stats),
         step_results=tuple(step_results),
-        image=dict(store.env.disk._pages) if program.keep_image else None,
+        image=store.env.disk.image() if program.keep_image else None,
     )
 
 

@@ -179,7 +179,7 @@ def test_journal_off_store_is_bit_identical_to_plain(scheme: str) -> None:
     for sa, sb in zip(a.shards, b.shards):
         assert sa.stats.write_calls == sb.stats.write_calls
         assert sa.stats.read_calls == sb.stats.read_calls
-        assert dict(sa.env.disk._pages) == dict(sb.env.disk._pages)
+        assert sa.env.disk.image() == sb.env.disk.image()
 
 
 def test_atomic_store_charges_journal_writes() -> None:

@@ -60,7 +60,7 @@ def _fingerprint(store: LargeObjectStore) -> dict[str, object]:
         "pool_misses": pool.misses,
         "pool_evictions": pool.evictions,
         "pool_writebacks": pool.dirty_writebacks,
-        "image": dict(store.env.disk._pages),
+        "image": store.env.disk.image(),
     }
 
 

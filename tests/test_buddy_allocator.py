@@ -90,6 +90,46 @@ class TestFree:
         allocator.free(page, 2)
         assert not allocator.pool.disk.was_written(page)
 
+    def test_rejected_free_destroys_nothing(self, setup):
+        """A free that names an already-free block is refused before the
+        resident copies and the content of its live pages are dropped."""
+        config, _cost, allocator = setup
+        pool, disk = allocator.pool, allocator.pool.disk
+        page = allocator.allocate(4)
+        content = b"A" * (4 * config.page_size)
+        pool.write_run(page, 4, content)
+        cached = pool.read_run(page, 2)
+        allocator.free(page + 2, 2)
+        with pytest.raises(AllocationError, match="block 2 is already free"):
+            allocator.free(page, 4)
+        assert pool.is_resident(page) and pool.is_resident(page + 1)
+        assert bytes(pool.lookup(page).content()) == bytes(cached[: config.page_size])
+        assert disk.was_written(page) and disk.was_written(page + 1)
+        assert disk.peek_pages(page, 2) == content[: 2 * config.page_size]
+        assert allocator.allocated_pages == 2
+        allocator.check_invariants()
+
+    def test_free_drops_the_run_before_it_visits_the_directory(self):
+        """The order of a free's pool effects is part of the simulated
+        clock: the run's frames go first, so a directory miss finds room
+        instead of evicting (and writing back) a frame for nothing."""
+        config = small_page_config(buffer_pool_pages=4)
+        cost = CostModel(config)
+        pool = BufferPool(config, SimulatedDisk(config, cost))
+        allocator = BuddyAllocator(config, pool, base_page_id=0, name="test")
+        page = allocator.allocate(4)
+        pool.flush_all()
+        for offset in range(4):     # fill the pool: the directory leaves
+            pool.fix_new(page + offset, bytes(config.page_size))
+            pool.unfix(page + offset, dirty=True)
+        assert not pool.is_resident(0)
+        before = cost.snapshot()
+        evictions = pool.stats.evictions
+        allocator.free(page, 4)
+        spent = cost.stats.delta(before)
+        assert (spent.read_calls, spent.write_calls) == (1, 0)
+        assert pool.stats.evictions == evictions
+
 
 class TestSuperdirectory:
     def test_starts_optimistic(self, setup):

@@ -152,6 +152,77 @@ class TestInvalidation:
         _config, _cost, _disk, pool = make_pool()
         pool.invalidate(999)
 
+    def test_invalidate_run_is_all_or_nothing(self):
+        """A pinned page anywhere in the run leaves every frame resident."""
+        for n_pages in (3, 40):     # probed by the run, and by the pool
+            _config, _cost, _disk, pool = make_pool(pool_pages=6)
+            for page in (3, 2, 1):
+                pool.fix(page)
+            pool.unfix(1)
+            # Pages are visited in ascending order whichever is probed:
+            # the lowest pinned page is the one named.
+            with pytest.raises(BufferPoolError, match="pinned page 2"):
+                pool.invalidate_run(1, n_pages)
+            assert [pool.is_resident(page) for page in (1, 2, 3)] == [True] * 3
+            pool.unfix(2)
+            pool.unfix(3)
+            pool.invalidate_run(1, n_pages)
+            assert not any(pool.is_resident(page) for page in (1, 2, 3))
+
+
+def _occupied_pool():
+    """A pool holding pages 10, 13, 12, 17 (in that recency order) in
+    every mix of clean/dirty and plain/provider-backed."""
+    config, _cost, disk, pool = make_pool(pool_pages=6, page_size=64)
+    for page in (10, 13, 12, 17):
+        disk.poke_pages(page, bytes([page]) * 64)
+        pool.fix(page)
+        pool.unfix(page, dirty=page in (12, 17))
+    pool.set_provider(13, lambda: b"p" * 64)
+    pool.set_provider(17, lambda: b"q" * 64)
+    return config, disk, pool
+
+
+def _frame_states(pool):
+    """Every frame in recency order, with all that a caller can observe."""
+    return [
+        (page_id, bytes(frame.content()), frame.dirty,
+         frame.provider is None, frame.pin_count)
+        for page_id, frame in pool._frames.items()
+    ]
+
+
+#: Run lengths below, equal to and above the four occupied frames.
+@pytest.mark.parametrize("n_pages", [1, 3, 4, 5, 9, 1000])
+@pytest.mark.parametrize("start", [9, 11, 13])
+class TestRunsAgainstThePerPageLoop:
+    """The run operations probe the run or the pool, whichever is
+    smaller; either way they must leave what a loop over the pages of
+    the run leaves."""
+
+    def test_invalidate_run(self, start, n_pages):
+        _config, _disk, pool = _occupied_pool()
+        _config, _disk, reference = _occupied_pool()
+        pool.invalidate_run(start, n_pages)
+        for page in range(start, start + n_pages):
+            reference.invalidate(page)
+        assert _frame_states(pool) == _frame_states(reference)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_write_run(self, start, n_pages, record):
+        config, disk, pool = _occupied_pool()
+        _config, reference_disk, reference = _occupied_pool()
+        size = config.page_size
+        data = bytes(range(256)) * (-(-n_pages * size // 256))
+        data = data[: n_pages * size - 7]       # a short last page
+        pool.write_run(start, n_pages, data, record=record)
+        reference_disk.write_pages(start, n_pages, data, record=record)
+        for i in range(n_pages):
+            image = data[i * size : (i + 1) * size].ljust(size, b"\x00")
+            reference.update_if_resident(start + i, image)
+        assert _frame_states(pool) == _frame_states(reference)
+        assert disk.image() == reference_disk.image()
+
 
 class TestFlush:
     def test_flush_all_groups_contiguous_runs(self):

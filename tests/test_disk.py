@@ -1,10 +1,19 @@
 """Unit tests for the simulated disk."""
 
+import random
+
 import pytest
 
+from repro.buddy.area import DATA_AREA_BASE
 from repro.core.config import small_page_config
-from repro.core.errors import AllocationError
-from repro.disk.disk import SimulatedDisk
+from repro.core.errors import (
+    AllocationError,
+    ChecksumError,
+    CrashError,
+    InvalidArgumentError,
+)
+from repro.core.payload import SizedPayload
+from repro.disk.disk import _CHUNK_BITS, _CHUNK_PAGES, SimulatedDisk
 from repro.disk.iomodel import CostModel
 
 
@@ -89,3 +98,208 @@ class TestDiscard:
         assert disk.was_written(0)
         assert not disk.was_written(1)
         assert disk.was_written(2)
+
+
+# ----------------------------------------------------------------------
+# The run-granular page state against a page-granular model
+# ----------------------------------------------------------------------
+class ModelDisk:
+    """The device as one plain ``page -> bytes | None`` dict.
+
+    ``None`` is a page written in phantom mode.  ``clean`` keeps what
+    each recorded page held when it was last written, so a page is
+    corrupt exactly while its content differs from that.
+    """
+
+    def __init__(self, page_size: int) -> None:
+        self.page_size = page_size
+        self.pages: dict[int, bytes | None] = {}
+        self.clean: dict[int, bytes] = {}
+
+    def write(self, start, n_pages, data, record, limit=None):
+        size = self.page_size
+        stop = n_pages if limit is None else min(limit, n_pages)
+        raw = bytes(data).ljust(n_pages * size, b"\x00")
+        for i in range(stop):
+            self.clean.pop(start + i, None)
+            if record:
+                image = raw[i * size : (i + 1) * size]
+                self.pages[start + i] = self.clean[start + i] = image
+            else:
+                self.pages[start + i] = None
+
+    def discard(self, start, n_pages):
+        for page in range(start, start + n_pages):
+            self.pages.pop(page, None)
+            self.clean.pop(page, None)
+
+    def flip(self, page, bit_index):
+        content = bytearray(self.pages[page])
+        byte_index, bit = divmod(bit_index % (len(content) * 8), 8)
+        content[byte_index] ^= 1 << bit
+        self.pages[page] = bytes(content)
+
+    def corrupt(self) -> list[int]:
+        return sorted(
+            page for page, image in self.clean.items()
+            if self.pages[page] != image
+        )
+
+    def recorded(self) -> list[int]:
+        return [page for page, image in self.pages.items() if image is not None]
+
+
+class _Tear:
+    """A fault site that tears the next write after ``keep`` pages."""
+
+    def __init__(self, keep: int) -> None:
+        self.keep = keep
+
+    def read_attempt(self, disk, start, n_pages, attempt):
+        return None
+
+    def write_attempt(self, disk, start, n_pages, record, attempt):
+        return self.keep
+
+    def after_write(self, disk, start, n_pages, record):
+        raise AssertionError("a torn write never completes")
+
+
+def assert_disk_matches(disk, model, probes):
+    """Everything observable of ``disk`` agrees with ``model``; the runs
+    in ``probes`` are read back through every read spelling."""
+    size = model.page_size
+    zero = bytes(size)
+    assert disk.image() == model.pages
+    assert disk.pages_in_use == len(model.pages)
+    corrupt = model.corrupt()
+    assert disk.verify_checksums() == corrupt
+    # The bitmap over the recorded images mirrors the dict's keys.
+    mirrored = {
+        (chunk << _CHUNK_BITS) + bit
+        for chunk, bits in disk._recorded.items()
+        for bit in range(bits.bit_length())
+        if bits >> bit & 1
+    }
+    assert mirrored == set(disk._pages) == set(model.recorded())
+    for start, n_pages in probes:
+        run = range(start, start + n_pages)
+        for page in (start - 1, start, start + n_pages - 1, start + n_pages):
+            assert disk.was_written(page) == (page in model.pages)
+        expected = b"".join(model.pages.get(page) or zero for page in run)
+        peeked = disk.peek_pages(start, n_pages)
+        assert type(peeked) is bytes and peeked == expected
+        if any(page in run for page in corrupt):
+            with pytest.raises(ChecksumError):
+                disk.read_pages(start, n_pages)
+            with pytest.raises(ChecksumError):
+                disk.read_page_views(start, n_pages)
+            continue
+        phantom = [
+            page in model.pages and model.pages[page] is None for page in run
+        ]
+        whole = disk.read_pages(start, n_pages)
+        assert type(whole) is (SizedPayload if all(phantom) else bytes)
+        assert len(whole) == len(expected) and whole == expected
+        views = disk.read_page_views(start, n_pages)
+        assert [type(view) is SizedPayload for view in views] == phantom
+        assert {len(view) for view in views} == {size}
+        assert b"".join(map(bytes, views)) == expected
+
+
+#: Chunk boundaries the runs are placed around: one in the meta range,
+#: one in the data area (whose base is itself a boundary).
+_BOUNDARIES = (3 * _CHUNK_PAGES, DATA_AREA_BASE + 3 * _CHUNK_PAGES)
+
+
+def _random_run(rng):
+    """(start, n_pages) of 1-9,000 pages below, on or across a boundary."""
+    n_pages = rng.choice(
+        [rng.randint(1, 9), rng.randint(1, 9), rng.randint(10, 300),
+         rng.randint(10, 300), rng.randint(3_000, 9_000)]
+    )
+    boundary = rng.choice(_BOUNDARIES)
+    start = boundary + rng.choice(
+        [-n_pages - rng.randint(0, 5), -n_pages, -rng.randint(0, n_pages), 0,
+         rng.randint(1, 40)]
+    )
+    return start, n_pages
+
+
+@pytest.mark.parametrize("seed", [1992, 2718])
+def test_run_state_matches_the_page_model(seed):
+    rng = random.Random(seed)
+    config = small_page_config(page_size=64)
+    size = config.page_size
+    disk = SimulatedDisk(config, CostModel(config))
+    model = ModelDisk(size)
+    probes = []
+    for _step in range(120):
+        start, n_pages = _random_run(rng)
+        kind = rng.choice(
+            ["bytes", "bytes", "sized", "phantom", "phantom", "poke",
+             "discard", "discard", "retained", "torn", "corrupt"]
+        )
+        record = kind != "phantom" and rng.random() < 0.9
+        if kind in ("bytes", "torn"):
+            data = rng.randbytes(rng.randint(0, n_pages * size))
+        else:
+            data = SizedPayload(rng.randint(0, n_pages * size))
+        if kind in ("bytes", "sized", "phantom"):
+            disk.write_pages(start, n_pages, data, record=record)
+            model.write(start, n_pages, data, record)
+        elif kind == "torn":
+            keep = rng.randint(0, n_pages)
+            disk.install_fault_site(_Tear(keep))
+            with pytest.raises(CrashError):
+                disk.write_pages(start, n_pages, data, record=record)
+            with pytest.raises(CrashError):     # halted until reopened
+                disk.discard_pages(start, n_pages)
+            disk.clear_fault_site()
+            model.write(start, n_pages, data, record, limit=keep)
+        elif kind == "poke":
+            data = rng.randbytes(rng.randint(1, min(n_pages, 400) * size))
+            disk.poke_pages(start, data)
+            n_pages = -(-len(data) // size)
+            model.write(start, n_pages, data, True)
+        elif kind == "discard":
+            disk.discard_pages(start, n_pages)
+            model.discard(start, n_pages)
+        elif kind == "retained":
+            disk.retain_freed = True
+            disk.discard_pages(start, n_pages)
+            disk.retain_freed = False
+        else:
+            recorded = model.recorded()
+            if recorded:
+                page, bit = rng.choice(recorded), rng.randrange(size * 8)
+                disk.corrupt_page(page, bit)
+                model.flip(page, bit)
+                start, n_pages = page - rng.randint(0, 2), 4
+            for page in (start, start + n_pages):
+                if model.pages.get(page) is None:
+                    with pytest.raises(InvalidArgumentError):
+                        disk.corrupt_page(page, 0)
+        probes = probes[-2:] + [(start, n_pages)]
+        assert_disk_matches(disk, model, probes)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("start", [_CHUNK_PAGES - 5, _CHUNK_PAGES - 2, _CHUNK_PAGES])
+def test_torn_write_persists_exactly_its_prefix(record, start):
+    """Every prefix of a run below, across and on a chunk boundary."""
+    config = small_page_config(page_size=64)
+    n_pages = 5
+    for keep in range(n_pages + 1):
+        disk = SimulatedDisk(config, CostModel(config))
+        model = ModelDisk(config.page_size)
+        for data in (b"\x07" * (n_pages * 64), SizedPayload(n_pages * 64)):
+            earlier_record = not record
+            disk.write_pages(start, n_pages, data, record=earlier_record)
+            model.write(start, n_pages, data, earlier_record)
+            disk.install_fault_site(_Tear(keep))
+            with pytest.raises(CrashError):
+                disk.write_pages(start, n_pages, b"\x09" * 200, record=record)
+            disk.clear_fault_site()
+            model.write(start, n_pages, b"\x09" * 200, record, limit=keep)
+            assert_disk_matches(disk, model, [(start, n_pages)])

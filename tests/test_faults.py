@@ -117,7 +117,9 @@ class TestRetries:
         store = make_store()
         _exercise(store)
         disk = store.env.disk
-        page = next(p for p in disk._pages if disk._pages[p] is not None)
+        page = next(
+            p for p, content in disk.image().items() if content is not None
+        )
         expected = disk.peek_pages(page, 1)
         before = store.stats.retries
         plan = FaultPlan(read_faults=every(1), transient_failures=1)
@@ -236,7 +238,9 @@ class TestChecksums:
         store.create(pattern_bytes(4 * PAGE))
         disk = store.env.disk
         assert disk.verify_checksums() == []
-        victim = max(p for p in disk._pages if disk._pages[p] is not None)
+        victim = max(
+            p for p, content in disk.image().items() if content is not None
+        )
         disk.corrupt_page(victim, bit_index=0)
         assert disk.verify_checksums() == [victim]
 
@@ -277,7 +281,8 @@ class TestChecksums:
         with pytest.raises(InvalidArgumentError):
             # Phantom pages store no bytes; nothing to corrupt.
             disk.corrupt_page(
-                next(iter(disk._pages)), bit_index=0
+                next(p for p, c in disk.image().items() if c is None),
+                bit_index=0,
             )
 
     def test_phantom_reports_unchanged_by_checksum_envelope(self):
@@ -338,11 +343,12 @@ class TestRetryAccounting:
     def _two_adjacent_pages(self, store):
         """(page_id, page_count) of a written 2-page run on the disk."""
         disk = store.env.disk
+        image = disk.image()
         written = sorted(
-            p for p, content in disk._pages.items() if content is not None
+            p for p, content in image.items() if content is not None
         )
         for page in written:
-            if page + 1 in disk._pages:
+            if page + 1 in image:
                 return page
         raise AssertionError("no adjacent written pages")
 

@@ -69,7 +69,7 @@ def _fingerprint(store) -> tuple[str, tuple[int, ...]]:
     """SHA-256 over every page of the image, and the final ledger."""
     store.env.pool.flush_all()
     digest = hashlib.sha256()
-    for page_id, content in sorted(store.env.disk._pages.items()):
+    for page_id, content in sorted(store.env.disk.image().items()):
         digest.update(page_id.to_bytes(8, "little"))
         digest.update(content)
     return digest.hexdigest(), dataclasses.astuple(store.stats)

@@ -451,21 +451,33 @@ class TestCli:
 # Runtime contracts (REPRO_CHECKS=1)
 # ----------------------------------------------------------------------
 class _NaughtyReader:
-    """A @pure_read method that writes — should trip the runtime check."""
+    """A @pure_read method that mutates the disk — charged or not, it
+    should trip the runtime check."""
 
     def __init__(self, disk):
         self.disk = disk
 
     @pure_read
-    def naughty(self):
-        self.disk.write_pages(0, 1, bytes(16))
+    def naughty(self, how="write"):
+        if how == "write":
+            self.disk.write_pages(0, 1, bytes(16))
+        elif how == "poke":
+            self.disk.poke_pages(10**6, b"fresh page")
+        else:
+            self.disk.discard_pages(_PHANTOM_PAGE, 1)
         return True
+
+
+#: Written in phantom mode by the fixture, for the discard to forget.
+_PHANTOM_PAGE = 10**6 + 1
 
 
 class TestRuntimeContracts:
     @pytest.fixture
     def disk(self):
-        return LargeObjectStore("eos", small_page_config()).env.disk
+        disk = LargeObjectStore("eos", small_page_config()).env.disk
+        disk.write_pages(_PHANTOM_PAGE, 1, b"", record=False)
+        return disk
 
     def test_flag_detection(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
@@ -477,6 +489,12 @@ class TestRuntimeContracts:
         monkeypatch.setenv("REPRO_CHECKS", "1")
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty()
+
+    @pytest.mark.parametrize("how", ["poke", "discard"])
+    def test_uncharged_mutation_raises_under_debug(self, disk, monkeypatch, how):
+        monkeypatch.setenv("REPRO_CHECKS", "1")
+        with pytest.raises(ContractViolationError):
+            _NaughtyReader(disk).naughty(how)
 
     def test_passthrough_without_debug(self, disk, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)

@@ -66,7 +66,7 @@ def _fingerprint(store: LargeObjectStore) -> dict[str, object]:
         "pool_misses": pool.misses,
         "pool_evictions": pool.evictions,
         "pool_writebacks": pool.dirty_writebacks,
-        "image": dict(store.env.disk._pages),
+        "image": store.env.disk.image(),
     }
 
 
@@ -338,7 +338,7 @@ def test_one_shard_program_matches_live_store() -> None:
     assert outcome.stats == delta
     assert outcome.sim_ms == delta.elapsed_ms(store.config)
     assert outcome.step_results[1] == tuple(windows)
-    assert outcome.image == dict(store.env.disk._pages)
+    assert outcome.image == store.env.disk.image()
 
 
 def test_traced_replay_merges_worker_count_independently() -> None:

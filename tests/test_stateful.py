@@ -1,8 +1,8 @@
 """Hypothesis stateful machines for the substrate components.
 
-These drive the buffer pool and the buddy allocator through arbitrary
-interleavings of their operations, checking them against simple
-reference models after every step.
+These drive the simulated disk, the buffer pool and the buddy allocator
+through arbitrary interleavings of their operations, checking them
+against simple reference models after every step.
 """
 
 from hypothesis import settings
@@ -17,11 +17,88 @@ from hypothesis.stateful import (
 from repro.buddy.allocator import BuddyAllocator
 from repro.buffer.pool import BufferPool
 from repro.core.config import small_page_config
-from repro.core.errors import BufferPoolError, OutOfSpaceError
-from repro.disk.disk import SimulatedDisk
+from repro.core.errors import BufferPoolError, CrashError, OutOfSpaceError
+from repro.core.payload import SizedPayload
+from repro.disk.disk import _CHUNK_PAGES, SimulatedDisk
 from repro.disk.iomodel import CostModel
+from tests.test_disk import ModelDisk, _Tear, assert_disk_matches
 
 CONFIG = small_page_config(page_size=128, buffer_pool_pages=4)
+
+
+class SimulatedDiskMachine(RuleBasedStateMachine):
+    """Run-granular page state behaves like a page-granular dict."""
+
+    #: Every run lies in a window straddling one chunk boundary.
+    LOW, HIGH = _CHUNK_PAGES - 8, _CHUNK_PAGES + 8
+
+    def __init__(self):
+        super().__init__()
+        self.disk = SimulatedDisk(CONFIG, CostModel(CONFIG))
+        self.model = ModelDisk(CONFIG.page_size)
+
+    starts = st.integers(min_value=LOW, max_value=HIGH - 1)
+    counts = st.integers(min_value=1, max_value=12)
+    payloads = st.one_of(
+        st.binary(max_size=3 * CONFIG.page_size),
+        st.integers(min_value=0, max_value=3 * CONFIG.page_size).map(
+            SizedPayload
+        ),
+    )
+
+    def _clip(self, start, count, data=b""):
+        needed = -(-len(data) // CONFIG.page_size)
+        return max(needed, min(count, self.HIGH - start))
+
+    @rule(start=starts, count=counts, data=payloads, record=st.booleans())
+    def write(self, start, count, data, record):
+        count = self._clip(start, count, data)
+        self.disk.write_pages(start, count, data, record=record)
+        self.model.write(start, count, data, record)
+
+    @rule(start=starts, count=counts, data=payloads, record=st.booleans(),
+          keep=st.integers(min_value=0, max_value=12))
+    def torn_write(self, start, count, data, record, keep):
+        count = self._clip(start, count, data)
+        self.disk.install_fault_site(_Tear(keep))
+        try:
+            self.disk.write_pages(start, count, data, record=record)
+        except CrashError:
+            self.model.write(start, count, data, record, limit=keep)
+        else:
+            raise AssertionError("the write was not torn")
+        finally:
+            self.disk.clear_fault_site()
+
+    @rule(start=starts, data=st.binary(min_size=1, max_size=200))
+    def poke(self, start, data):
+        self.disk.poke_pages(start, data)
+        self.model.write(start, -(-len(data) // CONFIG.page_size), data, True)
+
+    @rule(start=starts, count=counts, retain=st.booleans())
+    def discard(self, start, count, retain):
+        self.disk.retain_freed = retain
+        self.disk.discard_pages(start, count)
+        self.disk.retain_freed = False
+        if not retain:
+            self.model.discard(start, count)
+
+    @rule(index=st.integers(min_value=0, max_value=10**6),
+          bit=st.integers(min_value=0, max_value=10**6))
+    @precondition(lambda self: self.model.recorded())
+    def corrupt(self, index, bit):
+        recorded = self.model.recorded()
+        page = recorded[index % len(recorded)]
+        self.disk.corrupt_page(page, bit)
+        self.model.flip(page, bit)
+
+    @invariant()
+    def matches_the_page_model(self):
+        window = self.HIGH + 4 - self.LOW
+        assert_disk_matches(
+            self.disk, self.model,
+            [(self.LOW, window), (self.LOW + 5, 1), (_CHUNK_PAGES - 1, 2)],
+        )
 
 
 class BufferPoolMachine(RuleBasedStateMachine):
@@ -142,6 +219,10 @@ class BuddyAllocatorMachine(RuleBasedStateMachine):
         self.allocator.check_invariants()
 
 
+TestSimulatedDiskMachine = SimulatedDiskMachine.TestCase
+TestSimulatedDiskMachine.settings = settings(
+    max_examples=30, stateful_step_count=40, deadline=None
+)
 TestBufferPoolMachine = BufferPoolMachine.TestCase
 TestBufferPoolMachine.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
