@@ -381,8 +381,7 @@ class ESMManager(TreeBackedManager):
     def _extend_fresh(self, tree: PositionalTree, data: Payload) -> None:
         """Lay brand-new bytes out at the end of the object."""
         sizes = leaf_rules.arrange_fresh(len(data), self.leaf_capacity)
-        for extent in self._write_leaves(data, sizes):
-            tree.append_extent(extent)
+        tree.replace_span(tree.total_bytes, 0, self._write_leaves(data, sizes))
 
     def _write_leaves(self, stream: Payload,
                       sizes: list[int]) -> list[LeafExtent]:

@@ -140,6 +140,31 @@ class IndexNode:
         self._touched(index)
         return count, self.refs.pop(index)
 
+    def splice(
+        self, index: int, n_remove: int, extents: "list[LeafExtent]"
+    ) -> int:
+        """Replace the ``n_remove`` pairs from ``index`` of a level-1 node
+        by one pair per extent; returns the change in the node's bytes.
+
+        One pass whatever the number of pairs: the new prefix sums, the
+        suffix shifted once by the net change, one slice of ``refs``.
+        """
+        cums = self.cums
+        stop = index + n_remove
+        total = cums[index - 1] if index else 0
+        new = []
+        for extent in extents:
+            total += extent.used_bytes
+            new.append(total)
+        delta = total - (cums[stop - 1] if stop else 0)
+        if delta:
+            cums[index:] = new + [c + delta for c in cums[stop:]]
+        else:
+            cums[index:stop] = new
+        self.refs[index:stop] = extents
+        self._touched(index)
+        return delta
+
     def add_count(self, index: int, delta: int) -> None:
         """Grow (or shrink) the byte count of child ``index`` by ``delta``."""
         self.cums[index:] = [c + delta for c in self.cums[index:]]

@@ -396,7 +396,7 @@ class PositionalTree:
 
     def append_extent(self, extent: LeafExtent) -> None:
         """Add an extent at the end of the object."""
-        self._insert_extent_at(self.total_bytes, extent)
+        self.replace_span(self.total_bytes, 0, [extent])
 
     def replace_span(
         self, span_start: int, span_bytes: int, new_extents: list[LeafExtent]
@@ -404,86 +404,118 @@ class PositionalTree:
         """Replace the extents exactly tiling a byte span with new ones.
 
         ``span_start`` must be an extent boundary and the span must end on
-        an extent boundary.  This is the single index-maintenance entry
-        point used for splits, merges, redistributions, and removals; the
-        net byte delta adjusts the object size.
+        an extent boundary; both are verified before the first change, so
+        a refused span leaves the tree as it was.  This is the single
+        index-maintenance entry point used for splits, merges,
+        redistributions, removals and appends; the net byte delta adjusts
+        the object size.
+
+        The work is done in *runs*: one descent to the leaf parent where
+        the boundary lives, one :meth:`IndexNode.splice` of as many
+        consecutive pairs as leave the node legal until the run's last
+        pair, one count update per ancestor, one shadowing of the path,
+        one rebalance.  A span inside one leaf parent that reaches
+        neither fanout limit is a single run.  Nothing observable is
+        saved or reordered against changing one pair per descent: after
+        a run's descent every node of its path is dirty, and a dirty
+        node is served from memory without a pool access or an event.
         """
         for extent in new_extents:
             if extent.used_bytes <= 0:
                 raise ByteRangeError("new extents must be non-empty")
-        removed = 0
-        while removed < span_bytes:
-            removed += self._delete_extent_at(span_start)
-        if removed != span_bytes:
-            raise StorageCorruptionError(
-                f"span of {span_bytes} bytes is not extent-aligned"
-            )
-        position = span_start
-        for extent in new_extents:
-            self._insert_extent_at(position, extent)
-            position += extent.used_bytes
-
-    # ------------------------------------------------------------------
-    # Insert / delete of single extent entries
-    # ------------------------------------------------------------------
-    def _insert_extent_at(self, position: int, extent: LeafExtent) -> None:
         if self.root_page_id is None:
             raise StorageCorruptionError("tree not created")
-        if not 0 <= position <= self.total_bytes:
-            raise ByteRangeError("insert position outside object")
-        root = self._get_node(self.root_page_id)
-        if not root.refs:
-            root.insert(0, extent.used_bytes, extent)
-            self.total_bytes += extent.used_bytes
-            self._mark_node_dirty(root)
-            return
-        # Descend to the leaf parent where the boundary at `position` lives.
-        path: list[tuple[IndexNode, int]] = []
-        node = root
-        if position == self.total_bytes:
-            # Append: the boundary is the right edge, so each level takes
-            # its last child and the pair lands at the end of the leaf
-            # parent — no cumulative counts or bisection needed.
-            while not node.is_leaf_parent:
-                index = len(node.refs) - 1
-                path.append((node, index))
-                node = self._get_node(node.refs[index])
-            insert_at = len(node.refs)
-        else:
-            start = 0
-            while not node.is_leaf_parent:
-                index, child_start = _choose_child(node, position - start)
-                start += child_start
-                path.append((node, index))
-                node = self._get_node(node.refs[index])
-            insert_at, child_start = _choose_child(node, position - start)
-            if start + child_start != position:
-                raise StorageCorruptionError(
-                    "insert position is not an extent boundary"
-                )
-        node.insert(insert_at, extent.used_bytes, extent)
-        for ancestor, child_index in path:
-            ancestor.add_count(child_index, extent.used_bytes)
-        self.total_bytes += extent.used_bytes
-        self._shadow_path(path, node)
-        self._fix_overflow(path, node)
-
-    def _delete_extent_at(self, position: int) -> int:
-        """Remove the extent starting exactly at ``position``; returns its
-        byte count."""
-        cursor = self.locate(position)
-        if cursor.extent_start != position:
-            raise StorageCorruptionError(
-                f"byte {position} is not an extent boundary"
+        if span_bytes < 0 or not 0 <= span_start <= self.total_bytes - span_bytes:
+            raise ByteRangeError(
+                f"span [{span_start}, {span_start + span_bytes}) outside "
+                f"object of {self.total_bytes} bytes"
             )
-        node, index = cursor.path[-1]
-        removed, _extent = node.pop(index)
-        for ancestor, child_index in cursor.path[:-1]:
-            ancestor.add_count(child_index, -removed)
-        self.total_bytes -= removed
-        self._shadow_path(cursor.path[:-1], node)
-        self._fix_underflow(cursor.path[:-1], node)
-        return removed
+        remaining = span_bytes
+        inserted = 0
+        position = span_start
+        while remaining or inserted < len(new_extents):
+            if self.total_bytes:
+                cursor = self.locate(position)
+                path = cursor.path
+                node, index = path.pop()
+                if position == self.total_bytes:
+                    index += 1
+                elif cursor.extent_start != position:
+                    raise StorageCorruptionError(
+                        f"byte {position} is not an extent boundary"
+                    )
+            else:
+                path, node, index = [], self._get_node(self.root_page_id), 0
+            cums = node.cums
+            low = self._min_fanout(node)
+            stop = index
+            removed = 0
+            if remaining:
+                before = cums[index - 1] if index else 0
+                target = before + remaining
+                if target <= cums[-1]:
+                    stop = bisect.bisect_left(cums, target, index) + 1
+                    aligned = cums[stop - 1] == target
+                else:
+                    # The span runs on into the next leaf parent; where it
+                    # ends is looked up once, before the first change.
+                    stop = len(cums)
+                    aligned = remaining < span_bytes or self._is_boundary(
+                        span_start + span_bytes
+                    )
+                if not aligned:
+                    raise StorageCorruptionError(
+                        f"span of {span_bytes} bytes is not extent-aligned"
+                    )
+                # The pair whose removal leaves the node underfull is the
+                # run's last: the rebalance may move the rest elsewhere.
+                stop = min(stop, index + max(1, len(cums) + 1 - low))
+                removed = cums[stop - 1] - before
+            kept = len(cums) - (stop - index)
+            take = 0
+            # New pairs join the run once the span is gone, unless taking
+            # it out made the node underfull or emptied the node's tail:
+            # the boundary then belongs to the next leaf parent (to which
+            # ``locate`` sends it), except at the object's end.
+            if removed == remaining and (
+                stop == index
+                or kept >= low
+                and (index < kept or position + removed == self.total_bytes)
+            ):
+                # The pair that overfills the node is the run's last.
+                take = min(
+                    len(new_extents) - inserted,
+                    self._max_fanout(node) + 1 - kept,
+                )
+            delta = node.splice(
+                index, stop - index, new_extents[inserted : inserted + take]
+            )
+            if delta:
+                for ancestor, child_index in path:
+                    ancestor.add_count(child_index, delta)
+                self.total_bytes += delta
+            self._shadow_path(path, node)
+            if take:
+                self._fix_overflow(path, node)
+            else:
+                self._fix_underflow(path, node)
+            remaining -= removed
+            inserted += take
+            position += removed + delta
+
+    def _is_boundary(self, offset: int) -> bool:
+        """Whether an extent starts, or the object ends, at ``offset``
+        (an uncharged walk over the in-memory nodes)."""
+        if offset == self.total_bytes:
+            return True
+        node = self._peek_node(self.root_page_id)
+        start = 0
+        while True:
+            index, child_start = _choose_child(node, offset - start)
+            start += child_start
+            if node.is_leaf_parent:
+                return start == offset
+            node = self._peek_node(node.refs[index])
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -638,11 +670,9 @@ class PositionalTree:
             # root is memory-resident with the object descriptor, so its
             # accesses are never charged.
             return node
-        self.pool.fix(page_id)
+        frame = self.pool.fix(page_id)
         try:
-            frame = self.pool.lookup(page_id)
             if node is None:
-                assert frame is not None
                 node, _total, _rightmost = IndexNode.deserialize(
                     frame.content().ljust(self.config.page_size, b"\x00"),
                     page_id,

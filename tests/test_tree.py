@@ -1,5 +1,6 @@
 """Unit and property tests for the positional count tree."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import ByteRangeError
+from repro.core.errors import ByteRangeError, StorageCorruptionError
 from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree
 
@@ -50,6 +51,21 @@ class ReferenceTree:
     @property
     def total(self):
         return sum(self.sizes)
+
+
+def untouched_state(tree, env):
+    """What a refused ``replace_span`` must leave exactly as it was."""
+    return {
+        "extents": [
+            dataclasses.astuple(e) for e in tree.iter_extents(charged=False)
+        ],
+        "total_bytes": tree.total_bytes,
+        "dirty": sorted(tree._dirty),
+        "dirty flags": {n.page_id: n.dirty for n in tree._walk_nodes()},
+        "pool": dataclasses.astuple(env.pool.stats),
+        "io": dataclasses.astuple(env.cost.stats),
+        "index pages": env.areas.meta.allocated_pages,
+    }
 
 
 def assert_agrees(tree, ref):
@@ -176,8 +192,41 @@ class TestReplaceSpan:
     def test_unaligned_span_rejected(self, env):
         tree = make_tree(env)
         tree.append_extent(extent(env, 100))
-        with pytest.raises(Exception):
+        with pytest.raises(StorageCorruptionError):
             tree.replace_span(10, 50, [])
+
+    def test_span_ending_inside_an_extent_leaves_the_tree_untouched(self, env):
+        tree = make_tree(env)
+        for size in (100, 50, 30):
+            tree.append_extent(extent(env, size))
+        tree.end_op()
+        tree.begin_op()
+        before = untouched_state(tree, env)
+        with pytest.raises(StorageCorruptionError, match="not extent-aligned"):
+            tree.replace_span(0, 120, [])
+        tree.check_invariants()
+        assert untouched_state(tree, env) == before
+        assert tree.total_bytes == 180
+
+    @pytest.mark.parametrize(
+        "span", [(0, -1), (-1, 1), (150, 40), (181, 0), (0, 181)]
+    )
+    def test_span_outside_the_object_rejected(self, env, span):
+        tree = make_tree(env)
+        for size in (100, 50, 30):
+            tree.append_extent(extent(env, size))
+        before = untouched_state(tree, env)
+        with pytest.raises(ByteRangeError):
+            tree.replace_span(*span, [])
+        assert untouched_state(tree, env) == before
+
+    def test_empty_replacement_of_nothing_touches_nothing(self, env):
+        tree = make_tree(env)
+        tree.append_extent(extent(env, 100))
+        tree.end_op()
+        before = untouched_state(tree, env)
+        tree.replace_span(100, 0, [])
+        assert untouched_state(tree, env) == before
 
 
 class TestGrowthAndShrink:

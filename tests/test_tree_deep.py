@@ -5,8 +5,10 @@ import pytest
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
+from repro.core.errors import StorageCorruptionError
 from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree
+from tests.test_tree import untouched_state
 
 
 @pytest.fixture
@@ -81,6 +83,28 @@ class TestMultiLevelNavigation:
         assert tree.total_bytes == count * 10
         cursor = tree.locate(span_start)
         assert cursor.extent.used_bytes == 40
+
+    def test_misaligned_span_across_node_boundary_tears_nothing(self, env):
+        count = env.config.root_fanout + 4
+        tree = make_tree(env, extents=count, size=10)
+        boundary = tree._peek_node(tree.root_page_id).count(0)
+        span_start = boundary - 20
+        tree.begin_op()
+        tree.locate(span_start)                 # warm the pool
+        before = untouched_state(tree, env)
+        # Two whole extents of the first leaf parent, then one and a half
+        # of the second: the end falls inside an extent of another node.
+        with pytest.raises(StorageCorruptionError, match="not extent-aligned"):
+            tree.replace_span(span_start, 35, [])
+        tree.check_invariants()
+        after = untouched_state(tree, env)
+        # The refusal cost the pool the one descent to the span's start
+        # (a hit) and nothing else: the walk that found the ragged end
+        # is uncharged.
+        hits, *others = before.pop("pool")
+        assert after.pop("pool") == (hits + 1, *others)
+        assert after == before
+        assert tree.total_bytes == count * 10
 
 
 class TestEndOpBehaviour:

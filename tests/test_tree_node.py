@@ -226,7 +226,8 @@ def test_every_mutator_matches_a_naive_model(level, seed):
         other = b if m is a else a
         n = len(m.counts)
         op = rng.choice(
-            ("insert", "insert", "append", "pop", "add", "ref", "take")
+            ("insert", "insert", "append", "pop", "add", "ref", "take",
+             "splice")
         )
         if op in ("insert", "append") and n < 100:
             i = n if op == "append" else rng.randint(0, n)
@@ -255,8 +256,27 @@ def test_every_mutator_matches_a_naive_model(level, seed):
             else:
                 m.node.set_ref(i, META_AREA_BASE + p)
             m.pointers[i] = p
+        elif op == "splice" and level == 1 and n < 100:
+            i = rng.randint(0, n)
+            k = rng.randint(0, min(4, n - i))
+            gone = sum(m.counts[i:i + k])
+            counts = [rng.randint(1, 5000) for _ in range(rng.randint(0, 4))]
+            if 2 <= len(counts) <= gone and rng.random() < 0.5:
+                # The same bytes cut elsewhere: no net change, no shift.
+                cuts = sorted(rng.sample(range(1, gone), len(counts) - 1))
+                counts = [b - a for a, b in zip([0] + cuts, cuts + [gone])]
+            pointers = [next(pointer) for _ in counts]
+            delta = m.node.splice(
+                i, k, [m.ref(p, c) for p, c in zip(pointers, counts)]
+            )
+            assert delta == sum(counts) - gone
+            m.counts[i:i + k] = counts
+            m.pointers[i:i + k] = pointers
         elif op == "take" and len(other.counts) and n < 60:
-            start = rng.randint(0, len(other.counts))
+            room = 120 - n          # a 1,024-byte page holds 127 pairs
+            start = rng.randint(
+                max(0, len(other.counts) - room), len(other.counts)
+            )
             moved = m.node.take(other.node, start)
             assert moved == sum(other.counts[start:])
             m.counts += other.counts[start:]
@@ -269,8 +289,9 @@ def test_every_mutator_matches_a_naive_model(level, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_tree_rebalancing_matches_a_naive_model(seed):
     """Split, borrow, merge, root split and collapse through a
-    small-fanout tree: after every structural step each node's ``cums``
-    and serialized bytes equal a from-scratch encoding of its pairs."""
+    small-fanout tree, by spans of 0-4 extents replaced by 0-4: after
+    every operation each node's ``cums`` and serialized bytes equal a
+    from-scratch encoding of its pairs."""
     config = small_page_config(page_size=128)
     env = StorageEnvironment(config)
     tree = PositionalTree(
@@ -300,21 +321,20 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
                 node.level, counts, pointers, config.page_size
             )
 
-    def extent(nbytes: int) -> LeafExtent:
-        return LeafExtent(env.areas.data.allocate(1), nbytes, 1)
+    def extents(count: int) -> list[LeafExtent]:
+        return [
+            LeafExtent(env.areas.data.allocate(1), rng.randint(1, 100), 1)
+            for _ in range(count)
+        ]
 
     for step in range(600):
-        growing = step < 250 or (step >= 450 and rng.random() < 0.5)
+        growing = step < 150 or (step >= 450 and rng.random() < 0.5)
+        at = rng.randint(0, len(sizes))
+        gone = min(rng.randint(0, 1 if growing else 4), len(sizes) - at)
+        new = extents(rng.randint(1, 4) if growing else rng.randint(0, 1))
         tree.begin_op()
-        if growing or not sizes:
-            at = rng.randint(0, len(sizes))
-            nbytes = rng.randint(1, 100)
-            tree.replace_span(sum(sizes[:at]), 0, [extent(nbytes)])
-            sizes.insert(at, nbytes)
-        else:
-            at = rng.randrange(len(sizes))
-            tree.replace_span(sum(sizes[:at]), sizes[at], [])
-            del sizes[at]
+        tree.replace_span(sum(sizes[:at]), sum(sizes[at:at + gone]), new)
+        sizes[at:at + gone] = [e.used_bytes for e in new]
         tree.end_op()
         check()
     assert events == {
