@@ -439,7 +439,7 @@ class PositionalTree:
                 path = cursor.path
                 node, index = path.pop()
                 if position == self.total_bytes:
-                    index += 1
+                    index += 1      # past the rightmost pair ``locate`` gives
                 elif cursor.extent_start != position:
                     raise StorageCorruptionError(
                         f"byte {position} is not an extent boundary"
