@@ -200,6 +200,26 @@ class BufferPool:
         """True if the page is currently cached."""
         return page_id in self._frames
 
+    @property
+    def resident_count(self) -> int:
+        """Number of frames currently holding a page."""
+        return len(self._frames)
+
+    def resident_image(self, page_id: int) -> Payload | None:
+        """The full image of a cached page, counted as a hit, else None.
+
+        The copy-out of the 3-step I/O (Section 3.2): unlike
+        :meth:`read_run` a resident page keeps its place in the recency
+        order, and a missing one is neither read nor counted — the
+        caller decides how it is fetched.  A plain method, not a
+        ``@pure_read`` bracket: it sits on every unaligned segment read.
+        """
+        frame = self._frames.get(page_id)
+        if frame is None:
+            return None
+        self.stats.hits += 1
+        return _page_image(frame.content(), self.config.page_size)
+
     @pure_read
     def free_or_evictable(self) -> int:
         """Number of frames that are empty or hold unpinned pages.

@@ -28,7 +28,6 @@ from repro.core.payload import (
     payload_concat,
     payload_view,
 )
-from repro.exec.plan import IOPlan, ReadRun
 from repro.tree.backed import TreeBackedManager
 from repro.tree.node import LeafExtent
 from repro.tree.tree import Cursor, PositionalTree
@@ -175,18 +174,20 @@ class EOSManager(TreeBackedManager):
             span: list[LeafExtent] = []
             span_start = cursor.extent_start
             if left is not None:
-                cells.append(Cell([_whole(left)]))
+                cells.append(_whole_cell(left))
                 span.append(left)
                 span_start -= left.used_bytes
             if position:
-                cells.append(Cell([KeepPiece(target.page_id, position)]))
-            cells.append(Cell([MemPiece(data)]))
+                cells.append(
+                    Cell([KeepPiece(target.page_id, position)], position)
+                )
+            cells.append(Cell([MemPiece(data)], len(data)))
             cells.extend(
                 self._tail_cells(target, position, target.used_bytes - position)
             )
             span.append(target)
             if right is not None:
-                cells.append(Cell([_whole(right)]))
+                cells.append(_whole_cell(right))
                 span.append(right)
             self._apply_plan(tree, cells, span, span_start)
 
@@ -210,11 +211,13 @@ class EOSManager(TreeBackedManager):
         frag_len = 0
         if within_page:
             frag_len = min(page_size - within_page, tail_len)
-            cells.append(Cell([DiskPiece(extent.page_id, tail_off, frag_len)]))
+            cells.append(
+                Cell([DiskPiece(extent.page_id, tail_off, frag_len)], frag_len)
+            )
         rest_len = tail_len - frag_len
         if rest_len:
             rest_page = extent.page_id + (tail_off + frag_len) // page_size
-            cells.append(Cell([KeepPiece(rest_page, rest_len)]))
+            cells.append(Cell([KeepPiece(rest_page, rest_len)], rest_len))
         return cells
 
     # ------------------------------------------------------------------
@@ -246,14 +249,16 @@ class EOSManager(TreeBackedManager):
                 else None
             )
             if left is not None:
-                cells.append(Cell([_whole(left)]))
+                cells.append(_whole_cell(left))
                 span.insert(0, left)
                 span_start -= left.used_bytes
             if head_len:
-                cells.append(Cell([KeepPiece(first.page_id, head_len)]))
+                cells.append(
+                    Cell([KeepPiece(first.page_id, head_len)], head_len)
+                )
             cells.extend(self._tail_cells(last, tail_off, tail_len))
             if right is not None:
-                cells.append(Cell([_whole(right)]))
+                cells.append(_whole_cell(right))
                 span.append(right)
             self._apply_plan(tree, cells, span, span_start)
 
@@ -286,9 +291,7 @@ class EOSManager(TreeBackedManager):
         extent = cursor.extent
         page_size = self.config.page_size
         if self.env.shadow.overwrite_needs_new_segment():
-            content = self.env.segio.read_boundary_unaligned(
-                extent.page_id, 0, extent.used_bytes
-            )
+            content = self._read_extent(extent.page_id, 0, extent.used_bytes)
             patched = payload_concat(
                 [content[:position], data, content[position + len(data):]]
             )
@@ -358,9 +361,8 @@ class EOSManager(TreeBackedManager):
                     )
                 )
                 continue
-            content = payload_concat(
-                [self._piece_bytes(piece) for piece in cell.pieces]
-            )
+            parts = [self._piece_bytes(piece) for piece in cell.pieces]
+            content = parts[0] if len(parts) == 1 else payload_concat(parts)
             pages = -(-len(content) // page_size)
             page_id = self.env.areas.data.allocate(pages)
             self.env.segio.write_pages(page_id, content)
@@ -372,22 +374,23 @@ class EOSManager(TreeBackedManager):
         return extents, kept_ranges
 
     def _piece_bytes(self, piece) -> Payload:
-        """Materialize one plan piece; disk pieces go through a read plan."""
+        """Materialize one plan piece; disk pieces are one segment read."""
         if isinstance(piece, MemPiece):
             return piece.data
         if isinstance(piece, KeepPiece):
-            plan = IOPlan(runs=(ReadRun(piece.page_id, 0, piece.nbytes),))
-            return self.env.exec.execute_read(plan)
+            return self._read_extent(piece.page_id, 0, piece.nbytes)
         assert isinstance(piece, DiskPiece)
-        plan = IOPlan(
-            runs=(ReadRun(piece.page_id, piece.offset, piece.nbytes),)
-        )
-        return self.env.exec.execute_read(plan)
+        return self._read_extent(piece.page_id, piece.offset, piece.nbytes)
 
 
 def _whole(extent: LeafExtent) -> DiskPiece:
     """A piece denoting an existing segment's entire content."""
     return DiskPiece(extent.page_id, 0, extent.used_bytes)
+
+
+def _whole_cell(extent: LeafExtent) -> Cell:
+    """A cell that is an existing segment, untouched unless merged."""
+    return Cell([_whole(extent)], extent.used_bytes)
 
 
 def _subtract_kept(

@@ -66,10 +66,13 @@ class Cell:
     """A planned output segment (an ordered list of pieces)."""
 
     pieces: list[Piece]
+    #: Bytes the cell holds: counted once at construction unless the
+    #: maker already knows them (a merge sums its two halves).
+    nbytes: int = -1
 
-    @property
-    def nbytes(self) -> int:
-        return sum(piece.nbytes for piece in self.pieces)
+    def __post_init__(self) -> None:
+        if self.nbytes < 0:
+            self.nbytes = sum(piece.nbytes for piece in self.pieces)
 
     def pages(self, page_size: int) -> int:
         """Pages the cell's segment will occupy."""
@@ -88,34 +91,35 @@ def plan_cells(
 
     Two adjacent cells are merged when one of them has fewer than
     ``threshold_pages`` pages and their combined bytes fit in a segment of
-    at most ``threshold_pages`` pages.  Merging repeats until no adjacent
-    pair violates the constraint.  Kept prefixes inside merged cells lose
-    their in-place status (the executor copies them).
+    at most ``threshold_pages`` pages.  The leftmost such pair is merged
+    first, and merging repeats until no adjacent pair violates the
+    constraint.  Kept prefixes inside merged cells lose their in-place
+    status (the executor copies them).  The input cells are not changed;
+    unmerged ones are returned as they are.
     """
     if threshold_pages < 1:
         raise InvalidArgumentError("threshold must be at least one page")
     threshold_bytes = threshold_pages * page_size
-    merged = [Cell(list(cell.pieces)) for cell in cells if cell.nbytes > 0]
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(merged) - 1):
-            left, right = merged[index], merged[index + 1]
-            # "Less than T pages" is measured in bytes: a half-full page
-            # holds less than one page's worth, so sub-page fragments
-            # coalesce even with T = 1 and leaves degrade toward
-            # (roughly) T-page segments rather than byte-sized shards.
-            small = (
-                left.nbytes < threshold_bytes
-                or right.nbytes < threshold_bytes
-            )
-            combined = -(-(left.nbytes + right.nbytes) // page_size)
-            if small and combined <= threshold_pages:
-                merged[index : index + 2] = [
-                    Cell(left.pieces + right.pieces)
-                ]
-                changed = True
-                break
+    merged = [cell for cell in cells if cell.nbytes > 0]
+    index = 0
+    while index < len(merged) - 1:
+        left, right = merged[index], merged[index + 1]
+        combined = left.nbytes + right.nbytes
+        # "Less than T pages" is measured in bytes: a half-full page
+        # holds less than one page's worth, so sub-page fragments
+        # coalesce even with T = 1 and leaves degrade toward
+        # (roughly) T-page segments rather than byte-sized shards.
+        if (
+            left.nbytes < threshold_bytes or right.nbytes < threshold_bytes
+        ) and -(-combined // page_size) <= threshold_pages:
+            merged[index : index + 2] = [
+                Cell(left.pieces + right.pieces, combined)
+            ]
+            # The pairs left of this one were checked and did not change;
+            # only the merged cell's left neighbour sees a new partner.
+            index = max(index - 1, 0)
+        else:
+            index += 1
     return merged
 
 

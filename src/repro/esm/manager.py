@@ -34,7 +34,6 @@ from repro.core.payload import (
     payload_view,
 )
 from repro.esm import leaf as leaf_rules
-from repro.exec.plan import IOPlan, LeafWrite, ReadRun
 from repro.tree.backed import TreeBackedManager
 from repro.tree.node import LeafExtent
 from repro.tree.tree import Cursor, PositionalTree
@@ -66,6 +65,9 @@ class ESMManager(TreeBackedManager):
             raise InvalidArgumentError("leaf_pages must be at least 1")
         if self.options.leaf_pages > env.config.max_segment_pages:
             raise InvalidArgumentError("leaf_pages exceeds the maximum segment size")
+        if not self.options.partial_leaf_io:
+            # Whole-leaf I/O reads the full segment and slices in memory.
+            self._whole_leaf_pages = self.options.leaf_pages
 
     # ------------------------------------------------------------------
     # Derived parameters
@@ -143,7 +145,7 @@ class ESMManager(TreeBackedManager):
         span_start += sum(extent.used_bytes for extent in old[:keep])
         stream = payload_concat(
             [
-                self._read_extent(extent, 0, extent.used_bytes)
+                self._read_extent(extent.page_id, 0, extent.used_bytes)
                 for extent in rewritten
             ]
             + [data]
@@ -182,7 +184,7 @@ class ESMManager(TreeBackedManager):
     ) -> None:
         """Insert into a leaf with room: copy, update, flush (shadowed)."""
         extent = cursor.extent
-        content = self._read_extent(extent, 0, extent.used_bytes)
+        content = self._read_extent(extent.page_id, 0, extent.used_bytes)
         new_content = payload_concat(
             [content[:position], data, content[position:]]
         )
@@ -237,13 +239,19 @@ class ESMManager(TreeBackedManager):
                 span.append(right)
         parts: list[Payload] = []
         if prepend_left:
-            parts.append(self._read_extent(span[0], 0, span[0].used_bytes))
-        target_content = self._read_extent(target, 0, target.used_bytes)
+            parts.append(
+                self._read_extent(span[0].page_id, 0, span[0].used_bytes)
+            )
+        target_content = self._read_extent(
+            target.page_id, 0, target.used_bytes
+        )
         parts.append(target_content[:position])
         parts.append(data)
         parts.append(target_content[position:])
         if append_right:
-            parts.append(self._read_extent(span[-1], 0, span[-1].used_bytes))
+            parts.append(
+                self._read_extent(span[-1].page_id, 0, span[-1].used_bytes)
+            )
         stream = payload_concat(parts)
         sizes = leaf_rules.arrange_even(len(stream), capacity)
         new_extents = self._write_leaves(stream, sizes)
@@ -282,10 +290,12 @@ class ESMManager(TreeBackedManager):
             # Surviving bytes of the boundary leaves.
             parts: list[Payload] = []
             if head_len:
-                parts.append(self._read_extent(first, 0, head_len))
+                parts.append(self._read_extent(first.page_id, 0, head_len))
             if tail_len:
                 parts.append(
-                    self._read_extent(last, last.used_bytes - tail_len, tail_len)
+                    self._read_extent(
+                        last.page_id, last.used_bytes - tail_len, tail_len
+                    )
                 )
             # Engage a neighbour when the survivors would underflow.
             if (
@@ -297,7 +307,7 @@ class ESMManager(TreeBackedManager):
                 )
                 if neighbour is not None:
                     content = self._read_extent(
-                        neighbour, 0, neighbour.used_bytes
+                        neighbour.page_id, 0, neighbour.used_bytes
                     )
                     if at_front:
                         span.insert(0, neighbour)
@@ -355,7 +365,7 @@ class ESMManager(TreeBackedManager):
     ) -> None:
         extent = cursor.extent
         if self.env.shadow.overwrite_needs_new_segment():
-            content = self._read_extent(extent, 0, extent.used_bytes)
+            content = self._read_extent(extent.page_id, 0, extent.used_bytes)
             new_content = payload_concat(
                 [content[:position], data, content[position + len(data) :]]
             )
@@ -385,44 +395,21 @@ class ESMManager(TreeBackedManager):
 
     def _write_leaves(self, stream: Payload,
                       sizes: list[int]) -> list[LeafExtent]:
-        """Lay the stream out over fresh leaves via an allocate/write plan.
-
-        The plan describes one allocate-and-write intent per leaf (a
-        charged write of the useful prefix, or of the whole leaf under
-        the ablation's whole-leaf I/O); the batch engine executes it
-        against the buddy area and segment I/O layer in plan order.
+        """Lay the stream out over fresh leaves, one allocate-and-write
+        per leaf (a charged write of the useful prefix, or of the whole
+        leaf under the ablation's whole-leaf I/O), through the batch
+        engine's leaf-write loop.
         """
         if sum(sizes) != len(stream):
             raise ByteRangeError("leaf arrangement does not cover the bytes")
         alloc_pages = self.options.leaf_pages
         whole = 0 if self.options.partial_leaf_io else alloc_pages
-        plan = IOPlan(
-            writes=tuple(LeafWrite(alloc_pages, size, whole) for size in sizes)
+        page_ids = self.env.exec.execute_write_leaves(
+            [(alloc_pages, size, whole) for size in sizes], stream
         )
-        page_ids = self.env.exec.execute_write_leaves(plan, stream)
         return [
             LeafExtent(
                 page_id=page_id, used_bytes=size, alloc_pages=alloc_pages
             )
             for page_id, size in zip(page_ids, sizes)
         ]
-
-    def _plan_extent_read(
-        self, extent: LeafExtent, start: int, nbytes: int
-    ) -> ReadRun:
-        """Whole-leaf I/O reads the full segment and slices in memory."""
-        if self.options.partial_leaf_io:
-            return ReadRun(extent.page_id, start, nbytes)
-        return ReadRun(extent.page_id, start, nbytes, extent.alloc_pages)
-
-    def _read_extent(self, extent: LeafExtent, start: int,
-                     nbytes: int) -> Payload:
-        """Read bytes from one leaf segment (partial or whole-leaf I/O)."""
-        if nbytes == 0:
-            return b""
-        if self.options.partial_leaf_io:
-            return self.env.segio.read_boundary_unaligned(
-                extent.page_id, start, nbytes
-            )
-        whole = self.env.segio.read_pages(extent.page_id, extent.alloc_pages)
-        return whole[start : start + nbytes]

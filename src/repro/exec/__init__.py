@@ -1,4 +1,4 @@
-"""Batch execution engine: plan/execute split for large-object op streams.
+"""Batch execution engine: one lifecycle for a stream of large-object ops.
 
 The per-operation path charges and flushes as it goes: every manager
 operation walks manager → segio → pool → disk call-by-call, updates the
@@ -8,17 +8,19 @@ is faithful to the paper but makes Python call overhead the dominant
 wall-clock cost once the simulated workload grows past the paper's
 10 MB objects.
 
-:mod:`repro.exec` splits the hot paths into *plan* and *execute*:
+:mod:`repro.exec` holds what an op stream shares:
 
-* managers emit declarative :class:`~repro.exec.plan.IOPlan` run
-  descriptors (read runs, leaf writes, allocate and flush intents with
-  page ranges and charge classes) instead of interleaving policy with
-  pool calls;
-* the :class:`~repro.exec.engine.BatchEngine` executes whole plans and
-  whole *op batches* (``submit_ops``), group-committing the uncharged
-  root/descriptor flushes once per batch and pricing each op from the
-  one :class:`~repro.disk.iomodel.IOStats` ledger, read before and
-  after it.
+* the :class:`~repro.exec.engine.BatchEngine` executes whole *op
+  batches* (``submit_ops`` / ``submit_multi`` over the
+  :class:`~repro.exec.plan.BatchOp` descriptors), group-committing the
+  uncharged root/descriptor flushes once per batch, deferring frees
+  while a fault is armed or a commit is held, and pricing each op from
+  the one :class:`~repro.disk.iomodel.IOStats` ledger, read before and
+  after it;
+* its two run loops, ``execute_read`` and ``execute_write_leaves``, are
+  where a manager's multi-segment read and ESM's leaf layout reach the
+  segment I/O layer: they take plain tuples (no descriptor objects) and
+  issue one segment access per tuple, in order.
 
 The engine is strictly an execution strategy: reports, IOStats, and
 buffer-pool counters are bit-identical to the per-op path (enforced by
@@ -31,13 +33,8 @@ from __future__ import annotations
 
 from repro.exec.engine import BatchEngine, BatchResult
 from repro.exec.plan import (
-    CHARGED,
-    UNCHARGED,
     BatchOp,
-    IOPlan,
-    LeafWrite,
     MultiOp,
-    ReadRun,
     append_op,
     delete_op,
     insert_op,
@@ -50,12 +47,7 @@ __all__ = [
     "BatchEngine",
     "BatchOp",
     "BatchResult",
-    "CHARGED",
-    "UNCHARGED",
-    "IOPlan",
-    "LeafWrite",
     "MultiOp",
-    "ReadRun",
     "multi_op",
     "read_op",
     "append_op",

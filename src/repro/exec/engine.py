@@ -1,8 +1,8 @@
-"""The batch engine: executes plans and op batches over one environment.
+"""The batch engine: executes run lists and op batches over one environment.
 
 One :class:`BatchEngine` hangs off every
 :class:`~repro.core.env.StorageEnvironment` (``env.exec``).  Outside a
-batch it is inert — plan execution delegates straight to the segment
+batch it is inert — the two run loops delegate straight to the segment
 I/O layer and managers commit their own root pages and descriptors per
 operation, exactly as before.  Inside :meth:`BatchEngine.batch` two
 batch-scoped strategies switch on:
@@ -24,9 +24,9 @@ batch-scoped strategies switch on:
   batches free immediately, keeping pool counters bit-identical to the
   per-op path.
 
-The engine never coalesces charged runs: one :class:`ReadRun` or
-:class:`LeafWrite` maps to exactly the per-op path's physical calls, in
-the same order.  Only the uncharged flush intents are deduplicated.
+The engine never coalesces charged runs: one read run or leaf write maps
+to exactly the per-op path's physical calls, in the same order.  Only
+the uncharged flush intents are deduplicated.
 
 Simulated cost has one home: every charge lands in the environment's
 :class:`~repro.disk.iomodel.IOStats` ledger as it happens — batched or
@@ -56,7 +56,6 @@ from repro.exec.plan import (
     READ,
     REPLACE,
     BatchOp,
-    IOPlan,
     MultiOp,
 )
 
@@ -123,7 +122,7 @@ class BatchResult(NamedTuple):
 
 
 class BatchEngine:
-    """Plan/batch executor bound to one storage environment."""
+    """Run-list and batch executor bound to one storage environment."""
 
     def __init__(self, env: "StorageEnvironment") -> None:
         self.env = env
@@ -140,52 +139,58 @@ class BatchEngine:
         self._held: HeldCommit | None = None
 
     # ------------------------------------------------------------------
-    # Plan execution (used per op, inside or outside a batch)
+    # Run loops (used per op, inside or outside a batch)
     # ------------------------------------------------------------------
-    def execute_read(self, plan: IOPlan) -> Payload:
-        """Execute a read plan: each run charges the hybrid read policy.
+    def execute_read(
+        self, runs: Iterable[tuple[int, int, int, int]]
+    ) -> Payload:
+        """Read ``(page_id, start, nbytes, read_pages)`` runs, in order.
 
-        Runs are never coalesced — each corresponds to one segment
-        access of the paper's cost model, exactly as the per-op path
-        issued them.  A run with an explicit ``read_pages`` reads the
-        whole segment prefix and slices in memory (the whole-leaf I/O
-        ablation); the default derives the page range from the byte
-        range via the 3-step unaligned-boundary protocol.
+        Each run is one byte range within the segment starting at
+        ``page_id`` and charges the hybrid read policy.  Runs are never
+        coalesced — each corresponds to one segment access of the
+        paper's cost model, exactly as the per-op path issued them.  A
+        run with an explicit ``read_pages`` reads that many pages of the
+        segment and slices in memory (the whole-leaf I/O ablation); zero
+        derives the page range from the byte range via the 3-step
+        unaligned-boundary protocol.
         """
         segio = self.env.segio
         parts: list[Payload] = []
-        for run in plan.runs:
-            if run.read_pages:
-                whole = segio.read_pages(run.page_id, run.read_pages)
-                parts.append(whole[run.start : run.start + run.nbytes])
+        for page_id, start, nbytes, read_pages in runs:
+            if read_pages:
+                whole = segio.read_pages(page_id, read_pages)
+                parts.append(whole[start : start + nbytes])
             else:
                 parts.append(
-                    segio.read_boundary_unaligned(
-                        run.page_id, run.start, run.nbytes
-                    )
+                    segio.read_boundary_unaligned(page_id, start, nbytes)
                 )
-        return payload_concat(parts)
+        return parts[0] if len(parts) == 1 else payload_concat(parts)
 
-    def execute_write_leaves(self, plan: IOPlan, stream: Payload) -> list[int]:
-        """Execute a leaf-write plan against the data area.
+    def execute_write_leaves(
+        self, writes: Iterable[tuple[int, int, int]], stream: Payload
+    ) -> list[int]:
+        """Allocate and write one fresh leaf segment per
+        ``(alloc_pages, used_bytes, write_pages)`` entry, in order.
 
-        Per leaf, in plan order: claim ``alloc_pages`` from the buddy
-        data area, then write the leaf's slice of ``stream`` (padded to
-        ``write_pages`` pages under whole-leaf I/O).  The interleaving
-        matches the per-op path call-for-call, so buddy directory
-        accesses and charged writes land in identical order.  Returns
-        the first page id of each new leaf segment.
+        Per leaf: claim ``alloc_pages`` from the buddy data area, then
+        write the next ``used_bytes`` bytes of ``stream`` (padded to
+        ``write_pages`` pages under whole-leaf I/O; zero derives the
+        page count from ``used_bytes``).  The interleaving matches the
+        per-op path call-for-call, so buddy directory accesses and
+        charged writes land in identical order.  Returns the first page
+        id of each new leaf segment.
         """
         segio = self.env.segio
         allocate = self.env.areas.data.allocate
         page_ids: list[int] = []
         position = 0
-        for item in plan.writes:
-            page_id = allocate(item.alloc_pages)
-            chunk = stream[position : position + item.used_bytes]
-            position += item.used_bytes
-            if item.write_pages:
-                segio.write_pages(page_id, chunk, n_pages=item.write_pages)
+        for alloc_pages, used_bytes, write_pages in writes:
+            page_id = allocate(alloc_pages)
+            chunk = stream[position : position + used_bytes]
+            position += used_bytes
+            if write_pages:
+                segio.write_pages(page_id, chunk, n_pages=write_pages)
             else:
                 segio.write_pages(page_id, chunk)
             page_ids.append(page_id)

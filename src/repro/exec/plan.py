@@ -1,13 +1,8 @@
-"""Typed I/O plan descriptors emitted by the managers.
+"""The op descriptors a batch is submitted as.
 
-A plan is data, not behaviour: a tuple of run descriptors with page
-ranges and a *charge class* saying how executing the run hits the cost
-ledger.  The split lets the engine execute a whole operation (or a whole
-batch of operations) without the manager re-entering the pool per piece,
-and gives the coalescer a machine-checkable rule: only
-:data:`UNCHARGED` intents may ever be merged or deferred — a
-:data:`CHARGED` run corresponds one-to-one to physical I/O calls of the
-paper's cost model and must execute exactly as described.
+A batch is data, not behaviour: a sequence of :class:`BatchOp` values
+(or :class:`MultiOp` pairs naming their object) that the engine
+dispatches in order under one batch lifecycle.
 """
 
 from __future__ import annotations
@@ -15,58 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.core.payload import Payload
-
-#: Charge classes of a run descriptor.  ``CHARGED`` runs charge seeks
-#: and page transfers when executed and are never coalesced;
-#: ``UNCHARGED`` intents (root pokes, descriptor flushes) may be
-#: deduplicated and group-committed at batch boundaries.
-CHARGED = "charged"
-UNCHARGED = "uncharged"
-
-
-class ReadRun(NamedTuple):
-    """One byte range to read out of one segment (charge class: charged).
-
-    ``page_id`` is the segment's first page; ``start``/``nbytes`` are the
-    byte range *within* the segment.  ``read_pages`` is the explicit
-    page count of the charged read (the whole-leaf I/O ablation reads
-    the full segment and slices in memory); zero means "derive from the
-    byte range", the partial-leaf default.  Execution charges the
-    paper's hybrid read policy for the run (whole-run pool read, or the
-    3-step unaligned-boundary protocol), exactly as the per-op path
-    does.
-    """
-
-    page_id: int
-    start: int
-    nbytes: int
-    read_pages: int = 0
-
-
-class LeafWrite(NamedTuple):
-    """Allocate-and-write intent for one fresh leaf segment.
-
-    ``alloc_pages`` pages are claimed from the data area, then
-    ``used_bytes`` bytes of the plan's byte stream are written into the
-    new segment.  ``write_pages`` is the explicit page count of the
-    charged write (whole-leaf I/O pads it up to ``alloc_pages``); zero
-    means "derive from ``used_bytes``", the partial-leaf default.  The
-    allocation mutates the buddy directory and the write is charged —
-    both are executed in plan order, interleaved per leaf, matching the
-    per-op path call-for-call.
-    """
-
-    alloc_pages: int
-    used_bytes: int
-    write_pages: int
-
-
-class IOPlan(NamedTuple):
-    """A fully described I/O request: ordered runs over one object."""
-
-    runs: tuple[ReadRun, ...] = ()
-    writes: tuple[LeafWrite, ...] = ()
-
 
 #: ``BatchOp.kind`` values accepted by ``submit_ops``.  Lifecycle
 #: operations (create/destroy) are excluded: batches operate on one

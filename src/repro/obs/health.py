@@ -409,7 +409,7 @@ class HealthProbe:
     def _probe_pool(self) -> PoolHealth:
         pool = self.env.pool
         stats = pool.stats
-        resident = len(pool._frames)
+        resident = pool.resident_count
         _check(
             resident <= pool.capacity,
             f"pool holds {resident} frames over capacity {pool.capacity}",
@@ -417,7 +417,7 @@ class HealthProbe:
         return PoolHealth(
             capacity=pool.capacity,
             resident=resident,
-            pinned=pool._pinned,
+            pinned=pool.capacity - pool.headroom,
             hits=stats.hits,
             misses=stats.misses,
             evictions=stats.evictions,

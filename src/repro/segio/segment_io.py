@@ -23,7 +23,6 @@ from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError
 from repro.core.payload import Payload, payload_concat
-from repro.obs.tracer import span_of
 
 
 class SegmentIO:
@@ -75,45 +74,42 @@ class SegmentIO:
         work); recorded runs come back as real ``bytes``.
         """
         buffered = self._should_buffer(n_pages)
-        if buffered and self.pool.disk.tracer is None:
-            return self.pool.read_run(start_page, n_pages,
-                                      record=self.record_leaf_data)
-        with span_of(
-            self.pool.disk.tracer,
-            "segio.read",
-            start=start_page,
-            pages_n=n_pages,
-            buffered=buffered,
+        tracer = self.pool.disk.tracer
+        if tracer is None:
+            return self._read_pages(start_page, n_pages, buffered)
+        with tracer.span(
+            "segio.read", start=start_page, pages_n=n_pages, buffered=buffered
         ):
-            if buffered:
-                return self.pool.read_run(start_page, n_pages,
-                                          record=self.record_leaf_data)
-            # Large run: bypass the pool.  Boundary blocks that are already
-            # resident are taken from the pool; the interior is one direct
-            # I/O.
-            page_size = self.config.page_size
-            first_cached = self._resident_content(start_page)
-            last_cached = (
-                self._resident_content(start_page + n_pages - 1)
-                if n_pages > 1
-                else None
+            return self._read_pages(start_page, n_pages, buffered)
+
+    def _read_pages(self, start_page: int, n_pages: int,
+                    buffered: bool) -> Payload:
+        """The one body of :meth:`read_pages`, traced or not."""
+        pool = self.pool
+        if buffered:
+            return pool.read_run(start_page, n_pages,
+                                 record=self.record_leaf_data)
+        # Large run: bypass the pool.  Boundary blocks that are already
+        # resident are taken from the pool; the interior is one direct
+        # I/O.
+        first_cached = pool.resident_image(start_page)
+        last_cached = (
+            pool.resident_image(start_page + n_pages - 1)
+            if n_pages > 1
+            else None
+        )
+        middle_start = start_page + (first_cached is not None)
+        middle_end = start_page + n_pages - (last_cached is not None)
+        chunks: list[Payload] = []
+        if first_cached is not None:
+            chunks.append(first_cached)
+        if middle_end > middle_start:
+            chunks.append(
+                pool.disk.read_pages(middle_start, middle_end - middle_start)
             )
-            middle_start = start_page + (1 if first_cached is not None else 0)
-            middle_end = (
-                start_page + n_pages - (1 if last_cached is not None else 0)
-            )
-            chunks: list[Payload] = []
-            if first_cached is not None:
-                chunks.append(first_cached.ljust(page_size, b"\x00"))
-            if middle_end > middle_start:
-                chunks.append(
-                    self.pool.disk.read_pages(
-                        middle_start, middle_end - middle_start
-                    )
-                )
-            if last_cached is not None:
-                chunks.append(last_cached.ljust(page_size, b"\x00"))
-            return payload_concat(chunks)
+        if last_cached is not None:
+            chunks.append(last_cached)
+        return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
 
     def read_boundary_unaligned(
         self, segment_page: int, byte_off: int, nbytes: int
@@ -131,51 +127,55 @@ class SegmentIO:
             return b""
         page_size = self.config.page_size
         first = byte_off // page_size
-        last = (byte_off + nbytes - 1) // page_size
-        n_pages = last - first + 1
+        n_pages = (byte_off + nbytes - 1) // page_size - first + 1
+        start = byte_off - first * page_size
         buffered = self._should_buffer(n_pages)
-        if buffered and self.pool.disk.tracer is None:
-            # Untraced buffered read (the hot case): no span bookkeeping,
-            # and a page-aligned whole-run request needs no slice at all.
-            data = self.pool.read_run(segment_page + first, n_pages,
-                                      record=self.record_leaf_data)
-            start = byte_off - first * page_size
-            if start == 0 and nbytes == len(data):
-                return data
-            return data[start : start + nbytes]
-        with span_of(
-            self.pool.disk.tracer,
-            "segio.read_unaligned",
-            start=segment_page + first,
-            pages_n=n_pages,
-            buffered=buffered,
-        ):
-            if buffered:
-                data = self.pool.read_run(segment_page + first, n_pages,
-                                          record=self.record_leaf_data)
-                start = byte_off - first * page_size
-                return data[start : start + nbytes]
-
-            left_unaligned = byte_off % page_size != 0
-            right_unaligned = (byte_off + nbytes) % page_size != 0
-            chunks: list[Payload] = []
-            middle_start = segment_page + first
-            middle_count = n_pages
-            if left_unaligned:
-                chunks.append(self._read_one_page(segment_page + first))
-                middle_start += 1
-                middle_count -= 1
-            if right_unaligned and middle_count > 0:
-                middle_count -= 1
-            if middle_count > 0:
-                chunks.append(
-                    self.pool.disk.read_pages(middle_start, middle_count)
+        tracer = self.pool.disk.tracer
+        if tracer is None:
+            data = self._read_covering(
+                segment_page + first, n_pages, buffered, start, nbytes
+            )
+        else:
+            with tracer.span(
+                "segio.read_unaligned",
+                start=segment_page + first,
+                pages_n=n_pages,
+                buffered=buffered,
+            ):
+                data = self._read_covering(
+                    segment_page + first, n_pages, buffered, start, nbytes
                 )
-            if right_unaligned and (not left_unaligned or n_pages > 1):
-                chunks.append(self._read_one_page(segment_page + last))
-            data = payload_concat(chunks)
-            start = byte_off - first * page_size
-            return data[start : start + nbytes]
+        # A page-aligned whole-run request needs no slice at all.
+        if start == 0 and nbytes == len(data):
+            return data
+        return data[start : start + nbytes]
+
+    def _read_covering(self, start_page: int, n_pages: int, buffered: bool,
+                       start: int, nbytes: int) -> Payload:
+        """The one body of :meth:`read_boundary_unaligned`, traced or not:
+        the pages covering ``nbytes`` bytes from ``start`` bytes into
+        ``start_page``."""
+        pool = self.pool
+        if buffered:
+            return pool.read_run(start_page, n_pages,
+                                 record=self.record_leaf_data)
+        page_size = self.config.page_size
+        left_unaligned = start != 0
+        right_unaligned = (start + nbytes) % page_size != 0
+        chunks: list[Payload] = []
+        middle_start = start_page
+        middle_count = n_pages
+        if left_unaligned:
+            chunks.append(self._boundary_page(start_page))
+            middle_start += 1
+            middle_count -= 1
+        if right_unaligned and middle_count > 0:
+            middle_count -= 1
+        if middle_count > 0:
+            chunks.append(pool.disk.read_pages(middle_start, middle_count))
+        if right_unaligned and (not left_unaligned or n_pages > 1):
+            chunks.append(self._boundary_page(start_page + n_pages - 1))
+        return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
 
     # ------------------------------------------------------------------
     # Writes
@@ -186,20 +186,20 @@ class SegmentIO:
 
         ``data`` may end mid-page; the tail of the last page is zero
         filled.  Resident pool copies are refreshed (clean) so subsequent
-        buffered reads see the new content.
+        buffered reads see the new content.  The body is the one
+        :meth:`~repro.buffer.pool.BufferPool.write_run` call, traced or
+        not.
         """
-        page_size = self.config.page_size
         if n_pages is None:
-            n_pages = -(-len(data) // page_size)
+            n_pages = -(-len(data) // self.config.page_size)
         pool = self.pool
-        if pool.disk.tracer is None:
+        tracer = pool.disk.tracer
+        if tracer is None:
             pool.write_run(
                 start_page, n_pages, data, record=self.record_leaf_data
             )
             return
-        with span_of(
-            pool.disk.tracer, "segio.write", start=start_page, pages_n=n_pages
-        ):
+        with tracer.span("segio.write", start=start_page, pages_n=n_pages):
             pool.write_run(
                 start_page, n_pages, data, record=self.record_leaf_data
             )
@@ -225,20 +225,16 @@ class SegmentIO:
             and n_pages <= pool.headroom
         )
 
-    def _resident_content(self, page_id: int) -> Payload | None:
-        frame = self.pool.lookup(page_id)
-        if frame is None:
-            return None
-        self.pool.stats.hits += 1
-        return frame.content()
-
-    def _read_one_page(self, page_id: int) -> Payload:
-        """Read one page, through the pool when possible."""
-        frame = self.pool.lookup(page_id)
-        if frame is not None:
-            self.pool.stats.hits += 1
-            return frame.content().ljust(self.config.page_size, b"\x00")
-        if not self.bypass_pool and self.pool.can_accommodate(1):
-            return self.pool.read_run(page_id, 1, record=self.record_leaf_data)
-        self.pool.stats.misses += 1
-        return self.pool.disk.read_pages(page_id, 1)
+    def _boundary_page(self, page_id: int) -> Payload:
+        """One boundary block of the 3-step read, through the pool when
+        possible: copied out of its frame if resident (recency
+        unchanged), else brought in if a frame can be had, else read
+        around the pool and counted as the miss it is."""
+        pool = self.pool
+        page = pool.resident_image(page_id)
+        if page is not None:
+            return page
+        if not self.bypass_pool and pool.headroom >= 1:
+            return pool.read_run(page_id, 1, record=self.record_leaf_data)
+        pool.stats.misses += 1
+        return pool.disk.read_pages(page_id, 1)

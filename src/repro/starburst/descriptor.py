@@ -92,21 +92,20 @@ class LongFieldDescriptor:
         )
 
     def locate(self, offset: int) -> tuple[int, int]:
-        """Map a byte offset to (segment index, offset within segment)."""
-        if not 0 <= offset < self.total_bytes:
-            raise StorageCorruptionError(
-                f"offset {offset} outside field of {self.total_bytes} bytes"
-            )
-        position = 0
-        for index, segment in enumerate(self.segments):
-            if offset < position + segment.used_bytes:
-                return index, offset - position
-            position += segment.used_bytes
-        raise StorageCorruptionError("descriptor sizes inconsistent")
+        """Map a byte offset to (segment index, offset within segment).
 
-    def segment_start(self, index: int) -> int:
-        """Byte offset at which the ``index``-th segment begins."""
-        return sum(s.used_bytes for s in self.segments[:index])
+        One pass over the segments: an offset that no segment holds is
+        found out by running off their end, not by summing them first.
+        """
+        within = offset
+        if within >= 0:
+            for index, segment in enumerate(self.segments):
+                if within < segment.used_bytes:
+                    return index, within
+                within -= segment.used_bytes
+        raise StorageCorruptionError(
+            f"offset {offset} outside field of {self.total_bytes} bytes"
+        )
 
     def check_capacity(self, n_segments: int) -> None:
         """Raise if the descriptor cannot reference ``n_segments`` segments."""

@@ -27,7 +27,6 @@ from repro.core.payload import (
     payload_concat,
     payload_view,
 )
-from repro.exec.plan import IOPlan, ReadRun
 from repro.starburst.descriptor import (
     LongFieldDescriptor,
     Segment,
@@ -90,10 +89,7 @@ class StarburstManager(LargeObjectManager):
             segment.used_bytes = len(chunk)
             descriptor.check_capacity(len(descriptor.segments) + 1)
             descriptor.segments.append(segment)
-            writer = _TailWriter(self, [segment])
-            staging = self.config.staging_buffer_bytes
-            for start in range(0, len(chunk), staging):
-                writer.write(chunk[start : start + staging])
+            self._copy_through_staging([], 0, chunk, 0, [segment])
             position += len(chunk)
 
     def destroy(self, oid: int) -> None:
@@ -119,34 +115,31 @@ class StarburstManager(LargeObjectManager):
     def read(self, oid: int, offset: int, nbytes: int) -> Payload:
         """Read a byte range straight from the affected segments.
 
-        The descriptor walk *plans* the read — one charged run per
-        affected segment — and the batch engine executes the plan.
+        The descriptor walk yields one charged run per affected segment
+        and the batch engine's read loop takes them to the segment I/O
+        layer.  Descriptor accesses themselves are not charged: the
+        descriptor lives in the small object that owns the long field
+        (Section 2.2), so like the ESM/EOS root page it costs no
+        large-object I/O (Starburst's 100-byte read in Table 2 is exactly
+        one data-page access).
         """
         descriptor = self._descriptor(oid)
         self._check_range(oid, offset, nbytes)
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):
-            self._touch_descriptor(descriptor)
-            return self.env.exec.execute_read(
-                self._plan_read(descriptor, offset, nbytes)
-            )
-
-    def _plan_read(
-        self, descriptor: LongFieldDescriptor, offset: int, nbytes: int
-    ) -> IOPlan:
-        """Describe a byte-range read as charged per-segment run descriptors."""
-        index, within = descriptor.locate(offset)
-        runs: list[ReadRun] = []
-        remaining = nbytes
-        while remaining > 0:
-            segment = descriptor.segments[index]
-            take = min(segment.used_bytes - within, remaining)
-            runs.append(ReadRun(segment.page_id, within, take))
-            remaining -= take
-            within = 0
-            index += 1
-        return IOPlan(runs=tuple(runs))
+            index, within = descriptor.locate(offset)
+            segments = descriptor.segments
+            runs = []
+            remaining = nbytes
+            while remaining > 0:
+                segment = segments[index]
+                take = min(segment.used_bytes - within, remaining)
+                runs.append((segment.page_id, within, take, 0))
+                remaining -= take
+                within = 0
+                index += 1
+            return self.env.exec.execute_read(runs)
 
     # ------------------------------------------------------------------
     # Append
@@ -157,7 +150,6 @@ class StarburstManager(LargeObjectManager):
         if not data:
             return
         with self._op_span("append", oid), self._op(descriptor):
-            self._touch_descriptor(descriptor)
             remaining = payload_view(data)
             if descriptor.segments:
                 last = descriptor.segments[-1]
@@ -212,13 +204,11 @@ class StarburstManager(LargeObjectManager):
             self.append(oid, data)
             return
         with self._op_span("insert", oid), self._op(descriptor):
-            self._touch_descriptor(descriptor)
             index, within = descriptor.locate(offset)
-            start = descriptor.segment_start(index)
             self._rewrite_tail(
                 descriptor,
                 first_index=index,
-                splice_at=offset - start,
+                splice_at=within,
                 insert_data=data,
                 delete_bytes=0,
             )
@@ -232,13 +222,11 @@ class StarburstManager(LargeObjectManager):
         if nbytes == 0:
             return
         with self._op_span("delete", oid), self._op(descriptor):
-            self._touch_descriptor(descriptor)
             index, within = descriptor.locate(offset)
-            start = descriptor.segment_start(index)
             self._rewrite_tail(
                 descriptor,
                 first_index=index,
-                splice_at=offset - start,
+                splice_at=within,
                 insert_data=b"",
                 delete_bytes=nbytes,
             )
@@ -253,7 +241,6 @@ class StarburstManager(LargeObjectManager):
         if not data:
             return
         with self._op_span("replace", oid), self._op(descriptor):
-            self._touch_descriptor(descriptor)
             index, within = descriptor.locate(offset)
             remaining = payload_view(data)
             while remaining:
@@ -337,15 +324,6 @@ class StarburstManager(LargeObjectManager):
         """Group-commit entry point used by the batch engine."""
         self._flush_descriptor(descriptor)
 
-    def _touch_descriptor(self, descriptor: LongFieldDescriptor) -> None:
-        """Access the long field descriptor.
-
-        The descriptor lives in the small object that owns the long field
-        (Section 2.2); like the ESM/EOS root page, its accesses are not
-        charged as large-object I/O (Starburst's 100-byte read in Table 2
-        costs exactly one data-page access).
-        """
-
     def _flush_descriptor(self, descriptor: LongFieldDescriptor) -> None:
         """Keep the descriptor's disk image current, without I/O charges."""
         tracer = self.env.tracer
@@ -382,14 +360,11 @@ class StarburstManager(LargeObjectManager):
             return 0
         first_dirty = segment.used_bytes // page_size
         within = segment.used_bytes - first_dirty * page_size
-        prefix: Payload = b""
+        chunk = data[:take]
         if within:
             page = self.env.segio.read_pages(segment.page_id + first_dirty, 1)
-            prefix = page[:within]
-        self.env.segio.write_pages(
-            segment.page_id + first_dirty,
-            payload_concat([prefix, data[:take]]),
-        )
+            chunk = payload_concat([page[:within], chunk])
+        self.env.segio.write_pages(segment.page_id + first_dirty, chunk)
         segment.used_bytes += take
         return take
 
@@ -440,16 +415,9 @@ class StarburstManager(LargeObjectManager):
         new_segments = self._plan_tail(descriptor, first_index, new_tail_bytes)
         descriptor.check_capacity(first_index + len(new_segments))
 
-        reader = _TailReader(
-            self, old_segments, splice_at, insert_data, delete_bytes
+        self._copy_through_staging(
+            old_segments, splice_at, insert_data, delete_bytes, new_segments
         )
-        writer = _TailWriter(self, new_segments)
-        staging = self.config.staging_buffer_bytes
-        remaining = new_tail_bytes
-        while remaining > 0:
-            chunk = reader.read(min(staging, remaining))
-            writer.write(chunk)
-            remaining -= len(chunk)
 
         for segment in old_segments:
             self.env.areas.data.free(segment.page_id, segment.alloc_pages)
@@ -482,116 +450,96 @@ class StarburstManager(LargeObjectManager):
             index += 1
         return segments
 
-
-class _TailReader:
-    """Streams the spliced byte sequence of a tail rewrite.
-
-    Reading is charged per (segment, staging-chunk) intersection: copying
-    the long field "for all practical purposes ... can not be copied in
-    two steps" (Section 4.4.3), so each staging chunk costs one read call
-    per old segment it overlaps.
-    """
-
-    def __init__(
+    def _copy_through_staging(
         self,
-        manager: StarburstManager,
         old_segments: list[Segment],
         splice_at: int,
         insert_data: Payload,
         delete_bytes: int,
+        new_segments: list[Segment],
     ) -> None:
-        self._manager = manager
-        self._segments = old_segments
-        total_old = sum(s.used_bytes for s in old_segments)
-        #: Ordered source pieces: ("old", start, length) or ("mem", bytes).
-        self._pieces: list[tuple] = []
-        if splice_at > 0:
-            self._pieces.append(("old", 0, splice_at))
-        if insert_data:
-            self._pieces.append(("mem", insert_data))
-        after = splice_at + delete_bytes
-        if after < total_old:
-            self._pieces.append(("old", after, total_old - after))
-        self._piece_index = 0
-        self._piece_done = 0
+        """Stream the spliced byte sequence into ``new_segments``, one
+        staging buffer at a time: the old bytes before ``splice_at``,
+        then ``insert_data``, then the old bytes ``delete_bytes`` further
+        on; the new segments' ``used_bytes`` say how many there are.
 
-    def read(self, nbytes: int) -> Payload:
-        """Read a byte range straight from the affected segments."""
-        chunks: list[Payload] = []
-        got = 0
-        while got < nbytes and self._piece_index < len(self._pieces):
-            piece = self._pieces[self._piece_index]
-            if piece[0] == "mem":
-                data = piece[1]
-                take = min(nbytes - got, len(data) - self._piece_done)
-                chunks.append(data[self._piece_done : self._piece_done + take])
-            else:
-                _kind, start, length = piece
-                take = min(nbytes - got, length - self._piece_done)
-                chunks.append(self._read_old(start + self._piece_done, take))
-            self._piece_done += take
-            got += take
-            piece_length = (
-                len(piece[1]) if piece[0] == "mem" else piece[2]
-            )
-            if self._piece_done == piece_length:
-                self._piece_index += 1
-                self._piece_done = 0
-        return payload_concat(chunks)
+        Each staging chunk is read whole, then written whole.  Reading
+        is charged per (segment, staging-chunk) intersection: copying
+        the long field "for all practical purposes ... can not be copied
+        in two steps" (Section 4.4.3), so each chunk costs one read call
+        per old segment it overlaps, and one write call per new segment
+        it reaches — preceded, when the write cursor stands mid-page, by
+        a read-back of that page for the bytes already in it.
 
-    def _read_old(self, position: int, nbytes: int) -> Payload:
-        """Read the old tail's byte range, one call per segment touched."""
-        chunks: list[Payload] = []
-        remaining = nbytes
-        start = 0
-        for segment in self._segments:
-            end = start + segment.used_bytes
-            if position < end and remaining > 0:
-                within = position - start
-                take = min(end - position, remaining)
-                chunks.append(
-                    self._manager.env.segio.read_boundary_unaligned(
-                        segment.page_id, within, take
+        Two cursors, both of which only move right: the read cursor is a
+        position in the spliced sequence plus the old segment it falls
+        in and that segment's first byte; the write cursor is a new
+        segment and the bytes written into it.
+        """
+        segio = self.env.segio
+        read = segio.read_boundary_unaligned
+        page_size = self.config.page_size
+        staging = self.config.staging_buffer_bytes
+        total = sum(segment.used_bytes for segment in new_segments)
+        mem_end = splice_at + len(insert_data)
+        # Past the inserted bytes, spliced position + shift = old position.
+        shift = delete_bytes - len(insert_data)
+        position = 0
+        old_index = 0
+        old_start = 0
+        old_end = old_segments[0].used_bytes if old_segments else 0
+        new_index = 0
+        written = 0
+        while position < total:
+            # Fill the staging buffer from the source pieces.
+            end = min(position + staging, total)
+            size = end - position
+            parts: list[Payload] = []
+            while position < end:
+                if splice_at <= position < mem_end:
+                    stop = min(end, mem_end)
+                    parts.append(
+                        insert_data[position - splice_at : stop - splice_at]
                     )
-                )
-                position += take
-                remaining -= take
-            start = end
-            if remaining <= 0:
-                break
-        return payload_concat(chunks)
-
-
-class _TailWriter:
-    """Streams staging chunks into the freshly allocated tail segments."""
-
-    def __init__(self, manager: StarburstManager, segments: list[Segment]) -> None:
-        self._manager = manager
-        self._segments = segments
-        self._index = 0
-        self._written_in_segment = 0
-
-    def write(self, data: Payload) -> None:
-        view = payload_view(data)
-        while view:
-            segment = self._segments[self._index]
-            room = segment.used_bytes - self._written_in_segment
-            take = min(room, len(view))
-            page_size = self._manager.config.page_size
-            first_dirty = self._written_in_segment // page_size
-            within = self._written_in_segment - first_dirty * page_size
-            prefix: Payload = b""
-            if within:
-                page = self._manager.env.segio.read_pages(
-                    segment.page_id + first_dirty, 1
-                )
-                prefix = page[:within]
-            self._manager.env.segio.write_pages(
-                segment.page_id + first_dirty,
-                payload_concat([prefix, payload_bytes(view[:take])]),
-            )
-            self._written_in_segment += take
-            view = view[take:]
-            if self._written_in_segment == segment.used_bytes:
-                self._index += 1
-                self._written_in_segment = 0
+                else:
+                    # Old bytes: one read per old segment they lie in.
+                    if position < splice_at:
+                        stop = min(end, splice_at)
+                        source = position
+                    else:
+                        stop = end
+                        source = position + shift
+                    source_stop = source + stop - position
+                    while source < source_stop:
+                        while source >= old_end:
+                            old_index += 1
+                            old_start = old_end
+                            old_end += old_segments[old_index].used_bytes
+                        take = min(old_end, source_stop) - source
+                        parts.append(
+                            read(
+                                old_segments[old_index].page_id,
+                                source - old_start,
+                                take,
+                            )
+                        )
+                        source += take
+                position = stop
+            chunk = parts[0] if len(parts) == 1 else payload_concat(parts)
+            # Empty it into the new segments.
+            done = 0
+            while done < size:
+                segment = new_segments[new_index]
+                take = min(segment.used_bytes - written, size - done)
+                first_dirty = written // page_size
+                within = written - first_dirty * page_size
+                data = chunk if take == size else chunk[done : done + take]
+                if within:
+                    page = segio.read_pages(segment.page_id + first_dirty, 1)
+                    data = payload_concat([page[:within], data])
+                segio.write_pages(segment.page_id + first_dirty, data)
+                done += take
+                written += take
+                if written == segment.used_bytes:
+                    new_index += 1
+                    written = 0

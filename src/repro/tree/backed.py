@@ -14,8 +14,6 @@ from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.payload import Payload
 from repro.core.manager import LargeObjectManager
-from repro.exec.plan import IOPlan, ReadRun
-from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree
 
 
@@ -25,6 +23,10 @@ class TreeBackedManager(LargeObjectManager):
     def __init__(self, env: StorageEnvironment) -> None:
         super().__init__(env)
         self._objects: dict[int, PositionalTree] = {}
+        #: Pages every segment read is charged for.  Zero, the default,
+        #: reads only the pages the byte range touches; ESM's whole-leaf
+        #: I/O ablation sets it to the leaf size.
+        self._whole_leaf_pages = 0
 
     # ------------------------------------------------------------------
     # Leaf policy hook
@@ -81,51 +83,38 @@ class TreeBackedManager(LargeObjectManager):
     def read(self, oid: int, offset: int, nbytes: int) -> Payload:
         """Read a byte range located through the positional tree.
 
-        The tree descent *plans* the read — a run descriptor per covered
-        extent — and the batch engine executes the plan against the
-        segment I/O layer.  Phantom leaf data comes back as a
-        length-only :class:`~repro.core.payload.SizedPayload`; recorded
-        data as real ``bytes``.
+        The tree descent yields one run per covered extent and the batch
+        engine's read loop takes them to the segment I/O layer.  Phantom
+        leaf data comes back as a length-only
+        :class:`~repro.core.payload.SizedPayload`; recorded data as real
+        ``bytes``.
         """
         tree = self._tree(oid)
         self._check_range(oid, offset, nbytes)
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):
-            return self.env.exec.execute_read(
-                self._plan_read(tree, offset, nbytes)
-            )
+            end = offset + nbytes
+            whole = self._whole_leaf_pages
+            runs = []
+            for extent, start in tree.extents_covering(offset, nbytes):
+                lo = max(offset, start) - start
+                hi = min(end, start + extent.used_bytes) - start
+                if hi > lo:
+                    runs.append((extent.page_id, lo, hi - lo, whole))
+            return self.env.exec.execute_read(runs)
 
-    def _plan_read(
-        self, tree: PositionalTree, offset: int, nbytes: int
-    ) -> IOPlan:
-        """Describe a byte-range read as charged per-extent run descriptors."""
-        runs: list[ReadRun] = []
-        for extent, start in tree.extents_covering(offset, nbytes):
-            lo = max(offset, start) - start
-            hi = min(offset + nbytes, start + extent.used_bytes) - start
-            if hi > lo:
-                runs.append(self._plan_extent_read(extent, lo, hi - lo))
-        return IOPlan(runs=tuple(runs))
-
-    def _plan_extent_read(
-        self, extent: LeafExtent, start: int, nbytes: int
-    ) -> ReadRun:
-        """Describe a read of ``nbytes`` at ``start`` within one extent.
-
-        Subclasses override to change the charged page range (ESM's
-        whole-leaf I/O ablation reads the full segment).
+    def _read_extent(self, page_id: int, start: int, nbytes: int) -> Payload:
+        """Read bytes of the segment at ``page_id`` under the hybrid
+        buffering policy: the one single-segment read of the update paths.
         """
-        return ReadRun(extent.page_id, start, nbytes)
-
-    def _read_extent(self, extent: LeafExtent, start: int,
-                     nbytes: int) -> Payload:
-        """Read bytes from one segment under the hybrid buffering policy."""
         if nbytes == 0:
             return b""
-        return self.env.segio.read_boundary_unaligned(
-            extent.page_id, start, nbytes
-        )
+        segio = self.env.segio
+        if self._whole_leaf_pages:
+            whole = segio.read_pages(page_id, self._whole_leaf_pages)
+            return whole[start : start + nbytes]
+        return segio.read_boundary_unaligned(page_id, start, nbytes)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -133,6 +133,33 @@ class TestReadRun:
         assert not pool.can_accommodate(3)
 
 
+class TestResidentImage:
+    def test_copies_out_a_hit_without_touching_recency(self):
+        _config, cost, disk, pool = make_pool(pool_pages=2)
+        disk.poke_pages(1, b"one".ljust(128, b"\x00") + b"two")
+        pool.read_run(1, 2)
+        before = cost.stats.io_calls
+        assert pool.resident_image(1) == b"one".ljust(128, b"\x00")
+        assert (pool.stats.hits, pool.stats.misses) == (1, 2)
+        assert cost.stats.io_calls == before
+        # Page 1 is still the least recent: it, not page 2, makes room.
+        pool.read_run(9, 1)
+        assert not pool.is_resident(1) and pool.is_resident(2)
+
+    def test_absent_page_is_none_and_not_a_miss(self):
+        _config, cost, _disk, pool = make_pool()
+        assert pool.resident_image(7) is None
+        assert (pool.stats.hits, pool.stats.misses) == (0, 0)
+        assert cost.stats.io_calls == 0 and pool.resident_count == 0
+
+    def test_short_content_is_padded_to_the_page(self):
+        _config, _cost, _disk, pool = make_pool()
+        pool.fix_new(3, b"fresh")
+        pool.unfix(3)
+        assert pool.resident_image(3) == b"fresh".ljust(128, b"\x00")
+        assert pool.resident_count == 1
+
+
 class TestInvalidation:
     def test_invalidate_discards_dirty_content(self):
         _config, cost, _disk, pool = make_pool()

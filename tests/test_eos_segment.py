@@ -1,5 +1,7 @@
 """Tests for EOS segment planning and the threshold-T rule (Section 2.3)."""
 
+import random
+
 import pytest
 
 from repro.eos.segment import (
@@ -95,6 +97,53 @@ class TestThresholdRule:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             plan_cells([], threshold_pages=0, page_size=PAGE)
+
+    @pytest.mark.parametrize("threshold", [1, 2, 4, 8])
+    def test_resumed_scan_merges_what_a_restarted_scan_merges(self, threshold):
+        # The reference restarts at the first pair after every merge and
+        # counts each cell's bytes from its pieces, as the planner did
+        # before it kept the count and resumed one pair to the left.
+        def restarting(cells):
+            merged = [Cell(list(cell.pieces)) for cell in cells if cell.pieces
+                      and sum(piece.nbytes for piece in cell.pieces)]
+            changed = True
+            while changed:
+                changed = False
+                for index in range(len(merged) - 1):
+                    left, right = merged[index], merged[index + 1]
+                    left_bytes = sum(piece.nbytes for piece in left.pieces)
+                    right_bytes = sum(piece.nbytes for piece in right.pieces)
+                    small = (
+                        left_bytes < threshold * PAGE
+                        or right_bytes < threshold * PAGE
+                    )
+                    if small and -(-(left_bytes + right_bytes) // PAGE) <= threshold:
+                        merged[index:index + 2] = [
+                            Cell(left.pieces + right.pieces)
+                        ]
+                        changed = True
+                        break
+            return merged
+
+        rng = random.Random(threshold)
+        for _ in range(300):
+            cells = [
+                cell_of(
+                    rng.choice([0, 1, 30, 50, 99, 100, 101, 250, 400, 900]),
+                    kind=rng.choice(["mem", "disk", "keep"]),
+                    page_id=page_id,
+                )
+                for page_id in range(rng.randint(0, 9))
+            ]
+            pieces_before = [list(cell.pieces) for cell in cells]
+            plan = plan_cells(cells, threshold_pages=threshold, page_size=PAGE)
+            expected = restarting(cells)
+            assert [cell.pieces for cell in plan] == [
+                cell.pieces for cell in expected
+            ]
+            for cell in plan:
+                assert cell.nbytes == sum(p.nbytes for p in cell.pieces)
+            assert [cell.pieces for cell in cells] == pieces_before
 
 
 class TestSplitOversized:

@@ -73,11 +73,28 @@ class TestLocate:
         with pytest.raises(StorageCorruptionError):
             d.locate(100)
 
-    def test_segment_start(self):
+    @pytest.mark.parametrize("offset", [-868, -1, 868, 869, 10**9])
+    def test_locate_names_the_offset_no_segment_holds(self, offset):
+        # One pass finds the segment or runs off the end: the same typed
+        # error, with the field's size, as when the size was summed first.
         d = descriptor_with([1, 2, 4], used_last=100)
-        assert d.segment_start(0) == 0
-        assert d.segment_start(1) == 256
-        assert d.segment_start(2) == 768
+        with pytest.raises(
+            StorageCorruptionError,
+            match=f"offset {offset} outside field of 868 bytes",
+        ):
+            d.locate(offset)
+
+    def test_locate_in_an_empty_field(self):
+        d = descriptor_with([], used_last=0)
+        with pytest.raises(StorageCorruptionError, match="of 0 bytes"):
+            d.locate(0)
+
+    def test_locate_agrees_with_the_running_sum_everywhere(self):
+        d = descriptor_with([1, 2, 4], used_last=100)
+        starts = [0, 256, 768]
+        for offset in range(868):
+            index = max(i for i, start in enumerate(starts) if start <= offset)
+            assert d.locate(offset) == (index, offset - starts[index])
 
 
 class TestSerialization:

@@ -1,0 +1,355 @@
+"""The Starburst tail copy's two-cursor loop against the classes it replaced.
+
+The reference below is the older pair of stream objects, kept here as the
+tests' yardstick: a reader that hands out the spliced byte sequence one
+staging buffer at a time from a tagged piece list (rescanning the old
+segments on every chunk), and a writer that empties each buffer into the
+fresh segments.  Only the bookkeeping that feeds ``seen`` was added.  It
+pins the *I/O sequence* — which segment I/O calls are issued, with which
+arguments, in which order, the writer's one-page read-back included —
+which is the cost model of Section 3.5; the loop in
+``StarburstManager._copy_through_staging`` must issue exactly that.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from repro.core.config import small_page_config
+from repro.core.env import StorageEnvironment
+from repro.core.payload import (
+    Payload,
+    payload_bytes,
+    payload_concat,
+    payload_view,
+    zeros,
+)
+from repro.obs.tracer import Tracer
+from repro.starburst.descriptor import Segment
+from repro.starburst.manager import StarburstManager
+from tests.conftest import pattern_bytes
+
+
+# ----------------------------------------------------------------------
+# The reference: a reader object and a writer object per copy
+# ----------------------------------------------------------------------
+class _TailReader:
+    """Streams the spliced byte sequence of a tail rewrite.
+
+    Reading is charged per (segment, staging-chunk) intersection: copying
+    the long field "for all practical purposes ... can not be copied in
+    two steps" (Section 4.4.3), so each staging chunk costs one read call
+    per old segment it overlaps.
+    """
+
+    def __init__(
+        self,
+        manager: StarburstManager,
+        old_segments: list[Segment],
+        splice_at: int,
+        insert_data: Payload,
+        delete_bytes: int,
+    ) -> None:
+        self._manager = manager
+        self._segments = old_segments
+        total_old = sum(s.used_bytes for s in old_segments)
+        #: Ordered source pieces: ("old", start, length) or ("mem", bytes).
+        self._pieces: list[tuple] = []
+        if splice_at > 0:
+            self._pieces.append(("old", 0, splice_at))
+        if insert_data:
+            self._pieces.append(("mem", insert_data))
+        after = splice_at + delete_bytes
+        if after < total_old:
+            self._pieces.append(("old", after, total_old - after))
+        self._piece_index = 0
+        self._piece_done = 0
+        #: What the last ``read`` drew on: piece kinds, old segments.
+        self.kinds: list[str] = []
+        self.old_segments_read = 0
+
+    def read(self, nbytes: int) -> Payload:
+        """Read a byte range straight from the affected segments."""
+        chunks: list[Payload] = []
+        got = 0
+        self.kinds = []
+        self.old_segments_read = 0
+        while got < nbytes and self._piece_index < len(self._pieces):
+            piece = self._pieces[self._piece_index]
+            self.kinds.append(piece[0])
+            if piece[0] == "mem":
+                data = piece[1]
+                take = min(nbytes - got, len(data) - self._piece_done)
+                chunks.append(data[self._piece_done : self._piece_done + take])
+            else:
+                _kind, start, length = piece
+                take = min(nbytes - got, length - self._piece_done)
+                chunks.append(self._read_old(start + self._piece_done, take))
+            self._piece_done += take
+            got += take
+            piece_length = (
+                len(piece[1]) if piece[0] == "mem" else piece[2]
+            )
+            if self._piece_done == piece_length:
+                self._piece_index += 1
+                self._piece_done = 0
+        return payload_concat(chunks)
+
+    def _read_old(self, position: int, nbytes: int) -> Payload:
+        """Read the old tail's byte range, one call per segment touched."""
+        chunks: list[Payload] = []
+        remaining = nbytes
+        start = 0
+        for segment in self._segments:
+            end = start + segment.used_bytes
+            if position < end and remaining > 0:
+                within = position - start
+                take = min(end - position, remaining)
+                chunks.append(
+                    self._manager.env.segio.read_boundary_unaligned(
+                        segment.page_id, within, take
+                    )
+                )
+                self.old_segments_read += 1
+                position += take
+                remaining -= take
+            start = end
+            if remaining <= 0:
+                break
+        return payload_concat(chunks)
+
+
+class _TailWriter:
+    """Streams staging chunks into the freshly allocated tail segments."""
+
+    def __init__(self, manager: StarburstManager, segments: list[Segment]) -> None:
+        self._manager = manager
+        self._segments = segments
+        self._index = 0
+        self._written_in_segment = 0
+        #: What the last ``write`` did: segments reached, pages read back.
+        self.new_segments_written = 0
+        self.read_backs = 0
+
+    def write(self, data: Payload) -> None:
+        view = payload_view(data)
+        self.new_segments_written = 0
+        self.read_backs = 0
+        while view:
+            segment = self._segments[self._index]
+            room = segment.used_bytes - self._written_in_segment
+            take = min(room, len(view))
+            page_size = self._manager.config.page_size
+            first_dirty = self._written_in_segment // page_size
+            within = self._written_in_segment - first_dirty * page_size
+            prefix: Payload = b""
+            if within:
+                page = self._manager.env.segio.read_pages(
+                    segment.page_id + first_dirty, 1
+                )
+                prefix = page[:within]
+                self.read_backs += 1
+            self._manager.env.segio.write_pages(
+                segment.page_id + first_dirty,
+                payload_concat([prefix, payload_bytes(view[:take])]),
+            )
+            self.new_segments_written += 1
+            self._written_in_segment += take
+            view = view[take:]
+            if self._written_in_segment == segment.used_bytes:
+                self._index += 1
+                self._written_in_segment = 0
+
+
+class ReaderAndWriter(StarburstManager):
+    """The manager with the copy done by the two stream objects.
+
+    ``seen`` collects the situations the copies went through, so the
+    test can insist that its random updates reached every one of them.
+    """
+
+    seen: set[str]
+
+    def _copy_through_staging(
+        self, old_segments, splice_at, insert_data, delete_bytes, new_segments
+    ) -> None:
+        reader = _TailReader(
+            self, old_segments, splice_at, insert_data, delete_bytes
+        )
+        writer = _TailWriter(self, new_segments)
+        staging = self.config.staging_buffer_bytes
+        remaining = sum(segment.used_bytes for segment in new_segments)
+        while remaining > 0:
+            chunk = reader.read(min(staging, remaining))
+            writer.write(chunk)
+            remaining -= len(chunk)
+            if reader.kinds == ["old", "mem", "old"]:
+                self.seen.add("chunk of old bytes, inserted bytes, old bytes")
+            if (
+                reader.old_segments_read >= 2
+                and writer.new_segments_written >= 2
+            ):
+                self.seen.add("chunk over two old and two new segments")
+            if writer.read_backs:
+                self.seen.add("write cursor mid-page: prefix read back")
+
+
+# ----------------------------------------------------------------------
+# Twin environments
+# ----------------------------------------------------------------------
+class Twin:
+    """One manager on its own traced environment."""
+
+    def __init__(self, manager_class, config, recorded: bool) -> None:
+        self.tracer = Tracer()
+        self.traced = 0
+        self.env = StorageEnvironment(
+            config, record_leaf_data=recorded, tracer=self.tracer
+        )
+        self.manager = manager_class(self.env)
+
+    def stored_bytes(self, oid: int) -> bytes:
+        """The field's bytes as the disk holds them (no charge, no trace)."""
+        page_size = self.env.config.page_size
+        return b"".join(
+            self.env.disk.peek_pages(
+                segment.page_id, segment.used_pages(page_size)
+            )[: segment.used_bytes]
+            for segment in self.manager.descriptor_of(oid).segments
+        )
+
+    def observable(self) -> dict[str, object]:
+        """All that the pool, the disk, the allocator or a trace could see."""
+        env = self.env
+        events = self.tracer.records[self.traced:]
+        self.traced += len(events)
+        return {
+            "io": dataclasses.replace(env.cost.stats),
+            "pool": dataclasses.replace(env.pool.stats),
+            "frames": [
+                (page_id, frame.dirty, frame.pin_count)
+                for page_id, frame in env.pool._frames.items()
+            ],
+            "data pages": env.areas.data.allocated_pages,
+            "segments": [
+                [dataclasses.replace(segment) for segment in
+                 self.manager.descriptor_of(oid).segments]
+                for oid in self.manager.oids()
+            ],
+            "events since the last look": events,
+        }
+
+
+SITUATIONS = {
+    "chunk of old bytes, inserted bytes, old bytes",
+    "chunk over two old and two new segments",
+    "write cursor mid-page: prefix read back",
+    "delete reaches the field's end",
+    "insert at a segment's first byte",
+}
+STAGING = {
+    "one page": lambda page: page,
+    "page + 1": lambda page: page + 1,
+    "3 pages + 17": lambda page: 3 * page + 17,
+    "8 pages": lambda page: 8 * page,
+}
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "phantom"])
+@pytest.mark.parametrize("pool_frames", [1, 3, 12])
+@pytest.mark.parametrize("staging", list(STAGING))
+@pytest.mark.parametrize("page_size", [128, 256])
+@pytest.mark.parametrize("seed", [1992, 2718])
+def test_loop_matches_reader_and_writer(
+    seed, page_size, staging, pool_frames, recorded
+):
+    """Seeded inserts, deletes and appends (and now and then a field laid
+    out afresh at a known size) on a field of up to four segments: after
+    every operation the two environments' ledgers, pools, allocators and
+    traces are equal and, when bytes are recorded, the field's bytes on
+    disk (and every eighth step, read through the manager) are those of
+    a ``bytearray`` model; at the end the raw disk images are equal."""
+    rng = random.Random(seed)
+    config = small_page_config(
+        page_size=page_size,
+        buffer_pool_pages=pool_frames,
+        staging_buffer_bytes=STAGING[staging](page_size),
+    )
+    new = Twin(StarburstManager, config, recorded)
+    old = Twin(ReaderAndWriter, config, recorded)
+    seen = old.manager.seen = set()
+    twins = (new, old)
+    salt = 0
+
+    def payload(nbytes: int) -> Payload:
+        nonlocal salt
+        salt += 1
+        return pattern_bytes(nbytes, salt) if recorded else zeros(nbytes)
+
+    # The first append sizes the first segment: one page, so that the
+    # doubling pattern puts several segments under a small field.
+    model = bytearray(bytes(payload(rng.randint(1, page_size))))
+    oids = [twin.manager.create() for twin in twins]
+    for twin, oid in zip(twins, oids):
+        twin.manager.append(oid, bytes(model) if recorded else zeros(len(model)))
+    # Small enough to stay cheap, large enough for several staging chunks.
+    low = 2 * page_size
+    high = max(7 * page_size, 2 * config.staging_buffer_bytes + 4 * page_size)
+    for step in range(300):
+        size = len(model)
+        roll = rng.random()
+        if roll < 0.02:
+            # A fresh field of known size: laid out through the staging
+            # buffer in one go, then grown and shrunk like the first.
+            data = payload(rng.randint(1, 8 * page_size))
+            for i, twin in enumerate(twins):
+                twin.manager.destroy(oids[i])
+                oids[i] = twin.manager.create(data)
+            model = bytearray(bytes(data))
+        elif roll < 0.12 or size < low:
+            data = payload(rng.randint(1, 3 * page_size))
+            for twin, oid in zip(twins, oids):
+                twin.manager.append(oid, data)
+            model += bytes(data)
+        elif roll < 0.55 and size < high:
+            data = payload(rng.randint(1, 2 * page_size + 40))
+            offset = rng.randrange(size)
+            if rng.random() < 0.2:
+                # The first byte of a segment other than the first.
+                segments = new.manager.descriptor_of(oids[0]).segments
+                offset = sum(
+                    s.used_bytes
+                    for s in segments[: rng.randrange(len(segments))]
+                )
+                if offset:
+                    seen.add("insert at a segment's first byte")
+            for twin, oid in zip(twins, oids):
+                twin.manager.insert(oid, offset, data)
+            model[offset:offset] = bytes(data)
+        else:
+            offset = rng.randrange(size)
+            nbytes = rng.randint(1, min(size - offset, 4 * page_size))
+            if rng.random() < 0.15:
+                nbytes = size - offset
+                seen.add("delete reaches the field's end")
+            for twin, oid in zip(twins, oids):
+                twin.manager.delete(oid, offset, nbytes)
+            del model[offset:offset + nbytes]
+        for twin, oid in zip(twins, oids):
+            assert twin.manager.size(oid) == len(model), f"step {step}"
+            if recorded:
+                assert twin.stored_bytes(oid) == model, f"step {step}"
+                if model and step % 8 == 0:
+                    # Now and then through the pool, as a client reads.
+                    content = twin.manager.read(oid, 0, len(model))
+                    assert content == model, f"step {step}"
+        assert new.observable() == old.observable(), f"step {step}"
+    assert new.env.disk.image() == old.env.disk.image()
+    expected = set(SITUATIONS)
+    if config.staging_buffer_bytes % page_size == 0:
+        # Chunks and segments both end on page boundaries.
+        expected.discard("write cursor mid-page: prefix read back")
+    if config.staging_buffer_bytes == page_size:
+        expected.discard("chunk over two old and two new segments")
+    assert seen == expected
