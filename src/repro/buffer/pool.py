@@ -258,73 +258,102 @@ class BufferPool:
         maximal missing sub-run is read with a single physical I/O.
         Returns the concatenated content of the whole run — a length-only
         :class:`~repro.core.payload.SizedPayload` when every page is
-        phantom, so phantom runs cost no byte work.  The caller must have
-        checked :meth:`can_accommodate` for the missing pages.
+        phantom, so phantom runs cost no byte work.
+
+        A run the pool cannot hold beside the frames pinned outside it
+        is refused with :class:`BufferPoolError` before anything is
+        counted, pinned, evicted or read (the criterion of
+        :meth:`can_accommodate`, exact for a run that is partly resident).
         """
-        pages = range(start, start + n_pages)
         frames = self._frames
-        page_size = self.config.page_size
         stats = self.stats
+        capacity = self.capacity
+        if n_pages == 1:
+            # The usual run (a boundary page, an index page): one probe.
+            frame = frames.get(start)
+            if frame is not None:
+                stats.hits += 1
+                frames.move_to_end(start)
+                return _page_image(frame.content(), self.config.page_size)
+            if self._pinned >= capacity:
+                raise BufferPoolError("all buffer frames are pinned")
+            stats.misses += 1
+            if len(frames) >= capacity:
+                self._evict_many(1)
+            view = self.disk.read_page_views(start, 1)[0]
+            frames[start] = Frame(start, view, False, 0, record)
+            return view
+        # One probe per page decides hit or miss.
+        page_size = self.config.page_size
         get = frames.get
-        resident = [get(page) for page in pages]
-        n_missing = resident.count(None)
-        if n_missing == 0:
+        resident = []
+        missing = []
+        pinned_in_run = 0
+        for page in range(start, start + n_pages):
+            frame = get(page)
+            if frame is None:
+                missing.append(page)
+            else:
+                resident.append(frame)
+                if frame.pin_count:
+                    pinned_in_run += 1
+        move_to_end = frames.move_to_end
+        if not missing:
             # Every page resident: no eviction can happen, so the
             # pin-read-unpin dance is a no-op — just count the hits and
             # touch each frame in request order.
             stats.hits += n_pages
             chunks = []
             for frame in resident:
-                self._touch(frame)
+                move_to_end(frame.page_id)
                 chunks.append(_page_image(frame.content(), page_size))
             return payload_concat(chunks)
-        if n_missing == n_pages:
+        if n_pages + self._pinned - pinned_in_run > capacity:
+            raise BufferPoolError("all buffer frames are pinned")
+        if not resident:
             # Nothing resident: one physical read of the whole run; the
             # frames go in unpinned (pinning exists only to protect this
             # request's pages from its own evictions, and evictions finish
             # before the frames are created).
             stats.misses += n_pages
-            self._make_room(n_pages)
+            need = len(frames) + n_pages - capacity
+            if need > 0:
+                self._evict_many(need)
             # Per-page views straight off the disk: no whole-run buffer is
             # materialized and no per-page slice copies are made.  The new
             # frames are appended in request order, which IS their recency
             # order, so no per-frame touch is needed.
             views = self.disk.read_page_views(start, n_pages)
-            for i, data in enumerate(views):
-                frames[start + i] = Frame(start + i, data, False, 0, record)
+            page = start
+            for data in views:
+                frames[page] = Frame(page, data, False, 0, record)
+                page += 1
             return payload_concat(views)
         # Mixed hits and misses: pin resident pages first so eviction for
         # the missing sub-runs cannot push out pages belonging to this
         # same request.
-        missing = []
-        for page, frame in zip(pages, resident):
-            if frame is None:
-                missing.append(page)
-            else:
-                frame.pin_count += 1
-                if frame.pin_count == 1:
-                    self._pinned += 1
-        stats.hits += n_pages - len(missing)
+        for frame in resident:
+            frame.pin_count += 1
+            if frame.pin_count == 1:
+                self._pinned += 1
+        stats.hits += len(resident)
         stats.misses += len(missing)
         for run_start, run_len in contiguous_runs(missing):
-            self._make_room(run_len)
-            views = self.disk.read_page_views(run_start, run_len)
-            for i, data in enumerate(views):
-                frame = Frame(
-                    page_id=run_start + i,
-                    data=data,
-                    record=record,
-                    pin_count=1,
-                )
-                frames[run_start + i] = frame
+            need = len(frames) + run_len - capacity
+            if need > 0:
+                self._evict_many(need)
+            page = run_start
+            for data in self.disk.read_page_views(run_start, run_len):
+                frames[page] = Frame(page, data, False, 1, record)
+                page += 1
             self._pinned += run_len
         chunks = []
-        for page in pages:
+        for page in range(start, start + n_pages):
             frame = frames[page]
             frame.pin_count -= 1
             if frame.pin_count == 0:
                 self._pinned -= 1
-            self._touch(frame)
+            move_to_end(page)
             chunks.append(_page_image(frame.content(), page_size))
         return payload_concat(chunks)
 

@@ -51,6 +51,10 @@ class LongFieldTooLargeError(ReproError):
     """The descriptor page cannot hold another segment pointer."""
 
 
+class ObjectTooLargeError(ReproError):
+    """A tree-backed object would outgrow its 4-byte counts (2**32 - 1 bytes)."""
+
+
 class TraceError(ReproError):
     """A trace line could not be parsed or applied."""
 

@@ -374,6 +374,11 @@ class SimulatedDisk:
             for i in range(stop):
                 pages[start + i] = zero
                 checksums[start + i] = zero_crc
+        elif stop == 1 and len(data) == page_size and type(data) is bytes:
+            # One whole page that is already immutable (a shadowed index
+            # page) is kept as it is.
+            pages[start] = data
+            checksums[start] = zlib.crc32(data)
         else:
             # Store per-page images straight from the caller's buffer: one
             # copy per page instead of the old pad-whole-buffer-then-slice

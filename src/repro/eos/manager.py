@@ -67,6 +67,7 @@ class EOSManager(TreeBackedManager):
         tree = self._tree(oid)
         if not data:
             return
+        tree.check_growth(len(data))
         with self._op_span("append", oid), self._op(tree):
             remaining = payload_view(data)
             prev_alloc = 0
@@ -165,6 +166,7 @@ class EOSManager(TreeBackedManager):
         if offset == tree.total_bytes:
             self.append(oid, data)
             return
+        tree.check_growth(len(data))
         with self._op_span("insert", oid), self._op(tree):
             cursor = tree.locate(offset)
             target = cursor.extent

@@ -90,6 +90,7 @@ class ESMManager(TreeBackedManager):
         tree = self._tree(oid)
         if not data:
             return
+        tree.check_growth(len(data))
         with self._op_span("append", oid), self._op(tree):
             if tree.total_bytes == 0:
                 self._extend_fresh(tree, data)
@@ -170,6 +171,7 @@ class ESMManager(TreeBackedManager):
         if offset == tree.total_bytes:
             self.append(oid, data)
             return
+        tree.check_growth(len(data))
         with self._op_span("insert", oid), self._op(tree):
             cursor = tree.locate(offset)
             target = cursor.extent

@@ -68,15 +68,16 @@ def _walk_node(env, page_id, is_root, leaf_alloc_pages, pieces, runs) -> None:
     )
     if runs is not None:
         runs.append((page_id, 1))
-    for ref in node.refs:
-        if node.is_leaf_parent:
-            used = ref.used_pages(env.config.page_size)
-            raw = env.disk.peek_pages(ref.page_id, used)
-            pieces.append(raw[: ref.used_bytes])
+    if node.is_leaf_parent:
+        for extent in node.extents():
+            used = extent.used_pages(env.config.page_size)
+            raw = env.disk.peek_pages(extent.page_id, used)
+            pieces.append(raw[: extent.used_bytes])
             if runs is not None:
-                runs.append((ref.page_id, used))
-        else:
-            _walk_node(env, ref, False, leaf_alloc_pages, pieces, runs)
+                runs.append((extent.page_id, used))
+    else:
+        for child in node.refs:
+            _walk_node(env, child, False, leaf_alloc_pages, pieces, runs)
 
 
 def rebuild_starburst_content(

@@ -54,6 +54,7 @@ class TreeBackedManager(LargeObjectManager):
         """Create an object backed by a fresh positional count tree."""
         with self._op_span("create"):
             tree = self._new_tree()
+            tree.check_growth(len(data))
             oid = tree.create()
             self._objects[oid] = tree
             with self._op(tree):
@@ -122,10 +123,7 @@ class TreeBackedManager(LargeObjectManager):
     def allocated_pages(self, oid: int) -> int:  # repro-lint: disable=CHG001 -- space accounting run between timed phases; its reads are charged to the enclosing phase, not to a paper op
         """Leaf pages plus index pages currently allocated to the object."""
         tree = self._tree(oid)
-        leaf_pages = sum(
-            extent.alloc_pages for extent in tree.iter_extents(charged=False)
-        )
-        return leaf_pages + tree.index_page_count()
+        return tree.leaf_pages_allocated() + tree.index_page_count()
 
     def tree_of(self, oid: int) -> PositionalTree:
         """The object's positional tree (for tests and inspection)."""

@@ -2,11 +2,11 @@
 
 Each node holds a sequence of (count, pointer) pairs.  The counts are
 cumulative, exactly as in the paper's Figure 1, on disk and in memory
-alike: an :class:`IndexNode` is two parallel lists, ``cums`` and
-``refs``, and the per-child byte counts are differences of neighbouring
-``cums``.  A pair occupies 8 bytes (4-byte count + 4-byte pointer), so a
-4 KB root holds up to 507 pairs and a 4 KB internal page holds 511
-(Section 4.1).
+alike: an :class:`IndexNode` is parallel lists, ``cums`` and ``refs``
+(and at level 1 ``allocs``), and the per-child byte counts are
+differences of neighbouring ``cums``.  A pair occupies 8 bytes (4-byte
+count + 4-byte pointer), so a 4 KB root holds up to 507 pairs and a 4 KB
+internal page holds 511 (Section 4.1).
 
 Level-1 nodes (the lowest index level) point at *leaf extents* — the data
 segments themselves.  Higher levels point at child index pages.
@@ -14,12 +14,17 @@ segments themselves.  Higher levels point at child index pages.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
-from typing import Any
+import sys
+from array import array
+from typing import NamedTuple
 
 from repro.core.config import SystemConfig
-from repro.core.errors import InvalidArgumentError, StorageCorruptionError
+from repro.core.errors import (
+    ConfigurationError,
+    InvalidArgumentError,
+    StorageCorruptionError,
+)
 
 _NODE_HEADER = struct.Struct("<2sBBHH")  # magic, level, flags, n_entries, pad
 _ROOT_HEADER = struct.Struct("<2sBBHHQIQQI")  # + total_bytes, rightmost_alloc, rsvd
@@ -28,10 +33,24 @@ _PAIR_BYTES = 8  # 4-byte cumulative count + 4-byte pointer
 _NODE_MAGIC = b"IN"
 _ROOT_MAGIC = b"RT"
 
+#: Largest byte count a pair can hold, hence the largest object.
+MAX_OBJECT_BYTES = 2**32 - 1
 
-@dataclasses.dataclass(slots=True)
-class LeafExtent:
-    """One data segment referenced by a level-1 index node.
+# A run of pairs is packed by ``array("I", ...)``: C speed, no argument
+# per pair.  Its item is the platform's unsigned int.
+if array("I").itemsize != 4:  # pragma: no cover - no supported platform
+    raise ConfigurationError("index pages need a 4-byte array('I') item")
+_BIG_ENDIAN = sys.byteorder != "little"
+
+
+class LeafExtent(NamedTuple):
+    """One data segment referenced by a level-1 index node: a value.
+
+    A node stores no extent objects, only its columns; extents are
+    minted from them by :meth:`IndexNode.extent` and handed to the node
+    by :meth:`IndexNode.splice`.  Being immutable, an extent taken from
+    the tree can go stale but can never be mistaken for a handle that
+    writes through.
 
     Attributes
     ----------
@@ -62,40 +81,57 @@ class LeafExtent:
 class IndexNode:
     """One index page of the positional tree.
 
-    The node *is* its two parallel lists and is the only code that
-    changes them: every mutator below keeps the prefix sums in ``cums``
-    current and lowers the packed-image watermark itself, so callers
-    read ``cums`` / ``refs`` freely but never assign to or mutate them.
-    Extents held by a level-1 node are likewise changed only through
-    :meth:`update_extent`.
+    The node *is* its parallel lists and is the only code that changes
+    them: every mutator below keeps the prefix sums in ``cums`` current
+    and lowers the packed-image watermark itself, so callers read the
+    columns freely but never assign to or mutate them.
+
+    A level-1 node holds what its page holds: ``refs`` are the 4-byte
+    segment pointers as they go to disk (``page_id - data_base``), so a
+    flush copies the column without reading each pair.  Internal levels
+    keep absolute child page ids: a descent reads one child per level
+    where a flush reads every pointer of the repacked suffix, and their
+    nodes hold few pairs.
     """
 
-    def __init__(self, page_id: int, level: int) -> None:
+    def __init__(
+        self, page_id: int, level: int, data_base: int, meta_base: int
+    ) -> None:
         if level < 1:
             raise InvalidArgumentError("index node level starts at 1")
         self.page_id = page_id
         #: Changes only while the node is empty (root split and collapse).
         self.level = level
+        #: The owning tree's pointer bases (first page of the leaf area
+        #: and of the index area).
+        self.data_base = data_base
+        self.meta_base = meta_base
         #: ``cums[i]`` is the byte count under children ``0..i``: the
         #: on-disk form of the counts and the bisect key of every descent.
         self.cums: list[int] = []
-        #: Child index page ids (``int``), or at level 1 the
-        #: :class:`LeafExtent` objects themselves.
-        self.refs: list[Any] = []
+        #: At level 1 the segment pointers relative to ``data_base``;
+        #: above it the child index page ids.
+        self.refs: list[int] = []
+        #: Pages allocated to each segment (level 1; empty above it).
+        #: Not on the page: :meth:`deserialize` recomputes it.
+        self.allocs: list[int] = []
         #: Set while the node has unflushed changes in the current operation.
         self.dirty = False
         #: Set once the node has been relocated (shadowed) in the current op.
         self.shadowed_this_op = False
-        #: On-disk image of the first ``_packed_upto`` pairs.  Every
-        #: mutator lowers the watermark to the first pair it touched, so
-        #: :meth:`serialize` repacks only from there: a rightmost append
-        #: to a several-hundred-pair leaf parent packs one pair, not all.
-        #: Kept because it is measured to earn its lines: against the same
-        #: node packing every pair on every serialize, 10 seed-paired
-        #: ``perfbench/compare.py`` runs of ``seq_build`` gave +11.0 %
-        #: ``host_ops_per_s`` (10/10 pairs, spread of the differences
-        #: 2.5 %) and -12.5 % ``host_op_us_p90``.
+        #: The page image as last serialized, current for the header's
+        #: layout at ``_packed_at`` and the first ``_packed_upto`` of its
+        #: ``_packed_pairs`` pairs.  Every mutator lowers the watermark to
+        #: the first pair it touched, so :meth:`serialize` repacks only
+        #: from there: a rightmost append to a several-hundred-pair leaf
+        #: parent packs one pair, not all.  Kept because it is measured to
+        #: earn its lines: against the same node packing every pair on
+        #: every serialize, 10 seed-paired ``perfbench/compare.py`` runs
+        #: of ``seq_build`` gave +11.0 % ``host_ops_per_s`` (10/10 pairs,
+        #: spread of the differences 2.5 %) and -12.5 % ``host_op_us_p90``.
         self._packed = bytearray()
+        self._packed_at = 0
+        self._packed_pairs = 0
         self._packed_upto = 0
 
     @property
@@ -118,27 +154,51 @@ class IndexNode:
         cums = self.cums
         return [after - before for before, after in zip([0] + cums, cums)]
 
+    def extent(self, index: int) -> LeafExtent:
+        """The segment pair ``index`` of a level-1 node references, as
+        a value that later changes to the node do not reach."""
+        cums = self.cums
+        # (tuple.__new__ directly: half the cost of the generated
+        # keyword-accepting __new__, on every descent.)
+        return tuple.__new__(LeafExtent, (
+            self.data_base + self.refs[index],
+            cums[index] - cums[index - 1] if index else cums[0],
+            self.allocs[index],
+        ))
+
+    def extents(self) -> list[LeafExtent]:
+        """Every segment a level-1 node references, in order."""
+        return [self.extent(index) for index in range(len(self.cums))]
+
     # ------------------------------------------------------------------
-    # Mutators: the only code that changes cums / refs
+    # Mutators: the only code that changes cums / refs / allocs
     # ------------------------------------------------------------------
     def _touched(self, index: int) -> None:
         if index < self._packed_upto:
             self._packed_upto = index
 
-    def insert(self, index: int, count: int, ref: "int | LeafExtent") -> None:
-        """Insert a pair of ``count`` bytes before position ``index``."""
+    def insert(self, index: int, count: int, ref: int, alloc: int = 0) -> None:
+        """Insert a pair of ``count`` bytes before position ``index``.
+
+        ``ref`` (and at level 1 ``alloc``) are cells as the columns hold
+        them — what :meth:`pop` returned.
+        """
         cums = self.cums
         before = cums[index - 1] if index else 0
         cums[index:] = [before + count] + [c + count for c in cums[index:]]
         self.refs.insert(index, ref)
+        if self.level == 1:
+            self.allocs.insert(index, alloc)
         self._touched(index)
 
-    def pop(self, index: int) -> "tuple[int, int | LeafExtent]":
-        """Remove pair ``index``; returns its (count, ref)."""
+    def pop(self, index: int) -> tuple[int, int, int]:
+        """Remove pair ``index``; returns its (count, ref, alloc) cells
+        (``alloc`` is 0 above level 1)."""
         count = self.count(index)
         self.cums[index:] = [c - count for c in self.cums[index + 1:]]
         self._touched(index)
-        return count, self.refs.pop(index)
+        alloc = self.allocs.pop(index) if self.level == 1 else 0
+        return count, self.refs.pop(index), alloc
 
     def splice(
         self, index: int, n_remove: int, extents: "list[LeafExtent]"
@@ -147,21 +207,27 @@ class IndexNode:
         by one pair per extent; returns the change in the node's bytes.
 
         One pass whatever the number of pairs: the new prefix sums, the
-        suffix shifted once by the net change, one slice of ``refs``.
+        suffix shifted once by the net change, one slice per column.
         """
         cums = self.cums
         stop = index + n_remove
         total = cums[index - 1] if index else 0
+        base = self.data_base
         new = []
-        for extent in extents:
-            total += extent.used_bytes
+        pointers = []
+        allocs = []
+        for page_id, used_bytes, alloc_pages in extents:
+            total += used_bytes
             new.append(total)
+            pointers.append(page_id - base)
+            allocs.append(alloc_pages)
         delta = total - (cums[stop - 1] if stop else 0)
         if delta:
             cums[index:] = new + [c + delta for c in cums[stop:]]
         else:
             cums[index:stop] = new
-        self.refs[index:stop] = extents
+        self.refs[index:stop] = pointers
+        self.allocs[index:stop] = allocs
         self._touched(index)
         return delta
 
@@ -183,16 +249,14 @@ class IndexNode:
         alloc_pages: int | None = None,
     ) -> int:
         """Change the segment referenced by pair ``index`` of a level-1
-        node in place; returns the change in its byte count."""
-        extent = self.refs[index]
+        node; returns the change in its byte count."""
         delta = 0
         if used_bytes is not None:
-            delta = used_bytes - extent.used_bytes
-            extent.used_bytes = used_bytes
+            delta = used_bytes - self.count(index)
         if page_id is not None:
-            extent.page_id = page_id
+            self.refs[index] = page_id - self.data_base
         if alloc_pages is not None:
-            extent.alloc_pages = alloc_pages
+            self.allocs[index] = alloc_pages
         if delta:
             self.add_count(index, delta)
         else:
@@ -211,8 +275,10 @@ class IndexNode:
         shift = before - (source.cums[start - 1] if start else 0)
         self.cums.extend([c + shift for c in source.cums[start:]])
         self.refs.extend(source.refs[start:])
+        self.allocs.extend(source.allocs[start:])
         del source.cums[start:]
         del source.refs[start:]
+        del source.allocs[start:]
         source._touched(start)
         return self.total_bytes - before
 
@@ -220,40 +286,53 @@ class IndexNode:
     # Serialization
     # ------------------------------------------------------------------
     def serialize(self, config: SystemConfig, *, is_root: bool,
-                  total_bytes: int = 0, rightmost_alloc: int = 0,
-                  data_base: int, meta_base: int) -> bytes:
+                  total_bytes: int = 0, rightmost_alloc: int = 0) -> bytes:
         """Encode the node as page content.
 
-        ``data_base`` / ``meta_base`` are the owning tree's pointer
-        bases and must be the same on every call for one node.
+        Header, pairs and zero padding live in one page-size buffer kept
+        between calls; a call repacks the pairs from the watermark, at C
+        speed and with no per-pair Python at level 1, and copies the
+        buffer once into the immutable image the disk keeps.
         """
         cums = self.cums
         n = len(cums)
-        if is_root:
-            header = _ROOT_HEADER.pack(
-                _ROOT_MAGIC, self.level, 0, n, 0,
-                total_bytes, rightmost_alloc, 0, 0, 0,
-            )
-        else:
-            header = _NODE_HEADER.pack(_NODE_MAGIC, self.level, 0, n, 0)
-        packed = self._packed
-        k = self._packed_upto
-        if k < n or len(packed) != 8 * n:
-            del packed[8 * k:]
-            flat = [0] * (2 * (n - k))
-            flat[0::2] = cums[k:]
-            if self.is_leaf_parent:
-                flat[1::2] = [ref.page_id - data_base for ref in self.refs[k:]]
-            else:
-                flat[1::2] = [ref - meta_base for ref in self.refs[k:]]
-            packed += struct.pack(f"<{len(flat)}I", *flat)
-            self._packed_upto = n
-        page = header + packed
-        if len(page) > config.page_size:
+        page_size = config.page_size
+        at = _ROOT_HEADER.size if is_root else _NODE_HEADER.size
+        if at + _PAIR_BYTES * n > page_size:
             raise StorageCorruptionError(
                 f"index node with {n} entries overflows page"
             )
-        return page.ljust(config.page_size, b"\x00")
+        page = self._packed
+        k = self._packed_upto
+        if self._packed_at != at or len(page) != page_size:
+            page = self._packed = bytearray(page_size)
+            self._packed_at = at
+            self._packed_pairs = k = 0
+        if is_root:
+            _ROOT_HEADER.pack_into(
+                page, 0, _ROOT_MAGIC, self.level, 0, n, 0,
+                total_bytes, rightmost_alloc, 0, 0, 0,
+            )
+        else:
+            _NODE_HEADER.pack_into(page, 0, _NODE_MAGIC, self.level, 0, n, 0)
+        end = at + _PAIR_BYTES * n
+        if k < n:
+            flat = [0] * (2 * (n - k))
+            flat[0::2] = cums[k:]
+            if self.level == 1:
+                flat[1::2] = self.refs[k:]
+            else:
+                meta_base = self.meta_base
+                flat[1::2] = [ref - meta_base for ref in self.refs[k:]]
+            words = array("I", flat)
+            if _BIG_ENDIAN:  # pragma: no cover - the page is little-endian
+                words.byteswap()
+            page[at + _PAIR_BYTES * k : end] = words
+        stale = self._packed_pairs - n
+        if stale > 0:
+            page[end : end + _PAIR_BYTES * stale] = bytes(_PAIR_BYTES * stale)
+        self._packed_pairs = self._packed_upto = n
+        return bytes(page)
 
     @classmethod
     def deserialize(cls, data: bytes, page_id: int, *, is_root: bool,
@@ -289,28 +368,26 @@ class IndexNode:
                 f"index page {page_id} claims {n} pairs, more than fit"
             )
         flat = struct.unpack_from(f"<{2 * n}I", data, offset)
-        node = cls(page_id, level)
+        node = cls(page_id, level, data_base, meta_base)
         cums = node.cums = list(flat[0::2])
         if any(after <= before for before, after in zip(cums, cums[1:])):
             raise StorageCorruptionError(
                 f"index page {page_id} has non-increasing cumulative counts"
             )
-        if node.is_leaf_parent:
-            counts = node.counts()
-            last = n - 1
-            node.refs = [
-                LeafExtent(
-                    page_id=data_base + pointer,
-                    used_bytes=count,
-                    alloc_pages=leaf_alloc_pages(count, is_root and i == last),
-                )
-                for i, (count, pointer) in enumerate(zip(counts, flat[1::2]))
+        if level == 1:
+            node.refs = list(flat[1::2])
+            rightmost = n - 1 if is_root else -1
+            node.allocs = [
+                leaf_alloc_pages(count, i == rightmost)
+                for i, count in enumerate(node.counts())
             ]
         else:
             node.refs = [meta_base + pointer for pointer in flat[1::2]]
-        # The raw pair region is exactly the packed image.
-        node._packed = bytearray(data[offset : offset + _PAIR_BYTES * n])
-        node._packed_upto = n
+        # The page up to its last pair is exactly the packed image.
+        end = offset + _PAIR_BYTES * n
+        node._packed = bytearray(data[:end].ljust(len(data), b"\x00"))
+        node._packed_at = offset
+        node._packed_pairs = node._packed_upto = n
         return node, total, rightmost_alloc
 
 

@@ -23,11 +23,15 @@ from typing import Callable, Iterator
 from repro.buddy.allocator import BuddyAllocator
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
-from repro.core.errors import ByteRangeError, StorageCorruptionError
+from repro.core.errors import (
+    ByteRangeError,
+    ObjectTooLargeError,
+    StorageCorruptionError,
+)
 from repro.disk.disk import contiguous_runs
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
-from repro.tree.node import IndexNode, LeafExtent
+from repro.tree.node import MAX_OBJECT_BYTES, IndexNode, LeafExtent
 
 #: Signature of the hook that recomputes a segment's allocated page count
 #: when a node is rebuilt from disk: (used_bytes, is_rightmost) -> pages.
@@ -40,7 +44,9 @@ class Cursor:
 
     ``path`` records the descent as (node, child index) pairs from the
     root down to the leaf-parent node, so mutations can propagate counts
-    and shadowing upward without a second descent.
+    and shadowing upward without a second descent.  ``extent`` is a
+    value; :meth:`PositionalTree.update_extent` replaces it with the
+    current one.
     """
 
     extent: LeafExtent
@@ -81,9 +87,8 @@ class PositionalTree:
         """Allocate the root page (one page, alone) for a new empty object."""
         if self.root_page_id is not None:
             raise StorageCorruptionError("tree already created")
-        self.root_page_id = self.meta.allocate(1)
-        root = IndexNode(self.root_page_id, level=1)
-        self._nodes[self.root_page_id] = root
+        root = self._new_node(level=1)
+        self.root_page_id = root.page_id
         self.height = 1
         self._mark_node_dirty(root)
         return self.root_page_id
@@ -111,11 +116,11 @@ class PositionalTree:
         self._nodes[root_page_id] = root
         self._load_children(root)
         node = self._rightmost_leaf_parent()
-        if rightmost_alloc and node is not None and node.refs:
+        if rightmost_alloc and node is not None and node.cums:
             # The root header records the rightmost segment's true
             # allocation: it may carry untrimmed append slack that
             # ``leaf_alloc_pages`` cannot recompute from used bytes.
-            node.update_extent(len(node.refs) - 1, alloc_pages=rightmost_alloc)
+            node.update_extent(len(node.cums) - 1, alloc_pages=rightmost_alloc)
 
     def _load_children(self, node: IndexNode) -> None:
         if not node.is_leaf_parent:
@@ -229,14 +234,15 @@ class PositionalTree:
     def _flush_non_root(self) -> None:
         if not self._dirty:
             return
+        nodes = self._nodes
         for run_start, run_len in contiguous_runs(sorted(self._dirty)):
-            data = b"".join(
-                self._serialize_node(self._nodes[run_start + i])
-                for i in range(run_len)
-            )
+            run = [nodes[run_start + i] for i in range(run_len)]
+            images = [self._serialize_node(node) for node in run]
+            # (One shadowed leaf parent is the usual flush: its image goes
+            # down as it is, not through a join.)
+            data = images[0] if run_len == 1 else b"".join(images)
             self.pool.write_run(run_start, run_len, data, record=True)
-            for i in range(run_len):
-                node = self._nodes[run_start + i]
+            for node in run:
                 node.dirty = False
                 node.shadowed_this_op = False
         self._dirty.clear()
@@ -268,23 +274,18 @@ class PositionalTree:
             while True:
                 index = len(node.refs) - 1
                 path.append((node, index))
-                ref = node.refs[index]
-                if node.is_leaf_parent:
-                    return Cursor(
-                        extent=ref,
-                        extent_start=offset - ref.used_bytes,
-                        path=path,
-                    )
-                node = self._get_node(ref)
+                if node.level == 1:
+                    extent = node.extent(index)
+                    return Cursor(extent, offset - extent.used_bytes, path)
+                node = self._get_node(node.refs[index])
         start = 0
         while True:
             index, child_start = _choose_child(node, offset - start)
             start += child_start
             path.append((node, index))
-            ref = node.refs[index]
-            if node.is_leaf_parent:
-                return Cursor(extent=ref, extent_start=start, path=path)
-            node = self._get_node(ref)
+            if node.level == 1:
+                return Cursor(node.extent(index), start, path)
+            node = self._get_node(node.refs[index])
 
     def extents_covering(
         self, offset: int, nbytes: int
@@ -369,6 +370,10 @@ class PositionalTree:
         """Number of index pages including the root (uncharged)."""
         return sum(1 for _ in self._walk_nodes())
 
+    def leaf_pages_allocated(self) -> int:
+        """Pages allocated to the object's segments (uncharged)."""
+        return sum(sum(node.allocs) for node in self._walk_nodes())
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -379,20 +384,36 @@ class PositionalTree:
         page_id: int | None = None,
         alloc_pages: int | None = None,
     ) -> None:
-        """Mutate the cursor's extent in place (size, location, or both).
+        """Change the cursor's extent (size, location, or both).
 
         Byte-count changes propagate up the recorded path; the path's
-        nodes are shadowed and marked dirty.
+        nodes are shadowed and marked dirty, and ``cursor.extent`` is
+        replaced by the extent as it now is.
         """
-        if used_bytes is not None and used_bytes <= 0:
-            raise ByteRangeError("an extent must keep at least one byte")
         node, index = cursor.path[-1]
+        if used_bytes is not None:
+            if used_bytes <= 0:
+                raise ByteRangeError("an extent must keep at least one byte")
+            self.check_growth(used_bytes - node.count(index))
         delta = node.update_extent(index, used_bytes, page_id, alloc_pages)
+        cursor.extent = node.extent(index)
         if delta:
             for ancestor, child_index in cursor.path[:-1]:
                 ancestor.add_count(child_index, delta)
             self.total_bytes += delta
         self._shadow_path(cursor.path[:-1], node)
+
+    def check_growth(self, nbytes: int) -> None:
+        """Refuse growth by ``nbytes`` that the 4-byte counts of an index
+        page cannot hold.  The mutators call it before their first
+        change; a manager calls it before its first segment write, so a
+        refused operation leaves no trace.
+        """
+        if self.total_bytes + nbytes > MAX_OBJECT_BYTES:
+            raise ObjectTooLargeError(
+                f"object of {self.total_bytes} bytes cannot grow by "
+                f"{nbytes}: the limit is {MAX_OBJECT_BYTES} bytes"
+            )
 
     def append_extent(self, extent: LeafExtent) -> None:
         """Add an extent at the end of the object."""
@@ -420,9 +441,11 @@ class PositionalTree:
         a run's descent every node of its path is dirty, and a dirty
         node is served from memory without a pool access or an event.
         """
+        grown = -span_bytes
         for extent in new_extents:
             if extent.used_bytes <= 0:
                 raise ByteRangeError("new extents must be non-empty")
+            grown += extent.used_bytes
         if self.root_page_id is None:
             raise StorageCorruptionError("tree not created")
         if span_bytes < 0 or not 0 <= span_start <= self.total_bytes - span_bytes:
@@ -430,6 +453,7 @@ class PositionalTree:
                 f"span [{span_start}, {span_start + span_bytes}) outside "
                 f"object of {self.total_bytes} bytes"
             )
+        self.check_growth(grown)
         remaining = span_bytes
         inserted = 0
         position = span_start
@@ -611,11 +635,11 @@ class PositionalTree:
             self._relocate_if_needed(sibling, (parent, sibling_index))
             # The sibling's pair nearest the underfull node moves over.
             if source == "left":
-                moved, ref = sibling.pop(len(sibling.refs) - 1)
-                node.insert(0, moved, ref)
+                moved, ref, alloc = sibling.pop(len(sibling.refs) - 1)
+                node.insert(0, moved, ref, alloc)
             else:
-                moved, ref = sibling.pop(0)
-                node.insert(len(node.refs), moved, ref)
+                moved, ref, alloc = sibling.pop(0)
+                node.insert(len(node.refs), moved, ref, alloc)
             parent.add_count(sibling_index, -moved)
             parent.add_count(child_index, moved)
             self._mark_node_dirty(sibling)
@@ -694,7 +718,7 @@ class PositionalTree:
 
     def _new_node(self, level: int) -> IndexNode:
         page_id = self.meta.allocate(1)
-        node = IndexNode(page_id, level)
+        node = IndexNode(page_id, level, self.data_base, self.meta.base_page_id)
         self._nodes[page_id] = node
         return node
 
@@ -749,15 +773,13 @@ class PositionalTree:
         rightmost_alloc = 0
         if is_root:
             leaf_parent = self._rightmost_leaf_parent()
-            if leaf_parent is not None and leaf_parent.refs:
-                rightmost_alloc = leaf_parent.refs[-1].alloc_pages
+            if leaf_parent is not None and leaf_parent.allocs:
+                rightmost_alloc = leaf_parent.allocs[-1]
         return node.serialize(
             self.config,
             is_root=is_root,
             total_bytes=self.total_bytes,
             rightmost_alloc=rightmost_alloc,
-            data_base=self.data_base,
-            meta_base=self.meta.base_page_id,
         )
 
     # ------------------------------------------------------------------
@@ -765,7 +787,7 @@ class PositionalTree:
     # ------------------------------------------------------------------
     def _iter_extents_uncharged(self, node: IndexNode) -> Iterator[LeafExtent]:
         if node.is_leaf_parent:
-            yield from node.refs
+            yield from node.extents()
         else:
             for page_id in node.refs:
                 yield from self._iter_extents_uncharged(
@@ -808,12 +830,11 @@ class PositionalTree:
         del path[depth + 1 :]
         node_start = self._path_prefix_bytes(path)
         node = path[-1][0]
-        while not node.is_leaf_parent:
+        while node.level != 1:
             child = self._get_node(node.refs[path[-1][1]])
             path.append((child, 0))
             node = child
-        ref = node.refs[path[-1][1]]
-        return ref, node_start
+        return node.extent(path[-1][1]), node_start
 
     def _path_prefix_bytes(self, path: list[tuple[IndexNode, int]]) -> int:
         """Byte offset of the pair selected by the path's last element."""
@@ -842,23 +863,21 @@ class PositionalTree:
         assert len(node.refs) <= self._max_fanout(node), "node overfull"
         if not is_root:
             assert len(node.refs) >= self._min_fanout(node), "node underfull"
-        total = 0
-        for count, ref in zip(node.counts(), node.refs):
-            if node.is_leaf_parent:
-                extent = ref
-                assert isinstance(extent, LeafExtent)
-                assert count == extent.used_bytes, "count mismatch"
+        if node.is_leaf_parent:
+            assert len(node.allocs) == len(node.cums), "pair lists out of step"
+            for extent in node.extents():
                 assert extent.used_bytes > 0, "empty extent"
                 assert extent.alloc_pages >= extent.used_pages(
                     self.config.page_size
                 ), "extent data exceeds allocation"
-            else:
-                child = self._peek_node(ref)
-                assert child.level == node.level - 1, "level mismatch"
-                child_total = self._check_subtree(child, is_root=False)
-                assert child_total == count, "subtree count drift"
-            total += count
-        return total
+            return node.total_bytes
+        assert not node.allocs, "allocations recorded above level 1"
+        for count, ref in zip(node.counts(), node.refs):
+            child = self._peek_node(ref)
+            assert child.level == node.level - 1, "level mismatch"
+            child_total = self._check_subtree(child, is_root=False)
+            assert child_total == count, "subtree count drift"
+        return node.total_bytes
 
 
 # ----------------------------------------------------------------------

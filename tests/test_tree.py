@@ -56,9 +56,7 @@ class ReferenceTree:
 def untouched_state(tree, env):
     """What a refused ``replace_span`` must leave exactly as it was."""
     return {
-        "extents": [
-            dataclasses.astuple(e) for e in tree.iter_extents(charged=False)
-        ],
+        "extents": [tuple(e) for e in tree.iter_extents(charged=False)],
         "total_bytes": tree.total_bytes,
         "dirty": sorted(tree._dirty),
         "dirty flags": {n.page_id: n.dirty for n in tree._walk_nodes()},

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buddy.area import DATA_AREA_BASE, META_AREA_BASE
+from repro.core.api import LargeObjectStore
 from repro.core.config import (
     NODE_HEADER_BYTES,
     ROOT_HEADER_BYTES,
@@ -16,13 +17,14 @@ from repro.core.config import (
 )
 from repro.core.env import StorageEnvironment
 from repro.core.errors import StorageCorruptionError
+from repro.recovery.crash import rebuild_tree_content
 from repro.tree.node import (
     IndexNode,
     LeafExtent,
     node_header_size,
     root_header_size,
 )
-from repro.tree.tree import PositionalTree
+from tests.test_tree import make_tree
 
 CONFIG = small_page_config(page_size=256)
 
@@ -48,13 +50,10 @@ class TestLeafExtent:
 
 class TestSerialization:
     def test_internal_node_roundtrip(self):
-        node = IndexNode(page_id=META_AREA_BASE + 5, level=2)
+        node = IndexNode(META_AREA_BASE + 5, 2, DATA_AREA_BASE, META_AREA_BASE)
         node.insert(0, 100, META_AREA_BASE + 10)
         node.insert(1, 250, META_AREA_BASE + 11)
-        data = node.serialize(
-            CONFIG, is_root=False,
-            data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
-        )
+        data = node.serialize(CONFIG, is_root=False)
         rebuilt, _total, _rm = IndexNode.deserialize(
             data, node.page_id, is_root=False,
             data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
@@ -64,14 +63,16 @@ class TestSerialization:
         assert rebuilt.counts() == [100, 250]
         assert rebuilt.cums == [100, 350]
         assert rebuilt.refs == [META_AREA_BASE + 10, META_AREA_BASE + 11]
+        assert rebuilt.allocs == []
 
     def test_leaf_parent_root_roundtrip(self):
-        node = IndexNode(page_id=META_AREA_BASE + 1, level=1)
-        node.insert(0, 300, LeafExtent(DATA_AREA_BASE + 7, 300, 2))
-        node.insert(1, 90, LeafExtent(DATA_AREA_BASE + 20, 90, 1))
+        node = IndexNode(META_AREA_BASE + 1, 1, DATA_AREA_BASE, META_AREA_BASE)
+        node.splice(0, 0, [
+            LeafExtent(DATA_AREA_BASE + 7, 300, 2),
+            LeafExtent(DATA_AREA_BASE + 20, 90, 1),
+        ])
         data = node.serialize(
-            CONFIG, is_root=True, total_bytes=390, rightmost_alloc=1,
-            data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+            CONFIG, is_root=True, total_bytes=390, rightmost_alloc=1
         )
         rebuilt, total, rightmost = IndexNode.deserialize(
             data, node.page_id, is_root=True,
@@ -81,7 +82,8 @@ class TestSerialization:
         assert total == 390
         assert rightmost == 1
         assert rebuilt.counts() == [300, 90]
-        first = rebuilt.refs[0]
+        assert rebuilt.refs == [7, 20]       # as the page holds them
+        first = rebuilt.extent(0)
         assert isinstance(first, LeafExtent)
         assert first.page_id == DATA_AREA_BASE + 7
         assert first.alloc_pages == 2
@@ -95,13 +97,30 @@ class TestSerialization:
             )
 
     def test_overfull_node_rejected_at_serialize(self):
-        node = IndexNode(page_id=1, level=2)
+        node = IndexNode(1, 2, DATA_AREA_BASE, META_AREA_BASE)
         for i in range(100):
             node.insert(i, 1, META_AREA_BASE + i)
         with pytest.raises(StorageCorruptionError):
-            node.serialize(
-                CONFIG, is_root=False,
-                data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+            node.serialize(CONFIG, is_root=False)
+
+    def test_one_node_laid_out_both_ways_and_at_two_page_sizes(self):
+        """The kept page buffer belongs to one header layout and one page
+        size; asking for another starts it again."""
+        node = IndexNode(META_AREA_BASE + 1, 1, DATA_AREA_BASE, META_AREA_BASE)
+        node.splice(0, 0, [LeafExtent(DATA_AREA_BASE + i, 10 + i, 1)
+                           for i in range(5)])
+        counts, pointers = node.counts(), list(range(5))
+        for is_root, config in [
+            (False, CONFIG), (True, CONFIG), (False, DIFF_CONFIG),
+            (False, CONFIG),
+        ]:
+            image = node.serialize(
+                config, is_root=is_root, total_bytes=sum(counts),
+                rightmost_alloc=1,
+            )
+            assert image == _encode(
+                1, counts, pointers, config.page_size,
+                root=(sum(counts), 1) if is_root else None,
             )
 
 
@@ -119,13 +138,12 @@ def test_roundtrip_preserves_counts(counts, is_root):
     if is_root and len(counts) > CONFIG.root_fanout:
         counts = counts[: CONFIG.root_fanout]
     page_id = META_AREA_BASE + 3
-    node = IndexNode(page_id=page_id, level=1)
+    node = IndexNode(page_id, 1, DATA_AREA_BASE, META_AREA_BASE)
     for i, c in enumerate(counts):
-        node.insert(i, c, LeafExtent(DATA_AREA_BASE + i, c, leaf_alloc(c, False)))
+        node.insert(i, c, i, leaf_alloc(c, False))
     data = node.serialize(
         CONFIG, is_root=is_root, total_bytes=sum(counts),
-        rightmost_alloc=node.refs[-1].alloc_pages,
-        data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+        rightmost_alloc=node.allocs[-1],
     )
     rebuilt, _t, _r = IndexNode.deserialize(
         data, page_id, is_root=is_root,
@@ -166,15 +184,35 @@ class TestCorruptPagesFailTyped:
         with pytest.raises(StorageCorruptionError, match="level 0"):
             self._decode(self._page(0, 1, [100, 1]))
 
+    def test_bytes_after_the_last_pair_are_not_kept(self):
+        """A node decoded from a page with residue past its pairs encodes
+        to a clean page: the kept image ends at the last pair."""
+        page = self._page(2, 1, [100, 1, 0xDEAD, 0xBEEF])
+        node, _total, _rm = IndexNode.deserialize(
+            page, 9, is_root=False,
+            data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+            leaf_alloc_pages=leaf_alloc,
+        )
+        assert node.serialize(CONFIG, is_root=False) == self._page(
+            2, 1, [100, 1]
+        )
+
 
 # ----------------------------------------------------------------------
 # Differential test: every mutator against a naive list-of-counts model
 # ----------------------------------------------------------------------
 def _encode(
-    level: int, counts: list[int], pointers: list[int], page_size: int
+    level: int, counts: list[int], pointers: list[int], page_size: int,
+    root: tuple[int, int] | None = None,
 ) -> bytes:
-    """From-scratch page image of a non-root node, one pair at a time."""
-    page = struct.pack("<2sBBHH", b"IN", level, 0, len(counts), 0)
+    """From-scratch page image, one pair at a time; ``root`` is the root
+    header's (total bytes, rightmost allocation)."""
+    if root is None:
+        page = struct.pack("<2sBBHH", b"IN", level, 0, len(counts), 0)
+    else:
+        page = struct.pack(
+            "<2sBBHHQIQQI", b"RT", level, 0, len(counts), 0, *root, 0, 0, 0
+        )
     total = 0
     for count, pointer in zip(counts, pointers):
         total += count
@@ -186,60 +224,126 @@ DIFF_CONFIG = small_page_config(page_size=1024)
 
 
 class _Model:
-    """A node as two plain lists; every change recomputes from scratch."""
+    """A node as plain lists; every change recomputes from scratch.
 
-    def __init__(self, level: int) -> None:
-        self.node = IndexNode(META_AREA_BASE + 1, level)
+    ``pointers`` are what the page stores: relative to the area base at
+    both levels.
+    """
+
+    def __init__(self, level: int, is_root: bool) -> None:
+        self.node = IndexNode(
+            META_AREA_BASE + 1, level, DATA_AREA_BASE, META_AREA_BASE
+        )
+        self.is_root = is_root
         self.counts: list[int] = []
         self.pointers: list[int] = []
-
-    def ref(self, pointer: int, count: int):
-        if self.node.level == 1:
-            return LeafExtent(DATA_AREA_BASE + pointer, count, 1)
-        return META_AREA_BASE + pointer
+        self.allocs: list[int] = []
 
     def check(self) -> None:
-        node = self.node
-        assert node.cums == list(itertools.accumulate(self.counts))
-        assert node.counts() == self.counts
-        assert node.total_bytes == sum(self.counts)
-        assert len(node.refs) == len(self.counts)
-        if node.level == 1:
-            assert [e.used_bytes for e in node.refs] == self.counts
+        node, counts, pointers = self.node, self.counts, self.pointers
+        level, n = node.level, len(counts)
+        assert node.cums == list(itertools.accumulate(counts))
+        assert node.counts() == counts
+        assert node.total_bytes == sum(counts)
+        if level == 1:
+            assert node.refs == pointers
+            assert node.allocs == self.allocs
+            extents = [
+                (DATA_AREA_BASE + p, c, a)
+                for p, c, a in zip(pointers, counts, self.allocs)
+            ]
+            assert node.extents() == extents
+            assert [node.extent(i) for i in range(n)] == extents
+            assert all(type(e) is LeafExtent for e in node.extents())
+            if n:
+                assert type(node.extent(n - 1)) is LeafExtent
+        else:
+            assert node.refs == [META_AREA_BASE + p for p in pointers]
+            assert node.allocs == []
+        root = (sum(counts), self.allocs[-1] if self.allocs else 0)
         image = node.serialize(
-            DIFF_CONFIG, is_root=False,
-            data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+            DIFF_CONFIG, is_root=self.is_root,
+            total_bytes=root[0], rightmost_alloc=root[1],
         )
+        assert type(image) is bytes
         assert image == _encode(
-            node.level, self.counts, self.pointers, DIFF_CONFIG.page_size
+            level, counts, pointers, DIFF_CONFIG.page_size,
+            root=root if self.is_root else None,
         )
+        assert node._packed == image and node._packed_upto == n
+
+        # The page decodes to the same columns and the same kept image.
+        # The allocations are not on the page: the hook hands them back
+        # in order, and must be asked pair by pair with the right flags.
+        asked = []
+
+        def hook(used_bytes: int, is_rightmost: bool) -> int:
+            asked.append((used_bytes, is_rightmost))
+            return self.allocs[len(asked) - 1]
+
+        rebuilt, total, rightmost = IndexNode.deserialize(
+            image, node.page_id, is_root=self.is_root,
+            data_base=DATA_AREA_BASE, meta_base=META_AREA_BASE,
+            leaf_alloc_pages=hook,
+        )
+        assert (total, rightmost) == (root if self.is_root else (0, 0))
+        assert (rebuilt.level, rebuilt.page_id) == (level, node.page_id)
+        assert rebuilt.cums == node.cums
+        assert rebuilt.refs == node.refs
+        assert rebuilt.allocs == node.allocs
+        assert asked == (
+            [(c, self.is_root and i == n - 1) for i, c in enumerate(counts)]
+            if level == 1 else []
+        )
+        assert rebuilt._packed == node._packed
+        assert rebuilt._packed_upto == node._packed_upto == n
 
 
 @pytest.mark.parametrize("level", [1, 2])
 @pytest.mark.parametrize("seed", range(5))
 def test_every_mutator_matches_a_naive_model(level, seed):
+    for is_root in (False, True):
+        _drive_every_mutator(level, seed, is_root)
+
+
+def _drive_every_mutator(level: int, seed: int, is_root: bool) -> None:
     rng = random.Random(seed)
-    a, b = _Model(level), _Model(level)
+    a, b = _Model(level, is_root), _Model(level, is_root)
     pointer = itertools.count(1)
+
+    def cells(m: _Model, count: int) -> tuple[int, int, int]:
+        """(what ``insert`` takes as ref, page pointer, allocation)."""
+        p = next(pointer)
+        if level == 1:
+            return p, p, rng.randint(1, 9)
+        return META_AREA_BASE + p, p, 0
+
     for _step in range(400):
         m = rng.choice((a, b))
         other = b if m is a else a
         n = len(m.counts)
         op = rng.choice(
-            ("insert", "insert", "append", "pop", "add", "ref", "take",
-             "splice")
+            ("insert", "insert", "append", "pop", "add", "ref", "alloc",
+             "take", "splice")
         )
         if op in ("insert", "append") and n < 100:
             i = n if op == "append" else rng.randint(0, n)
-            count, p = rng.randint(1, 5000), next(pointer)
-            m.node.insert(i, count, m.ref(p, count))
+            count = rng.randint(1, 5000)
+            ref, p, alloc = cells(m, count)
+            m.node.insert(i, count, ref, alloc)
             m.counts.insert(i, count)
             m.pointers.insert(i, p)
+            if level == 1:
+                m.allocs.insert(i, alloc)
         elif op == "pop" and n:
             i = rng.randrange(n)
-            count, _ref = m.node.pop(i)
+            count, ref, alloc = m.node.pop(i)
             assert count == m.counts.pop(i)
-            m.pointers.pop(i)
+            p = m.pointers.pop(i)
+            if level == 1:
+                assert (ref, alloc) == (p, m.allocs.pop(i))
+            else:
+                assert (ref, alloc) == (META_AREA_BASE + p, 0)
         elif op == "add" and n:
             i = rng.choice((rng.randrange(n), n - 1))
             count = rng.randint(1, 5000)
@@ -256,6 +360,19 @@ def test_every_mutator_matches_a_naive_model(level, seed):
             else:
                 m.node.set_ref(i, META_AREA_BASE + p)
             m.pointers[i] = p
+        elif op == "alloc" and level == 1 and n:
+            i = rng.randrange(n)
+            if rng.random() < 0.5:
+                m.allocs[i] = rng.randint(1, 9)
+                m.node.update_extent(i, alloc_pages=m.allocs[i])
+            else:
+                # All three cells of the pair at once.
+                m.counts[i], m.pointers[i], m.allocs[i] = (
+                    rng.randint(1, 5000), next(pointer), rng.randint(1, 9)
+                )
+                m.node.update_extent(
+                    i, m.counts[i], DATA_AREA_BASE + m.pointers[i], m.allocs[i]
+                )
         elif op == "splice" and level == 1 and n < 100:
             i = rng.randint(0, n)
             k = rng.randint(0, min(4, n - i))
@@ -266,14 +383,17 @@ def test_every_mutator_matches_a_naive_model(level, seed):
                 cuts = sorted(rng.sample(range(1, gone), len(counts) - 1))
                 counts = [b - a for a, b in zip([0] + cuts, cuts + [gone])]
             pointers = [next(pointer) for _ in counts]
-            delta = m.node.splice(
-                i, k, [m.ref(p, c) for p, c in zip(pointers, counts)]
-            )
+            allocs = [rng.randint(1, 9) for _ in counts]
+            delta = m.node.splice(i, k, [
+                LeafExtent(DATA_AREA_BASE + p, c, a)
+                for p, c, a in zip(pointers, counts, allocs)
+            ])
             assert delta == sum(counts) - gone
             m.counts[i:i + k] = counts
             m.pointers[i:i + k] = pointers
+            m.allocs[i:i + k] = allocs
         elif op == "take" and len(other.counts) and n < 60:
-            room = 120 - n          # a 1,024-byte page holds 127 pairs
+            room = 120 - n          # a 1,024-byte root holds 123 pairs
             start = rng.randint(
                 max(0, len(other.counts) - room), len(other.counts)
             )
@@ -281,25 +401,30 @@ def test_every_mutator_matches_a_naive_model(level, seed):
             assert moved == sum(other.counts[start:])
             m.counts += other.counts[start:]
             m.pointers += other.pointers[start:]
+            m.allocs += other.allocs[start:]
             del other.counts[start:], other.pointers[start:]
+            del other.allocs[start:]
         a.check()
         b.check()
+
+
+def _small_tree():
+    """Page 128 -> root fanout 11, node fanout 15."""
+    env = StorageEnvironment(small_page_config(page_size=128))
+    return env, make_tree(env)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_tree_rebalancing_matches_a_naive_model(seed):
     """Split, borrow, merge, root split and collapse through a
     small-fanout tree, by spans of 0-4 extents replaced by 0-4: after
-    every operation each node's ``cums`` and serialized bytes equal a
-    from-scratch encoding of its pairs."""
-    config = small_page_config(page_size=128)
-    env = StorageEnvironment(config)
-    tree = PositionalTree(
-        config, env.pool, env.areas.meta, data_base=DATA_AREA_BASE
-    )
-    tree.create()
+    every operation the tree's extents equal a list of (page, bytes,
+    allocation) triples, and each node's columns and serialized bytes —
+    the root's too — equal a from-scratch encoding of its pairs."""
+    env, tree = _small_tree()
+    config = env.config
     rng = random.Random(seed)
-    sizes: list[int] = []
+    model: list[tuple[int, int, int]] = []
     events = set()
     tree._event = lambda kind, **attrs: events.add(
         (kind, attrs.get("source"))
@@ -307,34 +432,55 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
 
     def check() -> None:
         tree.check_invariants()
-        assert [e.used_bytes for e in tree.iter_extents(charged=False)] == sizes
+        assert list(tree.iter_extents(charged=False)) == model
+        assert tree.leaf_pages_allocated() == sum(a for _p, _c, a in model)
+        position = 0
+        for node in sorted(
+            (n for n in tree._walk_nodes() if n.level == 1),
+            key=lambda n: model.index(n.extent(0)) if n.cums else 0,
+        ):
+            mine = model[position:position + len(node.cums)]
+            position += len(mine)
+            assert node.extents() == mine
+            assert node.refs == [p - DATA_AREA_BASE for p, _c, _a in mine]
+            assert node.allocs == [a for _p, _c, a in mine]
+        assert position == len(model)
         for node in tree._walk_nodes():
             counts = node.counts()
             assert node.cums == list(itertools.accumulate(counts))
-            if node.page_id == tree.root_page_id:
-                continue
             if node.level == 1:
-                pointers = [e.page_id - DATA_AREA_BASE for e in node.refs]
+                pointers = list(node.refs)
             else:
+                assert node.allocs == []
                 pointers = [p - META_AREA_BASE for p in node.refs]
+            root = None
+            if node.page_id == tree.root_page_id:
+                root = (tree.total_bytes, model[-1][2] if model else 0)
             assert tree._serialize_node(node) == _encode(
-                node.level, counts, pointers, config.page_size
+                node.level, counts, pointers, config.page_size, root=root
             )
 
     def extents(count: int) -> list[LeafExtent]:
-        return [
-            LeafExtent(env.areas.data.allocate(1), rng.randint(1, 100), 1)
-            for _ in range(count)
-        ]
+        new = []
+        for _ in range(count):
+            alloc = rng.randint(1, 3)
+            new.append(LeafExtent(
+                env.areas.data.allocate(alloc), rng.randint(1, 100), alloc
+            ))
+        return new
 
     for step in range(600):
         growing = step < 150 or (step >= 450 and rng.random() < 0.5)
-        at = rng.randint(0, len(sizes))
-        gone = min(rng.randint(0, 1 if growing else 4), len(sizes) - at)
+        at = rng.randint(0, len(model))
+        gone = min(rng.randint(0, 1 if growing else 4), len(model) - at)
         new = extents(rng.randint(1, 4) if growing else rng.randint(0, 1))
         tree.begin_op()
-        tree.replace_span(sum(sizes[:at]), sum(sizes[at:at + gone]), new)
-        sizes[at:at + gone] = [e.used_bytes for e in new]
+        tree.replace_span(
+            sum(c for _p, c, _a in model[:at]),
+            sum(c for _p, c, _a in model[at:at + gone]),
+            new,
+        )
+        model[at:at + gone] = new
         tree.end_op()
         check()
     assert events == {
@@ -342,3 +488,126 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
         ("tree.borrow", "left"), ("tree.borrow", "right"),
         ("tree.merge", None), ("tree.collapse.root", None),
     }
+
+
+# ----------------------------------------------------------------------
+# An extent is a value
+# ----------------------------------------------------------------------
+class TestExtentsAreValues:
+    def _tree_of_three(self):
+        _env, tree = _small_tree()
+        tree.begin_op()
+        tree.replace_span(0, 0, [
+            LeafExtent(DATA_AREA_BASE + 10 * i, 100 + i, 2) for i in range(3)
+        ])
+        tree.end_op()
+        return tree
+
+    def test_an_extent_from_locate_outlives_later_updates_unchanged(self):
+        tree = self._tree_of_three()
+        cursor = tree.locate(150)
+        taken = cursor.extent
+        assert taken == (DATA_AREA_BASE + 10, 101, 2)
+        tree.begin_op()
+        tree.update_extent(
+            tree.locate(150), used_bytes=7, page_id=DATA_AREA_BASE + 99,
+            alloc_pages=1,
+        )
+        tree.replace_span(0, 100, [])
+        tree.end_op()
+        assert taken == (DATA_AREA_BASE + 10, 101, 2)
+        assert tree.locate(0).extent == (DATA_AREA_BASE + 99, 7, 1)
+
+    @pytest.mark.parametrize(
+        "field", ["page_id", "used_bytes", "alloc_pages"]
+    )
+    def test_an_extent_cannot_be_assigned_to(self, field):
+        tree = self._tree_of_three()
+        for extent in (
+            tree.locate(0).extent, tree.last_extent()[0],
+            next(tree.iter_extents(charged=False)),
+            tree.extents_covering(50, 100)[1][0],
+        ):
+            with pytest.raises(AttributeError):
+                setattr(extent, field, 1)
+        assert [tuple(e) for e in tree.iter_extents(charged=False)] == [
+            (DATA_AREA_BASE + 10 * i, 100 + i, 2) for i in range(3)
+        ]
+
+    def test_cursor_extent_is_current_after_update_extent(self):
+        tree = self._tree_of_three()
+        cursor = tree.locate(150)
+        tree.begin_op()
+        tree.update_extent(cursor, used_bytes=120)
+        assert cursor.extent == (DATA_AREA_BASE + 10, 120, 2)
+        tree.update_extent(cursor, page_id=DATA_AREA_BASE + 77, alloc_pages=3)
+        assert cursor.extent == (DATA_AREA_BASE + 77, 120, 3)
+        # ... so a second size change through the same cursor is measured
+        # from the current size, not from the one it was located with.
+        tree.update_extent(cursor, used_bytes=cursor.extent.used_bytes + 5)
+        tree.end_op()
+        assert cursor.extent.used_bytes == 125
+        assert tree.total_bytes == 100 + 125 + 102
+        tree.check_invariants()
+
+
+class TestImagesReadBackTheSameSegments:
+    """``reopen`` and the crash-recovery walk rebuild nodes from pages: a
+    three-level EOS object whose rightmost segment carries append slack
+    (recorded only in the root header) comes back segment for segment."""
+
+    @pytest.fixture()
+    def store(self):
+        store = LargeObjectStore(
+            "eos", small_page_config(page_size=128), threshold_pages=1
+        )
+        oid = store.create(bytes(range(256)) * 78)
+        rng = random.Random(7)
+        for i in range(700):
+            store.insert(
+                oid, rng.randrange(store.size(oid)), bytes([i % 251]) * 3
+            )
+        store.append(oid, b"a" * 500)     # doubling: the last of 4 pages
+        store.append(oid, b"b" * 10)      # ... is still unused after this
+        tree = store.manager.tree_of(oid)
+        last, _start = tree.last_extent()
+        assert tree.height == 3
+        assert last.alloc_pages > last.used_pages(128)      # the slack
+        return store, oid
+
+    def test_reopen(self, store):
+        store, oid = store
+        live = store.manager.tree_of(oid)
+        tree = store.manager._new_tree()
+        tree.reopen(oid)
+        tree.check_invariants()
+        expected = list(live.iter_extents(charged=False))
+        assert list(tree.iter_extents(charged=False)) == expected
+        assert list(tree.iter_extents(charged=True)) == expected
+        assert tree.leaf_pages_allocated() == live.leaf_pages_allocated()
+        assert (tree.height, tree.total_bytes) == (
+            live.height, live.total_bytes
+        )
+
+    def test_crash_walk(self, store):
+        store, oid = store
+        live = store.manager.tree_of(oid)
+        expected_runs = []
+
+        def walk(node):
+            expected_runs.append((node.page_id, 1))
+            if node.level == 1:
+                expected_runs.extend(
+                    (e.page_id, e.used_pages(128)) for e in node.extents()
+                )
+            else:
+                for child in node.refs:
+                    walk(live._peek_node(child))
+
+        walk(live._peek_node(oid))
+        runs: list[tuple[int, int]] = []
+        content = rebuild_tree_content(
+            store.env, oid, store.manager._leaf_alloc_pages, runs
+        )
+        assert content == store.read(oid, 0, store.size(oid))
+        assert runs == expected_runs

@@ -81,7 +81,7 @@ class OnePairAtATime:
         cursor = tree.locate(position)
         assert cursor.extent_start == position
         node, index = cursor.path[-1]
-        removed, _extent = node.pop(index)
+        removed, _pointer, _alloc = node.pop(index)
         for ancestor, child_index in cursor.path[:-1]:
             ancestor.add_count(child_index, -removed)
         tree.total_bytes -= removed
@@ -92,8 +92,12 @@ class OnePairAtATime:
     def _insert_extent_at(self, position: int, extent: LeafExtent):
         tree = self.tree
         root = tree._get_node(tree.root_page_id)
+        pair = (
+            extent.used_bytes, extent.page_id - DATA_AREA_BASE,
+            extent.alloc_pages,
+        )
         if not root.refs:
-            root.insert(0, extent.used_bytes, extent)
+            root.insert(0, *pair)
             tree.total_bytes += extent.used_bytes
             tree._mark_node_dirty(root)
             return root
@@ -114,7 +118,7 @@ class OnePairAtATime:
                 node = tree._get_node(node.refs[index])
             insert_at, child_start = _choose_child(node, position - start)
             assert start + child_start == position
-        node.insert(insert_at, extent.used_bytes, extent)
+        node.insert(insert_at, *pair)
         for ancestor, child_index in path:
             ancestor.add_count(child_index, extent.used_bytes)
         tree.total_bytes += extent.used_bytes
@@ -154,8 +158,7 @@ class Twin:
         nodes = sorted(
             (
                 node.page_id, node.level, node.dirty, list(node.cums),
-                [(e.page_id, e.used_bytes, e.alloc_pages) for e in node.refs]
-                if node.is_leaf_parent else list(node.refs),
+                list(node.refs), list(node.allocs),
             )
             for node in tree._walk_nodes()
         )
