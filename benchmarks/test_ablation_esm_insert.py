@@ -5,13 +5,13 @@ utilization with minimal additional insert cost" [Care86].
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.common import KB, build_object, make_store
+from repro.core.api import LargeObjectStore
+from repro.experiments.common import KB, build_object
 
 
 def run_one(improved, scale):
-    store = make_store("esm", leaf_pages=4)
-    store.manager.options = type(store.manager.options)(
-        leaf_pages=4, improved_insert=improved
+    store = LargeObjectStore(
+        "esm", leaf_pages=4, improved_insert=improved, record_data=False
     )
     oid = build_object(store, max(1, scale.object_bytes // 4), 64 * KB)
     before = store.snapshot()

@@ -7,13 +7,13 @@ ablation reproduces why the paper's ESM read costs are better.
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.common import KB, build_object, make_store
+from repro.core.api import LargeObjectStore
+from repro.experiments.common import KB, build_object
 
 
 def read_cost(partial, scale):
-    store = make_store("esm", leaf_pages=16)
-    store.manager.options = type(store.manager.options)(
-        leaf_pages=16, partial_leaf_io=partial
+    store = LargeObjectStore(
+        "esm", leaf_pages=16, partial_leaf_io=partial, record_data=False
     )
     oid = build_object(store, max(1, scale.object_bytes // 4), 64 * KB)
     before = store.snapshot()

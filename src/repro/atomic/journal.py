@@ -10,13 +10,14 @@ are deterministic.  The region is laid out as::
     [J-1]       DECISION page (used only when this shard coordinates)
 
 Records are framed with a magic string, a record kind, the batch id,
-and a CRC-32 over the whole frame; a torn multi-page PREPARE write
-persists only a prefix, fails the CRC, and therefore *never happened* —
-which is exactly the durability edge two-phase commit needs.  All
-journal writes go through the buffer pool's sanctioned
-:meth:`~repro.buffer.pool.BufferPool.write_run` path: they are charged
-physical writes, carry the disk's page-checksum envelope, and are
-intercepted by an armed fault injector like any other I/O.  Journal
+and a CRC-32 over the whole frame, and written zero-padded to whole
+pages (the bytes a shorter write would leave); a torn multi-page
+PREPARE write persists only a prefix, fails the CRC, and therefore
+*never happened* — which is exactly the durability edge two-phase
+commit needs.  All journal writes go through the buffer pool's
+sanctioned :meth:`~repro.buffer.pool.BufferPool.write_run` path: they
+are charged physical writes, carry the disk's page-checksum envelope,
+and are intercepted by an armed fault injector like any other I/O.  Journal
 *reads* during recovery use ``disk.peek_pages`` — recovery works from
 the image alone and charges nothing for the forensic scan.
 
@@ -51,6 +52,11 @@ _KIND_NAMES = {PREPARE: "PREPARE", DECISION: "DECISION",
 #: payload length, CRC-32 (computed with the CRC field zeroed).
 _MAGIC = b"RJL1"
 _HEADER = struct.Struct("<4sBQIIQI")
+
+#: Counts, participant ids and the CRC field (the header's last four
+#: bytes, at ``_CRC_AT``).
+_U32 = struct.Struct("<I")
+_CRC_AT = _HEADER.size - _U32.size
 
 #: One journaled op: oid, op-kind code, offset, nbytes, payload kind
 #: (0 none, 1 recorded bytes, 2 length-only SizedPayload), payload len.
@@ -131,6 +137,49 @@ def _decode_payload_field(code: int, length: int, raw: bytes) -> Payload:
     return raw
 
 
+def _encode_payload(
+    participants: Sequence[int], mops: Sequence[MultiOp]
+) -> bytes:
+    """The participants, then each journaled op and its recorded bytes."""
+    parts = [
+        _U32.pack(len(participants)),
+        *map(_U32.pack, participants),
+        _U32.pack(len(mops)),
+    ]
+    for oid, op in mops:
+        code, length, raw = _encode_payload_field(op.data)
+        parts.append(_OP.pack(
+            oid, _OP_CODES[op.kind], op.offset, op.nbytes, code, length
+        ))
+        parts.append(raw)
+    return b"".join(parts)
+
+
+def _frame(
+    kind: int,
+    batch_id: int,
+    coordinator: int,
+    shard: int,
+    payload: bytes,
+    size: int,
+) -> bytes:
+    """One record of ``size`` bytes: header, ``payload``, zero padding.
+
+    The header is packed once with its CRC field zeroed; the CRC-32 of
+    that header followed by the payload then takes the field's place.
+    """
+    header = _HEADER.pack(
+        _MAGIC, kind, batch_id, coordinator, shard, len(payload), 0
+    )
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    return b"".join((
+        header[:_CRC_AT],
+        _U32.pack(crc),
+        payload,
+        bytes(size - _HEADER.size - len(payload)),
+    ))
+
+
 def encode_record(
     kind: int,
     batch_id: int,
@@ -140,24 +189,11 @@ def encode_record(
     mops: Sequence[MultiOp] = (),
 ) -> bytes:
     """Serialize one journal record to its CRC-framed wire form."""
-    parts: list[bytes] = [struct.pack("<I", len(participants))]
-    parts.extend(struct.pack("<I", p) for p in participants)
-    parts.append(struct.pack("<I", len(mops)))
-    for oid, op in mops:
-        code, length, raw = _encode_payload_field(op.data)
-        parts.append(_OP.pack(
-            oid, _OP_CODES[op.kind], op.offset, op.nbytes, code, length
-        ))
-        parts.append(raw)
-    payload = b"".join(parts)
-    header = _HEADER.pack(
-        _MAGIC, kind, batch_id, coordinator, shard, len(payload), 0
+    payload = _encode_payload(participants, mops)
+    return _frame(
+        kind, batch_id, coordinator, shard, payload,
+        _HEADER.size + len(payload),
     )
-    crc = zlib.crc32(header + payload)
-    header = _HEADER.pack(
-        _MAGIC, kind, batch_id, coordinator, shard, len(payload), crc
-    )
-    return header + payload
 
 
 def decode_record(image: bytes) -> JournalRecord | None:
@@ -267,58 +303,87 @@ class IntentJournal:
     # ------------------------------------------------------------------
     # Charged journal writes (the protocol's durability points)
     # ------------------------------------------------------------------
-    def _write_record(self, page_id: int, limit_pages: int,
-                      record: bytes) -> int:
+    def _encode(
+        self,
+        limit_pages: int,
+        kind: int,
+        batch_id: int,
+        coordinator: int,
+        shard: int,
+        participants: Sequence[int] = (),
+        mops: Sequence[MultiOp] = (),
+    ) -> bytes:
+        """A record padded to whole pages, refused before anything is
+        written if it needs more than ``limit_pages``."""
+        payload = _encode_payload(participants, mops)
         page_size = self.env.config.page_size
-        n_pages = -(-len(record) // page_size)
+        size = _HEADER.size + len(payload)
+        n_pages = -(-size // page_size)
         if n_pages > limit_pages:
             raise InvalidArgumentError(
-                f"journal record of {len(record)} bytes needs {n_pages} "
+                f"journal record of {size} bytes needs {n_pages} "
                 f"pages but the area holds {limit_pages}; raise "
                 "journal_pages (or shrink the batch)"
             )
+        return _frame(
+            kind, batch_id, coordinator, shard, payload, n_pages * page_size
+        )
+
+    def _write(self, page_id: int, record: bytes) -> int:
+        """Write a padded record; returns its pages."""
+        n_pages = len(record) // self.env.config.page_size
         # Charged, checksummed, fault-interceptable — one physical write.
         self.env.pool.write_run(page_id, n_pages, record, record=True)
         return n_pages
 
-    def write_prepare(
+    def encode_prepare(
         self,
         batch_id: int,
         coordinator: int,
         shard: int,
         participants: Sequence[int],
         mops: Sequence[MultiOp],
-    ) -> int:
-        """Journal the shard's intent; returns the pages written.
+    ) -> bytes:
+        """The shard's PREPARE record, ready for :meth:`write_prepare`.
+
+        Raises :class:`InvalidArgumentError` if the PREPARE area cannot
+        hold it; nothing is written either way.
+        """
+        return self._encode(
+            self.prepare_pages, PREPARE, batch_id, coordinator, shard,
+            participants, mops,
+        )
+
+    def write_prepare(self, record: bytes) -> int:
+        """Journal the shard's intent (from :meth:`encode_prepare`);
+        returns the pages written.
 
         A multi-page record is written as ONE physical write, so the
         torn-write fault model applies: a prefix-only persist fails the
         CRC and the prepare never happened.
         """
-        record = encode_record(
-            PREPARE, batch_id, coordinator, shard, participants, mops
-        )
-        return self._write_record(self.base_page, self.prepare_pages, record)
+        return self._write(self.base_page, record)
 
     def write_decision(
         self, batch_id: int, participants: Sequence[int]
     ) -> None:
         """The global commit point: one single-page atomic write."""
-        record = encode_record(
-            DECISION, batch_id, self_coordinator(participants),
-            self_coordinator(participants), participants,
-        )
-        self._write_record(self.decision_page, 1, record)
+        coordinator = self_coordinator(participants)
+        self._write(self.decision_page, self._encode(
+            1, DECISION, batch_id, coordinator, coordinator, participants
+        ))
 
     def write_applied(self, batch_id: int, shard: int) -> None:
         """Mark the shard's held commit about to be released (1 page)."""
-        record = encode_record(APPLIED, batch_id, shard, shard)
-        self._write_record(self.applied_page, 1, record)
+        self._write(
+            self.applied_page, self._encode(1, APPLIED, batch_id, shard, shard)
+        )
 
     def write_clean(self, batch_id: int, shard: int) -> None:
         """Overwrite the PREPARE area head with a CLEAN resolution."""
-        record = encode_record(CLEAN, batch_id, shard, shard)
-        self._write_record(self.base_page, 1, record)
+        self._write(
+            self.base_page, self._encode(1, CLEAN, batch_id, shard, shard)
+        )
 
     # ------------------------------------------------------------------
     # Image-only reads (recovery and fsck; uncharged forensics)

@@ -4,7 +4,9 @@ The protocol, in charged-write order (every numbered step is physical
 I/O the fault injector can interrupt; the bracketed steps are uncharged
 image pokes that cannot crash):
 
-Phase 1 — prepare, shards ascending:
+Phase 1 — prepare, shards ascending (every shard's PREPARE record is
+encoded and checked against its journal area before the first write,
+so an oversized batch is refused with no shard touched):
   1. journal a PREPARE record on the shard (batch id, participants,
      the shard's ops) — one multi-page write, torn-able, CRC-framed;
   2. execute the shard's sub-batch under the engine's *hold* mode:
@@ -84,10 +86,19 @@ class AtomicCoordinator:
             local_mops.append(MultiOp(mop.oid // store.n_shards, mop.op))
         if not groups:
             return BatchResult((), ())
-        self._batch_seq += 1
-        batch_id = self._batch_seq
+        batch_id = self._batch_seq + 1
         participants = tuple(sorted(groups))
         coordinator = participants[0]
+        # Every PREPARE is encoded and fitted to its journal before the
+        # first write, so a record too large for its area refuses the
+        # batch with nothing changed on any shard.
+        prepares = {
+            shard: self.journals[shard].encode_prepare(
+                batch_id, coordinator, shard, participants, groups[shard][1]
+            )
+            for shard in participants
+        }
+        self._batch_seq = batch_id
         results: list[Payload | None] = [None] * len(mops)
         costs: list[float] = [0.0] * len(mops)
         held: dict[int, HeldCommit] = {}
@@ -104,13 +115,14 @@ class AtomicCoordinator:
                     shard_store.env.tracer, "atomic.prepare",
                     shard=shard, batch=batch_id, ops=len(local_mops),
                 ):
-                    self.journals[shard].write_prepare(
-                        batch_id, coordinator, shard, participants,
-                        local_mops,
-                    )
-                    with engine.holding():
+                    self.journals[shard].write_prepare(prepares[shard])
+                    engine.hold()
+                    try:
                         outcome = shard_store.submit_multi(local_mops)
-                    held[shard] = engine.take_held()
+                    finally:
+                        commit = engine.take_held()
+                assert commit is not None  # the held batch committed
+                held[shard] = commit
                 for index, result, cost in zip(
                     positions, outcome.results, outcome.op_costs_ms
                 ):

@@ -28,11 +28,21 @@ page-transfer per page through the shared :class:`~repro.disk.iomodel.CostModel`
 
 Two robustness facilities live at this layer (see ``docs/robustness.md``):
 
-* **Page checksums.**  Every recorded page image carries a CRC-32 in its
-  envelope, computed at write time and verified on every accounted read,
-  so silent corruption raises :class:`~repro.core.errors.ChecksumError`
-  instead of propagating.  Phantom pages store no bytes and therefore
-  carry no checksum; phantom-mode experiment runs are unaffected.
+* **Page checksums.**  Every recorded page image is covered by a CRC-32
+  envelope verified on every accounted read, so silent corruption raises
+  :class:`~repro.core.errors.ChecksumError` instead of propagating.  The
+  CRC is taken only where it can differ from the image: stored images
+  are immutable ``bytes`` written only by the write path (``write_pages``
+  and ``poke_pages``), and :meth:`SimulatedDisk.corrupt_page` is the one
+  thing that replaces an image out of band.  So ``corrupt_page`` records
+  the intact image's CRC once, before its first bit flip; every write,
+  poke or discard of the page drops it; and reads check only the pages
+  that have one.  That raises exactly the errors a CRC taken at every
+  write would, with no CRC work on untouched pages.  A device whose
+  bytes can change outside the write path (a file, real media) must
+  checksum at write time instead.  Phantom pages store no bytes and
+  therefore carry no checksum; phantom-mode experiment runs are
+  unaffected.
 * **Fault interception.**  A :class:`FaultSite` (implemented by
   :class:`repro.faults.FaultInjector`) can be installed to inject
   deterministic crashes, transient read/write faults, and torn multi-page
@@ -160,10 +170,12 @@ class SimulatedDisk:
         #: Shared length-only page handed out for phantom pages by
         #: :meth:`read_page_views`; immutable, so aliasing is safe.
         self._zero_payload = SizedPayload(config.page_size)
-        #: Page envelope: CRC-32 of every recorded page image, written
-        #: alongside the content and verified on accounted reads.
+        #: Page envelope: the CRC-32 of the intact image of every page
+        #: :meth:`corrupt_page` changed since the page was last written.
+        #: Only ``corrupt_page`` adds entries; a write, poke or discard of
+        #: the page drops its entry.  Every other recorded page holds the
+        #: image the write path stored, so its CRC cannot differ.
         self._checksums: dict[int, int] = {}
-        self._zero_crc = zlib.crc32(self._zero_page)
         #: Installed fault injector, if any (see :class:`FaultSite`).
         self._fault_site: FaultSite | None = None
         #: Latched by the first injected crash: the simulated machine is
@@ -226,17 +238,15 @@ class SimulatedDisk:
             if phantom == run:
                 return SizedPayload(n_pages * self.config.page_size)
             return self._zero_run(n_pages)
+        if self._checksums:
+            self._verify_checksum(start, n_pages)
         get = self._pages.get
         zero = self._zero_page
-        images: list[bytes] = []
-        for page_id in range(start, start + n_pages):
-            content = get(page_id)
-            if content is None:
-                images.append(zero)
-            else:
-                self._verify_checksum(page_id, content)
-                images.append(content)
-        return b"".join(images)
+        # A stored image is a whole page, never empty, so ``or`` only
+        # stands in for the missing ones.
+        return b"".join(
+            [get(page_id) or zero for page_id in range(start, start + n_pages)]
+        )
 
     def read_page_views(self, start: int, n_pages: int) -> list[Payload]:
         """Read a run in one I/O call, returned as one object per page.
@@ -274,6 +284,8 @@ class SimulatedDisk:
                 return [self._zero_payload] * n_pages
             if not phantom:
                 return [self._zero_page] * n_pages
+        elif self._checksums:
+            self._verify_checksum(start, n_pages)
         get = self._pages.get
         zero = self._zero_page
         zero_payload = self._zero_payload
@@ -281,7 +293,6 @@ class SimulatedDisk:
         for i in range(n_pages):
             content = get(start + i)
             if content is not None:
-                self._verify_checksum(start + i, content)
                 views.append(content)
             elif phantom >> (offset + i) & 1:
                 views.append(zero_payload)
@@ -341,7 +352,8 @@ class SimulatedDisk:
         record: bool,
         limit: int | None = None,
     ) -> None:
-        """Persist (a prefix of) a page run, maintaining the checksum map."""
+        """Persist (a prefix of) a page run; a rewritten page is intact, so
+        any CRC :meth:`corrupt_page` recorded for it is dropped."""
         page_size = self.config.page_size
         stop = n_pages if limit is None else min(limit, n_pages)
         if not record:
@@ -365,20 +377,18 @@ class SimulatedDisk:
                     self._drop_images(start, stop)
                 _mark_run(self._phantom, start, stop, True)
             return
+        if self._checksums:
+            self._drop_checksums(start, stop)
         pages = self._pages
-        checksums = self._checksums
         known = len(pages)
         if isinstance(data, SizedPayload):
             zero = self._zero_page
-            zero_crc = self._zero_crc
             for i in range(stop):
                 pages[start + i] = zero
-                checksums[start + i] = zero_crc
         elif stop == 1 and len(data) == page_size and type(data) is bytes:
             # One whole page that is already immutable (a shadowed index
-            # page) is kept as it is.
+            # page, a journal record) is kept as it is.
             pages[start] = data
-            checksums[start] = zlib.crc32(data)
         else:
             # Store per-page images straight from the caller's buffer: one
             # copy per page instead of the old pad-whole-buffer-then-slice
@@ -389,17 +399,13 @@ class SimulatedDisk:
                 lo = i * page_size
                 if lo >= data_len:
                     image = self._zero_page
-                    crc = self._zero_crc
                 elif lo + page_size <= data_len:
                     image = bytes(view[lo : lo + page_size])
-                    crc = zlib.crc32(image)
                 else:
                     image = bytes(view[lo:data_len]).ljust(
                         page_size, b"\x00"
                     )
-                    crc = zlib.crc32(image)
                 pages[start + i] = image
-                checksums[start + i] = crc
         if len(pages) != known:
             self._mark_recorded(start, stop)
 
@@ -425,10 +431,17 @@ class SimulatedDisk:
         """Forget the images and checksums of the run's recorded pages
         (the caller clears them in ``_recorded``)."""
         pop_page = self._pages.pop
-        pop_checksum = self._checksums.pop
         for page_id in range(start, start + n_pages):
             pop_page(page_id, None)
-            pop_checksum(page_id, None)
+        if self._checksums:
+            self._drop_checksums(start, n_pages)
+
+    def _drop_checksums(self, start: int, n_pages: int) -> None:
+        """Forget the CRCs :meth:`corrupt_page` recorded inside the run."""
+        checksums = self._checksums
+        stop = start + n_pages
+        for page_id in [p for p in checksums if start <= p < stop]:
+            del checksums[page_id]
 
     # ------------------------------------------------------------------
     # Fault injection and checksum verification
@@ -515,12 +528,18 @@ class SimulatedDisk:
                 if self.tracer is not None:
                     self.tracer.io_event("disk.retry.write", start, n_pages)
 
-    def _verify_checksum(self, page_id: int, content: bytes) -> None:
-        expected = self._checksums.get(page_id)
-        if expected is not None and zlib.crc32(content) != expected:
-            if self.tracer is not None:
-                self.tracer.event("disk.checksum_fail", page=page_id)
-            raise ChecksumError(page_id)
+    def _verify_checksum(self, start: int, n_pages: int) -> None:
+        """Raise :class:`ChecksumError` for the run's first page whose
+        image no longer matches the CRC :meth:`corrupt_page` recorded."""
+        pages = self._pages
+        stop = start + n_pages
+        for page_id, expected in sorted(self._checksums.items()):
+            if not start <= page_id < stop:
+                continue
+            if zlib.crc32(pages[page_id]) != expected:
+                if self.tracer is not None:
+                    self.tracer.event("disk.checksum_fail", page=page_id)
+                raise ChecksumError(page_id)
 
     def corrupt_page(self, page_id: int, bit_index: int) -> None:
         """Flip one bit of a recorded page *without* updating its checksum.
@@ -529,13 +548,17 @@ class SimulatedDisk:
         :class:`repro.faults.FaultInjector` (and tests): the stored image
         changes but the envelope checksum does not, so the next accounted
         read raises :class:`~repro.core.errors.ChecksumError` and
-        :meth:`verify_checksums` localizes the page.
+        :meth:`verify_checksums` localizes the page.  The checksum is the
+        CRC of the image as last written, taken here before the first
+        flip since that write (later flips keep it: flipping one bit
+        back restores a page that verifies).
         """
         content = self._pages.get(page_id)
         if content is None:
             raise InvalidArgumentError(
                 f"page {page_id} has no recorded content to corrupt"
             )
+        self._checksums.setdefault(page_id, zlib.crc32(content))
         byte_index, bit = divmod(bit_index % (len(content) * 8), 8)
         corrupted = bytearray(content)
         corrupted[byte_index] ^= 1 << bit
@@ -545,15 +568,17 @@ class SimulatedDisk:
     def verify_checksums(self) -> list[int]:
         """Page ids whose stored content fails verification (no I/O cost).
 
-        The whole-disk scan behind ``repro-experiments fsck``: phantom and
-        never-written pages have no checksum and are skipped.
+        The whole-disk scan behind ``repro-experiments fsck``.  Only a
+        page :meth:`corrupt_page` touched since its last write can fail,
+        so only those are checked; phantom and never-written pages have
+        no checksum at all.
         """
-        bad = []
-        for page_id, content in self._pages.items():
-            expected = self._checksums.get(page_id)
-            if expected is not None and zlib.crc32(content) != expected:
-                bad.append(page_id)
-        return sorted(bad)
+        pages = self._pages
+        return sorted(
+            page_id
+            for page_id, expected in self._checksums.items()
+            if zlib.crc32(pages[page_id]) != expected
+        )
 
     # ------------------------------------------------------------------
     # Unaccounted access (verification / in-memory bookkeeping only)
@@ -605,12 +630,12 @@ class SimulatedDisk:
         page_size = self.config.page_size
         n_pages = -(-len(data) // page_size)
         self._check_range(start, n_pages)
+        if self._checksums:
+            self._drop_checksums(start, n_pages)
         padded = bytes(data).ljust(n_pages * page_size, b"\x00")
         known = len(self._pages)
         for i in range(n_pages):
-            image = padded[i * page_size : (i + 1) * page_size]
-            self._pages[start + i] = image
-            self._checksums[start + i] = zlib.crc32(image)
+            self._pages[start + i] = padded[i * page_size : (i + 1) * page_size]
         if len(self._pages) != known:
             self._mark_recorded(start, n_pages)
 

@@ -4,8 +4,8 @@ One :class:`BatchEngine` hangs off every
 :class:`~repro.core.env.StorageEnvironment` (``env.exec``).  Outside a
 batch it is inert — the two run loops delegate straight to the segment
 I/O layer and managers commit their own root pages and descriptors per
-operation, exactly as before.  Inside :meth:`BatchEngine.batch` two
-batch-scoped strategies switch on:
+operation, exactly as before.  While a batch runs (``run_batch`` /
+``run_multi``) two batch-scoped strategies switch on:
 
 * **Group commit.**  Root-page pokes (ESM/EOS) and long-field
   descriptor flushes (Starburst) are *uncharged* image maintenance; the
@@ -35,16 +35,8 @@ not, traced or not — and the dispatch loop prices each op from it.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Protocol,
-    Sequence,
-)
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload, payload_concat
@@ -96,7 +88,7 @@ class HeldCommit(NamedTuple):
     Two-phase commit (``repro.atomic``) must not let a shard's batch
     become visible — or recycle any page the batch-start image still
     references — before the coordinator's global decision.  Under the
-    engine's *hold* mode (:meth:`BatchEngine.holding`) the batch
+    engine's *hold* mode (:meth:`BatchEngine.hold`) the batch
     boundary packages its pending root pokes, descriptor flushes, and
     deferred frees into one of these instead of running them;
     :meth:`BatchEngine.apply_held` releases them later, in the original
@@ -197,18 +189,10 @@ class BatchEngine:
         return page_ids
 
     # ------------------------------------------------------------------
-    # Batch lifecycle
+    # Batch lifecycle (opened and closed by ``_dispatch``)
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def batch(self) -> Iterator[None]:
-        """Open a batch: group commit and (fault-armed) deferred frees.
-
-        On success the pending flush intents are committed.  On error
-        nothing is poked at the disk — after an injected crash the
-        environment is dead, and pushing state from cleanup is the PR 4
-        bug class.  Deferred roots are re-marked dirty so the next
-        successful operation commits them.
-        """
+    def _open(self) -> None:
+        """Open a batch: group commit and (fault-armed) deferred frees."""
         if self.active:
             raise InvalidArgumentError("op batches do not nest")
         env = self.env
@@ -221,14 +205,6 @@ class BatchEngine:
             self._frees_deferred = True
             env.areas.meta.free_sink = self._defer_free
             env.areas.data.free_sink = self._defer_free
-        try:
-            yield
-        except BaseException:
-            self._abort()
-            raise
-        self._commit()
-        if env.sampler is not None:
-            env.sampler.tick()
 
     def _commit(self) -> None:
         """Batch boundary: capture the commit effects, close, release.
@@ -254,9 +230,11 @@ class BatchEngine:
     def _abort(self) -> None:
         """Unwind a failed batch without touching pool or disk state.
 
-        Deferred roots are re-marked dirty in memory so the next
-        successful op span commits their images.  Deferred frees are
-        dropped: their ops never committed.
+        Nothing is poked at the disk — after an injected crash the
+        environment is dead, and cleanup must not push post-crash state
+        into the image (FLOW002).  Deferred roots are re-marked dirty in
+        memory so the next successful op span commits their images.
+        Deferred frees are dropped: their ops never committed.
         """
         for tree in self._pending_roots.values():
             tree.mark_root_dirty()
@@ -281,9 +259,8 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # Held commits (two-phase commit's phase 1 / phase 2 split)
     # ------------------------------------------------------------------
-    @contextlib.contextmanager
-    def holding(self) -> Iterator[None]:
-        """Hold the commit effects of batches opened inside this block.
+    def hold(self) -> None:
+        """Hold the commit effects of the batch run until :meth:`take_held`.
 
         The batch still executes and charges normally, but its root
         pokes, descriptor flushes, and frees are captured (see
@@ -300,16 +277,16 @@ class BatchEngine:
             )
         self._hold = True
         self._held = None
-        try:
-            yield
-        finally:
-            self._hold = False
 
-    def take_held(self) -> HeldCommit:
-        """The captured commit of the batch run under :meth:`holding`."""
+    def take_held(self) -> HeldCommit | None:
+        """Leave hold mode; the captured commit of the held batch.
+
+        ``None`` when no batch committed under the hold (it failed).
+        Call it on every exit from the held batch, failed or not, so
+        hold mode never outlives it.
+        """
+        self._hold = False
         held = self._held
-        if held is None:
-            raise InvalidArgumentError("no held commit to take")
         self._held = None
         return held
 
@@ -418,7 +395,8 @@ class BatchEngine:
         transfer = config.transfer_ms_per_page
         sampler = self.env.sampler
         shard = self.env.shard_index
-        with self.batch():
+        self._open()
+        try:
             for oid, op in pairs:
                 kind = op.kind
                 calls = stats.read_calls + stats.write_calls
@@ -446,6 +424,13 @@ class BatchEngine:
                 costs.append(op_cost)
                 if sampler is not None:
                     sampler.record_op(kind, manager.scheme, shard, op_cost)
+        except BaseException:
+            # On error nothing reaches the disk (see _abort).
+            self._abort()
+            raise
+        self._commit()
+        if sampler is not None:
+            sampler.tick()
         return BatchResult(tuple(results), tuple(costs))
 
 

@@ -15,7 +15,6 @@ virtual-memory staging buffer (512 KB in the paper).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 from repro.buddy.area import DATA_AREA_BASE
@@ -307,18 +306,10 @@ class StarburstManager(LargeObjectManager):
         except KeyError:
             raise self._missing(oid) from None
 
-    @contextlib.contextmanager
-    def _op(self, descriptor: LongFieldDescriptor):
-        """Operation bracket: keep the descriptor image current on success.
-
-        Inside a batch the (uncharged) flush is handed to the engine,
-        which commits each distinct descriptor once per batch.
-        """
-        yield
-        engine = self.env.exec
-        if engine.active and engine.defer_descriptor(self, descriptor):
-            return
-        self._flush_descriptor(descriptor)
+    def _op(self, descriptor: LongFieldDescriptor) -> _DescriptorOp:
+        """The operation bracket of ``descriptor`` (see
+        :class:`_DescriptorOp`)."""
+        return _DescriptorOp(self, descriptor)
 
     def flush_descriptor(self, descriptor: LongFieldDescriptor) -> None:
         """Group-commit entry point used by the batch engine."""
@@ -543,3 +534,34 @@ class StarburstManager(LargeObjectManager):
                 if written == segment.used_bytes:
                     new_index += 1
                     written = 0
+
+
+class _DescriptorOp:
+    """Operation bracket: keep the descriptor image current on success.
+
+    Nothing is flushed when the body raised: cleanup must not push a
+    half-applied descriptor at the disk.  Inside a batch the
+    (uncharged) flush is handed to the engine, which commits each
+    distinct descriptor once per batch.
+    """
+
+    __slots__ = ("manager", "descriptor")
+
+    def __init__(
+        self, manager: StarburstManager, descriptor: LongFieldDescriptor
+    ) -> None:
+        self.manager = manager
+        self.descriptor = descriptor
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        if exc_type is None:
+            manager = self.manager
+            engine = manager.env.exec
+            if not (
+                engine.active
+                and engine.defer_descriptor(manager, self.descriptor)
+            ):
+                manager._flush_descriptor(self.descriptor)

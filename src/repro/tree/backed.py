@@ -8,13 +8,16 @@ variable-size threshold-constrained segments).
 
 from __future__ import annotations
 
-import contextlib
+from typing import TYPE_CHECKING
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.payload import Payload
 from repro.core.manager import LargeObjectManager
 from repro.tree.tree import PositionalTree
+
+if TYPE_CHECKING:
+    from repro.exec.engine import BatchEngine
 
 
 class TreeBackedManager(LargeObjectManager):
@@ -138,25 +141,41 @@ class TreeBackedManager(LargeObjectManager):
         except KeyError:
             raise self._missing(oid) from None
 
-    @contextlib.contextmanager
-    def _op(self, tree: PositionalTree):
-        """Operation bracket: flush modified index pages on success only.
-
-        The flush must NOT live in a ``finally:`` — after an injected
-        crash the environment is dead, and pushing half-applied index
-        state at the disk from cleanup is exactly the bug class PR 4's
-        halt latch contains at runtime (and FLOW002 now rejects
-        statically).  A failed operation leaves its dirty marks in
-        place; the next successful operation flushes them.
-
-        Inside a batch, the uncharged root poke is handed to the engine
-        for group commit; the charged non-root flush still runs here.
-        """
-        tree.begin_op()
-        yield
-        engine = self.env.exec
-        tree.end_op(defer_root=engine.defer_root if engine.active else None)
+    def _op(self, tree: PositionalTree) -> _TreeOp:
+        """The operation bracket of ``tree`` (see :class:`_TreeOp`)."""
+        return _TreeOp(self.env.exec, tree)
 
     def _extend_fresh(self, tree: PositionalTree, data: Payload) -> None:
         """Lay brand-new bytes out at the end of an (empty) object."""
         raise NotImplementedError
+
+
+class _TreeOp:
+    """Operation bracket: flush modified index pages on success only.
+
+    The flush must NOT run when the body raised — after an injected
+    crash the environment is dead, and pushing half-applied index state
+    at the disk from cleanup is exactly the bug class the disk's halt
+    latch contains at runtime (and FLOW002 rejects statically in
+    ``finally:`` blocks).  A failed operation leaves its dirty marks in
+    place; the next successful operation flushes them.
+
+    Inside a batch, the uncharged root poke is handed to the engine
+    for group commit; the charged non-root flush still runs here.
+    """
+
+    __slots__ = ("engine", "tree")
+
+    def __init__(self, engine: BatchEngine, tree: PositionalTree) -> None:
+        self.engine = engine
+        self.tree = tree
+
+    def __enter__(self) -> None:
+        self.tree.begin_op()
+
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        if exc_type is None:
+            engine = self.engine
+            self.tree.end_op(
+                defer_root=engine.defer_root if engine.active else None
+            )

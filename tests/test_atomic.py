@@ -18,7 +18,10 @@ The subsystem's contract has four legs:
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -34,7 +37,8 @@ from repro.atomic.journal import (
 from repro.core.config import small_page_config
 from repro.core.errors import ChecksumError, CrashError, InvalidArgumentError
 from repro.core.fsck import check, check_atomic_sharded
-from repro.exec.plan import BatchOp, MultiOp, append_op
+from repro.core.payload import SizedPayload
+from repro.exec.plan import BatchOp, MultiOp, append_op, replace_op
 from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
 from repro.obs.tracer import Tracer
@@ -78,6 +82,41 @@ def _batch(store: ShardedStore, oids: list[int]) -> list[MultiOp]:
 
 def _contents(store: ShardedStore, oids: list[int]) -> list[bytes]:
     return [bytes(store.read(o, 0, store.size(o))) for o in oids]
+
+
+_REF_HEADER = struct.Struct("<4sBQIIQI")
+_REF_OP = struct.Struct("<QBqqBQ")
+_REF_CODES = {"read": 0, "append": 1, "insert": 2, "delete": 3, "replace": 4}
+
+
+def _reference_encode_record(
+    kind, batch_id, coordinator, shard, participants=(), mops=()
+):
+    """The record encoder as first written: the header packed twice and
+    the CRC taken over the concatenated frame (the reference the
+    journal's one-pass framing must reproduce byte for byte)."""
+    parts = [struct.pack("<I", len(participants))]
+    parts.extend(struct.pack("<I", p) for p in participants)
+    parts.append(struct.pack("<I", len(mops)))
+    for oid, op in mops:
+        if isinstance(op.data, SizedPayload):
+            code, length, raw = 2, len(op.data), b""
+        else:
+            raw = bytes(op.data)
+            code, length = (1, len(raw)) if raw else (0, 0)
+        parts.append(_REF_OP.pack(
+            oid, _REF_CODES[op.kind], op.offset, op.nbytes, code, length
+        ))
+        parts.append(raw)
+    payload = b"".join(parts)
+    header = _REF_HEADER.pack(
+        b"RJL1", kind, batch_id, coordinator, shard, len(payload), 0
+    )
+    crc = zlib.crc32(header + payload)
+    header = _REF_HEADER.pack(
+        b"RJL1", kind, batch_id, coordinator, shard, len(payload), crc
+    )
+    return header + payload
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +170,61 @@ class TestJournalCodec:
         with pytest.raises(InvalidArgumentError):
             self_coordinator(())
 
+    def test_records_match_the_reference_encoder_byte_for_byte(self):
+        """Markers, PREPAREs with recorded, length-only and empty
+        payloads, and records of many pages — on the wire and as the
+        journal lays them out on disk (zero-padded to whole pages)."""
+        store = _store("eos", shards=1, atomic=True, journal_pages=64)
+        journal = store.coordinator.journals[0]
+        disk = store.shards[0].env.disk
+        page = store.config.page_size
+        rng = random.Random(11)
+        most = 0
+        for trial in range(12):
+            mops = tuple(
+                MultiOp(rng.randrange(1 << 40), BatchOp(
+                    rng.choice(("append", "insert", "replace", "delete",
+                                "read")),
+                    rng.randrange(1 << 20), rng.randrange(1 << 12),
+                    rng.choice((
+                        b"", SizedPayload(rng.randrange(1, 1 << 16)),
+                        _pattern(rng.randrange(1, 12 * page), salt=trial),
+                    )),
+                ))
+                for _ in range(rng.randrange(4))
+            )
+            participants = tuple(sorted(rng.sample(range(8), 3)))
+            args = (trial, participants[0], participants[1], participants)
+            record = _reference_encode_record(PREPARE, *args, mops)
+            assert encode_record(PREPARE, *args, mops) == record
+            journal.write_prepare(journal.encode_prepare(*args, mops))
+            n_pages = -(-len(record) // page)
+            assert disk.peek_pages(journal.base_page, n_pages) == (
+                record.ljust(n_pages * page, b"\x00")
+            )
+            most = max(most, n_pages)
+        assert most > 10
+        for kind, write, page_id in (
+            (APPLIED, lambda: journal.write_applied(5, 3),
+             journal.applied_page),
+            (CLEAN, lambda: journal.write_clean(5, 3), journal.base_page),
+        ):
+            write()
+            record = _reference_encode_record(kind, 5, 3, 3)
+            assert encode_record(kind, 5, 3, 3) == record
+            assert disk.peek_pages(page_id, 1) == record.ljust(page, b"\x00")
+        journal.write_decision(6, (2, 4, 7))
+        record = _reference_encode_record(DECISION, 6, 2, 2, (2, 4, 7))
+        assert disk.peek_pages(journal.decision_page, 1) == (
+            record.ljust(page, b"\x00")
+        )
+
     def test_oversized_record_is_rejected_with_guidance(self):
         store = _store("eos", shards=1, atomic=True, journal_pages=4)
         journal = store.coordinator.journals[0]
         huge = [MultiOp(0, BatchOp("append", 0, 0, _pattern(4096)))]
         with pytest.raises(InvalidArgumentError, match="journal_pages"):
-            journal.write_prepare(1, 0, 0, (0,), huge)
+            journal.encode_prepare(1, 0, 0, (0,), huge)
 
     def test_journal_region_needs_minimum_pages(self):
         with pytest.raises(InvalidArgumentError):
@@ -275,6 +363,47 @@ def test_crash_before_decision_rolls_the_batch_back() -> None:
     # The recovered store is fully live: the same batch now commits.
     store.submit_many(_batch(store, oids))
     assert all(r.clean for r in fsck_sharded_store(store))
+
+
+def test_a_batch_whose_prepare_cannot_fit_changes_nothing() -> None:
+    """Shard 1's PREPARE needs 8 pages of its 6-page area.  The batch is
+    refused before shard 0 journals or runs its op: every observable
+    equals a twin store that never saw the batch, and the next batch
+    runs on both alike."""
+
+    def build() -> tuple[ShardedStore, list[int]]:
+        store = ShardedStore("esm", shards=2, atomic=True)
+        return store, [store.create(_pattern(40_000, salt=i)) for i in (0, 1)]
+
+    def fingerprint(store: ShardedStore, oids: list[int]) -> tuple:
+        return (
+            list(store.per_shard_stats()),
+            [dataclasses.replace(s.env.pool.stats) for s in store.shards],
+            [
+                s.env.disk.peek_pages(journal.base_page, journal.n_pages)
+                for s, journal in zip(store.shards, store.coordinator.journals)
+            ],
+            [store.allocated_pages(oid) for oid in oids],
+            _contents(store, oids),
+        )
+
+    refused, oids = build()
+    twin, _ = build()
+    assert [refused.shard_of(oid) for oid in oids] == [0, 1]
+    with pytest.raises(InvalidArgumentError, match="needs 8 pages"):
+        refused.submit_many([
+            MultiOp(oids[0], replace_op(0, b"Z" * 100)),
+            MultiOp(oids[1], replace_op(0, _pattern(30_000, salt=2))),
+        ])
+    assert fingerprint(refused, oids) == fingerprint(twin, oids)
+    assert all(r.clean for r in fsck_sharded_store(refused))
+    batch = [
+        MultiOp(oids[0], replace_op(0, b"Z" * 100)),
+        MultiOp(oids[1], replace_op(7, b"Y" * 100)),
+    ]
+    assert refused.submit_many(batch) == twin.submit_many(batch)
+    assert fingerprint(refused, oids) == fingerprint(twin, oids)
+    assert all(r.clean for r in fsck_sharded_store(refused))
 
 
 def test_recovery_requires_an_atomic_store() -> None:
@@ -499,9 +628,9 @@ def test_stale_markers_from_older_batches_are_ignored() -> None:
     assert state.applied is not None  # this batch's own marker
     # A new PREPARE supersedes the old APPLIED marker: different batch
     # id, so the marker no longer counts and the batch reads in-flight.
-    journal.write_prepare(999, 0, 0, (0,), (
+    journal.write_prepare(journal.encode_prepare(999, 0, 0, (0,), (
         MultiOp(0, BatchOp("append", 0, 0, b"x")),
-    ))
+    )))
     state = journal.read_state()
     assert state.prepare is not None and state.prepare.batch_id == 999
     assert state.applied is None

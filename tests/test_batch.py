@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import CrashError
+from repro.core.errors import ByteRangeError, CrashError, InvalidArgumentError
 from repro.core.payload import SizedPayload
 from repro.exec.plan import (
     BatchOp,
@@ -357,3 +357,51 @@ def test_crash_inside_batch_commit_leaves_engine_closed(scheme: str) -> None:
     assert "pre" in seen
     if scheme == "starburst":
         assert "post" in seen  # the trailing frees were reached
+
+
+# ----------------------------------------------------------------------
+# Batch and hold-mode lifecycle
+# ----------------------------------------------------------------------
+def test_batches_and_hold_mode_refuse_nesting_and_always_close(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    store = LargeObjectStore("eos", small_page_config(), threshold_pages=2)
+    oid = store.create(_pattern(300))
+    engine = store.env.exec
+    read = store.manager.read
+
+    # A batch opened inside a batch, or hold mode entered there, is
+    # refused; the outer batch unwinds and the engine is idle again.
+    for nested in (
+        lambda: store.submit_ops(oid, [read_op(0, 8)]),
+        engine.hold,
+    ):
+        monkeypatch.setattr(
+            store.manager, "read", lambda *args, nested=nested: nested()
+        )
+        with pytest.raises(InvalidArgumentError, match="nest|inside"):
+            store.submit_ops(oid, [read_op(0, 8)])
+        assert engine.active is False
+        monkeypatch.setattr(store.manager, "read", read)
+
+    # Hold mode does not nest, and taking the held commit always ends
+    # it — after no batch, after a failed one, after one that committed.
+    engine.hold()
+    with pytest.raises(InvalidArgumentError, match="do not nest"):
+        engine.hold()
+    assert engine.take_held() is None
+    engine.hold()
+    with pytest.raises(ByteRangeError):
+        store.submit_ops(oid, [read_op(1_000, 8)])
+    assert engine.take_held() is None
+    root = store.env.disk.peek_pages(oid, 1)
+    engine.hold()
+    store.submit_ops(oid, [append_op(_pattern(40, salt=1))])
+    held = engine.take_held()
+    assert held is not None and held.roots
+    assert store.env.disk.peek_pages(oid, 1) == root  # not yet visible
+    engine.apply_held(held)
+    assert store.env.disk.peek_pages(oid, 1) != root
+    assert bytes(store.read(oid, 0, 340)) == (
+        _pattern(300) + _pattern(40, salt=1)
+    )

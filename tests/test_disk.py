@@ -1,6 +1,7 @@
 """Unit tests for the simulated disk."""
 
 import random
+import zlib
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.errors import (
 from repro.core.payload import SizedPayload
 from repro.disk.disk import _CHUNK_BITS, _CHUNK_PAGES, SimulatedDisk
 from repro.disk.iomodel import CostModel
+from repro.faults import NEVER, FaultInjector, FaultPlan, at
 
 
 @pytest.fixture
@@ -212,11 +214,13 @@ def assert_disk_matches(disk, model, probes):
 _BOUNDARIES = (3 * _CHUNK_PAGES, DATA_AREA_BASE + 3 * _CHUNK_PAGES)
 
 
-def _random_run(rng):
-    """(start, n_pages) of 1-9,000 pages below, on or across a boundary."""
+def _random_run(rng, long_runs=True):
+    """(start, n_pages) of 1-9,000 pages (1-300 without ``long_runs``)
+    below, on or across a boundary."""
     n_pages = rng.choice(
         [rng.randint(1, 9), rng.randint(1, 9), rng.randint(10, 300),
-         rng.randint(10, 300), rng.randint(3_000, 9_000)]
+         rng.randint(10, 300),
+         rng.randint(3_000, 9_000) if long_runs else rng.randint(1, 9)]
     )
     boundary = rng.choice(_BOUNDARIES)
     start = boundary + rng.choice(
@@ -303,3 +307,176 @@ def test_torn_write_persists_exactly_its_prefix(record, start):
             disk.clear_fault_site()
             model.write(start, n_pages, b"\x09" * 200, record, limit=keep)
             assert_disk_matches(disk, model, [(start, n_pages)])
+
+
+# ----------------------------------------------------------------------
+# The checksum envelope against the eager envelope it replaced
+# ----------------------------------------------------------------------
+class EagerEnvelopeDisk(SimulatedDisk):
+    """The envelope taken eagerly: a CRC of every page at every write
+    and poke, checked for every recorded page on every accounted read.
+
+    The reference for the disk's own envelope, which takes a CRC only in
+    ``corrupt_page``.  Here ``corrupt_page`` flips the bit and leaves
+    every CRC alone, so the disk's own map stays empty and only the
+    checks below can raise.
+    """
+
+    def __init__(self, config, cost_model):
+        super().__init__(config, cost_model)
+        self.crcs = {}
+
+    def _store_run(self, start, n_pages, data, record, limit=None):
+        super()._store_run(start, n_pages, data, record, limit)
+        self._take(start, n_pages if limit is None else min(limit, n_pages))
+
+    def poke_pages(self, start, data):
+        super().poke_pages(start, data)
+        self._take(start, -(-len(data) // self.config.page_size))
+
+    def _take(self, start, n_pages):
+        for page_id in range(start, start + n_pages):
+            image = self._pages.get(page_id)
+            if image is None:
+                self.crcs.pop(page_id, None)
+            else:
+                self.crcs[page_id] = zlib.crc32(image)
+
+    def discard_pages(self, start, n_pages):
+        super().discard_pages(start, n_pages)
+        if not self.retain_freed:
+            for page_id in range(start, start + n_pages):
+                self.crcs.pop(page_id, None)
+
+    def corrupt_page(self, page_id, bit_index):
+        content = self._pages.get(page_id)
+        if content is None:
+            raise InvalidArgumentError(f"page {page_id} has no content")
+        byte_index, bit = divmod(bit_index % (len(content) * 8), 8)
+        corrupted = bytearray(content)
+        corrupted[byte_index] ^= 1 << bit
+        self._pages[page_id] = bytes(corrupted)
+
+    def read_pages(self, start, n_pages):
+        data = super().read_pages(start, n_pages)
+        self._check(start, n_pages)
+        return data
+
+    def read_page_views(self, start, n_pages):
+        views = super().read_page_views(start, n_pages)
+        self._check(start, n_pages)
+        return views
+
+    def _check(self, start, n_pages):
+        for page_id in range(start, start + n_pages):
+            expected = self.crcs.get(page_id)
+            if expected is not None and (
+                zlib.crc32(self._pages[page_id]) != expected
+            ):
+                raise ChecksumError(page_id)
+
+    def verify_checksums(self):
+        return sorted(
+            page_id for page_id, expected in self.crcs.items()
+            if zlib.crc32(self._pages[page_id]) != expected
+        )
+
+
+def _checksum_failure(read, start, n_pages):
+    """The page ``read`` raises :class:`ChecksumError` for, or None."""
+    try:
+        read(start, n_pages)
+    except ChecksumError as exc:
+        return exc.page_id
+    return None
+
+
+@pytest.mark.parametrize("seed", [1992, 2718])
+def test_envelope_matches_the_eager_reference(seed):
+    rng = random.Random(seed)
+    config = small_page_config(page_size=64)
+    size = config.page_size
+    lazy = SimulatedDisk(config, CostModel(config))
+    eager = EagerEnvelopeDisk(config, CostModel(config))
+    data = rng.randbytes(8 * size)
+    for disk in (lazy, eager):
+        disk.write_pages(_BOUNDARIES[0] - 4, 8, data)
+    recent = []
+    flipped = []
+    failures = 0
+    seen = set()
+    for step in range(300):
+        # Long runs test the chunked bitmaps (above), not the envelope.
+        start, n_pages = _random_run(rng, long_runs=False)
+        kind = rng.choice(
+            ["bytes", "bytes", "sized", "phantom", "poke", "discard",
+             "retained", "torn", "injected", "corrupt", "corrupt", "twice"]
+        )
+        seen.add(kind)
+        if kind in ("corrupt", "twice"):
+            recorded = [
+                page for page, image in lazy.image().items()
+                if image is not None
+            ]
+            # Half the time a page flipped before, so flips accumulate.
+            again = [page for page in flipped if page in recorded]
+            page = rng.choice(
+                again if again and rng.random() < 0.5 else recorded
+            )
+            bit = rng.randrange(size * 8)
+            # "twice" flips one bit back: the page verifies again unless
+            # an earlier flip left it corrupt.
+            for _ in range(1 if kind == "corrupt" else 2):
+                lazy.corrupt_page(page, bit)
+                eager.corrupt_page(page, bit)
+            flipped.append(page)
+            start, n_pages = page - rng.randint(0, 2), 4
+        elif kind == "poke":
+            data = rng.randbytes(rng.randint(1, min(n_pages, 400) * size))
+            for disk in (lazy, eager):
+                disk.poke_pages(start, data)
+        elif kind in ("discard", "retained"):
+            for disk in (lazy, eager):
+                disk.retain_freed = kind == "retained"
+                disk.discard_pages(start, n_pages)
+                disk.retain_freed = False
+        else:
+            data = (
+                SizedPayload(rng.randint(0, n_pages * size))
+                if kind == "sized"
+                else rng.randbytes(rng.randint(0, n_pages * size))
+            )
+            # Torn and silently corrupted writes come from the real
+            # injector: one torn prefix, or one bit of one page flipped
+            # after the write (the same one on both disks: same seed).
+            plan = FaultPlan(
+                torn_writes=at(1) if kind == "torn" else NEVER,
+                corruption=at(1) if kind == "injected" else NEVER,
+                torn_prefix_pages=rng.randint(0, n_pages),
+                seed=step,
+            )
+            for disk in (lazy, eager):
+                with FaultInjector(disk, plan):
+                    try:
+                        disk.write_pages(
+                            start, n_pages, data, record=kind != "phantom"
+                        )
+                    except CrashError:
+                        assert kind == "torn"
+            if kind == "injected":
+                flipped += [
+                    page for page in lazy.verify_checksums()
+                    if start <= page < start + n_pages
+                ]
+        recent = recent[-2:] + [(start, n_pages)]
+        assert lazy.verify_checksums() == eager.verify_checksums()
+        for run in recent + [(page - 1, 3) for page in flipped[-4:]]:
+            for name in ("read_pages", "read_page_views"):
+                failed = _checksum_failure(getattr(lazy, name), *run)
+                assert failed == _checksum_failure(
+                    getattr(eager, name), *run
+                ), (step, kind, name, run)
+                failures += failed is not None
+    # The history reached both verdicts and every kind of corruption.
+    assert failures
+    assert {"corrupt", "twice", "torn", "injected"} <= seen

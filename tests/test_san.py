@@ -24,6 +24,7 @@ from repro.disk.iomodel import CostModel
 from repro.lint.contracts import checks_enabled
 from repro.records.schema import Schema
 from repro.records.store import RecordStore
+from repro.starburst.descriptor import Segment
 from repro.tree.node import IndexNode, LeafExtent
 from repro.tree.tree import PositionalTree
 from tests.conftest import pattern_bytes
@@ -267,6 +268,39 @@ class TestPinLeakRegressions:
         with manager._op(stub):
             pass
         assert stub.ended == 1
+
+    @pytest.mark.parametrize("scheme", ["esm", "eos", "starburst"])
+    def test_a_raising_op_body_keeps_its_change_and_writes_nothing(
+        self, scheme
+    ):
+        # The same rule on a real tree or descriptor: the body's change
+        # stays pending in memory, nothing is written or poked, and the
+        # next successful operation flushes it.
+        env = make_env()
+        manager = make_manager(scheme, env, leaf_pages=2, threshold_pages=2)
+        oid = manager.create(pattern_bytes(3 * env.config.page_size))
+        if scheme == "starburst":
+            target = manager.descriptor_of(oid)
+        else:
+            target = manager.tree_of(oid)
+        image = env.disk.image()
+        writes = env.cost.stats.write_calls
+        with pytest.raises(_Boom):
+            with manager._op(target):
+                if scheme == "starburst":
+                    target.segments.append(Segment(
+                        page_id=DATA_AREA_BASE, alloc_pages=1, used_bytes=1
+                    ))
+                else:
+                    target.append_extent(LeafExtent(
+                        page_id=DATA_AREA_BASE, used_bytes=1, alloc_pages=1
+                    ))
+                raise _Boom
+        assert env.disk.image() == image
+        assert env.cost.stats.write_calls == writes
+        with manager._op(target):
+            pass
+        assert env.disk.peek_pages(oid, 1) != image[oid]
 
 
 # ----------------------------------------------------------------------
