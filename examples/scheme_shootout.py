@@ -13,6 +13,7 @@ loaded back, so a workload can be shared or re-run after code changes.
 Run:  python examples/scheme_shootout.py [mean_op_bytes]
 """
 
+import os
 import sys
 import tempfile
 
@@ -32,13 +33,12 @@ def main() -> None:
     # Record one workload trace and round-trip it through a file.
     generator = WorkloadGenerator(OBJECT_BYTES, mean_op, seed=1992)
     trace = Trace.record(generator, N_OPS)
-    with tempfile.NamedTemporaryFile("w", suffix=".trace",
-                                     delete=False) as handle:
-        path = handle.name
-    trace.save(path)
-    trace = Trace.load(path)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "workload.trace")
+        trace.save(path)
+        trace = Trace.load(path)
     print(f"Recorded {len(trace)} operations (mean {mean_op} bytes) "
-          f"to {path}\n")
+          f"and round-tripped them through a trace file\n")
 
     rows = []
     digests = set()

@@ -127,11 +127,12 @@ class LargeObjectManager(abc.ABC):
     ) -> BatchResult:
         """Execute a batch of byte-range operations on one object.
 
-        The ops run in order under the :class:`~repro.exec.engine
-        .BatchEngine`: uncharged root/descriptor flushes are
-        group-committed once at the batch boundary, but every charged
-        access executes — and lands in the ledger — exactly as the
-        per-op path would, so reports, IOStats, and pool counters are
+        The ops run in order as one batch of the
+        :class:`~repro.exec.engine.BatchEngine`: uncharged
+        root/descriptor flushes are group-committed once at the batch
+        boundary, where each op called alone is a batch of one.  Every
+        charged access executes — and lands in the ledger — in the same
+        order either way, so reports, IOStats, and pool counters are
         bit-identical to running the same ops one by one.
 
         Returns a :class:`~repro.exec.engine.BatchResult` with per-op

@@ -1,18 +1,20 @@
 """The batch engine: executes run lists and op batches over one environment.
 
 One :class:`BatchEngine` hangs off every
-:class:`~repro.core.env.StorageEnvironment` (``env.exec``).  Outside a
-batch it is inert — the two run loops delegate straight to the segment
-I/O layer and managers commit their own root pages and descriptors per
-operation, exactly as before.  While a batch runs (``run_batch`` /
-``run_multi``) two batch-scoped strategies switch on:
+:class:`~repro.core.env.StorageEnvironment` (``env.exec``).  Every
+operation that commits anything runs inside a batch: ``run_batch`` /
+``run_multi`` open one for a submitted op list, and a manager's op
+bracket opens a batch of one (:meth:`BatchEngine.begin`) for a lone
+op, or joins the batch already open.  So there is one commit path, and
+two batch-scoped strategies apply to every op:
 
 * **Group commit.**  Root-page pokes (ESM/EOS) and long-field
   descriptor flushes (Starburst) are *uncharged* image maintenance; the
-  managers hand them to the engine instead of running them per op, and
-  the engine commits each distinct root/descriptor exactly once at the
-  batch boundary.  Charged index-page flushes still run inside each
-  operation — deferring those would change the paper's cost model.
+  managers hand them to the engine, and the engine commits each
+  distinct root/descriptor exactly once at the batch boundary — the
+  shadowing commit point of Section 3.3.  Charged index-page flushes
+  still run inside each operation — deferring those would change the
+  paper's cost model.
 
 * **Crash-consistent frees.**  While a fault injector is armed, segment
   and index-page frees are deferred to the batch boundary (after the
@@ -21,12 +23,13 @@ operation, exactly as before.  While a batch runs (``run_batch`` /
   always the batch-start state (crashes can only fire at charged
   writes, which all precede the commit pokes) or the batch-end state
   (crashes during the deferred frees land after the pokes).  Unfaulted
-  batches free immediately, keeping pool counters bit-identical to the
-  per-op path.
+  batches free immediately, keeping pool counters bit-identical however
+  the ops are grouped.
 
 The engine never coalesces charged runs: one read run or leaf write maps
-to exactly the per-op path's physical calls, in the same order.  Only
-the uncharged flush intents are deduplicated.
+to exactly the same physical calls, in the same order, in a batch of
+one or of many.  Only the uncharged flush intents are deduplicated.
+Reads commit nothing and open no batch.
 
 Simulated cost has one home: every charge lands in the environment's
 :class:`~repro.disk.iomodel.IOStats` ledger as it happens — batched or
@@ -93,7 +96,7 @@ class HeldCommit(NamedTuple):
     deferred frees into one of these instead of running them;
     :meth:`BatchEngine.apply_held` releases them later, in the original
     order (uncharged pokes first, charged frees after).  A normal commit
-    is the same capture handed to ``apply_held`` at once.
+    applies the same effects at once, through the same routine.
     """
 
     roots: tuple[RootHost, ...]
@@ -105,8 +108,8 @@ class BatchResult(NamedTuple):
     """Outcome of one submitted batch.
 
     ``results`` holds one entry per op — the payload for reads, ``None``
-    for mutations; ``op_costs_ms`` the per-op simulated cost, computed
-    exactly as the per-op path's ledger-delta measurement.
+    for mutations; ``op_costs_ms`` the per-op simulated cost, the
+    ledger's delta across each op.
     """
 
     results: tuple["Payload | None", ...]
@@ -118,8 +121,7 @@ class BatchEngine:
 
     def __init__(self, env: "StorageEnvironment") -> None:
         self.env = env
-        #: True while a batch is open; managers consult this to decide
-        #: whether flush intents go to the engine or run inline.
+        #: True while a batch is open.
         self.active = False
         self._pending_roots: dict[int, RootHost] = {}
         self._pending_descriptors: dict[
@@ -131,7 +133,7 @@ class BatchEngine:
         self._held: HeldCommit | None = None
 
     # ------------------------------------------------------------------
-    # Run loops (used per op, inside or outside a batch)
+    # Run loops (called by the managers' ops)
     # ------------------------------------------------------------------
     def execute_read(
         self, runs: Iterable[tuple[int, int, int, int]]
@@ -141,7 +143,7 @@ class BatchEngine:
         Each run is one byte range within the segment starting at
         ``page_id`` and charges the hybrid read policy.  Runs are never
         coalesced — each corresponds to one segment access of the
-        paper's cost model, exactly as the per-op path issued them.  A
+        paper's cost model.  A
         run with an explicit ``read_pages`` reads that many pages of the
         segment and slices in memory (the whole-leaf I/O ablation); zero
         derives the page range from the byte range via the 3-step
@@ -168,10 +170,10 @@ class BatchEngine:
         Per leaf: claim ``alloc_pages`` from the buddy data area, then
         write the next ``used_bytes`` bytes of ``stream`` (padded to
         ``write_pages`` pages under whole-leaf I/O; zero derives the
-        page count from ``used_bytes``).  The interleaving matches the
-        per-op path call-for-call, so buddy directory accesses and
-        charged writes land in identical order.  Returns the first page
-        id of each new leaf segment.
+        page count from ``used_bytes``).  Allocation and write alternate
+        leaf by leaf, so buddy directory accesses and charged writes land
+        in one fixed order.  Returns the first page id of each new leaf
+        segment.
         """
         segio = self.env.segio
         allocate = self.env.areas.data.allocate
@@ -189,62 +191,75 @@ class BatchEngine:
         return page_ids
 
     # ------------------------------------------------------------------
-    # Batch lifecycle (opened and closed by ``_dispatch``)
+    # Batch lifecycle
     # ------------------------------------------------------------------
-    def _open(self) -> None:
-        """Open a batch: group commit and (fault-armed) deferred frees."""
+    def begin(self) -> bool:
+        """Open a batch unless one is open; True if this call opened it.
+
+        A manager's op bracket calls this on entry.  True means the op
+        is a batch of one, and the bracket closes it with :meth:`commit`
+        on success or :meth:`abort` on failure; False means the op joins
+        the batch ``run_batch`` / ``run_multi`` opened.
+        """
         if self.active:
-            raise InvalidArgumentError("op batches do not nest")
-        env = self.env
+            return False
         self.active = True
-        if env.disk.fault_site is not None or self._hold:
+        if self.env.disk.fault_site is not None or self._hold:
             # Hold mode defers frees even with no fault armed: a held
             # commit's old pages must stay allocated until the global
             # decision, or a recycled page could be overwritten before
             # rollback becomes impossible to need.
+            areas = self.env.areas
             self._frees_deferred = True
-            env.areas.meta.free_sink = self._defer_free
-            env.areas.data.free_sink = self._defer_free
+            areas.meta.free_sink = self._defer_free
+            areas.data.free_sink = self._defer_free
+        return True
 
-    def _commit(self) -> None:
-        """Batch boundary: capture the commit effects, close, release.
+    def commit(self) -> None:
+        """Batch boundary: take the commit effects, close, release.
 
         The engine's own state is reset *before* anything is applied, so
         a crash injected into the trailing frees (a directory writeback)
         leaves the engine closed with the batch-end image committed.
-        Under hold mode (two-phase commit's phase 1) the capture is kept
-        for :meth:`take_held` instead — the batch's I/O physically
-        happened and is in the ledger; only its *visibility* is held.
+        Under hold mode (two-phase commit's phase 1) the effects are kept
+        as a :class:`HeldCommit` for :meth:`take_held` instead — the
+        batch's I/O physically happened and is in the ledger; only its
+        *visibility* is held.
         """
-        held = HeldCommit(
-            roots=tuple(self._pending_roots.values()),
-            descriptors=tuple(self._pending_descriptors.values()),
-            frees=tuple(self._deferred_frees),
-        )
+        roots = self._pending_roots
+        descriptors = self._pending_descriptors
+        frees = self._deferred_frees
+        self._pending_roots = {}
+        self._pending_descriptors = {}
+        self._deferred_frees = []
         self._close()
         if self._hold:
-            self._held = held
+            self._held = HeldCommit(
+                tuple(roots.values()),
+                tuple(descriptors.values()),
+                tuple(frees),
+            )
         else:
-            self.apply_held(held)
+            self._apply(roots.values(), descriptors.values(), frees)
 
-    def _abort(self) -> None:
+    def abort(self) -> None:
         """Unwind a failed batch without touching pool or disk state.
 
         Nothing is poked at the disk — after an injected crash the
         environment is dead, and cleanup must not push post-crash state
         into the image (FLOW002).  Deferred roots are re-marked dirty in
-        memory so the next successful op span commits their images.
+        memory so the next successful op commits their images.
         Deferred frees are dropped: their ops never committed.
         """
         for tree in self._pending_roots.values():
             tree.mark_root_dirty()
-        self._close()
-
-    def _close(self) -> None:
-        """Drop every batch-scoped intent and mark the engine idle."""
         self._pending_roots.clear()
         self._pending_descriptors.clear()
         self._deferred_frees = []
+        self._close()
+
+    def _close(self) -> None:
+        """Restore immediate frees and mark the engine idle."""
         if self._frees_deferred:
             self.env.areas.meta.free_sink = None
             self.env.areas.data.free_sink = None
@@ -291,7 +306,16 @@ class BatchEngine:
         return held
 
     def apply_held(self, held: HeldCommit) -> None:
-        """Release a commit: pokes, flushes, then charged frees.
+        """Release a held commit (see :meth:`_apply`)."""
+        self._apply(held.roots, held.descriptors, held.frees)
+
+    @staticmethod
+    def _apply(
+        roots: Iterable[RootHost],
+        descriptors: Iterable[tuple[DescriptorHost, DescriptorPage]],
+        frees: Iterable[tuple["BuddyAllocator", int, int]],
+    ) -> None:
+        """Apply a commit: pokes, flushes, then charged frees.
 
         Each distinct root/descriptor is poked exactly once.  The pokes
         are uncharged, so they cannot fire an injected crash: a caller
@@ -301,31 +325,25 @@ class BatchEngine:
         deterministic; a crash during a directory writeback there lands
         after the batch-end image is already committed.
         """
-        for tree in held.roots:
+        for tree in roots:
             tree.commit_root()
-        for host, descriptor in held.descriptors:
+        for host, descriptor in descriptors:
             host.flush_descriptor(descriptor)
-        for allocator, page_id, n_pages in held.frees:
+        for allocator, page_id, n_pages in frees:
             allocator.free(page_id, n_pages)
 
     # ------------------------------------------------------------------
     # Flush-intent registration (managers call these from op brackets)
     # ------------------------------------------------------------------
-    def defer_root(self, tree: RootHost) -> bool:
-        """Queue a root poke for the batch boundary; False outside a batch."""
-        if not self.active:
-            return False
+    def defer_root(self, tree: RootHost) -> None:
+        """Queue a root poke for the batch boundary."""
         self._pending_roots[tree.root_page_id] = tree
-        return True
 
     def defer_descriptor(
         self, host: DescriptorHost, descriptor: DescriptorPage
-    ) -> bool:
+    ) -> None:
         """Queue a descriptor flush for the batch boundary."""
-        if not self.active:
-            return False
         self._pending_descriptors[descriptor.page_id] = (host, descriptor)
-        return True
 
     # ------------------------------------------------------------------
     # Batch dispatch
@@ -395,7 +413,8 @@ class BatchEngine:
         transfer = config.transfer_ms_per_page
         sampler = self.env.sampler
         shard = self.env.shard_index
-        self._open()
+        if not self.begin():
+            raise InvalidArgumentError("op batches do not nest")
         try:
             for oid, op in pairs:
                 kind = op.kind
@@ -425,10 +444,10 @@ class BatchEngine:
                 if sampler is not None:
                     sampler.record_op(kind, manager.scheme, shard, op_cost)
         except BaseException:
-            # On error nothing reaches the disk (see _abort).
-            self._abort()
+            # On error nothing reaches the disk (see abort).
+            self.abort()
             raise
-        self._commit()
+        self.commit()
         if sampler is not None:
             sampler.tick()
         return BatchResult(tuple(results), tuple(costs))

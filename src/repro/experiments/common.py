@@ -195,37 +195,14 @@ def build_object(
 ) -> int:
     """Build an object by successive fixed-size appends; trim at the end.
 
-    Returns the object id.  Trimming frees the untrimmed slack of the
-    rightmost Starburst/EOS segment, as both systems do once building
-    completes ("the last segment is trimmed").
+    Returns the object id.  The appends go to ``submit_ops`` as one op
+    batch, so the root or descriptor is committed once.  Trimming frees
+    the untrimmed slack of the rightmost Starburst/EOS segment, as both
+    systems do once building completes ("the last segment is trimmed");
+    it is a lone op of its own, not a batch op kind.
     """
     oid = store.create()
     # Length-only payload: appends carry a size, never actual zeros.
-    chunk = SizedPayload(chunk_bytes)
-    done = 0
-    while done < total_bytes:
-        take = min(chunk_bytes, total_bytes - done)
-        store.append(oid, chunk if take == chunk_bytes else chunk[:take])
-        done += take
-    trim = getattr(store.manager, "trim", None)
-    if trim is not None:
-        trim(oid)
-    return oid
-
-
-def build_object_batched(
-    store: LargeObjectStore, total_bytes: int, chunk_bytes: int
-) -> int:
-    """:func:`build_object`, but submitting the appends as one op batch.
-
-    Same appends in the same order through ``submit_ops``
-    (:mod:`repro.exec`), so the built object, its counters, and the
-    final image are bit-identical to the per-op build; the batch engine's
-    group commit makes it several times faster.
-    The trailing trim stays per-op (it is a lifecycle fix-up, not a
-    batch op kind).
-    """
-    oid = store.create()
     chunk = SizedPayload(chunk_bytes)
     ops = []
     done = 0

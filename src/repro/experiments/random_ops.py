@@ -137,7 +137,7 @@ def compute_run(key: RunKey, config: SystemConfig = PAPER_CONFIG) -> RunResult:
         seed=WORKLOAD_SEED,
     )
     runner = WorkloadRunner(store.manager, oid, generator)
-    windows = runner.run_batched(key.n_ops, window=key.window)
+    windows = runner.run(key.n_ops, window=key.window)
     return RunResult(key=key, windows=windows)
 
 

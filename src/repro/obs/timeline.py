@@ -1,9 +1,10 @@
 """Deterministic time-series sampling: the store's vitals over time.
 
 The tracer answers *what did this run do*; the timeline answers *how
-did it change as it ran*.  A :class:`TimelineSampler` hooks the per-op
-cost measurement sites (the workload runner's per-op path and the batch
-engine's dispatch loops) and:
+did it change as it ran*.  A :class:`TimelineSampler` hooks the one
+per-op cost measurement site (the batch engine's dispatch loop, which
+every submitted op batch — workload windows, builds, trace replays —
+runs through) and:
 
 * accumulates per-op simulated costs into fixed log-bucketed latency
   histograms keyed ``latency.<op>.<scheme>.shard<N>`` — percentiles

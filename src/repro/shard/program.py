@@ -30,7 +30,7 @@ from repro.disk.iomodel import IOStats
 from repro.buffer.pool import PoolStats
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp, read_op
-from repro.experiments.common import build_object_batched
+from repro.experiments.common import build_object
 from repro.obs.runtime import installed
 from repro.obs.tracer import Tracer, span_of
 from repro.workload.generator import WorkloadGenerator
@@ -123,7 +123,7 @@ def _run_step(
 ) -> object:
     """Execute one program step; returns its step result."""
     if isinstance(step, BuildStep):
-        oid = build_object_batched(store, step.total_bytes, step.chunk_bytes)
+        oid = build_object(store, step.total_bytes, step.chunk_bytes)
         oids.append(oid)
         return oid
     if isinstance(step, ScanStep):
@@ -143,7 +143,7 @@ def _run_step(
             seed=step.seed,
         )
         runner = WorkloadRunner(store.manager, oid, generator)
-        windows: list[WindowStats] = runner.run_batched(
+        windows: list[WindowStats] = runner.run(
             step.n_ops,
             window=step.window,
             keep_op_costs=step.keep_op_costs,

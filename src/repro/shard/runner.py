@@ -11,7 +11,7 @@ per-op costs are demultiplexed back into per-stream
 Because the router splits a batch by shard *preserving submission
 order*, a stream whose object is alone on its shard sees exactly the op
 sequence — and therefore exactly the windows, bit for bit — that
-:meth:`~repro.workload.runner.WorkloadRunner.run_batched` produces on a
+:meth:`~repro.workload.runner.WorkloadRunner.run` produces on a
 standalone store (pinned by ``tests/test_shard.py``).
 """
 
@@ -45,7 +45,7 @@ class ShardedWorkloadRunner:
         self.oids = tuple(oids)
         self.generators = tuple(generators)
 
-    def run_batched(
+    def run(
         self,
         n_ops: int,
         window: int = 2000,

@@ -312,11 +312,11 @@ class StarburstManager(LargeObjectManager):
         return _DescriptorOp(self, descriptor)
 
     def flush_descriptor(self, descriptor: LongFieldDescriptor) -> None:
-        """Group-commit entry point used by the batch engine."""
-        self._flush_descriptor(descriptor)
+        """Bring the descriptor's disk image current, without I/O charges.
 
-    def _flush_descriptor(self, descriptor: LongFieldDescriptor) -> None:
-        """Keep the descriptor's disk image current, without I/O charges."""
+        The batch engine calls this at the batch boundary, once per
+        distinct descriptor the batch changed.
+        """
         tracer = self.env.tracer
         if tracer is not None:
             tracer.event(
@@ -540,28 +540,30 @@ class _DescriptorOp:
     """Operation bracket: keep the descriptor image current on success.
 
     Nothing is flushed when the body raised: cleanup must not push a
-    half-applied descriptor at the disk.  Inside a batch the
-    (uncharged) flush is handed to the engine, which commits each
-    distinct descriptor once per batch.
+    half-applied descriptor at the disk.  The op runs inside a batch —
+    the one ``submit_ops`` opened, or else a batch of one that the
+    bracket opens and closes itself — and the (uncharged) flush is
+    handed to the engine, which commits each distinct descriptor once
+    per batch.
     """
 
-    __slots__ = ("manager", "descriptor")
+    __slots__ = ("manager", "descriptor", "engine", "lone")
 
     def __init__(
         self, manager: StarburstManager, descriptor: LongFieldDescriptor
     ) -> None:
         self.manager = manager
         self.descriptor = descriptor
+        self.engine = manager.env.exec
 
     def __enter__(self) -> None:
-        return None
+        self.lone = self.engine.begin()
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        engine = self.engine
         if exc_type is None:
-            manager = self.manager
-            engine = manager.env.exec
-            if not (
-                engine.active
-                and engine.defer_descriptor(manager, self.descriptor)
-            ):
-                manager._flush_descriptor(self.descriptor)
+            engine.defer_descriptor(self.manager, self.descriptor)
+            if self.lone:
+                engine.commit()
+        elif self.lone:
+            engine.abort()

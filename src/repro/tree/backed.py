@@ -160,11 +160,13 @@ class _TreeOp:
     ``finally:`` blocks).  A failed operation leaves its dirty marks in
     place; the next successful operation flushes them.
 
-    Inside a batch, the uncharged root poke is handed to the engine
-    for group commit; the charged non-root flush still runs here.
+    The op runs inside a batch: the one ``submit_ops`` opened, or else a
+    batch of one that the bracket opens and closes itself.  The charged
+    non-root flush runs here; the uncharged root poke goes to the
+    engine, which commits it at the batch boundary.
     """
 
-    __slots__ = ("engine", "tree")
+    __slots__ = ("engine", "tree", "lone")
 
     def __init__(self, engine: BatchEngine, tree: PositionalTree) -> None:
         self.engine = engine
@@ -172,10 +174,19 @@ class _TreeOp:
 
     def __enter__(self) -> None:
         self.tree.begin_op()
+        self.lone = self.engine.begin()
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        engine = self.engine
         if exc_type is None:
-            engine = self.engine
-            self.tree.end_op(
-                defer_root=engine.defer_root if engine.active else None
-            )
+            try:
+                if self.tree.end_op():
+                    engine.defer_root(self.tree)
+            except BaseException:
+                if self.lone:
+                    engine.abort()
+                raise
+            if self.lone:
+                engine.commit()
+        elif self.lone:
+            engine.abort()

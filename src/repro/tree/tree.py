@@ -159,27 +159,20 @@ class PositionalTree:
         for page_id in sorted(self._dirty):
             self._nodes[page_id].shadowed_this_op = False
 
-    def end_op(
-        self,
-        defer_root: "Callable[[PositionalTree], bool] | None" = None,
-    ) -> None:
+    def end_op(self) -> bool:
         """Flush every index page modified by the operation (Section 3.3).
 
         The root is exempt: it lives with the object descriptor in the
         small object and is not charged as index-page I/O (the paper's
         Starburst 100-byte read costs exactly one data-page access, and
-        level-1 appends have "no index pages to write").  Its disk image
-        is still kept current, without cost, so (de)serialization and
-        crash-free reopen paths stay exercised.
-
-        ``defer_root`` is the batch engine's group-commit hook: when it
-        accepts the tree, the uncharged root poke is postponed to the
-        batch boundary (one poke per tree per batch) instead of running
-        here.  The charged non-root flush always runs per operation —
-        deferring it would change the cost model.
+        level-1 appends have "no index pages to write").  Returns True
+        when the operation changed the root: the caller then has the
+        batch engine :meth:`commit_root` it at the batch boundary.  The
+        charged non-root flush always runs per operation — deferring it
+        would change the cost model.
         """
         if not self._dirty:
-            return
+            return False
         root_dirty = self.root_page_id in self._dirty
         self._dirty.discard(self.root_page_id)
         with span_of(
@@ -191,33 +184,29 @@ class PositionalTree:
             self._flush_non_root()
             if root_dirty:
                 root = self._nodes[self.root_page_id]
-                if defer_root is None or not defer_root(self):
-                    # The root write is the operation's commit point: it
-                    # lands only after every shadowed index page is
-                    # safely on disk.
-                    self._poke_root(root)
                 root.dirty = False
                 root.shadowed_this_op = False
-
-    def _poke_root(self, root: "IndexNode") -> None:
-        """Push the root's serialized image at the disk (uncharged)."""
-        self.pool.disk.poke_pages(
-            self.root_page_id, self._serialize_node(root)
-        )
-        self.pool.update_if_resident(
-            self.root_page_id,
-            self.pool.disk.peek_pages(self.root_page_id, 1),
-        )
+        return root_dirty
 
     def commit_root(self) -> None:
-        """Group-commit half of :meth:`end_op`: poke the current root.
+        """Poke the root's current image at the disk (uncharged).
 
-        Called by the batch engine once per batch for every tree whose
-        root poke was deferred.  The root never relocates and is always
-        readable from memory, so committing the *final* state once is
-        image-equivalent to poking after every operation.
+        The root write is the commit point: the batch engine calls this
+        once per batch for every tree whose root changed, after every
+        shadowed index page is safely on disk.  Its disk image is kept
+        current, without cost, so (de)serialization and crash-free
+        reopen paths stay exercised.  The root never relocates and is
+        always readable from memory, so committing the *final* state
+        once is image-equivalent to poking after every operation.
         """
-        self._poke_root(self._nodes[self.root_page_id])
+        root_page_id = self.root_page_id
+        disk = self.pool.disk
+        disk.poke_pages(
+            root_page_id, self._serialize_node(self._nodes[root_page_id])
+        )
+        self.pool.update_if_resident(
+            root_page_id, disk.peek_pages(root_page_id, 1)
+        )
 
     def mark_root_dirty(self) -> None:
         """Re-mark the root dirty (in-memory only; no I/O).

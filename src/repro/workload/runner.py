@@ -32,7 +32,7 @@ def as_batch_op(op: Operation) -> BatchOp:
 
     Insert payloads are length-only :class:`SizedPayload` values — the
     content is irrelevant to cost, so no bytes are materialized.  Used by
-    :meth:`WorkloadRunner.run_batched` and the sharded workload runner
+    :meth:`WorkloadRunner.run` and the sharded workload runner
     (:mod:`repro.shard.runner`), which must produce *identical* batch ops
     for the same generated stream.
     """
@@ -119,55 +119,11 @@ class WorkloadRunner:
     ) -> list[WindowStats]:
         """Execute ``n_ops`` operations; returns one record per window.
 
-        With ``keep_op_costs=True`` every operation's individual cost is
+        Each window's operations go to ``submit_ops`` as one op batch,
+        and each op's cost is the ledger's delta across it.  With
+        ``keep_op_costs=True`` every operation's individual cost is
         retained in the window's ``*_samples`` lists, for distribution
         analysis beyond the paper's window averages.
-        """
-        if window <= 0:
-            raise InvalidArgumentError("window must be positive")
-        windows: list[WindowStats] = []
-        current = WindowStats(ops_done=0)
-        env = self.manager.env
-        sampler = env.sampler
-        scheme = self.manager.scheme
-        for index, op in enumerate(self.generator.operations(n_ops), start=1):
-            before = env.snapshot()
-            if op.kind == READ:
-                self.manager.read(self.oid, op.offset, op.nbytes)
-            elif op.kind == INSERT:
-                self.manager.insert(self.oid, op.offset, self._bytes(op.nbytes))
-            elif op.kind == DELETE:
-                self.manager.delete(self.oid, op.offset, op.nbytes)
-            else:
-                continue
-            cost = env.elapsed_ms_since(before)
-            current.record(op.kind, cost, keep_op_costs)
-            if sampler is not None:
-                sampler.record_op(op.kind, scheme, env.shard_index, cost)
-            if index % window == 0 or index == n_ops:
-                current.ops_done = index
-                current.utilization = self.manager.utilization(self.oid)
-                windows.append(current)
-                current = WindowStats(ops_done=0)
-                if sampler is not None:
-                    sampler.tick()
-        return windows
-
-    def run_batched(
-        self,
-        n_ops: int,
-        window: int = 2000,
-        keep_op_costs: bool = False,
-    ) -> list[WindowStats]:
-        """Like :meth:`run`, but submitting each window as one op batch.
-
-        The generator's op stream is deterministic and self-contained,
-        so collecting a window of operations up front and executing it
-        through ``submit_ops`` runs the *same* ops in the same order;
-        the engine's per-op costs use the same integer arithmetic as the
-        per-op ledger deltas, so the returned windows — averages,
-        totals, samples, utilization — are bit-identical to
-        :meth:`run`'s.
         """
         if window <= 0:
             raise InvalidArgumentError("window must be positive")
@@ -189,11 +145,3 @@ class WorkloadRunner:
                 windows.append(current)
                 current = WindowStats(ops_done=0)
         return windows
-
-    def _bytes(self, nbytes: int) -> SizedPayload:
-        """Insert payload of the requested size (zero by definition).
-
-        A length-only :class:`SizedPayload`: the content is irrelevant to
-        cost, so no bytes are ever materialized.
-        """
-        return SizedPayload(nbytes)

@@ -22,10 +22,11 @@ from typing import Iterable, Iterator
 
 from repro.core.errors import InvalidArgumentError, TraceError
 from repro.core.manager import LargeObjectManager
+from repro.exec.plan import APPEND, DELETE, INSERT, READ, REPLACE, BatchOp
 from repro.workload.generator import WorkloadGenerator
 
-#: Operation kinds a trace may contain.
-TRACE_KINDS = ("append", "insert", "delete", "replace", "read")
+#: Operation kinds a trace may contain: exactly the batch op kinds.
+TRACE_KINDS = (APPEND, INSERT, DELETE, REPLACE, READ)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,31 +146,21 @@ def replay(
     trace: Trace,
     payload_salt: int = 0,
 ) -> ReplayResult:
-    """Apply a trace to an object, recording per-operation costs.
+    """Apply a trace to an object as one op batch, with per-op costs.
 
     Insert/append/replace payloads are deterministic functions of the
     operation index and ``payload_salt``, so replays against different
     schemes produce byte-identical objects.
     """
-    env = manager.env
-    costs = []
-    for index, op in enumerate(trace):
-        payload = _payload(op.nbytes, index + payload_salt)
-        before = env.snapshot()
-        if op.kind == "append":
-            manager.append(oid, payload)
-        elif op.kind == "insert":
-            manager.insert(oid, op.offset, payload)
-        elif op.kind == "delete":
-            manager.delete(oid, op.offset, op.nbytes)
-        elif op.kind == "replace":
-            manager.replace(oid, op.offset, payload)
-        elif op.kind == "read":
-            manager.read(oid, op.offset, op.nbytes)
-        costs.append(env.elapsed_ms_since(before))
+    ops = [
+        BatchOp(op.kind, op.offset, op.nbytes,
+                _payload(op.nbytes, index + payload_salt))
+        for index, op in enumerate(trace)
+    ]
+    result = manager.submit_ops(oid, ops)
     return ReplayResult(
         scheme=manager.scheme,
-        op_costs_ms=costs,
+        op_costs_ms=list(result.op_costs_ms),
         final_size=manager.size(oid),
         final_utilization=manager.utilization(oid),
     )

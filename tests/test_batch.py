@@ -22,7 +22,12 @@ import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import ByteRangeError, CrashError, InvalidArgumentError
+from repro.core.errors import (
+    ByteRangeError,
+    CrashError,
+    InvalidArgumentError,
+    OutOfSpaceError,
+)
 from repro.core.payload import SizedPayload
 from repro.exec.plan import (
     BatchOp,
@@ -37,7 +42,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, at
 from repro.recovery.crash import rebuild_content
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.runner import WorkloadRunner
+from repro.workload.runner import WindowStats, WorkloadRunner, as_batch_op
+from tests.conftest import fingerprint
 
 SCHEMES = ("esm", "starburst", "eos")
 
@@ -45,25 +51,6 @@ SCHEMES = ("esm", "starburst", "eos")
 # ----------------------------------------------------------------------
 # Equivalence harness
 # ----------------------------------------------------------------------
-def _fingerprint(store: LargeObjectStore) -> dict[str, object]:
-    """Everything an experiment run can observe, in one dict."""
-    stats = store.stats
-    pool = store.env.pool.stats
-    return {
-        "read_calls": stats.read_calls,
-        "write_calls": stats.write_calls,
-        "pages_read": stats.pages_read,
-        "pages_written": stats.pages_written,
-        "retries": stats.retries,
-        "sim_ms": store.elapsed_ms(),
-        "pool_hits": pool.hits,
-        "pool_misses": pool.misses,
-        "pool_evictions": pool.evictions,
-        "pool_writebacks": pool.dirty_writebacks,
-        "image": store.env.disk.image(),
-    }
-
-
 def _run_perop(
     store: LargeObjectStore, oid: int, ops: list[BatchOp]
 ) -> tuple[list[object], list[float]]:
@@ -103,7 +90,7 @@ def _assert_dual_path_identical(scheme: str, ops: list[BatchOp]) -> None:
 
     assert list(batch.results) == results_a
     assert list(batch.op_costs_ms) == costs_a
-    assert _fingerprint(batched) == _fingerprint(perop)
+    assert fingerprint(batched) == fingerprint(perop)
     assert batched.size(oid_b) == perop.size(oid_a)
 
 
@@ -160,7 +147,8 @@ class TestDualPathEquivalence:
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_workload_runner_windows_identical(scheme: str) -> None:
-    """`run_batched` windows equal `run`'s, samples included."""
+    """`run`'s windows equal windows folded from the same ops run one by
+    one, samples included."""
 
     def point() -> tuple[LargeObjectStore, WorkloadRunner]:
         store = make_store(scheme, leaf_pages=2, threshold_pages=2)
@@ -174,10 +162,18 @@ def test_workload_runner_windows_identical(scheme: str) -> None:
 
     store_a, runner_a = point()
     store_b, runner_b = point()
-    windows_a = runner_a.run(60, window=20, keep_op_costs=True)
-    windows_b = runner_b.run_batched(60, window=20, keep_op_costs=True)
-    assert windows_b == windows_a
-    assert _fingerprint(store_b) == _fingerprint(store_a)
+    ops = [as_batch_op(op) for op in runner_a.generator.operations(60)]
+    expected = []
+    for lo in range(0, len(ops), 20):
+        window = ops[lo : lo + 20]
+        _results, costs = _run_perop(store_a, runner_a.oid, window)
+        stats = WindowStats(ops_done=lo + len(window))
+        for op, cost in zip(window, costs):
+            stats.record(op.kind, cost, keep_op_costs=True)
+        stats.utilization = store_a.utilization(runner_a.oid)
+        expected.append(stats)
+    assert runner_b.run(60, window=20, keep_op_costs=True) == expected
+    assert fingerprint(store_b) == fingerprint(store_a)
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +401,149 @@ def test_batches_and_hold_mode_refuse_nesting_and_always_close(
     assert bytes(store.read(oid, 0, 340)) == (
         _pattern(300) + _pattern(40, salt=1)
     )
+
+
+# ----------------------------------------------------------------------
+# A lone op is a batch of one
+# ----------------------------------------------------------------------
+def _mutations(page: int) -> dict[str, BatchOp]:
+    """One op of each byte-range mutation kind, on a 6-page object."""
+    return {
+        "append": append_op(_pattern(2 * page + 5, salt=1)),
+        "insert": insert_op(3 * page + 17, _pattern(page + 9, salt=2)),
+        "delete": delete_op(page + 3, 2 * page),
+        "replace": replace_op(17, _pattern(page, salt=3)),
+    }
+
+
+def _lone_store(scheme: str) -> tuple[LargeObjectStore, int]:
+    store = LargeObjectStore(
+        scheme, small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    return store, store.create(_pattern(6 * store.config.page_size + 37))
+
+
+@pytest.mark.parametrize(
+    ("scheme", "kind"),
+    [
+        (scheme, kind)
+        for scheme in SCHEMES
+        for kind in ("create", "trim", *_mutations(1))
+        if not (scheme == "esm" and kind == "trim")  # ESM has no trim
+    ],
+)
+def test_a_lone_op_commits_as_a_batch_of_one(scheme: str, kind: str) -> None:
+    """Every lone mutation closes its own batch and leaves the object
+    rebuildable from the image alone."""
+    store, oid = _lone_store(scheme)
+    if kind == "trim":
+        store.append(oid, _pattern(5, salt=4))
+        store.manager.trim(oid)
+    elif kind != "create":
+        _run_perop(store, oid, [_mutations(store.config.page_size)[kind]])
+    assert store.env.exec.active is False
+    assert bytes(rebuild_content(store, oid)) == bytes(
+        store.read(oid, 0, store.size(oid))
+    )
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_lone_op_that_raises_closes_its_batch(
+    scheme: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """A typed error inside the bracket aborts the batch of one: the
+    engine is idle, frees are immediate again, and the next op works."""
+    store = LargeObjectStore(
+        scheme, small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    oid = store.create()
+    engine = store.env.exec
+    areas = store.env.areas
+    data = _pattern(3 * store.config.page_size, salt=1)
+    sinks_seen = []
+
+    def full(n_pages: int) -> int:
+        sinks_seen.append(areas.data.free_sink is not None)
+        raise OutOfSpaceError("data area full")
+
+    with FaultInjector(store.env, FaultPlan()):
+        monkeypatch.setattr(areas.data, "allocate", full)
+        with pytest.raises(OutOfSpaceError):
+            store.append(oid, data)
+        assert sinks_seen == [True]  # the op ran inside an open batch
+        assert engine.active is False
+        assert areas.meta.free_sink is None
+        assert areas.data.free_sink is None
+        monkeypatch.undo()
+        store.append(oid, data)
+    assert bytes(store.read(oid, 0, store.size(oid))) == data
+    assert bytes(rebuild_content(store, oid)) == data
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_ops_inside_a_batch_join_it(
+    scheme: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Submitted ops open no batch of their own: one commit per batch."""
+    store, oid = _lone_store(scheme)
+    engine = store.env.exec
+    commit = engine.commit
+    commits = []
+
+    def counted() -> None:
+        commits.append(engine.active)
+        commit()
+
+    monkeypatch.setattr(engine, "commit", counted)
+    store.submit_ops(oid, list(_mutations(store.config.page_size).values()))
+    assert commits == [True]
+    store.append(oid, _pattern(9, salt=5))
+    assert commits == [True, True]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("kind", sorted(_mutations(1)))
+def test_a_lone_op_under_an_armed_injector_equals_its_batch(
+    scheme: str, kind: str
+) -> None:
+    """With frees deferred, a lone op and the same op submitted alone
+    leave identical stores."""
+    lone, oid_a = _lone_store(scheme)
+    batched, oid_b = _lone_store(scheme)
+    op = _mutations(lone.config.page_size)[kind]
+    with FaultInjector(lone.env, FaultPlan()):
+        _run_perop(lone, oid_a, [op])
+    with FaultInjector(batched.env, FaultPlan()):
+        batched.submit_ops(oid_b, [op])
+    assert fingerprint(lone) == fingerprint(batched)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_lone_op_crashing_at_any_write_closes_its_batch(scheme: str) -> None:
+    """A crash at any write of a lone insert — its index-page flush
+    included — leaves the engine idle and the image at the op's start or
+    end."""
+    config = small_page_config()
+    content = _pattern(200 * config.page_size + 5)  # a two-level tree
+    op = insert_op(97 * config.page_size + 3, _pattern(config.page_size + 9))
+
+    def fresh() -> tuple[LargeObjectStore, int]:
+        store = LargeObjectStore(
+            scheme, config, leaf_pages=2, threshold_pages=2
+        )
+        return store, store.create(content)
+
+    store, oid = fresh()
+    with FaultInjector(store.env, FaultPlan()) as armed:
+        _run_perop(store, oid, [op])
+        n_writes = armed.write_calls
+    post = bytes(store.read(oid, 0, store.size(oid)))
+    for k in range(1, n_writes + 1):
+        store, oid = fresh()
+        with FaultInjector(store.env, FaultPlan(crash_writes=at(k))):
+            with pytest.raises(CrashError):
+                _run_perop(store, oid, [op])
+        where = f"{scheme}: crash at write {k}/{n_writes}"
+        assert store.env.exec.active is False, where
+        assert store.env.areas.data.free_sink is None, where
+        assert bytes(rebuild_content(store, oid)) in (content, post), where

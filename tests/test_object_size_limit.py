@@ -18,6 +18,7 @@ from repro.core.errors import ObjectTooLargeError, ReproError
 from repro.core.fsck import check
 from repro.core.payload import SizedPayload
 from repro.tree.node import MAX_OBJECT_BYTES, LeafExtent
+from tests.conftest import end_op
 
 GIB = 1 << 30
 #: The paper's configuration at 64 KB pages: fsck visits every page, and
@@ -153,7 +154,7 @@ class TestTheTreeItself:
             assert list(tree.iter_extents(charged=False)) == extents
         tree.begin_op()
         tree.append_extent(big._replace(used_bytes=10))
-        tree.end_op()
+        end_op(tree)
         assert tree.total_bytes == MAX_OBJECT_BYTES
         tree.check_invariants()
 

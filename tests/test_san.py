@@ -27,7 +27,7 @@ from repro.records.store import RecordStore
 from repro.starburst.descriptor import Segment
 from repro.tree.node import IndexNode, LeafExtent
 from repro.tree.tree import PositionalTree
-from tests.conftest import pattern_bytes
+from tests.conftest import end_op, pattern_bytes
 
 
 @pytest.fixture
@@ -227,7 +227,7 @@ class TestPinLeakRegressions:
             tree.append_extent(LeafExtent(
                 page_id=page_id, used_bytes=100, alloc_pages=1,
             ))
-        tree.end_op()
+        end_op(tree)
         assert tree.height >= 2
         root = tree._get_node(tree.root_page_id)
         child = root.refs[0]
@@ -256,8 +256,9 @@ class TestPinLeakRegressions:
             def begin_op(self):
                 self.begun += 1
 
-            def end_op(self, defer_root=None):
+            def end_op(self):
                 self.ended += 1
+                return False
 
         stub = StubTree()
         with pytest.raises(_Boom):

@@ -47,27 +47,9 @@ from repro.shard import (
 )
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
+from tests.conftest import fingerprint
 
 SCHEMES = ("esm", "starburst", "eos")
-
-
-def _fingerprint(store: LargeObjectStore) -> dict[str, object]:
-    """Everything an experiment can observe from one (sub)store."""
-    stats = store.stats
-    pool = store.env.pool.stats
-    return {
-        "read_calls": stats.read_calls,
-        "write_calls": stats.write_calls,
-        "pages_read": stats.pages_read,
-        "pages_written": stats.pages_written,
-        "retries": stats.retries,
-        "sim_ms": store.elapsed_ms(),
-        "pool_hits": pool.hits,
-        "pool_misses": pool.misses,
-        "pool_evictions": pool.evictions,
-        "pool_writebacks": pool.dirty_writebacks,
-        "image": store.env.disk.image(),
-    }
 
 
 def _mixed_script(store: "LargeObjectStore | ShardedStore") -> list[object]:
@@ -131,7 +113,7 @@ def test_one_shard_store_is_bit_identical(scheme: str) -> None:
     observed_plain = _mixed_script(_UnshardedAdapter(plain))
     observed_sharded = _mixed_script(sharded)
     assert observed_sharded == observed_plain
-    assert _fingerprint(sharded.shards[0]) == _fingerprint(plain)
+    assert fingerprint(sharded.shards[0]) == fingerprint(plain)
     assert sharded.stats == plain.stats
     assert sharded.pool_stats == plain.env.pool.stats
     assert sharded.elapsed_ms() == plain.elapsed_ms()
@@ -184,7 +166,7 @@ def test_multi_shard_routes_to_independent_shards(scheme: str) -> None:
     solo[1].append(ra[1], SizedPayload(35000))
     solo[1].insert(ra[1], 700, SizedPayload(4000))
     for shard, ref in zip(sharded.shards, solo):
-        assert _fingerprint(shard) == _fingerprint(ref)
+        assert fingerprint(shard) == fingerprint(ref)
     merged = sharded.stats
     assert merged.io_calls == sum(s.stats.io_calls for s in solo)
 
@@ -232,7 +214,7 @@ def test_submit_many_interleaves_back_to_submission_order(
         None if r is None else bytes(r) for r in results
     ]
     for shard_a, shard_b in zip(sharded.shards, twin.shards):
-        assert _fingerprint(shard_a) == _fingerprint(shard_b)
+        assert fingerprint(shard_a) == fingerprint(shard_b)
 
 
 # ----------------------------------------------------------------------
@@ -318,10 +300,10 @@ def test_one_shard_program_matches_live_store() -> None:
     )
     outcome = execute_program(program)
 
-    from repro.experiments.common import build_object_batched, make_store
+    from repro.experiments.common import build_object, make_store
 
     store = make_store("esm")
-    oid = build_object_batched(store, 120_000, 30_000)
+    oid = build_object(store, 120_000, 30_000)
     before = store.snapshot()
     size = store.size(oid)
     store.submit_ops(oid, [
@@ -331,7 +313,7 @@ def test_one_shard_program_matches_live_store() -> None:
     generator = WorkloadGenerator(
         object_size=store.size(oid), mean_op_size=3000, seed=7
     )
-    windows = WorkloadRunner(store.manager, oid, generator).run_batched(
+    windows = WorkloadRunner(store.manager, oid, generator).run(
         60, window=30
     )
     delta = store.stats.delta(before)
@@ -394,7 +376,7 @@ def test_sharded_runner_windows_match_standalone(scheme: str) -> None:
         for i in range(shards)
     ]
     runner = ShardedWorkloadRunner(sharded, oids, generators)
-    window_lists = runner.run_batched(120, window=40, keep_op_costs=True)
+    window_lists = runner.run(120, window=40, keep_op_costs=True)
 
     for i in range(shards):
         solo = LargeObjectStore(scheme, record_data=False)
@@ -403,11 +385,11 @@ def test_sharded_runner_windows_match_standalone(scheme: str) -> None:
         generator = WorkloadGenerator(
             object_size=80_000, mean_op_size=4000, seed=31 + i
         )
-        expected = WorkloadRunner(solo.manager, oid, generator).run_batched(
+        expected = WorkloadRunner(solo.manager, oid, generator).run(
             120, window=40, keep_op_costs=True
         )
         assert window_lists[i] == expected
-        assert _fingerprint(sharded.shards[i]) == _fingerprint(solo)
+        assert fingerprint(sharded.shards[i]) == fingerprint(solo)
 
 
 def test_sharded_runner_validates_inputs() -> None:
@@ -421,7 +403,7 @@ def test_sharded_runner_validates_inputs() -> None:
     runner = ShardedWorkloadRunner(store, [oid], [generator])
     store.append(oid, SizedPayload(1000))
     with pytest.raises(InvalidArgumentError):
-        runner.run_batched(10, window=0)
+        runner.run(10, window=0)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repro.core.env import StorageEnvironment
 from repro.core.errors import ByteRangeError, StorageCorruptionError
 from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree
+from tests.conftest import end_op
 
 
 @pytest.fixture
@@ -85,7 +86,7 @@ class TestBasics:
         tree = make_tree(env)
         tree.append_extent(extent(env, 100))
         tree.append_extent(extent(env, 50))
-        tree.end_op()
+        end_op(tree)
         cursor = tree.locate(0)
         assert cursor.extent.used_bytes == 100
         assert cursor.extent_start == 0
@@ -197,7 +198,7 @@ class TestReplaceSpan:
         tree = make_tree(env)
         for size in (100, 50, 30):
             tree.append_extent(extent(env, size))
-        tree.end_op()
+        end_op(tree)
         tree.begin_op()
         before = untouched_state(tree, env)
         with pytest.raises(StorageCorruptionError, match="not extent-aligned"):
@@ -221,7 +222,7 @@ class TestReplaceSpan:
     def test_empty_replacement_of_nothing_touches_nothing(self, env):
         tree = make_tree(env)
         tree.append_extent(extent(env, 100))
-        tree.end_op()
+        end_op(tree)
         before = untouched_state(tree, env)
         tree.replace_span(100, 0, [])
         assert untouched_state(tree, env) == before
@@ -262,9 +263,9 @@ class TestGrowthAndShrink:
         for _ in range(env.config.root_fanout + 1):
             tree.append_extent(extent(env, 10))
         before = env.cost.stats.write_calls
-        tree.end_op()
+        end_op(tree)
         assert env.cost.stats.write_calls > before
-        tree.end_op()  # idempotent: nothing left to flush
+        end_op(tree)  # idempotent: nothing left to flush
         assert env.cost.stats.write_calls >= before + 1
 
 
@@ -274,12 +275,12 @@ class TestShadowing:
         fanout = env.config.root_fanout
         for _ in range(fanout + 1):
             tree.append_extent(extent(env, 10))
-        tree.end_op()
+        end_op(tree)
         pages_before = {n.page_id for n in tree._walk_nodes()}
         tree.begin_op()
         cursor = tree.locate(0)
         tree.update_extent(cursor, used_bytes=15)
-        tree.end_op()
+        end_op(tree)
         pages_after = {n.page_id for n in tree._walk_nodes()}
         moved = pages_before - pages_after
         assert moved, "a non-root index page should have been relocated"
@@ -295,11 +296,11 @@ class TestShadowing:
         tree.create()
         for _ in range(env.config.root_fanout + 1):
             tree.append_extent(extent(env, 10))
-        tree.end_op()
+        end_op(tree)
         pages_before = {n.page_id for n in tree._walk_nodes()}
         tree.begin_op()
         tree.update_extent(tree.locate(0), used_bytes=15)
-        tree.end_op()
+        end_op(tree)
         pages_after = {n.page_id for n in tree._walk_nodes()}
         assert pages_before == pages_after
 
@@ -310,7 +311,7 @@ class TestDestroy:
         extents_in = [extent(env, 10) for _ in range(20)]
         for e in extents_in:
             tree.append_extent(e)
-        tree.end_op()
+        end_op(tree)
         returned = tree.destroy()
         assert [e.page_id for e in returned] == [
             e.page_id for e in extents_in
@@ -343,7 +344,7 @@ def test_random_edit_script_matches_reference(env):
             size = rng.randint(1, 400)
             tree.append_extent(extent(env, size))
             ref.sizes.append(size)
-        tree.end_op()
+        end_op(tree)
         if step % 10 == 0:
             assert_agrees(tree, ref)
     assert_agrees(tree, ref)

@@ -8,6 +8,7 @@ from repro.core.env import StorageEnvironment
 from repro.core.errors import StorageCorruptionError
 from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree
+from tests.conftest import end_op
 from tests.test_tree import untouched_state
 
 
@@ -23,7 +24,7 @@ def make_tree(env, extents=0, size=10):
     tree.create()
     for _ in range(extents):
         tree.append_extent(extent(env, size))
-    tree.end_op()
+    end_op(tree)
     return tree
 
 
@@ -78,7 +79,7 @@ class TestMultiLevelNavigation:
         # Replace a span straddling the boundary with one big extent.
         span_start = boundary - 20
         tree.replace_span(span_start, 40, [extent(env, 40)])
-        tree.end_op()
+        end_op(tree)
         tree.check_invariants()
         assert tree.total_bytes == count * 10
         cursor = tree.locate(span_start)
@@ -117,7 +118,7 @@ class TestEndOpBehaviour:
             tree.append_extent(extent(env, 10))
         before = env.cost.stats.write_calls
         pages_dirty = len(tree._dirty)
-        tree.end_op()
+        end_op(tree)
         calls = env.cost.stats.write_calls - before
         assert calls <= pages_dirty  # grouping can only reduce calls
 
@@ -127,7 +128,7 @@ class TestEndOpBehaviour:
         tree.begin_op()
         tree.locate(55)
         tree.extents_covering(0, 100)
-        tree.end_op()
+        end_op(tree)
         assert env.cost.stats.write_calls == before
 
     def test_root_write_is_never_charged(self, env):
@@ -135,7 +136,7 @@ class TestEndOpBehaviour:
         before = env.cost.stats.write_calls
         tree.begin_op()
         tree.append_extent(extent(env, 10))  # dirties only the root
-        tree.end_op()
+        end_op(tree)
         assert env.cost.stats.write_calls == before
 
 
@@ -176,7 +177,7 @@ class TestMetaSpaceHygiene:
                 if step % 2
                 else [extent(env, 50)],
             )
-            tree.end_op()
+            end_op(tree)
         tree.check_invariants()
         # Index pages in the meta area match the live node count exactly.
         assert env.areas.meta.allocated_pages == tree.index_page_count()

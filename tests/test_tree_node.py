@@ -24,6 +24,7 @@ from repro.tree.node import (
     node_header_size,
     root_header_size,
 )
+from tests.conftest import end_op
 from tests.test_tree import make_tree
 
 CONFIG = small_page_config(page_size=256)
@@ -481,7 +482,7 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
             new,
         )
         model[at:at + gone] = new
-        tree.end_op()
+        end_op(tree)
         check()
     assert events == {
         ("tree.split.node", None), ("tree.split.root", None),
@@ -500,7 +501,7 @@ class TestExtentsAreValues:
         tree.replace_span(0, 0, [
             LeafExtent(DATA_AREA_BASE + 10 * i, 100 + i, 2) for i in range(3)
         ])
-        tree.end_op()
+        end_op(tree)
         return tree
 
     def test_an_extent_from_locate_outlives_later_updates_unchanged(self):
@@ -514,7 +515,7 @@ class TestExtentsAreValues:
             alloc_pages=1,
         )
         tree.replace_span(0, 100, [])
-        tree.end_op()
+        end_op(tree)
         assert taken == (DATA_AREA_BASE + 10, 101, 2)
         assert tree.locate(0).extent == (DATA_AREA_BASE + 99, 7, 1)
 
@@ -545,7 +546,7 @@ class TestExtentsAreValues:
         # ... so a second size change through the same cursor is measured
         # from the current size, not from the one it was located with.
         tree.update_extent(cursor, used_bytes=cursor.extent.used_bytes + 5)
-        tree.end_op()
+        end_op(tree)
         assert cursor.extent.used_bytes == 125
         assert tree.total_bytes == 100 + 125 + 102
         tree.check_invariants()

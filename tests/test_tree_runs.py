@@ -21,6 +21,7 @@ from repro.core.env import StorageEnvironment
 from repro.obs.tracer import Tracer
 from repro.tree.node import LeafExtent
 from repro.tree.tree import PositionalTree, _choose_child
+from tests.conftest import end_op
 from tests.test_tree import extent
 
 
@@ -235,7 +236,7 @@ def test_run_loop_matches_one_pair_at_a_time(seed, page_size, pool_frames):
             if probe is not None:
                 twin.tree.locate(probe)         # a manager's own descent
             replace_span(span_start, span_bytes, twin.extents(new_sizes))
-            twin.tree.end_op()
+            end_op(twin.tree)
         sizes[first:first + k] = new_sizes
         assert new.observable() == old.observable(), f"step {step}"
         assert [
