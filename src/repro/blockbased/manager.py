@@ -74,6 +74,8 @@ class BlockBasedManager(LargeObjectManager):
         #: oid -> list of data pages; the serialized form lives in the
         #: object's directory pages.
         self._objects: dict[int, list[DataPage]] = {}
+        #: oid -> object size in bytes, kept in step with its page list.
+        self._sizes: dict[int, int] = {}
         #: oid -> directory page ids (first one doubles as the oid).
         self._directories: dict[int, list[int]] = {}
 
@@ -94,6 +96,7 @@ class BlockBasedManager(LargeObjectManager):
         with self._op_span("create"):
             oid = self.env.areas.meta.allocate(1)
             self._objects[oid] = []
+            self._sizes[oid] = 0
             self._directories[oid] = [oid]
             if data:
                 self.append(oid, data)
@@ -110,11 +113,13 @@ class BlockBasedManager(LargeObjectManager):
             for dir_page in self._directories[oid]:
                 self.env.areas.meta.free(dir_page, 1)
             del self._objects[oid]
+            del self._sizes[oid]
             del self._directories[oid]
 
     def size(self, oid: int) -> int:
-        """Current object size in bytes (sum of per-page byte counts)."""
-        return sum(page.used_bytes for page in self._pages(oid))
+        """Current object size in bytes, kept beside the page list."""
+        self._pages(oid)  # an unknown oid raises here
+        return self._sizes[oid]
 
     def oids(self) -> list[int]:
         """Ids of every live object, sorted."""
@@ -174,12 +179,14 @@ class BlockBasedManager(LargeObjectManager):
                     ),
                 )
                 last.used_bytes += take
+                self._sizes[oid] += take
                 view = view[take:]
             while view:
                 take = min(page_size, len(view))
                 page_id = self.env.areas.data.allocate(1)
                 self.env.segio.write_pages(page_id, payload_bytes(view[:take]))
                 pages.append(DataPage(page_id=page_id, used_bytes=take))
+                self._sizes[oid] += take
                 view = view[take:]
             self._sync_directory(oid)
 
@@ -211,6 +218,7 @@ class BlockBasedManager(LargeObjectManager):
                 replacement = self._write_chain(spliced)
                 self.env.areas.data.free(page.page_id, 1)
                 pages[index : index + 1] = replacement
+            self._sizes[oid] += len(data)
             self._sync_directory(oid)
 
     def delete(self, oid: int, offset: int, nbytes: int) -> None:
@@ -245,6 +253,7 @@ class BlockBasedManager(LargeObjectManager):
                         self.env.areas.data.free(page.page_id, 1)
                 position = end
             self._objects[oid] = survivors
+            self._sizes[oid] -= nbytes
             self._sync_directory(oid)
 
     def replace(self, oid: int, offset: int, data: Payload) -> None:
@@ -297,6 +306,9 @@ class BlockBasedManager(LargeObjectManager):
         assert len(self._directories[oid]) == self._directory_pages_needed(
             len(pages)
         ), "directory page count drift"
+        assert self._sizes[oid] == sum(
+            page.used_bytes for page in pages
+        ), "object size drift"
 
     # ------------------------------------------------------------------
     # Internals

@@ -371,7 +371,7 @@ class BufferPool:
         """
         self.disk.write_pages(start, n_pages, data, record=record)
         page_size = self.config.page_size
-        for page_id in self._resident_in(start, n_pages):
+        for page_id in self.resident_in(start, n_pages):
             # Slice the page once and hand the finished image through;
             # update_if_resident stores it as-is.
             lo = (page_id - start) * page_size
@@ -405,7 +405,7 @@ class BufferPool:
         Raises if any of them is pinned, before dropping anything.
         """
         frames = self._frames
-        resident = self._resident_in(start, n_pages)
+        resident = self.resident_in(start, n_pages)
         for page_id in resident:
             if frames[page_id].pin_count:
                 raise BufferPoolError(
@@ -414,7 +414,7 @@ class BufferPool:
         for page_id in resident:
             del frames[page_id]
 
-    def _resident_in(self, start: int, n_pages: int) -> list[int]:
+    def resident_in(self, start: int, n_pages: int) -> list[int]:
         """The run's resident page ids, ascending.
 
         Whichever is smaller is probed, the run or the pool: a freed

@@ -14,15 +14,23 @@ The buffering scheme is the paper's hybrid approach:
 Writes always go straight to disk (the managers flush dirty pages at the
 end of each operation, per the shadowing discussion of Section 3.3); any
 resident copies of written pages are refreshed so the pool never holds
-stale leaf data.
+stale leaf data.  The one exception is a *fresh* segment filled by
+:meth:`SegmentIO.copy_staged`.  A freed run is invalidated before its
+pages can be reallocated (a deferred free keeps them allocated until the
+batch ends), and nothing reads a fresh page before the copy writes it but
+the copy's own mid-page read-back; so no other page of it can be
+resident, and those writes skip the refresh and go to the disk.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
-from repro.core.errors import ByteRangeError
+from repro.core.errors import ByteRangeError, ContractViolationError
 from repro.core.payload import Payload, payload_concat
+from repro.lint.contracts import checks_enabled
 
 
 class SegmentIO:
@@ -132,49 +140,51 @@ class SegmentIO:
         buffered = self._should_buffer(n_pages)
         tracer = self.pool.disk.tracer
         if tracer is None:
-            data = self._read_covering(
+            return self._read_covering(
                 segment_page + first, n_pages, buffered, start, nbytes
             )
-        else:
-            with tracer.span(
-                "segio.read_unaligned",
-                start=segment_page + first,
-                pages_n=n_pages,
-                buffered=buffered,
-            ):
-                data = self._read_covering(
-                    segment_page + first, n_pages, buffered, start, nbytes
-                )
-        # A page-aligned whole-run request needs no slice at all.
-        if start == 0 and nbytes == len(data):
-            return data
-        return data[start : start + nbytes]
+        with tracer.span(
+            "segio.read_unaligned",
+            start=segment_page + first,
+            pages_n=n_pages,
+            buffered=buffered,
+        ):
+            return self._read_covering(
+                segment_page + first, n_pages, buffered, start, nbytes
+            )
 
     def _read_covering(self, start_page: int, n_pages: int, buffered: bool,
                        start: int, nbytes: int) -> Payload:
         """The one body of :meth:`read_boundary_unaligned`, traced or not:
-        the pages covering ``nbytes`` bytes from ``start`` bytes into
-        ``start_page``."""
+        ``nbytes`` bytes from ``start`` bytes into ``start_page``."""
         pool = self.pool
         if buffered:
-            return pool.read_run(start_page, n_pages,
+            data = pool.read_run(start_page, n_pages,
                                  record=self.record_leaf_data)
-        page_size = self.config.page_size
-        left_unaligned = start != 0
-        right_unaligned = (start + nbytes) % page_size != 0
-        chunks: list[Payload] = []
+            # A page-aligned whole-run request needs no slice at all.
+            if start == 0 and nbytes == len(data):
+                return data
+            return data[start : start + nbytes]
+        # Each boundary page is sliced to its bytes before the one
+        # concatenation; ``tail`` is what the range uses of its last page.
+        tail = (start + nbytes) % self.config.page_size
         middle_start = start_page
-        middle_count = n_pages
-        if left_unaligned:
-            chunks.append(self._boundary_page(start_page))
+        middle_end = start_page + n_pages
+        chunks: list[Payload] = []
+        if start:
+            page = self._boundary_page(start_page)
+            if n_pages == 1:
+                return page[start : start + nbytes]
+            chunks.append(page[start:])
             middle_start += 1
-            middle_count -= 1
-        if right_unaligned and middle_count > 0:
-            middle_count -= 1
-        if middle_count > 0:
-            chunks.append(pool.disk.read_pages(middle_start, middle_count))
-        if right_unaligned and (not left_unaligned or n_pages > 1):
-            chunks.append(self._boundary_page(start_page + n_pages - 1))
+        if tail:
+            middle_end -= 1
+        if middle_end > middle_start:
+            chunks.append(
+                pool.disk.read_pages(middle_start, middle_end - middle_start)
+            )
+        if tail:
+            chunks.append(self._boundary_page(middle_end)[:tail])
         return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
 
     # ------------------------------------------------------------------
@@ -203,6 +213,84 @@ class SegmentIO:
             pool.write_run(
                 start_page, n_pages, data, record=self.record_leaf_data
             )
+
+    def copy_staged(self, sources: Sequence[tuple[int, int, int] | Payload],
+                    memory: int, sinks: Sequence[tuple[int, int]]) -> None:
+        """Stream the concatenated ``sources`` into ``sinks`` through a
+        staging buffer of ``memory`` bytes (Section 3.5).
+
+        A source piece is bytes in memory or ``(page_id, byte_off,
+        nbytes)``, a non-empty range of one segment; a sink is ``(page_id,
+        nbytes)``, a segment this operation allocated, filled from its
+        first byte.  Each chunk is read whole, one 3-step read per piece
+        it overlaps (the field "can not be copied in two steps", Section
+        4.4.3), then written whole, one write per sink it reaches —
+        preceded, when the sink cursor stands mid-page, by a read-back of
+        that page.  Only a read-back page can be resident, so every other
+        write goes straight to the disk.
+        """
+        page_size = self.config.page_size
+        pool = self.pool
+        disk = pool.disk
+        tracer = disk.tracer
+        record = self.record_leaf_data
+        checked = checks_enabled()
+        remaining = sum(nbytes for _page, nbytes in sinks)
+        piece_index = piece_done = sink_index = written = 0
+        while remaining:
+            size = min(memory, remaining)
+            remaining -= size
+            parts: list[Payload] = []
+            need = size
+            while need:
+                piece = sources[piece_index]
+                if isinstance(piece, tuple):
+                    page_id, byte_off, length = piece
+                    take = min(length - piece_done, need)
+                    parts.append(self.read_boundary_unaligned(
+                        page_id, byte_off + piece_done, take
+                    ))
+                else:
+                    length = len(piece)
+                    take = min(length - piece_done, need)
+                    parts.append(piece[piece_done : piece_done + take])
+                need -= take
+                piece_done += take
+                if piece_done == length:
+                    piece_index += 1
+                    piece_done = 0
+            chunk = parts[0] if len(parts) == 1 else payload_concat(parts)
+            done = 0
+            while done < size:
+                page_id, nbytes = sinks[sink_index]
+                take = min(nbytes - written, size - done)
+                first = written // page_size
+                within = written - first * page_size
+                data = chunk if take == size else chunk[done : done + take]
+                page_id += first
+                if within:
+                    page = self.read_pages(page_id, 1)
+                    self.write_pages(
+                        page_id, payload_concat([page[:within], data])
+                    )
+                else:
+                    n_pages = -(-take // page_size)
+                    if checked and pool.resident_in(page_id, n_pages):
+                        raise ContractViolationError(
+                            f"fresh page run {page_id}+{n_pages} is resident"
+                        )
+                    if tracer is None:
+                        disk.write_pages(page_id, n_pages, data, record)
+                    else:
+                        with tracer.span(
+                            "segio.write", start=page_id, pages_n=n_pages
+                        ):
+                            disk.write_pages(page_id, n_pages, data, record)
+                done += take
+                written += take
+                if written == nbytes:
+                    sink_index += 1
+                    written = 0
 
     # ------------------------------------------------------------------
     # Internals

@@ -88,7 +88,11 @@ class StarburstManager(LargeObjectManager):
             segment.used_bytes = len(chunk)
             descriptor.check_capacity(len(descriptor.segments) + 1)
             descriptor.segments.append(segment)
-            self._copy_through_staging([], 0, chunk, 0, [segment])
+            self.env.segio.copy_staged(
+                [chunk],
+                self.config.staging_buffer_bytes,
+                [(segment.page_id, len(chunk))],
+            )
             position += len(chunk)
 
     def destroy(self, oid: int) -> None:
@@ -399,15 +403,33 @@ class StarburstManager(LargeObjectManager):
     ) -> None:
         """Copy segments ``first_index..end`` into a new set of segments,
         splicing an insertion or skipping a deletion, through the staging
-        buffer (Section 3.5)."""
+        buffer (Section 3.5): the old bytes before ``splice_at``, the
+        inserted ones, then the old bytes ``delete_bytes`` further on, as
+        one source piece per old segment range."""
         old_segments = descriptor.segments[first_index:]
         old_tail_bytes = sum(s.used_bytes for s in old_segments)
         new_tail_bytes = old_tail_bytes + len(insert_data) - delete_bytes
         new_segments = self._plan_tail(descriptor, first_index, new_tail_bytes)
         descriptor.check_capacity(first_index + len(new_segments))
 
-        self._copy_through_staging(
-            old_segments, splice_at, insert_data, delete_bytes, new_segments
+        sources: list[tuple[int, int, int] | Payload] = []
+        if splice_at:
+            sources.append((old_segments[0].page_id, 0, splice_at))
+        if insert_data:
+            sources.append(insert_data)
+        skip = splice_at + delete_bytes
+        for segment in old_segments:
+            if skip < segment.used_bytes:
+                sources.append(
+                    (segment.page_id, skip, segment.used_bytes - skip)
+                )
+                skip = 0
+            else:
+                skip -= segment.used_bytes
+        self.env.segio.copy_staged(
+            sources,
+            self.config.staging_buffer_bytes,
+            [(s.page_id, s.used_bytes) for s in new_segments],
         )
 
         for segment in old_segments:
@@ -440,100 +462,6 @@ class StarburstManager(LargeObjectManager):
             segments.append(segment)
             index += 1
         return segments
-
-    def _copy_through_staging(
-        self,
-        old_segments: list[Segment],
-        splice_at: int,
-        insert_data: Payload,
-        delete_bytes: int,
-        new_segments: list[Segment],
-    ) -> None:
-        """Stream the spliced byte sequence into ``new_segments``, one
-        staging buffer at a time: the old bytes before ``splice_at``,
-        then ``insert_data``, then the old bytes ``delete_bytes`` further
-        on; the new segments' ``used_bytes`` say how many there are.
-
-        Each staging chunk is read whole, then written whole.  Reading
-        is charged per (segment, staging-chunk) intersection: copying
-        the long field "for all practical purposes ... can not be copied
-        in two steps" (Section 4.4.3), so each chunk costs one read call
-        per old segment it overlaps, and one write call per new segment
-        it reaches — preceded, when the write cursor stands mid-page, by
-        a read-back of that page for the bytes already in it.
-
-        Two cursors, both of which only move right: the read cursor is a
-        position in the spliced sequence plus the old segment it falls
-        in and that segment's first byte; the write cursor is a new
-        segment and the bytes written into it.
-        """
-        segio = self.env.segio
-        read = segio.read_boundary_unaligned
-        page_size = self.config.page_size
-        staging = self.config.staging_buffer_bytes
-        total = sum(segment.used_bytes for segment in new_segments)
-        mem_end = splice_at + len(insert_data)
-        # Past the inserted bytes, spliced position + shift = old position.
-        shift = delete_bytes - len(insert_data)
-        position = 0
-        old_index = 0
-        old_start = 0
-        old_end = old_segments[0].used_bytes if old_segments else 0
-        new_index = 0
-        written = 0
-        while position < total:
-            # Fill the staging buffer from the source pieces.
-            end = min(position + staging, total)
-            size = end - position
-            parts: list[Payload] = []
-            while position < end:
-                if splice_at <= position < mem_end:
-                    stop = min(end, mem_end)
-                    parts.append(
-                        insert_data[position - splice_at : stop - splice_at]
-                    )
-                else:
-                    # Old bytes: one read per old segment they lie in.
-                    if position < splice_at:
-                        stop = min(end, splice_at)
-                        source = position
-                    else:
-                        stop = end
-                        source = position + shift
-                    source_stop = source + stop - position
-                    while source < source_stop:
-                        while source >= old_end:
-                            old_index += 1
-                            old_start = old_end
-                            old_end += old_segments[old_index].used_bytes
-                        take = min(old_end, source_stop) - source
-                        parts.append(
-                            read(
-                                old_segments[old_index].page_id,
-                                source - old_start,
-                                take,
-                            )
-                        )
-                        source += take
-                position = stop
-            chunk = parts[0] if len(parts) == 1 else payload_concat(parts)
-            # Empty it into the new segments.
-            done = 0
-            while done < size:
-                segment = new_segments[new_index]
-                take = min(segment.used_bytes - written, size - done)
-                first_dirty = written // page_size
-                within = written - first_dirty * page_size
-                data = chunk if take == size else chunk[done : done + take]
-                if within:
-                    page = segio.read_pages(segment.page_id + first_dirty, 1)
-                    data = payload_concat([page[:within], data])
-                segio.write_pages(segment.page_id + first_dirty, data)
-                done += take
-                written += take
-                if written == segment.used_bytes:
-                    new_index += 1
-                    written = 0
 
 
 class _DescriptorOp:

@@ -82,6 +82,7 @@ class TestUpdates:
         for i in range(10):
             store.insert(oid, (i * 631) % store.size(oid), b"..")
             store.delete(oid, (i * 433) % (store.size(oid) - 2), 2)
+            store.manager.check_invariants(oid)
         # Pages become sparse: utilization falls well below full.
         assert store.utilization(oid) < 0.9
 

@@ -1,14 +1,19 @@
-"""The Starburst tail copy's two-cursor loop against the classes it replaced.
+"""``SegmentIO.copy_staged`` against the stream objects it replaced.
 
 The reference below is the older pair of stream objects, kept here as the
 tests' yardstick: a reader that hands out the spliced byte sequence one
-staging buffer at a time from a tagged piece list (rescanning the old
-segments on every chunk), and a writer that empties each buffer into the
-fresh segments.  Only the bookkeeping that feeds ``seen`` was added.  It
-pins the *I/O sequence* — which segment I/O calls are issued, with which
-arguments, in which order, the writer's one-page read-back included —
-which is the cost model of Section 3.5; the loop in
-``StarburstManager._copy_through_staging`` must issue exactly that.
+staging buffer at a time from a tagged piece list, and a writer that
+empties each buffer into the fresh segments through ``write_pages`` (the
+pool's refreshing write).  Only the bookkeeping that feeds ``seen`` was
+added.  It pins the *I/O sequence* — which segment I/O calls are issued,
+with which arguments, in which order, the writer's one-page read-back
+included — which is the cost model of Section 3.5; ``copy_staged`` must
+issue exactly that, and its direct writes must leave the pool as the
+refreshing ones did.
+
+Seed 1992 runs on traced environments and seed 2718 on untraced ones, so
+the code on both sides of every ``tracer is None`` test is compared with
+the reference; the untraced half compares everything but the trace.
 """
 
 import dataclasses
@@ -26,51 +31,40 @@ from repro.core.payload import (
     zeros,
 )
 from repro.obs.tracer import Tracer
-from repro.starburst.descriptor import Segment
+from repro.segio import SegmentIO
 from repro.starburst.manager import StarburstManager
 from tests.conftest import pattern_bytes
+
+TRACED_SEED = 1992
 
 
 # ----------------------------------------------------------------------
 # The reference: a reader object and a writer object per copy
 # ----------------------------------------------------------------------
 class _TailReader:
-    """Streams the spliced byte sequence of a tail rewrite.
+    """Streams the concatenated source pieces of a staged copy.
 
-    Reading is charged per (segment, staging-chunk) intersection: copying
+    Reading is charged per (piece, staging-chunk) intersection: copying
     the long field "for all practical purposes ... can not be copied in
     two steps" (Section 4.4.3), so each staging chunk costs one read call
-    per old segment it overlaps.
+    per old segment range it overlaps.
     """
 
-    def __init__(
-        self,
-        manager: StarburstManager,
-        old_segments: list[Segment],
-        splice_at: int,
-        insert_data: Payload,
-        delete_bytes: int,
-    ) -> None:
-        self._manager = manager
-        self._segments = old_segments
-        total_old = sum(s.used_bytes for s in old_segments)
-        #: Ordered source pieces: ("old", start, length) or ("mem", bytes).
-        self._pieces: list[tuple] = []
-        if splice_at > 0:
-            self._pieces.append(("old", 0, splice_at))
-        if insert_data:
-            self._pieces.append(("mem", insert_data))
-        after = splice_at + delete_bytes
-        if after < total_old:
-            self._pieces.append(("old", after, total_old - after))
+    def __init__(self, segio: SegmentIO, sources) -> None:
+        self._segio = segio
+        #: Ordered source pieces: ("old", page, offset, length) or
+        #: ("mem", bytes).
+        self._pieces: list[tuple] = [
+            ("old", *piece) if isinstance(piece, tuple) else ("mem", piece)
+            for piece in sources
+        ]
         self._piece_index = 0
         self._piece_done = 0
-        #: What the last ``read`` drew on: piece kinds, old segments.
+        #: What the last ``read`` drew on: piece kinds, old segment reads.
         self.kinds: list[str] = []
         self.old_segments_read = 0
 
     def read(self, nbytes: int) -> Payload:
-        """Read a byte range straight from the affected segments."""
         chunks: list[Payload] = []
         got = 0
         self.kinds = []
@@ -80,52 +74,30 @@ class _TailReader:
             self.kinds.append(piece[0])
             if piece[0] == "mem":
                 data = piece[1]
-                take = min(nbytes - got, len(data) - self._piece_done)
+                piece_length = len(data)
+                take = min(nbytes - got, piece_length - self._piece_done)
                 chunks.append(data[self._piece_done : self._piece_done + take])
             else:
-                _kind, start, length = piece
-                take = min(nbytes - got, length - self._piece_done)
-                chunks.append(self._read_old(start + self._piece_done, take))
+                _kind, page_id, offset, piece_length = piece
+                take = min(nbytes - got, piece_length - self._piece_done)
+                chunks.append(self._segio.read_boundary_unaligned(
+                    page_id, offset + self._piece_done, take
+                ))
+                self.old_segments_read += 1
             self._piece_done += take
             got += take
-            piece_length = (
-                len(piece[1]) if piece[0] == "mem" else piece[2]
-            )
             if self._piece_done == piece_length:
                 self._piece_index += 1
                 self._piece_done = 0
         return payload_concat(chunks)
 
-    def _read_old(self, position: int, nbytes: int) -> Payload:
-        """Read the old tail's byte range, one call per segment touched."""
-        chunks: list[Payload] = []
-        remaining = nbytes
-        start = 0
-        for segment in self._segments:
-            end = start + segment.used_bytes
-            if position < end and remaining > 0:
-                within = position - start
-                take = min(end - position, remaining)
-                chunks.append(
-                    self._manager.env.segio.read_boundary_unaligned(
-                        segment.page_id, within, take
-                    )
-                )
-                self.old_segments_read += 1
-                position += take
-                remaining -= take
-            start = end
-            if remaining <= 0:
-                break
-        return payload_concat(chunks)
-
 
 class _TailWriter:
-    """Streams staging chunks into the freshly allocated tail segments."""
+    """Streams staging chunks into the freshly allocated sink segments."""
 
-    def __init__(self, manager: StarburstManager, segments: list[Segment]) -> None:
-        self._manager = manager
-        self._segments = segments
+    def __init__(self, segio: SegmentIO, sinks) -> None:
+        self._segio = segio
+        self._sinks = sinks
         self._index = 0
         self._written_in_segment = 0
         #: What the last ``write`` did: segments reached, pages read back.
@@ -136,52 +108,57 @@ class _TailWriter:
         view = payload_view(data)
         self.new_segments_written = 0
         self.read_backs = 0
+        page_size = self._segio.config.page_size
         while view:
-            segment = self._segments[self._index]
-            room = segment.used_bytes - self._written_in_segment
-            take = min(room, len(view))
-            page_size = self._manager.config.page_size
+            page_id, nbytes = self._sinks[self._index]
+            take = min(nbytes - self._written_in_segment, len(view))
             first_dirty = self._written_in_segment // page_size
             within = self._written_in_segment - first_dirty * page_size
             prefix: Payload = b""
             if within:
-                page = self._manager.env.segio.read_pages(
-                    segment.page_id + first_dirty, 1
-                )
+                page = self._segio.read_pages(page_id + first_dirty, 1)
                 prefix = page[:within]
                 self.read_backs += 1
-            self._manager.env.segio.write_pages(
-                segment.page_id + first_dirty,
+            self._segio.write_pages(
+                page_id + first_dirty,
                 payload_concat([prefix, payload_bytes(view[:take])]),
             )
             self.new_segments_written += 1
             self._written_in_segment += take
             view = view[take:]
-            if self._written_in_segment == segment.used_bytes:
+            if self._written_in_segment == nbytes:
                 self._index += 1
                 self._written_in_segment = 0
 
 
-class ReaderAndWriter(StarburstManager):
-    """The manager with the copy done by the two stream objects.
+class ReaderAndWriter(SegmentIO):
+    """Segment I/O with the staged copy done by the two stream objects.
 
     ``seen`` collects the situations the copies went through, so the
     test can insist that its random updates reached every one of them.
+    ``manager`` is the field's owner: every old piece must lie inside
+    one of its segments.
     """
 
     seen: set[str]
+    manager: StarburstManager
 
-    def _copy_through_staging(
-        self, old_segments, splice_at, insert_data, delete_bytes, new_segments
-    ) -> None:
-        reader = _TailReader(
-            self, old_segments, splice_at, insert_data, delete_bytes
-        )
-        writer = _TailWriter(self, new_segments)
-        staging = self.config.staging_buffer_bytes
-        remaining = sum(segment.used_bytes for segment in new_segments)
+    def copy_staged(self, sources, memory, sinks) -> None:
+        segments = {
+            segment.page_id: segment
+            for oid in self.manager.oids()
+            for segment in self.manager.descriptor_of(oid).segments
+        }
+        for piece in sources:
+            if isinstance(piece, tuple):
+                page_id, offset, nbytes = piece
+                assert nbytes > 0
+                assert offset + nbytes <= segments[page_id].used_bytes
+        reader = _TailReader(self, sources)
+        writer = _TailWriter(self, sinks)
+        remaining = sum(nbytes for _page, nbytes in sinks)
         while remaining > 0:
-            chunk = reader.read(min(staging, remaining))
+            chunk = reader.read(min(memory, remaining))
             writer.write(chunk)
             remaining -= len(chunk)
             if reader.kinds == ["old", "mem", "old"]:
@@ -199,15 +176,15 @@ class ReaderAndWriter(StarburstManager):
 # Twin environments
 # ----------------------------------------------------------------------
 class Twin:
-    """One manager on its own traced environment."""
+    """One manager on its own environment, traced or not."""
 
-    def __init__(self, manager_class, config, recorded: bool) -> None:
-        self.tracer = Tracer()
+    def __init__(self, config, recorded: bool, traced: bool) -> None:
+        self.tracer = Tracer() if traced else None
         self.traced = 0
         self.env = StorageEnvironment(
             config, record_leaf_data=recorded, tracer=self.tracer
         )
-        self.manager = manager_class(self.env)
+        self.manager = StarburstManager(self.env)
 
     def stored_bytes(self, oid: int) -> bytes:
         """The field's bytes as the disk holds them (no charge, no trace)."""
@@ -222,9 +199,7 @@ class Twin:
     def observable(self) -> dict[str, object]:
         """All that the pool, the disk, the allocator or a trace could see."""
         env = self.env
-        events = self.tracer.records[self.traced:]
-        self.traced += len(events)
-        return {
+        seen = {
             "io": dataclasses.replace(env.cost.stats),
             "pool": dataclasses.replace(env.pool.stats),
             "frames": [
@@ -237,8 +212,12 @@ class Twin:
                  self.manager.descriptor_of(oid).segments]
                 for oid in self.manager.oids()
             ],
-            "events since the last look": events,
         }
+        if self.tracer is not None:
+            events = self.tracer.records[self.traced:]
+            self.traced += len(events)
+            seen["events since the last look"] = events
+        return seen
 
 
 SITUATIONS = {
@@ -260,25 +239,30 @@ STAGING = {
 @pytest.mark.parametrize("pool_frames", [1, 3, 12])
 @pytest.mark.parametrize("staging", list(STAGING))
 @pytest.mark.parametrize("page_size", [128, 256])
-@pytest.mark.parametrize("seed", [1992, 2718])
+@pytest.mark.parametrize("seed", [TRACED_SEED, 2718])
 def test_loop_matches_reader_and_writer(
     seed, page_size, staging, pool_frames, recorded
 ):
     """Seeded inserts, deletes and appends (and now and then a field laid
     out afresh at a known size) on a field of up to four segments: after
     every operation the two environments' ledgers, pools, allocators and
-    traces are equal and, when bytes are recorded, the field's bytes on
-    disk (and every eighth step, read through the manager) are those of
-    a ``bytearray`` model; at the end the raw disk images are equal."""
+    (traced) traces are equal and, when bytes are recorded, the field's
+    bytes on disk (and every eighth step, read through the manager) are
+    those of a ``bytearray`` model; at the end the raw disk images are
+    equal."""
     rng = random.Random(seed)
     config = small_page_config(
         page_size=page_size,
         buffer_pool_pages=pool_frames,
         staging_buffer_bytes=STAGING[staging](page_size),
     )
-    new = Twin(StarburstManager, config, recorded)
-    old = Twin(ReaderAndWriter, config, recorded)
-    seen = old.manager.seen = set()
+    traced = seed == TRACED_SEED
+    new = Twin(config, recorded, traced)
+    old = Twin(config, recorded, traced)
+    reference = ReaderAndWriter(config, old.env.pool, record_leaf_data=recorded)
+    reference.manager = old.manager
+    seen = reference.seen = set()
+    old.env.segio = reference
     twins = (new, old)
     salt = 0
 

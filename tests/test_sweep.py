@@ -11,7 +11,12 @@ one ``sweep`` / ``run_sweep`` / ``cli_main`` entry point.
 
 import pytest
 
+from repro.core.api import LargeObjectStore
+from repro.core.config import small_page_config
+from repro.core.fsck import check
+from repro.disk.disk import contiguous_runs
 from repro.recovery.sweep import (
+    FAILED,
     MUTATING_OPS,
     SWEEP_SCHEMES,
     CrossShardBatch,
@@ -21,8 +26,68 @@ from repro.recovery.sweep import (
     run_sweep,
     sweep,
 )
+from tests.conftest import pattern_bytes
 
 BOTH = ("crash", "torn")
+
+
+class MultiChunkCopy(SingleOp):
+    """A Starburst insert or delete whose tail copy moves several staging
+    chunks: a 30-page field under ``small_page_config``'s 8-page staging
+    buffer, spliced mid-page near its start.
+
+    Judged as :class:`SingleOp` judges, from the image alone; then the
+    store restarts as recovery would (the pool is lost and the crashed
+    copy's fresh segments are reclaimed as orphans) and must be
+    fsck-clean, read back the pre-state, and take the op again.
+    """
+
+    SPLICE = 2 * 128 + 17
+
+    def build(self):
+        store = LargeObjectStore("starburst", small_page_config())
+        return store, [store.create(pattern_bytes(30 * 128 + 45, salt=1))]
+
+    def act(self, store, oids):
+        if self.op == "insert":
+            store.insert(oids[0], self.SPLICE, pattern_bytes(128 + 9, salt=2))
+        else:
+            store.delete(oids[0], self.SPLICE, 128 + 9)
+
+    def judge(self, store, oids, kind, k, pre, post, report):
+        super().judge(store, oids, kind, k, pre, post, report)
+        (oid,) = oids
+        store.env.pool.reset()
+        orphans = check([(store.manager, oids)]).leaked_data_pages
+        for start, count in contiguous_runs(orphans):
+            store.env.areas.data.free(start, count)
+        problems = []
+        fsck = check([(store.manager, oids)])
+        if not fsck.clean:
+            problems.append(fsck.summary())
+        if bytes(store.read(oid, 0, store.size(oid))) != pre[oid]:
+            problems.append("restarted store does not read the pre-state")
+        self.act(store, oids)
+        if bytes(store.read(oid, 0, store.size(oid))) != post[oid]:
+            problems.append("the op after the restart missed the post-state")
+        if problems:
+            report.add(self, kind, k, FAILED, problems)
+
+
+class TestMultiChunkCopy:
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    def test_every_write_of_the_copy_recovers(self, op):
+        config = small_page_config()
+        copied = 30 * config.page_size + 45 - MultiChunkCopy.SPLICE
+        assert copied >= 3 * config.staging_buffer_bytes
+        report = sweep(MultiChunkCopy("starburst", op, kinds=BOTH))
+        assert report.clean, report.summary()
+        crashes = [o for o in report.outcomes if o.kind == "crash"]
+        torn = [o for o in report.outcomes if o.kind == "torn"]
+        # A write per chunk at least, and the chunks' multi-page writes
+        # are the torn points.
+        assert len(crashes) >= 3 and torn
+        assert {o.outcome for o in report.outcomes} == {"pre"}
 
 
 class TestExhaustiveSweep:
