@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.atomic.journal import IntentJournal
 from repro.core.payload import Payload
-from repro.exec.engine import BatchResult, HeldCommit, check_op_kinds
+from repro.exec.engine import BatchResult, HeldCommit, check_ops
 from repro.exec.plan import MultiOp
 from repro.obs.tracer import span_of
 
@@ -77,7 +77,7 @@ class AtomicCoordinator:
         restores atomicity from the disk images before further use.
         """
         store = self.store
-        check_op_kinds(mop.op for mop in mops)
+        check_ops(mop.op for mop in mops)
         groups: dict[int, tuple[list[int], list[MultiOp]]] = {}
         for index, mop in enumerate(mops):
             shard = mop.oid % store.n_shards

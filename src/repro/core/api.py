@@ -24,7 +24,7 @@ from repro.blockbased.manager import BlockBasedManager
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.env import StorageEnvironment
 from repro.core.manager import LargeObjectManager
-from repro.core.payload import Payload
+from repro.core.payload import Payload, check_payload
 from repro.disk.iomodel import IOStats
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
@@ -128,6 +128,7 @@ class LargeObjectStore:
     # ------------------------------------------------------------------
     def create(self, data: Payload = b"") -> int:
         """Create a large object; returns its object id."""
+        check_payload(data)
         return self.manager.create(data)
 
     def destroy(self, oid: int) -> None:
@@ -151,10 +152,12 @@ class LargeObjectStore:
 
     def append(self, oid: int, data: Payload) -> None:
         """Append bytes at the end."""
+        check_payload(data)
         self.manager.append(oid, data)
 
     def insert(self, oid: int, offset: int, data: Payload) -> None:
         """Insert bytes at an arbitrary position."""
+        check_payload(data)
         self.manager.insert(oid, offset, data)
 
     def delete(self, oid: int, offset: int, nbytes: int) -> None:
@@ -163,6 +166,7 @@ class LargeObjectStore:
 
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite a byte range in place (size unchanged)."""
+        check_payload(data)
         self.manager.replace(oid, offset, data)
 
     def submit_ops(self, oid: int, ops: "Sequence[BatchOp]") -> "BatchResult":

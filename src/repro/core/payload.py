@@ -37,6 +37,7 @@ __all__ = [
     "SizedPayload",
     "Payload",
     "PayloadView",
+    "check_payload",
     "zeros",
     "payload_concat",
     "payload_view",
@@ -153,6 +154,20 @@ Payload = Union[bytes, SizedPayload]
 
 #: Zero-copy view types produced by :func:`payload_view`.
 PayloadView = Union[memoryview, SizedPayload]
+
+
+def check_payload(data: object) -> None:
+    """Refuse object data that is neither bytes-like nor sized.
+
+    Called where a write enters the store, before anything is allocated
+    or charged: a ``str`` (say) would otherwise fail only once the first
+    segment is already on disk.
+    """
+    if not isinstance(data, (bytes, SizedPayload, bytearray, memoryview)):
+        raise InvalidArgumentError(
+            "object data must be bytes-like or a SizedPayload, not "
+            f"{type(data).__name__}"
+        )
 
 
 def zeros(length: int) -> SizedPayload:

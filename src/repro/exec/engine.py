@@ -42,7 +42,7 @@ import itertools
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 from repro.core.errors import InvalidArgumentError
-from repro.core.payload import Payload, payload_concat
+from repro.core.payload import Payload, check_payload, payload_concat
 from repro.exec.plan import (
     APPEND,
     DELETE,
@@ -356,10 +356,11 @@ class BatchEngine:
     ) -> BatchResult:
         """Execute ``ops`` against one object as a single batch.
 
-        Invalid op kinds are rejected before anything executes, so the
-        only mid-batch failures are real operation errors.
+        Invalid op kinds and payloads are rejected before anything
+        executes, so the only mid-batch failures are real operation
+        errors.
         """
-        check_op_kinds(ops)
+        check_ops(ops)
         pairs = zip(itertools.repeat(oid), ops)
         tracer = self.env.tracer
         if tracer is None:
@@ -380,7 +381,7 @@ class BatchEngine:
         and costs line up index-for-index with ``mops``, exactly as
         ``run_batch`` does for a single object.
         """
-        check_op_kinds(mop.op for mop in mops)
+        check_ops(mop.op for mop in mops)
         tracer = self.env.tracer
         if tracer is None:
             return self._dispatch(manager, mops)
@@ -453,11 +454,12 @@ class BatchEngine:
         return BatchResult(tuple(results), tuple(costs))
 
 
-def check_op_kinds(ops: Iterable[BatchOp]) -> None:
-    """Reject any op whose kind a batch cannot execute."""
+def check_ops(ops: Iterable[BatchOp]) -> None:
+    """Reject any op whose kind or payload a batch cannot execute."""
     for op in ops:
         if op.kind not in OP_KINDS:
             raise InvalidArgumentError(
                 f"unknown batch op kind {op.kind!r}; "
                 f"expected one of {sorted(OP_KINDS)}"
             )
+        check_payload(op.data)

@@ -216,7 +216,7 @@ class DegradationLog:
 
 
 def _point_label(point: Any) -> str:
-    # Anything with a .label (e.g. repro.shard programs) self-describes;
+    # Anything with a .label (the crash sweep's tasks) self-describes;
     # grid points keep their kind:scheme@scale rendering.
     label = getattr(point, "label", None)
     if label is not None:

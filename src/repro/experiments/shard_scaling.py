@@ -10,9 +10,9 @@ sum.  This experiment sweeps the shard count for each scheme and
 reports makespan speedup and its efficiency against the one-shard run.
 
 The metric is purely simulated (no wall clocks), so the report is
-deterministic and safe to pin in tests; the per-shard replays are
-:mod:`repro.shard.program` programs, with the workload split evenly
-across shards and a per-shard seed.
+deterministic and safe to pin in tests.  Shards share no state, so each
+shard's slice of the object bytes and of the workload runs on a store
+of its own.
 """
 
 from __future__ import annotations
@@ -21,14 +21,18 @@ import dataclasses
 
 from repro.analysis.report import format_table
 from repro.core.config import PAPER_CONFIG, SystemConfig
-from repro.experiments.common import KB, Scale, memoized, resolve_scale
-from repro.experiments.random_ops import WORKLOAD_SEED
-from repro.shard.program import (
-    BuildStep,
-    ShardProgram,
-    WorkloadStep,
-    execute_program,
+from repro.experiments.common import (
+    KB,
+    Scale,
+    build_object,
+    make_store,
+    memoized,
+    resolve_scale,
 )
+from repro.experiments.random_ops import WORKLOAD_SEED
+from repro.obs.tracer import span_of
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.runner import WorkloadRunner
 
 #: Shard counts swept per scheme.
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -65,13 +69,14 @@ def compute_shard_point(
     scale: Scale,
     config: SystemConfig = PAPER_CONFIG,
 ) -> ShardPointResult:
-    """Replay one scheme's workload split over ``shards`` shards.
+    """Run one scheme's workload split over ``shards`` shards.
 
     Pure function of its arguments (runs inside grid workers): each
-    shard builds its slice of the object bytes, then runs its slice of
-    the random-update mix with a per-shard seed; only the measured
-    (post-build) phase is reported, matching the unsharded random
-    points.
+    shard builds its slice of the object bytes on a fresh store, then
+    runs its slice of the random-update mix with a per-shard seed; only
+    the measured (post-build) phase is reported, matching the unsharded
+    random points.  The ``shard.setup`` / ``shard.measure`` spans split
+    a traced run's cost by phase and shard.
     """
     total_ops = scale.starburst_ops if scheme == "starburst" else scale.n_ops
     op_split = _split_even(total_ops, shards)
@@ -79,28 +84,25 @@ def compute_shard_point(
     sims: list[float] = []
     io_calls = 0
     pages = 0
-    for index in range(shards):
-        outcome = execute_program(
-            ShardProgram(
-                shard_index=index,
-                shard_count=shards,
-                scheme=scheme,
-                setup=(BuildStep(byte_split[index], CHUNK_BYTES),),
-                measured=(
-                    WorkloadStep(
-                        obj=0,
-                        n_ops=op_split[index],
-                        mean_op_size=MEAN_OP_BYTES,
-                        seed=WORKLOAD_SEED + index,
-                        window=max(1, op_split[index]),
-                    ),
-                ),
-                config=config,
+    for index, n_ops in enumerate(op_split):
+        store = make_store(scheme, config=config)
+        tracer = store.env.tracer
+        with span_of(tracer, "shard.setup", shard=index):
+            oid = build_object(store, byte_split[index], CHUNK_BYTES)
+        before = store.snapshot()
+        with span_of(tracer, "shard.measure", shard=index):
+            generator = WorkloadGenerator(
+                object_size=store.size(oid),
+                mean_op_size=MEAN_OP_BYTES,
+                seed=WORKLOAD_SEED + index,
             )
-        )
-        sims.append(outcome.sim_ms)
-        io_calls += outcome.stats.io_calls
-        pages += outcome.stats.pages_transferred
+            WorkloadRunner(store.manager, oid, generator).run(
+                n_ops, window=max(1, n_ops)
+            )
+        delta = store.stats.delta(before)
+        sims.append(delta.elapsed_ms(config))
+        io_calls += delta.io_calls
+        pages += delta.pages_transferred
     return ShardPointResult(
         scheme=scheme,
         shards=shards,

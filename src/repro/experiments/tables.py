@@ -89,15 +89,3 @@ def run_starburst_costs(
         insert_s=insert_s,
         delete_s=delete_s,
     )
-
-
-def main() -> str:
-    """Run and render Tables 1-3 (used by the CLI)."""
-    costs = run_starburst_costs()
-    return "\n\n".join(
-        [table1(), costs.format_table2(), costs.format_table3()]
-    )
-
-
-if __name__ == "__main__":
-    print(main())

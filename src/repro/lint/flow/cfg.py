@@ -85,14 +85,6 @@ class Block:
         if (target, kind) not in self.succs:
             self.succs.append((target, kind))
 
-    @property
-    def line(self) -> int:
-        """Source line of the block's statement (0 for synthetic blocks)."""
-        for item in self.items:
-            node = item.node if isinstance(item, Header) else item
-            return getattr(node, "lineno", 0)
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Block {self.bid} {self.label!r} stmts={len(self.items)}>"
 

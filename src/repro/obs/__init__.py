@@ -45,37 +45,9 @@ from repro.obs.timeline import (
 )
 from repro.obs.tracer import Tracer
 
-#: Health-probe names resolved lazily (PEP 562): :mod:`repro.obs.health`
-#: imports the storage managers, which themselves import this package
-#: during bootstrap — an eager import here would be circular.
-_HEALTH_EXPORTS = frozenset({
-    "HEALTH_FORMAT_VERSION",
-    "HealthProbe",
-    "HealthReport",
-    "probe_any",
-    "probe_sharded_store",
-    "probe_store",
-})
-
-
-def __getattr__(name: str):
-    if name in _HEALTH_EXPORTS:
-        from repro.obs import health
-
-        return getattr(health, name)
-    # PEP 562 requires AttributeError here: getattr()/hasattr() fall
-    # back on it, and any other type would break import machinery.
-    raise AttributeError(  # repro-lint: disable=ERR001
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 __all__ = [
-    "HEALTH_FORMAT_VERSION",
     "TIMELINE_FORMAT_VERSION",
     "TRACE_FORMAT_VERSION",
-    "HealthProbe",
-    "HealthReport",
     "Histogram",
     "MetricsRegistry",
     "TimelineDocument",
@@ -89,9 +61,6 @@ __all__ = [
     "installed",
     "load_timeline",
     "load_trace",
-    "probe_any",
-    "probe_sharded_store",
-    "probe_store",
     "resolve_sampler",
     "resolve_tracer",
     "validate_timeline",

@@ -37,8 +37,8 @@ OP_SPAN_KINDS: frozenset[str] = frozenset({
 #: engine's dispatch of one submitted batch (between ``op.batch`` and
 #: the per-op spans); ``exec.multi`` is its multi-object counterpart.
 #: ``shard.batch`` wraps the router's multi-shard batch split, and
-#: ``shard.setup`` / ``shard.measure`` are the per-shard phases of a
-#: replayed shard program.
+#: ``shard.setup`` / ``shard.measure`` are the build and measured
+#: phases of one shard's slice in the ``shards`` experiment.
 #: ``atomic.prepare`` wraps one shard's phase-1 work (PREPARE record +
 #: held execution), ``atomic.commit`` the decision write and each
 #: shard's phase-2 apply, and ``atomic.recover`` one shard's journal
@@ -84,7 +84,6 @@ EVENT_KINDS: frozenset[str] = frozenset({
     "fault.crash",
     "fault.torn",
     "fault.corrupt",
-    "log",
 })
 
 #: The whole vocabulary, spans and events together.
@@ -127,16 +126,6 @@ METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
     "io.",
     "pool.",
 )
-
-
-def is_known_span(kind: str) -> bool:
-    """True when ``kind`` is a sanctioned span kind."""
-    return kind in SPAN_KINDS
-
-
-def is_known_event(kind: str) -> bool:
-    """True when ``kind`` is a sanctioned event kind."""
-    return kind in EVENT_KINDS
 
 
 def is_known_metric(name: str) -> bool:

@@ -271,10 +271,6 @@ class Tracer:
             if is_retry:
                 top.self_retries += 1
 
-    def log(self, message: str) -> None:
-        """Record a free-form log line as an event."""
-        self.event("log", message=message)
-
     # ------------------------------------------------------------------
     # Finalization and parallel merge
     # ------------------------------------------------------------------

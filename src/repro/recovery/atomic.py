@@ -101,20 +101,6 @@ class RecoveryReport:
     shards: list[ShardRecovery] = dataclasses.field(default_factory=list)
     log: DegradationLog = dataclasses.field(default_factory=DegradationLog)
 
-    @property
-    def touched(self) -> bool:
-        """True when any shard needed more than a no-op resolution."""
-        return any(s.action != "none" for s in self.shards)
-
-    def summary(self) -> str:
-        """One-line human rendering."""
-        parts = [
-            f"shard{s.shard}={s.action}"
-            + (f"(+{s.reclaimed_pages}p)" if s.reclaimed_pages else "")
-            for s in self.shards
-        ]
-        return "recover: " + " ".join(parts)
-
 
 # ----------------------------------------------------------------------
 # Rebuilding in-memory object state from raw page images

@@ -23,8 +23,7 @@ lifecycle via :meth:`~repro.core.manager.LargeObjectManager
 .submit_multi`, in ascending shard order, and the per-op results and
 costs are re-interleaved to submission order.  Because shards share no
 state, the shard-order execution is observationally equivalent to any
-interleaving — which is what makes the *parallel* program-replay path
-(:mod:`repro.shard.parallel`) exact rather than approximate.
+interleaving.
 """
 
 from __future__ import annotations
@@ -146,8 +145,8 @@ class ShardedStore:
     def create(self, data: Payload = b"") -> int:
         """Create a large object on the next shard (round-robin)."""
         shard = self._next_shard
-        self._next_shard = (shard + 1) % self.n_shards
         local = self.shards[shard].create(data)
+        self._next_shard = (shard + 1) % self.n_shards
         return self._global_oid(shard, local)
 
     def destroy(self, oid: int) -> None:

@@ -32,9 +32,7 @@ def as_batch_op(op: Operation) -> BatchOp:
 
     Insert payloads are length-only :class:`SizedPayload` values — the
     content is irrelevant to cost, so no bytes are materialized.  Used by
-    :meth:`WorkloadRunner.run` and the sharded workload runner
-    (:mod:`repro.shard.runner`), which must produce *identical* batch ops
-    for the same generated stream.
+    :meth:`WorkloadRunner.run`.
     """
     if op.kind == READ:
         return BatchOp(B_READ, op.offset, op.nbytes)

@@ -5,9 +5,9 @@ Three invariants carry the whole subsystem:
 1. **shard=1 identity** — a one-shard :class:`ShardedStore` is
    bit-identical to a plain :class:`LargeObjectStore`: same oids, same
    counters, same pool stats, same per-op costs, same raw disk image.
-2. **Merge determinism** — multi-shard results (router batches, program
-   replays, merged reports, traces) are pure functions of the inputs:
-   independent of worker count, scheduling, and outcome arrival order.
+2. **Merge determinism** — multi-shard results (router batches, the
+   ``shards`` experiment's points and traces) are pure functions of the
+   inputs.
 3. **Fault containment** — a crash mid-batch on one shard recycles
    nothing committed on that shard (the image rebuilds to batch-start
    or batch-end content, never a torn middle) and leaves sibling shards
@@ -30,23 +30,18 @@ from repro.exec.plan import (
     read_op,
     replace_op,
 )
+from repro.experiments.common import clear as clear_cache
+from repro.experiments.common import resolve_scale
+from repro.experiments.shard_scaling import (
+    compute_shard_point,
+    run_shard_point,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, at
+from repro.obs.runtime import installed
+from repro.obs.tracer import Tracer
 from repro.recovery.crash import rebuild_content
-from repro.shard import (
-    BuildStep,
-    OpsStep,
-    ScanStep,
-    ShardProgram,
-    ShardedStore,
-    ShardedWorkloadRunner,
-    WorkloadStep,
-    execute_program,
-    merge_outcomes,
-    run_shard_programs,
-)
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.runner import WorkloadRunner
+from repro.shard import ShardedStore
 from tests.conftest import fingerprint
 
 SCHEMES = ("esm", "starburst", "eos")
@@ -133,6 +128,8 @@ def test_identity_oid_mapping_at_one_shard() -> None:
 # ----------------------------------------------------------------------
 def test_round_robin_placement_and_oid_encoding() -> None:
     store = ShardedStore("eos", shards=3)
+    with pytest.raises(InvalidArgumentError):
+        store.create("not bytes")  # refused: takes no shard's turn
     oids = [store.create() for _ in range(7)]
     assert [store.shard_of(o) for o in oids] == [0, 1, 2, 0, 1, 2, 0]
     # Encoded oids are unique and decode back to (shard, local).
@@ -215,195 +212,6 @@ def test_submit_many_interleaves_back_to_submission_order(
     ]
     for shard_a, shard_b in zip(sharded.shards, twin.shards):
         assert fingerprint(shard_a) == fingerprint(shard_b)
-
-
-# ----------------------------------------------------------------------
-# 2. Program replay and merge determinism
-# ----------------------------------------------------------------------
-def _programs(schemes: int = 2) -> list[ShardProgram]:
-    return [
-        ShardProgram(
-            shard_index=index,
-            shard_count=schemes,
-            scheme="eos",
-            setup=(BuildStep(150_000, 40_000),),
-            measured=(
-                ScanStep(0, 40_000),
-                WorkloadStep(
-                    obj=0, n_ops=80, mean_op_size=4000,
-                    seed=99 + index, window=40,
-                ),
-                OpsStep(((0, append_op(SizedPayload(1000))),)),
-            ),
-            keep_image=True,
-        )
-        for index in range(schemes)
-    ]
-
-
-def test_parallel_replay_matches_serial_bitwise() -> None:
-    programs = _programs()
-    serial = [execute_program(p) for p in programs]
-    parallel = run_shard_programs(programs, jobs=2)
-    for a, b in zip(serial, parallel):
-        assert a.shard_index == b.shard_index
-        assert a.stats == b.stats
-        assert a.sim_ms == b.sim_ms
-        assert a.pool == b.pool
-        assert a.step_results == b.step_results
-        assert a.image == b.image
-
-
-def test_merge_is_outcome_order_independent() -> None:
-    outcomes = [execute_program(p) for p in _programs()]
-    merged = merge_outcomes(outcomes)
-    shuffled = merge_outcomes(list(reversed(outcomes)))
-    assert merged.stats == shuffled.stats
-    assert merged.sim_ms == shuffled.sim_ms
-    assert merged.makespan_sim_ms == shuffled.makespan_sim_ms
-    assert merged.pool == shuffled.pool
-    assert [o.shard_index for o in merged.shards] == [0, 1]
-    assert [o.shard_index for o in shuffled.shards] == [0, 1]
-
-
-def test_merged_ledger_folds_charge_journals_exactly() -> None:
-    """The merged IOStats equals the sum of per-shard measured deltas."""
-    outcomes = [execute_program(p) for p in _programs()]
-    merged = merge_outcomes(outcomes)
-    assert merged.stats.read_calls == sum(
-        o.stats.read_calls for o in outcomes
-    )
-    assert merged.stats.pages_written == sum(
-        o.stats.pages_written for o in outcomes
-    )
-    assert merged.sim_ms == pytest.approx(
-        sum(o.sim_ms for o in outcomes)
-    )
-    assert merged.makespan_sim_ms == max(o.sim_ms for o in outcomes)
-
-
-def test_one_shard_program_matches_live_store() -> None:
-    """Replaying a program == driving a live store through the same ops."""
-    program = ShardProgram(
-        shard_index=0,
-        shard_count=1,
-        scheme="esm",
-        setup=(BuildStep(120_000, 30_000),),
-        measured=(
-            ScanStep(0, 30_000),
-            WorkloadStep(
-                obj=0, n_ops=60, mean_op_size=3000, seed=7, window=30,
-            ),
-        ),
-        record_data=False,
-        keep_image=True,
-    )
-    outcome = execute_program(program)
-
-    from repro.experiments.common import build_object, make_store
-
-    store = make_store("esm")
-    oid = build_object(store, 120_000, 30_000)
-    before = store.snapshot()
-    size = store.size(oid)
-    store.submit_ops(oid, [
-        read_op(pos, min(30_000, size - pos))
-        for pos in range(0, size, 30_000)
-    ])
-    generator = WorkloadGenerator(
-        object_size=store.size(oid), mean_op_size=3000, seed=7
-    )
-    windows = WorkloadRunner(store.manager, oid, generator).run(
-        60, window=30
-    )
-    delta = store.stats.delta(before)
-    assert outcome.stats == delta
-    assert outcome.sim_ms == delta.elapsed_ms(store.config)
-    assert outcome.step_results[1] == tuple(windows)
-    assert outcome.image == store.env.disk.image()
-
-
-def test_traced_replay_merges_worker_count_independently() -> None:
-    from repro.obs.tracer import Tracer
-
-    programs = _programs()
-    tracer_serial = Tracer()
-    run_shard_programs(programs, jobs=1, tracer=tracer_serial)
-    tracer_parallel = Tracer()
-    run_shard_programs(programs, jobs=2, tracer=tracer_parallel)
-    assert tracer_serial.records == tracer_parallel.records
-    kinds = {r["kind"] for r in tracer_serial.records if r["t"] == "span"}
-    assert "shard.setup" in kinds
-    assert "shard.measure" in kinds
-
-
-def test_shard_span_costs_accumulate_to_the_merged_ledger() -> None:
-    """Per-shard ``shard.measure`` spans sum to the merged ``IOStats``."""
-    from repro.obs.tracer import Tracer
-
-    tracer = Tracer()
-    outcomes = run_shard_programs(_programs(), jobs=1, tracer=tracer)
-    merged = merge_outcomes(outcomes)
-    spans = [r for r in tracer.records if r["t"] == "span"]
-
-    def total(kind: str, *fields: str) -> int:
-        return sum(r[f] for r in spans if r["kind"] == kind for f in fields)
-
-    calls = ("read_calls", "write_calls")
-    assert total("shard.measure", *calls) == merged.stats.io_calls
-    assert total("shard.measure", "pages_read", "pages_written") == (
-        merged.stats.pages_transferred
-    )
-    assert total("shard.setup", *calls) > 0
-    # The per-op breakdown survives the shard merge.
-    assert total("op.insert", *calls) > 0
-
-
-# ----------------------------------------------------------------------
-# Sharded workload runner
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_sharded_runner_windows_match_standalone(scheme: str) -> None:
-    """One object per shard: every stream's windows are bit-identical to
-    the single-store batched runner's on the same seed."""
-    shards = 2
-    sharded = ShardedStore(scheme, shards=shards, record_data=False)
-    oids = [sharded.create() for _ in range(shards)]
-    for oid in oids:
-        sharded.append(oid, SizedPayload(80_000))
-    generators = [
-        WorkloadGenerator(object_size=80_000, mean_op_size=4000, seed=31 + i)
-        for i in range(shards)
-    ]
-    runner = ShardedWorkloadRunner(sharded, oids, generators)
-    window_lists = runner.run(120, window=40, keep_op_costs=True)
-
-    for i in range(shards):
-        solo = LargeObjectStore(scheme, record_data=False)
-        oid = solo.create()
-        solo.append(oid, SizedPayload(80_000))
-        generator = WorkloadGenerator(
-            object_size=80_000, mean_op_size=4000, seed=31 + i
-        )
-        expected = WorkloadRunner(solo.manager, oid, generator).run(
-            120, window=40, keep_op_costs=True
-        )
-        assert window_lists[i] == expected
-        assert fingerprint(sharded.shards[i]) == fingerprint(solo)
-
-
-def test_sharded_runner_validates_inputs() -> None:
-    store = ShardedStore("eos", shards=2)
-    oid = store.create()
-    generator = WorkloadGenerator(object_size=1000, mean_op_size=100, seed=1)
-    with pytest.raises(InvalidArgumentError):
-        ShardedWorkloadRunner(store, [oid], [generator, generator])
-    with pytest.raises(InvalidArgumentError):
-        ShardedWorkloadRunner(store, [], [])
-    runner = ShardedWorkloadRunner(store, [oid], [generator])
-    store.append(oid, SizedPayload(1000))
-    with pytest.raises(InvalidArgumentError):
-        runner.run(10, window=0)
 
 
 # ----------------------------------------------------------------------
@@ -494,23 +302,66 @@ def test_cross_shard_crash_never_corrupts_siblings(
 # ----------------------------------------------------------------------
 # Shard scaling experiment
 # ----------------------------------------------------------------------
-def test_shard_scaling_experiment_is_deterministic_and_consistent() -> None:
-    from repro.experiments.common import clear as clear_cache
-    from repro.experiments.common import resolve_scale
-    from repro.experiments.shard_scaling import (
-        compute_shard_point,
-        run_shard_point,
-    )
+#: ``compute_shard_point`` at tiny scale, per (scheme, shards):
+#: (makespan_sim_ms, total_sim_ms, io_calls, pages).
+TINY_SHARD_POINTS = {
+    ("esm", 1): (28691.0, 28691.0, 647, 1835),
+    ("esm", 2): (14295.0, 28025.0, 633, 1784),
+    ("esm", 4): (7232.0, 26779.0, 607, 1687),
+    ("esm", 8): (3621.0, 25422.0, 578, 1587),
+    ("starburst", 1): (10796.0, 10796.0, 136, 1577),
+    ("starburst", 2): (3214.0, 5993.0, 97, 698),
+    ("starburst", 4): (1491.0, 4342.0, 78, 442),
+    ("starburst", 8): (560.0, 2858.0, 62, 203),
+    ("eos", 1): (27780.0, 27780.0, 660, 1500),
+    ("eos", 2): (13596.0, 27144.0, 648, 1440),
+    ("eos", 4): (7124.0, 25323.0, 603, 1356),
+    ("eos", 8): (3781.0, 23883.0, 567, 1293),
+}
 
+
+def test_shard_scaling_experiment_is_deterministic_and_consistent() -> None:
     scale = resolve_scale("tiny")
     clear_cache()
+    for (scheme, shards), expected in TINY_SHARD_POINTS.items():
+        point = compute_shard_point(scheme, shards, scale)
+        observed = (
+            point.makespan_sim_ms,
+            point.total_sim_ms,
+            point.io_calls,
+            point.pages,
+        )
+        assert observed == expected, (scheme, shards)
     single = compute_shard_point("eos", 1, scale)
     double = compute_shard_point("eos", 2, scale)
     assert single.makespan_sim_ms == single.total_sim_ms
     assert double.makespan_sim_ms < single.makespan_sim_ms
     assert double.makespan_sim_ms >= double.total_sim_ms / 2
-    # Memoized path returns the same values.
+    # The memoized path returns the computed values, once per key.
     memo = run_shard_point("eos", 2, scale)
-    assert memo == double or memo is not double  # memoization is by key
+    assert memo == double
     assert run_shard_point("eos", 2, scale) is memo
     clear_cache()
+
+
+def test_shard_span_costs_accumulate_to_the_merged_ledger() -> None:
+    """Per-shard ``shard.measure`` spans sum to the point's ledger."""
+    tracer = Tracer()
+    with installed(tracer):
+        point = compute_shard_point("eos", 2, resolve_scale("tiny"))
+    spans = [r for r in tracer.records if r["t"] == "span"]
+
+    def total(kind: str, *fields: str) -> int:
+        return sum(r[f] for r in spans if r["kind"] == kind for f in fields)
+
+    calls = ("read_calls", "write_calls")
+    assert total("shard.measure", *calls) == point.io_calls
+    assert total("shard.measure", "pages_read", "pages_written") == (
+        point.pages
+    )
+    assert [
+        r["attrs"]["shard"] for r in spans if r["kind"] == "shard.measure"
+    ] == [0, 1]
+    assert total("shard.setup", *calls) > 0
+    # The per-op breakdown survives the per-shard split.
+    assert total("op.insert", *calls) > 0
