@@ -17,7 +17,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import sys
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.buffer.frame import Frame
 from repro.core.config import SystemConfig
@@ -204,6 +204,13 @@ class BufferPool:
     def resident_count(self) -> int:
         """Number of frames currently holding a page."""
         return len(self._frames)
+
+    def frames(self) -> Iterator[tuple[int, int, bool]]:
+        """``(page_id, pin_count, dirty)`` of every resident frame, least
+        recently used first.  No I/O and no change to the recency order.
+        """
+        for page_id, frame in self._frames.items():
+            yield page_id, frame.pin_count, frame.dirty
 
     def resident_image(self, page_id: int) -> Payload | None:
         """The full image of a cached page, counted as a hit, else None.

@@ -101,6 +101,3 @@ def main() -> str:
             parts.append(result.format("TR (deletes)"))
     return "\n\n".join(parts)
 
-
-if __name__ == "__main__":
-    print(main())

@@ -126,6 +126,3 @@ def main() -> str:
     """Run and render the experiment (used by the CLI)."""
     return run_fig6().format()
 
-
-if __name__ == "__main__":
-    print(main())

@@ -80,6 +80,3 @@ def main() -> str:
             parts.append(result.format(f"{figure}.{sub}"))
     return "\n\n".join(parts)
 
-
-if __name__ == "__main__":
-    print(main())

@@ -152,6 +152,3 @@ def main() -> str:
     results = [run_scaling(s) for s in ("esm", "starburst", "eos")]
     return format_scaling(results)
 
-
-if __name__ == "__main__":
-    print(main())

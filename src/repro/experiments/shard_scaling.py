@@ -172,6 +172,3 @@ def main() -> str:
     }
     return format_shard_scaling(results)
 
-
-if __name__ == "__main__":
-    print(main())

@@ -145,6 +145,3 @@ def main() -> str:
     mean_op = 10 * KB
     return format_summary(run_summary(mean_op), mean_op)
 
-
-if __name__ == "__main__":
-    print(main())

@@ -1,9 +1,10 @@
 """Linting engine: file discovery, suppression comments, rule dispatch.
 
-The engine is rule-agnostic.  It parses each Python file once, builds a
-:class:`FileContext` (AST, source lines, suppression table, parent links),
-runs every registered rule over it, and filters the resulting
-:class:`Violation` list through the suppression table.
+The engine parses each Python file once, builds a :class:`FileContext`
+(AST, source lines, suppression table, parent links), runs every
+registered rule over it -- the rows of the seam table in one shared walk
+-- and filters the resulting :class:`Violation` list through the
+suppression table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import ast
 import dataclasses
 import pathlib
 import re
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from repro.lint.rules import Rule
 
 #: ``# repro-lint: disable=LAY001`` (same line) or
 #: ``# repro-lint: disable-file=LAY001`` (anywhere in the file), with an
@@ -138,10 +142,10 @@ def iter_python_files(paths: Iterable[pathlib.Path]) -> Iterator[pathlib.Path]:
 
 
 def lint_file(
-    path: pathlib.Path, rules: Iterable["object"] | None = None
+    path: pathlib.Path, rules: Iterable[Rule] | None = None
 ) -> list[Violation]:
     """Lint one file; returns unsuppressed violations sorted by location."""
-    from repro.lint.rules import active_rules
+    from repro.lint.rules import Seam, active_rules, check_seams
 
     source = path.read_text(encoding="utf-8")
     try:
@@ -156,12 +160,15 @@ def lint_file(
                 message=f"file does not parse: {exc.msg}",
             )
         ]
-    violations: list[Violation] = []
-    for rule in rules if rules is not None else active_rules():
-        for violation in rule.check(ctx):
-            if not ctx.is_suppressed(violation.rule_id, violation.line):
-                violations.append(violation)
-    return sorted(violations)
+    rules = list(rules if rules is not None else active_rules())
+    # The seam rows share one walk of the tree; each visitor walks alone.
+    found = list(check_seams(ctx, [r for r in rules if isinstance(r, Seam)]))
+    for rule in rules:
+        if not isinstance(rule, Seam):
+            found.extend(rule.check(ctx))
+    return sorted(
+        v for v in found if not ctx.is_suppressed(v.rule_id, v.line)
+    )
 
 
 def lint_paths(

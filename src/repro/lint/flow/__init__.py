@@ -14,8 +14,8 @@ properties no per-file pass can see:
   name-based resolution elsewhere);
 * :mod:`repro.lint.flow.rules` — the interprocedural rule families:
   FLOW001 (fix/unfix typestate), FLOW002 (no state mutation in
-  ``finally``/``except`` cleanup — the PR 4 bug class), DET001–DET003
-  (determinism), and CHG001 (charge-completeness against the
+  ``finally``/``except`` cleanup — the post-crash flush bug class),
+  DET001 and DET003 (determinism), and CHG001 (charge-completeness against the
   :mod:`repro.obs` span taxonomy).
 
 Entry point: :func:`repro.lint.flow.rules.analyze_paths`, surfaced on the

@@ -13,10 +13,11 @@ Four families, each encoding a property the per-file rules of
   directly or transitively — the PR 4 bug class (post-crash
   ``finally:``-flushes leaking state into the image), now enforced
   statically.
-* **DET001–DET003 — determinism.**  No unordered ``set`` iteration, no
-  unseeded clock/RNG/filesystem-order sources, no arbitrary-element
-  extraction — anything that could make reports, traces, or page layouts
-  differ across runs or ``--jobs N`` worker counts.
+* **DET001, DET003 — determinism.**  No unordered ``set`` iteration, no
+  arbitrary-element extraction — anything that could make reports,
+  traces, or page layouts differ across runs or ``--jobs N`` worker
+  counts.  (DET002, unseeded clocks and RNGs, needs no call graph: it is
+  a row of the per-file seam table in :mod:`repro.lint.rules`.)
 * **CHG001 — charge-completeness.**  Every paper-facing manager
   operation that transitively reaches a charged ``SimulatedDisk``
   primitive must open an ``op.*`` tracing span, and every op-span name
@@ -430,7 +431,7 @@ class CrashSafeCleanupRule(FlowRule):
 
 
 # ----------------------------------------------------------------------
-# DET001–DET003: determinism
+# DET001, DET003: determinism
 # ----------------------------------------------------------------------
 class _SetTypes:
     """Light set-type inference for one file: locals and self attributes."""
@@ -600,79 +601,6 @@ class UnorderedIterationRule(FlowRule):
         for info in program.functions.values():
             if info.ctx is ctx:
                 yield info
-
-
-@register
-class NondeterministicSourceRule(FlowRule):
-    """DET002: no unseeded clocks, RNGs, or filesystem-order sources.
-
-    Reports are pure functions of the workload; the only sanctioned
-    randomness is a seeded ``random.Random(seed)`` instance, and the only
-    sanctioned wall-clock reads live in CLI entry points.
-    """
-
-    rule_id = "DET002"
-    summary = (
-        "no time.*/unseeded random.*/os.listdir/glob/uuid calls outside "
-        "CLI entry points; use random.Random(seed)"
-    )
-
-    _sources: dict[str, frozenset[str]] = {
-        "time": frozenset({
-            "time", "monotonic", "perf_counter", "perf_counter_ns",
-            "time_ns", "monotonic_ns",
-        }),
-        "os": frozenset({"listdir", "scandir", "walk", "urandom"}),
-        "glob": frozenset({"glob", "iglob"}),
-        "uuid": frozenset({"uuid1", "uuid4"}),
-        "secrets": frozenset({"token_bytes", "token_hex", "randbelow"}),
-    }
-    _random_allowed = frozenset({"Random", "SystemRandom"})
-    #: Listing sources whose only nondeterminism is *order*; a direct
-    #: ``sorted(...)`` wrapper is the sanctioned fix.
-    _sortable = frozenset({"listdir", "glob", "iglob"})
-    _cli_files = frozenset({"cli.py", "__main__.py"})
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        for info in program.functions.values():
-            ctx = info.ctx
-            if ctx.path.name in self._cli_files:
-                continue
-            for call in program.iter_calls(info):
-                func = call.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                if not isinstance(func.value, ast.Name):
-                    continue
-                module = func.value.id
-                attr = func.attr
-                flagged = attr in self._sources.get(module, frozenset())
-                if module == "random" and attr not in self._random_allowed:
-                    flagged = True
-                if flagged and attr in self._sortable and self._sorted_wrapped(
-                    ctx, call
-                ):
-                    flagged = False
-                if flagged:
-                    yield self.violation(
-                        ctx,
-                        call,
-                        call.lineno,
-                        f"nondeterministic source {module}.{attr}() in "
-                        "library code; reports must be pure functions of "
-                        "the workload — use a seeded random.Random, a "
-                        "logical clock, or sort the listing",
-                    )
-
-    @staticmethod
-    def _sorted_wrapped(ctx: FileContext, call: ast.Call) -> bool:
-        """True for ``sorted(os.listdir(...))``-style direct wrapping."""
-        parent = ctx.parent(call)
-        return (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Name)
-            and parent.func.id == "sorted"
-        )
 
 
 @register

@@ -1,10 +1,12 @@
 """The storage-engine rule catalogue.
 
-Each rule is a small AST pass registered in :data:`RULES`.  Rules are
+Each rule is registered in :data:`RULES`: a visitor class, a small AST
+pass whose verdict needs more than a path, or a row of :data:`SEAMS`,
+*pattern X may appear only where P allows, because R*.  Rules are
 stateless; they receive a :class:`~repro.lint.engine.FileContext` and
-yield :class:`~repro.lint.engine.Violation` objects.  The docstring of
-each rule class is the authoritative statement of what it enforces and
-why (mirrored in ``docs/static_analysis.md``).
+yield :class:`~repro.lint.engine.Violation` objects.  A visitor's
+docstring and a seam's ``reason`` state what it enforces and why
+(mirrored in ``docs/static_analysis.md``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import abc
 import ast
 import builtins
+import dataclasses
 import functools
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.lint.engine import FileContext, Violation
 
@@ -35,8 +38,8 @@ def active_rules() -> list["Rule"]:
 class Rule(abc.ABC):
     """One static check with a stable id and a one-line summary."""
 
-    rule_id: str = ""
-    summary: str = ""
+    rule_id: str
+    summary: str
 
     @abc.abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Violation]:
@@ -68,48 +71,6 @@ def _attribute_chain(node: ast.expr) -> list[str]:
         parts.append(node.id)
         return list(reversed(parts))
     return []
-
-
-@register
-class LayeringRule(Rule):
-    """LAY001: physical disk I/O only below the segment I/O layer.
-
-    ``SimulatedDisk.read_pages`` / ``write_pages`` charge the Section 4.1
-    cost model directly.  Managers and everything above them must route
-    page traffic through the buffer pool or :class:`repro.segio.SegmentIO`
-    so that buffering decisions (and hence the reported seek/transfer
-    counts of Figures 5-12) stay centralized.  A raw ``*.disk.read_pages``
-    call in a manager bypasses hit accounting and cache refresh and
-    silently skews the experiments.
-    """
-
-    rule_id = "LAY001"
-    summary = (
-        "no Disk.read_pages/write_pages calls outside repro/buffer, "
-        "repro/segio, and repro/disk"
-    )
-
-    _accounted = frozenset({"read_pages", "write_pages"})
-    _allowed_layers = frozenset({"buffer", "segio", "disk"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.layer in self._allowed_layers:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr not in self._accounted:
-                continue
-            chain = _attribute_chain(func.value)
-            if chain and chain[-1] == "disk":
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"raw disk.{func.attr}() outside the buffer/segio layers; "
-                    "route the access through BufferPool or SegmentIO so cost "
-                    "accounting and cache refresh stay correct",
-                )
 
 
 @register
@@ -426,7 +387,8 @@ class PureReadContractRule(Rule):
     to leave the simulated disk untouched: no ``write_pages`` /
     ``poke_pages`` / ``discard_pages`` calls, no ``charge_write``, and no
     assignment through a ``disk`` attribute.  The same contract asserts at
-    runtime under ``REPRO_CHECKS=1``; this rule proves it statically.
+    runtime under ``REPRO_CHECKS=1``; this rule proves it statically.  It
+    is scoped by a decorator, not by a path, so it is not a seam.
     """
 
     rule_id = "INV001"
@@ -484,125 +446,6 @@ class PureReadContractRule(Rule):
 
 
 @register
-class PhantomPayloadRule(Rule):
-    """PHANT001: phantom-path layers must not materialize payload bytes.
-
-    The experiments and workload layers drive stores built with
-    ``record_data=False`` (phantom mode): page content never reaches the
-    simulated disk, so constructing real buffers with ``bytes(n)`` /
-    ``bytearray(n)`` or ``b"..." * n`` allocates and copies megabytes per
-    operation that the engine immediately discards.  Payload arguments in
-    these layers must be :class:`repro.core.payload.SizedPayload`, which
-    carries only the length and keeps phantom runs pure arithmetic.
-    Suppress the rule (``# repro-lint: disable=PHANT001``) at the rare
-    sites that genuinely need real content, e.g. recorded-mode round-trip
-    traces.
-    """
-
-    rule_id = "PHANT001"
-    summary = (
-        "no bytes()/bytearray() payload materialization in the phantom "
-        "experiments/workload layers; use SizedPayload"
-    )
-
-    _phantom_layers = frozenset({"experiments", "workload"})
-    _builders = frozenset({"bytes", "bytearray"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.layer not in self._phantom_layers:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id in self._builders
-                    and node.args
-                ):
-                    yield self.violation(
-                        ctx,
-                        node,
-                        f"{func.id}() materializes payload content in a "
-                        "phantom-path layer; pass SizedPayload(n) (or "
-                        "suppress where real content is required)",
-                    )
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-                for side in (node.left, node.right):
-                    if isinstance(side, ast.Constant) and isinstance(
-                        side.value, bytes
-                    ):
-                        yield self.violation(
-                            ctx,
-                            node,
-                            "bytes-literal repetition materializes payload "
-                            "content in a phantom-path layer; pass "
-                            "SizedPayload(n) instead",
-                        )
-                        break
-
-
-@register
-class ObservabilityPrintRule(Rule):
-    """OBS001: library code reports through ``repro.obs``, not ``print()``.
-
-    A bare ``print()`` inside the storage/experiment library is invisible
-    to the tracing and metrics layer, interleaves nondeterministically
-    with parallel workers, and corrupts machine-read output (CSV exports,
-    JSONL traces).  Diagnostics belong in :mod:`repro.obs` events or in a
-    returned report string.  CLI entry points are the exception: modules
-    named ``cli.py`` / ``__main__.py``, code under an
-    ``if __name__ == "__main__":`` block, and explicitly suppressed
-    reporter mains (``# repro-lint: disable=OBS001``) may print — that is
-    their job.
-    """
-
-    rule_id = "OBS001"
-    summary = (
-        "no bare print() in library code; print only in CLI entry points "
-        "(cli.py, __main__.py, __main__ blocks) or suppressed reporters"
-    )
-
-    _cli_files = frozenset({"cli.py", "__main__.py"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.path.name in self._cli_files:
-            return
-        main_blocks = [
-            node
-            for node in ctx.tree.body
-            if isinstance(node, ast.If) and self._is_main_guard(node.test)
-        ]
-        in_main = set()
-        for block in main_blocks:
-            for node in ast.walk(block):
-                in_main.add(id(node))  # repro-lint: disable=DET003 -- AST node identity within one parse; membership only, never ordered or reported
-        for node in ast.walk(ctx.tree):
-            if id(node) in in_main or not isinstance(node, ast.Call):  # repro-lint: disable=DET003 -- membership test against the same-parse identity set above
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "print":
-                yield self.violation(
-                    ctx,
-                    node,
-                    "bare print() in library code; emit a repro.obs event "
-                    "or return the text (print belongs in CLI entry "
-                    "points only)",
-                )
-
-    @staticmethod
-    def _is_main_guard(test: ast.expr) -> bool:
-        """True for the conventional ``__name__ == "__main__"`` test."""
-        return (
-            isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name)
-            and test.left.id == "__name__"
-            and len(test.comparators) == 1
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value == "__main__"
-        )
-
-
-@register
 class FaultHandlingRule(Rule):
     """FAULT001: crash/fault exceptions propagate to the fault layers.
 
@@ -619,7 +462,9 @@ class FaultHandlingRule(Rule):
     (cleanup-and-propagate), as are sites suppressed with
     ``# repro-lint: disable=FAULT001`` (e.g. the parallel runner's
     worker-failure containment, which recomputes the point instead of
-    inventing a result).
+    inventing a result).  The bare-``raise`` exemption is why this is a
+    visitor and not a row of :data:`SEAMS`: the verdict depends on the
+    handler body, not only on the path.
     """
 
     rule_id = "FAULT001"
@@ -683,3 +528,213 @@ class FaultHandlingRule(Rule):
             isinstance(child, ast.Raise) and child.exc is None
             for child in ast.walk(handler)
         )
+
+
+# ----------------------------------------------------------------------
+# The seam table: pattern X may appear only where P allows, because R
+# ----------------------------------------------------------------------
+#: Whether a seam's pattern is allowed in the file at a ``/``-rooted path.
+Scope = Callable[[str], bool]
+
+
+def under(*fragments: str) -> Scope:
+    """Allowed in files whose path holds a fragment (``"repro/disk/"``,
+    ``"cli.py"``) from a component boundary on; ``under()``: nowhere."""
+    needles = tuple(f"/{fragment}" for fragment in fragments)
+    return lambda path: any(needle in path for needle in needles)
+
+
+def outside(*fragments: str) -> Scope:
+    """Allowed everywhere except where ``under(*fragments)`` would be."""
+    inside = under(*fragments)
+    return lambda path: not inside(path)
+
+
+@dataclasses.dataclass(frozen=True)
+class Seam(Rule):
+    """One row of :data:`SEAMS`; its ``reason`` is the violation message."""
+
+    rule_id: str
+    summary: str
+    match: Callable[[ast.AST], bool]
+    allowed: Scope
+    reason: str
+
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        return check_seams(ctx, [self])
+
+
+def check_seams(ctx: FileContext, seams: Iterable[Seam]) -> Iterator[Violation]:
+    """Every violation of ``seams`` in ``ctx``, from one walk of its tree."""
+    path = "/" + ctx.path.as_posix()
+    live = [seam for seam in seams if not seam.allowed(path)]
+    if not live:
+        return
+    for node in ast.walk(ctx.tree):
+        for seam in live:
+            if seam.match(node):
+                yield seam.violation(ctx, node, seam.reason)
+
+
+def _name_of(node: ast.AST) -> str:
+    """The last name of a dotted expression (``self.env.disk`` -> ``disk``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def _call_of(node: ast.AST) -> tuple[str, str]:
+    """``(receiver, name)`` of a call: ``("disk", "read_pages")`` for
+    ``self.disk.read_pages(...)``, ``("", "print")`` for ``print(...)``."""
+    if not isinstance(node, ast.Call):
+        return ("", "")
+    if isinstance(node.func, ast.Attribute):
+        return (_name_of(node.func.value), node.func.attr)
+    return ("", _name_of(node.func))
+
+
+def _written(node: ast.AST) -> bool:
+    """True for an assignment or ``del`` target."""
+    return isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+
+
+def _private_of(owner: str) -> Callable[[ast.AST], bool]:
+    """Matches ``<...>owner._name``: a reach into ``owner``'s private state."""
+    return lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr[:1] == "_"
+        and "a" <= node.attr[1:2] <= "z"
+        and _name_of(node.value).endswith(owner)
+    )
+
+
+def _payload_bytes(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        return bool(node.args) and _call_of(node) in (("", "bytes"),
+                                                      ("", "bytearray"))
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and any(
+            isinstance(side, ast.Constant) and isinstance(side.value, bytes)
+            for side in (node.left, node.right)
+        )
+    )
+
+
+#: module -> its calls that read a clock, entropy or directory order.
+_SOURCES = {
+    "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+             "perf_counter_ns"},
+    "os": {"listdir", "scandir", "walk", "urandom"},
+    "uuid": {"uuid1", "uuid4"},
+}
+
+
+def _nondeterministic(node: ast.AST) -> bool:
+    module, name = _call_of(node)
+    if module in ("random", "glob", "secrets"):  # all but random.Random(seed)
+        return name != "Random"
+    return name in _SOURCES.get(module, ())
+
+
+def _node_array_write(node: ast.AST) -> bool:
+    target = node
+    if isinstance(node, ast.Subscript) and _written(node):
+        target = node.value
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr not in ("append", "insert", "pop", "extend",
+                                  "clear", "remove", "sort", "reverse"):
+            return False
+        target = node.func.value
+    elif not _written(node):
+        return False
+    return isinstance(target, ast.Attribute) and target.attr in (
+        "cums", "refs", "allocs"
+    )
+
+
+_CLI = under("cli.py", "__main__.py")
+
+#: The seams: id, summary, pattern, where it is allowed, and why (the
+#: message of every violation).
+SEAMS: tuple[Seam, ...] = (
+    Seam(
+        "LAY001", "Disk.read_pages/write_pages only in buffer/, segio/, disk/",
+        lambda node: _call_of(node) in (("disk", "read_pages"),
+                                        ("disk", "write_pages")),
+        under("repro/buffer/", "repro/segio/", "repro/disk/"),
+        "raw disk I/O above the pool skips hit accounting and cache refresh "
+        "and skews the Section 4.1 counts; go through BufferPool or SegmentIO",
+    ),
+    Seam(
+        "PHANT001", "no bytes(n)/bytearray(n)/b'..' * n in experiments/, "
+        "workload/",
+        _payload_bytes,
+        outside("repro/experiments/", "repro/workload/"),
+        "these layers drive phantom stores, which discard page content; "
+        "pass SizedPayload(n) (or suppress where real content is needed)",
+    ),
+    Seam(
+        "OBS001", "print() only in CLI entry points (cli.py, __main__.py)",
+        lambda node: _call_of(node) == ("", "print"),
+        _CLI,
+        "a print is invisible to repro.obs and corrupts machine-read "
+        "output; emit an event or return the text",
+    ),
+    Seam(
+        "DET002", "clocks, unseeded random, listings, uuid, secrets only in "
+        "CLI entry points",
+        _nondeterministic,
+        _CLI,
+        "reports must be pure functions of the workload at every --jobs; "
+        "use a seeded random.Random or a logical clock",
+    ),
+    Seam(
+        "SEAM001", "disk._private only in repro/disk/ and tests/test_disk.py",
+        _private_of("disk"),
+        under("repro/disk/", "tests/test_disk.py"),
+        "the device is used through its methods (image(), pages_in_use, "
+        "...), so its representation can change alone",
+    ),
+    Seam(
+        "SEAM002", "index-node cums/refs/allocs written only in tree/node.py",
+        _node_array_write,
+        under("repro/tree/node.py"),
+        "only the node's mutators keep its prefix sums and packed-image "
+        "watermark in step with the arrays",
+    ),
+    Seam(
+        "SEAM003", "no assignment to extent.page_id/used_bytes/alloc_pages",
+        lambda node: (
+            isinstance(node, ast.Attribute)
+            and _written(node)
+            and node.attr in ("page_id", "used_bytes", "alloc_pages")
+            and _name_of(node.value).endswith("extent")
+        ),
+        under(),
+        "a leaf extent is an immutable value minted from the node's "
+        "columns; mint a new one",
+    ),
+    Seam(
+        "SEAM004", "no struct.pack() with an f-string format",
+        lambda node: (
+            isinstance(node, ast.Call)
+            and _call_of(node) == ("struct", "pack")
+            and bool(node.args)
+            and isinstance(node.args[0], ast.JoinedStr)
+        ),
+        under(),
+        "a format built per call is how the per-pair varargs pack comes "
+        "back into index serialization; use a precompiled Struct",
+    ),
+    Seam(
+        "SEAM005", "pool._private only in repro/buffer/ and "
+        "tests/test_buffer_pool.py",
+        _private_of("pool"),
+        under("repro/buffer/", "tests/test_buffer_pool.py"),
+        "callers see the pool through public calls (resident_image, "
+        "frames(), ...), never its frame table",
+    ),
+)
+RULES.update((seam.rule_id, seam) for seam in SEAMS)

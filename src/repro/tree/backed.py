@@ -123,7 +123,7 @@ class TreeBackedManager(LargeObjectManager):
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def allocated_pages(self, oid: int) -> int:  # repro-lint: disable=CHG001 -- space accounting run between timed phases; its reads are charged to the enclosing phase, not to a paper op
+    def allocated_pages(self, oid: int) -> int:
         """Leaf pages plus index pages currently allocated to the object."""
         tree = self._tree(oid)
         return tree.leaf_pages_allocated() + tree.index_page_count()

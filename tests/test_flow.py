@@ -532,60 +532,6 @@ class TestDeterminism:
             """)
         assert flow(path) == []
 
-    def test_time_call_in_library_code(self, tmp_path):
-        path = write(tmp_path, "repro/disk/mod.py", """\
-            import time
-
-            def f(report):
-                report["at"] = time.time()
-            """)
-        assert rule_ids(flow(path)) == ["DET002"]
-
-    def test_unseeded_random_in_library_code(self, tmp_path):
-        path = write(tmp_path, "repro/segio/mod.py", """\
-            import random
-
-            def f(n):
-                return n + random.random()
-            """)
-        assert rule_ids(flow(path)) == ["DET002"]
-
-    def test_unsorted_listdir(self, tmp_path):
-        path = write(tmp_path, "repro/records/mod.py", """\
-            import os
-
-            def f(path):
-                return os.listdir(path)
-            """)
-        assert rule_ids(flow(path)) == ["DET002"]
-
-    def test_bench_layer_is_not_exempt(self, tmp_path):
-        path = write(tmp_path, "repro/bench/mod.py", """\
-            import time
-
-            def f():
-                return time.perf_counter()
-            """)
-        assert rule_ids(flow(path)) == ["DET002"]
-
-    def test_seeded_random_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/workload/mod.py", """\
-            import random
-
-            def f(seed):
-                return random.Random(seed).randint(0, 7)
-            """)
-        assert flow(path) == []
-
-    def test_sorted_listdir_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/records/mod.py", """\
-            import os
-
-            def f(path):
-                return sorted(os.listdir(path))
-            """)
-        assert flow(path) == []
-
     def test_set_pop_flagged(self, tmp_path):
         path = write(tmp_path, "repro/buddy/mod.py", """\
             def f(xs):
@@ -807,8 +753,8 @@ class TestCorpus:
     def test_every_rule_family_is_seeded(self):
         families = {rule for _, _, rule in self.seeded_expectations()}
         assert {
-            "FLOW000", "FLOW001", "FLOW002", "DET001", "DET002", "DET003",
-            "CHG001", "CHG002",
+            "FLOW000", "FLOW001", "FLOW002", "DET001", "DET003", "CHG001",
+            "CHG002",
         } <= families
 
 
@@ -849,17 +795,15 @@ class TestCliAndSarif:
 
     def test_select_restricts_flow_rules(self, tmp_path, capsys):
         write(tmp_path, "repro/tree/mod.py", """\
-            import time
-
-            def f(pool, page_id, flag):
+            def f(pool, page_id, flags):
                 pool.fix(page_id)
-                if flag and time.time():
+                if any([flag for flag in set(flags)]):
                     pool.unfix(page_id)
             """)
-        code = lint_main(["--flow", "--select", "DET002", str(tmp_path)])
+        code = lint_main(["--flow", "--select", "DET001", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "DET002" in out and "FLOW001" not in out
+        assert "DET001" in out and "FLOW001" not in out
 
     def test_list_rules_includes_flow_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0

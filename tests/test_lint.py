@@ -12,9 +12,11 @@ from repro.core.errors import ContractViolationError
 from repro.lint import RULES, lint_file, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.contracts import checks_enabled, pure_read
+from repro.lint.rules import SEAMS
 
-#: The shipped package, linted by the meta-test below.
+#: The shipped package and the test tree, linted by the meta-test below.
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def write(tmp_path, relative, source):
@@ -30,39 +32,239 @@ def run_rule(rule_id, path):
 
 
 # ----------------------------------------------------------------------
-# LAY001: layering
+# The seam table: one row per "pattern X only under path P"
 # ----------------------------------------------------------------------
-class TestLayeringRule:
-    def test_raw_disk_read_in_manager_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/esm/bad.py", """\
-            class EagerManager:
-                def read(self, oid):
-                    return self.env.disk.read_pages(0, 1)
-            """)
-        violations = run_rule("LAY001", path)
-        assert [v.rule_id for v in violations] == ["LAY001"]
-        assert violations[0].line == 3
+def case(rule_id, name, relative, source, lines):
+    """A file at ``relative`` and the lines ``rule_id`` must flag in it."""
+    return pytest.param(rule_id, relative, source, lines, id=f"{rule_id}-{name}")
 
-    def test_raw_disk_write_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/eos/bad.py", """\
-            def flush(pool):
-                pool.disk.write_pages(4, 1, b"x")
-            """)
-        assert [v.rule_id for v in run_rule("LAY001", path)] == ["LAY001"]
 
-    def test_buffer_layer_is_allowed(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/pool2.py", """\
-            def fix(self, page_id):
-                return self.disk.read_pages(page_id, 1)
-            """)
-        assert run_rule("LAY001", path) == []
+SEAM_CASES = [
+    case("LAY001", "raw_disk_read_in_manager_flagged", "repro/esm/bad.py", """\
+        class EagerManager:
+            def read(self, oid):
+                return self.env.disk.read_pages(0, 1)
+        """, [3]),
+    case("LAY001", "raw_disk_write_flagged", "repro/eos/bad.py", """\
+        def flush(pool):
+            pool.disk.write_pages(4, 1, b"x")
+        """, [2]),
+    case("LAY001", "buffer_layer_is_allowed", "repro/buffer/pool2.py", """\
+        def fix(self, page_id):
+            return self.disk.read_pages(page_id, 1)
+        """, []),
+    case("LAY001", "unaccounted_peek_is_not_flagged", "repro/esm/peek.py", """\
+        def snapshot(env):
+            return env.disk.peek_pages(0, 4)
+        """, []),
+    case("PHANT001", "bytes_call_in_experiments_flagged",
+         "repro/experiments/bad.py", """\
+        def probe(store, oid, n):
+            store.insert(oid, 0, bytes(n))
+        """, [2]),
+    case("PHANT001", "bytearray_in_workload_flagged", "repro/workload/bad.py", """\
+        def payload(n):
+            return bytearray(n)
+        """, [2]),
+    case("PHANT001", "bytes_literal_repetition_flagged",
+         "repro/experiments/rep.py", """\
+        def payload(n):
+            return b"\\x00" * n
+        """, [2]),
+    case("PHANT001", "sized_payload_is_clean", "repro/experiments/good.py", """\
+        from repro.core.payload import SizedPayload
 
-    def test_unaccounted_peek_is_not_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/esm/peek.py", """\
-            def snapshot(env):
-                return env.disk.peek_pages(0, 4)
-            """)
-        assert run_rule("LAY001", path) == []
+        def probe(store, oid, n):
+            store.insert(oid, 0, SizedPayload(n))
+        """, []),
+    case("PHANT001", "other_layers_not_covered", "repro/disk/zero.py", """\
+        def zero_page(n):
+            return bytes(n)
+        """, []),
+    case("PHANT001", "empty_bytes_and_suppression_allowed",
+         "repro/workload/mixed.py", """\
+        def empty():
+            return bytes()
+
+        def real(n):
+            return bytes(i % 7 for i in range(n))  # repro-lint: disable=PHANT001
+        """, []),
+    case("OBS001", "print_in_library_flagged", "repro/tree/tree.py", """\
+        def locate(tree, pos):
+            print("locating", pos)
+        """, [2]),
+    case("OBS001", "print_under_main_guard_flagged",
+         "repro/experiments/fig5_build.py", """\
+        def main():
+            return "report"
+
+
+        if __name__ == "__main__":
+            print(main())
+        """, [6]),
+    case("OBS001", "print_in_cli_allowed", "repro/experiments/cli.py", """\
+        def main():
+            print("report")
+        """, []),
+    case("OBS001", "print_in_dunder_main_allowed", "repro/lint/__main__.py", """\
+        print("usage")
+        """, []),
+    case("DET002", "time_call_in_library_code", "repro/disk/mod.py", """\
+        import time
+
+        def f(report):
+            report["at"] = time.time()
+        """, [4]),
+    case("DET002", "unseeded_random_in_library_code", "repro/segio/mod.py", """\
+        import random
+
+        def f(n):
+            return n + random.random()
+        """, [4]),
+    case("DET002", "unsorted_listdir", "repro/records/mod.py", """\
+        import os
+
+        def f(path):
+            return os.listdir(path)
+        """, [4]),
+    case("DET002", "sorted_listdir_flagged", "repro/records/mod.py", """\
+        import os
+
+        def f(path):
+            return sorted(os.listdir(path))
+        """, [4]),
+    case("DET002", "bench_layer_is_not_exempt", "repro/bench/mod.py", """\
+        import time
+
+        def f():
+            return time.perf_counter()
+        """, [4]),
+    case("DET002", "module_and_class_level_sources", "repro/segio/m.py", """\
+        import random
+        import time
+
+        STAMP = time.time()
+        JITTER = random.randint(0, 3)
+
+
+        class K:
+            AT = time.monotonic()
+        """, [4, 5, 9]),
+    case("DET002", "seeded_random_is_fine", "repro/workload/mod.py", """\
+        import random
+
+        def f(seed):
+            return random.Random(seed).randint(0, 7)
+        """, []),
+    case("DET002", "clock_in_cli_allowed", "repro/experiments/cli.py", """\
+        import time
+
+        def main():
+            return time.perf_counter()
+        """, []),
+    case("SEAM001", "disk_private_in_library_flagged", "repro/core/fsck.py", """\
+        def pages(env):
+            return env.disk._pages
+        """, [2]),
+    case("SEAM001", "disk_private_in_other_test_flagged", "tests/test_sweep.py", """\
+        def test_bits(disk):
+            assert disk._recorded
+        """, [2]),
+    case("SEAM001", "disk_package_allowed", "repro/disk/checksum.py", """\
+        def pages(disk):
+            return disk._pages
+        """, []),
+    case("SEAM001", "disk_unit_test_allowed", "tests/test_disk.py", """\
+        def test_bits(disk):
+            assert disk._recorded
+        """, []),
+    case("SEAM001", "public_and_dunder_names_are_fine", "repro/core/fsck.py", """\
+        def pages(self, disk):
+            return disk.pages_in_use, disk.__class__, self._disk_pages
+        """, []),
+    case("SEAM002", "node_array_writes_flagged", "repro/tree/tree.py", """\
+        def rebalance(node, extra):
+            node.cums.append(0)
+            node.refs[0] = extra
+            node.allocs = []
+            del node.cums[-1]
+            node.refs[1:2] += extra
+        """, [2, 3, 4, 5, 6]),
+    case("SEAM002", "node_module_allowed", "repro/tree/node.py", """\
+        def rebalance(node, extra):
+            node.cums.append(0)
+            node.refs[0] = extra
+        """, []),
+    case("SEAM002", "node_array_reads_are_fine", "repro/tree/tree.py", """\
+        def total(node):
+            return node.cums[-1], list(node.refs), node.allocs.index(3)
+        """, []),
+    case("SEAM003", "extent_field_writes_flagged", "repro/tree/node.py", """\
+        def shift(extent, new_extent):
+            extent.page_id = 4
+            new_extent.used_bytes += 1
+        """, [2, 3]),
+    case("SEAM003", "minting_and_reading_are_fine", "repro/tree/node.py", """\
+        class LeafExtent:
+            def __init__(self, page_id):
+                self.page_id = page_id
+
+        def shifted(extent):
+            return LeafExtent(extent.page_id + 1)
+        """, []),
+    case("SEAM004", "fstring_pack_flagged", "repro/atomic/journal.py", """\
+        import struct
+
+        def pack(values):
+            return struct.pack(f"<{len(values)}I", *values)
+        """, [4]),
+    case("SEAM004", "constant_and_precompiled_formats_are_fine",
+         "repro/tree/node.py", """\
+        import struct
+
+        def pack(values):
+            head = struct.pack("<I", len(values))
+            return head + struct.Struct(f"<{len(values)}I").pack(*values)
+        """, []),
+    case("SEAM005", "pool_private_in_library_flagged",
+         "repro/segio/segment_io.py", """\
+        class SegmentIO:
+            def resident(self, page):
+                return page in self.pool._frames
+        """, [3]),
+    case("SEAM005", "pool_private_in_other_test_flagged",
+         "tests/test_stateful.py", """\
+        def test_capacity(pool):
+            assert len(pool._frames) <= pool.capacity
+        """, [2]),
+    case("SEAM005", "buffer_package_allowed", "repro/buffer/run.py", """\
+        def resident(pool, page):
+            return page in pool._frames
+        """, []),
+    case("SEAM005", "pool_unit_test_allowed", "tests/test_buffer_pool.py", """\
+        def test_capacity(pool):
+            assert len(pool._frames) <= pool.capacity
+        """, []),
+    case("SEAM005", "public_accessor_is_fine", "tests/test_stateful.py", """\
+        def test_order(pool):
+            assert [page for page, _, _ in pool.frames()] == [1, 2]
+        """, []),
+]
+
+
+@pytest.mark.parametrize(("rule_id", "relative", "source", "lines"), SEAM_CASES)
+def test_seam_table(tmp_path, rule_id, relative, source, lines):
+    path = write(tmp_path, relative, source)
+    violations = lint_paths([path], select={rule_id})
+    assert [(v.rule_id, v.line) for v in violations] == [
+        (rule_id, line) for line in lines
+    ]
+
+
+def test_every_seam_has_a_flagged_and_a_clean_case():
+    flagged = {p.values[0] for p in SEAM_CASES if p.values[3]}
+    clean = {p.values[0] for p in SEAM_CASES if not p.values[3]}
+    assert flagged == clean == {seam.rule_id for seam in SEAMS}
 
 
 # ----------------------------------------------------------------------
@@ -275,62 +477,6 @@ class TestPureReadContractRule:
 
 
 # ----------------------------------------------------------------------
-# PHANT001: phantom-path payload materialization
-# ----------------------------------------------------------------------
-class TestPhantomPayloadRule:
-    def test_bytes_call_in_experiments_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/experiments/bad.py", """\
-            def probe(store, oid, n):
-                store.insert(oid, 0, bytes(n))
-            """)
-        violations = run_rule("PHANT001", path)
-        assert [v.rule_id for v in violations] == ["PHANT001"]
-        assert "SizedPayload" in violations[0].message
-
-    def test_bytearray_in_workload_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/workload/bad.py", """\
-            def payload(n):
-                return bytearray(n)
-            """)
-        assert [v.rule_id for v in run_rule("PHANT001", path)] == ["PHANT001"]
-
-    def test_bytes_literal_repetition_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/experiments/rep.py", """\
-            def payload(n):
-                return b"\\x00" * n
-            """)
-        violations = run_rule("PHANT001", path)
-        assert [v.rule_id for v in violations] == ["PHANT001"]
-        assert "repetition" in violations[0].message
-
-    def test_sized_payload_is_clean(self, tmp_path):
-        path = write(tmp_path, "repro/experiments/good.py", """\
-            from repro.core.payload import SizedPayload
-
-            def probe(store, oid, n):
-                store.insert(oid, 0, SizedPayload(n))
-            """)
-        assert run_rule("PHANT001", path) == []
-
-    def test_other_layers_not_covered(self, tmp_path):
-        path = write(tmp_path, "repro/disk/zero.py", """\
-            def zero_page(n):
-                return bytes(n)
-            """)
-        assert run_rule("PHANT001", path) == []
-
-    def test_empty_bytes_and_suppression_allowed(self, tmp_path):
-        path = write(tmp_path, "repro/workload/mixed.py", """\
-            def empty():
-                return bytes()
-
-            def real(n):
-                return bytes(i % 7 for i in range(n))  # repro-lint: disable=PHANT001
-            """)
-        assert run_rule("PHANT001", path) == []
-
-
-# ----------------------------------------------------------------------
 # Suppression comments
 # ----------------------------------------------------------------------
 class TestSuppressions:
@@ -514,7 +660,10 @@ class TestRuntimeContracts:
 # Meta: the shipped tree lints clean
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_clean():
-    violations = lint_paths([REPO_SRC])
+    # The tests reach the device and the pool through public calls too.
+    violations = lint_paths([REPO_SRC]) + lint_paths(
+        [REPO_TESTS], select={"SEAM001", "SEAM005"}
+    )
     assert violations == [], "\n".join(v.format() for v in violations)
 
 

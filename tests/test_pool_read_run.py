@@ -103,6 +103,11 @@ def fits(pool: BufferPool, start: int, n_pages: int) -> bool:
     return n_pages + pinned_outside <= pool.capacity
 
 
+def resident_frames(pool: BufferPool) -> list[Frame]:
+    """The resident frames, least recently used first."""
+    return [pool.lookup(page) for page, _, _ in pool.frames()]
+
+
 def reference_read_run(
     pool: BufferPool, start: int, n_pages: int, record: bool = True
 ) -> Payload:
@@ -143,9 +148,9 @@ class Twin:
             "io": dataclasses.astuple(self.env.cost.stats),
             "headroom": pool.headroom,
             "frames": [
-                (page_id, frame.pin_count, frame.dirty, frame.record,
+                (frame.page_id, frame.pin_count, frame.dirty, frame.record,
                  type(frame.data), bytes(frame.content()))
-                for page_id, frame in pool._frames.items()
+                for frame in resident_frames(pool)
             ],
             "events since the last look": events,
         }
@@ -175,9 +180,9 @@ SITUATIONS = {
 
 def situations(pool: BufferPool, start: int, n_pages: int) -> set[str]:
     """Which of the named situations the run is about to meet."""
-    frames = pool._frames
+    frames = resident_frames(pool)
     pages = range(start, start + n_pages)
-    missing = [page for page in pages if page not in frames]
+    missing = [page for page in pages if not pool.is_resident(page)]
     full = len(frames) == pool.capacity
     seen = set()
     if not fits(pool, start, n_pages):
@@ -194,7 +199,7 @@ def situations(pool: BufferPool, start: int, n_pages: int) -> set[str]:
     if 0 < len(missing) < n_pages and len(contiguous_runs(missing)) == 2:
         seen.add("mixed run with two missing sub-runs")
     if missing and len(frames) + len(missing) > pool.capacity:
-        unpinned = [f for f in frames.values() if not f.pin_count]
+        unpinned = [f for f in frames if not f.pin_count]
         if unpinned[0].page_id in pages:
             seen.add("the run's resident page would have been the victim")
         candidates = [f for f in unpinned if f.page_id not in pages]
@@ -310,7 +315,7 @@ def _state(env, pool):
         dataclasses.astuple(pool.stats),
         dataclasses.astuple(env.cost.stats),
         pool.headroom,
-        [(page_id, frame.pin_count) for page_id, frame in pool._frames.items()],
+        [(page_id, pins) for page_id, pins, _ in pool.frames()],
     )
 
 

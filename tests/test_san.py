@@ -62,7 +62,9 @@ class TestSanitizerFlag:
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
         assert not checks_enabled()
         pool.fix(0)
-        assert pool._san_pins == {}
+        with pytest.raises(ContractViolationError) as exc:
+            pool.assert_pin_balanced()
+        assert "fixed at" not in str(exc.value)  # no site was recorded
         pool.unfix(0)
 
     def test_on_when_flag_set(self, san):
@@ -94,15 +96,24 @@ class TestSanitizerFlag:
         assert "page 2 x2" in str(exc.value)
 
     def test_site_popped_on_unfix(self, san, pool):
+        def sites():
+            with pytest.raises(ContractViolationError) as exc:
+                pool.assert_pin_balanced()
+            return str(exc.value).count("test_san.py")
+
         pool.fix(5)
         pool.fix(5)
         pool.unfix(5)
-        assert len(pool._san_pins[5]) == 1
+        assert sites() == 1
         pool.unfix(5)
-        assert pool._san_pins == {}
+        pool.assert_pin_balanced()
+        pool.fix(5)  # a fresh pin lists its own site only
+        assert sites() == 1
+        pool.unfix(5)
 
     def test_accounting_drift_detected(self, san, pool):
-        pool._pinned = 1  # simulate a bookkeeping bug
+        pool.fix(0)
+        pool.lookup(0).pin_count = 0  # simulate a bookkeeping bug
         with pytest.raises(ContractViolationError, match="drift"):
             pool.assert_pin_balanced("op.test")
 

@@ -70,7 +70,8 @@ class Stack:
         for page in [*BYSTANDERS, *resident]:
             self.pool.read_run(page, 1)
         if fully_pinned:
-            for page in [*self.pool._frames, *FILLERS][:CAPACITY]:
+            cached = [page for page, _, _ in self.pool.frames()]
+            for page in [*cached, *FILLERS][:CAPACITY]:
                 self.pool.fix(page)
             assert self.pool.headroom == 0
 
@@ -78,10 +79,7 @@ class Stack:
         return {
             "io": dataclasses.replace(self.cost.stats),
             "pool": dataclasses.replace(self.pool.stats),
-            "frames": [
-                (page, frame.pin_count)
-                for page, frame in self.pool._frames.items()
-            ],
+            "frames": [(page, pins) for page, pins, _ in self.pool.frames()],
         }
 
     def spans(self, since: int) -> list[dict[str, object]]:
@@ -98,11 +96,9 @@ class PageByPage:
 
     def __init__(self, stack: Stack, policy: str) -> None:
         self.policy = policy
-        self.frames = list(stack.pool._frames)       # least recent first
-        self.pinned = {
-            page for page, frame in stack.pool._frames.items()
-            if frame.pin_count
-        }
+        frames = list(stack.pool.frames())          # least recent first
+        self.frames = [page for page, _, _ in frames]
+        self.pinned = {page for page, pins, _ in frames if pins}
         self.io = dataclasses.replace(stack.cost.stats)
         self.io_before = dataclasses.replace(stack.cost.stats)
         self.counters = dataclasses.replace(stack.pool.stats)

@@ -203,8 +203,8 @@ class Twin:
             "io": dataclasses.replace(env.cost.stats),
             "pool": dataclasses.replace(env.pool.stats),
             "frames": [
-                (page_id, frame.dirty, frame.pin_count)
-                for page_id, frame in env.pool._frames.items()
+                (page_id, dirty, pins)
+                for page_id, pins, dirty in env.pool.frames()
             ],
             "data pages": env.areas.data.allocated_pages,
             "segments": [

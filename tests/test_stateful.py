@@ -161,12 +161,13 @@ class BufferPoolMachine(RuleBasedStateMachine):
 
     @invariant()
     def pool_never_overflows(self):
-        assert len(self.pool._frames) <= self.pool.capacity
+        assert self.pool.resident_count <= self.pool.capacity
 
     @invariant()
     def resident_content_is_current(self):
-        for page_id, frame in self.pool._frames.items():
-            if not frame.dirty:
+        for page_id, _, dirty in self.pool.frames():
+            if not dirty:
+                frame = self.pool.lookup(page_id)
                 assert frame.content() == self.content[page_id]
 
 

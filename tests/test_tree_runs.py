@@ -171,8 +171,8 @@ class Twin:
             "io": dataclasses.astuple(env.cost.stats),
             "pool": dataclasses.astuple(env.pool.stats),
             "frames": [
-                (page_id, frame.dirty, frame.pin_count)
-                for page_id, frame in env.pool._frames.items()
+                (page_id, dirty, pins)
+                for page_id, pins, dirty in env.pool.frames()
             ],
             "index pages": env.areas.meta.allocated_pages,
             "events since the last look": events,
