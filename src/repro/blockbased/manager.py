@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from typing import Iterator
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.errors import StorageCorruptionError
-from repro.core.manager import LargeObjectManager
+from repro.core.manager import ImageExtent, LargeObjectManager
 from repro.core.payload import (
     Payload,
     payload_bytes,
@@ -295,6 +296,12 @@ class BlockBasedManager(LargeObjectManager):
         """The object's data pages (for tests and inspection)."""
         return list(self._pages(oid))
 
+    def directory_of(self, oid: int) -> list[int]:
+        """The object's directory page ids, the oid first (for tests and
+        inspection)."""
+        self._pages(oid)  # an unknown oid raises here
+        return list(self._directories[oid])
+
     def check_invariants(self, oid: int) -> None:
         """Verify page counts and directory capacity; for tests."""
         pages = self._pages(oid)
@@ -419,7 +426,7 @@ class BlockBasedManager(LargeObjectManager):
         """Decode one directory page image.
 
         Returns the page's slots and the next directory page id in the
-        chain (or None).  Used by reopen and crash-recovery paths.
+        chain (or None).
         """
         magic, n_slots, _pad, next_link = _DIR_HEADER.unpack_from(image)
         if magic != _DIR_MAGIC:
@@ -434,15 +441,19 @@ class BlockBasedManager(LargeObjectManager):
             )
         return pages, (next_link - 1) if next_link else None
 
-    @classmethod
-    def load_directory_chain(
-        cls, env: StorageEnvironment, first_page: int
-    ) -> list[DataPage]:
-        """Decode the whole directory chain starting at ``first_page``."""
+    def image_extents(self, oid: int) -> Iterator[ImageExtent]:
+        """The whole directory chain, then its data pages."""
+        page_size = self.config.page_size
+        directory: list[int] = []
         pages: list[DataPage] = []
-        current: int | None = first_page
+        current: int | None = oid
         while current is not None:
-            image = env.disk.peek_pages(current, 1)
-            slots, current = cls.load_directory(env, image)
+            directory.append(current)
+            slots, current = self.load_directory(
+                self.env, self.env.disk.peek_pages(current, 1)
+            )
             pages.extend(slots)
-        return pages
+        for dir_page in directory:
+            yield ImageExtent(dir_page, page_size, 1, True)
+        for page in pages:
+            yield ImageExtent(page.page_id, page.used_bytes, 1, False)

@@ -19,7 +19,7 @@ content is produced lazily (only when the page is actually written back).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.buddy.directory import check_directory_fits, serialize_directory
 from repro.buddy.space import BuddySpace
@@ -169,6 +169,27 @@ class BuddyAllocator:
     def allocated_pages(self) -> int:
         """Data pages currently allocated across all buddy spaces."""
         return sum(space.allocated_blocks for space in self._spaces)
+
+    @property
+    def total_blocks(self) -> int:
+        """Data pages across all buddy spaces, allocated or free."""
+        return sum(space.total_blocks for space in self._spaces)
+
+    def allocated_page_ids(self) -> Iterator[int]:
+        """Every allocated data page id, in ascending order."""
+        for index, space in enumerate(self._spaces):
+            base = self._data_base(index)
+            for offset in range(space.total_blocks):
+                if space.is_block_allocated(offset):
+                    yield base + offset
+
+    def is_allocated(self, page_id: int) -> bool:
+        """True when ``page_id`` is an allocated data page of this area."""
+        try:
+            space_index, offset = self._locate(page_id)
+        except AllocationError:
+            return False
+        return self._spaces[space_index].is_block_allocated(offset)
 
     @property
     def directory_pages(self) -> int:

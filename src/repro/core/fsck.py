@@ -1,8 +1,9 @@
 """Storage consistency checking (an fsck for the simulated database).
 
 Cross-verifies the two sources of truth the storage system maintains:
-the *logical* one (which pages each object's structure references) and
-the *physical* one (which pages the buddy allocator believes are
+the *logical* one (which pages each object's committed disk image
+references, as the manager's ``image_extents`` walks it) and the
+*physical* one (which pages the buddy allocator believes are
 allocated).  Detects:
 
 * **dangling references** — an object references a page the allocator
@@ -21,13 +22,11 @@ debugging aid when developing new update algorithms.
 from __future__ import annotations
 
 import dataclasses
+from typing import Collection
 
-from repro.blockbased.manager import BlockBasedManager
 from repro.buddy.allocator import BuddyAllocator
-from repro.core.errors import AllocationError, InvalidArgumentError
+from repro.core.errors import InvalidArgumentError
 from repro.core.manager import LargeObjectManager
-from repro.starburst.manager import StarburstManager
-from repro.tree.backed import TreeBackedManager
 
 
 @dataclasses.dataclass
@@ -72,39 +71,6 @@ class FsckReport:
         )
 
 
-def object_page_runs(
-    manager: LargeObjectManager, oid: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(data runs, meta runs) of pages one object references.
-
-    Runs are (first page id, page count) pairs over *allocated* pages —
-    including append slack, which is allocated even when not yet used.
-    """
-    data_runs: list[tuple[int, int]] = []
-    meta_runs: list[tuple[int, int]] = []
-    if isinstance(manager, TreeBackedManager):
-        tree = manager.tree_of(oid)
-        for extent in tree.iter_extents(charged=False):
-            data_runs.append((extent.page_id, extent.alloc_pages))
-        meta_runs.extend(
-            (node.page_id, 1) for node in tree._walk_nodes()
-        )
-    elif isinstance(manager, StarburstManager):
-        descriptor = manager.descriptor_of(oid)
-        for segment in descriptor.segments:
-            data_runs.append((segment.page_id, segment.alloc_pages))
-        meta_runs.append((descriptor.page_id, 1))
-    elif isinstance(manager, BlockBasedManager):
-        for page in manager.pages_of(oid):
-            data_runs.append((page.page_id, 1))
-        meta_runs.extend(
-            (page_id, 1) for page_id in manager._directories[oid]
-        )
-    else:  # pragma: no cover - future manager kinds
-        raise InvalidArgumentError(f"cannot fsck manager of type {type(manager)!r}")
-    return data_runs, meta_runs
-
-
 def check(
     managers_and_oids: list[tuple[LargeObjectManager, list[int]]],
     journals: "list | None" = None,
@@ -136,16 +102,12 @@ def check(
         if manager.env is not env:
             raise InvalidArgumentError("managers do not share an environment")
         for oid in oids:
-            data_runs, meta_runs = object_page_runs(manager, oid)
-            for runs, referenced in (
-                (data_runs, referenced_data),
-                (meta_runs, referenced_meta),
-            ):
-                for start, count in runs:
-                    for page in range(start, start + count):
-                        if page in referenced:
-                            double.add(page)
-                        referenced[page] = oid
+            for extent in manager.image_extents(oid):
+                referenced = referenced_meta if extent.meta else referenced_data
+                for page in extent.pages:
+                    if page in referenced:
+                        double.add(page)
+                    referenced[page] = oid
 
     # Dangling: referenced but not allocated.
     for referenced, allocator in (
@@ -153,7 +115,7 @@ def check(
         (referenced_meta, env.areas.meta),
     ):
         for page, oid in referenced.items():
-            if not _is_allocated(allocator, page):
+            if not allocator.is_allocated(page):
                 dangling.append((oid, page))
 
     journal_pages: set[int] = set()
@@ -162,17 +124,13 @@ def check(
         journal_pages |= journal.pages()
         residue |= set(journal.residue_pages())
 
-    leaked_data = _allocated_not_referenced(env.areas.data, referenced_data)
-    leaked_meta = [
-        page
-        for page in _allocated_not_referenced(env.areas.meta, referenced_meta)
-        if page not in journal_pages
-    ]
     return FsckReport(
         dangling=sorted(dangling),
         doubly_referenced=sorted(double),
-        leaked_data_pages=leaked_data,
-        leaked_meta_pages=leaked_meta,
+        leaked_data_pages=unreferenced_pages(env.areas.data, referenced_data),
+        leaked_meta_pages=unreferenced_pages(
+            env.areas.meta, referenced_meta, journal_pages
+        ),
         corrupt_pages=env.disk.verify_checksums(),
         journal_residue=sorted(residue),
     )
@@ -349,25 +307,15 @@ def cli_main(argv: list[str] | None = None) -> int:
     return 2 if dirty else 0
 
 
-def _is_allocated(allocator: BuddyAllocator, page_id: int) -> bool:
-    try:
-        space_index, offset = allocator._locate(page_id)
-    except AllocationError:
-        # The page id does not belong to this area at all.
-        return False
-    return allocator._spaces[space_index].is_block_allocated(offset)
-
-
-def _allocated_not_referenced(
-    allocator: BuddyAllocator, referenced: dict[int, int]
+def unreferenced_pages(
+    allocator: BuddyAllocator,
+    referenced: Collection[int],
+    keep: Collection[int] = frozenset(),
 ) -> list[int]:
-    leaked = []
-    for index in range(allocator.space_count):
-        space = allocator._spaces[index]
-        base = allocator._data_base(index)
-        for offset in range(space.total_blocks):
-            if space.is_block_allocated(offset):
-                page = base + offset
-                if page not in referenced:
-                    leaked.append(page)
-    return leaked
+    """Allocated pages of the area neither referenced nor in ``keep``,
+    ascending: fsck's leak classes and recovery's orphans."""
+    return [
+        page
+        for page in allocator.allocated_page_ids()
+        if page not in referenced and page not in keep
+    ]

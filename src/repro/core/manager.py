@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import abc
 import contextlib
-from typing import ContextManager, Sequence
+from typing import ContextManager, Iterator, NamedTuple, Sequence
 
 from repro.core.env import StorageEnvironment
-from repro.core.errors import ByteRangeError, ObjectNotFoundError
+from repro.core.errors import (
+    ByteRangeError,
+    InvalidArgumentError,
+    ObjectNotFoundError,
+)
 from repro.core.payload import Payload
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
@@ -33,6 +37,25 @@ def _san_guarded(pool, op: str, span: ContextManager[None]):
     with span:
         yield
     pool.assert_pin_balanced(op)
+
+
+class ImageExtent(NamedTuple):
+    """One page run an object's committed disk image references.
+
+    Data records are segments (``used_bytes`` of content in
+    ``alloc_pages`` allocated pages); meta records are whole index,
+    descriptor or directory pages (``used_bytes`` is the page size).
+    """
+
+    page_id: int
+    used_bytes: int
+    alloc_pages: int
+    meta: bool
+
+    @property
+    def pages(self) -> range:
+        """Every allocated page id of the run."""
+        return range(self.page_id, self.page_id + self.alloc_pages)
 
 
 class LargeObjectManager(abc.ABC):
@@ -170,6 +193,25 @@ class LargeObjectManager(abc.ABC):
         if pages == 0:
             return 1.0
         return self.size(oid) / (pages * self.config.page_size)
+
+    # ------------------------------------------------------------------
+    # The committed image
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def image_extents(self, oid: int) -> Iterator[ImageExtent]:
+        """Every page run of ``oid``'s committed disk image, in image order.
+
+        Walks the serialized root/descriptor/directory and what it links
+        to with uncharged peeks, never the in-memory structure; on a
+        healthy store the two agree at every batch boundary.  An
+        unreadable first page raises a :class:`ReproError`.
+        """
+
+    def reload(self, oid: int) -> None:
+        """Replace ``oid``'s in-memory state with its committed image."""
+        raise InvalidArgumentError(
+            f"scheme {self.scheme!r} cannot reload an object from its image"
+        )
 
     # ------------------------------------------------------------------
     # Shared validation helpers

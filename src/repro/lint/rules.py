@@ -736,5 +736,14 @@ SEAMS: tuple[Seam, ...] = (
         "callers see the pool through public calls (resident_image, "
         "frames(), ...), never its frame table",
     ),
+    Seam(
+        "SEAM006", "manager._private only in the manager packages",
+        _private_of("manager"),
+        under("repro/core/manager.py", "repro/tree/", "repro/esm/",
+              "repro/eos/", "repro/starburst/", "repro/blockbased/",
+              "tests/test_blockbased_manager.py", "tests/test_san.py"),
+        "a manager's state is rebuilt from disk through reload() and "
+        "image_extents(), so a new representation is added in one package",
+    ),
 )
 RULES.update((seam.rule_id, seam) for seam in SEAMS)

@@ -19,8 +19,9 @@ Two hard rules, enforced rather than hoped for:
   and disk images are bit-identical with probing on or off.
 * **Cross-checked against ground truth.**  Every derived gauge is
   re-checked ``==`` against an independent source (free-extent
-  histogram vs ``free_blocks``, per-object run counts vs the manager's
-  own ``allocated_pages``); drift raises :class:`ContractViolationError`
+  histogram vs ``free_blocks``, the runs of each object's committed
+  image vs the in-memory ``allocated_pages``); drift raises
+  :class:`ContractViolationError`
   instead of reporting a wrong number.
 
 Metric names emitted into the registry are confined to the families
@@ -34,7 +35,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.errors import ContractViolationError
-from repro.core.fsck import object_page_runs
 from repro.lint.contracts import pure_read
 from repro.obs.metrics import MetricsRegistry
 
@@ -372,19 +372,21 @@ class HealthProbe:
         data_runs = 0
         ideal_runs = 0
         for oid in oids:
-            runs, meta = object_page_runs(manager, oid)
-            object_pages = sum(count for _, count in runs)
-            # Ground truth: the run walk must account for exactly the
-            # pages the manager itself says the object occupies.
+            extents = list(manager.image_extents(oid))
+            runs = [e.alloc_pages for e in extents if not e.meta]
+            object_pages = sum(runs)
+            meta = len(extents) - len(runs)
+            # Ground truth: the committed image must account for exactly
+            # the pages the in-memory structure says the object occupies.
             _check(
-                object_pages + len(meta) == manager.allocated_pages(oid),
-                f"oid {oid}: runs cover {object_pages} data + "
-                f"{len(meta)} meta pages, manager reports "
+                object_pages + meta == manager.allocated_pages(oid),
+                f"oid {oid}: image runs cover {object_pages} data + "
+                f"{meta} meta pages, manager reports "
                 f"{manager.allocated_pages(oid)}",
             )
             total_bytes += store.size(oid)
             data_pages += object_pages
-            meta_pages += len(meta)
+            meta_pages += meta
             data_runs += len(runs)
             if object_pages:
                 ideal_runs += -(-object_pages // max_segment)

@@ -46,16 +46,12 @@ import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.atomic.journal import CLEAN, PREPARE, IntentJournal, JournalState
-from repro.buddy.area import DATA_AREA_BASE
-from repro.buddy.allocator import BuddyAllocator
+from repro.core.api import SCHEMES
 from repro.core.errors import InvalidArgumentError
-from repro.core.fsck import FsckReport, check, object_page_runs
+from repro.core.fsck import FsckReport, check, unreferenced_pages
 from repro.disk.disk import contiguous_runs
 from repro.experiments.parallel import DegradationLog
 from repro.obs.tracer import span_of
-from repro.starburst.descriptor import LongFieldDescriptor
-from repro.starburst.manager import StarburstManager
-from repro.tree.backed import TreeBackedManager
 
 if TYPE_CHECKING:
     from repro.core.api import LargeObjectStore
@@ -103,81 +99,6 @@ class RecoveryReport:
 
 
 # ----------------------------------------------------------------------
-# Rebuilding in-memory object state from raw page images
-# ----------------------------------------------------------------------
-def _reload_shard_objects(shard_store: "LargeObjectStore") -> None:
-    """Rebuild every object's in-memory structure from the disk image."""
-    manager = shard_store.manager
-    if isinstance(manager, TreeBackedManager):
-        for oid in manager.oids():
-            tree = manager._new_tree()
-            tree.reopen(oid)
-            manager._objects[oid] = tree
-    elif isinstance(manager, StarburstManager):
-        env = manager.env
-        for oid in manager.oids():
-            image = env.disk.peek_pages(oid, 1)
-            manager._fields[oid] = LongFieldDescriptor.deserialize(
-                image, oid, manager.config, DATA_AREA_BASE
-            )
-    else:
-        raise InvalidArgumentError(
-            f"scheme {shard_store.scheme!r} has no atomic recovery story "
-            "(no shadowing means no rollback image)"
-        )
-
-
-# ----------------------------------------------------------------------
-# Space reconciliation
-# ----------------------------------------------------------------------
-def _referenced_pages(shard_store: "LargeObjectStore") -> tuple[
-    set[int], set[int]
-]:
-    """(data pages, meta pages) the reloaded objects reference."""
-    manager = shard_store.manager
-    data: set[int] = set()
-    meta: set[int] = set()
-    for oid in manager.oids():
-        data_runs, meta_runs = object_page_runs(manager, oid)
-        for start, count in data_runs:
-            data.update(range(start, start + count))
-        for start, count in meta_runs:
-            meta.update(range(start, start + count))
-    return data, meta
-
-
-def _reclaim_orphans(
-    allocator: BuddyAllocator, referenced: set[int], keep: frozenset[int]
-) -> tuple[int, int, int]:
-    """Free every allocated page neither referenced nor in ``keep``.
-
-    Contiguous orphans are freed as one run (buddy partial free), in
-    ascending page order, so reclamation is deterministic.  Returns
-    ``(pages reclaimed, runs freed, block slots scanned)`` — the last
-    two are recovery telemetry, counted whether or not anything was
-    orphaned.
-    """
-    orphans: list[int] = []
-    scanned = 0
-    for index in range(allocator.space_count):
-        space = allocator._spaces[index]
-        base = allocator._data_base(index)
-        scanned += space.total_blocks
-        for offset in range(space.total_blocks):
-            page = base + offset
-            if (
-                space.is_block_allocated(offset)
-                and page not in referenced
-                and page not in keep
-            ):
-                orphans.append(page)
-    runs = contiguous_runs(orphans)
-    for start, count in runs:
-        allocator.free(start, count)
-    return len(orphans), len(runs), scanned
-
-
-# ----------------------------------------------------------------------
 # The recovery driver
 # ----------------------------------------------------------------------
 def recover_sharded_store(
@@ -203,6 +124,12 @@ def recover_sharded_store(
             "recover_sharded_store needs an atomic store "
             "(ShardedStore(atomic=True))"
         )
+    if store.scheme not in SCHEMES:
+        # Refused before any shard is touched: a refusal changes nothing.
+        raise InvalidArgumentError(
+            f"scheme {store.scheme!r} has no atomic recovery story "
+            "(no shadowing means no rollback image)"
+        )
     report = RecoveryReport(log=log if log is not None else DegradationLog())
     journals = store.coordinator.journals
     states: list[JournalState] = []
@@ -224,7 +151,9 @@ def recover_sharded_store(
             shard=shard,
             batch=prepare.batch_id if prepare is not None else 0,
         ):
-            _reload_shard_objects(shard_store)
+            manager = shard_store.manager
+            for oid in manager.oids():
+                manager.reload(oid)
             replay: tuple[MultiOp, ...] = ()
             if prepare is None:
                 action = "none"
@@ -280,20 +209,34 @@ def recover_sharded_store(
 def _reconcile(
     shard_store: "LargeObjectStore", journal: IntentJournal
 ) -> tuple[int, int, int]:
-    """Free every allocated-but-unreferenced page outside the journal.
+    """Free every allocated page outside the journal that no object's
+    image references.
 
-    Returns ``(pages reclaimed, runs freed, block slots scanned)``
-    summed over the data and meta areas.
+    Contiguous orphans are freed as one run (buddy partial free), in
+    ascending page order, so reclamation is deterministic.  Returns
+    ``(pages reclaimed, runs freed, block slots scanned)`` summed over
+    the data and meta areas — the last two are recovery telemetry,
+    counted whether or not anything was orphaned.
     """
-    data_refs, meta_refs = _referenced_pages(shard_store)
+    manager = shard_store.manager
+    data: set[int] = set()
+    meta: set[int] = set()
+    for oid in manager.oids():
+        for extent in manager.image_extents(oid):
+            (meta if extent.meta else data).update(extent.pages)
     areas = shard_store.env.areas
-    pages, runs, scanned = _reclaim_orphans(
-        areas.data, data_refs, frozenset()
-    )
-    meta_pages, meta_runs, meta_scanned = _reclaim_orphans(
-        areas.meta, meta_refs, journal.pages()
-    )
-    return pages + meta_pages, runs + meta_runs, scanned + meta_scanned
+    pages = runs = scanned = 0
+    for allocator, refs, keep in (
+        (areas.data, data, frozenset()),
+        (areas.meta, meta, journal.pages()),
+    ):
+        orphans = contiguous_runs(unreferenced_pages(allocator, refs, keep))
+        for start, count in orphans:
+            allocator.free(start, count)
+        pages += sum(count for _start, count in orphans)
+        runs += len(orphans)
+        scanned += allocator.total_blocks
+    return pages, runs, scanned
 
 
 # ----------------------------------------------------------------------

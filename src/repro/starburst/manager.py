@@ -16,10 +16,11 @@ virtual-memory staging buffer (512 KB in the paper).
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
-from repro.core.manager import LargeObjectManager
+from repro.core.manager import ImageExtent, LargeObjectManager
 from repro.core.payload import (
     Payload,
     payload_bytes,
@@ -300,6 +301,27 @@ class StarburstManager(LargeObjectManager):
     def descriptor_of(self, oid: int) -> LongFieldDescriptor:
         """The long field descriptor (for tests and inspection)."""
         return self._descriptor(oid)
+
+    # ------------------------------------------------------------------
+    # The committed image
+    # ------------------------------------------------------------------
+    def image_extents(self, oid: int) -> Iterator[ImageExtent]:
+        """The descriptor page, then its segments."""
+        descriptor = self._image_descriptor(oid)
+        yield ImageExtent(oid, self.config.page_size, 1, True)
+        for segment in descriptor.segments:
+            yield ImageExtent(
+                segment.page_id, segment.used_bytes, segment.alloc_pages, False
+            )
+
+    def reload(self, oid: int) -> None:
+        """Deserialize the descriptor page in place of the live one."""
+        self._fields[oid] = self._image_descriptor(oid)
+
+    def _image_descriptor(self, oid: int) -> LongFieldDescriptor:
+        return LongFieldDescriptor.deserialize(
+            self.env.disk.peek_pages(oid, 1), oid, self.config, DATA_AREA_BASE
+        )
 
     # ------------------------------------------------------------------
     # Internals

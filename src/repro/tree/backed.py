@@ -8,12 +8,13 @@ variable-size threshold-constrained segments).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.payload import Payload
-from repro.core.manager import LargeObjectManager
+from repro.core.manager import ImageExtent, LargeObjectManager
+from repro.tree.node import IndexNode
 from repro.tree.tree import PositionalTree
 
 if TYPE_CHECKING:
@@ -131,6 +132,52 @@ class TreeBackedManager(LargeObjectManager):
     def tree_of(self, oid: int) -> PositionalTree:
         """The object's positional tree (for tests and inspection)."""
         return self._tree(oid)
+
+    # ------------------------------------------------------------------
+    # The committed image
+    # ------------------------------------------------------------------
+    def image_extents(self, oid: int) -> Iterator[ImageExtent]:
+        """The root and every index page, then the leaf extents.
+
+        The rightmost extent takes the root header's allocation, as
+        :meth:`PositionalTree.reopen` applies it: untrimmed append slack
+        is recorded nowhere else.
+        """
+        page_size = self.config.page_size
+        root, _total, rightmost_alloc = self._image_node(oid, is_root=True)
+        nodes = [root]
+        for node in nodes:  # breadth first: leaf parents come last, in order
+            if not node.is_leaf_parent:
+                nodes.extend(
+                    self._image_node(ref, is_root=False)[0] for ref in node.refs
+                )
+        extents = [e for node in nodes if node.is_leaf_parent
+                   for e in node.extents()]
+        if rightmost_alloc and extents:
+            extents[-1] = extents[-1]._replace(alloc_pages=rightmost_alloc)
+        for node in nodes:
+            yield ImageExtent(node.page_id, page_size, 1, True)
+        for extent in extents:
+            yield ImageExtent(*extent, False)
+
+    def _image_node(
+        self, page_id: int, *, is_root: bool
+    ) -> tuple[IndexNode, int, int]:
+        return IndexNode.deserialize(
+            self.env.disk.peek_pages(page_id, 1),
+            page_id,
+            is_root=is_root,
+            data_base=DATA_AREA_BASE,
+            meta_base=self.env.areas.meta.base_page_id,
+            leaf_alloc_pages=self._leaf_alloc_pages,
+        )
+
+    def reload(self, oid: int) -> None:
+        """Reopen the object's tree from its root page (charged interior
+        reads, as :meth:`PositionalTree.reopen` documents)."""
+        tree = self._new_tree()
+        tree.reopen(oid)
+        self._objects[oid] = tree
 
     # ------------------------------------------------------------------
     # Internals shared by subclasses

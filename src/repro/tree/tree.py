@@ -99,7 +99,8 @@ class PositionalTree:
         The root deserializes uncharged (it is memory-resident with the
         object descriptor); the interior nodes below it are materialized
         through the buffer pool — charged reads — so the reopened tree
-        supports the uncharged accounting walks fsck relies on.
+        supports the uncharged accounting walks (``allocated_pages``,
+        ``destroy``).
         """
         if self.root_page_id is not None:
             raise StorageCorruptionError("tree already created")

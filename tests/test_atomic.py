@@ -45,6 +45,7 @@ from repro.obs.tracer import Tracer
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
 from repro.recovery.sweep import CrossShardBatch, sweep
 from repro.shard.router import ShardedStore
+from tests.conftest import fingerprint
 
 SCHEMES = ("esm", "starburst", "eos")
 
@@ -410,6 +411,31 @@ def test_recovery_requires_an_atomic_store() -> None:
     store = _store("eos", shards=2)
     with pytest.raises(InvalidArgumentError):
         recover_sharded_store(store)
+
+
+def test_refused_blockbased_recovery_changes_nothing() -> None:
+    """Block-based has no shadowing, hence no rollback image: recovery
+    is refused before any shard's fault site, pool or objects change."""
+    store = ShardedStore(
+        "blockbased", small_page_config(), shards=2, atomic=True
+    )
+    oids = [store.create(_pattern(300, salt=i)) for i in range(4)]
+    for oid in oids:
+        store.read(oid, 0, store.size(oid))
+
+    def observed() -> tuple:
+        return (
+            [fingerprint(shard) for shard in store.shards],
+            [len(list(shard.env.pool.frames())) for shard in store.shards],
+        )
+
+    before = observed()
+    assert all(before[1])
+    with pytest.raises(
+        InvalidArgumentError, match="'blockbased' has no atomic recovery"
+    ):
+        recover_sharded_store(store)
+    assert observed() == before
 
 
 # ----------------------------------------------------------------------

@@ -133,8 +133,11 @@ class TestDirectory:
     def test_directory_chain_decodes(self, store):
         slots = store.manager._slots_per_directory_page()
         oid = store.create(pattern_bytes((slots + 3) * PAGE))
-        pages = store.manager.load_directory_chain(store.env, oid)
-        assert [(p.page_id, p.used_bytes) for p in pages] == [
+        image = list(store.manager.image_extents(oid))
+        assert [e.page_id for e in image if e.meta] == (
+            store.manager.directory_of(oid)
+        )
+        assert [(e.page_id, e.used_bytes) for e in image if not e.meta] == [
             (p.page_id, p.used_bytes) for p in store.manager.pages_of(oid)
         ]
 

@@ -23,11 +23,9 @@ import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import InvalidArgumentError
-from repro.core.fsck import object_page_runs
+from repro.core.errors import ContractViolationError, InvalidArgumentError
 from repro.experiments import parallel, registry
 from repro.obs.health import (
-    HealthProbe,
     probe_any,
     probe_sharded_store,
     probe_store,
@@ -97,12 +95,13 @@ class TestHealthGauges:
         oid = exercise(store)
         report = probe_store(store)
         layout = report.shards[0].layout
-        runs, meta = object_page_runs(store.manager, oid)
+        image = list(store.manager.image_extents(oid))
+        runs = [e.alloc_pages for e in image if not e.meta]
         assert layout.objects == 1
         assert layout.bytes == store.size(oid)
         assert layout.data_runs == len(runs)
-        assert layout.data_pages == sum(count for _, count in runs)
-        assert layout.meta_pages == len(meta)
+        assert layout.data_pages == sum(runs)
+        assert layout.meta_pages == len(image) - len(runs)
         assert layout.segments_per_object == len(runs)
         assert layout.seek_amplification >= 1.0
         assert (
@@ -167,20 +166,16 @@ class TestHealthGauges:
         assert "fragmentation" in document["shards"][0]["data"]
         assert report.render().startswith("health:")
 
-    def test_probe_rejects_unknown_manager(self):
-        class Fake:
-            """Has live objects but a layout the run walk cannot read."""
-
-            def oids(self):
-                return [1]
-
+    def test_probe_rejects_memory_image_drift(self):
+        """Memory claims a page the committed image does not: the probe
+        refuses to report either count."""
         store = LargeObjectStore("eos", CONFIG, shadowing=True)
-        probe = HealthProbe(store)
-        probe.store = type(
-            "S", (), {"manager": Fake(), "config": CONFIG, "scheme": "x"}
-        )()
-        with pytest.raises(InvalidArgumentError):
-            probe._probe_layout()
+        oid = store.create(pattern_bytes(2 * 128))
+        tree = store.manager.tree_of(oid)
+        cursor = tree.locate(0)
+        tree.update_extent(cursor, alloc_pages=cursor.extent.alloc_pages + 1)
+        with pytest.raises(ContractViolationError, match="image runs cover"):
+            probe_store(store)
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,25 @@ SEAM_CASES = [
         def test_order(pool):
             assert [page for page, _, _ in pool.frames()] == [1, 2]
         """, []),
+    case("SEAM006", "manager_private_in_recovery_flagged",
+         "repro/recovery/atomic.py", """\
+        def reload(manager, oid, tree):
+            manager._objects[oid] = tree
+        """, [2]),
+    case("SEAM006", "manager_private_in_other_test_flagged",
+         "tests/test_fsck.py", """\
+        def test_dirs(store, oid):
+            assert store.manager._directories[oid]
+        """, [2]),
+    case("SEAM006", "manager_package_allowed", "repro/starburst/manager.py", """\
+        def reload(manager, oid, descriptor):
+            manager._fields[oid] = descriptor
+        """, []),
+    case("SEAM006", "reload_and_image_are_fine", "repro/recovery/atomic.py", """\
+        def reload(manager, oid):
+            manager.reload(oid)
+            return list(manager.image_extents(oid))
+        """, []),
 ]
 
 
@@ -660,9 +679,10 @@ class TestRuntimeContracts:
 # Meta: the shipped tree lints clean
 # ----------------------------------------------------------------------
 def test_shipped_tree_is_clean():
-    # The tests reach the device and the pool through public calls too.
+    # The tests reach the device, the pool and the managers through
+    # public calls too.
     violations = lint_paths([REPO_SRC]) + lint_paths(
-        [REPO_TESTS], select={"SEAM001", "SEAM005"}
+        [REPO_TESTS], select={"SEAM001", "SEAM005", "SEAM006"}
     )
     assert violations == [], "\n".join(v.format() for v in violations)
 
