@@ -4,7 +4,6 @@ Usage::
 
     repro-experiments                      # everything, default scale
     repro-experiments fig5 table1         # selected experiments
-    repro-experiments --jobs 4            # fan the grid across 4 processes
     repro-experiments --list              # show experiments and scales
     repro-experiments --plot fig5         # add an ASCII chart rendering
     repro-experiments fsck --scheme eos   # workload + consistency check
@@ -26,11 +25,7 @@ from repro.experiments.common import (
     TINY_SCALE,
     resolve_scale,
 )
-from repro.experiments.parallel import (
-    DEFAULT_RETRIES,
-    DegradationLog,
-    precompute,
-)
+from repro.experiments.parallel import precompute
 from repro.experiments.registry import (
     CSV_EXPORTS,
     EXPERIMENTS,
@@ -46,14 +41,8 @@ from repro.obs.export import dump_trace
 from repro.obs.tracer import Tracer, span_of
 
 _EPILOG = """\
---jobs N computes the experiment grid (every scheme x setting x
-operation-size point) in N worker processes before rendering; reports,
-simulated-cost counters, traces and timelines are bit-identical for
-every N because every point is an isolated simulation with a fixed
-per-point seed.  --jobs 1 (the default) takes the same path and
-computes the grid in this process.  --list prints the known
-experiments, their grid sizes, and the available REPRO_SCALE values
-without running anything.
+--list prints the known experiments, their grid sizes, and the
+available REPRO_SCALE values without running anything.
 """
 
 
@@ -111,36 +100,6 @@ def main(argv: list[str] | None = None) -> int:
              f"{', '.join(sorted(EXPERIMENTS))}",
     )
     parser.add_argument(
-        "--jobs", "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the experiment grid (default: 1, "
-            "computed in this process)"
-        ),
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=DEFAULT_RETRIES,
-        metavar="N",
-        help=(
-            "with --jobs, times a grid point lost to a worker failure is "
-            "re-fanned out before falling back to serial (default: 2)"
-        ),
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "with --jobs, per-point deadline; a point that exceeds it is "
-            "computed serially and the pool is rebuilt (default: none)"
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         help=(
@@ -193,14 +152,11 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown experiment(s) {', '.join(unknown)}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if args.timeline_every_ops is not None and args.timeline_every_ops < 1:
-        parser.error("--timeline-every-ops must be at least 1")
-    if args.retries < 0:
-        parser.error("--retries must be at least 0")
-    if args.timeout is not None and args.timeout <= 0:
-        parser.error("--timeout must be greater than 0")
+    if args.timeline_every_ops is not None:
+        if not args.timeline:
+            parser.error("--timeline-every-ops needs --timeline")
+        if args.timeline_every_ops < 1:
+            parser.error("--timeline-every-ops must be at least 1")
     try:
         scale = resolve_scale()
     except InvalidArgumentError as exc:
@@ -223,24 +179,15 @@ def main(argv: list[str] | None = None) -> int:
             ),
             meta={"tool": "repro-experiments", "experiments": names},
         )
-    # Every --jobs takes this one path: compute the grid (in this process
-    # at --jobs 1, in workers otherwise), fill the result table, then
-    # render from it.
-    log = DegradationLog()
-    precompute(
-        names,
-        jobs=args.jobs,
-        scale=scale,
-        retries=args.retries,
-        timeout_s=args.timeout,
-        log=log,
-        tracer=tracer,
-        sampler=sampler,
-    )
-    if log.degraded:
-        print(log.summary(), file=sys.stderr)
-
-    def render_all() -> None:
+    with contextlib.ExitStack() as stack:
+        # Ambient tracer/sampler are picked up by every
+        # StorageEnvironment built from here on: the grid's points first,
+        # in grid order, then whatever the assembly itself computes.
+        if tracer is not None:
+            stack.enter_context(obs_runtime.installed(tracer))
+        if sampler is not None:
+            stack.enter_context(obs_timeline.installed(sampler))
+        precompute(names, scale=scale)
         for name in names:
             print(run(name))
             if args.plot and name in PLOTTABLE:
@@ -249,18 +196,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.csv and name in CSV_EXPORTS:
                 print(f"wrote {export_csv(name, args.csv)}")
             print()
-
-    with contextlib.ExitStack() as stack:
-        # Ambient tracer/sampler are picked up by every
-        # StorageEnvironment the assembly builds; the grid's points are
-        # already memoized (and their per-point traces/timelines
-        # absorbed above), so this only adds whatever the assembly
-        # itself computes.
-        if tracer is not None:
-            stack.enter_context(obs_runtime.installed(tracer))
-        if sampler is not None:
-            stack.enter_context(obs_timeline.installed(sampler))
-        render_all()
     if sampler is not None:
         with span_of(tracer, "obs.timeline", samples=len(sampler.samples)):
             obs_timeline.dump_timeline(sampler, args.timeline)

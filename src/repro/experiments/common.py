@@ -143,9 +143,9 @@ def resolve_scale(name: str | None = None) -> Scale:
 
 #: The one result table, keyed by the ``compute_*`` function and its
 #: arguments (all frozen dataclasses, ints and strings, so keys are
-#: hashable and pickle-stable).  An explicit dict rather than
-#: ``functools.lru_cache`` so the parallel runner can *prime* it with
-#: results computed in worker processes.
+#: hashable).  An explicit dict rather than ``functools.lru_cache`` so
+#: :func:`repro.experiments.parallel.prime_results` can fill it, which the
+#: host-time benchmark (``perfbench``) relies on.
 _RESULTS: dict[tuple[Callable[..., Any], tuple[Any, ...]], Any] = {}
 
 

@@ -4,16 +4,14 @@ Each experiment in the registry is a sweep over (scheme × setting ×
 operation-size / append-size) points.  Historically the figure runners
 looped over those points internally; this module makes the loop structure
 explicit so the runner (:mod:`repro.experiments.parallel`) can compute
-the points — in-process or across worker processes — and prime the one
-result table (:func:`repro.experiments.common.memoized`) with the
-results before the (serial, deterministic) assembly pass renders the
-reports.
+the points in grid order and prime the one result table
+(:func:`repro.experiments.common.memoized`) with the results before the
+(deterministic) assembly pass renders the reports.
 
-A :class:`GridPoint` is a frozen, picklable value object.  Seeding is per
+A :class:`GridPoint` is a frozen value object.  Seeding is per
 point: every point's workload generator is seeded with the fixed
 :data:`~repro.experiments.random_ops.WORKLOAD_SEED` inside the point's own
-computation, so results are independent of scheduling order and of which
-process computes them.
+computation, so results are independent of the order points run in.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ DEFAULT_LEAF_PAGES = 4
 
 @dataclasses.dataclass(frozen=True)
 class GridPoint:
-    """One unit of experiment work, safe to send to a worker process.
+    """One unit of experiment work: a frozen, hashable value.
 
     ``setting`` is the ESM leaf size or EOS segment-size threshold in
     pages (0 where the scheme has no such knob); ``mean_op`` applies to
@@ -210,7 +208,7 @@ def full_grid(names: list[str], scale: Scale | None = None) -> list[GridPoint]:
     """The deduplicated union of several experiments' grids.
 
     Points shared between experiments (Figures 7-12 all consume the same
-    random-update runs) appear once, in first-seen order, so the parallel
+    random-update runs) appear once, in first-seen order, so the grid
     runner computes each underlying run exactly once — mirroring what the
     result table achieves for direct ``run_*`` calls.
     """

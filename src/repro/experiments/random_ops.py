@@ -99,9 +99,9 @@ def make_run_key(
 ) -> RunKey:
     """The canonical run identity for one (scheme, setting, op-size) point.
 
-    Shared by :func:`run_random_ops` and the parallel runner's binding,
-    so a run computed in a worker process primes exactly the entry the
-    figure assembly will look up.
+    Shared by :func:`run_random_ops` and the grid runner's binding, so a
+    precomputed run primes exactly the entry the figure assembly will
+    look up.
     """
     n_ops = scale.starburst_ops if scheme == "starburst" else scale.n_ops
     window = max(1, n_ops // scale.marks) if scale.marks else n_ops

@@ -39,8 +39,9 @@ EXPERIMENTS: dict[str, Callable[[], str]] = {
 
 
 #: name -> grid builder: the work points the experiment consumes, exposed
-#: so the parallel runner can compute them out of process (every name in
-#: EXPERIMENTS has an entry; see :mod:`repro.experiments.grid`).
+#: so :func:`repro.experiments.parallel.precompute` can compute them ahead
+#: of the assembly (every name in EXPERIMENTS has an entry; see
+#: :mod:`repro.experiments.grid`).
 GRIDS = GRID_BUILDERS
 
 __all__ = [

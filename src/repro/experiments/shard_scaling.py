@@ -71,7 +71,7 @@ def compute_shard_point(
 ) -> ShardPointResult:
     """Run one scheme's workload split over ``shards`` shards.
 
-    Pure function of its arguments (runs inside grid workers): each
+    Pure function of its arguments (one grid point): each
     shard builds its slice of the object bytes on a fresh store, then
     runs its slice of the random-update mix with a per-shard seed; only
     the measured (post-build) phase is reported, matching the unsharded

@@ -15,8 +15,7 @@ Four families, each encoding a property the per-file rules of
   statically.
 * **DET001, DET003 — determinism.**  No unordered ``set`` iteration, no
   arbitrary-element extraction — anything that could make reports,
-  traces, or page layouts differ across runs or ``--jobs N`` worker
-  counts.  (DET002, unseeded clocks and RNGs, needs no call graph: it is
+  traces, or page layouts differ across runs or interpreter processes.  (DET002, unseeded clocks and RNGs, needs no call graph: it is
   a row of the per-file seam table in :mod:`repro.lint.rules`.)
 * **CHG001 — charge-completeness.**  Every paper-facing manager
   operation that transitively reaches a charged ``SimulatedDisk``
@@ -538,8 +537,8 @@ class UnorderedIterationRule(FlowRule):
     """DET001: no iteration over sets in an order that can escape.
 
     ``set`` iteration order depends on insertion history and hash
-    randomization of the hosting process; two ``--jobs N`` workers can
-    disagree.  Dict iteration is fine (insertion-ordered); set consumers
+    randomization of the hosting process; two runs of the same
+    workload can disagree.  Dict iteration is fine (insertion-ordered); set consumers
     must go through ``sorted(...)`` (or an order-insensitive reducer like
     ``sum``/``min``/``len``).
     """

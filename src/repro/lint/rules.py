@@ -460,9 +460,8 @@ class FaultHandlingRule(Rule):
     recovery layers (``repro.faults``, ``repro.recovery``) may catch
     them.  Handlers that re-raise with a bare ``raise`` are exempt
     (cleanup-and-propagate), as are sites suppressed with
-    ``# repro-lint: disable=FAULT001`` (e.g. the parallel runner's
-    worker-failure containment, which recomputes the point instead of
-    inventing a result).  The bare-``raise`` exemption is why this is a
+    ``# repro-lint: disable=FAULT001`` (none are live).  The
+    bare-``raise`` exemption is why this is a
     visitor and not a row of :data:`SEAMS`: the verdict depends on the
     handler body, not only on the path.
     """
@@ -687,7 +686,7 @@ SEAMS: tuple[Seam, ...] = (
         "CLI entry points",
         _nondeterministic,
         _CLI,
-        "reports must be pure functions of the workload at every --jobs; "
+        "reports must be pure functions of the workload on every run; "
         "use a seeded random.Random or a logical clock",
     ),
     Seam(

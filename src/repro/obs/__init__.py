@@ -4,8 +4,7 @@ The observability layer of the reproduction: hierarchical spans opened by
 manager operations and closed-over by the segment-I/O, tree, buffer, and
 disk layers; structured events for every physical access, retry,
 checksum failure, eviction, split, and injected fault; and a
-deterministic metrics registry the parallel runner can aggregate across
-workers.  Traces export as JSONL and are inspected with the ``repro-obs``
+deterministic metrics registry.  Traces export as JSONL and are inspected with the ``repro-obs``
 CLI (``summary`` / ``diff`` / ``flame`` / ``validate``).
 
 Two further observational subsystems build on the same machinery:

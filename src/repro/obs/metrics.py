@@ -12,10 +12,8 @@ of it happened*.  Three shapes cover the reproduction's needs:
 
 Everything is built for determinism.  There are no wall-clock samples,
 bucket bounds are frozen module constants, and :meth:`MetricsRegistry.merge`
-is the only aggregation primitive: the parallel experiment runner merges
-per-point registries in grid-point order, so the aggregate is a pure
-function of the grid — independent of worker count, scheduling, or which
-process computed which point.
+is the only aggregation primitive, so an aggregate is a pure function of
+what was observed and the order it is merged in.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from repro.core.errors import InvalidArgumentError
 
 #: Histogram bucket upper bounds in milliseconds of simulated I/O time.
 #: One fixed ladder for every histogram keeps merged registries exactly
-#: comparable across runs and workers; the paper's single-call costs
+#: comparable across runs; the paper's single-call costs
 #: start at seek + 1 page = 37 ms, and the largest multi-segment
 #: operations run to tens of simulated seconds.
 DEFAULT_BUCKET_BOUNDS_MS: tuple[float, ...] = (
@@ -81,7 +79,7 @@ class Histogram:
         first bucket whose cumulative count reaches ``ceil(q * count)``,
         so it is a pure function of the bucket counts and survives
         :meth:`merge` exactly — merged histograms report the same
-        percentile regardless of how many workers contributed.
+        percentile however the observations were split.
         Observations past the last bound report ``inf``; an empty
         histogram reports ``0.0``.
         """

@@ -8,8 +8,7 @@ runs through) and:
 
 * accumulates per-op simulated costs into fixed log-bucketed latency
   histograms keyed ``latency.<op>.<scheme>.shard<N>`` — percentiles
-  (p50/p95/p99) derive from bucket counts alone, so merged histograms
-  report identical percentiles regardless of worker count;
+  (p50/p95/p99) derive from bucket counts alone;
 * emits a snapshot record every *K* ops or *S* simulated milliseconds,
   evaluated only at op/batch boundaries — cumulative op count,
   simulated time, and per-kind op mix at that point.
@@ -17,10 +16,7 @@ runs through) and:
 Like traces, timelines contain **no wall-clock time and no
 randomness**: a sample's position is its logical sequence number, its
 clock is simulated milliseconds.  Two runs of the same workload produce
-byte-identical timeline files, and per-worker timelines captured with
-:meth:`TimelineSampler.capture_state` merge via
-:meth:`TimelineSampler.absorb` in grid order into the same bytes a
-single-process run writes.
+byte-identical timeline files.
 
 Sampling is strictly observational: the sampler only *reads* costs the
 measurement paths already computed, so reports, IOStats, pool counters,
@@ -147,70 +143,6 @@ class TimelineSampler:
             },
         })
         self._next_seq += 1
-        self._ops_at_sample = self.ops
-        self._sim_at_sample = self.sim_ms
-
-    # ------------------------------------------------------------------
-    # Parallel merging (mirrors Tracer.capture_state / absorb)
-    # ------------------------------------------------------------------
-    def capture_state(self) -> dict[str, object]:
-        """Picklable snapshot of everything recorded so far."""
-        self.flush()
-        return {
-            "samples": [dict(s) for s in self.samples],
-            "metrics": self.metrics.to_dict(),
-            "ops": self.ops,
-            "sim_ms": self.sim_ms,
-            "kind_counts": dict(self.kind_counts),
-            "next_seq": self._next_seq,
-            "seek_ms": self.seek_ms,
-            "transfer_ms_per_page": self.transfer_ms_per_page,
-        }
-
-    def absorb(self, state: dict[str, object]) -> None:
-        """Fold a captured per-worker timeline in, deterministically.
-
-        Sequence numbers are offset past ours; the absorbed samples'
-        cumulative counters are rebased onto our totals, so merging
-        worker timelines in grid order yields the same records a
-        single-process run produces.
-        """
-        seq_offset = self._next_seq - 1
-        base_ops = self.ops
-        base_sim = self.sim_ms
-        base_kinds = dict(self.kind_counts)
-        for sample in state["samples"]:  # type: ignore[union-attr]
-            kinds = dict(base_kinds)
-            for kind, count in sample["kinds"].items():
-                kinds[kind] = base_kinds.get(kind, 0) + count
-            self.samples.append({
-                "t": "sample",
-                "seq": sample["seq"] + seq_offset,
-                "trigger": sample["trigger"],
-                "ops": sample["ops"] + base_ops,
-                "sim_ms": sample["sim_ms"] + base_sim,
-                "kinds": {kind: kinds[kind] for kind in sorted(kinds)},
-            })
-        self._next_seq += int(state["next_seq"]) - 1  # type: ignore[call-overload]
-        self.ops += int(state["ops"])  # type: ignore[arg-type]
-        self.sim_ms += float(state["sim_ms"])  # type: ignore[arg-type]
-        for kind, count in state["kind_counts"].items():  # type: ignore[union-attr]
-            self.kind_counts[kind] = self.kind_counts.get(kind, 0) + count
-        self.metrics.merge(MetricsRegistry.from_dict(state["metrics"]))  # type: ignore[arg-type]
-        if state["seek_ms"] is not None:
-            if self.seek_ms is None:
-                self.seek_ms = state["seek_ms"]  # type: ignore[assignment]
-                self.transfer_ms_per_page = state[  # type: ignore[assignment]
-                    "transfer_ms_per_page"
-                ]
-            elif (
-                self.seek_ms != state["seek_ms"]
-                or self.transfer_ms_per_page
-                != state["transfer_ms_per_page"]
-            ):
-                raise InvalidArgumentError(
-                    "cannot absorb a timeline with different cost constants"
-                )
         self._ops_at_sample = self.ops
         self._sim_at_sample = self.sim_ms
 

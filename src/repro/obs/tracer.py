@@ -18,11 +18,6 @@ Design constraints, in order:
 2. **Zero observable effect.**  The tracer only *reads* the cost ledgers;
    it never charges anything.  Reports and counters are bit-identical with
    tracing on or off (asserted in tests/test_obs.py).
-3. **Picklable hand-off.**  :meth:`Tracer.capture_state` /
-   :meth:`Tracer.absorb` let the parallel experiment runner collect
-   per-point traces from worker processes and merge them in grid order,
-   with span ids and sequence numbers remapped so the merged trace is
-   independent of worker count.
 
 The module deliberately imports nothing above :mod:`repro.core`: the disk
 and buffer layers import it, so it must sit below them in the layer order.
@@ -272,14 +267,14 @@ class Tracer:
                 top.self_retries += 1
 
     # ------------------------------------------------------------------
-    # Finalization and parallel merge
+    # Finalization
     # ------------------------------------------------------------------
     def fold_ledgers(self) -> None:
         """Fold bound cost ledgers into metric counters (idempotent).
 
-        Called when the trace is exported or handed across processes; the
-        ledgers hold the authoritative totals, so the fold happens once,
-        at the end, rather than per-access on the hot path.
+        Called when the trace is exported; the ledgers hold the
+        authoritative totals, so the fold happens once, at the end, rather
+        than per-access on the hot path.
         """
         ledgers, self._ledgers = self._ledgers, []
         for io_stats, pool_stats in ledgers:
@@ -295,50 +290,6 @@ class Tracer:
                 self.metrics.inc(
                     "pool.dirty_writebacks", pool_stats.dirty_writebacks
                 )
-
-    def capture_state(self) -> dict[str, object]:
-        """Snapshot this tracer as a picklable dict for cross-process merge."""
-        if self._stack:
-            raise InvalidArgumentError(
-                "cannot capture tracer state with open spans: "
-                + ", ".join(s.kind for s in self._stack)
-            )
-        self.fold_ledgers()
-        return {
-            "records": self.records,
-            "metrics": self.metrics.to_dict(),
-            "next_id": self._next_id,
-            "next_seq": self._next_seq,
-        }
-
-    def absorb(self, state: dict[str, object]) -> None:
-        """Merge a captured worker state into this tracer.
-
-        Span ids and sequence numbers are offset past this tracer's own,
-        so absorbing worker states in grid-point order yields a merged
-        trace that does not depend on how points were scheduled.
-        """
-        if self._stack:
-            raise InvalidArgumentError("cannot absorb into a tracer with open spans")
-        id_offset = self._next_id - 1
-        seq_offset = self._next_seq
-        records: list[dict[str, object]] = state["records"]  # type: ignore[assignment]
-        for record in records:
-            remapped = dict(record)
-            if remapped["t"] == "span":
-                remapped["id"] = remapped["id"] + id_offset  # type: ignore[operator]
-                if remapped["parent"] is not None:
-                    remapped["parent"] = remapped["parent"] + id_offset  # type: ignore[operator]
-                remapped["seq0"] = remapped["seq0"] + seq_offset  # type: ignore[operator]
-                remapped["seq1"] = remapped["seq1"] + seq_offset  # type: ignore[operator]
-            elif remapped["t"] == "event":
-                if remapped["span"] is not None:
-                    remapped["span"] = remapped["span"] + id_offset  # type: ignore[operator]
-                remapped["seq"] = remapped["seq"] + seq_offset  # type: ignore[operator]
-            self.records.append(remapped)
-        self._next_id += int(state["next_id"]) - 1  # type: ignore[call-overload]
-        self._next_seq += int(state["next_seq"])  # type: ignore[call-overload]
-        self.metrics.merge(MetricsRegistry.from_dict(state["metrics"]))  # type: ignore[arg-type]
 
 
 #: The one shared no-op context used wherever tracing is off.

@@ -34,10 +34,6 @@ from the image, any allocated page that no object references — and that
 is not part of the reserved journal region — is an orphan of the
 crashed execution (shadow pages never committed, or old pages whose
 deferred free never ran) and is returned to its buddy area.
-
-Shards that needed replay or rollback are also recorded in a
-:class:`~repro.experiments.parallel.DegradationLog`, giving sweeps and
-operators a structured account of what recovery had to heal.
 """
 
 from __future__ import annotations
@@ -45,12 +41,11 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
-from repro.atomic.journal import CLEAN, PREPARE, IntentJournal, JournalState
+from repro.atomic.journal import PREPARE, IntentJournal, JournalState
 from repro.core.api import SCHEMES
 from repro.core.errors import InvalidArgumentError
 from repro.core.fsck import FsckReport, check, unreferenced_pages
 from repro.disk.disk import contiguous_runs
-from repro.experiments.parallel import DegradationLog
 from repro.obs.tracer import span_of
 
 if TYPE_CHECKING:
@@ -95,15 +90,12 @@ class RecoveryReport:
     """Aggregated outcome of :func:`recover_sharded_store`."""
 
     shards: list[ShardRecovery] = dataclasses.field(default_factory=list)
-    log: DegradationLog = dataclasses.field(default_factory=DegradationLog)
 
 
 # ----------------------------------------------------------------------
 # The recovery driver
 # ----------------------------------------------------------------------
-def recover_sharded_store(
-    store: "ShardedStore", *, log: DegradationLog | None = None
-) -> RecoveryReport:
+def recover_sharded_store(store: "ShardedStore") -> RecoveryReport:
     """Restore batch atomicity on a crashed atomic sharded store.
 
     Call after a crash fault interrupted :meth:`ShardedStore.submit_many`
@@ -130,7 +122,7 @@ def recover_sharded_store(
             f"scheme {store.scheme!r} has no atomic recovery story "
             "(no shadowing means no rollback image)"
         )
-    report = RecoveryReport(log=log if log is not None else DegradationLog())
+    report = RecoveryReport()
     journals = store.coordinator.journals
     states: list[JournalState] = []
     for shard, shard_store in enumerate(store.shards):
@@ -178,25 +170,10 @@ def recover_sharded_store(
             # Reconcile before any replay: the crashed held execution's
             # shadow pages are orphans.
             reclaimed, runs, scanned = _reconcile(shard_store, journal)
-            healed = ""
             if action == "replayed":
                 shard_store.submit_multi(list(replay))
-                healed = (
-                    "decided but not applied; "
-                    f"replayed {len(replay)} journaled op(s)"
-                )
-            elif action == "rolled-back":
-                healed = (
-                    "prepared but undecided; rolled back "
-                    f"({reclaimed} orphaned page(s) reclaimed)"
-                )
             if prepare is not None:
                 journal.write_clean(prepare.batch_id, shard)
-                if healed:
-                    report.log.add(
-                        shard, f"shard{shard}", 1, "crash-recovery",
-                        f"batch {prepare.batch_id} {healed}", action,
-                    )
             report.shards.append(ShardRecovery(
                 shard, action,
                 prepare.batch_id if prepare is not None else None,

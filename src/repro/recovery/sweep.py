@@ -18,15 +18,15 @@ writes are atomic and skipped — shadowing writes new data to *fresh*
 pages, so even a torn write never damages committed state), runs the
 scenario into the fault, and has the scenario judge the wreckage.
 
-A scenario is a small picklable value supplying ``build`` (a fresh
+A scenario is a small value supplying ``build`` (a fresh
 store and the object ids under test), ``act`` (the faulted work),
 ``faulted`` (the store whose disk the plan arms and whose writes are
 counted) and ``judge``, plus ``scheme`` / ``target`` / ``label`` /
 ``kinds`` to name its points: :class:`SingleOp` is one operation on one
 store, :class:`CrossShardBatch` one atomic batch over N shards.  A new
 crash scenario is one more such value; the loop, the point record, the
-report, the ``--jobs`` fan-out (:func:`run_sweep`) and the CLI
-(``repro-experiments chaos``) are shared.
+report, :func:`run_sweep` and the CLI (``repro-experiments chaos``) are
+shared.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.errors import CrashError, InvalidArgumentError, ReproError
 from repro.exec.plan import BatchOp, MultiOp
-from repro.experiments.parallel import DegradationLog, run_grid
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, at, every
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
@@ -170,12 +169,19 @@ class SweepReport:
     #: Torn-write points skipped because the write was single-page
     #: (single-page writes are atomic and cannot tear).
     atomic_skips: int = 0
-    #: Shards recovery had to replay or roll back, over the whole sweep.
-    log: DegradationLog = dataclasses.field(default_factory=DegradationLog)
 
     @property
     def clean(self) -> bool:
         return not self.failures
+
+    @property
+    def shard_recoveries(self) -> int:
+        """Shards recovery had to replay or roll back, over the sweep."""
+        return sum(
+            action in ("replayed", "rolled-back")
+            for point in self.outcomes
+            for action in point.detail.split(",")
+        )
 
     def add(
         self,
@@ -191,13 +197,6 @@ class SweepReport:
             outcome, recovery["detail"] = FAILED, "; ".join(problems)
         point = SweepPoint(scenario, kind, write, outcome, **recovery)
         (self.failures if problems else self.outcomes).append(point)
-
-    def merge(self, other: "SweepReport") -> None:
-        """Fold a worker's partial report into this one, in call order."""
-        self.outcomes.extend(other.outcomes)
-        self.failures.extend(other.failures)
-        self.atomic_skips += other.atomic_skips
-        self.log.events.extend(other.log.events)
 
     def classification_table(self) -> str:
         """TSV classification of every point (the CI artifact).
@@ -237,8 +236,8 @@ class SweepReport:
             f"{len(self.failures)} failures, "
             f"{self.atomic_skips} atomic single-page writes skipped (torn)"
         )
-        if self.log.degraded:
-            line += f", {len(self.log.events)} shard recoveries logged"
+        if self.shard_recoveries:
+            line += f", {self.shard_recoveries} shard recoveries logged"
         lines.append(line)
         return "\n".join(lines)
 
@@ -459,9 +458,9 @@ class CrossShardBatch(NamedTuple):
                 )
 
         # Recovered-state atomicity: the authoritative classification.
-        # Recovery resolves the journals (rollback or replay), logging
-        # every shard it had to heal.
-        recovery = recover_sharded_store(store, log=report.log).shards
+        # Recovery resolves the journals (rollback or replay) and says
+        # what it did on every shard.
+        recovery = recover_sharded_store(store).shards
         live = _contents(store, oids)
         if live == pre:
             outcome = "batch-absent"
@@ -501,12 +500,14 @@ class CrossShardBatch(NamedTuple):
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
-def sweep(scenario: Any) -> SweepReport:
+def sweep(scenario: Any, report: SweepReport | None = None) -> SweepReport:
     """Fault one scenario at every physical write point.
 
-    The parallel work unit: a pure function of the (picklable) scenario.
+    Points are appended to ``report`` (a fresh one by default), which is
+    returned.
     """
-    report = SweepReport()
+    if report is None:
+        report = SweepReport()
 
     # Dry run: learn the faulted disk's write count (journal writes
     # included) and the exact pre/post content.
@@ -550,13 +551,11 @@ def sweep(scenario: Any) -> SweepReport:
     return report
 
 
-def run_sweep(scenarios: Sequence[Any], *, jobs: int = 1) -> SweepReport:
-    """Sweep every scenario, fanned out over ``jobs`` worker processes."""
+def run_sweep(scenarios: Sequence[Any]) -> SweepReport:
+    """Sweep every scenario, in order, into one report."""
     report = SweepReport()
-    # run_grid returns results in scenario order, so the merged report
-    # is identical to the serial one at any worker count.
-    for partial in run_grid(scenarios, jobs=jobs, compute=sweep):
-        report.merge(partial)
+    for scenario in scenarios:
+        sweep(scenario, report)
     return report
 
 
@@ -604,12 +603,6 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         "the single-store sweep (requires N >= 1)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes to fan the sweep's scenarios across",
-    )
-    parser.add_argument(
         "--table",
         default="",
         help="write the classification table (TSV) to this path",
@@ -617,8 +610,6 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.shards < 0:
         parser.error("--shards must be non-negative")
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     if args.shards and (args.op != "all" or args.scale != "tiny"):
         parser.error(
             "--op and --scale shape the single-store sweep; the --shards "
@@ -657,14 +648,12 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             open(args.table, "w", encoding="utf-8").close()
         except OSError as exc:
             parser.error(f"--table: cannot write {args.table}: {exc}")
-    report = run_sweep(scenarios, jobs=args.jobs)
+    report = run_sweep(scenarios)
     print(report.summary())  # repro-lint: disable=OBS001
     if args.table:
         with open(args.table, "w", encoding="utf-8") as handle:
             handle.write(report.classification_table())
         print(f"classification table written to {args.table}")  # repro-lint: disable=OBS001
-    if report.log.degraded:
-        print(report.log.summary())  # repro-lint: disable=OBS001
     for failure in report.failures:
         print(  # repro-lint: disable=OBS001
             f"FAIL {failure.scenario.label} {failure.kind} at write "

@@ -1,5 +1,8 @@
 """Tests for the repro-experiments command-line interface."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import common
@@ -45,12 +48,12 @@ def test_list_flag_runs_nothing(capsys):
     assert "Figure 5" not in out  # nothing actually ran
 
 
-def test_help_documents_jobs(capsys):
+def test_help_documents_list(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    assert "--jobs" in out
-    assert "bit-identical" in out
+    assert "--list prints the known experiments" in out
+    assert "REPRO_SCALE" in out
 
 
 def test_help_lists_experiments(capsys):
@@ -104,8 +107,6 @@ def test_report_unknown_experiment(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["chaos", "--shards", "-3"],
     ["fsck", "--shards", "-1"],
-    ["chaos", "--shards", "2", "--jobs", "0"],
-    ["chaos", "--shards", "2", "--jobs", "-3"],
     ["chaos", "--shards", "2", "--op", "delete"],
     ["chaos", "--shards", "2", "--scale", "small"],
     ["chaos", "--shards", "2", "--table", "no-such-dir/t.tsv"],
@@ -122,13 +123,10 @@ def test_out_of_range_shard_flags_are_usage_errors(
     assert "CLEAN" not in captured.out  # rejected before any sweep ran
 
 
-def test_chaos_jobs_and_table_work_without_shards(
-    capsys, tmp_path, monkeypatch
-):
+def test_chaos_table_works_without_shards(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["chaos", "--scheme", "eos", "--table", "t.tsv"]) == 0
-    assert main(["chaos", "--scheme", "eos", "--jobs", "4"]) == 0
-    assert capsys.readouterr().out.count("sweep CLEAN") == 2
+    assert capsys.readouterr().out.count("sweep CLEAN") == 1
     rows = (tmp_path / "t.tsv").read_text().splitlines()
     assert rows[0].split("\t")[:2] == ["scheme", "target"]
     assert any(row.startswith("eos\tappend\t") for row in rows[1:])
@@ -137,11 +135,7 @@ def test_chaos_jobs_and_table_work_without_shards(
 @pytest.mark.parametrize("argv", [
     ["tables23", "nosuch"],
     ["tables23", "--timeline", "t.jsonl", "--timeline-every-ops", "0"],
-    ["tables23", "--jobs", "0"],
-    ["tables23", "--jobs", "-2"],
-    ["tables23", "--jobs", "2", "--timeout", "-1"],
-    ["tables23", "--timeout", "0"],
-    ["tables23", "--retries", "-3"],
+    ["table1", "--timeline-every-ops", "5"],
 ])
 def test_bad_experiment_arguments_are_usage_errors(
     argv, capsys, tmp_path, monkeypatch
@@ -166,17 +160,19 @@ def test_unknown_repro_scale_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == ""  # rejected before any experiment ran
 
 
-def test_trace_and_timeline_do_not_depend_on_jobs(tmp_path, capsys):
-    dumps = []
-    for jobs in ("1", "2"):
+def test_trace_and_timeline_match_the_golden(tmp_path, monkeypatch, capsys):
+    """The committed checksums of three tiny-scale observed runs."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["fig5", "--trace", "trace-fig5.jsonl"],
+        ["shards", "--trace", "trace-shards.jsonl"],
+        ["fig7-8", "--timeline", "timeline-fig7-8.jsonl"],
+    ):
         common.clear()
-        trace = tmp_path / f"trace-{jobs}.jsonl"
-        timeline = tmp_path / f"timeline-{jobs}.jsonl"
-        assert main([
-            "fig5", "fig7-8", "--jobs", jobs,
-            "--trace", str(trace), "--timeline", str(timeline),
-        ]) == 0
-        dumps.append((trace.read_bytes(), timeline.read_bytes()))
+        assert main(argv) == 0
     capsys.readouterr()
-    assert dumps[0][0] == dumps[1][0]
-    assert dumps[0][1] == dumps[1][1]
+    golden = Path(__file__).parent / "golden" / "obs-tiny.sha256"
+    for line in golden.read_text().splitlines():
+        digest, name = line.split()
+        observed = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert observed == digest, name

@@ -284,21 +284,6 @@ class TestTimelineSampler:
             dumps.append(path.read_bytes())
         assert dumps[0] == dumps[1]
 
-    def test_absorb_rebases_worker_state(self, tmp_path):
-        serial = TimelineSampler(every_ops=3)
-        self._run(serial)
-        self._run(serial)
-        split = TimelineSampler(every_ops=3)
-        for _ in range(2):
-            worker = TimelineSampler(every_ops=3)
-            self._run(worker)
-            split.absorb(worker.capture_state())
-        assert split.ops == serial.ops
-        assert split.sim_ms == serial.sim_ms
-        assert split.kind_counts == serial.kind_counts
-        for name, histogram in serial.metrics.histograms.items():
-            assert split.metrics.histograms[name].counts == histogram.counts
-
     def test_drift_flag_fires_on_cost_blowup(self):
         sampler = TimelineSampler(every_ops=4)
         for index in range(12):
@@ -330,31 +315,17 @@ class TestTimelineSampler:
 
 
 # ----------------------------------------------------------------------
-# Parallel timeline merging
+# Sampling the precomputed grid
 # ----------------------------------------------------------------------
 class TestParallelTimelines:
-    def test_merged_timeline_independent_of_worker_count(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        dumps = []
-        for jobs in (2, 3):
-            parallel.clear_caches()
-            sampler = TimelineSampler()
-            parallel.precompute(["fig7-8"], jobs=jobs, sampler=sampler)
-            path = tmp_path / f"jobs{jobs}.jsonl"
-            dump_timeline(sampler, path)
-            dumps.append(path.read_bytes())
-        parallel.clear_caches()
-        assert dumps[0] == dumps[1]
-
     def test_sampled_results_match_unsampled(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         parallel.clear_caches()
         plain = registry.run("fig7-8")
         parallel.clear_caches()
         sampler = TimelineSampler()
-        parallel.precompute(["fig7-8"], jobs=2, sampler=sampler)
+        with sampler_installed(sampler):
+            parallel.precompute(["fig7-8"])
         sampled = registry.run("fig7-8")
         parallel.clear_caches()
         assert sampled == plain

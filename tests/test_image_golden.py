@@ -1,7 +1,7 @@
 """Raw disk images and I/O ledgers pinned across commits.
 
 The identity tests elsewhere compare two execution modes of one commit
-(phantom/recorded, per-op/batched, any ``--jobs``).  These goldens pin
+(phantom/recorded, per-op/batched).  These goldens pin
 the *bytes*: the SHA-256 of the full disk image, buddy directories
 included, and the final :class:`IOStats` after fixed-seed update mixes.
 The expected values were computed at the commit before the index node

@@ -1,25 +1,16 @@
-"""Tests for the parallel experiment runner and its invariance contract.
+"""Tests for the experiment grid and its one result table.
 
-The contract: running experiments through ``--jobs N`` must produce
-report text and simulated-cost counters bit-identical to the serial path,
-because every grid point is an isolated, per-point-seeded simulation and
-the parallel runner only *warms caches* — assembly stays serial.
+Every grid point is an isolated, per-point-seeded simulation; the runner
+computes the grid in grid order and primes the result table, and the
+assembly then renders from it.
 """
-
-import concurrent.futures
-import dataclasses
 
 import pytest
 
 from repro.core.env import StorageEnvironment
 from repro.core.errors import InvalidArgumentError
-from repro.experiments import common, parallel, random_ops, registry
-from repro.experiments.common import (
-    BUILD_CHUNK_BYTES,
-    build_object,
-    make_store,
-    resolve_scale,
-)
+from repro.experiments import common, parallel, registry
+from repro.experiments.common import resolve_scale
 from repro.experiments.grid import (
     POINT_KINDS,
     GridPoint,
@@ -27,8 +18,6 @@ from repro.experiments.grid import (
     grid_for,
 )
 from repro.experiments.registry import run
-from repro.workload.generator import WorkloadGenerator
-from repro.workload.runner import WorkloadRunner
 
 
 @pytest.fixture(autouse=True)
@@ -74,35 +63,9 @@ class TestGrid:
         assert hash(point) == hash(pickle.loads(pickle.dumps(point)))
 
 
-class TestRunGrid:
-    def test_serial_and_parallel_results_are_equal(self):
-        points = grid_for("tables23")  # 3 Starburst random-update runs
-        serial = parallel.run_grid(points, jobs=1)
-        fanned = parallel.run_grid(points, jobs=2)
-        assert serial == fanned
-
-    def test_results_line_up_with_point_order(self):
-        points = grid_for("fig5")[:4]
-        results = parallel.run_grid(points, jobs=2)
-        for point, result in zip(points, results):
-            assert result == parallel.compute_point(point)
-
-    def test_unknown_kind_rejected(self):
-        bogus = GridPoint(kind="nonsense", scheme="esm", scale_name="tiny")
-        with pytest.raises(ValueError):
-            parallel.compute_point(bogus)
-
-
 class TestReportInvariance:
-    @pytest.mark.parametrize("name", ["fig5", "fig6", "fig9-10"])
-    def test_jobs2_report_text_is_bit_identical(self, name):
-        serial_text = run(name)
-        parallel.clear_caches()
-        parallel.precompute([name], jobs=2)
-        assert run(name) == serial_text
-
     def test_precompute_counts_distinct_points(self):
-        n = parallel.precompute(["fig7-8", "fig9-10"], jobs=2)
+        n = parallel.precompute(["fig7-8", "fig9-10"])
         assert n == len(grid_for("fig7-8"))
 
 
@@ -148,7 +111,7 @@ class TestOneResultTable:
         scale = resolve_scale("tiny")
         names = sorted(registry.EXPERIMENTS)
         points = full_grid(names, scale)
-        results = parallel.run_grid(points, jobs=2)
+        results = [parallel.compute_point(point) for point in points]
         parallel.clear_caches()
         parallel.prime_results(points, results)
         built = built_envs()
@@ -185,191 +148,3 @@ class TestOneResultTable:
         common.prime(compute, (5,), "primed")
         common.prime(compute, (5,), "second")
         assert common.memoized(compute, 5) == "primed"
-
-
-def _random_run_io_counters(point: GridPoint) -> dict:
-    """Replay one random-update point and return its raw IOStats counters.
-
-    Module-level so it pickles into worker processes.
-    """
-    scale = resolve_scale(point.scale_name)
-    key = random_ops.make_run_key(
-        point.scheme, point.setting, point.mean_op, scale
-    )
-    store = make_store(
-        key.scheme,
-        leaf_pages=key.setting,
-        threshold_pages=key.setting,
-        config=point.config,
-        shadowing=key.shadowing,
-    )
-    oid = build_object(store, key.object_bytes, BUILD_CHUNK_BYTES)
-    generator = WorkloadGenerator(
-        object_size=store.size(oid),
-        mean_op_size=key.mean_op,
-        seed=random_ops.WORKLOAD_SEED,
-    )
-    WorkloadRunner(store.manager, oid, generator).run(
-        key.n_ops, window=key.window
-    )
-    return dataclasses.asdict(store.stats)
-
-
-class TestCounterInvariance:
-    def test_worker_process_counters_match_in_process(self):
-        """CostModel read/write/seek counters are process-independent."""
-        point = GridPoint(
-            kind="random-ops",
-            scheme="eos",
-            scale_name="tiny",
-            setting=4,
-            mean_op=10 * 1024,
-        )
-        in_process = _random_run_io_counters(point)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            from_worker = pool.submit(_random_run_io_counters, point).result()
-        assert in_process == from_worker
-        # Seeks are charged per physical call; identical call counts mean
-        # identical seek totals.
-        assert in_process["read_calls"] == from_worker["read_calls"]
-        assert in_process["write_calls"] == from_worker["write_calls"]
-
-
-class TestCLIJobs:
-    def test_jobs_flag_output_matches_serial(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main(["fig5"]) == 0
-        serial_out = capsys.readouterr().out
-        parallel.clear_caches()
-        assert main(["--jobs", "2", "fig5"]) == 0
-        assert capsys.readouterr().out == serial_out
-
-
-# ----------------------------------------------------------------------
-# Graceful degradation: crashed workers, hangs, poisoned computations
-# ----------------------------------------------------------------------
-import os
-import time
-
-
-def _kill_first_worker(point):
-    """Compute wrapper that hard-kills the first worker to run a point.
-
-    The marker file (path via environment, so it survives the fork into
-    workers) ensures exactly one suicide; retries compute normally.
-    Module-level so it pickles into worker processes.
-    """
-    marker = os.environ["REPRO_TEST_KILL_MARKER"]
-    if not os.path.exists(marker):
-        open(marker, "w").close()
-        os._exit(1)
-    return parallel.compute_point(point)
-
-
-def _fail_in_workers(point):
-    """Compute wrapper that raises in every worker but works in-parent."""
-    if os.getpid() != int(os.environ["REPRO_TEST_PARENT_PID"]):
-        raise ValueError("poisoned worker")
-    return parallel.compute_point(point)
-
-
-def _hang_in_workers(point):
-    """Compute wrapper that hangs in workers but works in-parent."""
-    if os.getpid() != int(os.environ["REPRO_TEST_PARENT_PID"]):
-        time.sleep(3)
-    return parallel.compute_point(point)
-
-
-class TestDegradation:
-    def test_killed_worker_heals_bit_identically(self, tmp_path, monkeypatch):
-        """A worker dying mid-grid breaks the pool; the runner retries on
-        a fresh pool and the final results match a serial run exactly."""
-        marker = tmp_path / "killed"
-        monkeypatch.setenv("REPRO_TEST_KILL_MARKER", str(marker))
-        points = grid_for("tables23")
-        serial = parallel.run_grid(points, jobs=1)
-        log = parallel.DegradationLog()
-        healed = parallel.run_grid(
-            points, jobs=2, compute=_kill_first_worker, log=log
-        )
-        assert healed == serial
-        assert marker.exists()
-        assert log.degraded
-        assert any(e.kind == "worker-crash" for e in log.events)
-        assert all(e.action == "retried" for e in log.events)
-        assert "degraded" in log.summary()
-
-    def test_timeout_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
-        points = grid_for("tables23")[:2]
-        serial = parallel.run_grid(points, jobs=1)
-        log = parallel.DegradationLog()
-        healed = parallel.run_grid(
-            points,
-            jobs=2,
-            timeout_s=0.3,
-            compute=_hang_in_workers,
-            log=log,
-        )
-        assert healed == serial
-        assert any(e.kind == "timeout" for e in log.events)
-        # Timeouts are not re-fanned: a point that just hung a worker
-        # goes straight to the authoritative serial path.
-        assert all(
-            e.action == "serial-fallback"
-            for e in log.events
-            if e.kind == "timeout"
-        )
-
-    def test_poisoned_worker_exhausts_retries_then_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
-        points = grid_for("tables23")[:2]
-        serial = parallel.run_grid(points, jobs=1)
-        log = parallel.DegradationLog()
-        healed = parallel.run_grid(
-            points, jobs=2, retries=1, compute=_fail_in_workers, log=log
-        )
-        assert healed == serial
-        for index in range(len(points)):
-            mine = [e for e in log.events if e.point_index == index]
-            assert [e.action for e in mine] == ["retried", "serial-fallback"]
-            assert all(e.kind == "error" for e in mine)
-            assert all("ValueError" in e.detail for e in mine)
-
-    def test_degraded_report_text_is_bit_identical(
-        self, tmp_path, monkeypatch
-    ):
-        """End to end: a grid healed after a worker kill primes the memo
-        caches and the rendered report matches the serial text exactly."""
-        name = "tables23"
-        serial_text = run(name)
-        parallel.clear_caches()
-        marker = tmp_path / "killed"
-        monkeypatch.setenv("REPRO_TEST_KILL_MARKER", str(marker))
-        points = grid_for(name)
-        log = parallel.DegradationLog()
-        results = parallel.run_grid(
-            points, jobs=2, compute=_kill_first_worker, log=log
-        )
-        parallel.prime_results(points, results)
-        assert run(name) == serial_text
-        assert log.degraded
-
-    def test_undisturbed_parallel_run_logs_nothing(self):
-        points = grid_for("tables23")[:2]
-        log = parallel.DegradationLog()
-        parallel.run_grid(points, jobs=2, log=log)
-        assert not log.degraded
-        assert log.summary() == ""
-
-    def test_cli_accepts_retry_and_timeout_flags(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main(["fig5"]) == 0
-        serial_out = capsys.readouterr().out
-        parallel.clear_caches()
-        assert main(
-            ["--jobs", "2", "--retries", "1", "--timeout", "60", "fig5"]
-        ) == 0
-        assert capsys.readouterr().out == serial_out

@@ -120,7 +120,13 @@ class TestExhaustiveSweep:
             "batch-absent", "batch-present", "completed"
         }
         # Recovery had shards to heal, and said so.
-        assert report.log.degraded
+        actions = {
+            action
+            for point in report.outcomes
+            for action in point.detail.split(",")
+        }
+        assert actions & {"replayed", "rolled-back"}
+        assert report.shard_recoveries > 0
         assert "shard recoveries logged" in report.summary()
 
     def test_full_sweep_is_clean(self):
@@ -159,18 +165,6 @@ class TestReport:
         assert line.startswith("starburst/insert:")
         assert "recovered" in line
 
-    @pytest.mark.parametrize("scenarios", [
-        [SingleOp(scheme, op, kinds=BOTH)
-         for scheme in ("esm", "eos") for op in ("append", "insert")],
-        [CrossShardBatch("eos", 2, target) for target in range(2)],
-    ], ids=["single-op", "cross-shard"])
-    def test_report_does_not_depend_on_jobs(self, scenarios):
-        serial = run_sweep(scenarios, jobs=1)
-        fanned = run_sweep(scenarios, jobs=2)
-        assert serial == fanned
-        assert serial.classification_table() == fanned.classification_table()
-        assert serial.summary() == fanned.summary()
-
 
 class TestChaosCLI:
     def test_tiny_scale_exits_zero(self, capsys):
@@ -189,21 +183,3 @@ class TestChaosCLI:
 
         assert main(["chaos", "--scheme", "starburst", "--op", "delete"]) == 0
         assert "starburst/delete" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("select", [
-        ["--scheme", "esm"],
-        ["--scheme", "esm", "--shards", "2"],
-    ], ids=["single-op", "cross-shard"])
-    def test_table_does_not_depend_on_jobs(self, select, tmp_path, capsys):
-        outputs = []
-        for jobs in ("1", "2"):
-            table = tmp_path / f"jobs{jobs}.tsv"
-            assert cli_main(
-                [*select, "--jobs", jobs, "--table", str(table)]
-            ) == 0
-            out = capsys.readouterr().out.replace(str(table), "TABLE")
-            outputs.append((table.read_text(), out))
-        assert outputs[0] == outputs[1]
-        header, *rows = outputs[0][0].splitlines()
-        assert header.startswith("scheme\ttarget\twrite\tkind\toutcome")
-        assert rows and all(row.startswith("esm\t") for row in rows)
