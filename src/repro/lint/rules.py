@@ -744,5 +744,13 @@ SEAMS: tuple[Seam, ...] = (
         "a manager's state is rebuilt from disk through reload() and "
         "image_extents(), so a new representation is added in one package",
     ),
+    Seam(
+        "SEAM007", "tree._private only in repro/tree/ and the tree tests",
+        _private_of("tree"),
+        under("repro/tree/", "tests/test_tree", "tests/test_san.py"),
+        "callers see a tree through its mutators, locate() and "
+        "iter_extents(); a refused call is judged by behaviour, not its "
+        "dirty set",
+    ),
 )
 RULES.update((seam.rule_id, seam) for seam in SEAMS)

@@ -10,10 +10,9 @@ of it happened*.  Three shapes cover the reproduction's needs:
 * **histograms** — distributions over fixed, configuration-independent
   bucket bounds (per-operation simulated cost in milliseconds).
 
-Everything is built for determinism.  There are no wall-clock samples,
-bucket bounds are frozen module constants, and :meth:`MetricsRegistry.merge`
-is the only aggregation primitive, so an aggregate is a pure function of
-what was observed and the order it is merged in.
+Everything is built for determinism.  There are no wall-clock samples
+and bucket bounds are frozen module constants, so every value is a pure
+function of what was observed, in order.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import dataclasses
 from repro.core.errors import InvalidArgumentError
 
 #: Histogram bucket upper bounds in milliseconds of simulated I/O time.
-#: One fixed ladder for every histogram keeps merged registries exactly
+#: One fixed ladder for every histogram keeps registries exactly
 #: comparable across runs; the paper's single-call costs
 #: start at seek + 1 page = 37 ms, and the largest multi-segment
 #: operations run to tens of simulated seconds.
@@ -77,9 +76,7 @@ class Histogram:
 
         Deterministic by construction: the answer is the bound of the
         first bucket whose cumulative count reaches ``ceil(q * count)``,
-        so it is a pure function of the bucket counts and survives
-        :meth:`merge` exactly — merged histograms report the same
-        percentile however the observations were split.
+        so it is a pure function of the bucket counts.
         Observations past the last bound report ``inf``; an empty
         histogram reports ``0.0``.
         """
@@ -108,17 +105,6 @@ class Histogram:
             "p99": self.percentile(0.99),
         }
 
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram with identical bounds."""
-        if other.bounds != self.bounds:
-            raise InvalidArgumentError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.sum_value += other.sum_value
-
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation."""
         return {
@@ -140,7 +126,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms with deterministic merge."""
+    """Named counters, gauges, and histograms."""
 
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
@@ -166,27 +152,8 @@ class MetricsRegistry:
         histogram.observe(value)
 
     # ------------------------------------------------------------------
-    # Aggregation and export
+    # Export
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in: counters and histograms add, gauges
-        take the incoming value (callers merge in a deterministic order,
-        so last-write-wins is deterministic too)."""
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(other.gauges)
-        for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = Histogram(
-                    bounds=histogram.bounds,
-                    counts=list(histogram.counts),
-                    count=histogram.count,
-                    sum_value=histogram.sum_value,
-                )
-            else:
-                mine.merge(histogram)
-
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation with sorted, stable key order."""
         return {

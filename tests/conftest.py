@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import SystemConfig, small_page_config
 from repro.core.env import StorageEnvironment
+from repro.shard.router import ShardedStore
 from repro.tree.tree import PositionalTree
 
 
@@ -46,26 +49,34 @@ def end_op(tree: PositionalTree) -> None:
         tree.commit_root()
 
 
-def fingerprint(store: LargeObjectStore) -> dict[str, object]:
-    """Everything an experiment run can observe of one store, in one dict:
-    the ledger, the pool counters, the raw image, both areas' allocated
-    pages and every live object's size."""
-    stats = store.stats
-    pool = store.env.pool.stats
-    areas = store.env.areas
-    return {
-        "read_calls": stats.read_calls,
-        "write_calls": stats.write_calls,
-        "pages_read": stats.pages_read,
-        "pages_written": stats.pages_written,
-        "retries": stats.retries,
-        "sim_ms": store.elapsed_ms(),
-        "pool_hits": pool.hits,
-        "pool_misses": pool.misses,
-        "pool_evictions": pool.evictions,
-        "pool_writebacks": pool.dirty_writebacks,
-        "image": store.env.disk.image(),
-        "meta_pages": areas.meta.allocated_pages,
-        "data_pages": areas.data.allocated_pages,
-        "sizes": {oid: store.size(oid) for oid in store.manager.oids()},
+def fingerprint(
+    subject: StorageEnvironment | LargeObjectStore | ShardedStore,
+) -> object:
+    """Everything a caller can observe, read through public calls that
+    charge nothing: the ledger, the pool counters, every frame (recency
+    order, pins, dirty flag, content), the raw image, each area's
+    allocated pages and superdirectory, and every live object's size.
+    A sharded store gives one entry per shard."""
+    if isinstance(subject, ShardedStore):
+        return [fingerprint(shard) for shard in subject.shards]
+    env = subject if isinstance(subject, StorageEnvironment) else subject.env
+    pool = env.pool
+    state: dict[str, object] = {
+        "io": dataclasses.astuple(env.cost.stats),
+        "pool": dataclasses.astuple(pool.stats),
+        "frames": [
+            (page_id, pins, dirty, pool.lookup(page_id).content())
+            for page_id, pins, dirty in pool.frames()
+        ],
+        "image": env.disk.image(),
     }
+    for name, area in (("meta", env.areas.meta), ("data", env.areas.data)):
+        state[f"{name} pages"] = list(area.allocated_page_ids())
+        state[f"{name} superdirectory"] = [
+            area.superdirectory_entry(space)
+            for space in range(area.space_count)
+        ]
+    if isinstance(subject, LargeObjectStore):
+        manager = subject.manager
+        state["sizes"] = {oid: manager.size(oid) for oid in manager.oids()}
+    return state

@@ -18,7 +18,6 @@ The subsystem's contract has four legs:
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import struct
 import zlib
@@ -38,14 +37,13 @@ from repro.core.config import small_page_config
 from repro.core.errors import ChecksumError, CrashError, InvalidArgumentError
 from repro.core.fsck import check, check_atomic_sharded
 from repro.core.payload import SizedPayload
-from repro.exec.plan import BatchOp, MultiOp, append_op, replace_op
+from repro.exec.plan import BatchOp, MultiOp, append_op
 from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
 from repro.obs.tracer import Tracer
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
 from repro.recovery.sweep import CrossShardBatch, sweep
 from repro.shard.router import ShardedStore
-from tests.conftest import fingerprint
 
 SCHEMES = ("esm", "starburst", "eos")
 
@@ -366,76 +364,10 @@ def test_crash_before_decision_rolls_the_batch_back() -> None:
     assert all(r.clean for r in fsck_sharded_store(store))
 
 
-def test_a_batch_whose_prepare_cannot_fit_changes_nothing() -> None:
-    """Shard 1's PREPARE needs 8 pages of its 6-page area.  The batch is
-    refused before shard 0 journals or runs its op: every observable
-    equals a twin store that never saw the batch, and the next batch
-    runs on both alike."""
-
-    def build() -> tuple[ShardedStore, list[int]]:
-        store = ShardedStore("esm", shards=2, atomic=True)
-        return store, [store.create(_pattern(40_000, salt=i)) for i in (0, 1)]
-
-    def fingerprint(store: ShardedStore, oids: list[int]) -> tuple:
-        return (
-            list(store.per_shard_stats()),
-            [dataclasses.replace(s.env.pool.stats) for s in store.shards],
-            [
-                s.env.disk.peek_pages(journal.base_page, journal.n_pages)
-                for s, journal in zip(store.shards, store.coordinator.journals)
-            ],
-            [store.allocated_pages(oid) for oid in oids],
-            _contents(store, oids),
-        )
-
-    refused, oids = build()
-    twin, _ = build()
-    assert [refused.shard_of(oid) for oid in oids] == [0, 1]
-    with pytest.raises(InvalidArgumentError, match="needs 8 pages"):
-        refused.submit_many([
-            MultiOp(oids[0], replace_op(0, b"Z" * 100)),
-            MultiOp(oids[1], replace_op(0, _pattern(30_000, salt=2))),
-        ])
-    assert fingerprint(refused, oids) == fingerprint(twin, oids)
-    assert all(r.clean for r in fsck_sharded_store(refused))
-    batch = [
-        MultiOp(oids[0], replace_op(0, b"Z" * 100)),
-        MultiOp(oids[1], replace_op(7, b"Y" * 100)),
-    ]
-    assert refused.submit_many(batch) == twin.submit_many(batch)
-    assert fingerprint(refused, oids) == fingerprint(twin, oids)
-    assert all(r.clean for r in fsck_sharded_store(refused))
-
-
 def test_recovery_requires_an_atomic_store() -> None:
     store = _store("eos", shards=2)
     with pytest.raises(InvalidArgumentError):
         recover_sharded_store(store)
-
-
-def test_refused_blockbased_recovery_changes_nothing() -> None:
-    """Block-based has no shadowing, hence no rollback image: recovery
-    is refused before any shard's fault site, pool or objects change."""
-    store = ShardedStore(
-        "blockbased", small_page_config(), shards=2, atomic=True
-    )
-    oids = [store.create(_pattern(300, salt=i)) for i in range(4)]
-    for oid in oids:
-        store.read(oid, 0, store.size(oid))
-
-    def observed() -> tuple:
-        return (
-            [fingerprint(shard) for shard in store.shards],
-            [len(list(shard.env.pool.frames())) for shard in store.shards],
-        )
-
-    before = observed()
-    assert all(before[1])
-    with pytest.raises(
-        InvalidArgumentError, match="'blockbased' has no atomic recovery"
-    ):
-        recover_sharded_store(store)
-    assert observed() == before
 
 
 # ----------------------------------------------------------------------

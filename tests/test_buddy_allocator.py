@@ -90,25 +90,6 @@ class TestFree:
         allocator.free(page, 2)
         assert not allocator.pool.disk.was_written(page)
 
-    def test_rejected_free_destroys_nothing(self, setup):
-        """A free that names an already-free block is refused before the
-        resident copies and the content of its live pages are dropped."""
-        config, _cost, allocator = setup
-        pool, disk = allocator.pool, allocator.pool.disk
-        page = allocator.allocate(4)
-        content = b"A" * (4 * config.page_size)
-        pool.write_run(page, 4, content)
-        cached = pool.read_run(page, 2)
-        allocator.free(page + 2, 2)
-        with pytest.raises(AllocationError, match="block 2 is already free"):
-            allocator.free(page, 4)
-        assert pool.is_resident(page) and pool.is_resident(page + 1)
-        assert bytes(pool.lookup(page).content()) == bytes(cached[: config.page_size])
-        assert disk.was_written(page) and disk.was_written(page + 1)
-        assert disk.peek_pages(page, 2) == content[: 2 * config.page_size]
-        assert allocator.allocated_pages == 2
-        allocator.check_invariants()
-
     def test_free_drops_the_run_before_it_visits_the_directory(self):
         """The order of a free's pool effects is part of the simulated
         clock: the run's frames go first, so a directory miss finds room

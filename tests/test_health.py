@@ -179,7 +179,7 @@ class TestHealthGauges:
 
 
 # ----------------------------------------------------------------------
-# Percentiles: exact, merge-stable log-bucket ranks
+# Percentiles: exact log-bucket ranks
 # ----------------------------------------------------------------------
 class TestPercentiles:
     def test_percentile_returns_bucket_upper_bound(self):
@@ -208,21 +208,6 @@ class TestPercentiles:
         histogram = Histogram()
         histogram.observe(10**9)
         assert histogram.percentile(0.5) == float("inf")
-
-    def test_percentiles_identical_under_any_partition(self):
-        values = [float(v) for v in range(1, 400, 7)]
-        whole = Histogram()
-        for value in values:
-            whole.observe(value)
-        for parts in (2, 3, 5):
-            merged = Histogram()
-            for start in range(parts):
-                piece = Histogram()
-                for value in values[start::parts]:
-                    piece.observe(value)
-                merged.merge(piece)
-            assert merged.counts == whole.counts
-            assert merged.percentiles() == whole.percentiles()
 
 
 # ----------------------------------------------------------------------

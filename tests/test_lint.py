@@ -268,6 +268,16 @@ SEAM_CASES = [
             manager.reload(oid)
             return list(manager.image_extents(oid))
         """, []),
+    case("SEAM007", "tree_private_in_other_test_flagged",
+         "tests/test_object_size_limit.py", """\
+        def test_refused(store, oid):
+            tree = store.manager.tree_of(oid)
+            assert not tree._dirty
+        """, [3]),
+    case("SEAM007", "tree_test_allowed", "tests/test_tree_deep.py", """\
+        def test_pages(tree):
+            assert [node.page_id for node in tree._walk_nodes()]
+        """, []),
 ]
 
 
@@ -682,7 +692,7 @@ def test_shipped_tree_is_clean():
     # The tests reach the device, the pool and the managers through
     # public calls too.
     violations = lint_paths([REPO_SRC]) + lint_paths(
-        [REPO_TESTS], select={"SEAM001", "SEAM005", "SEAM006"}
+        [REPO_TESTS], select={"SEAM001", "SEAM005", "SEAM006", "SEAM007"}
     )
     assert violations == [], "\n".join(v.format() for v in violations)
 

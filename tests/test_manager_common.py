@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.errors import ByteRangeError, ObjectNotFoundError
+from repro.core.errors import ObjectNotFoundError
+from repro.exec.plan import MultiOp, append_op, delete_op, insert_op, replace_op
+from repro.workload.model import ObjectModel
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -55,33 +57,6 @@ class TestZeroLengthOperations:
         assert store.read(oid, 0, 3) == b"abc"
 
 
-class TestBounds:
-    def test_read_past_end(self, store):
-        oid = store.create(b"abc")
-        with pytest.raises(ByteRangeError):
-            store.read(oid, 2, 2)
-
-    def test_negative_offset(self, store):
-        oid = store.create(b"abc")
-        with pytest.raises(ByteRangeError):
-            store.read(oid, -1, 1)
-
-    def test_insert_past_end(self, store):
-        oid = store.create(b"abc")
-        with pytest.raises(ByteRangeError):
-            store.insert(oid, 4, b"x")
-
-    def test_delete_past_end(self, store):
-        oid = store.create(b"abc")
-        with pytest.raises(ByteRangeError):
-            store.delete(oid, 0, 4)
-
-    def test_replace_past_end(self, store):
-        oid = store.create(b"abc")
-        with pytest.raises(ByteRangeError):
-            store.replace(oid, 1, b"xyz")
-
-
 class TestSemantics:
     def test_piecewise_build_equals_bulk_create(self, store_factory, store):
         data = pattern_bytes(7 * PAGE + 13)
@@ -97,31 +72,19 @@ class TestSemantics:
         )
 
     def test_interleaved_operations(self, store):
-        reference = bytearray(pattern_bytes(6 * PAGE))
-        oid = store.create(bytes(reference))
-        edits = [
-            ("insert", 100, pattern_bytes(77, salt=1)),
-            ("delete", 400, 350),
-            ("replace", 50, pattern_bytes(200, salt=2)),
-            ("insert", 0, pattern_bytes(5, salt=3)),
-            ("append", None, pattern_bytes(300, salt=4)),
-            ("delete", 0, 10),
-        ]
-        for kind, offset, arg in edits:
-            if kind == "insert":
-                store.insert(oid, offset, arg)
-                reference[offset:offset] = arg
-            elif kind == "delete":
-                store.delete(oid, offset, arg)
-                del reference[offset : offset + arg]
-            elif kind == "replace":
-                store.replace(oid, offset, arg)
-                reference[offset : offset + len(arg)] = arg
-            else:
-                store.append(oid, arg)
-                reference.extend(arg)
-            assert store.size(oid) == len(reference)
-            assert store.read(oid, 0, len(reference)) == bytes(reference)
+        data, model = pattern_bytes(6 * PAGE), ObjectModel()
+        oid = store.create(data)
+        model.create(oid, data)
+        for op in (
+            insert_op(100, pattern_bytes(77, salt=1)),
+            delete_op(400, 350),
+            replace_op(50, pattern_bytes(200, salt=2)),
+            insert_op(0, pattern_bytes(5, salt=3)),
+            append_op(pattern_bytes(300, salt=4)),
+            delete_op(0, 10),
+        ):
+            model.run(store, MultiOp(oid, op))
+            assert model.differences(store) == []
 
     def test_reads_do_not_mutate(self, store):
         data = pattern_bytes(4 * PAGE)

@@ -20,7 +20,7 @@ import pytest
 from repro.core.api import LargeObjectStore
 from repro.core.config import SystemConfig, small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import InvalidArgumentError, TraceError
+from repro.core.errors import TraceError
 from repro.experiments import parallel, registry
 from repro.faults import FaultInjector, FaultPlan, at
 from repro.obs import (
@@ -81,24 +81,6 @@ class TestMetrics:
         histogram.observe(7.5)
         clone = Histogram.from_dict(histogram.to_dict())
         assert clone.to_dict() == histogram.to_dict()
-
-    def test_histogram_merge_bounds_mismatch_rejected(self):
-        histogram = Histogram()
-        other = Histogram(bounds=(1.0, 2.0))
-        with pytest.raises(InvalidArgumentError):
-            histogram.merge(other)
-
-    def test_registry_merge_adds_counters_and_histograms(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.inc("io.read_calls", 2)
-        second.inc("io.read_calls", 3)
-        first.observe("op.read.cost_ms", 10.0)
-        second.observe("op.read.cost_ms", 20.0)
-        second.set_gauge("pool.capacity", 12)
-        first.merge(second)
-        assert first.counters["io.read_calls"] == 5
-        assert first.histograms["op.read.cost_ms"].count == 2
-        assert first.gauges["pool.capacity"] == 12
 
     def test_registry_roundtrip(self):
         registry_ = MetricsRegistry()

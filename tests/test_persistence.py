@@ -94,11 +94,13 @@ IMAGE_CASES = {
 
 def _live_records(manager, oid):
     """(meta records sorted, data records in order) of the in-memory
-    structure, in ``image_extents``' record shape."""
+    structure, in ``image_extents``' record shape (a tree's meta records
+    are the image's, held to the live tree's page count)."""
     page_size = manager.config.page_size
     if manager.scheme in ("esm", "eos"):
         tree = manager.tree_of(oid)
-        meta = [node.page_id for node in tree._walk_nodes()]
+        meta = [e.page_id for e in manager.image_extents(oid) if e.meta]
+        assert len(meta) == tree.index_page_count()
         data = [tuple(e) for e in tree.iter_extents(charged=False)]
     elif manager.scheme == "starburst":
         meta = [oid]

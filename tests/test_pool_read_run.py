@@ -299,64 +299,19 @@ def test_one_pass_matches_the_three_branches(frames, recorded):
 # ----------------------------------------------------------------------
 # A refused run
 # ----------------------------------------------------------------------
-def _full_pool_with_one_unpinned_resident():
-    """Four frames, three of them pinned, page 50 resident and unpinned."""
-    config = small_page_config(page_size=PAGE, buffer_pool_pages=4)
-    env = StorageEnvironment(config)
-    pool = env.pool
-    for page in (10, 11, 12):
-        pool.fix(page)
-    pool.read_run(50, 1)
-    return env, pool
-
-
-def _state(env, pool):
-    return (
-        dataclasses.astuple(pool.stats),
-        dataclasses.astuple(env.cost.stats),
-        pool.headroom,
-        [(page_id, pins) for page_id, pins, _ in pool.frames()],
-    )
-
-
 class TestARefusedRunChangesNothing:
     """A run that does not fit beside the pinned frames is refused before
-    a hit or miss is counted, a page pinned or a frame evicted."""
-
-    def test_partly_resident_run_leaks_no_pin(self):
-        env, pool = _full_pool_with_one_unpinned_resident()
-        before = _state(env, pool)
-        with pytest.raises(BufferPoolError, match="pinned"):
-            pool.read_run(50, 2)
-        assert _state(env, pool) == before
-        assert pool.headroom == 1
-        for page in (10, 11, 12):
-            pool.unfix(page)
-        pool.assert_pin_balanced()
-        pool.invalidate_run(50, 1)          # a leaked pin would refuse this
-        assert not pool.is_resident(50)
-
-    def test_run_with_nothing_resident_counts_and_evicts_nothing(self):
-        env, pool = _full_pool_with_one_unpinned_resident()
-        before = _state(env, pool)
-        with pytest.raises(BufferPoolError, match="pinned"):
-            pool.read_run(60, 2)
-        assert _state(env, pool) == before
-        assert pool.is_resident(50)
-
-    def test_one_page_on_a_fully_pinned_pool(self):
-        env, pool = _full_pool_with_one_unpinned_resident()
-        pool.fix(50)
-        before = _state(env, pool)
-        with pytest.raises(BufferPoolError, match="pinned"):
-            pool.read_run(60, 1)
-        assert _state(env, pool) == before
-        assert len(pool.read_run(50, 1)) == PAGE      # a hit needs no room
+    a hit or miss is counted, a page pinned or a frame evicted: the
+    ``pool-*`` rows of the refusal table in ``tests/test_refusals.py``."""
 
     def test_the_run_that_just_fits_is_read(self):
         """The criterion is exact: the resident page of the run is not
         counted against it a second time."""
-        env, pool = _full_pool_with_one_unpinned_resident()
+        config = small_page_config(page_size=PAGE, buffer_pool_pages=4)
+        pool = StorageEnvironment(config).pool
+        for page in (10, 11, 12):
+            pool.fix(page)
+        pool.read_run(50, 1)
         pool.unfix(12)
         pool.read_run(50, 2)                # 2 pinned outside + 2 = 4 frames
         assert pool.is_resident(50) and pool.is_resident(51)

@@ -2,8 +2,9 @@
 
 This is the strongest correctness statement in the suite: arbitrary
 sequences of byte-range operations, executed against each storage scheme
-in real-bytes mode, must produce exactly the bytes a plain ``bytearray``
-model produces, while all structural invariants hold.
+in real-bytes mode, must produce exactly the bytes the ``bytearray``
+model of :mod:`repro.workload.model` produces, while all structural
+invariants hold.
 """
 
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import strategies as st
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
+from repro.core.fsck import check as fsck_check
+from repro.exec.plan import BatchOp, MultiOp
+from repro.workload.model import ObjectModel
 
 CONFIG = small_page_config()
 SCHEME_SETTINGS = [
@@ -31,53 +35,44 @@ operation = st.tuples(
 )
 
 
-def apply_ops(store, ops, check_every=5):
-    ref = bytearray()
-    oid = store.create()
-    salt = 0
-    for index, (kind, position, size) in enumerate(ops):
-        salt += 1
-        payload = bytes((salt + i) % 251 for i in range(size))
-        if kind == "append":
-            store.append(oid, payload)
-            ref.extend(payload)
-        elif kind == "insert":
-            offset = position % (len(ref) + 1)
-            store.insert(oid, offset, payload)
-            ref[offset:offset] = payload
-        elif kind == "delete" and ref:
-            offset = position % len(ref)
-            n = min(size, len(ref) - offset)
-            store.delete(oid, offset, n)
-            del ref[offset : offset + n]
-        elif kind == "replace" and ref:
-            offset = position % len(ref)
-            n = min(size, len(ref) - offset)
-            store.replace(oid, offset, payload[:n])
-            ref[offset : offset + n] = payload[:n]
-        elif kind == "read" and ref:
-            offset = position % len(ref)
-            n = min(size, len(ref) - offset)
-            assert store.read(oid, offset, n) == bytes(ref[offset : offset + n])
-        if index % check_every == 0:
-            _full_check(store, oid, ref)
-    _full_check(store, oid, ref)
-    # No dangling references, double references, or leaked pages.
-    from repro.core.fsck import check as fsck_check
+def _op(kind, position, size, payload, length):
+    """The op a (kind, position, size) draw stands for on an object of
+    ``length`` bytes, or None when it names nothing."""
+    if kind in ("append", "insert"):
+        return BatchOp(kind, position % (length + 1), data=payload)
+    if not length:
+        return None
+    offset = position % length
+    n = min(size, length - offset)
+    return BatchOp(kind, offset, n, payload[:n])
 
+
+def apply_ops(store, ops, check_every=5):
+    model = ObjectModel()
+    oid = store.create()
+    model.create(oid)
+    for index, (kind, position, size) in enumerate(ops):
+        payload = bytes((index + 1 + i) % 251 for i in range(size))
+        op = _op(kind, position, size, payload, model.size(oid))
+        if op is not None:
+            got = model.run(store, MultiOp(oid, op))
+            assert got is None or got == model.read(oid, op.offset, op.nbytes)
+        if index % check_every == 0:
+            _full_check(store, model)
+    _full_check(store, model)
+    # No dangling references, double references, or leaked pages.
     report = fsck_check([(store.manager, [oid])])
     assert report.clean, report.summary()
 
 
-def _full_check(store, oid, ref):
-    assert store.size(oid) == len(ref)
-    if ref:
-        assert store.read(oid, 0, len(ref)) == bytes(ref)
+def _full_check(store, model):
+    assert model.differences(store) == []
     manager = store.manager
-    if store.scheme in ("esm", "eos"):
-        manager.tree_of(oid).check_invariants()
-    else:
-        manager.descriptor_of(oid).check_invariants()
+    for oid in model.oids():
+        if store.scheme in ("esm", "eos"):
+            manager.tree_of(oid).check_invariants()
+        else:
+            manager.descriptor_of(oid).check_invariants()
     store.env.areas.check_invariants()
 
 

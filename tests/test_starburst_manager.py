@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.errors import ByteRangeError, ObjectNotFoundError
+from repro.exec.plan import MultiOp, delete_op, insert_op, replace_op
+from repro.workload.model import ObjectModel
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -195,46 +197,19 @@ class TestOffsetsOnSeveralSegments:
         assert [s.alloc_pages for s in segments(store, oid)] == [1, 2, 4]
         return oid
 
-    @pytest.mark.parametrize("call", [
-        lambda store, oid, size: store.read(oid, size, 1),
-        lambda store, oid, size: store.read(oid, -1, 1),
-        lambda store, oid, size: store.read(oid, 2 * PAGE, size),
-        lambda store, oid, size: store.read(oid, size + 7, 0),
-        lambda store, oid, size: store.insert(oid, size + 1, b"x"),
-        lambda store, oid, size: store.insert(oid, -1, b"x"),
-        lambda store, oid, size: store.delete(oid, size, 1),
-        lambda store, oid, size: store.delete(oid, 3 * PAGE, size),
-        lambda store, oid, size: store.delete(oid, -PAGE, PAGE),
-        lambda store, oid, size: store.replace(oid, size - 1, b"xy"),
-        lambda store, oid, size: store.replace(oid, -1, b"x"),
-    ])
-    def test_bad_ranges_are_byte_range_errors_that_touch_nothing(
-        self, store, field, call
-    ):
-        content = store.read(field, 0, self.SIZE)
-        before = store.env.snapshot()
-        layout = [s.page_id for s in segments(store, field)]
-        with pytest.raises(ByteRangeError):
-            call(store, field, self.SIZE)
-        assert store.env.io_since(before).io_calls == 0
-        assert [s.page_id for s in segments(store, field)] == layout
-        assert store.read(field, 0, self.SIZE) == content
-
     @pytest.mark.parametrize("offset", [
         0, 1, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE - 1, 3 * PAGE, 5 * PAGE + 39,
     ])
     def test_every_update_lands_at_its_offset(self, store, field, offset):
-        model = bytearray(store.read(field, 0, self.SIZE))
-        assert store.read(field, offset, 1) == model[offset:offset + 1]
-        store.insert(field, offset, b"<inserted>")
-        model[offset:offset] = b"<inserted>"
-        assert store.read(field, 0, len(model)) == model
-        store.delete(field, offset, 3)
-        del model[offset:offset + 3]
-        assert store.read(field, 0, len(model)) == model
-        store.replace(field, offset, b"!!")
-        model[offset:offset + 2] = b"!!"
-        assert store.read(field, 0, len(model)) == model
+        model = ObjectModel()
+        model.create(field, store.read(field, 0, self.SIZE))
+        assert store.read(field, offset, 1) == model.read(field, offset, 1)
+        for op in (
+            insert_op(offset, b"<inserted>"), delete_op(offset, 3),
+            replace_op(offset, b"!!"),
+        ):
+            model.run(store, MultiOp(field, op))
+            assert model.differences(store) == []
         store.manager.descriptor_of(field).check_invariants()
 
 

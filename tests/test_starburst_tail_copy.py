@@ -30,9 +30,11 @@ from repro.core.payload import (
     payload_view,
     zeros,
 )
+from repro.exec.plan import MultiOp, append_op, delete_op, insert_op
 from repro.obs.tracer import Tracer
 from repro.segio import SegmentIO
 from repro.starburst.manager import StarburstManager
+from repro.workload.model import ObjectModel, issue
 from tests.conftest import pattern_bytes
 
 TRACED_SEED = 1992
@@ -248,7 +250,7 @@ def test_loop_matches_reader_and_writer(
     every operation the two environments' ledgers, pools, allocators and
     (traced) traces are equal and, when bytes are recorded, the field's
     bytes on disk (and every eighth step, read through the manager) are
-    those of a ``bytearray`` model; at the end the raw disk images are
+    those of the ``ObjectModel``; at the end the raw disk images are
     equal."""
     rng = random.Random(seed)
     config = small_page_config(
@@ -273,29 +275,32 @@ def test_loop_matches_reader_and_writer(
 
     # The first append sizes the first segment: one page, so that the
     # doubling pattern puts several segments under a small field.
-    model = bytearray(bytes(payload(rng.randint(1, page_size))))
+    first = payload(rng.randint(1, page_size))
     oids = [twin.manager.create() for twin in twins]
     for twin, oid in zip(twins, oids):
-        twin.manager.append(oid, bytes(model) if recorded else zeros(len(model)))
+        twin.manager.append(oid, first)
+    # The model keys the field by the first twin's oid.
+    model = ObjectModel()
+    model.create(oids[0], first)
     # Small enough to stay cheap, large enough for several staging chunks.
     low = 2 * page_size
     high = max(7 * page_size, 2 * config.staging_buffer_bytes + 4 * page_size)
     for step in range(300):
-        size = len(model)
+        size = model.size(oids[0])
         roll = rng.random()
+        op = None
         if roll < 0.02:
             # A fresh field of known size: laid out through the staging
             # buffer in one go, then grown and shrunk like the first.
             data = payload(rng.randint(1, 8 * page_size))
+            model.destroy(oids[0])
             for i, twin in enumerate(twins):
                 twin.manager.destroy(oids[i])
                 oids[i] = twin.manager.create(data)
-            model = bytearray(bytes(data))
+            model.create(oids[0], data)
         elif roll < 0.12 or size < low:
             data = payload(rng.randint(1, 3 * page_size))
-            for twin, oid in zip(twins, oids):
-                twin.manager.append(oid, data)
-            model += bytes(data)
+            op = append_op(data)
         elif roll < 0.55 and size < high:
             data = payload(rng.randint(1, 2 * page_size + 40))
             offset = rng.randrange(size)
@@ -308,26 +313,27 @@ def test_loop_matches_reader_and_writer(
                 )
                 if offset:
                     seen.add("insert at a segment's first byte")
-            for twin, oid in zip(twins, oids):
-                twin.manager.insert(oid, offset, data)
-            model[offset:offset] = bytes(data)
+            op = insert_op(offset, data)
         else:
             offset = rng.randrange(size)
             nbytes = rng.randint(1, min(size - offset, 4 * page_size))
             if rng.random() < 0.15:
                 nbytes = size - offset
                 seen.add("delete reaches the field's end")
+            op = delete_op(offset, nbytes)
+        if op is not None:
             for twin, oid in zip(twins, oids):
-                twin.manager.delete(oid, offset, nbytes)
-            del model[offset:offset + nbytes]
+                issue(twin.manager, MultiOp(oid, op))
+            model.apply(MultiOp(oids[0], op))
+        modelled = model.read(oids[0], 0, model.size(oids[0]))
         for twin, oid in zip(twins, oids):
-            assert twin.manager.size(oid) == len(model), f"step {step}"
+            assert twin.manager.size(oid) == len(modelled), f"step {step}"
             if recorded:
-                assert twin.stored_bytes(oid) == model, f"step {step}"
-                if model and step % 8 == 0:
+                assert twin.stored_bytes(oid) == modelled, f"step {step}"
+                if modelled and step % 8 == 0:
                     # Now and then through the pool, as a client reads.
-                    content = twin.manager.read(oid, 0, len(model))
-                    assert content == model, f"step {step}"
+                    content = twin.manager.read(oid, 0, len(modelled))
+                    assert content == modelled, f"step {step}"
         assert new.observable() == old.observable(), f"step {step}"
     assert new.env.disk.image() == old.env.disk.image()
     expected = set(SITUATIONS)

@@ -5,9 +5,6 @@ import pytest
 from repro.core.api import ALL_SCHEMES, SCHEMES, LargeObjectStore, make_manager
 from repro.core.config import PAPER_CONFIG, small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import InvalidArgumentError
-from repro.core.fsck import check
-from repro.exec.plan import append_op
 from tests.conftest import pattern_bytes
 
 CONFIG = small_page_config()
@@ -102,46 +99,3 @@ class TestPaperConfigDefaults:
     def test_store_defaults_to_table1(self):
         store = LargeObjectStore("eos")
         assert store.config == PAPER_CONFIG
-
-
-#: One write per path a payload enters by: (scheme, call(store, oid, data)).
-WRONG_TYPE_WRITES = {
-    "esm-create": ("esm", lambda s, oid, data: s.create(data)),
-    "starburst-insert": (
-        "starburst", lambda s, oid, data: s.insert(oid, 10, data)
-    ),
-    "eos-append": ("eos", lambda s, oid, data: s.append(oid, data)),
-    "blockbased-replace": (
-        "blockbased", lambda s, oid, data: s.replace(oid, 0, data)
-    ),
-    "esm-submit_ops": (
-        "esm", lambda s, oid, data: s.submit_ops(oid, [append_op(data)])
-    ),
-}
-
-
-class TestWrongTypePayload:
-    """A payload that is neither bytes-like nor sized is refused before
-    the first allocation or charged call."""
-
-    @pytest.mark.parametrize("case", sorted(WRONG_TYPE_WRITES))
-    def test_refused_before_anything_changes(self, case):
-        scheme, write = WRONG_TYPE_WRITES[case]
-        store = LargeObjectStore(scheme, CONFIG)
-        oid = store.create(pattern_bytes(5000))
-
-        def state():
-            manager = store.manager
-            return (
-                store.snapshot(),
-                store.env.areas.total_allocated_pages,
-                {o: manager.size(o) for o in manager.oids()},
-            )
-
-        before = state()
-        with pytest.raises(InvalidArgumentError, match="str"):
-            write(store, oid, "abc")
-        assert state() == before
-        assert check([(store.manager, store.manager.oids())]).clean
-        write(store, oid, b"abc")
-        assert check([(store.manager, store.manager.oids())]).clean
