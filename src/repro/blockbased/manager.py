@@ -377,8 +377,7 @@ class BlockBasedManager(LargeObjectManager):
         for dir_index in range(first // per_page, last // per_page + 1):
             if dir_index == 0 or dir_index >= len(directory):
                 continue
-            self.env.pool.fix(directory[dir_index])
-            self.env.pool.unfix(directory[dir_index])
+            self.env.pool.access(directory[dir_index])
 
     def _sync_directory(self, oid: int) -> None:
         """Grow/shrink directory pages and refresh their disk images."""

@@ -19,13 +19,14 @@ content is produced lazily (only when the page is actually written back).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.buddy.directory import check_directory_fits, serialize_directory
 from repro.buddy.space import BuddySpace
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
-from repro.core.errors import AllocationError, OutOfSpaceError
+from repro.core.errors import AllocationError, BufferPoolError, OutOfSpaceError
 
 
 class BuddyAllocator:
@@ -49,6 +50,8 @@ class BuddyAllocator:
         self._spaces: list[BuddySpace] = []
         #: Superdirectory: believed order of the largest free extent per space.
         self._superdirectory: list[int] = []
+        #: Per space, the lazy content provider of its directory page.
+        self._providers: list[Callable[[], bytes]] = []
         #: Batch-engine hook: while a fault injector is armed inside an
         #: op batch, frees are journaled here and applied at the batch
         #: boundary (after the group commit), so a mid-batch crash can
@@ -138,29 +141,24 @@ class BuddyAllocator:
             raise AllocationError("free range crosses a buddy space boundary")
         # Reject a bad free while the pages it names are still intact:
         # past this check the resident copies and the content are gone.
-        # (The map itself changes after them, under the directory fix:
-        # fixing first could evict a frame the invalidation is about to
+        # (The map itself changes after them, after the directory touch:
+        # touching first could evict a frame the invalidation is about to
         # drop for nothing, which is a different simulated I/O count.)
         space.check_allocated(offset, n_pages)
         pool = self.pool
+        directory_page = self.base_page_id + space_index * self._stride_pages
+        # Likewise a directory visit the pool must refuse: with every
+        # frame pinned, the invalidation below can drop no frame, so the
+        # directory's miss would find no room.
+        if pool.headroom == 0 and not pool.is_resident(directory_page):
+            raise BufferPoolError("all buffer frames are pinned")
         pool.invalidate_run(page_id, n_pages)
         pool.disk.discard_pages(page_id, n_pages)
-        # A free always changes the space's state, so once free_range
-        # returns the directory page is unconditionally unfixed dirty.
-        directory_page = self.base_page_id + space_index * self._stride_pages
-        changed = False
-        pool.fix(directory_page)
-        try:
-            space.free_range(offset, n_pages)
-            changed = True
-            self._superdirectory[space_index] = (
-                space._order_mask.bit_length() - 1
-            )
-            pool.set_provider(
-                directory_page, lambda: serialize_directory(space)
-            )
-        finally:
-            pool.unfix(directory_page, dirty=changed)
+        # A free always changes the space's state: the directory page is
+        # touched dirty.
+        pool.access(directory_page, self._providers[space_index])
+        space.free_range(offset, n_pages)
+        self._superdirectory[space_index] = space._order_mask.bit_length() - 1
 
     # ------------------------------------------------------------------
     # Accounting
@@ -218,42 +216,40 @@ class BuddyAllocator:
     ) -> int | None:
         """Visit a space's directory and try to allocate there.
 
-        The directory state changed exactly when the allocation succeeded:
-        fix, correct the superdirectory, set the provider on change, unfix.
+        One touch of the directory page, dirty exactly when the space
+        fits the request (an allocation always changes the directory);
+        the superdirectory is corrected either way.
         """
         space = self._spaces[index]
         page_id = self.base_page_id + index * self._stride_pages
-        pool = self.pool
         offset: int | None = None
-        changed = False
-        pool.fix(page_id)
-        try:
-            # max_free_order() inlined (same package): the largest free
-            # order is the top bit of the space's free-list index.
-            if space._order_mask.bit_length() - 1 >= needed_order:
-                offset = space.allocate(n_pages)
-            self._superdirectory[index] = space._order_mask.bit_length() - 1
-            changed = offset is not None
-            if changed:
-                pool.set_provider(
-                    page_id, lambda: serialize_directory(space)
-                )
-        finally:
-            pool.unfix(page_id, dirty=changed)
+        # max_free_order() inlined (same package): the largest free
+        # order is the top bit of the space's free-list index.
+        if space._order_mask.bit_length() - 1 >= needed_order:
+            self.pool.access(page_id, self._providers[index])
+            offset = space.allocate(n_pages)
+        else:
+            self.pool.access(page_id)
+        self._superdirectory[index] = space._order_mask.bit_length() - 1
         return offset
 
     def _add_space(self) -> int:
-        """Grow the area by one buddy space; returns its index."""
+        """Grow the area by one buddy space; returns its index.
+
+        The directory frame is taken first, so a pool that must refuse it
+        refuses before the area grows.
+        """
+        index = len(self._spaces)
+        page_id = self._directory_page(index)
         space = BuddySpace(self.config.buddy_space_order)
+        provider = partial(serialize_directory, space)
+        pool = self.pool
+        pool.fix_new(page_id)
+        try:
+            pool.set_provider(page_id, provider)
+        finally:
+            pool.unfix(page_id, dirty=True)
         self._spaces.append(space)
         self._superdirectory.append(space.order)
-        index = len(self._spaces) - 1
-        page_id = self._directory_page(index)
-        self.pool.fix_new(page_id)
-        try:
-            self.pool.set_provider(
-                page_id, lambda: serialize_directory(space)
-            )
-        finally:
-            self.pool.unfix(page_id, dirty=True)
+        self._providers.append(provider)
         return index

@@ -5,7 +5,8 @@ an LRU policy that prefers evicting clean pages: "we start first by freeing
 the least recently used clean pages followed by dirty pages that, of
 course, have to be written back to disk".
 
-The pool supports the usual fix/unfix interface with pin counts, plus
+The pool supports the usual fix/unfix interface with pin counts, a
+one-page touch that holds no pin (:meth:`~BufferPool.access`), plus
 multi-page runs: :meth:`read_run` reads a run of physically adjacent pages
 into the pool with one physical I/O per missing sub-run, which is how
 segments of up to ``max_buffered_segment_pages`` pages are buffered.
@@ -73,28 +74,50 @@ class BufferPool:
         self._san_pins: dict[int, list[str]] = {}
 
     # ------------------------------------------------------------------
-    # Fix / unfix
+    # Access / fix / unfix
     # ------------------------------------------------------------------
-    def fix(self, page_id: int) -> Frame:
-        """Pin the page in the pool, reading it from disk on a miss.
+    def access(self, page_id: int,
+               provider: Callable[[], bytes] | None = None) -> Frame:
+        """One charged touch of the page, with no pin held after it.
 
-        Raises :class:`BufferPoolError` if every frame is pinned and the
-        page is not resident.
+        Counts, orders and evicts exactly as :meth:`fix` then
+        :meth:`unfix` would: a hit moves the frame to the recency end, a
+        miss makes room and reads the page from disk.  With a
+        ``provider`` the frame takes it and is left dirty, so the content
+        is produced only when the page reaches disk.  The returned frame
+        is valid until the next call that can evict.
+
+        Raises :class:`BufferPoolError`, before anything is counted, if
+        every frame is pinned and the page is not resident.
         """
         frames = self._frames
         frame = frames.get(page_id)
         if frame is not None:
             self.stats.hits += 1
+            frames.move_to_end(page_id)
         else:
+            if self._pinned >= self.capacity:
+                raise BufferPoolError("all buffer frames are pinned")
             self.stats.misses += 1
-            self._make_room(1)
-            data = self.disk.read_pages(page_id, 1)
-            frame = Frame(page_id, data)
+            if len(frames) >= self.capacity:
+                self._evict_many(1)
+            frame = Frame(page_id, self.disk.read_pages(page_id, 1))
             frames[page_id] = frame
+        if provider is not None:
+            frame.provider = provider
+            frame.dirty = True
+        return frame
+
+    def fix(self, page_id: int) -> Frame:
+        """Pin the page in the pool: :meth:`access`, then one pin.
+
+        Raises :class:`BufferPoolError`, before anything is counted, if
+        every frame is pinned and the page is not resident.
+        """
+        frame = self.access(page_id)
         frame.pin_count += 1
         if frame.pin_count == 1:
             self._pinned += 1
-        frames.move_to_end(page_id)
         if checks_enabled():
             self._san_note(page_id)
         return frame

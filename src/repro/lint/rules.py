@@ -752,5 +752,17 @@ SEAMS: tuple[Seam, ...] = (
         "iter_extents(); a refused call is judged by behaviour, not its "
         "dirty set",
     ),
+    Seam(
+        "SEAM008", "pool fix/unfix/fix_new/set_provider only in repro/buffer/, "
+        "repro/buddy/ and tests/",
+        lambda node: (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("fix", "unfix", "fix_new", "set_provider")
+        ),
+        under("repro/buffer/", "repro/buddy/", "tests/"),
+        "a page touch that holds no pin across another pool call is one "
+        "BufferPool.access(page_id, provider), not two pool calls",
+    ),
 )
 RULES.update((seam.rule_id, seam) for seam in SEAMS)

@@ -204,21 +204,13 @@ class RecordStore:
         if page_id not in self._pages:
             # The page was freed when its last record was deleted.
             raise ObjectNotFoundError(f"no record page {page_id}")
+        # Charged like any small-object page touch, cached or not.
+        frame = self.env.pool.access(page_id)
         if page_id not in self._cache:
-            self.env.pool.fix(page_id)
-            try:
-                frame = self.env.pool.lookup(page_id)
-                assert frame is not None
-                self._cache[page_id] = SlottedPage(
-                    self.env.config.page_size,
-                    frame.content().ljust(self.env.config.page_size, b"\x00"),
-                )
-            finally:
-                self.env.pool.unfix(page_id)
-        else:
-            # Charge the access like any small-object page touch.
-            self.env.pool.fix(page_id)
-            self.env.pool.unfix(page_id)
+            self._cache[page_id] = SlottedPage(
+                self.env.config.page_size,
+                frame.content().ljust(self.env.config.page_size, b"\x00"),
+            )
         return self._cache[page_id]
 
     def _flush_page(self, page_id: int) -> None:

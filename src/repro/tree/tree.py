@@ -684,20 +684,17 @@ class PositionalTree:
             # root is memory-resident with the object descriptor, so its
             # accesses are never charged.
             return node
-        frame = self.pool.fix(page_id)
-        try:
-            if node is None:
-                node, _total, _rightmost = IndexNode.deserialize(
-                    frame.content().ljust(self.config.page_size, b"\x00"),
-                    page_id,
-                    is_root=False,
-                    data_base=self.data_base,
-                    meta_base=self.meta.base_page_id,
-                    leaf_alloc_pages=self.leaf_alloc_pages,
-                )
-                self._nodes[page_id] = node
-        finally:
-            self.pool.unfix(page_id)
+        frame = self.pool.access(page_id)
+        if node is None:
+            node, _total, _rightmost = IndexNode.deserialize(
+                frame.content().ljust(self.config.page_size, b"\x00"),
+                page_id,
+                is_root=False,
+                data_base=self.data_base,
+                meta_base=self.meta.base_page_id,
+                leaf_alloc_pages=self.leaf_alloc_pages,
+            )
+            self._nodes[page_id] = node
         return node
 
     def _peek_node(self, page_id: int) -> IndexNode:

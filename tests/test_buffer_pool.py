@@ -251,6 +251,57 @@ class TestRunsAgainstThePerPageLoop:
         assert disk.image() == reference_disk.image()
 
 
+class TestAccessAgainstFixUnfix:
+    """``access`` is one charged touch with no pin held: it must leave
+    what ``fix`` then ``unfix`` (with ``set_provider`` and a dirty unfix
+    when given a provider) leave, step by step."""
+
+    @staticmethod
+    def _by_pair(pool, page, provider):
+        pool.fix(page)
+        if provider is not None:
+            pool.set_provider(page, provider)
+        pool.unfix(page, dirty=provider is not None)
+
+    def test_same_counts_order_flags_and_image(self):
+        # Serialized only at writeback: its first byte is the step number.
+        directory = bytearray(64)
+
+        def provider():
+            return bytes(directory)
+
+        steps = [
+            (1, None), (2, None), (3, provider),  # misses into free frames
+            (1, None),                            # a hit
+            (4, None),                            # miss evicts clean 2
+            (1, provider),                        # a hit left dirty
+            (5, None),                            # miss evicts clean 4
+            (5, provider),
+            (6, None),                            # all dirty: 3 written back
+            (3, None),                            # miss evicts clean 6
+        ]
+        sides = []
+        for _ in range(2):
+            _config, cost, disk, pool = make_pool(pool_pages=3, page_size=64)
+            for page in range(1, 7):
+                disk.poke_pages(page, bytes([page]) * 64)
+            sides.append((cost, disk, pool))
+        (cost, disk, pool), (ref_cost, ref_disk, reference) = sides
+        for step, (page, touch_provider) in enumerate(steps):
+            directory[0] = step
+            frame = pool.access(page, touch_provider)
+            self._by_pair(reference, page, touch_provider)
+            assert frame is pool.lookup(page)
+            assert pool.stats == reference.stats
+            assert list(pool.frames()) == list(reference.frames())
+            assert _frame_states(pool) == _frame_states(reference)
+            assert disk.image() == ref_disk.image()
+            assert cost.stats == ref_cost.stats
+        assert pool.stats.evictions == 4
+        assert pool.stats.dirty_writebacks == 1
+        assert bytes(pool.lookup(3).content()) == bytes([8]) + bytes(63)
+
+
 class TestFlush:
     def test_flush_all_groups_contiguous_runs(self):
         _config, cost, _disk, pool = make_pool(pool_pages=6)

@@ -776,7 +776,7 @@ class TestCliAndSarif:
         assert "FLOW001" in out
 
     def test_flow_flag_clean_exits_zero(self, tmp_path, capsys):
-        write(tmp_path, "repro/tree/mod.py", """\
+        write(tmp_path, "repro/buffer/mod.py", """\
             def f(pool, page_id):
                 pool.fix(page_id)
                 pool.unfix(page_id)
@@ -785,7 +785,7 @@ class TestCliAndSarif:
         assert "clean" in capsys.readouterr().out
 
     def test_without_flow_flag_flow_rules_silent(self, tmp_path, capsys):
-        write(tmp_path, "repro/tree/mod.py", """\
+        write(tmp_path, "repro/buffer/mod.py", """\
             def f(pool, page_id, flag):
                 pool.fix(page_id)
                 if flag:
@@ -814,7 +814,7 @@ class TestCliAndSarif:
             assert rule_id in out
 
     def test_sarif_output_is_valid_and_anchored(self, tmp_path, capsys):
-        write(tmp_path, "repro/tree/mod.py", """\
+        write(tmp_path, "repro/buffer/mod.py", """\
             def f(pool, page_id, flag):
                 pool.fix(page_id)
                 if flag:

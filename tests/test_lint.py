@@ -278,6 +278,21 @@ SEAM_CASES = [
         def test_pages(tree):
             assert [node.page_id for node in tree._walk_nodes()]
         """, []),
+    case("SEAM008", "pin_pairs_outside_the_pool_flagged",
+         "repro/records/store.py", """\
+        def touch(pool, page, provider):
+            pool.access(page, provider)
+            frame = pool.fix(page)
+            pool.set_provider(page, provider)
+            pool.unfix(page, dirty=True)
+            return pool.fix_new(page + 1), frame
+        """, [3, 4, 5, 6]),
+    case("SEAM008", "buddy_package_allowed", "repro/buddy/allocator.py", """\
+        def grow(pool, page, provider):
+            pool.fix_new(page)
+            pool.set_provider(page, provider)
+            pool.unfix(page, dirty=True)
+        """, []),
 ]
 
 

@@ -141,6 +141,18 @@ def _pinned_pool(*, pin_resident=False) -> Subject:
     return Subject(env)
 
 
+def _pinned_over_written_pages() -> Subject:
+    """Four frames, all pinned, over two written data pages whose area's
+    directory page the pins evicted."""
+    env = StorageEnvironment(small_page_config(buffer_pool_pages=4))
+    page = env.areas.data.allocate(2)
+    env.pool.write_run(page, 2, pattern_bytes(2 * PAGE))
+    for pinned in (10, 11, 12, 13):
+        env.pool.fix(pinned)
+    assert not env.pool.is_resident(DATA_AREA_BASE)
+    return Subject(env, ids=[page])
+
+
 def _freed_half() -> Subject:
     """Four written data pages, two of them cached; the last two freed."""
     env = StorageEnvironment(SMALL)
@@ -199,6 +211,15 @@ for name, build, start, n_pages in (
         lambda s: s.target.pool.read_run(50, 1),        # a hit needs no room
     )
 
+# So does a one-page touch, pinned or not.
+for method in ("fix", "access"):
+    REFUSALS[f"pool-{method}-on-a-fully-pinned-pool"] = Refusal(
+        lambda: _pinned_pool(pin_resident=True),
+        lambda s, method=method: getattr(s.target.pool, method)(60),
+        BufferPoolError, "pinned",
+        lambda s: s.target.pool.read_run(50, 1),
+    )
+
 # A free that names an already-free block is refused before the resident
 # copies and the content of its live pages are dropped.
 REFUSALS["buddy-free-of-a-free-block"] = Refusal(
@@ -206,6 +227,21 @@ REFUSALS["buddy-free-of-a-free-block"] = Refusal(
     lambda s: s.target.areas.data.free(s.ids[0], 4),
     AllocationError, "block 2 is already free",
     lambda s: s.target.areas.data.free(s.ids[0], 2),
+)
+# So is a free whose directory visit the pool cannot make room for, and
+# a first allocation whose new directory page it cannot hold: the area
+# neither loses the pages' content nor grows.
+REFUSALS["buddy-free-on-a-fully-pinned-pool"] = Refusal(
+    _pinned_over_written_pages,
+    lambda s: s.target.areas.data.free(s.ids[0], 2),
+    BufferPoolError, "pinned",
+    lambda s: (s.target.pool.unfix(13), s.target.areas.data.free(s.ids[0], 2)),
+)
+REFUSALS["buddy-allocate-on-a-fully-pinned-pool"] = Refusal(
+    lambda: _pinned_pool(pin_resident=True),
+    lambda s: s.target.areas.data.allocate(1),
+    BufferPoolError, "pinned",
+    lambda s: (s.target.pool.unfix(50), s.target.areas.data.allocate(1)),
 )
 
 # A span must cover whole extents inside the object.

@@ -199,7 +199,8 @@ class TestPinLeakRegressions:
 
     def test_buddy_free_unwinds_balanced(self, monkeypatch):
         # A directory visit used to skip the unfix when the space
-        # mutation raised; free() is one of the two visits left.
+        # mutation raised.  free() now touches the directory without a
+        # pin; the mutation still raises after the touch.
         config = small_page_config()
         pool = BufferPool(config, SimulatedDisk(config, CostModel(config)))
         allocator = BuddyAllocator(config, pool, base_page_id=0, name="test")
@@ -214,7 +215,7 @@ class TestPinLeakRegressions:
         pool.assert_pin_balanced()
 
     def test_buddy_allocate_unwinds_balanced(self, monkeypatch):
-        # Same bug class on the other visit (_try_allocate_in_space).
+        # The same on the other visit (_try_allocate_in_space).
         config = small_page_config()
         pool = BufferPool(config, SimulatedDisk(config, CostModel(config)))
         allocator = BuddyAllocator(config, pool, base_page_id=0, name="test")
