@@ -243,12 +243,7 @@ class BuddyAllocator:
         page_id = self._directory_page(index)
         space = BuddySpace(self.config.buddy_space_order)
         provider = partial(serialize_directory, space)
-        pool = self.pool
-        pool.fix_new(page_id)
-        try:
-            pool.set_provider(page_id, provider)
-        finally:
-            pool.unfix(page_id, dirty=True)
+        self.pool.access_new(page_id, provider)
         self._spaces.append(space)
         self._superdirectory.append(space.order)
         self._providers.append(provider)

@@ -141,6 +141,19 @@ class BufferPool:
             self._san_note(page_id)
         return frame
 
+    def access_new(self, page_id: int, provider: Callable[[], bytes]) -> None:
+        """Install a freshly allocated page, dirty, with no pin held.
+
+        :meth:`fix_new`, :meth:`set_provider` and a dirty :meth:`unfix`
+        in one call: no read, no count, the same victim, and the frame
+        ends at the recency end with ``provider`` as its content.
+        """
+        frames = self._frames
+        if page_id in frames:
+            raise BufferPoolError(f"page {page_id} is already resident")
+        self._make_room(1)
+        frames[page_id] = Frame(page_id, dirty=True, provider=provider)
+
     def unfix(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin on the page, optionally marking it dirty."""
         frame = self._frames.get(page_id)
@@ -173,9 +186,9 @@ class BufferPool:
     def assert_pin_balanced(self, context: str = "") -> None:
         """Raise unless every page's pin count is back to zero.
 
-        The runtime mirror of the static FLOW001 typestate rule: called
-        between operations (``REPRO_CHECKS=1`` hooks it into every manager
-        op span), when no frame may still be pinned.  The error message
+        The one pin-balance check: called between operations
+        (``REPRO_CHECKS=1`` hooks it into every manager op span, on normal
+        and failed exits), when no frame may still be pinned.  The message
         names the leaked pages and, when the sanitizer recorded them,
         the exact fix()/fix_new() call sites that acquired the pins.
         """
@@ -368,15 +381,27 @@ class BufferPool:
                 self._pinned += 1
         stats.hits += len(resident)
         stats.misses += len(missing)
-        for run_start, run_len in contiguous_runs(missing):
-            need = len(frames) + run_len - capacity
-            if need > 0:
-                self._evict_many(need)
-            page = run_start
-            for data in self.disk.read_page_views(run_start, run_len):
-                frames[page] = Frame(page, data, False, 1, record)
-                page += 1
-            self._pinned += run_len
+        try:
+            for run_start, run_len in contiguous_runs(missing):
+                need = len(frames) + run_len - capacity
+                if need > 0:
+                    self._evict_many(need)
+                page = run_start
+                for data in self.disk.read_page_views(run_start, run_len):
+                    frames[page] = Frame(page, data, False, 1, record)
+                    page += 1
+                self._pinned += run_len
+        except BaseException:
+            # A writeback or read failed: each page of the run that is
+            # resident now holds one pin from this call (the sub-runs not
+            # yet read are absent), so release one each, in place.
+            for page in range(start, start + n_pages):
+                frame = get(page)
+                if frame is not None:
+                    frame.pin_count -= 1
+                    if frame.pin_count == 0:
+                        self._pinned -= 1
+            raise
         chunks = []
         for page in range(start, start + n_pages):
             frame = frames[page]

@@ -16,6 +16,7 @@ from typing import ContextManager, Iterator, NamedTuple, Sequence
 from repro.core.env import StorageEnvironment
 from repro.core.errors import (
     ByteRangeError,
+    ContractViolationError,
     InvalidArgumentError,
     ObjectNotFoundError,
 )
@@ -30,12 +31,22 @@ from repro.obs.tracer import NULL_SPAN
 def _san_guarded(pool, op: str, span: ContextManager[None]):
     """Wrap an op span with the ``REPRO_CHECKS=1`` pin-balance assertion.
 
-    The check runs on *normal* exit only: a crashed or failed operation
-    legitimately unwinds through ``finally:`` cleanup, and asserting
-    mid-unwind would mask the original error.
+    The check runs on every exit while the environment is live: a failed
+    operation must release its pins too, and a leak it leaves raises
+    :class:`ContractViolationError` chained from the operation's own
+    error.  After an injected crash (the disk is halted) nothing is
+    checked, so the crash surfaces unchanged.
     """
-    with span:
-        yield
+    try:
+        with span:
+            yield
+    except BaseException as exc:
+        if not (isinstance(exc, ContractViolationError) or pool.disk.halted):
+            try:
+                pool.assert_pin_balanced(op)
+            except ContractViolationError as leak:
+                raise leak from exc
+        raise
     pool.assert_pin_balanced(op)
 
 

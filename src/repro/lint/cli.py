@@ -11,12 +11,7 @@ import pathlib
 import sys
 
 from repro.lint.engine import lint_paths
-from repro.lint.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.lint.reporters import render_json, render_rule_list, render_text
 from repro.lint.rules import RULES
 
 
@@ -38,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -47,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "additionally run the whole-program flow analysis "
-            "(FLOW/DET/CHG rule families) over the given paths"
+            "(FLOW002, DET001, DET003) over the given paths"
         ),
     )
     parser.add_argument(
@@ -90,10 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             set(violations)
             | set(analyze_paths(paths, select=select, ignore=ignore))
         )
-    renderer = {
-        "json": render_json,
-        "sarif": render_sarif,
-    }.get(args.format, render_text)
+    renderer = render_json if args.format == "json" else render_text
     print(renderer(violations))
     return 1 if violations else 0
 

@@ -14,9 +14,9 @@ discard them.  The declaration is enforced twice:
   :class:`~repro.core.errors.ContractViolationError` if they moved.
 
 ``REPRO_CHECKS=1`` is the one switch for every runtime self-check: these
-purity contracts, the buffer pool's pin-balance sanitizer (the runtime
-mirror of the static FLOW001 typestate rule: acquisition sites recorded
-on every fix, balance asserted after every manager operation) and a
+purity contracts, the buffer pool's pin-balance sanitizer (acquisition
+sites recorded on every fix, balance asserted after every manager
+operation, failed ones included while the disk is not halted) and a
 private throwaway tracer for every untraced environment
 (:func:`repro.obs.runtime.resolve_tracer`), so the tracing code paths run
 under the whole test suite.  Unset, each check is one cheap test.

@@ -20,8 +20,9 @@ if TYPE_CHECKING:
 
 #: ``# repro-lint: disable=LAY001`` (same line) or
 #: ``# repro-lint: disable-file=LAY001`` (anywhere in the file), with an
-#: optional trailing rationale: ``disable=FLOW001 -- frame escapes via
-#: the returned view``.  Flow rules *require* the rationale (FLOW000).
+#: optional trailing rationale: ``disable=FLOW002 -- deliberate undo of
+#: the objects this call created``.  Flow rules *require* the rationale
+#: (FLOW000).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(?P<scope>disable|disable-file)\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*|all)"

@@ -15,16 +15,16 @@ class-hierarchy-aware strategy:
   imported module.
 
 Name-based fallback over-approximates — safe for the reachability
-questions asked here (charge-completeness, mutation-in-cleanup), where a
-missed edge would silence a real violation but a spurious edge at worst
-asks for an explicit suppression.
+question asked here (FLOW002's mutation-in-cleanup), where a missed edge
+would silence a real violation but a spurious edge at worst asks for an
+explicit suppression.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.lint.engine import FileContext, iter_python_files
 
@@ -205,23 +205,6 @@ class Program:
             stack.extend((info.module, base) for base in info.bases)
         return None
 
-    def subclasses_of(self, base_name: str) -> Iterator[ClassInfo]:
-        """Every class whose (transitive, name-matched) bases include
-        ``base_name``."""
-        for info in self.classes.values():
-            seen: set[str] = set()
-            stack = list(info.bases)
-            while stack:
-                base = stack.pop()
-                if base in seen:
-                    continue
-                seen.add(base)
-                if base == base_name:
-                    yield info
-                    break
-                for parent in self._class_by_name(base):
-                    stack.extend(parent.bases)
-
     # ------------------------------------------------------------------
     # Call resolution
     # ------------------------------------------------------------------
@@ -294,9 +277,3 @@ class Program:
                     seen.add(caller)
                     stack.append(caller)
         return seen
-
-    def iter_calls(self, info: FunctionInfo) -> Iterator[ast.Call]:
-        """Every call expression in the function body."""
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                yield node

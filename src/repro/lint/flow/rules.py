@@ -1,31 +1,21 @@
 """The whole-program rule families of ``repro.lint --flow``.
 
-Four families, each encoding a property the per-file rules of
-:mod:`repro.lint.rules` cannot see:
+Two families, each encoding a property the per-file rules of
+:mod:`repro.lint.rules` cannot see and no run-time check kills (see
+``docs/static_analysis.md``'s mutant table):
 
-* **FLOW001 — pin typestate.**  Every ``pool.fix()`` / ``pool.fix_new()``
-  must be balanced by ``pool.unfix()`` on *all* CFG paths, including
-  exception paths, unless the pinned frame escapes to the caller (it is
-  returned or stored).  A leaked pin silently shrinks the pool's
-  evictable set and drifts the Section 4.1 cost model.
 * **FLOW002 — crash-safe cleanup.**  ``finally:`` and ``except:`` bodies
   in the storage layers must not mutate pool/disk/allocator state,
   directly or transitively — the PR 4 bug class (post-crash
-  ``finally:``-flushes leaking state into the image), now enforced
-  statically.
+  ``finally:``-flushes leaking state into the image).
 * **DET001, DET003 — determinism.**  No unordered ``set`` iteration, no
   arbitrary-element extraction — anything that could make reports,
-  traces, or page layouts differ across runs or interpreter processes.  (DET002, unseeded clocks and RNGs, needs no call graph: it is
-  a row of the per-file seam table in :mod:`repro.lint.rules`.)
-* **CHG001 — charge-completeness.**  Every paper-facing manager
-  operation that transitively reaches a charged ``SimulatedDisk``
-  primitive must open an ``op.*`` tracing span, and every op-span name
-  must exist in the :mod:`repro.obs` span taxonomy — so the exact
-  cost-decomposition invariant of PR 5 (span self-costs sum to the total
-  with ``==``) covers all physical I/O.
+  traces, or error messages differ across interpreter processes.
+  (DET002, unseeded clocks and RNGs, needs no call graph: it is a row of
+  the per-file seam table in :mod:`repro.lint.rules`.)
 
 Suppression uses the engine syntax plus a mandatory rationale for flow
-rules: ``# repro-lint: disable=FLOW001 -- why this is safe``.  A flow
+rules: ``# repro-lint: disable=FLOW002 -- why this is safe``.  A flow
 suppression without the ``--`` rationale is itself reported (FLOW000).
 """
 
@@ -41,14 +31,12 @@ from repro.lint.flow.callgraph import (
     Program,
     _attribute_chain,
 )
-from repro.lint.flow.cfg import Header, Item, build_cfg
-from repro.lint.flow.dataflow import Analysis, run_forward
 
 #: rule id -> rule instance, in registration order.
 FLOW_RULES: dict[str, "FlowRule"] = {}
 
 #: Flow-rule id prefixes whose suppressions require a rationale.
-FLOW_RULE_PREFIXES = ("FLOW", "DET", "CHG")
+FLOW_RULE_PREFIXES = ("FLOW", "DET")
 
 
 def register(cls: type["FlowRule"]) -> type["FlowRule"]:
@@ -110,212 +98,13 @@ def _is_disk_call(call: ast.Call, names: frozenset[str]) -> bool:
     return bool(chain) and chain[-1] == "disk"
 
 
-def _key_of(call: ast.Call) -> str:
-    """Normalized page-id expression of a fix/unfix call site."""
-    if not call.args:
-        return "?"
-    return ast.unparse(call.args[0])
-
-
-_FIX_NAMES = frozenset({"fix", "fix_new"})
-_UNFIX_NAMES = frozenset({"unfix"})
-
-
-# ----------------------------------------------------------------------
-# FLOW001: fix/unfix pin typestate
-# ----------------------------------------------------------------------
-#: Pin state: (pins, binds) where pins maps a page-id expression to the
-#: set of source lines that acquired it, and binds maps local variable
-#: names to the page-id key of the frame they hold.  Both are stored as
-#: canonical frozensets so states are hashable and joins are unions.
-PinState = tuple[
-    frozenset[tuple[str, frozenset[int]]],
-    frozenset[tuple[str, str]],
-]
-
-_EMPTY_PIN_STATE: PinState = (frozenset(), frozenset())
-
-
-class PinAnalysis(Analysis[PinState]):
-    """May-leak analysis for buffer-pool pins within one function."""
-
-    def initial(self) -> PinState:
-        return _EMPTY_PIN_STATE
-
-    def join(self, a: PinState, b: PinState) -> PinState:
-        if a == b:
-            return a
-        pins: dict[str, set[int]] = {}
-        for source in (a[0], b[0]):
-            for key, lines in source:
-                pins.setdefault(key, set()).update(lines)
-        return (
-            frozenset((k, frozenset(v)) for k, v in pins.items()),
-            a[1] | b[1],
-        )
-
-    def transfer(self, state: PinState, item: Item) -> PinState:
-        return self._transfer(state, item, acquire=True)
-
-    def transfer_exception(self, state: PinState, item: Item) -> PinState:
-        # An aborted statement publishes no acquisitions, but a failing
-        # ``unfix(p)`` still released bookkeeping before raising — apply
-        # releases only, so cleanup calls are not misread as leaks.
-        return self._transfer(state, item, acquire=False)
-
-    # ------------------------------------------------------------------
-    def _transfer(self, state: PinState, item: Item,
-                  acquire: bool) -> PinState:
-        exprs: list[ast.AST]
-        stmt: ast.stmt | None
-        if isinstance(item, Header):
-            exprs = list(item.exprs)
-            stmt = None
-        else:
-            exprs = [item]
-            stmt = item
-        pins = {key: set(lines) for key, lines in state[0]}
-        binds = dict(state[1])
-        changed = False
-        for root in exprs:
-            for node in ast.walk(root):
-                if not isinstance(node, ast.Call):
-                    continue
-                if _is_pool_call(node, _FIX_NAMES):
-                    if acquire:
-                        key = _key_of(node)
-                        pins.setdefault(key, set()).add(node.lineno)
-                        changed = True
-                elif _is_pool_call(node, _UNFIX_NAMES):
-                    self._release(pins, _key_of(node))
-                    changed = True
-                elif acquire:
-                    changed |= self._escape_via_args(node, pins, binds)
-        if stmt is not None and acquire:
-            changed |= self._bind_or_escape(stmt, pins, binds)
-        if not changed:
-            return state
-        return (
-            frozenset((k, frozenset(v)) for k, v in pins.items() if v),
-            frozenset(binds.items()),
-        )
-
-    @staticmethod
-    def _release(pins: dict[str, set[int]], key: str) -> None:
-        if key == "?":
-            pins.clear()  # dynamic unfix: assume it balances anything
-            return
-        lines = pins.get(key)
-        if lines:
-            lines.discard(max(lines))
-            if not lines:
-                del pins[key]
-        elif "?" in pins:
-            unknown = pins["?"]
-            unknown.discard(max(unknown))
-            if not unknown:
-                del pins["?"]
-
-    def _escape_via_args(self, call: ast.Call, pins: dict[str, set[int]],
-                         binds: dict[str, str]) -> bool:
-        """A frame handed to another function escapes local tracking."""
-        changed = False
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            if isinstance(arg, ast.Name) and arg.id in binds:
-                pins.pop(binds[arg.id], None)
-                changed = True
-        return changed
-
-    def _bind_or_escape(self, stmt: ast.stmt, pins: dict[str, set[int]],
-                        binds: dict[str, str]) -> bool:
-        changed = False
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            value = stmt.value
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign)
-                else [stmt.target]
-            )
-            if isinstance(value, ast.Call) and _is_pool_call(value, _FIX_NAMES):
-                key = _key_of(value)
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        binds[target.id] = key
-                        changed = True
-                    elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                        # Frame stored beyond the function: escapes.
-                        pins.pop(key, None)
-                        changed = True
-            elif isinstance(value, ast.Name) and value.id in binds:
-                for target in targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        pins.pop(binds[value.id], None)
-                        changed = True
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            for node in ast.walk(stmt.value):
-                if isinstance(node, ast.Name) and node.id in binds:
-                    pins.pop(binds[node.id], None)
-                    changed = True
-                elif isinstance(node, ast.Call) and _is_pool_call(
-                    node, _FIX_NAMES
-                ):
-                    pins.pop(_key_of(node), None)
-                    changed = True
-        return changed
-
-
-@register
-class PinTypestateRule(FlowRule):
-    """FLOW001: every fix()/fix_new() is balanced on all paths."""
-
-    rule_id = "FLOW001"
-    summary = (
-        "pool.fix()/fix_new() must be balanced by unfix() (or an escaping "
-        "return of the frame) on every path, including exception paths"
-    )
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        for info in program.functions.values():
-            uses_pins = any(
-                isinstance(node, ast.Call)
-                and (_is_pool_call(node, _FIX_NAMES)
-                     or _is_pool_call(node, _UNFIX_NAMES))
-                for node in ast.walk(info.node)
-            )
-            if not uses_pins:
-                continue
-            cfg = build_cfg(info.node)
-            states = run_forward(cfg, PinAnalysis())
-            leaks: dict[tuple[str, int], set[str]] = {}
-            for exit_block, path_kind in (
-                (cfg.exit, "a fall-through path"),
-                (cfg.raise_exit, "an exception path"),
-            ):
-                state = states.get(exit_block.bid)
-                if state is None:
-                    continue
-                for key, lines in state[0]:
-                    for line in lines:
-                        leaks.setdefault((key, line), set()).add(path_kind)
-            for (key, line), kinds in sorted(leaks.items()):
-                where = " and ".join(sorted(kinds))
-                yield self.violation(
-                    info.ctx,
-                    None,
-                    line,
-                    f"{info.name}() pins page {key} here but {where} can "
-                    "leave the function without unfix(); a leaked pin "
-                    "shrinks the evictable pool and drifts the cost model "
-                    "(wrap the use in try/finally)",
-                )
-
-
 # ----------------------------------------------------------------------
 # FLOW002: no state mutation in finally/except cleanup
 # ----------------------------------------------------------------------
 _DISK_MUTATORS = frozenset({"write_pages", "poke_pages", "discard_pages"})
 _POOL_MUTATORS = frozenset({
     "write_run", "flush_all", "flush_page", "invalidate", "invalidate_run",
-    "update_if_resident", "set_provider",
+    "update_if_resident", "set_provider", "access_new",
 })
 _ALLOC_MUTATORS = frozenset({"allocate", "free", "free_range"})
 
@@ -399,19 +188,9 @@ class CrashSafeCleanupRule(FlowRule):
                 for handler in node.handlers:
                     yield handler.body, "except"
 
-    #: The sanctioned cleanup primitive: releasing a pin undoes this
-    #: operation's own bookkeeping and performs no I/O (writeback happens
-    #: at eviction/flush on the success path) — unfix-in-finally is the
-    #: fix FLOW001 prescribes, so FLOW002 must not reject it.
-    _cleanup_safe = frozenset({"unfix"})
-
-    @classmethod
-    def _mutating_label(cls, program: Program, caller: FunctionInfo,
+    @staticmethod
+    def _mutating_label(program: Program, caller: FunctionInfo,
                         call: ast.Call, reach_mut: set[str]) -> str | None:
-        if isinstance(call.func, ast.Attribute) and (
-            call.func.attr in cls._cleanup_safe
-        ):
-            return None
         if _is_direct_mutator(call):
             name = (
                 call.func.attr
@@ -695,234 +474,6 @@ class ArbitraryChoiceRule(FlowRule):
         ) and parent.func.attr in ("add", "append", "setdefault"):
             return True
         return False
-
-
-# ----------------------------------------------------------------------
-# CHG001: charge-completeness
-# ----------------------------------------------------------------------
-_CHARGED_DISK_PRIMITIVES = frozenset({
-    "read_pages", "read_page_views", "write_pages",
-})
-_CHARGE_CALLS = frozenset({"charge_read", "charge_write"})
-
-
-@register
-class ChargeCompletenessRule(FlowRule):
-    """CHG001: charged I/O is reachable only through accounted op spans.
-
-    Every concrete override of the paper-facing byte-range interface
-    (the abstract methods of ``LargeObjectManager``) that transitively
-    reaches a charged ``SimulatedDisk`` primitive must open an
-    ``op.*`` span via ``self._op_span(...)`` — that is what makes PR 5's
-    exact cost decomposition (span self-costs ``==`` total cost) cover
-    all physical I/O.  Op-span names are cross-checked against the
-    :mod:`repro.obs` span taxonomy so a typo cannot open an
-    unclassifiable span.
-    """
-
-    rule_id = "CHG001"
-    summary = (
-        "manager byte-range overrides reaching charged disk I/O must "
-        "open a _op_span(); op-span names must be in the repro.obs "
-        "span taxonomy"
-    )
-
-    _manager_base = "LargeObjectManager"
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        charged = {
-            qualname
-            for qualname, info in program.functions.items()
-            if self._calls_charged_primitive(info.node)
-        }
-        reach_charged = program.reaching(charged)
-        required = self._interface_methods(program)
-        for cls_info in program.subclasses_of(self._manager_base):
-            for name, method in sorted(cls_info.methods.items()):
-                if name not in required:
-                    continue
-                if method.qualname not in reach_charged:
-                    continue
-                if self._opens_op_span(method.node):
-                    continue
-                yield self.violation(
-                    method.ctx,
-                    method.node,
-                    method.node.lineno,
-                    f"{cls_info.name}.{name}() reaches charged disk I/O "
-                    "but opens no op span (self._op_span(...)); unspanned "
-                    "I/O breaks the exact span-cost decomposition of "
-                    "experiment totals",
-                )
-        yield from self._check_taxonomy(program)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _calls_charged_primitive(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call):
-                if _is_disk_call(node, _CHARGED_DISK_PRIMITIVES):
-                    return True
-                if isinstance(node.func, ast.Attribute) and (
-                    node.func.attr in _CHARGE_CALLS
-                ):
-                    return True
-        return False
-
-    #: Concrete base-class entry points that also reach charged I/O and
-    #: must open a span: the batch submission API dispatches every
-    #: byte-range op, so an unspanned ``submit_ops`` would leave whole
-    #: batches outside the cost decomposition.
-    _extra_required = frozenset({"submit_ops"})
-
-    def _interface_methods(self, program: Program) -> set[str]:
-        """Abstract method names of the manager base class."""
-        required: set[str] = set(self._extra_required)
-        for (_, cls_name), cls_info in program.classes.items():
-            if cls_name != self._manager_base:
-                continue
-            for name, method in cls_info.methods.items():
-                for decorator in method.node.decorator_list:
-                    dec = decorator
-                    if isinstance(dec, ast.Attribute):
-                        dec_name = dec.attr
-                    elif isinstance(dec, ast.Name):
-                        dec_name = dec.id
-                    else:
-                        continue
-                    if dec_name == "abstractmethod":
-                        required.add(name)
-        return required
-
-    @staticmethod
-    def _opens_op_span(func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ) and node.func.attr == "_op_span":
-                return True
-        return False
-
-    def _check_taxonomy(self, program: Program) -> Iterator[Violation]:
-        try:
-            from repro.obs.taxonomy import SPAN_KINDS
-        except ImportError:  # pragma: no cover - taxonomy ships with repro
-            return
-        for info in program.functions.values():
-            for call in program.iter_calls(info):
-                if not (
-                    isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "_op_span"
-                    and call.args
-                    and isinstance(call.args[0], ast.Constant)
-                    and isinstance(call.args[0].value, str)
-                ):
-                    continue
-                kind = f"op.{call.args[0].value}"
-                if kind not in SPAN_KINDS:
-                    yield self.violation(
-                        info.ctx,
-                        call,
-                        call.lineno,
-                        f"op span {kind!r} is not in the repro.obs span "
-                        "taxonomy (repro.obs.taxonomy.SPAN_KINDS); add it "
-                        "there or fix the name so traces stay classifiable",
-                    )
-
-
-# ----------------------------------------------------------------------
-# CHG002: metric-name registration
-# ----------------------------------------------------------------------
-_METRIC_EMITTERS = frozenset({"inc", "set_gauge", "observe"})
-
-#: Files whose metric emissions the rule audits: the health probe and
-#: the timeline sampler, i.e. the producers of the documented metric
-#: catalogue.  (``MetricsRegistry`` itself re-emits already-validated
-#: names from merge/deserialize paths and is deliberately out of scope.)
-_METRIC_FILES = frozenset({"health.py", "timeline.py"})
-
-
-@register
-class MetricRegistrationRule(FlowRule):
-    """CHG002: every emitted health/timeline metric name is registered.
-
-    The health probe and timeline sampler publish a documented metric
-    catalogue (:data:`repro.obs.taxonomy.METRIC_NAMES` plus the
-    :data:`~repro.obs.taxonomy.METRIC_FAMILY_PREFIXES` families); an
-    ``inc``/``set_gauge``/``observe`` call minting a name outside it
-    would silently desynchronize dashboards and the docs.  Constant
-    names must be known exactly; f-string names must have a constant
-    leading fragment compatible with a registered family or exact name.
-    """
-
-    rule_id = "CHG002"
-    summary = (
-        "health/timeline metric names passed to inc()/set_gauge()/"
-        "observe() must be registered in the repro.obs metric taxonomy"
-    )
-
-    def check(self, program: Program) -> Iterator[Violation]:
-        try:
-            from repro.obs.taxonomy import (
-                is_known_metric,
-                is_known_metric_prefix,
-            )
-        except ImportError:  # pragma: no cover - taxonomy ships with repro
-            return
-        for info in program.functions.values():
-            ctx = info.ctx
-            if ctx.layer != "obs" or ctx.path.name not in _METRIC_FILES:
-                continue
-            for call in program.iter_calls(info):
-                if not (
-                    isinstance(call.func, ast.Attribute)
-                    and call.func.attr in _METRIC_EMITTERS
-                    and call.args
-                ):
-                    continue
-                name_arg = call.args[0]
-                if isinstance(name_arg, ast.Constant) and isinstance(
-                    name_arg.value, str
-                ):
-                    if not is_known_metric(name_arg.value):
-                        yield self.violation(
-                            ctx,
-                            call,
-                            call.lineno,
-                            f"metric name {name_arg.value!r} is not "
-                            "registered in the repro.obs metric taxonomy "
-                            "(METRIC_NAMES / METRIC_FAMILY_PREFIXES); "
-                            "register it or fix the name so the catalogue "
-                            "stays complete",
-                        )
-                elif isinstance(name_arg, ast.JoinedStr):
-                    prefix = self._leading_constant(name_arg)
-                    if not is_known_metric_prefix(prefix):
-                        yield self.violation(
-                            ctx,
-                            call,
-                            call.lineno,
-                            f"f-string metric name starting {prefix!r} "
-                            "matches no registered metric family or exact "
-                            "name in the repro.obs metric taxonomy; "
-                            "register the family or fix the prefix",
-                        )
-                # Plain-variable names are re-emissions of names already
-                # validated at their original constant/f-string site
-                # (merge, absorb, deserialize) — not audited here.
-
-    @staticmethod
-    def _leading_constant(node: ast.JoinedStr) -> str:
-        """The constant fragment before the first interpolation."""
-        parts: list[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, str
-            ):
-                parts.append(value.value)
-            else:
-                break
-        return "".join(parts)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""Render lint results as text, JSON, or SARIF."""
+"""Render lint results as text or JSON."""
 
 from __future__ import annotations
 
 import json
-import pathlib
 
 from repro.lint.engine import Violation
 from repro.lint.rules import RULES
@@ -32,101 +31,6 @@ def render_json(violations: list[Violation]) -> str:
         indent=2,
         sort_keys=True,
     )
-
-
-def render_sarif(violations: list[Violation]) -> str:
-    """SARIF 2.1.0 log, the interchange format GitHub code scanning
-    ingests — findings show up as inline PR annotations.
-
-    Rule metadata covers both the per-file rules and (when the flow
-    subpackage has been imported, i.e. under ``--flow``) the
-    whole-program rules.  Paths are emitted repo-relative when possible
-    so the annotations anchor regardless of the checkout directory.
-    """
-    rule_ids = sorted({v.rule_id for v in violations})
-    summaries = _rule_summaries()
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {
-                "text": summaries.get(rule_id, rule_id),
-            },
-        }
-        for rule_id in rule_ids
-    ]
-    index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
-    results = [
-        {
-            "ruleId": v.rule_id,
-            "ruleIndex": index[v.rule_id],
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": _relative_uri(v.path),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": max(v.line, 1),
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in violations
-    ]
-    log = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/docs/"
-                            "static_analysis.md"
-                        ),
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
-def _rule_summaries() -> dict[str, str]:
-    summaries = {rule_id: rule.summary for rule_id, rule in RULES.items()}
-    try:
-        from repro.lint.flow.rules import FLOW_RULES
-    except ImportError:  # pragma: no cover - flow ships with repro
-        return summaries
-    summaries.update(
-        {rule_id: rule.summary for rule_id, rule in FLOW_RULES.items()}
-    )
-    summaries.setdefault(
-        "FLOW000", "flow-rule suppressions must carry a `--` rationale"
-    )
-    return summaries
-
-
-def _relative_uri(path: str) -> str:
-    """Repo-relative forward-slash URI when the path is under cwd."""
-    p = pathlib.Path(path)
-    if p.is_absolute():
-        try:
-            p = p.relative_to(pathlib.Path.cwd())
-        except ValueError:
-            pass
-    return p.as_posix()
 
 
 def render_rule_list() -> str:

@@ -753,16 +753,17 @@ SEAMS: tuple[Seam, ...] = (
         "dirty set",
     ),
     Seam(
-        "SEAM008", "pool fix/unfix/fix_new/set_provider only in repro/buffer/, "
-        "repro/buddy/ and tests/",
+        "SEAM008", "pool fix/unfix/fix_new/set_provider only in repro/buffer/ "
+        "and tests/",
         lambda node: (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("fix", "unfix", "fix_new", "set_provider")
         ),
-        under("repro/buffer/", "repro/buddy/", "tests/"),
-        "a page touch that holds no pin across another pool call is one "
-        "BufferPool.access(page_id, provider), not two pool calls",
+        under("repro/buffer/", "tests/"),
+        "no pin outlives one pool call outside the pool: a page touch is "
+        "one BufferPool.access(page_id, provider), a new page one "
+        "access_new(page_id, provider)",
     ),
 )
 RULES.update((seam.rule_id, seam) for seam in SEAMS)

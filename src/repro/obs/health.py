@@ -25,8 +25,8 @@ Two hard rules, enforced rather than hoped for:
   instead of reporting a wrong number.
 
 Metric names emitted into the registry are confined to the families
-registered in :mod:`repro.obs.taxonomy`; CHG002 (``repro.lint --flow``)
-rejects any name outside the catalogue.
+registered in :mod:`repro.obs.taxonomy`; :meth:`HealthReport.to_metrics`
+checks every name once at export and rejects any outside the catalogue.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.core.errors import ContractViolationError
 from repro.lint.contracts import pure_read
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.taxonomy import is_known_metric
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.buddy.allocator import BuddyAllocator
@@ -196,8 +197,10 @@ class HealthReport:
         """Emit every gauge into a fresh registry.
 
         Shard-qualified names use the ``health.shard.`` family; the
-        store-wide roll-ups use exact registered names.  All names are
-        covered by :func:`repro.obs.taxonomy.is_known_metric`.
+        store-wide roll-ups use exact registered names.  The finished
+        registry is checked once against
+        :func:`repro.obs.taxonomy.is_known_metric`: an unregistered name
+        raises :class:`ContractViolationError`.
         """
         metrics = MetricsRegistry()
         metrics.inc("health.probes")
@@ -246,6 +249,14 @@ class HealthReport:
                     f"{prefix}.journal.unresolved",
                     0 if shard.journal.resolved else 1,
                 )
+        unknown = [
+            name for name in (*metrics.counters, *metrics.gauges)
+            if not is_known_metric(name)
+        ]
+        if unknown:
+            raise ContractViolationError(
+                f"unregistered health metric(s): {', '.join(unknown)}"
+            )
         return metrics
 
     def render(self) -> str:

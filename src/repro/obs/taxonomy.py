@@ -4,10 +4,10 @@ Every ``tracer.span(kind, ...)`` / ``tracer.event(kind, ...)`` call in
 ``src/repro`` uses a kind from this module.  The taxonomy gives the
 observability pipeline (PR 5) a stable vocabulary — summaries, cost
 attribution, and the exact span-decomposition invariant all group by
-these strings — and gives the static analyzer a cross-check: CHG001
-(``repro.lint --flow``) rejects any ``_op_span("<name>")`` whose
-``op.<name>`` is not listed here, so a typo cannot open a span the
-pipeline cannot classify.
+these strings.  ``tests/test_obs.py`` checks that every
+``_op_span("<name>")`` in the tree opens an ``op.<name>`` listed here,
+and the committed trace checksums (``tests/golden/obs-tiny.sha256``)
+fail on any renamed or missing op span.
 
 Keep this list in sync when adding instrumentation; adding a kind here
 is a deliberate, reviewed act of extending the trace vocabulary.
@@ -94,10 +94,10 @@ ALL_KINDS: frozenset[str] = SPAN_KINDS | EVENT_KINDS
 #: Names that carry a dynamic component (buddy area, op kind, scheme,
 #: shard index, free-extent order) instead belong to a family in
 #: :data:`METRIC_FAMILY_PREFIXES`; everything else must be listed here
-#: verbatim.  CHG002 (``repro.lint --flow``) rejects any
-#: ``inc``/``set_gauge``/``observe`` call in the health/timeline
-#: modules whose name is in neither set, so a typo cannot mint a
-#: metric the catalogue does not know about.
+#: verbatim.  The names are checked once, where they leave the process:
+#: ``HealthReport.to_metrics`` raises on a name in neither set, and
+#: ``validate_timeline`` reports one, so a typo cannot mint a metric the
+#: catalogue does not know about.
 METRIC_NAMES: frozenset[str] = frozenset({
     "health.objects",
     "health.bytes",
@@ -134,16 +134,3 @@ def is_known_metric(name: str) -> bool:
         return True
     return name.startswith(METRIC_FAMILY_PREFIXES)
 
-
-def is_known_metric_prefix(prefix: str) -> bool:
-    """True when a name *starting with* ``prefix`` could be legal.
-
-    Used by CHG002 on f-string metric names, where only the constant
-    leading fragment is statically known: the fragment is fine if it
-    extends (or is extended by) a registered family prefix, or is a
-    prefix of a registered exact name.
-    """
-    for family in METRIC_FAMILY_PREFIXES:
-        if prefix.startswith(family) or family.startswith(prefix):
-            return True
-    return any(name.startswith(prefix) for name in METRIC_NAMES)

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.errors import InvalidArgumentError
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.taxonomy import is_known_metric
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import SystemConfig
@@ -318,8 +319,10 @@ def validate_timeline(document: TimelineDocument) -> list[str]:
                 f"{document.summary.get('ops')}"
             )
     for name, histogram in document.latency.items():
-        if not name.startswith("latency."):
-            problems.append(f"histogram {name!r} outside latency family")
+        if not (name.startswith("latency.") and is_known_metric(name)):
+            problems.append(
+                f"histogram {name!r} outside the registered latency family"
+            )
         if sum(histogram.counts) != histogram.count:
             problems.append(
                 f"histogram {name!r} bucket counts do not sum to count"

@@ -1,14 +1,18 @@
 """FLOW000 corpus: flow suppressions must carry a written rationale."""
 
 
-def bare_suppression(pool, page_id, codec):
-    pool.fix(page_id)  # repro-lint: disable=FLOW001  # seeded: FLOW000
-    data = codec.decode(pool.lookup(page_id))
-    pool.unfix(page_id)
-    return data
+def bare_suppression(pool, codec, data):
+    try:
+        return codec.decode(data)
+    except ValueError:
+        pool.flush_all()  # repro-lint: disable=FLOW002  # seeded: FLOW000
+        raise
 
 
-def justified_suppression(pool, page_id, registry):
-    # The registry unfixes the page when the entry is dropped.
-    pool.fix(page_id)  # repro-lint: disable=FLOW001 -- ownership passes to the registry, which unfixes on eviction
-    registry.adopt(page_id)
+def justified_suppression(pool, registry):
+    try:
+        registry.adopt()
+    except ValueError:
+        # The registry owns the flushed pages and discards them itself.
+        pool.flush_all()  # repro-lint: disable=FLOW002 -- the registry owns the flushed pages
+        raise

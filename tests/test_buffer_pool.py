@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.buffer.pool import BufferPool
+from repro.buffer.pool import BufferPool, PoolStats
 from repro.core.config import small_page_config
-from repro.core.errors import BufferPoolError
+from repro.core.errors import BufferPoolError, IOFaultError
 from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, every
 
 
 def make_pool(pool_pages=4, page_size=128):
@@ -123,6 +125,22 @@ class TestReadRun:
         data = pool.read_run(20, 2)
         assert data[:128] == b"A" * 128
         assert data[128:] == b"B" * 128
+
+    def test_failed_mixed_read_releases_its_pins(self):
+        # One page resident, three missing: the run pins page 100, then
+        # the read of 101-103 fails for good.  The pin is released and
+        # the counts, frames and recency order are what the attempt left.
+        _config, _cost, disk, pool = make_pool(pool_pages=4)
+        disk.write_pages(100, 4, b"x" * 4 * 128)
+        pool.read_run(100, 1)
+        plan = FaultPlan(read_faults=every(1), transient_failures=99)
+        with FaultInjector(disk, plan):
+            with pytest.raises(IOFaultError):
+                pool.read_run(100, 4)
+        assert list(pool.frames()) == [(100, 0, False)]
+        assert pool.stats == PoolStats(hits=1, misses=4)
+        assert pool.can_accommodate(pool.capacity)
+        pool.assert_pin_balanced()
 
     def test_can_accommodate(self):
         _config, _cost, _disk, pool = make_pool(pool_pages=3)
@@ -300,6 +318,31 @@ class TestAccessAgainstFixUnfix:
         assert pool.stats.evictions == 4
         assert pool.stats.dirty_writebacks == 1
         assert bytes(pool.lookup(3).content()) == bytes([8]) + bytes(63)
+
+    def test_access_new_matches_the_fix_new_bracket(self):
+        # A new page into free frames, then into a full pool whose only
+        # victims are dirty (one written back), then a resident page.
+        sides = []
+        for _ in range(2):
+            _config, cost, disk, pool = make_pool(pool_pages=3, page_size=64)
+            for page in (1, 2, 3):
+                pool.access(page, lambda page=page: bytes([page]) * 64)
+            sides.append((cost, disk, pool))
+        (cost, disk, pool), (ref_cost, ref_disk, reference) = sides
+        for page in (10, 11):
+            provider = lambda page=page: bytes([page]) * 64
+            pool.access_new(page, provider)
+            reference.fix_new(page)
+            reference.set_provider(page, provider)
+            reference.unfix(page, dirty=True)
+            assert pool.stats == reference.stats
+            assert _frame_states(pool) == _frame_states(reference)
+            assert disk.image() == ref_disk.image()
+            assert cost.stats == ref_cost.stats
+        assert pool.stats.dirty_writebacks == 2
+        with pytest.raises(BufferPoolError, match="already resident"):
+            pool.access_new(11, provider)
+        assert _frame_states(pool) == _frame_states(reference)
 
 
 class TestFlush:

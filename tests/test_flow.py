@@ -1,26 +1,21 @@
-"""Tests for repro.lint.flow: CFG, call graph, rule families, corpus.
+"""Tests for repro.lint.flow: call graph, rule families, corpus, CLI.
 
-Organization mirrors the subpackage: CFG construction first (loops,
-try/finally, with, early return), then call-graph resolution, then at
-least three positive and three negative cases per rule family, then the
-seeded-bug corpus under ``tests/flow_corpus/`` (exact-match: every
-seeded finding fires, nothing else does), and finally the meta-test that
-the shipped ``src/repro`` tree is flow-clean.
+Organization mirrors the subpackage: call-graph resolution, then
+positive and negative cases per rule family (FLOW002, DET001/DET003,
+FLOW000), then the seeded-bug corpus under ``tests/flow_corpus/``
+(exact-match: every seeded finding fires, nothing else does), then the
+``--flow`` command line.  That the shipped ``src/repro`` tree is
+flow-clean is a CI step (``python -m repro.lint --flow src/repro``).
 """
 
-import ast
-import json
 import pathlib
 import re
 import textwrap
 
 from repro.lint.cli import main as lint_main
-from repro.lint.flow import build_cfg
 from repro.lint.flow.callgraph import Program
 from repro.lint.flow.rules import analyze_paths
-from repro.lint.reporters import render_sarif
 
-REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 CORPUS = pathlib.Path(__file__).resolve().parent / "flow_corpus"
 
 
@@ -38,159 +33,6 @@ def flow(path):
 
 def rule_ids(violations):
     return [v.rule_id for v in violations]
-
-
-# ----------------------------------------------------------------------
-# CFG construction
-# ----------------------------------------------------------------------
-def cfg_of(source):
-    tree = ast.parse(textwrap.dedent(source))
-    return build_cfg(tree.body[0])
-
-
-def reachable_blocks(cfg):
-    seen, stack = {}, [cfg.entry]
-    while stack:
-        block = stack.pop()
-        if block.bid in seen:
-            continue
-        seen[block.bid] = block
-        stack.extend(succ for succ, _ in block.succs)
-    return seen
-
-
-def edge_kinds(cfg):
-    return {
-        kind
-        for block in reachable_blocks(cfg).values()
-        for _, kind in block.succs
-    }
-
-
-def blocks_containing(cfg, fragment):
-    """Reachable blocks holding a statement whose source has ``fragment``."""
-    found = []
-    for block in reachable_blocks(cfg).values():
-        for item in block.items:
-            node = getattr(item, "node", item)
-            if fragment in ast.unparse(node):
-                found.append(block)
-    return found
-
-
-class TestCFGConstruction:
-    def test_straight_line_reaches_exit(self):
-        cfg = cfg_of("""\
-            def f(a):
-                b = a + 1
-                return b
-            """)
-        assert cfg.exit.bid in reachable_blocks(cfg)
-
-    def test_while_loop_has_back_edge(self):
-        cfg = cfg_of("""\
-            def f(n):
-                while n > 0:
-                    n -= 1
-                return n
-            """)
-        assert "back" in edge_kinds(cfg)
-        assert cfg.exit.bid in reachable_blocks(cfg)
-
-    def test_for_loop_has_back_edge_and_else(self):
-        cfg = cfg_of("""\
-            def f(xs):
-                total = 0
-                for x in xs:
-                    total += x
-                else:
-                    total += 1
-                return total
-            """)
-        assert "back" in edge_kinds(cfg)
-        assert blocks_containing(cfg, "total += 1")
-
-    def test_calls_get_exception_edges(self):
-        cfg = cfg_of("""\
-            def f(codec, data):
-                return codec.decode(data)
-            """)
-        # The decoding statement can raise: raise_exit must be reachable.
-        assert cfg.raise_exit.bid in reachable_blocks(cfg)
-
-    def test_return_of_bare_name_cannot_raise(self):
-        cfg = cfg_of("""\
-            def f(a):
-                return a
-            """)
-        assert cfg.raise_exit.bid not in reachable_blocks(cfg)
-
-    def test_early_return_makes_tail_unreachable(self):
-        cfg = cfg_of("""\
-            def f(flag):
-                if flag:
-                    return 1
-                return 2
-            """)
-        blocks = reachable_blocks(cfg)
-        assert cfg.exit.bid in blocks
-        # Both returns present, nothing after them.
-        assert blocks_containing(cfg, "return 1")
-        assert blocks_containing(cfg, "return 2")
-
-    def test_code_after_return_is_unreachable(self):
-        cfg = cfg_of("""\
-            def f():
-                return 1
-                x = 2
-            """)
-        assert not blocks_containing(cfg, "x = 2")
-
-    def test_try_except_handler_reachable_via_exception(self):
-        cfg = cfg_of("""\
-            def f(codec, data):
-                try:
-                    return codec.decode(data)
-                except ValueError:
-                    return None
-            """)
-        assert blocks_containing(cfg, "return None")
-        assert cfg.exit.bid in reachable_blocks(cfg)
-
-    def test_finally_on_both_normal_and_exception_paths(self):
-        cfg = cfg_of("""\
-            def f(pool, page_id, codec):
-                pool.fix(page_id)
-                try:
-                    return codec.decode(page_id)
-                finally:
-                    pool.unfix(page_id)
-            """)
-        blocks = reachable_blocks(cfg)
-        assert blocks_containing(cfg, "unfix")
-        # decode can raise; the exception continues after the finally.
-        assert cfg.raise_exit.bid in blocks
-        assert cfg.exit.bid in blocks
-
-    def test_with_statement_body_reachable(self):
-        cfg = cfg_of("""\
-            def f(lock, work):
-                with lock:
-                    work()
-                return True
-            """)
-        assert blocks_containing(cfg, "work()")
-        assert cfg.exit.bid in reachable_blocks(cfg)
-
-    def test_break_leaves_loop(self):
-        cfg = cfg_of("""\
-            def f(xs):
-                for x in xs:
-                    if x:
-                        break
-                return x
-            """)
-        assert cfg.exit.bid in reachable_blocks(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -296,109 +138,6 @@ class TestCallGraph:
         assert {"repro.pkg.mod.sink", "repro.pkg.mod.middle",
                 "repro.pkg.mod.top"} <= reach
         assert "repro.pkg.mod.unrelated" not in reach
-
-    def test_subclasses_of_transitive(self, tmp_path):
-        program = program_of(tmp_path, {
-            "repro/pkg/mod.py": """\
-                class Root:
-                    pass
-
-                class Mid(Root):
-                    pass
-
-                class Leaf(Mid):
-                    pass
-
-                class Other:
-                    pass
-                """,
-        })
-        names = {c.name for c in program.subclasses_of("Root")}
-        assert names == {"Mid", "Leaf"}
-
-
-# ----------------------------------------------------------------------
-# FLOW001: pin typestate
-# ----------------------------------------------------------------------
-class TestPinTypestate:
-    def test_leak_on_exception_path(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, codec):
-                pool.fix(page_id)
-                data = codec.decode(pool.lookup(page_id))
-                pool.unfix(page_id)
-                return data
-            """)
-        violations = flow(path)
-        assert rule_ids(violations) == ["FLOW001"]
-        assert violations[0].line == 2
-        assert "exception path" in violations[0].message
-
-    def test_leak_on_missed_branch(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, flag):
-                pool.fix(page_id)
-                if flag:
-                    pool.unfix(page_id)
-            """)
-        assert rule_ids(flow(path)) == ["FLOW001"]
-
-    def test_fix_new_counts_too(self, tmp_path):
-        path = write(tmp_path, "repro/buddy/mod.py", """\
-            def f(pool, page_id, provider):
-                pool.fix_new(page_id)
-                pool.set_provider(page_id, provider)
-            """)
-        assert rule_ids(flow(path)) == ["FLOW001"]
-
-    def test_double_fix_single_unfix_leaks(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, a, b):
-                pool.fix(a)
-                pool.fix(b)
-                pool.unfix(a)
-            """)
-        # Two real leaks: pin "a" if fix(b) raises, pin "b" at normal exit.
-        violations = flow(path)
-        assert rule_ids(violations) == ["FLOW001", "FLOW001"]
-        assert {v.line for v in violations} == {2, 3}
-
-    def test_try_finally_is_balanced(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, codec):
-                pool.fix(page_id)
-                try:
-                    return codec.decode(pool.lookup(page_id))
-                finally:
-                    pool.unfix(page_id)
-            """)
-        assert flow(path) == []
-
-    def test_returned_frame_escapes(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/mod.py", """\
-            def f(pool, page_id):
-                frame = pool.fix(page_id)
-                return frame
-            """)
-        assert flow(path) == []
-
-    def test_frame_stored_on_self_escapes(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/mod.py", """\
-            class Cache:
-                def hold(self, pool, page_id):
-                    self.frame = pool.fix(page_id)
-            """)
-        assert flow(path) == []
-
-    def test_loop_with_balanced_body_is_clean(self, tmp_path):
-        path = write(tmp_path, "repro/segio/mod.py", """\
-            def f(pool, pages):
-                for page_id in pages:
-                    pool.fix(page_id)
-                    pool.unfix(page_id)
-            """)
-        assert flow(path) == []
-
 
 # ----------------------------------------------------------------------
 # FLOW002: crash-safe cleanup
@@ -572,150 +311,31 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# CHG001: charge-completeness
-# ----------------------------------------------------------------------
-MANAGER_PRELUDE = """\
-    import abc
-
-    class LargeObjectManager(abc.ABC):
-        @abc.abstractmethod
-        def read(self, oid, offset, nbytes):
-            ...
-"""
-
-
-class TestChargeCompleteness:
-    def test_unspanned_override_reaching_disk(self, tmp_path):
-        path = write(tmp_path, "repro/esm/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            return self.env.disk.read_pages(oid, 1)
-            """)
-        violations = flow(path)
-        assert rule_ids(violations) == ["CHG001"]
-        assert "op span" in violations[0].message
-
-    def test_transitive_reach_without_span(self, tmp_path):
-        path = write(tmp_path, "repro/eos/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            return self._fetch(oid)
-
-        def _fetch(self, oid):
-            return self.env.disk.read_pages(oid, 1)
-            """)
-        assert rule_ids(flow(path)) == ["CHG001"]
-
-    def test_unknown_span_name_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/esm/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            with self._op_span("frobnicate", oid):
-                return self.env.disk.read_pages(oid, 1)
-            """)
-        violations = flow(path)
-        assert rule_ids(violations) == ["CHG001"]
-        assert "taxonomy" in violations[0].message
-
-    def test_spanned_override_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/esm/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            with self._op_span("read", oid):
-                return self.env.disk.read_pages(oid, 1)
-            """)
-        assert flow(path) == []
-
-    def test_in_memory_override_needs_no_span(self, tmp_path):
-        path = write(tmp_path, "repro/esm/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            return self.blobs[oid][offset:offset + nbytes]
-            """)
-        assert flow(path) == []
-
-    def test_helper_methods_not_required_to_span(self, tmp_path):
-        path = write(tmp_path, "repro/esm/mod.py", MANAGER_PRELUDE + """\
-
-    class M(LargeObjectManager):
-        def read(self, oid, offset, nbytes):
-            with self._op_span("read", oid):
-                return self._fetch(oid)
-
-        def _fetch(self, oid):
-            return self.env.disk.read_pages(oid, 1)
-            """)
-        assert flow(path) == []
-
-
-# ----------------------------------------------------------------------
-# CHG002: metric-name registration
-# ----------------------------------------------------------------------
-class TestMetricRegistration:
-    def test_unregistered_constant_name_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/obs/health.py", """\
-            def f(metrics):
-                metrics.inc("health.bogus_counter")
-            """)
-        violations = flow(path)
-        assert rule_ids(violations) == ["CHG002"]
-        assert "taxonomy" in violations[0].message
-
-    def test_unregistered_fstring_prefix_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/obs/timeline.py", """\
-            def f(metrics, shard):
-                metrics.observe(f"wrong.{shard}", 1.0)
-            """)
-        assert rule_ids(flow(path)) == ["CHG002"]
-
-    def test_registered_names_are_fine(self, tmp_path):
-        path = write(tmp_path, "repro/obs/health.py", """\
-            def f(metrics, scheme, shard):
-                metrics.inc("health.objects")
-                metrics.set_gauge(f"health.scheme.{scheme}.runs", 1.0)
-                metrics.observe(f"latency.read.esm.shard{shard}", 4.0)
-            """)
-        assert flow(path) == []
-
-    def test_dynamic_name_skipped(self, tmp_path):
-        path = write(tmp_path, "repro/obs/health.py", """\
-            def f(metrics, name):
-                metrics.inc(name)
-            """)
-        assert flow(path) == []
-
-    def test_other_layers_out_of_scope(self, tmp_path):
-        path = write(tmp_path, "repro/buddy/health.py", """\
-            def f(metrics):
-                metrics.inc("health.bogus_counter")
-            """)
-        assert flow(path) == []
-
-
-# ----------------------------------------------------------------------
 # FLOW000: suppression rationale
 # ----------------------------------------------------------------------
 class TestSuppressionRationale:
     def test_bare_flow_suppression_reported(self, tmp_path):
         path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, registry):
-                pool.fix(page_id)  # repro-lint: disable=FLOW001
-                registry.adopt(page_id)
+            def f(pool, registry):
+                try:
+                    registry.adopt()
+                except ValueError:
+                    pool.flush_all()  # repro-lint: disable=FLOW002
+                    raise
             """)
         violations = flow(path)
         assert rule_ids(violations) == ["FLOW000"]
+        assert violations[0].line == 5
         assert "rationale" in violations[0].message
 
     def test_justified_suppression_is_silent(self, tmp_path):
         path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, registry):
-                pool.fix(page_id)  # repro-lint: disable=FLOW001 -- registry unfixes on eviction
-                registry.adopt(page_id)
+            def f(pool, registry):
+                try:
+                    registry.adopt()
+                except ValueError:
+                    pool.flush_all()  # repro-lint: disable=FLOW002 -- the registry owns the flushed pages
+                    raise
             """)
         assert flow(path) == []
 
@@ -752,28 +372,25 @@ class TestCorpus:
 
     def test_every_rule_family_is_seeded(self):
         families = {rule for _, _, rule in self.seeded_expectations()}
-        assert {
-            "FLOW000", "FLOW001", "FLOW002", "DET001", "DET003", "CHG001",
-            "CHG002",
-        } <= families
+        assert families == {"FLOW000", "FLOW002", "DET001", "DET003"}
 
 
 # ----------------------------------------------------------------------
-# CLI and SARIF
+# CLI
 # ----------------------------------------------------------------------
 class TestCliAndSarif:
     def test_flow_flag_reports_and_fails(self, tmp_path, capsys):
         write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, codec):
-                pool.fix(page_id)
-                data = codec.decode(page_id)
-                pool.unfix(page_id)
-                return data
+            def f(pool, codec, data):
+                try:
+                    return codec.decode(data)
+                finally:
+                    pool.flush_all()
             """)
         code = lint_main(["--flow", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FLOW001" in out
+        assert "FLOW002" in out
 
     def test_flow_flag_clean_exits_zero(self, tmp_path, capsys):
         write(tmp_path, "repro/buffer/mod.py", """\
@@ -785,80 +402,32 @@ class TestCliAndSarif:
         assert "clean" in capsys.readouterr().out
 
     def test_without_flow_flag_flow_rules_silent(self, tmp_path, capsys):
-        write(tmp_path, "repro/buffer/mod.py", """\
-            def f(pool, page_id, flag):
-                pool.fix(page_id)
-                if flag:
-                    pool.unfix(page_id)
+        write(tmp_path, "repro/tree/mod.py", """\
+            def f(pool, codec, data):
+                try:
+                    return codec.decode(data)
+                finally:
+                    pool.flush_all()
             """)
         assert lint_main([str(tmp_path)]) == 0
 
     def test_select_restricts_flow_rules(self, tmp_path, capsys):
         write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, page_id, flags):
-                pool.fix(page_id)
-                if any([flag for flag in set(flags)]):
-                    pool.unfix(page_id)
+            def f(pool, flags):
+                try:
+                    return [flag for flag in set(flags)]
+                finally:
+                    pool.flush_all()
             """)
         code = lint_main(["--flow", "--select", "DET001", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "DET001" in out and "FLOW001" not in out
+        assert "DET001" in out and "FLOW002" not in out
 
     def test_list_rules_includes_flow_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "FLOW001", "FLOW002", "DET001", "CHG001", "CHG002", "FLOW000",
-        ):
+        for rule_id in ("FLOW000", "FLOW002", "DET001", "DET003"):
             assert rule_id in out
-
-    def test_sarif_output_is_valid_and_anchored(self, tmp_path, capsys):
-        write(tmp_path, "repro/buffer/mod.py", """\
-            def f(pool, page_id, flag):
-                pool.fix(page_id)
-                if flag:
-                    pool.unfix(page_id)
-            """)
-        code = lint_main(["--flow", "--format", "sarif", str(tmp_path)])
-        log = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro.lint"
-        result = run["results"][0]
-        assert result["ruleId"] == "FLOW001"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] == 2
-        declared = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert declared == {"FLOW001"}
-
-    def test_sarif_clean_run_has_no_results(self, tmp_path, capsys):
-        write(tmp_path, "repro/tree/mod.py", "x = 1\n")
-        code = lint_main(["--flow", "--format", "sarif", str(tmp_path)])
-        log = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert log["runs"][0]["results"] == []
-
-    def test_render_sarif_direct(self):
-        assert json.loads(render_sarif([]))["runs"][0]["results"] == []
-
-
-# ----------------------------------------------------------------------
-# Meta: the shipped tree is flow-clean and suppressions carry rationales
-# ----------------------------------------------------------------------
-class TestShippedTree:
-    def test_src_repro_is_flow_clean(self):
-        violations = analyze_paths([REPO_SRC])
-        assert violations == [], "\n".join(v.format() for v in violations)
-
-    def test_taxonomy_matches_emitted_kinds(self):
-        # Every op name passed to _op_span in the shipped tree is legal.
-        from repro.obs.taxonomy import OP_SPAN_KINDS, SPAN_KINDS
-
-        assert OP_SPAN_KINDS <= SPAN_KINDS
-        assert not any(kind.startswith("bench.") for kind in SPAN_KINDS)
-        pattern = re.compile(r"_op_span\(\s*\"(\w+)\"")
-        for path in sorted(REPO_SRC.rglob("*.py")):
-            for name in pattern.findall(path.read_text()):
-                assert f"op.{name}" in SPAN_KINDS, (path, name)
+        for retired in ("FLOW001", "CHG001", "CHG002"):
+            assert retired not in out

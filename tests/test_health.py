@@ -156,6 +156,17 @@ class TestHealthGauges:
         unknown = [n for n in names if not is_known_metric(n)]
         assert unknown == []
 
+    def test_an_unregistered_name_is_refused_at_export(self, monkeypatch):
+        store = LargeObjectStore("esm", CONFIG)
+        exercise(store)
+        report = probe_store(store)
+        monkeypatch.setattr(
+            "repro.obs.health.is_known_metric",
+            lambda name: name != "health.bytes",
+        )
+        with pytest.raises(ContractViolationError, match="health.bytes"):
+            report.to_metrics()
+
     def test_report_roundtrips_to_json(self):
         store = LargeObjectStore("esm", CONFIG, shadowing=True)
         exercise(store)
@@ -258,6 +269,16 @@ class TestTimelineSampler:
         assert validate_timeline(document) == []
         assert document.summary["ops"] == sampler.ops
         assert document.header["meta"] == {"suite": "test"}
+
+    def test_validate_refuses_an_unregistered_histogram(self, tmp_path):
+        sampler = TimelineSampler(every_ops=2)
+        self._run(sampler)
+        sampler.metrics.observe("made_up.read", 1.0)
+        path = tmp_path / "timeline.jsonl"
+        dump_timeline(sampler, path)
+        assert validate_timeline(load_timeline(path)) == [
+            "histogram 'made_up.read' outside the registered latency family"
+        ]
 
     def test_same_run_dumps_byte_identical(self, tmp_path):
         dumps = []

@@ -287,7 +287,14 @@ SEAM_CASES = [
             pool.unfix(page, dirty=True)
             return pool.fix_new(page + 1), frame
         """, [3, 4, 5, 6]),
-    case("SEAM008", "buddy_package_allowed", "repro/buddy/allocator.py", """\
+    case("SEAM008", "buddy_pin_flagged", "repro/buddy/allocator.py", """\
+        def grow(pool, page, provider):
+            pool.access_new(page, provider)
+            pool.fix_new(page)
+            pool.set_provider(page, provider)
+            pool.unfix(page, dirty=True)
+        """, [3, 4, 5]),
+    case("SEAM008", "buffer_package_allowed", "repro/buffer/pool.py", """\
         def grow(pool, page, provider):
             pool.fix_new(page)
             pool.set_provider(page, provider)

@@ -14,6 +14,8 @@ The two contracts that matter most:
 from __future__ import annotations
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -48,6 +50,7 @@ from tests.conftest import pattern_bytes
 
 CONFIG = small_page_config()
 SCHEMES = ("esm", "eos", "starburst", "blockbased")
+REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def traced_store(scheme: str, tracer: Tracer) -> LargeObjectStore:
@@ -378,3 +381,15 @@ class TestRuntime:
         assert tracer is not None
         monkeypatch.delenv("REPRO_CHECKS")
         assert resolve_tracer(None) is None
+
+
+def test_taxonomy_matches_emitted_kinds():
+    # Every op name passed to _op_span in the shipped tree is legal.
+    from repro.obs.taxonomy import OP_SPAN_KINDS, SPAN_KINDS
+
+    assert OP_SPAN_KINDS <= SPAN_KINDS
+    assert not any(kind.startswith("bench.") for kind in SPAN_KINDS)
+    pattern = re.compile(r"_op_span\(\s*\"(\w+)\"")
+    for path in sorted(REPO_SRC.rglob("*.py")):
+        for name in pattern.findall(path.read_text()):
+            assert f"op.{name}" in SPAN_KINDS, (path, name)

@@ -3,10 +3,11 @@
 Two halves.  The first exercises the sanitizer itself: the
 ``REPRO_CHECKS`` flag, site attribution on
 :meth:`BufferPool.assert_pin_balanced`, and the per-operation guard that
-:meth:`LargeObjectManager._op_span` installs around every manager op.  The second half pins down the concrete leak
-sites the FLOW001/FLOW002 sweep found and fixed — each test forces the
-original exception path and asserts the pool comes out balanced (or, for
-the tree-backed operation bracket, that no flush happens on failure).
+:meth:`LargeObjectManager._op_span` installs around every manager op, on
+its normal and failed exits.  The second half pins down concrete leak
+sites found and fixed earlier — each test forces the original exception
+path and asserts the pool comes out balanced (or, for the tree-backed
+operation bracket, that no flush happens on failure).
 """
 
 import pytest
@@ -18,9 +19,16 @@ from repro.buffer.pool import BufferPool
 from repro.core.api import make_manager
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import ByteRangeError, ContractViolationError
+from repro.core.errors import (
+    ByteRangeError,
+    ContractViolationError,
+    CrashError,
+    IOFaultError,
+)
 from repro.disk.disk import SimulatedDisk
 from repro.disk.iomodel import CostModel
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, at, every
 from repro.lint.contracts import checks_enabled
 from repro.records.schema import Schema
 from repro.records.store import RecordStore
@@ -146,15 +154,40 @@ class TestOpSpanGuard:
         env.pool.unfix(0)
 
     def test_failed_op_does_not_mask_its_error(self, san):
-        # The guard asserts on *normal* exit only: a failing operation
-        # must surface its own exception, not a pin-balance report.
+        # A failing operation that leaves no pin surfaces its own error.
+        env = make_env()
+        manager = make_manager("esm", env, leaf_pages=2)
+        oid = manager.create(pattern_bytes(64))
+        with pytest.raises(ByteRangeError):
+            manager.read(oid, 10_000, 16)
+
+    def test_leak_across_a_failed_op_is_chained_to_its_error(self, san):
+        # On a live environment the guard also checks a failing
+        # operation; the report keeps the operation's error as its cause.
+        env = make_env()
+        manager = make_manager("esm", env, leaf_pages=2)
+        oid = manager.create(pattern_bytes(5 * env.config.page_size))
+        env.pool.flush_all()
+        env.pool.reset()  # the read below must reach the disk
+        env.pool.fix(0)
+        plan = FaultPlan(read_faults=every(1), transient_failures=99)
+        with FaultInjector(env, plan):
+            with pytest.raises(ContractViolationError, match="pin leak") as exc:
+                manager.read(oid, 0, 16)
+        assert isinstance(exc.value.__cause__, IOFaultError)
+        env.pool.unfix(0)
+
+    def test_crashed_op_surfaces_the_crash(self, san):
+        # After an injected crash the disk is halted and nothing is
+        # checked: the crash is the error, whatever pins the op held.
         env = make_env()
         manager = make_manager("esm", env, leaf_pages=2)
         oid = manager.create(pattern_bytes(64))
         env.pool.fix(0)
-        with pytest.raises(ByteRangeError):
-            manager.read(oid, 10_000, 16)
-        env.pool.unfix(0)
+        with FaultInjector(env, FaultPlan(crash_writes=at(1))):
+            with pytest.raises(CrashError):
+                manager.append(oid, pattern_bytes(300))
+            assert env.disk.halted
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_clean_roundtrip_per_scheme(self, san, scheme):
@@ -173,7 +206,7 @@ class TestOpSpanGuard:
 
 
 # ----------------------------------------------------------------------
-# Regression: the pin-leak sites found and fixed by the FLOW001 sweep
+# Regression: pin-leak sites found and fixed earlier
 # ----------------------------------------------------------------------
 class _Boom(Exception):
     pass
@@ -257,7 +290,7 @@ class TestPinLeakRegressions:
     def test_tree_backed_op_flushes_on_success_only(self):
         # TreeBackedManager._op used to call end_op() from a finally:,
         # pushing half-applied index state at the disk on failure — the
-        # crash-safety bug class FLOW002 now rejects statically.
+        # crash-safety bug class FLOW002 rejects statically.
         env = make_env()
         manager = make_manager("esm", env, leaf_pages=2)
 
