@@ -214,8 +214,8 @@ def diff_documents(
 ) -> dict[str, dict[str, object]]:
     """Per-span-kind self-cost deltas between two traces.
 
-    Returns only the kinds whose count or self cost changed; diffing a
-    trace against itself returns an empty dict.
+    Returns only the kinds whose count or self cost changed, in kind
+    order; diffing a trace against itself returns an empty dict.
     """
     old_table = span_kind_table(old)
     new_table = span_kind_table(new)

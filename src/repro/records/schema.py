@@ -80,11 +80,15 @@ class Schema:
     # ------------------------------------------------------------------
     # Record (de)serialization
     # ------------------------------------------------------------------
-    def serialize(self, values: dict[str, object]) -> bytes:
-        """Encode a record; LONG values must already be object ids."""
+    def check_names(self, values: dict[str, object]) -> None:
+        """Refuse a record naming fields the schema lacks."""
         unknown = set(values) - set(self._by_name)
         if unknown:
             raise SchemaError(f"unknown fields: {sorted(unknown)}")
+
+    def serialize(self, values: dict[str, object]) -> bytes:
+        """Encode a record; LONG values must already be object ids."""
+        self.check_names(values)
         parts = []
         for field in self.fields:
             if field.name not in values:

@@ -54,6 +54,7 @@ class RecordStore:
         LONG field values are given as ``bytes``; the store creates the
         large object and stores its descriptor in the record.
         """
+        self.schema.check_names(values)  # before any object is created
         prepared, created = self._prepare(values)
         body = self.schema.serialize(prepared)
         try:

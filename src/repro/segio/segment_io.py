@@ -20,6 +20,12 @@ pages can be reallocated (a deferred free keeps them allocated until the
 batch ends), and nothing reads a fresh page before the copy writes it but
 the copy's own mid-page read-back; so no other page of it can be
 resident, and those writes skip the refresh and go to the disk.
+
+A phantom store (``record_leaf_data=False``, Section 4.1) makes the
+same pool and disk calls in the same order, but carries lengths, not
+bytes: its leaf pages read as zeros, so a read returns a
+:class:`~repro.core.payload.SizedPayload` without slicing or joining what
+it charged, and a write, staged copies included, hands on a length.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Sequence
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, ContractViolationError
-from repro.core.payload import Payload, payload_concat
+from repro.core.payload import Payload, SizedPayload, payload_concat
 from repro.lint.contracts import checks_enabled
 
 
@@ -106,18 +112,15 @@ class SegmentIO:
             if n_pages > 1
             else None
         )
-        middle_start = start_page + (first_cached is not None)
-        middle_end = start_page + n_pages - (last_cached is not None)
-        chunks: list[Payload] = []
-        if first_cached is not None:
-            chunks.append(first_cached)
-        if middle_end > middle_start:
-            chunks.append(
-                pool.disk.read_pages(middle_start, middle_end - middle_start)
+        first = start_page + (first_cached is not None)
+        n_middle = start_page + n_pages - (last_cached is not None) - first
+        middle = pool.disk.read_pages(first, n_middle) if n_middle else None
+        if not self.record_leaf_data:
+            return self._length_only(
+                n_pages * self.config.page_size,
+                first_cached, middle, last_cached,
             )
-        if last_cached is not None:
-            chunks.append(last_cached)
-        return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
+        return _joined(first_cached, middle, last_cached)
 
     def read_boundary_unaligned(
         self, segment_page: int, byte_off: int, nbytes: int
@@ -158,34 +161,31 @@ class SegmentIO:
         """The one body of :meth:`read_boundary_unaligned`, traced or not:
         ``nbytes`` bytes from ``start`` bytes into ``start_page``."""
         pool = self.pool
+        record = self.record_leaf_data
         if buffered:
-            data = pool.read_run(start_page, n_pages,
-                                 record=self.record_leaf_data)
+            data = pool.read_run(start_page, n_pages, record=record)
+            if not record:
+                return self._length_only(nbytes, None, data, None)
             # A page-aligned whole-run request needs no slice at all.
             if start == 0 and nbytes == len(data):
                 return data
             return data[start : start + nbytes]
-        # Each boundary page is sliced to its bytes before the one
-        # concatenation; ``tail`` is what the range uses of its last page.
+        # A page the range cuts goes through the pool, the pages between
+        # the cuts are one direct read.  ``tail`` is what the range uses
+        # of its last page; a single page cut at both ends is the head.
         tail = (start + nbytes) % self.config.page_size
-        middle_start = start_page
-        middle_end = start_page + n_pages
-        chunks: list[Payload] = []
-        if start:
-            page = self._boundary_page(start_page)
-            if n_pages == 1:
-                return page[start : start + nbytes]
-            chunks.append(page[start:])
-            middle_start += 1
-        if tail:
-            middle_end -= 1
-        if middle_end > middle_start:
-            chunks.append(
-                pool.disk.read_pages(middle_start, middle_end - middle_start)
-            )
-        if tail:
-            chunks.append(self._boundary_page(middle_end)[:tail])
-        return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
+        first = start_page + (start > 0)
+        n_middle = start_page + n_pages - first
+        cut_tail = tail > 0 and n_middle > 0
+        n_middle -= cut_tail
+        head = self._boundary_page(start_page) if start else None
+        middle = pool.disk.read_pages(first, n_middle) if n_middle else None
+        last = self._boundary_page(first + n_middle) if cut_tail else None
+        if not record:
+            return self._length_only(nbytes, head, middle, last)
+        # Each boundary page is sliced to its bytes before the one join.
+        return _joined(head and head[start : start + nbytes], middle,
+                       last and last[:tail])
 
     # ------------------------------------------------------------------
     # Writes
@@ -196,12 +196,14 @@ class SegmentIO:
 
         ``data`` may end mid-page; the tail of the last page is zero
         filled.  Resident pool copies are refreshed (clean) so subsequent
-        buffered reads see the new content.  The body is the one
-        :meth:`~repro.buffer.pool.BufferPool.write_run` call, traced or
-        not.
+        buffered reads see the new content (zeros, in a phantom store).
+        The body is the one :meth:`~repro.buffer.pool.BufferPool.write_run`
+        call, traced or not.
         """
         if n_pages is None:
             n_pages = -(-len(data) // self.config.page_size)
+        if not self.record_leaf_data and type(data) is not SizedPayload:
+            data = SizedPayload(len(data))  # a resident copy keeps no bytes
         pool = self.pool
         tracer = pool.disk.tracer
         if tracer is None:
@@ -227,7 +229,9 @@ class SegmentIO:
         4.4.3), then written whole, one write per sink it reaches —
         preceded, when the sink cursor stands mid-page, by a read-back of
         that page.  Only a read-back page can be resident, so every other
-        write goes straight to the disk.
+        write goes straight to the disk.  A phantom store makes the same
+        reads and writes but keeps none of the parts: its chunk, and so
+        each write's data, is a length.
         """
         page_size = self.config.page_size
         pool = self.pool
@@ -235,31 +239,33 @@ class SegmentIO:
         tracer = disk.tracer
         record = self.record_leaf_data
         checked = checks_enabled()
+        parts: list[Payload] = []
+        keep = parts.append if record else _drop
         remaining = sum(nbytes for _page, nbytes in sinks)
         piece_index = piece_done = sink_index = written = 0
         while remaining:
             size = min(memory, remaining)
             remaining -= size
-            parts: list[Payload] = []
             need = size
             while need:
                 piece = sources[piece_index]
                 if isinstance(piece, tuple):
                     page_id, byte_off, length = piece
                     take = min(length - piece_done, need)
-                    parts.append(self.read_boundary_unaligned(
+                    keep(self.read_boundary_unaligned(
                         page_id, byte_off + piece_done, take
                     ))
                 else:
                     length = len(piece)
                     take = min(length - piece_done, need)
-                    parts.append(piece[piece_done : piece_done + take])
+                    keep(piece[piece_done : piece_done + take])
                 need -= take
                 piece_done += take
                 if piece_done == length:
                     piece_index += 1
                     piece_done = 0
-            chunk = parts[0] if len(parts) == 1 else payload_concat(parts)
+            chunk = _joined(*parts) if record else SizedPayload(size)
+            parts.clear()
             done = 0
             while done < size:
                 page_id, nbytes = sinks[sink_index]
@@ -326,3 +332,31 @@ class SegmentIO:
             return pool.read_run(page_id, 1, record=self.record_leaf_data)
         pool.stats.misses += 1
         return pool.disk.read_pages(page_id, 1)
+
+    def _length_only(self, nbytes: int, head: Payload | None,
+                     middle: Payload | None, last: Payload | None) -> Payload:
+        """A phantom store's read returns ``nbytes`` alone, not the runs it
+        charged (a lone phantom ``middle`` of that length as it is): every
+        leaf page of the store is phantom or never written, so reads as
+        zeros, as ``REPRO_CHECKS=1`` checks."""
+        if checks_enabled() and any(
+            run is not None and run != bytes(len(run))
+            for run in (head, middle, last)
+        ):
+            raise ContractViolationError(
+                "a phantom read charged a run holding recorded bytes"
+            )
+        if (head is None and last is None and type(middle) is SizedPayload
+                and len(middle) == nbytes):
+            return middle
+        return SizedPayload(nbytes)
+
+
+def _joined(*runs: Payload | None) -> Payload:
+    """The runs that are not None, concatenated."""
+    chunks = [run for run in runs if run is not None]
+    return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
+
+
+def _drop(part: Payload) -> None:
+    """Where a phantom copy's source parts go: nowhere."""

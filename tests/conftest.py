@@ -51,25 +51,30 @@ def end_op(tree: PositionalTree) -> None:
 
 def fingerprint(
     subject: StorageEnvironment | LargeObjectStore | ShardedStore,
+    contents: bool = True,
 ) -> object:
     """Everything a caller can observe, read through public calls that
     charge nothing: the ledger, the pool counters, every frame (recency
     order, pins, dirty flag, content), the raw image, each area's
     allocated pages and superdirectory, and every live object's size.
-    A sharded store gives one entry per shard."""
+    A sharded store gives one entry per shard.  ``contents=False``
+    leaves out the frames' contents and the raw image, which is what
+    a recorded store and its phantom twin may differ in."""
     if isinstance(subject, ShardedStore):
-        return [fingerprint(shard) for shard in subject.shards]
+        return [fingerprint(shard, contents) for shard in subject.shards]
     env = subject if isinstance(subject, StorageEnvironment) else subject.env
     pool = env.pool
     state: dict[str, object] = {
         "io": dataclasses.astuple(env.cost.stats),
         "pool": dataclasses.astuple(pool.stats),
         "frames": [
-            (page_id, pins, dirty, pool.lookup(page_id).content())
+            (page_id, pins, dirty,
+             pool.lookup(page_id).content() if contents else None)
             for page_id, pins, dirty in pool.frames()
         ],
-        "image": env.disk.image(),
     }
+    if contents:
+        state["image"] = env.disk.image()
     for name, area in (("meta", env.areas.meta), ("data", env.areas.data)):
         state[f"{name} pages"] = list(area.allocated_page_ids())
         state[f"{name} superdirectory"] = [

@@ -241,6 +241,20 @@ class TestInvariance:
         assert diff_documents(document, document) == {}
         assert render_diff(document, document) == ""
 
+    def test_diff_of_two_traces_is_in_span_kind_order(self, tmp_path):
+        """Whatever the hash seed, the changed kinds come sorted: a
+        caller iterating the deltas sees no set or str-hash order."""
+        documents = []
+        for scheme in ("eos", "starburst"):
+            tracer = Tracer()
+            exercise(traced_store(scheme, tracer))
+            path = tmp_path / f"{scheme}.jsonl"
+            dump_trace(tracer, path)
+            documents.append(load_trace(path))
+        deltas = diff_documents(*documents)
+        assert len(deltas) >= 5
+        assert list(deltas) == sorted(deltas)
+
     def test_same_run_traces_byte_identical(self, tmp_path):
         paths = []
         for index in range(2):

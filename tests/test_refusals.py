@@ -18,6 +18,7 @@ names a valid call to make next.  Every row is judged alike:
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import partial
 from typing import Callable
 
@@ -39,6 +40,8 @@ from repro.core.errors import (
 from repro.core.fsck import check
 from repro.core.payload import SizedPayload
 from repro.exec.plan import MultiOp, append_op, replace_op
+from repro.records.schema import Schema, SchemaError
+from repro.records.store import RecordStore
 from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
 from repro.shard.router import ShardedStore
 from repro.tree.node import MAX_OBJECT_BYTES, LeafExtent
@@ -62,6 +65,7 @@ class Subject:
     model: ObjectModel | None = None
     ids: list[int] = dataclasses.field(default_factory=list)
     tree: PositionalTree | None = None
+    records: RecordStore | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,6 +181,16 @@ def _blockbased_shards() -> Subject:
     subject = _holding(store, *(pattern_bytes(300, salt) for salt in range(4)))
     for oid in subject.ids:
         store.read(oid, 0, 300)
+    return subject
+
+
+def _records() -> Subject:
+    """An EOS store holding one object, and an empty record store over it
+    whose records have a long field (fsck would count a record page as
+    a leak)."""
+    subject = _holding(LargeObjectStore("eos", SMALL), pattern_bytes(300))
+    subject.records = RecordStore(Schema.of(name="text", content="long"),
+                                  subject.target.manager)
     return subject
 
 
@@ -357,6 +371,19 @@ for name, scheme, write in (
         InvalidArgumentError, "str",
         lambda s, write=write: write(s.target, s.ids[0], b"abc"),
     )
+
+# A record naming fields its schema lacks is refused before any of its
+# long fields is created; the message names them all, sorted, whatever
+# the order of the call and of the hash seed.
+_UNKNOWN = {"zulu": 1, "alpha": 2, "mike": 3, "echo": 4, "kilo": 5}
+REFUSALS["records-insert-of-unknown-fields"] = Refusal(
+    _records,
+    lambda s: s.records.insert(name="x", content=b"abc", **_UNKNOWN),
+    SchemaError,
+    "^" + re.escape("unknown fields: ['alpha', 'echo', 'kilo', 'mike', 'zulu']")
+    + "$",
+    lambda s: s.records.insert(name="x", content=b"abc"),
+)
 
 # Atomic batches.  Shard 1's PREPARE needs 8 pages of its 6-page area:
 # the batch is refused before shard 0 journals or runs its op.

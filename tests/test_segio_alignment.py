@@ -9,6 +9,9 @@ must all agree.  The model knows the policy of Section 3.2 — a short run
 is buffered whole when the pool can make room, a long one bypasses it,
 and the boundary blocks of a byte range that does not match block
 boundaries go through the pool (Figure 4) — and nothing of the code.
+Every case also runs on a phantom stack, whose segment pages were
+written without their bytes: it must charge the same, and a read must
+return the length alone, as a ``SizedPayload``.
 """
 
 import dataclasses
@@ -17,6 +20,8 @@ import pytest
 
 from repro.buffer.pool import BufferPool
 from repro.core.config import small_page_config
+from repro.core.errors import ContractViolationError
+from repro.core.payload import SizedPayload
 from repro.disk.disk import SimulatedDisk
 from repro.disk.iomodel import CostModel
 from repro.obs.tracer import Tracer
@@ -50,7 +55,7 @@ class Stack:
     """Disk, pool and segment I/O, traced or not, in a prepared state."""
 
     def __init__(self, traced: bool, policy: str, resident: list[int],
-                 fully_pinned: bool) -> None:
+                 fully_pinned: bool, recorded: bool = True) -> None:
         config = small_page_config(
             page_size=PAGE,
             buffer_pool_pages=CAPACITY,
@@ -63,9 +68,14 @@ class Stack:
         if self.tracer is not None:
             self.disk.tracer = self.tracer
             self.tracer.bind(config, self.cost.stats, self.pool.stats)
-        self.segio = SegmentIO(config, self.pool, **POLICIES[policy])
-        for page in [*range(SEGMENT, SEGMENT + SEGMENT_PAGES), *BYSTANDERS,
-                     *FILLERS]:
+        self.segio = SegmentIO(config, self.pool, record_leaf_data=recorded,
+                               **POLICIES[policy])
+        segment = range(SEGMENT, SEGMENT + SEGMENT_PAGES)
+        if not recorded:
+            self.disk.write_pages(SEGMENT, SEGMENT_PAGES,
+                                  SizedPayload(SEGMENT_PAGES * PAGE),
+                                  record=False)
+        for page in [*(segment if recorded else ()), *BYSTANDERS, *FILLERS]:
             self.disk.poke_pages(page, page_bytes(page))
         for page in [*BYSTANDERS, *resident]:
             self.pool.read_run(page, 1)
@@ -94,8 +104,9 @@ class PageByPage:
     eviction victim is simply the least recent unpinned frame.
     """
 
-    def __init__(self, stack: Stack, policy: str) -> None:
+    def __init__(self, stack: Stack, policy: str, recorded: bool) -> None:
         self.policy = policy
+        self.recorded = recorded
         frames = list(stack.pool.frames())          # least recent first
         self.frames = [page for page, _, _ in frames]
         self.pinned = {page for page, pins, _ in frames if pins}
@@ -103,7 +114,7 @@ class PageByPage:
         self.io_before = dataclasses.replace(stack.cost.stats)
         self.counters = dataclasses.replace(stack.pool.stats)
         self.content = {
-            page: page_bytes(page)
+            page: page_bytes(page) if recorded else bytes(PAGE)
             for page in range(SEGMENT, SEGMENT + SEGMENT_PAGES)
         }
 
@@ -213,7 +224,9 @@ class PageByPage:
         n_pages = -(-len(data) // PAGE)
         self.io.write_calls += 1
         self.io.pages_written += n_pages
-        padded = data.ljust(n_pages * PAGE, b"\x00")
+        padded = (data if self.recorded else bytes(len(data))).ljust(
+            n_pages * PAGE, b"\x00"
+        )
         for i in range(n_pages):
             self.content[start_page + i] = padded[i * PAGE:(i + 1) * PAGE]
 
@@ -237,25 +250,32 @@ class PageByPage:
 
 def run_both(policy, resident, fully_pinned, request):
     """Run ``request(segio or model)`` on an untraced stack, a traced one
-    and the model; returns the traced stack, the one span the request
-    must have recorded there, and the model."""
-    outcomes = []
-    for traced in (False, True):
-        stack = Stack(traced, policy, resident, fully_pinned)
-        model = PageByPage(stack, policy)
-        since = len(stack.tracer.records) if traced else 0
-        got = request(stack.segio)
-        expected = request(model)
-        assert got == expected
-        assert stack.state() == model.state()
-        outcomes.append((got, stack.state()))
-    assert outcomes[0] == outcomes[1]
-    (span,) = stack.spans(since)
-    assert (
-        span["read_calls"], span["pages_read"],
-        span["write_calls"], span["pages_written"],
-    ) == model.cost()
-    return stack, span, model
+    and the model, once recording leaf bytes and once phantom; returns,
+    per mode (``recorded`` True or False), the traced stack, the one span
+    the request must have recorded there, and the model.  A phantom read
+    returns its length alone."""
+    legs = {}
+    for recorded in (True, False):
+        outcomes = []
+        for traced in (False, True):
+            stack = Stack(traced, policy, resident, fully_pinned, recorded)
+            model = PageByPage(stack, policy, recorded)
+            since = len(stack.tracer.records) if traced else 0
+            got = request(stack.segio)
+            expected = request(model)
+            assert got == expected
+            if not recorded and expected is not None:
+                assert isinstance(got, SizedPayload)
+            assert stack.state() == model.state()
+            outcomes.append((got, stack.state()))
+        assert outcomes[0] == outcomes[1]
+        (span,) = stack.spans(since)
+        assert (
+            span["read_calls"], span["pages_read"],
+            span["write_calls"], span["pages_written"],
+        ) == model.cost()
+        legs[recorded] = stack, span, model
+    return legs
 
 
 ALIGNMENTS = {
@@ -273,7 +293,7 @@ def test_three_step_read(alignment, n_pages, resident, fully_pinned, policy):
     byte_off = RUN_FIRST * PAGE + cut_left
     nbytes = n_pages * PAGE - cut_left - cut_right
     first, last = SEGMENT + RUN_FIRST, SEGMENT + RUN_FIRST + n_pages - 1
-    _stack, span, model = run_both(
+    legs = run_both(
         policy,
         sorted({first, last}) if resident else [],
         fully_pinned,
@@ -281,14 +301,15 @@ def test_three_step_read(alignment, n_pages, resident, fully_pinned, policy):
             SEGMENT, byte_off, nbytes
         ),
     )
-    assert span["kind"] == "segio.read_unaligned"
-    assert list(span["attrs"].items()) == [
-        ("start", first), ("pages_n", n_pages),
-        ("buffered", span_buffered(policy, n_pages, fully_pinned)),
-    ]
-    # Never more than the three steps of Figure 4.
-    assert span["read_calls"] <= 3
-    assert span["pages_read"] <= n_pages
+    for _stack, span, _model in legs.values():
+        assert span["kind"] == "segio.read_unaligned"
+        assert list(span["attrs"].items()) == [
+            ("start", first), ("pages_n", n_pages),
+            ("buffered", span_buffered(policy, n_pages, fully_pinned)),
+        ]
+        # Never more than the three steps of Figure 4.
+        assert span["read_calls"] <= 3
+        assert span["pages_read"] <= n_pages
 
 
 def span_buffered(policy: str, n_pages: int, fully_pinned: bool) -> bool:
@@ -312,19 +333,20 @@ def test_read_pages(n_pages, resident, fully_pinned, policy):
         "none": [], "first": [first], "last": [last],
         "both": sorted({first, last}),
     }[resident]
-    _stack, span, _model = run_both(
+    legs = run_both(
         policy, cached, fully_pinned,
         lambda target: target.read_pages(first, n_pages),
     )
     buffered = span_buffered(policy, n_pages, fully_pinned)
-    assert span["kind"] == "segio.read"
-    assert list(span["attrs"].items()) == [
-        ("start", first), ("pages_n", n_pages), ("buffered", buffered),
-    ]
-    if not buffered:
-        # One direct read of whatever the pool did not already hold.
-        assert span["read_calls"] == (n_pages > len(cached))
-        assert span["pages_read"] == n_pages - len(cached)
+    for _stack, span, _model in legs.values():
+        assert span["kind"] == "segio.read"
+        assert list(span["attrs"].items()) == [
+            ("start", first), ("pages_n", n_pages), ("buffered", buffered),
+        ]
+        if not buffered:
+            # One direct read of whatever the pool did not already hold.
+            assert span["read_calls"] == (n_pages > len(cached))
+            assert span["pages_read"] == n_pages - len(cached)
 
 
 @pytest.mark.parametrize("policy", list(POLICIES))
@@ -336,24 +358,66 @@ def test_write_pages(nbytes, resident, policy):
     first = SEGMENT + RUN_FIRST
     n_pages = -(-nbytes // PAGE)
     data = bytes((7 * i) % 253 for i in range(nbytes))
-    stack, span, model = run_both(
+    legs = run_both(
         policy,
         sorted({first, first + n_pages - 1}) if resident else [],
         False,
         lambda target: target.write_pages(first, data),
     )
-    assert span["kind"] == "segio.write"
-    assert list(span["attrs"].items()) == [
-        ("start", first), ("pages_n", n_pages),
-    ]
-    assert (span["write_calls"], span["pages_written"]) == (1, n_pages)
-    # Disk and (where resident) pool both hold the new image.
-    assert stack.disk.peek_pages(first, n_pages) == data.ljust(
-        n_pages * PAGE, b"\x00"
+    for recorded, (stack, span, model) in legs.items():
+        assert span["kind"] == "segio.write"
+        assert list(span["attrs"].items()) == [
+            ("start", first), ("pages_n", n_pages),
+        ]
+        assert (span["write_calls"], span["pages_written"]) == (1, n_pages)
+        # Disk and (where resident) pool both hold the new image: the
+        # data when recorded, zeros when not.
+        image = b"".join(model.content[first + i] for i in range(n_pages))
+        assert image == (data if recorded else bytes(nbytes)).ljust(
+            n_pages * PAGE, b"\x00"
+        )
+        assert stack.disk.peek_pages(first, n_pages) == image
+        assert stack.segio.read_pages(first, n_pages) == model.read_pages(
+            first, n_pages
+        )
+        if resident:
+            frame = stack.pool.lookup(first)
+            assert frame.content() == model.content[first] and not frame.dirty
+
+
+def _unaligned(byte_off, nbytes):
+    return lambda segio: segio.read_boundary_unaligned(
+        SEGMENT, byte_off, nbytes
     )
-    assert stack.segio.read_pages(first, n_pages) == model.read_pages(
-        first, n_pages
-    )
-    if resident:
-        frame = stack.pool.lookup(first)
-        assert frame.content() == model.content[first] and not frame.dirty
+
+
+#: A recorded page planted under the phantom segment, and a length-only
+#: read that charges it: (policy, planted page, read, bytes it returns).
+PLANTED = {
+    "head": ("bypass_pool", 1, _unaligned(PAGE + 10, 4 * PAGE), 4 * PAGE),
+    "interior": ("bypass_pool", 3, _unaligned(PAGE + 10, 4 * PAGE), 4 * PAGE),
+    "tail": ("bypass_pool", 5, _unaligned(PAGE + 10, 4 * PAGE), 4 * PAGE),
+    "buffered": ("hybrid", 2, _unaligned(PAGE + 10, PAGE), PAGE),
+    "bypassed-run": (
+        "bypass_pool", 2, lambda segio: segio.read_pages(SEGMENT + 1, 3),
+        3 * PAGE,
+    ),
+}
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_length_only_read_checks_its_premise(case, checked, monkeypatch):
+    """A phantom read returns a length because every page it charges
+    reads as zeros; under ``REPRO_CHECKS=1`` a recorded page among them
+    is a contract violation, not a silently dropped byte."""
+    policy, planted, read, nbytes = PLANTED[case]
+    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
+    stack = Stack(False, policy, [], False, recorded=False)
+    stack.disk.poke_pages(SEGMENT + planted, page_bytes(SEGMENT + planted))
+    if checked:
+        with pytest.raises(ContractViolationError, match="recorded bytes"):
+            read(stack.segio)
+    else:
+        result = read(stack.segio)
+        assert isinstance(result, SizedPayload) and len(result) == nbytes
