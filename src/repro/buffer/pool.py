@@ -11,6 +11,13 @@ multi-page runs: :meth:`read_run` reads a run of physically adjacent pages
 into the pool with one physical I/O per missing sub-run, which is how
 segments of up to ``max_buffered_segment_pages`` pages are buffered.
 Larger segments bypass the pool entirely (see :mod:`repro.segio`).
+
+No path of the storage stack takes a pin: ``access``, ``access_new`` and
+``read_run`` leave every pin count at zero, and ``fix``/``fix_new``/
+``unfix`` remain for callers that hold a page across other pool calls.
+A phantom run (``record=False``, Section 4.1) of two or more pages is
+read for its length alone: the pool charges and caches it as any run and
+returns a :class:`~repro.core.payload.SizedPayload`.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Callable, Iterator
 from repro.buffer.frame import Frame
 from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
-from repro.core.payload import Payload, payload_concat
+from repro.core.payload import Payload, SizedPayload, payload_concat
 from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.lint.contracts import checks_enabled, pure_read
 
@@ -298,14 +305,17 @@ class BufferPool:
         """Bring pages ``start .. start+n_pages-1`` into the pool, unpinned.
 
         Pages already resident are reused (and counted as hits); each
-        maximal missing sub-run is read with a single physical I/O.
-        Returns the concatenated content of the whole run — a length-only
-        :class:`~repro.core.payload.SizedPayload` when every page is
-        phantom, so phantom runs cost no byte work.
+        maximal missing sub-run is read with a single physical I/O, after
+        evicting around the run's own pages the way eviction steps around
+        pinned frames, so the run takes no pin.  Every page of the run then
+        ends at the recency end, in request order.  Returns the
+        concatenated content of the whole run; a ``record=False`` run of
+        two or more pages returns its length alone, a
+        :class:`~repro.core.payload.SizedPayload`, with no byte work.
 
         A run the pool cannot hold beside the frames pinned outside it
         is refused with :class:`BufferPoolError` before anything is
-        counted, pinned, evicted or read (the criterion of
+        counted, evicted or read (the criterion of
         :meth:`can_accommodate`, exact for a run that is partly resident).
         """
         frames = self._frames
@@ -327,90 +337,63 @@ class BufferPool:
             frames[start] = Frame(start, view, False, 0, record)
             return view
         # One probe per page decides hit or miss.
-        page_size = self.config.page_size
+        end = start + n_pages
         get = frames.get
-        resident = []
         missing = []
         pinned_in_run = 0
-        for page in range(start, start + n_pages):
-            frame = get(page)
+        for page_id in range(start, end):
+            frame = get(page_id)
             if frame is None:
-                missing.append(page)
-            else:
-                resident.append(frame)
-                if frame.pin_count:
-                    pinned_in_run += 1
-        move_to_end = frames.move_to_end
-        if not missing:
-            # Every page resident: no eviction can happen, so the
-            # pin-read-unpin dance is a no-op — just count the hits and
-            # touch each frame in request order.
-            stats.hits += n_pages
-            chunks = []
-            for frame in resident:
-                move_to_end(frame.page_id)
-                chunks.append(_page_image(frame.content(), page_size))
-            return payload_concat(chunks)
-        if n_pages + self._pinned - pinned_in_run > capacity:
-            raise BufferPoolError("all buffer frames are pinned")
-        if not resident:
-            # Nothing resident: one physical read of the whole run; the
-            # frames go in unpinned (pinning exists only to protect this
-            # request's pages from its own evictions, and evictions finish
-            # before the frames are created).
-            stats.misses += n_pages
-            need = len(frames) + n_pages - capacity
+                missing.append(page_id)
+            elif frame.pin_count:
+                pinned_in_run += 1
+        n_missing = len(missing)
+        if n_missing:
+            if n_pages + self._pinned - pinned_in_run > capacity:
+                raise BufferPoolError("all buffer frames are pinned")
+            stats.misses += n_missing
+        stats.hits += n_pages - n_missing
+        # Each missing sub-run in order: room made around the run's own
+        # pages, one disk call, frames appended unpinned.  When nothing
+        # was resident the one sub-run is the run, appended in request
+        # order, which is already its recency order.
+        runs = (
+            contiguous_runs(missing) if n_missing < n_pages
+            else ((start, n_pages),)
+        )
+        for run_start, run_len in runs:
+            need = len(frames) + run_len - capacity
             if need > 0:
-                self._evict_many(need)
-            # Per-page views straight off the disk: no whole-run buffer is
-            # materialized and no per-page slice copies are made.  The new
-            # frames are appended in request order, which IS their recency
-            # order, so no per-frame touch is needed.
-            views = self.disk.read_page_views(start, n_pages)
-            page = start
-            for data in views:
-                frames[page] = Frame(page, data, False, 0, record)
-                page += 1
-            return payload_concat(views)
-        # Mixed hits and misses: pin resident pages first so eviction for
-        # the missing sub-runs cannot push out pages belonging to this
-        # same request.
-        for frame in resident:
-            frame.pin_count += 1
-            if frame.pin_count == 1:
-                self._pinned += 1
-        stats.hits += len(resident)
-        stats.misses += len(missing)
-        try:
-            for run_start, run_len in contiguous_runs(missing):
-                need = len(frames) + run_len - capacity
-                if need > 0:
-                    self._evict_many(need)
-                page = run_start
-                for data in self.disk.read_page_views(run_start, run_len):
-                    frames[page] = Frame(page, data, False, 1, record)
-                    page += 1
-                self._pinned += run_len
-        except BaseException:
-            # A writeback or read failed: each page of the run that is
-            # resident now holds one pin from this call (the sub-runs not
-            # yet read are absent), so release one each, in place.
-            for page in range(start, start + n_pages):
-                frame = get(page)
-                if frame is not None:
-                    frame.pin_count -= 1
-                    if frame.pin_count == 0:
-                        self._pinned -= 1
-            raise
-        chunks = []
-        for page in range(start, start + n_pages):
-            frame = frames[page]
-            frame.pin_count -= 1
-            if frame.pin_count == 0:
-                self._pinned -= 1
-            move_to_end(page)
-            chunks.append(_page_image(frame.content(), page_size))
-        return payload_concat(chunks)
+                self._evict_many(need, start, end)
+            page_id = run_start
+            for data in self.disk.read_page_views(run_start, run_len):
+                frames[page_id] = Frame(page_id, data, False, 0, record)
+                page_id += 1
+        if n_missing < n_pages:
+            move_to_end = frames.move_to_end
+            for page_id in range(start, end):
+                move_to_end(page_id)
+        page_size = self.config.page_size
+        if not record:
+            if checks_enabled():
+                self._check_phantom_run(start, n_pages)
+            return SizedPayload(n_pages * page_size)
+        return payload_concat([
+            _page_image(frames[page_id].content(), page_size)
+            for page_id in range(start, end)
+        ])
+
+    def _check_phantom_run(self, start: int, n_pages: int) -> None:
+        """The premise of a ``record=False`` read, under ``REPRO_CHECKS=1``:
+        the run is returned as its length, so each of its pages, resident
+        now, must read as zeros."""
+        for page_id in range(start, start + n_pages):
+            content = self._frames[page_id].content()
+            if content != bytes(len(content)):
+                raise ContractViolationError(
+                    f"phantom run {start}+{n_pages} holds recorded bytes "
+                    f"at page {page_id}"
+                )
 
     # ------------------------------------------------------------------
     # Writeback and invalidation
@@ -550,28 +533,31 @@ class BufferPool:
         if need > 0:
             self._evict_many(need)
 
-    def _evict_many(self, k: int) -> None:
+    def _evict_many(self, k: int, start: int = 0, end: int = 0) -> None:
         """Evict ``k`` frames, bulk fast path for the all-clean case.
 
-        ``k`` successive :meth:`_evict_one` calls each take the first
-        unpinned *clean* frame in recency order, and removing a clean
-        frame leaves every other frame's state untouched — so when the
-        first ``k`` clean unpinned frames exist, they are exactly the
-        victims the sequential loop would pick, in the same order, and
-        can be dropped in one pass (same eviction counts, no writebacks,
-        same tracer events).  Any dirty or pinned frame short of ``k``
-        falls back to the exact sequential loop.
+        Pinned frames and the pages of the run ``[start, end)`` being read
+        are never victims: :meth:`read_run` keeps its own pages this way
+        instead of pinning them.  ``k`` successive :meth:`_evict_one`
+        calls each take the first such candidate that is *clean* in
+        recency order, and removing a clean frame leaves every other
+        frame's state untouched — so when the first ``k`` clean candidates
+        exist, they are exactly the victims the sequential loop would
+        pick, in the same order, and can be dropped in one pass (same
+        eviction counts, no writebacks, same tracer events).  Any dirty or
+        skipped frame short of ``k`` falls back to the exact sequential
+        loop.
         """
         victims: list[Frame] = []
         for frame in self._frames.values():
-            if frame.pin_count or frame.dirty:
+            if frame.pin_count or frame.dirty or start <= frame.page_id < end:
                 continue
             victims.append(frame)
             if len(victims) == k:
                 break
         if len(victims) < k:
             for _ in range(k):
-                self._evict_one()
+                self._evict_one(start, end)
             return
         frames = self._frames
         tracer = self.disk.tracer
@@ -581,8 +567,8 @@ class BufferPool:
                 tracer.event("pool.evict", page=frame.page_id, dirty=False)
         self.stats.evictions += k
 
-    def _evict_one(self) -> None:
-        victim = self._choose_victim()
+    def _evict_one(self, start: int, end: int) -> None:
+        victim = self._choose_victim(start, end)
         if victim is None:
             raise BufferPoolError("all buffer frames are pinned")
         was_dirty = victim.dirty
@@ -594,8 +580,9 @@ class BufferPool:
         if tracer is not None:
             tracer.event("pool.evict", page=victim.page_id, dirty=was_dirty)
 
-    def _choose_victim(self) -> Frame | None:
-        """LRU among clean unpinned frames, then dirty unpinned frames.
+    def _choose_victim(self, start: int, end: int) -> Frame | None:
+        """LRU among clean unpinned frames, then dirty unpinned frames,
+        outside the run ``[start, end)``.
 
         ``_frames`` iterates in recency order, so the first unpinned
         clean frame *is* the clean LRU victim — the scan usually stops
@@ -604,7 +591,7 @@ class BufferPool:
         """
         fallback: Frame | None = None
         for frame in self._frames.values():
-            if frame.pin_count:
+            if frame.pin_count or start <= frame.page_id < end:
                 continue
             if not frame.dirty:
                 return frame

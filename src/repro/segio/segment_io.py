@@ -165,7 +165,11 @@ class SegmentIO:
         if buffered:
             data = pool.read_run(start_page, n_pages, record=record)
             if not record:
-                return self._length_only(nbytes, None, data, None)
+                if type(data) is not SizedPayload:
+                    # One page the disk held as bytes: check it reads as
+                    # zeros.  A longer run is a length the pool checked.
+                    return self._length_only(nbytes, None, data, None)
+                return data if len(data) == nbytes else SizedPayload(nbytes)
             # A page-aligned whole-run request needs no slice at all.
             if start == 0 and nbytes == len(data):
                 return data

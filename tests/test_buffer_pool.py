@@ -142,6 +142,27 @@ class TestReadRun:
         assert pool.can_accommodate(pool.capacity)
         pool.assert_pin_balanced()
 
+    def test_mixed_read_evicts_around_its_own_pages_without_pins(self):
+        # The run's resident page 10 is the clean LRU frame of a full
+        # pool: the read of 11 evicts 20, the next frame outside the run,
+        # and no frame is pinned while the disk reads.
+        _config, _cost, disk, pool = make_pool(pool_pages=4)
+        for page in (10, 20, 21, 22):
+            pool.read_run(page, 1)
+        pins_during_reads = []
+        read_page_views = disk.read_page_views
+
+        def hooked(start, n_pages):
+            pins_during_reads.append([pin for _, pin, _ in pool.frames()])
+            return read_page_views(start, n_pages)
+
+        disk.read_page_views = hooked
+        pool.read_run(10, 2)
+        assert pins_during_reads == [[0, 0, 0]]
+        assert [page for page, _, _ in pool.frames()] == [21, 22, 10, 11]
+        assert pool.stats == PoolStats(hits=1, misses=5, evictions=1)
+        pool.assert_pin_balanced()
+
     def test_can_accommodate(self):
         _config, _cost, _disk, pool = make_pool(pool_pages=3)
         assert pool.can_accommodate(3)

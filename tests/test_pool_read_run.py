@@ -2,13 +2,17 @@
 
 The reference below is the older three-branch ``read_run`` — a resident
 list, a ``count``, then the all-resident, all-missing or mixed branch with
-a ``_make_room`` frame per missing sub-run — kept here as the tests'
-yardstick and wrapped in the up-front refusal (run alone it fails half
-way, see :class:`TestARefusedRunChangesNothing`).  Everything a caller, the
-disk or a trace could see must be the same call for call: the returned
-payload, hits and misses, which frames are evicted and in what order, the
-recency order left behind, pins, dirty writebacks, disk calls and tracer
-events.
+a ``_make_room`` frame per missing sub-run, and pins on the run's pages
+while room is made — kept here as the tests' yardstick.  It is wrapped in
+the up-front refusal (run alone it fails half way, see
+:class:`TestARefusedRunChangesNothing`) and in the phantom-length rule: a
+``record=False`` run of two or more pages returns
+``SizedPayload(n_pages * page_size)``, where the three branches join what
+the pages hold (``bytes`` when a run mixes never-written and phantom
+pages).  Everything a caller, the disk or a trace could see must be the
+same call for call: the returned payload, hits and misses, which frames
+are evicted and in what order, the recency order left behind, pins, dirty
+writebacks, disk calls and tracer events.
 """
 
 import dataclasses
@@ -21,7 +25,7 @@ from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool, _page_image
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import BufferPoolError
+from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
 from repro.disk.disk import contiguous_runs
 from repro.obs.tracer import Tracer
@@ -113,7 +117,11 @@ def reference_read_run(
 ) -> Payload:
     if not fits(pool, start, n_pages):
         raise BufferPoolError("all buffer frames are pinned")
-    return _three_branch_read_run(pool, start, n_pages, record)
+    data = _three_branch_read_run(pool, start, n_pages, record)
+    if not record and n_pages > 1:
+        # A phantom run of two or more pages is read for its length.
+        return SizedPayload(n_pages * pool.config.page_size)
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -317,3 +325,37 @@ class TestARefusedRunChangesNothing:
         assert pool.is_resident(50) and pool.is_resident(51)
         assert not pool.is_resident(12)
         assert pool.stats.hits == 1 and pool.stats.evictions == 1
+
+
+# ----------------------------------------------------------------------
+# A phantom run is read for its length
+# ----------------------------------------------------------------------
+#: The recorded reads that leave the planted page BASE + 2 missing, the
+#: run BASE .. BASE + 3 partly resident, or all of it resident.
+WARM_UP = {
+    "all-missing": [],
+    "mixed": [(BASE, 1)],
+    "all-resident": [(BASE, 3)],
+}
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("case", list(WARM_UP))
+def test_phantom_run_checks_its_premise(case, checked, monkeypatch):
+    """A ``record=False`` run of two or more pages returns its length
+    because every page of it reads as zeros; under ``REPRO_CHECKS=1`` a
+    recorded non-zero page in it is a contract violation."""
+    config = small_page_config(page_size=PAGE, buffer_pool_pages=4)
+    env = StorageEnvironment(config)
+    env.disk.write_pages(BASE, 3, SizedPayload(0), record=False)
+    env.disk.poke_pages(BASE + 2, b"\x07" * PAGE)
+    pool = env.pool
+    for start, n_pages in WARM_UP[case]:
+        pool.read_run(start, n_pages)
+    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
+    if checked:
+        with pytest.raises(ContractViolationError, match="recorded bytes"):
+            pool.read_run(BASE, 3, record=False)
+    else:
+        result = pool.read_run(BASE, 3, record=False)
+        assert type(result) is SizedPayload and len(result) == 3 * PAGE
