@@ -14,13 +14,16 @@ two database areas (Section 4.1):
 
 Page state is kept *by the run*, the paper's unit of space and of I/O
 (Sections 3.1, 4.1), not by the page.  ``_pages`` holds recorded images
-only; "written in phantom mode" and "has a recorded image" are two bitmaps
-of one Python ``int`` per chunk of ``1 << _CHUNK_BITS`` consecutive page
-ids (page ids start at ``1 << 40``, so one area-wide ``int`` would make
-every operation cost the area).  Writing, discarding or reading a run that
-holds no recorded bytes is one mask operation per chunk it touches — a
-maximal 8,192-page segment touches three — however long the run is; only
-pages that carry bytes are visited one by one.
+only: ``bytes``, or a :class:`PendingImage` from
+:meth:`SimulatedDisk.defer_image`, which the page's first read builds and
+replaces by its bytes.  "written in phantom mode" and "has a recorded
+image" are two bitmaps of one Python ``int`` per chunk of
+``1 << _CHUNK_BITS`` consecutive page ids (page ids start at ``1 << 40``,
+so one area-wide ``int`` would make every operation cost the area).
+Writing, discarding or reading a run that holds no recorded bytes is one
+mask operation per chunk it touches — a maximal 8,192-page segment
+touches three — however long the run is; only pages that carry bytes are
+visited one by one.
 
 Every :meth:`read_pages` / :meth:`write_pages` call models one physical
 access of physically adjacent blocks: it charges exactly one seek plus one
@@ -32,17 +35,17 @@ Two robustness facilities live at this layer (see ``docs/robustness.md``):
   envelope verified on every accounted read, so silent corruption raises
   :class:`~repro.core.errors.ChecksumError` instead of propagating.  The
   CRC is taken only where it can differ from the image: stored images
-  are immutable ``bytes`` written only by the write path (``write_pages``
-  and ``poke_pages``), and :meth:`SimulatedDisk.corrupt_page` is the one
-  thing that replaces an image out of band.  So ``corrupt_page`` records
-  the intact image's CRC once, before its first bit flip; every write,
-  poke or discard of the page drops it; and reads check only the pages
-  that have one.  That raises exactly the errors a CRC taken at every
-  write would, with no CRC work on untouched pages.  A device whose
-  bytes can change outside the write path (a file, real media) must
-  checksum at write time instead.  Phantom pages store no bytes and
-  therefore carry no checksum; phantom-mode experiment runs are
-  unaffected.
+  are immutable ``bytes`` written only by the write path (``write_pages``,
+  ``poke_pages``, ``defer_image``), and :meth:`SimulatedDisk.corrupt_page`
+  stays the one thing that replaces an image out of band.  So
+  ``corrupt_page`` records the intact (built) image's CRC once, before
+  its first bit flip; every write, poke, deferral or discard of the page
+  drops it; and reads check only the pages that have one.  That raises
+  exactly the errors a CRC taken at every write would, with no CRC work
+  on untouched pages.  A device whose bytes can change outside the write
+  path (a file, real media) must checksum at write time instead.
+  Phantom pages store no bytes and therefore carry no checksum;
+  phantom-mode experiment runs are unaffected.
 * **Fault interception.**  A :class:`FaultSite` (implemented by
   :class:`repro.faults.FaultInjector`) can be installed to inject
   deterministic crashes, transient read/write faults, and torn multi-page
@@ -57,12 +60,13 @@ Two robustness facilities live at this layer (see ``docs/robustness.md``):
 from __future__ import annotations
 
 import zlib
-from typing import Protocol
+from typing import Callable, NamedTuple, Protocol, cast
 
 from repro.core.config import SystemConfig
 from repro.core.errors import (
     AllocationError,
     ChecksumError,
+    ContractViolationError,
     CrashError,
     InvalidArgumentError,
     IOFaultError,
@@ -109,6 +113,15 @@ class FaultSite(Protocol):
     ) -> None:
         """Called after a write persisted (e.g. to plant silent corruption)."""
 
+
+class PendingImage(NamedTuple):
+    """A page image built when the page is first read: ``build()``
+    returns the whole page; ``expect``, if set, is what it must return."""
+
+    build: Callable[[], bytes]
+    expect: bytes | None
+
+
 #: Page-state bitmaps are one ``int`` per ``1 << _CHUNK_BITS`` page ids.
 _CHUNK_BITS = 12
 _CHUNK_PAGES = 1 << _CHUNK_BITS
@@ -152,7 +165,7 @@ class SimulatedDisk:
         self.config = config
         self.cost = cost_model
         #: Recorded page images only; :attr:`_recorded` mirrors its keys.
-        self._pages: dict[int, bytes] = {}
+        self._pages: dict[int, bytes | PendingImage] = {}
         #: Chunk -> bitmap of the pages that hold a recorded image (the
         #: keys of ``_pages``), so a run is tested for content in one
         #: mask operation per chunk instead of a probe per page.
@@ -244,9 +257,12 @@ class SimulatedDisk:
         zero = self._zero_page
         # A stored image is a whole page, never empty, so ``or`` only
         # stands in for the missing ones.
-        return b"".join(
-            [get(page_id) or zero for page_id in range(start, start + n_pages)]
-        )
+        try:
+            return b"".join(cast("list[bytes]", [
+                get(page) or zero for page in range(start, start + n_pages)
+            ]))
+        except TypeError:  # a pending image, which the join refuses
+            return self._built_run(start, n_pages)
 
     def read_page_views(self, start: int, n_pages: int) -> list[Payload]:
         """Read a run in one I/O call, returned as one object per page.
@@ -293,6 +309,8 @@ class SimulatedDisk:
         for i in range(n_pages):
             content = get(start + i)
             if content is not None:
+                if isinstance(content, PendingImage):
+                    content = self._built(start + i)
                 views.append(content)
             elif phantom >> (offset + i) & 1:
                 views.append(zero_payload)
@@ -408,6 +426,27 @@ class SimulatedDisk:
                 pages[start + i] = image
         if len(pages) != known:
             self._mark_recorded(start, stop)
+
+    def _built(self, page_id: int) -> bytes:
+        """A recorded page's bytes, building a pending image in place."""
+        content = self._pages[page_id]
+        if isinstance(content, PendingImage):
+            image = content.build()
+            if content.expect is not None and image != content.expect:
+                raise ContractViolationError(
+                    f"page {page_id}: the image built on read differs from "
+                    "the bytes serialized when it was deferred"
+                )
+            content = self._pages[page_id] = image
+        return content
+
+    def _built_run(self, start: int, n_pages: int) -> bytes:
+        """The run's bytes, zeros for pages with no recorded image."""
+        zero = self._zero_page
+        return b"".join([
+            self._built(page_id) if page_id in self._pages else zero
+            for page_id in range(start, start + n_pages)
+        ])
 
     def _mark_recorded(self, start: int, n_pages: int) -> None:
         """Note that the run's pages now hold images in ``_pages``.
@@ -531,12 +570,11 @@ class SimulatedDisk:
     def _verify_checksum(self, start: int, n_pages: int) -> None:
         """Raise :class:`ChecksumError` for the run's first page whose
         image no longer matches the CRC :meth:`corrupt_page` recorded."""
-        pages = self._pages
         stop = start + n_pages
         for page_id, expected in sorted(self._checksums.items()):
             if not start <= page_id < stop:
                 continue
-            if zlib.crc32(pages[page_id]) != expected:
+            if zlib.crc32(self._built(page_id)) != expected:
                 if self.tracer is not None:
                     self.tracer.event("disk.checksum_fail", page=page_id)
                 raise ChecksumError(page_id)
@@ -553,11 +591,11 @@ class SimulatedDisk:
         flip since that write (later flips keep it: flipping one bit
         back restores a page that verifies).
         """
-        content = self._pages.get(page_id)
-        if content is None:
+        if page_id not in self._pages:
             raise InvalidArgumentError(
                 f"page {page_id} has no recorded content to corrupt"
             )
+        content = self._built(page_id)
         self._checksums.setdefault(page_id, zlib.crc32(content))
         byte_index, bit = divmod(bit_index % (len(content) * 8), 8)
         corrupted = bytearray(content)
@@ -573,11 +611,10 @@ class SimulatedDisk:
         so only those are checked; phantom and never-written pages have
         no checksum at all.
         """
-        pages = self._pages
         return sorted(
             page_id
             for page_id, expected in self._checksums.items()
-            if zlib.crc32(pages[page_id]) != expected
+            if zlib.crc32(self._built(page_id)) != expected
         )
 
     # ------------------------------------------------------------------
@@ -587,26 +624,13 @@ class SimulatedDisk:
     def peek_pages(self, start: int, n_pages: int) -> bytes:
         """Return page contents without charging any I/O cost.
 
-        Single pass over the range: page contents are collected while
-        checking whether anything was recorded, and an all-zero range
-        (unwritten or phantom) is served from one shared zero buffer
-        instead of being rebuilt per call.
+        A range with no recorded image (unwritten or phantom) is served
+        from one shared zero buffer instead of being rebuilt per call.
         """
         self._check_range(start, n_pages)
-        pages = self._pages
-        zero = self._zero_page
-        chunks: list[bytes] = []
-        any_content = False
-        for i in range(n_pages):
-            content = pages.get(start + i)
-            if content is None:
-                chunks.append(zero)
-            else:
-                any_content = True
-                chunks.append(content)
-        if not any_content:
+        if not _run_bits(self._recorded, start, n_pages):
             return self._zero_run(n_pages)
-        return b"".join(chunks)
+        return self._built_run(start, n_pages)
 
     def _zero_run(self, n_pages: int) -> bytes:
         """A shared immutable all-zero buffer of ``n_pages`` pages."""
@@ -620,11 +644,12 @@ class SimulatedDisk:
     def poke_pages(self, start: int, data: bytes) -> None:
         """Overwrite page contents without charging any I/O cost.
 
-        Used by tests to set up scenarios and by the managers for the
-        uncharged root/descriptor image writes (the paper does not bill
-        them as large-object I/O).  A halted disk refuses pokes like any
-        other write: the commit-point image update must not survive a
-        crash that interrupted the operation before it.
+        Used by tests to set up scenarios and by the block-based manager
+        for its uncharged first directory page (the roots and
+        descriptors of the other managers go through
+        :meth:`defer_image`).  A halted disk refuses pokes like any other
+        write: the commit-point image update must not survive a crash
+        that interrupted the operation before it.
         """
         self._check_halted()
         page_size = self.config.page_size
@@ -639,6 +664,30 @@ class SimulatedDisk:
         if len(self._pages) != known:
             self._mark_recorded(start, n_pages)
 
+    def defer_image(
+        self,
+        page_id: int,
+        build: Callable[[], bytes],
+        expect: bytes | None = None,
+    ) -> None:
+        """:meth:`poke_pages` of one page, with ``build()`` as its image.
+
+        The first read, peek, :meth:`image` or :meth:`corrupt_page` of
+        the page runs ``build`` and stores the bytes in place; a poke,
+        write or discard before then drops the :class:`PendingImage`
+        unbuilt.  Under ``REPRO_CHECKS=1`` callers pass ``expect``, the
+        eager serializer's bytes, which the build must reproduce.
+        """
+        self._check_halted()
+        self._check_range(page_id, 1)
+        if self._checksums:
+            self._checksums.pop(page_id, None)
+        pages = self._pages
+        known = len(pages)
+        pages[page_id] = PendingImage(build, expect)
+        if len(pages) != known:
+            self._mark_recorded(page_id, 1)
+
     @pure_read
     def was_written(self, page_id: int) -> bool:
         """True if the page has ever been written (recorded or phantom)."""
@@ -651,7 +700,9 @@ class SimulatedDisk:
     def image(self) -> dict[int, bytes | None]:
         """The raw device image: every written page's recorded bytes, or
         ``None`` for a page written in phantom mode (no I/O cost)."""
-        image: dict[int, bytes | None] = dict(self._pages)
+        image: dict[int, bytes | None] = {
+            page_id: self._built(page_id) for page_id in list(self._pages)
+        }
         for chunk, bits in self._phantom.items():
             base = chunk << _CHUNK_BITS
             for offset, bit in enumerate(format(bits, "b")[::-1]):

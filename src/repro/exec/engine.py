@@ -8,11 +8,12 @@ bracket opens a batch of one (:meth:`BatchEngine.begin`) for a lone
 op, or joins the batch already open.  So there is one commit path, and
 two batch-scoped strategies apply to every op:
 
-* **Group commit.**  Root-page pokes (ESM/EOS) and long-field
-  descriptor flushes (Starburst) are *uncharged* image maintenance; the
-  managers hand them to the engine, and the engine commits each
-  distinct root/descriptor exactly once at the batch boundary — the
-  shadowing commit point of Section 3.3.  Charged index-page flushes
+* **Group commit.**  Root-page commits (ESM/EOS) and long-field
+  descriptor flushes (Starburst) are *uncharged*; the managers hand them
+  to the engine, which commits each distinct root/descriptor exactly
+  once at the batch boundary — the shadowing commit point of Section
+  3.3 — as a snapshot the disk builds into bytes only when the page is
+  read (``SimulatedDisk.defer_image``).  Charged index-page flushes
   still run inside each operation — deferring those would change the
   paper's cost model.
 
@@ -66,7 +67,7 @@ class RootHost(Protocol):
     root_page_id: int
 
     def commit_root(self) -> None:
-        """Poke the root's current serialized image (uncharged)."""
+        """Commit the root's current state to its page (uncharged)."""
 
     def mark_root_dirty(self) -> None:
         """Re-mark the root dirty (in-memory bookkeeping only)."""
@@ -82,7 +83,7 @@ class DescriptorHost(Protocol):
     """A manager whose descriptor flush can be group-deferred."""
 
     def flush_descriptor(self, descriptor: DescriptorPage) -> None:
-        """Bring the descriptor's disk image current (uncharged)."""
+        """Commit the descriptor's current state to its page (uncharged)."""
 
 
 class HeldCommit(NamedTuple):

@@ -6,8 +6,8 @@ discard them.  The declaration is enforced twice:
 
 * **statically** — rule INV001 (:mod:`repro.lint.rules`) walks the bodies
   of decorated methods and rejects calls to ``write_pages`` /
-  ``poke_pages`` / ``discard_pages`` / ``charge_write`` and assignments
-  through a ``disk`` attribute;
+  ``poke_pages`` / ``defer_image`` / ``discard_pages`` / ``charge_write``
+  and assignments through a ``disk`` attribute;
 * **at runtime** — when the environment variable ``REPRO_CHECKS=1`` is
   set, the decorator snapshots the disk's write counters and page count
   around each call and raises

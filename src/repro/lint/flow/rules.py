@@ -101,7 +101,9 @@ def _is_disk_call(call: ast.Call, names: frozenset[str]) -> bool:
 # ----------------------------------------------------------------------
 # FLOW002: no state mutation in finally/except cleanup
 # ----------------------------------------------------------------------
-_DISK_MUTATORS = frozenset({"write_pages", "poke_pages", "discard_pages"})
+_DISK_MUTATORS = frozenset(
+    {"write_pages", "poke_pages", "defer_image", "discard_pages"}
+)
 _POOL_MUTATORS = frozenset({
     "write_run", "flush_all", "flush_page", "invalidate", "invalidate_run",
     "update_if_resident", "set_provider", "access_new",

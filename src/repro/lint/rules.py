@@ -385,18 +385,20 @@ class PureReadContractRule(Rule):
 
     Methods decorated with :func:`repro.lint.contracts.pure_read` promise
     to leave the simulated disk untouched: no ``write_pages`` /
-    ``poke_pages`` / ``discard_pages`` calls, no ``charge_write``, and no
-    assignment through a ``disk`` attribute.  The same contract asserts at
-    runtime under ``REPRO_CHECKS=1``; this rule proves it statically.  It
-    is scoped by a decorator, not by a path, so it is not a seam.
+    ``poke_pages`` / ``defer_image`` / ``discard_pages`` calls, no
+    ``charge_write``, and no assignment through a ``disk`` attribute.
+    The same contract asserts at runtime under ``REPRO_CHECKS=1``; this
+    rule proves it statically.  It is scoped by a decorator, not by a
+    path, so it is not a seam.
     """
 
     rule_id = "INV001"
     summary = "@pure_read methods must be pure-read on the disk"
 
-    _mutators = frozenset(
-        {"write_pages", "poke_pages", "discard_pages", "charge_write"}
-    )
+    _mutators = frozenset({
+        "write_pages", "poke_pages", "defer_image", "discard_pages",
+        "charge_write",
+    })
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         for fn in ast.walk(ctx.tree):

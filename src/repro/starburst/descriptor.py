@@ -12,7 +12,9 @@ field size.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
+from typing import Callable
 
 from repro.core.config import SystemConfig
 from repro.core.errors import (
@@ -58,6 +60,14 @@ def pattern_pages(first_alloc: int, index: int, max_pages: int) -> int:
         raise InvalidArgumentError("bad pattern arguments")
     doubled = first_alloc << index
     return min(doubled, max_pages)
+
+
+def _image(page_size: int, n: int, first: int, last: int, total: int,
+           pointers: list[int]) -> bytes:
+    """Pack a descriptor page from the values :meth:`snapshot` took."""
+    parts = [_HEADER.pack(_MAGIC, n, first, last, total, 0)]
+    parts.extend([_POINTER.pack(pointer) for pointer in pointers])
+    return b"".join(parts).ljust(page_size, b"\x00")
 
 
 class LongFieldDescriptor:
@@ -120,14 +130,21 @@ class LongFieldDescriptor:
     # ------------------------------------------------------------------
     def serialize(self, data_base: int) -> bytes:
         """Encode the descriptor as page content."""
-        self.check_capacity(len(self.segments))
-        n = len(self.segments)
-        first = self.segments[0].alloc_pages if n else 0
-        last = self.segments[-1].alloc_pages if n else 0
-        parts = [_HEADER.pack(_MAGIC, n, first, last, self.total_bytes, 0)]
-        for segment in self.segments:
-            parts.append(_POINTER.pack(segment.page_id - data_base))
-        return b"".join(parts).ljust(self.config.page_size, b"\x00")
+        return self.snapshot(data_base)()
+
+    def snapshot(self, data_base: int) -> Callable[[], bytes]:
+        """A builder of the page image as the descriptor is now: the
+        header's values and a copy of the pointers.  A descriptor that
+        is too large is refused now, before anything is built."""
+        segments = self.segments
+        n = len(segments)
+        self.check_capacity(n)
+        return functools.partial(
+            _image, self.config.page_size, n,
+            segments[0].alloc_pages if n else 0,
+            segments[-1].alloc_pages if n else 0, self.total_bytes,
+            [segment.page_id - data_base for segment in segments],
+        )
 
     @classmethod
     def deserialize(

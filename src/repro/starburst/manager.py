@@ -27,6 +27,7 @@ from repro.core.payload import (
     payload_concat,
     payload_view,
 )
+from repro.lint.contracts import checks_enabled
 from repro.starburst.descriptor import (
     LongFieldDescriptor,
     Segment,
@@ -338,10 +339,13 @@ class StarburstManager(LargeObjectManager):
         return _DescriptorOp(self, descriptor)
 
     def flush_descriptor(self, descriptor: LongFieldDescriptor) -> None:
-        """Bring the descriptor's disk image current, without I/O charges.
+        """Commit the descriptor's current state to its page, uncharged.
 
         The batch engine calls this at the batch boundary, once per
-        distinct descriptor the batch changed.
+        distinct descriptor the batch changed.  The disk gets a snapshot
+        (:meth:`LongFieldDescriptor.snapshot`), packed only when the page
+        is read; under ``REPRO_CHECKS=1`` it is also packed now, for the
+        build to match.
         """
         tracer = self.env.tracer
         if tracer is not None:
@@ -350,9 +354,13 @@ class StarburstManager(LargeObjectManager):
                 page=descriptor.page_id,
                 segments=len(descriptor.segments),
             )
-        data = descriptor.serialize(DATA_AREA_BASE)
-        self.env.pool.disk.poke_pages(descriptor.page_id, data)
-        self.env.pool.update_if_resident(descriptor.page_id, data)
+        page_id = descriptor.page_id
+        build = descriptor.snapshot(DATA_AREA_BASE)
+        expect = build() if checks_enabled() else None
+        pool = self.env.pool
+        pool.disk.defer_image(page_id, build, expect)
+        if pool.is_resident(page_id):
+            pool.update_if_resident(page_id, pool.disk.peek_pages(page_id, 1))
 
     def _allocate_segment(self, alloc_pages: int) -> Segment:
         page_id = self.env.areas.data.allocate(alloc_pages)

@@ -14,10 +14,11 @@ segments themselves.  Higher levels point at child index pages.
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 from array import array
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from repro.core.config import SystemConfig
 from repro.core.errors import (
@@ -297,11 +298,7 @@ class IndexNode:
         cums = self.cums
         n = len(cums)
         page_size = config.page_size
-        at = _ROOT_HEADER.size if is_root else _NODE_HEADER.size
-        if at + _PAIR_BYTES * n > page_size:
-            raise StorageCorruptionError(
-                f"index node with {n} entries overflows page"
-            )
+        at = _check_fits(n, page_size, is_root)
         page = self._packed
         k = self._packed_upto
         if self._packed_at != at or len(page) != page_size:
@@ -333,6 +330,18 @@ class IndexNode:
             page[end : end + _PAIR_BYTES * stale] = bytes(_PAIR_BYTES * stale)
         self._packed_pairs = self._packed_upto = n
         return bytes(page)
+
+    def root_snapshot(self, config: SystemConfig, total_bytes: int,
+                      rightmost_alloc: int) -> Callable[[], bytes]:
+        """A builder of this root's page image as it is now: copies of
+        the columns, packed by :meth:`serialize` when the image is read.
+        An overfull node is refused now, as :meth:`serialize` refuses it."""
+        _check_fits(len(self.cums), config.page_size, True)
+        return functools.partial(
+            _root_image, config, self.page_id, self.level, self.data_base,
+            self.meta_base, self.cums[:], self.refs[:], total_bytes,
+            rightmost_alloc,
+        )
 
     @classmethod
     def deserialize(cls, data: bytes, page_id: int, *, is_root: bool,
@@ -389,6 +398,27 @@ class IndexNode:
         node._packed_at = offset
         node._packed_pairs = node._packed_upto = n
         return node, total, rightmost_alloc
+
+
+def _check_fits(n: int, page_size: int, is_root: bool) -> int:
+    """Offset of the first pair; raises if ``n`` pairs overflow the page."""
+    at = _ROOT_HEADER.size if is_root else _NODE_HEADER.size
+    if at + _PAIR_BYTES * n > page_size:
+        raise StorageCorruptionError(
+            f"index node with {n} entries overflows page"
+        )
+    return at
+
+
+def _root_image(config: SystemConfig, page_id: int, level: int,
+                data_base: int, meta_base: int, cums: list[int],
+                refs: list[int], total_bytes: int,
+                rightmost_alloc: int) -> bytes:
+    """The root image :meth:`IndexNode.root_snapshot` took, packed."""
+    node = IndexNode(page_id, level, data_base, meta_base)
+    node.cums, node.refs = cums, refs
+    return node.serialize(config, is_root=True, total_bytes=total_bytes,
+                          rightmost_alloc=rightmost_alloc)
 
 
 def root_header_size() -> int:

@@ -29,6 +29,7 @@ from repro.core.errors import (
     StorageCorruptionError,
 )
 from repro.disk.disk import contiguous_runs
+from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
 from repro.tree.node import MAX_OBJECT_BYTES, IndexNode, LeafExtent
@@ -190,24 +191,34 @@ class PositionalTree:
         return root_dirty
 
     def commit_root(self) -> None:
-        """Poke the root's current image at the disk (uncharged).
+        """Commit the root's current state to its page (uncharged).
 
         The root write is the commit point: the batch engine calls this
         once per batch for every tree whose root changed, after every
-        shadowed index page is safely on disk.  Its disk image is kept
-        current, without cost, so (de)serialization and crash-free
-        reopen paths stay exercised.  The root never relocates and is
-        always readable from memory, so committing the *final* state
-        once is image-equivalent to poking after every operation.
+        shadowed index page is safely on disk.  The disk gets a snapshot
+        of the root (:meth:`IndexNode.root_snapshot`), packed only when
+        the page is read (recovery, reopen, fsck), seldom before the
+        next commit replaces it.  Under ``REPRO_CHECKS=1`` the eager
+        image is serialized too, for the build to match.  The root
+        never relocates and is always readable from memory, so
+        committing the *final* state once is image-equivalent to
+        committing after every operation.
         """
         root_page_id = self.root_page_id
+        root = self._nodes[root_page_id]
+        parent = self._rightmost_leaf_parent()
+        rightmost = parent.allocs[-1] if parent and parent.allocs else 0
+        build = root.root_snapshot(self.config, self.total_bytes, rightmost)
+        expect = root.serialize(
+            self.config, is_root=True, total_bytes=self.total_bytes,
+            rightmost_alloc=rightmost,
+        ) if checks_enabled() else None
         disk = self.pool.disk
-        disk.poke_pages(
-            root_page_id, self._serialize_node(self._nodes[root_page_id])
-        )
-        self.pool.update_if_resident(
-            root_page_id, disk.peek_pages(root_page_id, 1)
-        )
+        disk.defer_image(root_page_id, build, expect)
+        if self.pool.is_resident(root_page_id):
+            self.pool.update_if_resident(
+                root_page_id, disk.peek_pages(root_page_id, 1)
+            )
 
     def mark_root_dirty(self) -> None:
         """Re-mark the root dirty (in-memory only; no I/O).
@@ -224,10 +235,10 @@ class PositionalTree:
     def _flush_non_root(self) -> None:
         if not self._dirty:
             return
-        nodes = self._nodes
+        nodes, config = self._nodes, self.config
         for run_start, run_len in contiguous_runs(sorted(self._dirty)):
             run = [nodes[run_start + i] for i in range(run_len)]
-            images = [self._serialize_node(node) for node in run]
+            images = [node.serialize(config, is_root=False) for node in run]
             # (One shadowed leaf parent is the usual flush: its image goes
             # down as it is, not through a join.)
             data = images[0] if run_len == 1 else b"".join(images)
@@ -754,20 +765,6 @@ class PositionalTree:
         if parent is not None:
             parent_node, child_index = parent
             parent_node.set_ref(child_index, new_page)
-
-    def _serialize_node(self, node: IndexNode) -> bytes:
-        is_root = node.page_id == self.root_page_id
-        rightmost_alloc = 0
-        if is_root:
-            leaf_parent = self._rightmost_leaf_parent()
-            if leaf_parent is not None and leaf_parent.allocs:
-                rightmost_alloc = leaf_parent.allocs[-1]
-        return node.serialize(
-            self.config,
-            is_root=is_root,
-            total_bytes=self.total_bytes,
-            rightmost_alloc=rightmost_alloc,
-        )
 
     # ------------------------------------------------------------------
     # Uncharged walks (verification / accounting)

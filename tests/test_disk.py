@@ -6,17 +6,28 @@ import zlib
 import pytest
 
 from repro.buddy.area import DATA_AREA_BASE
+from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.errors import (
     AllocationError,
+    ByteRangeError,
     ChecksumError,
+    ContractViolationError,
     CrashError,
     InvalidArgumentError,
 )
 from repro.core.payload import SizedPayload
-from repro.disk.disk import _CHUNK_BITS, _CHUNK_PAGES, SimulatedDisk
+from repro.disk.disk import (
+    _CHUNK_BITS,
+    _CHUNK_PAGES,
+    PendingImage,
+    SimulatedDisk,
+)
 from repro.disk.iomodel import CostModel
+from repro.exec.plan import REPLACE, BatchOp, MultiOp, append_op, replace_op
 from repro.faults import NEVER, FaultInjector, FaultPlan, at
+from repro.lint.contracts import CHECKS_FLAG
+from repro.shard.router import ShardedStore
 
 
 @pytest.fixture
@@ -480,3 +491,221 @@ def test_envelope_matches_the_eager_reference(seed):
     # The history reached both verdicts and every kind of corruption.
     assert failures
     assert {"corrupt", "twice", "torn", "injected"} <= seen
+
+
+# ----------------------------------------------------------------------
+# Deferred images: a poke whose bytes are built when first read
+# ----------------------------------------------------------------------
+class TestDeferredImage:
+    """``defer_image`` against ``poke_pages`` of the bytes it builds."""
+
+    PAGE = 7  # between a recorded page (6) and a phantom one (8)
+
+    @staticmethod
+    def twins(config, earlier=None):
+        """A disk that defers ``PAGE``'s image and one that pokes it,
+        after the same history; the builder's calls are counted."""
+        image = bytes(range(64)) * 2
+        calls = []
+
+        def build():
+            calls.append(1)
+            return image
+
+        disks = []
+        for _ in range(2):
+            disk = SimulatedDisk(config, CostModel(config))
+            disk.write_pages(6, 1, b"\x05" * 128)
+            disk.write_pages(8, 1, b"", record=False)
+            if earlier is not None:
+                disk.write_pages(TestDeferredImage.PAGE, 1, b"\x01" * 128,
+                                 record=earlier)
+            disks.append(disk)
+        deferred, poked = disks
+        deferred.defer_image(TestDeferredImage.PAGE, build)
+        poked.poke_pages(TestDeferredImage.PAGE, image)
+        return deferred, poked, calls
+
+    @pytest.mark.parametrize("earlier", [None, True, False])
+    @pytest.mark.parametrize(
+        "read", ["peek_pages", "read_pages", "read_page_views", "image"]
+    )
+    def test_reads_back_as_a_poke(self, disk, read, earlier):
+        deferred, poked, calls = self.twins(disk.config, earlier)
+        assert isinstance(deferred._pages[self.PAGE], PendingImage)
+        for d in (deferred, poked):
+            assert d.was_written(self.PAGE)
+        assert deferred.pages_in_use == poked.pages_in_use
+        assert deferred._recorded == poked._recorded
+        assert deferred._phantom == poked._phantom
+        if read == "image":
+            assert deferred.image() == poked.image()
+        else:
+            got = getattr(deferred, read)(5, 5)
+            assert got == getattr(poked, read)(5, 5)
+        assert calls == [1]
+        # Built once, stored in place: the next read does not build.
+        assert deferred.peek_pages(self.PAGE, 1) == poked.peek_pages(
+            self.PAGE, 1
+        )
+        assert type(deferred._pages[self.PAGE]) is bytes
+        assert calls == [1]
+        assert deferred.cost.stats == poked.cost.stats
+
+    @pytest.mark.parametrize(
+        "replace", ["poke", "write", "write-phantom", "discard"]
+    )
+    def test_replaced_before_read_is_never_built(self, disk, replace):
+        deferred, poked, calls = self.twins(disk.config)
+        for d in (deferred, poked):
+            if replace == "poke":
+                d.poke_pages(self.PAGE, b"\x09" * 3)
+            elif replace == "discard":
+                d.discard_pages(self.PAGE, 2)
+            else:
+                d.write_pages(self.PAGE - 1, 2, b"\x09" * 200,
+                              record=replace == "write")
+        assert deferred.image() == poked.image()
+        assert deferred.peek_pages(5, 5) == poked.peek_pages(5, 5)
+        assert deferred.pages_in_use == poked.pages_in_use
+        assert deferred._recorded == poked._recorded
+        assert calls == []
+
+    def test_halted_disk_refuses_the_deferral(self, disk):
+        disk.install_fault_site(_Tear(0))
+        with pytest.raises(CrashError):
+            disk.write_pages(3, 1, b"x")
+        with pytest.raises(CrashError):
+            disk.defer_image(self.PAGE, lambda: bytes(128))
+        assert not disk.was_written(self.PAGE)
+
+    def test_corrupting_a_pending_page_corrupts_its_built_image(self, disk):
+        deferred, poked, calls = self.twins(disk.config)
+        for d in (deferred, poked):
+            d.corrupt_page(self.PAGE, 9)
+        assert calls == [1]
+        assert deferred.image() == poked.image()
+        assert deferred.verify_checksums() == [self.PAGE]
+        with pytest.raises(ChecksumError):
+            deferred.read_pages(self.PAGE, 1)
+        # A later deferral is a write: it drops the CRC, like a poke.
+        deferred.defer_image(self.PAGE, lambda: bytes(128))
+        assert deferred.verify_checksums() == []
+        assert deferred.read_pages(self.PAGE, 1) == bytes(128)
+
+    def test_a_build_that_misses_its_expected_bytes_raises(self, disk):
+        disk.defer_image(self.PAGE, lambda: bytes(128), expect=b"\x01" * 128)
+        with pytest.raises(ContractViolationError):
+            disk.peek_pages(self.PAGE, 1)
+
+
+# ----------------------------------------------------------------------
+# Commit-point images of the managers
+# ----------------------------------------------------------------------
+# ESM and EOS commit their root page, Starburst its long-field
+# descriptor page, at the batch boundary through ``defer_image``: the
+# disk keeps a builder over a snapshot taken at the commit.  What happens
+# to the object in memory after that commit, without another commit,
+# must not reach the image; and in the streams the benchmark runs, no
+# image is read before the next commit replaces it.
+MANAGED = ("esm", "eos", "starburst")
+
+
+def _pattern(n: int, salt: int = 0) -> bytes:
+    return bytes((i * 31 + salt * 7 + 5) % 251 for i in range(n))
+
+
+def _committed(scheme: str) -> tuple[LargeObjectStore, int, PendingImage]:
+    """A store, the id of one object it committed, and the pending image
+    that commit deferred for its root (ESM, EOS) or descriptor page."""
+    store = LargeObjectStore(
+        scheme, small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    page = store.config.page_size
+    oid = store.create(_pattern(6 * page + 37))
+    pending = store.env.disk._pages[oid]
+    assert isinstance(pending, PendingImage)
+    return store, oid, pending
+
+
+@pytest.mark.parametrize("scheme", MANAGED)
+def test_a_failed_batch_leaves_the_committed_image(scheme, monkeypatch):
+    """A batch that raises after its first op (the shape of the refusal
+    row ``atomic-batch-with-a-range-past-the-end``) changes the object
+    in memory and commits nothing: the page still reads as the eager
+    serializer's bytes from the last commit."""
+    monkeypatch.setenv(CHECKS_FLAG, "1")
+    store, oid, pending = _committed(scheme)
+    eager = pending.expect
+    assert eager is not None and len(eager) == store.config.page_size
+    page = store.config.page_size
+    with pytest.raises(ByteRangeError):
+        store.submit_ops(oid, [
+            append_op(_pattern(3 * page + 11, salt=1)),
+            replace_op(20 * page, b"Y" * 10),
+        ])
+    disk = store.env.disk
+    assert disk._pages[oid] is pending
+    assert disk.peek_pages(oid, 1) == eager
+    assert type(disk._pages[oid]) is bytes
+
+
+@pytest.mark.parametrize("scheme", MANAGED)
+def test_deferred_image_checks_its_premise(scheme, monkeypatch):
+    """Under ``REPRO_CHECKS=1`` a build that differs from the bytes the
+    eager serializer produced at the commit raises when read."""
+    monkeypatch.setenv(CHECKS_FLAG, "1")
+    store, oid, pending = _committed(scheme)
+    disk = store.env.disk
+    disk._pages[oid] = pending._replace(
+        build=lambda: bytes(reversed(pending.build()))
+    )
+    with pytest.raises(ContractViolationError):
+        disk.peek_pages(oid, 1)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Page ids whose pending image was built, in order."""
+    built: list[int] = []
+    original = SimulatedDisk._built
+
+    def counting(self, page_id):
+        if isinstance(self._pages[page_id], PendingImage):
+            built.append(page_id)
+        return original(self, page_id)
+
+    monkeypatch.setattr(SimulatedDisk, "_built", counting)
+    return built
+
+
+@pytest.mark.parametrize("scheme", MANAGED)
+def test_per_op_appends_build_no_image(scheme, builds):
+    """``seq_build``'s shape: every append is a batch of one, and each
+    commit replaces the image the last one deferred, unread."""
+    store = LargeObjectStore(
+        scheme, small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    oid = store.create()
+    for n in range(300):
+        store.append(oid, SizedPayload(137 + n % 7 * 50))
+    assert isinstance(store.env.disk._pages[oid], PendingImage)
+    assert builds == []
+
+
+@pytest.mark.parametrize("scheme", MANAGED)
+def test_atomic_multi_shard_batches_build_no_image(scheme, builds):
+    """``atomic_multi_shard``'s shape: replaces over four shards under
+    two-phase commit, whose held commits defer the images too."""
+    store = ShardedStore(
+        scheme, small_page_config(), shards=4, leaf_pages=2,
+        threshold_pages=2, atomic=True,
+    )
+    oids = [store.create(SizedPayload(5_000)) for _ in range(8)]
+    for step in range(40):
+        store.submit_many([
+            MultiOp(oid, BatchOp(REPLACE, (step * 97 + i * 13) % 4_900, 0,
+                                 SizedPayload(100)))
+            for i, oid in enumerate(oids)
+        ])
+    assert builds == []

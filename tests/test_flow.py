@@ -154,6 +154,19 @@ class TestCrashSafeCleanup:
             """)
         assert rule_ids(flow(path)) == ["FLOW002"]
 
+    def test_deferred_image_in_finally(self, tmp_path):
+        path = write(tmp_path, "repro/tree/mod.py", """\
+            class Tree:
+                def op(self, data, build):
+                    try:
+                        self.apply(data)
+                    finally:
+                        self.pool.disk.defer_image(0, build)
+            """)
+        violations = flow(path)
+        assert rule_ids(violations) == ["FLOW002"]
+        assert "defer_image" in violations[0].message
+
     def test_transitive_mutation_in_finally(self, tmp_path):
         path = write(tmp_path, "repro/tree/mod.py", """\
             class Tree:

@@ -504,6 +504,19 @@ class TestPureReadContractRule:
         assert [v.rule_id for v in violations] == ["INV001"]
         assert "write_pages" in violations[0].message
 
+    def test_deferred_image_inside_pure_read_flagged(self, tmp_path):
+        path = write(tmp_path, "repro/tree/impure.py", """\
+            from repro.lint.contracts import pure_read
+
+            class Tree:
+                @pure_read
+                def sneaky(self, page, build):
+                    self.pool.disk.defer_image(page, build)
+            """)
+        violations = run_rule("INV001", path)
+        assert [v.rule_id for v in violations] == ["INV001"]
+        assert "defer_image" in violations[0].message
+
     def test_disk_attribute_assignment_flagged(self, tmp_path):
         path = write(tmp_path, "repro/buffer/assign.py", """\
             from repro.lint.contracts import pure_read

@@ -140,6 +140,12 @@ class TestSerialization:
         with pytest.raises(LongFieldTooLargeError):
             d.check_capacity(max_segments + 1)
         d.check_capacity(max_segments)
+        # A descriptor commit refuses it before anything is deferred.
+        d.segments = [Segment(DATA_AREA_BASE, 1, CONFIG.page_size)] * (
+            max_segments + 1
+        )
+        with pytest.raises(LongFieldTooLargeError):
+            d.snapshot(DATA_AREA_BASE)
 
 
 class TestInvariants:

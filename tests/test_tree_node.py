@@ -103,6 +103,9 @@ class TestSerialization:
             node.insert(i, 1, META_AREA_BASE + i)
         with pytest.raises(StorageCorruptionError):
             node.serialize(CONFIG, is_root=False)
+        # A root commit refuses it too, before anything is deferred.
+        with pytest.raises(StorageCorruptionError):
+            node.root_snapshot(CONFIG, 100, 0)
 
     def test_one_node_laid_out_both_ways_and_at_two_page_sizes(self):
         """The kept page buffer belongs to one header layout and one page
@@ -457,9 +460,18 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
             root = None
             if node.page_id == tree.root_page_id:
                 root = (tree.total_bytes, model[-1][2] if model else 0)
-            assert tree._serialize_node(node) == _encode(
+            image = _encode(
                 node.level, counts, pointers, config.page_size, root=root
             )
+            if root is None:
+                assert node.serialize(config, is_root=False) == image
+            else:
+                total, rightmost = root
+                assert node.serialize(
+                    config, is_root=True, total_bytes=total,
+                    rightmost_alloc=rightmost,
+                ) == image
+                assert node.root_snapshot(config, total, rightmost)() == image
 
     def extents(count: int) -> list[LeafExtent]:
         new = []
