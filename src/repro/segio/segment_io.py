@@ -21,11 +21,17 @@ batch ends), and nothing reads a fresh page before the copy writes it but
 the copy's own mid-page read-back; so no other page of it can be
 resident, and those writes skip the refresh and go to the disk.
 
+A byte-range read has two halves: :meth:`SegmentIO._read_covering`
+makes the pool and disk calls and returns the runs it charged, and
+:meth:`SegmentIO._assembled` slices and joins them.  The staged copy
+calls the first half directly, once per source piece of a chunk.
+
 A phantom store (``record_leaf_data=False``, Section 4.1) makes the
 same pool and disk calls in the same order, but carries lengths, not
 bytes: its leaf pages read as zeros, so a read returns a
 :class:`~repro.core.payload.SizedPayload` without slicing or joining what
-it charged, and a write, staged copies included, hands on a length.
+it charged, a staged copy assembles nothing at all, and a write hands on
+a length.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
 from repro.lint.contracts import checks_enabled
+
+#: The runs one segment read charged: the head page, the middle run and
+#: the tail page of the 3-step read (each None when not read), or a
+#: buffered read's one run as the middle.
+_Runs = tuple[Payload | None, Payload | None, Payload | None]
 
 
 class SegmentIO:
@@ -143,37 +154,33 @@ class SegmentIO:
         buffered = self._should_buffer(n_pages)
         tracer = self.pool.disk.tracer
         if tracer is None:
-            return self._read_covering(
+            runs = self._read_covering(
                 segment_page + first, n_pages, buffered, start, nbytes
             )
-        with tracer.span(
-            "segio.read_unaligned",
-            start=segment_page + first,
-            pages_n=n_pages,
-            buffered=buffered,
-        ):
-            return self._read_covering(
-                segment_page + first, n_pages, buffered, start, nbytes
-            )
+        else:
+            with tracer.span(
+                "segio.read_unaligned",
+                start=segment_page + first,
+                pages_n=n_pages,
+                buffered=buffered,
+            ):
+                runs = self._read_covering(
+                    segment_page + first, n_pages, buffered, start, nbytes
+                )
+        return self._assembled(runs, buffered, start, nbytes)
 
     def _read_covering(self, start_page: int, n_pages: int, buffered: bool,
-                       start: int, nbytes: int) -> Payload:
-        """The one body of :meth:`read_boundary_unaligned`, traced or not:
-        ``nbytes`` bytes from ``start`` bytes into ``start_page``."""
+                       start: int, nbytes: int) -> _Runs:
+        """The I/O half of :meth:`read_boundary_unaligned`, traced or not:
+        the pool and disk calls that cover ``nbytes`` bytes from ``start``
+        bytes into ``start_page``.  Returns the runs it charged: ``(head,
+        middle, tail)`` pages of the 3-step read, or a buffered read's one
+        run as ``middle``."""
         pool = self.pool
-        record = self.record_leaf_data
         if buffered:
-            data = pool.read_run(start_page, n_pages, record=record)
-            if not record:
-                if type(data) is not SizedPayload:
-                    # One page the disk held as bytes: check it reads as
-                    # zeros.  A longer run is a length the pool checked.
-                    return self._length_only(nbytes, None, data, None)
-                return data if len(data) == nbytes else SizedPayload(nbytes)
-            # A page-aligned whole-run request needs no slice at all.
-            if start == 0 and nbytes == len(data):
-                return data
-            return data[start : start + nbytes]
+            return None, pool.read_run(
+                start_page, n_pages, record=self.record_leaf_data
+            ), None
         # A page the range cuts goes through the pool, the pages between
         # the cuts are one direct read.  ``tail`` is what the range uses
         # of its last page; a single page cut at both ends is the head.
@@ -185,9 +192,28 @@ class SegmentIO:
         head = self._boundary_page(start_page) if start else None
         middle = pool.disk.read_pages(first, n_middle) if n_middle else None
         last = self._boundary_page(first + n_middle) if cut_tail else None
-        if not record:
+        return head, middle, last
+
+    def _assembled(self, runs: _Runs, buffered: bool, start: int,
+                   nbytes: int) -> Payload:
+        """The assembly half of :meth:`read_boundary_unaligned`: the
+        ``nbytes`` bytes from ``start`` bytes into the runs
+        :meth:`_read_covering` charged, sliced and joined (a phantom
+        store's length alone)."""
+        head, middle, last = runs
+        if not self.record_leaf_data:
+            if buffered and type(middle) is SizedPayload:
+                # A run of 2+ pages is a length the pool checked.
+                return middle if len(middle) == nbytes else SizedPayload(nbytes)
             return self._length_only(nbytes, head, middle, last)
+        if buffered:
+            assert middle is not None
+            # A page-aligned whole-run request needs no slice at all.
+            if start == 0 and nbytes == len(middle):
+                return middle
+            return middle[start : start + nbytes]
         # Each boundary page is sliced to its bytes before the one join.
+        tail = (start + nbytes) % self.config.page_size
         return _joined(head and head[start : start + nbytes], middle,
                        last and last[:tail])
 
@@ -233,9 +259,14 @@ class SegmentIO:
         4.4.3), then written whole, one write per sink it reaches —
         preceded, when the sink cursor stands mid-page, by a read-back of
         that page.  Only a read-back page can be resident, so every other
-        write goes straight to the disk.  A phantom store makes the same
-        reads and writes but keeps none of the parts: its chunk, and so
-        each write's data, is a length.
+        write goes straight to the disk.
+
+        Each read is :meth:`read_boundary_unaligned`'s I/O half,
+        :meth:`_read_covering`, called directly, inside the same
+        ``segio.read_unaligned`` span when traced.  A recorded store
+        assembles the parts and the chunk from what it charged; a phantom
+        store assembles nothing (``REPRO_CHECKS=1`` checks the premise of
+        each read), and each write's data is a length.
         """
         page_size = self.config.page_size
         pool = self.pool
@@ -243,8 +274,8 @@ class SegmentIO:
         tracer = disk.tracer
         record = self.record_leaf_data
         checked = checks_enabled()
+        read_covering = self._read_covering
         parts: list[Payload] = []
-        keep = parts.append if record else _drop
         remaining = sum(nbytes for _page, nbytes in sinks)
         piece_index = piece_done = sink_index = written = 0
         while remaining:
@@ -256,19 +287,43 @@ class SegmentIO:
                 if isinstance(piece, tuple):
                     page_id, byte_off, length = piece
                     take = min(length - piece_done, need)
-                    keep(self.read_boundary_unaligned(
-                        page_id, byte_off + piece_done, take
-                    ))
+                    byte_off += piece_done
+                    first = byte_off // page_size
+                    n_pages = (byte_off + take - 1) // page_size - first + 1
+                    start = byte_off - first * page_size
+                    buffered = self._should_buffer(n_pages)
+                    page_id += first
+                    if tracer is None:
+                        runs = read_covering(
+                            page_id, n_pages, buffered, start, take
+                        )
+                    else:
+                        with tracer.span(
+                            "segio.read_unaligned",
+                            start=page_id,
+                            pages_n=n_pages,
+                            buffered=buffered,
+                        ):
+                            runs = read_covering(
+                                page_id, n_pages, buffered, start, take
+                            )
+                    if record:
+                        parts.append(
+                            self._assembled(runs, buffered, start, take)
+                        )
+                    elif checked:
+                        self._assembled(runs, buffered, start, take)
                 else:
                     length = len(piece)
                     take = min(length - piece_done, need)
-                    keep(piece[piece_done : piece_done + take])
+                    if record:
+                        parts.append(piece[piece_done : piece_done + take])
                 need -= take
                 piece_done += take
                 if piece_done == length:
                     piece_index += 1
                     piece_done = 0
-            chunk = _joined(*parts) if record else SizedPayload(size)
+            chunk = _joined(*parts) if record else None
             parts.clear()
             done = 0
             while done < size:
@@ -276,7 +331,10 @@ class SegmentIO:
                 take = min(nbytes - written, size - done)
                 first = written // page_size
                 within = written - first * page_size
-                data = chunk if take == size else chunk[done : done + take]
+                if chunk is None:
+                    data: Payload = SizedPayload(take)
+                else:
+                    data = chunk if take == size else chunk[done : done + take]
                 page_id += first
                 if within:
                     page = self.read_pages(page_id, 1)
@@ -361,6 +419,3 @@ def _joined(*runs: Payload | None) -> Payload:
     chunks = [run for run in runs if run is not None]
     return chunks[0] if len(chunks) == 1 else payload_concat(chunks)
 
-
-def _drop(part: Payload) -> None:
-    """Where a phantom copy's source parts go: nowhere."""

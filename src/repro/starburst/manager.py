@@ -67,6 +67,8 @@ class StarburstManager(LargeObjectManager):
         segments with the last one trimmed (Section 2.2).
         """
         with self._op_span("create"):
+            # Refused before the descriptor page is allocated.
+            self._check_growth(LongFieldDescriptor(0, self.config), len(data))
             page_id = self.env.areas.meta.allocate(1)
             descriptor = LongFieldDescriptor(page_id, self.config)
             self._fields[page_id] = descriptor
@@ -88,7 +90,6 @@ class StarburstManager(LargeObjectManager):
             pages = -(-len(chunk) // page_size)
             segment = self._allocate_segment(pages)
             segment.used_bytes = len(chunk)
-            descriptor.check_capacity(len(descriptor.segments) + 1)
             descriptor.segments.append(segment)
             self.env.segio.copy_staged(
                 [chunk],
@@ -154,6 +155,7 @@ class StarburstManager(LargeObjectManager):
         descriptor = self._descriptor(oid)
         if not data:
             return
+        self._check_growth(descriptor, len(data))
         with self._op_span("append", oid), self._op(descriptor):
             remaining = payload_view(data)
             if descriptor.segments:
@@ -183,7 +185,6 @@ class StarburstManager(LargeObjectManager):
                         self.max_segment_pages,
                     )
                 segment = self._allocate_segment(pages)
-                descriptor.check_capacity(len(descriptor.segments) + 1)
                 descriptor.segments.append(segment)
                 filled = self._fill_segment(segment, payload_bytes(remaining))
                 remaining = remaining[filled:]
@@ -440,7 +441,6 @@ class StarburstManager(LargeObjectManager):
         old_tail_bytes = sum(s.used_bytes for s in old_segments)
         new_tail_bytes = old_tail_bytes + len(insert_data) - delete_bytes
         new_segments = self._plan_tail(descriptor, first_index, new_tail_bytes)
-        descriptor.check_capacity(first_index + len(new_segments))
 
         sources: list[tuple[int, int, int] | Payload] = []
         if splice_at:
@@ -470,28 +470,66 @@ class StarburstManager(LargeObjectManager):
     def _plan_tail(
         self, descriptor: LongFieldDescriptor, first_index: int, nbytes: int
     ) -> list[Segment]:
-        """Allocate new tail segments continuing the growth pattern."""
-        page_size = self.config.page_size
+        """Allocate new tail segments continuing the growth pattern, once
+        the descriptor is known to hold pointers to all of them."""
+        sizes = self._tail_sizes(descriptor, first_index, nbytes)
+        descriptor.check_capacity(first_index + len(sizes))
         segments: list[Segment] = []
-        index = first_index
-        remaining = nbytes
-        while remaining > 0:
+        for pages, used_bytes in sizes:
+            segment = self._allocate_segment(pages)
+            segment.used_bytes = used_bytes
+            segments.append(segment)
+        return segments
+
+    def _tail_sizes(
+        self, descriptor: LongFieldDescriptor, index: int, nbytes: int
+    ) -> list[tuple[int, int]]:
+        """(pages, used bytes) of the segments holding ``nbytes`` bytes
+        from segment ``index`` on, continuing the growth pattern."""
+        page_size = self.config.page_size
+        sizes: list[tuple[int, int]] = []
+        while nbytes > 0:
             pattern = min(
                 descriptor.pattern_pages_at(index), self.max_segment_pages
             )
             capacity = pattern * page_size
-            if remaining <= capacity:
-                pages = -(-remaining // page_size)
-                segment = self._allocate_segment(pages)
-                segment.used_bytes = remaining
-                remaining = 0
+            if nbytes <= capacity:
+                sizes.append((-(-nbytes // page_size), nbytes))
             else:
-                segment = self._allocate_segment(pattern)
-                segment.used_bytes = capacity
-                remaining -= capacity
-            segments.append(segment)
+                sizes.append((pattern, capacity))
+            nbytes -= capacity
             index += 1
-        return segments
+        return sizes
+
+    def _check_growth(
+        self, descriptor: LongFieldDescriptor, nbytes: int
+    ) -> None:
+        """Refuse appending ``nbytes`` bytes when the descriptor could not
+        point at every segment :meth:`append` would lay them out in (or
+        :meth:`create`, on an empty descriptor), before anything changes.
+
+        The last segment takes bytes up to its pattern size, a trimmed
+        one once copied back onto the pattern; then new segments follow
+        the pattern.  An empty field's first segment is as large as the
+        data, up to the maximum, and anchors the pattern at that size.
+        """
+        segments = descriptor.segments
+        if not segments:
+            capacity = self.max_segment_pages * self.config.page_size
+            descriptor.check_capacity(-(-nbytes // capacity))
+            return
+        last = segments[-1]
+        page_size = self.config.page_size
+        spill = nbytes + last.used_bytes - last.alloc_pages * page_size
+        if spill <= 0:
+            return
+        spill -= page_size * max(
+            self._pattern_for_last(descriptor) - last.alloc_pages, 0
+        )
+        if spill > 0:
+            descriptor.check_capacity(len(segments) + len(
+                self._tail_sizes(descriptor, len(segments), spill)
+            ))
 
 
 class _DescriptorOp:

@@ -161,11 +161,12 @@ def test_unknown_repro_scale_is_a_usage_error(capsys, monkeypatch):
 
 
 def test_trace_and_timeline_match_the_golden(tmp_path, monkeypatch, capsys):
-    """The committed checksums of three tiny-scale observed runs."""
+    """The committed checksums of four tiny-scale observed runs."""
     monkeypatch.chdir(tmp_path)
     for argv in (
         ["fig5", "--trace", "trace-fig5.jsonl"],
         ["shards", "--trace", "trace-shards.jsonl"],
+        ["tables23", "--trace", "trace-tables23.jsonl"],
         ["fig7-8", "--timeline", "timeline-fig7-8.jsonl"],
     ):
         common.clear()

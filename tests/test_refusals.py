@@ -33,6 +33,7 @@ from repro.core.errors import (
     BufferPoolError,
     ByteRangeError,
     InvalidArgumentError,
+    LongFieldTooLargeError,
     ObjectTooLargeError,
     ReproError,
     StorageCorruptionError,
@@ -327,6 +328,35 @@ REFUSALS["limit-eos-create-past-the-limit"] = Refusal(
     ObjectTooLargeError, "4294967295",
     lambda s: s.target.create(b"x"),
 )
+
+# Starburst refuses growth past its descriptor's 25 pointers (of 128-page
+# segments at small pages) before the first allocation: a create used to
+# write 26 segments first, an insert to allocate its whole new tail, and
+# an append to untrim and fill the last segment.
+_SEGMENT_BYTES = SMALL.max_segment_pages * PAGE
+
+
+def _nearly_full_field() -> Subject:
+    """A Starburst field one page short of 25 full segments."""
+    return _holding(LargeObjectStore("starburst", SMALL),
+                    pattern_bytes(25 * _SEGMENT_BYTES - PAGE))
+
+
+for name, build, refused, then in (
+    ("create", lambda: _holding(LargeObjectStore("starburst", SMALL)),
+     lambda s: s.target.create(SizedPayload(26 * _SEGMENT_BYTES)),
+     lambda s: s.target.create(SizedPayload(25 * _SEGMENT_BYTES))),
+    ("insert", _nearly_full_field,
+     lambda s: s.target.insert(s.ids[0], 10, SizedPayload(5 * PAGE)),
+     lambda s: s.target.insert(s.ids[0], 10, b"<inserted>")),
+    ("append", _nearly_full_field,
+     lambda s: s.target.append(s.ids[0], SizedPayload(5 * PAGE)),
+     lambda s: s.target.append(s.ids[0], b"<appended>")),
+):
+    REFUSALS[f"starburst-{name}-past-the-descriptor"] = Refusal(
+        build, refused, LongFieldTooLargeError, "holds at most 25 pointers",
+        then,
+    )
 
 # A byte range outside the object is refused before any I/O.
 _BAD_RANGES = {

@@ -421,3 +421,48 @@ def test_length_only_read_checks_its_premise(case, checked, monkeypatch):
     else:
         result = read(stack.segio)
         assert isinstance(result, SizedPayload) and len(result) == nbytes
+
+
+#: A fresh run no stack touches before a copy writes it.
+SINK = 200
+
+
+def _copy(byte_off, nbytes):
+    """A staged copy of one source piece, one chunk, into a fresh sink."""
+    return lambda segio: segio.copy_staged(
+        [(SEGMENT, byte_off, nbytes)], 4 * PAGE, [(SINK, nbytes)]
+    )
+
+
+#: A recorded page planted under a phantom copy's source piece: (policy,
+#: planted page, copy).  The 3-step read covers pages 1-5 of the segment
+#: (head 1, interior 2-4, tail 5); the buffered reads cover pages 1-2
+#: (the pool's length-only run) and page 2 alone.
+PLANTED_UNDER_COPY = {
+    "head": ("bypass_pool", 1, _copy(PAGE + 10, 4 * PAGE)),
+    "interior": ("bypass_pool", 3, _copy(PAGE + 10, 4 * PAGE)),
+    "tail": ("bypass_pool", 5, _copy(PAGE + 10, 4 * PAGE)),
+    "buffered-run": ("hybrid", 2, _copy(PAGE + 10, PAGE)),
+    "buffered-page": ("hybrid", 2, _copy(2 * PAGE + 10, 20)),
+}
+
+
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("case", list(PLANTED_UNDER_COPY))
+def test_phantom_copy_checks_its_premise(case, checked, monkeypatch):
+    """A phantom staged copy assembles nothing from its reads; under
+    ``REPRO_CHECKS=1`` a recorded page among the runs a read charged is a
+    contract violation, and without checks the copy charges what it
+    charges over a clean store."""
+    policy, planted, copy = PLANTED_UNDER_COPY[case]
+    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
+    stack = Stack(False, policy, [], False, recorded=False)
+    stack.disk.poke_pages(SEGMENT + planted, page_bytes(SEGMENT + planted))
+    if checked:
+        with pytest.raises(ContractViolationError, match="recorded bytes"):
+            copy(stack.segio)
+    else:
+        clean = Stack(False, policy, [], False, recorded=False)
+        copy(clean.segio)
+        copy(stack.segio)
+        assert stack.state() == clean.state()
