@@ -2,8 +2,11 @@
 
 Compares the paper's hybrid policy (buffer segments up to 4 pages,
 bypass for larger ones with 3-step boundary I/O) against the two
-extremes it rejects: buffering everything and buffering nothing.
+extremes it rejects: buffering everything and buffering nothing.  Each
+policy is a value of ``max_buffered_segment_pages``.
 """
+
+import dataclasses
 
 from repro.analysis.report import format_table
 from repro.core.api import make_manager
@@ -14,13 +17,11 @@ KB = 1024
 MB = 1 << 20
 
 
-def workload_cost(bypass_pool, always_pool, scale):
-    env = StorageEnvironment(
-        PAPER_CONFIG,
-        record_leaf_data=False,
-        bypass_pool=bypass_pool,
-        always_pool=always_pool,
+def workload_cost(max_buffered_segment_pages, scale):
+    config = dataclasses.replace(
+        PAPER_CONFIG, max_buffered_segment_pages=max_buffered_segment_pages
     )
+    env = StorageEnvironment(config, record_leaf_data=False)
     manager = make_manager("eos", env, threshold_pages=4)
     oid = manager.create()
     chunk = bytes(64 * KB)
@@ -42,9 +43,10 @@ def workload_cost(bypass_pool, always_pool, scale):
 
 def run_ablation(scale):
     rows = [
-        ("hybrid (paper)", workload_cost(False, False, scale)),
-        ("never buffer", workload_cost(True, False, scale)),
-        ("always buffer", workload_cost(False, True, scale)),
+        ("hybrid (paper)",
+         workload_cost(PAPER_CONFIG.max_buffered_segment_pages, scale)),
+        ("never buffer", workload_cost(0, scale)),
+        ("always buffer", workload_cost(PAPER_CONFIG.buffer_pool_pages, scale)),
     ]
     return rows
 

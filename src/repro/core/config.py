@@ -49,6 +49,7 @@ class SystemConfig:
     max_buffered_segment_pages:
         Largest segment (in pages) that the buffer manager will read into
         the pool in one step; larger segments bypass the pool (Section 3.2).
+        0 buffers nothing, ``buffer_pool_pages`` everything that fits.
     seek_ms:
         Cost in milliseconds charged once per physical I/O call
         (seek + rotational delay).
@@ -82,8 +83,10 @@ class SystemConfig:
             raise ConfigurationError("page_size must be a power of two")
         if self.buffer_pool_pages < 1:
             raise ConfigurationError("buffer_pool_pages must be positive")
-        if self.max_buffered_segment_pages < 1:
-            raise ConfigurationError("max_buffered_segment_pages must be positive")
+        if self.max_buffered_segment_pages < 0:
+            raise ConfigurationError(
+                "max_buffered_segment_pages must not be negative"
+            )
         if self.max_segment_order > self.buddy_space_order:
             raise ConfigurationError(
                 "max_segment_order cannot exceed buddy_space_order: a segment "

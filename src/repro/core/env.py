@@ -30,8 +30,6 @@ class StorageEnvironment:
         config: SystemConfig = PAPER_CONFIG,
         record_leaf_data: bool = True,
         shadow: ShadowPolicy = DEFAULT_SHADOW,
-        bypass_pool: bool = False,
-        always_pool: bool = False,
         tracer: Tracer | None = None,
         sampler: TimelineSampler | None = None,
     ) -> None:
@@ -65,11 +63,7 @@ class StorageEnvironment:
         )
         self.shadow = shadow
         self.segio = SegmentIO(
-            config,
-            self.pool,
-            record_leaf_data=record_leaf_data,
-            bypass_pool=bypass_pool,
-            always_pool=always_pool,
+            config, self.pool, record_leaf_data=record_leaf_data
         )
         self.exec = BatchEngine(self)
         self.sampler = resolve_sampler(sampler)

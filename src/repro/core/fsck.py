@@ -13,7 +13,8 @@ allocated).  Detects:
 * **leaks** — allocated pages no object references;
 * **checksum damage** — recorded pages whose stored content no longer
   matches the page envelope's CRC (silent corruption, e.g. planted by
-  :class:`repro.faults.FaultInjector`).
+  :class:`repro.faults.FaultInjector`), and objects whose first page
+  (root, descriptor or directory) does not parse.
 
 Used by the test suite after long randomized workloads; also a useful
 debugging aid when developing new update algorithms.
@@ -25,7 +26,11 @@ import dataclasses
 from typing import Collection
 
 from repro.buddy.allocator import BuddyAllocator
-from repro.core.errors import InvalidArgumentError
+from repro.core.errors import (
+    ContractViolationError,
+    InvalidArgumentError,
+    StorageCorruptionError,
+)
 from repro.core.manager import LargeObjectManager
 
 
@@ -37,7 +42,8 @@ class FsckReport:
     doubly_referenced: list[int]
     leaked_data_pages: list[int]
     leaked_meta_pages: list[int]
-    #: Recorded pages whose content fails CRC verification.
+    #: Recorded pages whose content fails CRC verification, and objects'
+    #: first pages that do not parse.
     corrupt_pages: list[int] = dataclasses.field(default_factory=list)
     #: Intent-journal pages still holding an *unresolved* batch record
     #: (a PREPARE that was never applied or cleaned) — crash recovery
@@ -97,14 +103,24 @@ def check(
     referenced_meta: dict[int, int] = {}
     dangling: list[tuple[int, int]] = []
     double: set[int] = set()
+    corrupt: set[int] = set()
 
     for manager, oids in managers_and_oids:
         if manager.env is not env:
             raise InvalidArgumentError("managers do not share an environment")
         for oid in oids:
-            for extent in manager.image_extents(oid):
-                referenced = referenced_meta if extent.meta else referenced_data
-                for page in extent.pages:
+            try:
+                runs = [(e.meta, e.pages) for e in manager.image_extents(oid)]
+            except ContractViolationError:  # a failed self-check is a bug
+                raise
+            except StorageCorruptionError:
+                # The object's first (meta) page does not parse: it is
+                # corrupt, and the pages only it referenced show as leaked.
+                corrupt.add(oid)
+                runs = [(True, (oid,))]
+            for meta, pages in runs:
+                referenced = referenced_meta if meta else referenced_data
+                for page in pages:
                     if page in referenced:
                         double.add(page)
                     referenced[page] = oid
@@ -131,7 +147,7 @@ def check(
         leaked_meta_pages=unreferenced_pages(
             env.areas.meta, referenced_meta, journal_pages
         ),
-        corrupt_pages=env.disk.verify_checksums(),
+        corrupt_pages=sorted(corrupt.union(env.disk.verify_checksums())),
         journal_residue=sorted(residue),
     )
 

@@ -42,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "additionally run the whole-program flow analysis "
-            "(FLOW002, DET001, DET003) over the given paths"
+            "(FLOW002, FLOW000) over the given paths"
         ),
     )
     parser.add_argument(

@@ -1,17 +1,13 @@
-"""Purity contracts checked statically by the linter and, on demand, at runtime.
+"""Purity contracts, checked on demand at runtime.
 
 :func:`pure_read` declares that a method never mutates the simulated disk:
 it may read pages (and charge read cost) but must not write, poke, or
-discard them.  The declaration is enforced twice:
-
-* **statically** — rule INV001 (:mod:`repro.lint.rules`) walks the bodies
-  of decorated methods and rejects calls to ``write_pages`` /
-  ``poke_pages`` / ``defer_image`` / ``discard_pages`` / ``charge_write``
-  and assignments through a ``disk`` attribute;
-* **at runtime** — when the environment variable ``REPRO_CHECKS=1`` is
-  set, the decorator snapshots the disk's write counters and page count
-  around each call and raises
-  :class:`~repro.core.errors.ContractViolationError` if they moved.
+discard them.  When the environment variable ``REPRO_CHECKS=1`` is set,
+the decorator snapshots the disk's write counters and page count around
+each call and raises :class:`~repro.core.errors.ContractViolationError`
+if they moved.  A poke over a page that is already written moves
+neither; the mutant table in ``docs/static_analysis.md`` records what
+catches one.
 
 ``REPRO_CHECKS=1`` is the one switch for every runtime self-check: these
 purity contracts, the buffer pool's pin-balance sanitizer (acquisition

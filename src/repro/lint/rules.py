@@ -56,106 +56,6 @@ class Rule(abc.ABC):
         )
 
 
-def _attribute_chain(node: ast.expr) -> list[str]:
-    """Dotted-name parts of an attribute expression, outermost first.
-
-    ``self.env.pool.disk`` -> ``["self", "env", "pool", "disk"]``.  Returns
-    an empty list when the expression is not a plain dotted name (e.g. a
-    subscript or call result).
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return []
-
-
-@register
-class CostConstantRule(Rule):
-    """CST001: no bare cost-model magic numbers in arithmetic.
-
-    The paper's seek cost (33 ms; worked examples 45 ms and 111 ms) and
-    the KB/page-size divisors (1024, 4096) must come from
-    :class:`repro.core.config.SystemConfig` / :mod:`repro.disk.iomodel`.
-    Re-deriving a cost inline with a literal silently diverges from the
-    configured model when experiments change the parameters.
-    """
-
-    rule_id = "CST001"
-    summary = (
-        "no bare seek/transfer magic numbers (33, 45, 111; 1024/4096 in "
-        "cost context) outside repro/disk/iomodel.py and repro/core/config.py"
-    )
-
-    _seek_literals = frozenset({33, 45, 111})
-    _context_literals = frozenset({1024, 4096})
-    _cost_tokens = ("seek", "transfer", "cost", "elapsed")
-    _exempt = frozenset({"repro/disk/iomodel.py", "repro/core/config.py"})
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        if ctx.package_path in self._exempt:
-            return
-        reported: set[tuple[int, int]] = set()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.BinOp):
-                continue
-            for operand in (node.left, node.right):
-                if not isinstance(operand, ast.Constant):
-                    continue
-                value = operand.value
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                key = (operand.lineno, operand.col_offset)
-                if key in reported:
-                    continue
-                if value in self._seek_literals:
-                    reported.add(key)
-                    yield self.violation(
-                        ctx,
-                        operand,
-                        f"magic cost constant {value!r}; use "
-                        "config.seek_ms / the CostModel instead of inlining "
-                        "Section 4.1 numbers",
-                    )
-                elif value in self._context_literals and self._in_cost_context(
-                    ctx, node
-                ):
-                    reported.add(key)
-                    yield self.violation(
-                        ctx,
-                        operand,
-                        f"magic divisor {value!r} in cost arithmetic; use "
-                        "config.page_size / config.transfer_ms_per_page",
-                    )
-
-    def _in_cost_context(self, ctx: FileContext, node: ast.AST) -> bool:
-        """True when the outermost enclosing expression names a cost term."""
-        top = node
-        parent = ctx.parent(top)
-        while isinstance(parent, (ast.BinOp, ast.UnaryOp)):
-            top = parent
-            parent = ctx.parent(top)
-        for sub in ast.walk(top):
-            name = None
-            if isinstance(sub, ast.Name):
-                name = sub.id
-            elif isinstance(sub, ast.Attribute):
-                name = sub.attr
-            if name is None:
-                continue
-            lowered = name.lower()
-            if (
-                any(token in lowered for token in self._cost_tokens)
-                or lowered.endswith("_ms")
-                or "_ms_" in lowered
-            ):
-                return True
-        return False
-
-
 @functools.lru_cache(maxsize=1)
 def _core_error_names() -> frozenset[str]:
     """Exception class names exported by :mod:`repro.core.errors`."""
@@ -377,74 +277,6 @@ class DocAnnotationRule(Rule):
                     yield self.violation(
                         ctx, fn, f"{label} is missing a return annotation"
                     )
-
-
-@register
-class PureReadContractRule(Rule):
-    """INV001: ``@pure_read`` methods must not mutate the disk.
-
-    Methods decorated with :func:`repro.lint.contracts.pure_read` promise
-    to leave the simulated disk untouched: no ``write_pages`` /
-    ``poke_pages`` / ``defer_image`` / ``discard_pages`` calls, no
-    ``charge_write``, and no assignment through a ``disk`` attribute.
-    The same contract asserts at runtime under ``REPRO_CHECKS=1``; this
-    rule proves it statically.  It is scoped by a decorator, not by a
-    path, so it is not a seam.
-    """
-
-    rule_id = "INV001"
-    summary = "@pure_read methods must be pure-read on the disk"
-
-    _mutators = frozenset({
-        "write_pages", "poke_pages", "defer_image", "discard_pages",
-        "charge_write",
-    })
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for fn in ast.walk(ctx.tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not self._has_pure_read_decorator(fn):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and isinstance(
-                    node.func, ast.Attribute
-                ):
-                    if node.func.attr in self._mutators:
-                        yield self.violation(
-                            ctx,
-                            node,
-                            f"@pure_read method {fn.name} calls "
-                            f"{node.func.attr}(), which mutates the disk",
-                        )
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        chain = _attribute_chain(target)
-                        if "disk" in chain[:-1]:
-                            yield self.violation(
-                                ctx,
-                                node,
-                                f"@pure_read method {fn.name} assigns to "
-                                f"{'.'.join(chain)}",
-                            )
-
-    @staticmethod
-    def _has_pure_read_decorator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-        for decorator in fn.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            name = None
-            if isinstance(target, ast.Name):
-                name = target.id
-            elif isinstance(target, ast.Attribute):
-                name = target.attr
-            if name == "pure_read":
-                return True
-        return False
 
 
 @register

@@ -58,16 +58,13 @@ class SegmentIO:
         config: SystemConfig,
         pool: BufferPool,
         record_leaf_data: bool = True,
-        bypass_pool: bool = False,
-        always_pool: bool = False,
     ) -> None:
-        """``bypass_pool`` / ``always_pool`` exist for the ablation benches:
-        they force the never-buffer / always-buffer extremes of Section 3.2."""
+        """Section 3.2's never-buffer and always-buffer extremes are
+        configurations: ``max_buffered_segment_pages`` of 0 and of
+        ``buffer_pool_pages``."""
         self.config = config
         self.pool = pool
         self.record_leaf_data = record_leaf_data
-        self.bypass_pool = bypass_pool
-        self.always_pool = always_pool
 
     # ------------------------------------------------------------------
     # Reads
@@ -364,19 +361,12 @@ class SegmentIO:
     # Internals
     # ------------------------------------------------------------------
     def _should_buffer(self, n_pages: int) -> bool:
-        if self.bypass_pool:
-            return False
         pool = self.pool
-        limit = (
-            pool.capacity
-            if self.always_pool
-            else self.config.max_buffered_segment_pages
-        )
         # pool.can_accommodate(n_pages) inlined via the contract-free
         # headroom property: the wrapped call guards every segment
         # access, and the wrapper alone shows up at paper scale.
         return (
-            n_pages <= limit
+            n_pages <= self.config.max_buffered_segment_pages
             and n_pages <= pool.capacity
             and n_pages <= pool.headroom
         )
@@ -390,7 +380,7 @@ class SegmentIO:
         page = pool.resident_image(page_id)
         if page is not None:
             return page
-        if not self.bypass_pool and pool.headroom >= 1:
+        if self._should_buffer(1):
             return pool.read_run(page_id, 1, record=self.record_leaf_data)
         pool.stats.misses += 1
         return pool.disk.read_pages(page_id, 1)

@@ -48,9 +48,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemConfig(buffer_pool_pages=0)
 
-    def test_rejects_zero_buffered_segment(self):
+    def test_rejects_negative_buffered_segment(self):
         with pytest.raises(ValueError):
-            SystemConfig(max_buffered_segment_pages=0)
+            SystemConfig(max_buffered_segment_pages=-1)
+        assert SystemConfig(max_buffered_segment_pages=0)  # never buffer
 
     def test_rejects_segment_larger_than_space(self):
         with pytest.raises(ValueError):

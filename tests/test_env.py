@@ -34,10 +34,15 @@ class TestWiring:
         assert not env.shadow.enabled
 
     def test_ablation_flags_reach_segio(self):
-        env = StorageEnvironment(small_page_config(), bypass_pool=True)
-        assert env.segio.bypass_pool
-        env = StorageEnvironment(small_page_config(), always_pool=True)
-        assert env.segio.always_pool
+        # Section 3.2's extremes are configs: 0 buffers no run, the pool
+        # size every run the pool holds.
+        for limit, buffered in ((0, False), (12, True)):
+            config = small_page_config(buffer_pool_pages=12,
+                                       max_buffered_segment_pages=limit)
+            env = StorageEnvironment(config)
+            first = env.areas.data.base_page_id
+            env.segio.read_pages(first, 8)
+            assert env.pool.is_resident(first + 7) is buffered
 
 
 class TestSnapshots:

@@ -1,10 +1,10 @@
 """Tests for repro.lint.flow: call graph, rule families, corpus, CLI.
 
 Organization mirrors the subpackage: call-graph resolution, then
-positive and negative cases per rule family (FLOW002, DET001/DET003,
-FLOW000), then the seeded-bug corpus under ``tests/flow_corpus/``
-(exact-match: every seeded finding fires, nothing else does), then the
-``--flow`` command line.  That the shipped ``src/repro`` tree is
+positive and negative cases per rule (FLOW002, FLOW000), then the
+seeded-bug corpus under ``tests/flow_corpus/`` (exact-match: every
+seeded finding fires, nothing else does), then the ``--flow`` command
+line.  That the shipped ``src/repro`` tree is
 flow-clean is a CI step (``python -m repro.lint --flow src/repro``).
 """
 
@@ -230,100 +230,6 @@ class TestCrashSafeCleanup:
 
 
 # ----------------------------------------------------------------------
-# DET001-DET003: determinism
-# ----------------------------------------------------------------------
-class TestDeterminism:
-    def test_for_over_set_attribute(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            class T:
-                def __init__(self):
-                    self.dirty = set()
-
-                def names(self):
-                    return [str(p) for p in self.dirty]
-            """)
-        assert rule_ids(flow(path)) == ["DET001"]
-
-    def test_list_of_local_set(self, tmp_path):
-        path = write(tmp_path, "repro/records/mod.py", """\
-            def f(xs):
-                pending = {x for x in xs}
-                return list(pending)
-            """)
-        assert rule_ids(flow(path)) == ["DET001"]
-
-    def test_join_over_set_union(self, tmp_path):
-        path = write(tmp_path, "repro/obs/mod.py", """\
-            def f(a, b):
-                left = set(a)
-                right = set(b)
-                return ",".join(left | right)
-            """)
-        assert rule_ids(flow(path)) == ["DET001"]
-
-    def test_sorted_set_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(xs):
-                pending = set(xs)
-                return [x for x in sorted(pending)]
-            """)
-        assert flow(path) == []
-
-    def test_order_insensitive_reducers_are_fine(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(xs):
-                pending = set(xs)
-                return len(pending) + sum(pending) + max(pending)
-            """)
-        assert flow(path) == []
-
-    def test_dict_iteration_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(table):
-                return [k for k in table]
-            """)
-        assert flow(path) == []
-
-    def test_set_pop_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/buddy/mod.py", """\
-            def f(xs):
-                pending = set(xs)
-                return pending.pop()
-            """)
-        assert rule_ids(flow(path)) == ["DET003"]
-
-    def test_next_iter_set_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/buddy/mod.py", """\
-            def f(xs):
-                pending = set(xs)
-                return next(iter(pending))
-            """)
-        assert rule_ids(flow(path)) == ["DET003"]
-
-    def test_id_as_sort_key_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(nodes):
-                return sorted(nodes, key=lambda n: id(n))
-            """)
-        assert rule_ids(flow(path)) == ["DET003"]
-
-    def test_list_pop_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/buddy/mod.py", """\
-            def f(xs):
-                pending = list(xs)
-                return pending.pop()
-            """)
-        assert flow(path) == []
-
-    def test_plain_id_call_is_fine(self, tmp_path):
-        path = write(tmp_path, "repro/tree/mod.py", """\
-            def f(node, log):
-                log(f"visiting {id(node)}")
-            """)
-        assert flow(path) == []
-
-
-# ----------------------------------------------------------------------
 # FLOW000: suppression rationale
 # ----------------------------------------------------------------------
 class TestSuppressionRationale:
@@ -385,7 +291,7 @@ class TestCorpus:
 
     def test_every_rule_family_is_seeded(self):
         families = {rule for _, _, rule in self.seeded_expectations()}
-        assert families == {"FLOW000", "FLOW002", "DET001", "DET003"}
+        assert families == {"FLOW000", "FLOW002"}
 
 
 # ----------------------------------------------------------------------
@@ -426,21 +332,24 @@ class TestCliAndSarif:
 
     def test_select_restricts_flow_rules(self, tmp_path, capsys):
         write(tmp_path, "repro/tree/mod.py", """\
-            def f(pool, flags):
+            def f(pool, registry):
                 try:
-                    return [flag for flag in set(flags)]
+                    registry.adopt()
+                except ValueError:
+                    pool.flush_all()  # repro-lint: disable=FLOW002
+                    raise
                 finally:
                     pool.flush_all()
             """)
-        code = lint_main(["--flow", "--select", "DET001", str(tmp_path)])
+        code = lint_main(["--flow", "--select", "FLOW000", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "DET001" in out and "FLOW002" not in out
+        assert "1 violation(s) (FLOW000 x1)" in out
 
     def test_list_rules_includes_flow_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("FLOW000", "FLOW002", "DET001", "DET003"):
+        for rule_id in ("FLOW000", "FLOW002"):
             assert rule_id in out
-        for retired in ("FLOW001", "CHG001", "CHG002"):
+        for retired in ("FLOW001", "CHG001", "CHG002", "DET001", "DET003"):
             assert retired not in out

@@ -99,6 +99,26 @@ class TestDetection:
         report = check([(eos, [a, b])])
         assert report.doubly_referenced
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_unparsable_first_page_is_reported_corrupt(self, scheme):
+        store = LargeObjectStore(scheme, CONFIG)
+        oid = store.create(pattern_bytes(1000))
+        data_pages = sorted(
+            page
+            for extent in store.manager.image_extents(oid)
+            if not extent.meta
+            for page in extent.pages
+        )
+        env = store.env
+        env.pool.flush_all()
+        env.pool.reset()
+        env.disk.corrupt_page(oid, 0)
+        report = check([(store.manager, [oid])])
+        assert report.corrupt_pages == [oid]
+        assert report.leaked_data_pages == data_pages
+        assert not (report.leaked_meta_pages or report.dangling
+                    or report.doubly_referenced)
+
     def test_mismatched_environments_rejected(self):
         a = LargeObjectStore("eos", CONFIG)
         b = LargeObjectStore("eos", CONFIG)

@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro.core.config import PAPER_CONFIG
+from repro.core.api import LargeObjectStore
+from repro.core.config import PAPER_CONFIG, small_page_config
 from repro.disk.iomodel import CostModel, IOStats
+from repro.exec.plan import append_op, delete_op, insert_op, read_op, replace_op
+from repro.obs.export import dump_trace, load_trace
+from repro.obs.health import probe_store
+from repro.obs.runtime import installed
+from repro.obs.summarize import summarize
+from repro.obs.tracer import Tracer
+from tests.conftest import pattern_bytes
 
 
 class TestIOStats:
@@ -80,3 +88,38 @@ class TestCostModel:
         model.charge_write(5)
         model.reset()
         assert model.stats.io_calls == 0
+
+
+def test_every_priced_surface_follows_the_configured_model(tmp_path):
+    """Off Table 1's constants, every surface that prices simulated I/O
+    agrees with the ledger priced by ``IOStats.elapsed_ms``: a batch's
+    per-op costs, the traced op spans' cost histograms, the trace
+    summary and the health probe.  A surface that inlines the 33 ms
+    seek or a KB divisor instead of reading the config fails here."""
+    config = small_page_config(seek_ms=7.0, transfer_kb_per_ms=0.5)
+    tracer = Tracer()
+    with installed(tracer):
+        store = LargeObjectStore("esm", config)
+    oid = store.create(pattern_bytes(3000))
+    before = store.stats.copy()
+    result = store.env.exec.run_batch(store.manager, oid, [
+        append_op(pattern_bytes(700)),
+        insert_op(100, pattern_bytes(300, salt=1)),
+        read_op(50, 2000),
+        delete_op(10, 900),
+        replace_op(5, pattern_bytes(400, salt=2)),
+    ])
+    batch_ms = store.stats.delta(before).elapsed_ms(config)
+    assert sum(result.op_costs_ms) == pytest.approx(batch_ms)
+    total_ms = store.stats.elapsed_ms(config)
+    assert total_ms > batch_ms > 0
+    spans_ms = sum(
+        histogram.sum_value
+        for name, histogram in tracer.metrics.histograms.items()
+        if name.endswith(".cost_ms")
+    )
+    assert spans_ms == pytest.approx(total_ms)
+    dump_trace(tracer, tmp_path / "trace.jsonl")
+    totals = summarize(load_trace(tmp_path / "trace.jsonl"))["totals"]
+    assert totals["cost_ms"] == pytest.approx(total_ms)
+    assert probe_store(store).shards[0].cost_ms == pytest.approx(total_ms)

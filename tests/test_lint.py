@@ -319,43 +319,6 @@ def test_every_seam_has_a_flagged_and_a_clean_case():
 
 
 # ----------------------------------------------------------------------
-# CST001: cost-model magic numbers
-# ----------------------------------------------------------------------
-class TestCostConstantRule:
-    def test_inline_seek_constant_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/esm/cost.py", """\
-            def cost_of(n_pages):
-                return 33 + 4 * n_pages
-            """)
-        violations = run_rule("CST001", path)
-        assert [v.rule_id for v in violations] == ["CST001"]
-        assert "33" in violations[0].message
-
-    def test_divisor_in_cost_context_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/analysis/bad.py", """\
-            def transfer(nbytes, seek_ms):
-                return seek_ms + nbytes / 1024
-            """)
-        assert [v.rule_id for v in run_rule("CST001", path)] == ["CST001"]
-
-    def test_divisor_outside_cost_context_allowed(self, tmp_path):
-        path = write(tmp_path, "repro/analysis/ok.py", """\
-            def chunk(data):
-                return data[: 10 * 1024]
-            """)
-        assert run_rule("CST001", path) == []
-
-    def test_iomodel_is_exempt(self, tmp_path):
-        path = write(tmp_path, "repro/disk/iomodel.py", """\
-            SEEK_MS = 33
-
-            def seek(n):
-                return 33 + n
-            """)
-        assert run_rule("CST001", path) == []
-
-
-# ----------------------------------------------------------------------
 # ERR001: exception hierarchy
 # ----------------------------------------------------------------------
 class TestErrorTypeRule:
@@ -485,59 +448,6 @@ class TestDocAnnotationRule:
                     return n
             """)
         assert run_rule("DOC001", path) == []
-
-
-# ----------------------------------------------------------------------
-# INV001: @pure_read static contract
-# ----------------------------------------------------------------------
-class TestPureReadContractRule:
-    def test_write_inside_pure_read_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/impure.py", """\
-            from repro.lint.contracts import pure_read
-
-            class Pool:
-                @pure_read
-                def sneaky(self, page):
-                    self.disk.write_pages(page, 1, b"")
-            """)
-        violations = run_rule("INV001", path)
-        assert [v.rule_id for v in violations] == ["INV001"]
-        assert "write_pages" in violations[0].message
-
-    def test_deferred_image_inside_pure_read_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/tree/impure.py", """\
-            from repro.lint.contracts import pure_read
-
-            class Tree:
-                @pure_read
-                def sneaky(self, page, build):
-                    self.pool.disk.defer_image(page, build)
-            """)
-        violations = run_rule("INV001", path)
-        assert [v.rule_id for v in violations] == ["INV001"]
-        assert "defer_image" in violations[0].message
-
-    def test_disk_attribute_assignment_flagged(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/assign.py", """\
-            from repro.lint.contracts import pure_read
-
-            class Pool:
-                @pure_read
-                def sneaky(self):
-                    self.disk.size = 4
-            """)
-        assert [v.rule_id for v in run_rule("INV001", path)] == ["INV001"]
-
-    def test_reading_is_allowed(self, tmp_path):
-        path = write(tmp_path, "repro/buffer/pure.py", """\
-            from repro.lint.contracts import pure_read
-
-            class Pool:
-                @pure_read
-                def lookup(self, page):
-                    return self.frames.get(page)
-            """)
-        assert run_rule("INV001", path) == []
 
 
 # ----------------------------------------------------------------------

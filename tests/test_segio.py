@@ -12,7 +12,7 @@ from repro.segio import SegmentIO
 PAGE = 128
 
 
-def make_segio(pool_pages=12, max_buffered=4, **kwargs):
+def make_segio(pool_pages=12, max_buffered=4):
     config = small_page_config(
         page_size=PAGE,
         buffer_pool_pages=pool_pages,
@@ -21,7 +21,7 @@ def make_segio(pool_pages=12, max_buffered=4, **kwargs):
     cost = CostModel(config)
     disk = SimulatedDisk(config, cost)
     pool = BufferPool(config, disk)
-    return config, cost, disk, SegmentIO(config, pool, **kwargs)
+    return config, cost, disk, SegmentIO(config, pool)
 
 
 def fill(disk, start, n_pages):
@@ -131,7 +131,7 @@ class TestWrites:
 
 class TestAblationModes:
     def test_bypass_pool_never_buffers(self):
-        _config, cost, disk, segio = make_segio(bypass_pool=True)
+        _config, cost, disk, segio = make_segio(max_buffered=0)
         fill(disk, 100, 2)
         segio.read_pages(100, 2)
         segio.read_pages(100, 2)
@@ -139,9 +139,7 @@ class TestAblationModes:
         assert not segio.pool.is_resident(100)
 
     def test_always_pool_buffers_up_to_capacity(self):
-        _config, cost, disk, segio = make_segio(
-            pool_pages=12, max_buffered=2, always_pool=True
-        )
+        _config, cost, disk, segio = make_segio(pool_pages=12, max_buffered=12)
         fill(disk, 100, 8)
         segio.read_pages(100, 8)
         assert segio.pool.is_resident(104)

@@ -40,10 +40,12 @@ RUN_FIRST = 1
 BYSTANDERS = (50, 51)
 FILLERS = range(60, 60 + CAPACITY)
 
+#: Section 3.2's policy and the two extremes it rejects, as the largest
+#: run the pool takes whole (``max_buffered_segment_pages``).
 POLICIES = {
-    "hybrid": {},
-    "bypass_pool": {"bypass_pool": True},
-    "always_pool": {"always_pool": True},
+    "hybrid": MAX_BUFFERED,
+    "bypass_pool": 0,
+    "always_pool": CAPACITY,
 }
 
 
@@ -59,7 +61,7 @@ class Stack:
         config = small_page_config(
             page_size=PAGE,
             buffer_pool_pages=CAPACITY,
-            max_buffered_segment_pages=MAX_BUFFERED,
+            max_buffered_segment_pages=POLICIES[policy],
         )
         self.cost = CostModel(config)
         self.disk = SimulatedDisk(config, self.cost)
@@ -68,8 +70,7 @@ class Stack:
         if self.tracer is not None:
             self.disk.tracer = self.tracer
             self.tracer.bind(config, self.cost.stats, self.pool.stats)
-        self.segio = SegmentIO(config, self.pool, record_leaf_data=recorded,
-                               **POLICIES[policy])
+        self.segio = SegmentIO(config, self.pool, record_leaf_data=recorded)
         segment = range(SEGMENT, SEGMENT + SEGMENT_PAGES)
         if not recorded:
             self.disk.write_pages(SEGMENT, SEGMENT_PAGES,
@@ -123,10 +124,7 @@ class PageByPage:
         return CAPACITY - len(self.pinned)
 
     def buffers(self, n_pages: int) -> bool:
-        if self.policy == "bypass_pool":
-            return False
-        limit = CAPACITY if self.policy == "always_pool" else MAX_BUFFERED
-        return n_pages <= limit and n_pages <= self.headroom()
+        return n_pages <= POLICIES[self.policy] and n_pages <= self.headroom()
 
     # -- the parts -------------------------------------------------------
     def one_disk_read(self, pages: list[int]) -> None:
@@ -172,7 +170,7 @@ class PageByPage:
         the pool, or — no frame to be had — read around it."""
         if page in self.frames:
             self.counters.hits += 1
-        elif self.policy != "bypass_pool" and self.headroom() >= 1:
+        elif self.buffers(1):  # the rule of a one-page run
             self.through_the_pool([page])
         else:
             self.counters.misses += 1
@@ -314,9 +312,7 @@ def test_three_step_read(alignment, n_pages, resident, fully_pinned, policy):
 
 def span_buffered(policy: str, n_pages: int, fully_pinned: bool) -> bool:
     """Whether the pool takes the whole run, as the span must report it."""
-    if policy == "bypass_pool" or fully_pinned:
-        return False
-    return n_pages <= (CAPACITY if policy == "always_pool" else MAX_BUFFERED)
+    return not fully_pinned and n_pages <= POLICIES[policy]
 
 
 @pytest.mark.parametrize("policy", list(POLICIES))
