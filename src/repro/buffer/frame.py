@@ -30,7 +30,8 @@ class Frame:
     provider:
         Optional callable producing current page content lazily at
         writeback time.  Used by the buddy allocator so directory pages
-        are serialized only when they actually reach disk.
+        are serialized only when they actually reach disk, and for a
+        clean index page whose image the disk has not built yet.
 
     Recency for LRU victim selection is the pool's insertion order (its
     ``OrderedDict`` of frames), not a per-frame counter.

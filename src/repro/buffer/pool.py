@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import sys
 from typing import Callable, Iterator
 
@@ -31,7 +32,7 @@ from repro.buffer.frame import Frame
 from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
-from repro.disk.disk import SimulatedDisk, contiguous_runs
+from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
 from repro.lint.contracts import checks_enabled, pure_read
 
 
@@ -89,10 +90,13 @@ class BufferPool:
 
         Counts, orders and evicts exactly as :meth:`fix` then
         :meth:`unfix` would: a hit moves the frame to the recency end, a
-        miss makes room and reads the page from disk.  With a
-        ``provider`` the frame takes it and is left dirty, so the content
-        is produced only when the page reaches disk.  The returned frame
-        is valid until the next call that can evict.
+        miss makes room and reads the page from disk.  A miss on a page
+        whose image is still pending (a shadowed index page) keeps the
+        disk's builder as the frame's provider, so the image is built
+        only when its bytes are handed out.  With a ``provider`` the
+        frame takes it and is left dirty, so the content is produced
+        only when the page reaches disk.  The returned frame is valid
+        until the next call that can evict.
 
         Raises :class:`BufferPoolError`, before anything is counted, if
         every frame is pinned and the page is not resident.
@@ -108,7 +112,9 @@ class BufferPool:
             self.stats.misses += 1
             if len(frames) >= self.capacity:
                 self._evict_many(1)
-            frame = Frame(page_id, self.disk.read_pages(page_id, 1))
+            content = self.disk.read_pages(page_id, 1, build=False)
+            frame = (Frame(page_id, provider=content) if callable(content)
+                     else Frame(page_id, content))
             frames[page_id] = frame
         if provider is not None:
             frame.provider = provider
@@ -398,18 +404,28 @@ class BufferPool:
     # ------------------------------------------------------------------
     # Writeback and invalidation
     # ------------------------------------------------------------------
-    def write_run(self, start: int, n_pages: int, data: Payload,
+    def write_run(self, start: int, n_pages: int,
+                  data: Payload | list[PendingImage],
                   record: bool = True) -> None:
         """Write a run of adjacent pages in one I/O, refreshing the cache.
 
         The sanctioned path for layers above the pool to put page-aligned
         images on disk without fixing frames: the write is charged as one
         physical access and any resident copy is refreshed (clean) so
-        later buffered reads see the new content.
+        later buffered reads see the new content.  ``data`` may be one
+        :class:`~repro.disk.disk.PendingImage` per page, which the disk
+        keeps unbuilt; a resident copy then reads it back from the disk.
         """
         self.disk.write_pages(start, n_pages, data, record=record)
         page_size = self.config.page_size
         for page_id in self.resident_in(start, n_pages):
+            if isinstance(data, list):
+                frame = self._frames[page_id]
+                frame.data, frame.dirty = None, False
+                frame.provider = functools.partial(
+                    self.disk.peek_pages, page_id, 1
+                )
+                continue
             # Slice the page once and hand the finished image through;
             # update_if_resident stores it as-is.
             lo = (page_id - start) * page_size

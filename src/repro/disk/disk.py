@@ -15,11 +15,13 @@ two database areas (Section 4.1):
 Page state is kept *by the run*, the paper's unit of space and of I/O
 (Sections 3.1, 4.1), not by the page.  ``_pages`` holds recorded images
 only: ``bytes``, or a :class:`PendingImage` from
-:meth:`SimulatedDisk.defer_image`, which the page's first read builds and
-replaces by its bytes.  "written in phantom mode" and "has a recorded
-image" are two bitmaps of one Python ``int`` per chunk of
-``1 << _CHUNK_BITS`` consecutive page ids (page ids start at ``1 << 40``,
-so one area-wide ``int`` would make every operation cost the area).
+:meth:`SimulatedDisk.defer_image` or from a charged
+:meth:`SimulatedDisk.write_pages` of shadowed index pages, which the
+page's first read builds and replaces by its bytes.  "written in
+phantom mode" and "has a recorded image" are two bitmaps of one Python
+``int`` per chunk of ``1 << _CHUNK_BITS`` consecutive page ids (page ids
+start at ``1 << 40``, so one area-wide ``int`` would make every
+operation cost the area).
 Writing, discarding or reading a run that holds no recorded bytes is one
 mask operation per chunk it touches — a maximal 8,192-page segment
 touches three — however long the run is; only pages that carry bytes are
@@ -59,8 +61,9 @@ Two robustness facilities live at this layer (see ``docs/robustness.md``):
 
 from __future__ import annotations
 
+import functools
 import zlib
-from typing import Callable, NamedTuple, Protocol, cast
+from typing import Callable, NamedTuple, Protocol, cast, overload
 
 from repro.core.config import SystemConfig
 from repro.core.errors import (
@@ -204,6 +207,9 @@ class SimulatedDisk:
         #: pages (a real disk retains freed blocks until reuse; crash
         #: recovery reads them).  Set by armed fault injectors.
         self.retain_freed = False
+        #: Bumped by every call that can change a page: what the
+        #: ``@pure_read`` contract compares.
+        self.page_changes = 0
         #: Installed tracer, if any (set by the owning environment).  The
         #: disk is the cost choke point, so the four ``io_event`` sites
         #: below attribute 100% of simulated cost; with no tracer each
@@ -214,7 +220,15 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # Accounted physical I/O
     # ------------------------------------------------------------------
-    def read_pages(self, start: int, n_pages: int) -> Payload:
+    @overload
+    def read_pages(self, start: int, n_pages: int) -> Payload: ...
+
+    @overload
+    def read_pages(self, start: int, n_pages: int,
+                   build: bool) -> Payload | Callable[[], bytes]: ...
+
+    def read_pages(self, start: int, n_pages: int,
+                   build: bool = True) -> Payload | Callable[[], bytes]:
         """Read ``n_pages`` physically adjacent pages in one I/O call.
 
         Returns the concatenated page contents.  Pages that were written in
@@ -222,6 +236,9 @@ class SimulatedDisk:
         *entirely* phantom is returned as a :class:`SizedPayload` — a
         length-only view of the zeros that costs no byte work at all —
         which is the normal case for the leaf area of experiment stores.
+        With ``build=False`` a one-page read of a pending image is charged
+        the same but returns a builder of its bytes instead (a
+        :meth:`peek_pages` of it, which builds the image in place once).
         """
         self._check_range(start, n_pages)
         if self._fault_site is not None:
@@ -253,6 +270,12 @@ class SimulatedDisk:
             return self._zero_run(n_pages)
         if self._checksums:
             self._verify_checksum(start, n_pages)
+        if n_pages == 1:  # one recorded page: as stored, or pending
+            content = self._pages[start]
+            if not isinstance(content, PendingImage):
+                return content
+            return self._built(start) if build else functools.partial(
+                self.peek_pages, start, 1)
         get = self._pages.get
         zero = self._zero_page
         # A stored image is a whole page, never empty, so ``or`` only
@@ -319,7 +342,11 @@ class SimulatedDisk:
         return views
 
     def write_pages(
-        self, start: int, n_pages: int, data: Payload, record: bool = True
+        self,
+        start: int,
+        n_pages: int,
+        data: Payload | list[PendingImage],
+        record: bool = True,
     ) -> None:
         """Write ``n_pages`` physically adjacent pages in one I/O call.
 
@@ -328,9 +355,11 @@ class SimulatedDisk:
         and only the cost is charged (phantom mode).  A
         :class:`SizedPayload` is all zeros by definition, so recording it
         stores the shared zero page for every page of the run — the stored
-        images are bit-identical to writing materialized zeros.
+        images are bit-identical to writing materialized zeros.  A list of
+        one :class:`PendingImage` per page is stored unbuilt, charged the same.
         """
         self._check_range(start, n_pages)
+        self.page_changes += 1
         page_size = self.config.page_size
         if len(data) > n_pages * page_size:
             raise AllocationError(
@@ -366,7 +395,7 @@ class SimulatedDisk:
         self,
         start: int,
         n_pages: int,
-        data: Payload,
+        data: Payload | list[PendingImage],
         record: bool,
         limit: int | None = None,
     ) -> None:
@@ -404,9 +433,12 @@ class SimulatedDisk:
             for i in range(stop):
                 pages[start + i] = zero
         elif stop == 1 and len(data) == page_size and type(data) is bytes:
-            # One whole page that is already immutable (a shadowed index
-            # page, a journal record) is kept as it is.
+            # One whole page that is already immutable (a journal record,
+            # a records page) is kept as it is.
             pages[start] = data
+        elif isinstance(data, list):
+            for i in range(stop):
+                pages[start + i] = data[i]
         else:
             # Store per-page images straight from the caller's buffer: one
             # copy per page instead of the old pad-whole-buffer-then-slice
@@ -435,7 +467,7 @@ class SimulatedDisk:
             if content.expect is not None and image != content.expect:
                 raise ContractViolationError(
                     f"page {page_id}: the image built on read differs from "
-                    "the bytes serialized when it was deferred"
+                    "the bytes serialized when it was written"
                 )
             content = self._pages[page_id] = image
         return content
@@ -595,6 +627,7 @@ class SimulatedDisk:
             raise InvalidArgumentError(
                 f"page {page_id} has no recorded content to corrupt"
             )
+        self.page_changes += 1
         content = self._built(page_id)
         self._checksums.setdefault(page_id, zlib.crc32(content))
         byte_index, bit = divmod(bit_index % (len(content) * 8), 8)
@@ -655,6 +688,7 @@ class SimulatedDisk:
         page_size = self.config.page_size
         n_pages = -(-len(data) // page_size)
         self._check_range(start, n_pages)
+        self.page_changes += 1
         if self._checksums:
             self._drop_checksums(start, n_pages)
         padded = bytes(data).ljust(n_pages * page_size, b"\x00")
@@ -680,6 +714,7 @@ class SimulatedDisk:
         """
         self._check_halted()
         self._check_range(page_id, 1)
+        self.page_changes += 1
         if self._checksums:
             self._checksums.pop(page_id, None)
         pages = self._pages
@@ -720,6 +755,7 @@ class SimulatedDisk:
         """
         self._check_range(start, n_pages)
         self._check_halted()
+        self.page_changes += 1
         if self.retain_freed:
             return
         offset = start & _CHUNK_MASK

@@ -1,13 +1,12 @@
 """Purity contracts, checked on demand at runtime.
 
 :func:`pure_read` declares that a method never mutates the simulated disk:
-it may read pages (and charge read cost) but must not write, poke, or
-discard them.  When the environment variable ``REPRO_CHECKS=1`` is set,
-the decorator snapshots the disk's write counters and page count around
+it may read pages (and charge read cost) but must not write, poke, defer,
+discard or corrupt them.  When the environment variable
+``REPRO_CHECKS=1`` is set, the decorator reads the disk's
+``page_changes`` counter, which every one of those calls bumps, around
 each call and raises :class:`~repro.core.errors.ContractViolationError`
-if they moved.  A poke over a page that is already written moves
-neither; the mutant table in ``docs/static_analysis.md`` records what
-catches one.
+if it moved.
 
 ``REPRO_CHECKS=1`` is the one switch for every runtime self-check: these
 purity contracts, the buffer pool's pin-balance sanitizer (acquisition
@@ -69,17 +68,13 @@ def _find_disk(obj: Any) -> Any | None:
     return None
 
 
-def _disk_fingerprint(disk: Any) -> tuple[int, int, int]:
-    stats = disk.cost.stats
-    return (stats.write_calls, stats.pages_written, disk.pages_in_use)
-
-
 def pure_read(func: F) -> F:
     """Declare (and under ``REPRO_CHECKS=1`` assert) disk purity.
 
     The decorated method must not mutate the simulated disk: no page
-    writes, pokes, or discards, directly or transitively.  Reading —
-    including charged reads through the cost model — is allowed.
+    writes, pokes, deferrals, discards or corruptions, directly or
+    transitively.  Reading — including charged reads through the cost
+    model — is allowed.
     """
 
     @functools.wraps(func)
@@ -89,13 +84,12 @@ def pure_read(func: F) -> F:
         disk = _find_disk(self)
         if disk is None:
             return func(self, *args, **kwargs)
-        before = _disk_fingerprint(disk)
+        before = disk.page_changes
         result = func(self, *args, **kwargs)
-        after = _disk_fingerprint(disk)
-        if before != after:
+        if disk.page_changes != before:
             raise ContractViolationError(
                 f"@pure_read method {func.__qualname__} mutated the disk: "
-                f"(write_calls, pages_written, pages) went {before} -> {after}"
+                f"{disk.page_changes - before} page-changing calls"
             )
         return result
 

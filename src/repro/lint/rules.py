@@ -534,8 +534,8 @@ SEAMS: tuple[Seam, ...] = (
         "SEAM002", "index-node cums/refs/allocs written only in tree/node.py",
         _node_array_write,
         under("repro/tree/node.py"),
-        "only the node's mutators keep its prefix sums and packed-image "
-        "watermark in step with the arrays",
+        "only the node's mutators keep its prefix sums in step with the "
+        "arrays, and a snapshot copies them before the node changes",
     ),
     Seam(
         "SEAM003", "no assignment to extent.page_id/used_bytes/alloc_pages",

@@ -83,16 +83,15 @@ class IndexNode:
     """One index page of the positional tree.
 
     The node *is* its parallel lists and is the only code that changes
-    them: every mutator below keeps the prefix sums in ``cums`` current
-    and lowers the packed-image watermark itself, so callers read the
-    columns freely but never assign to or mutate them.
+    them: every mutator below keeps the prefix sums in ``cums`` current,
+    so callers read the columns freely but never assign to or mutate
+    them.
 
     A level-1 node holds what its page holds: ``refs`` are the 4-byte
     segment pointers as they go to disk (``page_id - data_base``), so a
     flush copies the column without reading each pair.  Internal levels
     keep absolute child page ids: a descent reads one child per level
-    where a flush reads every pointer of the repacked suffix, and their
-    nodes hold few pairs.
+    where a build reads every pointer, and their nodes hold few pairs.
     """
 
     def __init__(
@@ -120,20 +119,6 @@ class IndexNode:
         self.dirty = False
         #: Set once the node has been relocated (shadowed) in the current op.
         self.shadowed_this_op = False
-        #: The page image as last serialized, current for the header's
-        #: layout at ``_packed_at`` and the first ``_packed_upto`` of its
-        #: ``_packed_pairs`` pairs.  Every mutator lowers the watermark to
-        #: the first pair it touched, so :meth:`serialize` repacks only
-        #: from there: a rightmost append to a several-hundred-pair leaf
-        #: parent packs one pair, not all.  Kept because it is measured to
-        #: earn its lines: against the same node packing every pair on
-        #: every serialize, 10 seed-paired ``perfbench/compare.py`` runs
-        #: of ``seq_build`` gave +11.0 % ``host_ops_per_s`` (10/10 pairs,
-        #: spread of the differences 2.5 %) and -12.5 % ``host_op_us_p90``.
-        self._packed = bytearray()
-        self._packed_at = 0
-        self._packed_pairs = 0
-        self._packed_upto = 0
 
     @property
     def is_leaf_parent(self) -> bool:
@@ -174,10 +159,6 @@ class IndexNode:
     # ------------------------------------------------------------------
     # Mutators: the only code that changes cums / refs / allocs
     # ------------------------------------------------------------------
-    def _touched(self, index: int) -> None:
-        if index < self._packed_upto:
-            self._packed_upto = index
-
     def insert(self, index: int, count: int, ref: int, alloc: int = 0) -> None:
         """Insert a pair of ``count`` bytes before position ``index``.
 
@@ -190,14 +171,12 @@ class IndexNode:
         self.refs.insert(index, ref)
         if self.level == 1:
             self.allocs.insert(index, alloc)
-        self._touched(index)
 
     def pop(self, index: int) -> tuple[int, int, int]:
         """Remove pair ``index``; returns its (count, ref, alloc) cells
         (``alloc`` is 0 above level 1)."""
         count = self.count(index)
         self.cums[index:] = [c - count for c in self.cums[index + 1:]]
-        self._touched(index)
         alloc = self.allocs.pop(index) if self.level == 1 else 0
         return count, self.refs.pop(index), alloc
 
@@ -229,18 +208,15 @@ class IndexNode:
             cums[index:stop] = new
         self.refs[index:stop] = pointers
         self.allocs[index:stop] = allocs
-        self._touched(index)
         return delta
 
     def add_count(self, index: int, delta: int) -> None:
         """Grow (or shrink) the byte count of child ``index`` by ``delta``."""
         self.cums[index:] = [c + delta for c in self.cums[index:]]
-        self._touched(index)
 
     def set_ref(self, index: int, ref: int) -> None:
         """Repoint child ``index`` (a shadowed index page moved)."""
         self.refs[index] = ref
-        self._touched(index)
 
     def update_extent(
         self,
@@ -260,8 +236,6 @@ class IndexNode:
             self.allocs[index] = alloc_pages
         if delta:
             self.add_count(index, delta)
-        else:
-            self._touched(index)
         return delta
 
     def take(self, source: "IndexNode", start: int) -> int:
@@ -280,7 +254,6 @@ class IndexNode:
         del source.cums[start:]
         del source.refs[start:]
         del source.allocs[start:]
-        source._touched(start)
         return self.total_bytes - before
 
     # ------------------------------------------------------------------
@@ -288,23 +261,14 @@ class IndexNode:
     # ------------------------------------------------------------------
     def serialize(self, config: SystemConfig, *, is_root: bool,
                   total_bytes: int = 0, rightmost_alloc: int = 0) -> bytes:
-        """Encode the node as page content.
-
-        Header, pairs and zero padding live in one page-size buffer kept
-        between calls; a call repacks the pairs from the watermark, at C
-        speed and with no per-pair Python at level 1, and copies the
-        buffer once into the immutable image the disk keeps.
-        """
+        """Encode the node as page content: header, pairs and zero
+        padding, the pairs packed at C speed with no per-pair Python at
+        level 1."""
         cums = self.cums
         n = len(cums)
         page_size = config.page_size
         at = _check_fits(n, page_size, is_root)
-        page = self._packed
-        k = self._packed_upto
-        if self._packed_at != at or len(page) != page_size:
-            page = self._packed = bytearray(page_size)
-            self._packed_at = at
-            self._packed_pairs = k = 0
+        page = bytearray(page_size)
         if is_root:
             _ROOT_HEADER.pack_into(
                 page, 0, _ROOT_MAGIC, self.level, 0, n, 0,
@@ -312,35 +276,31 @@ class IndexNode:
             )
         else:
             _NODE_HEADER.pack_into(page, 0, _NODE_MAGIC, self.level, 0, n, 0)
-        end = at + _PAIR_BYTES * n
-        if k < n:
-            flat = [0] * (2 * (n - k))
-            flat[0::2] = cums[k:]
-            if self.level == 1:
-                flat[1::2] = self.refs[k:]
-            else:
-                meta_base = self.meta_base
-                flat[1::2] = [ref - meta_base for ref in self.refs[k:]]
-            words = array("I", flat)
-            if _BIG_ENDIAN:  # pragma: no cover - the page is little-endian
-                words.byteswap()
-            page[at + _PAIR_BYTES * k : end] = words
-        stale = self._packed_pairs - n
-        if stale > 0:
-            page[end : end + _PAIR_BYTES * stale] = bytes(_PAIR_BYTES * stale)
-        self._packed_pairs = self._packed_upto = n
+        flat = [0] * (2 * n)
+        flat[0::2] = cums
+        if self.level == 1:
+            flat[1::2] = self.refs
+        else:
+            meta_base = self.meta_base
+            flat[1::2] = [ref - meta_base for ref in self.refs]
+        words = array("I", flat)
+        if _BIG_ENDIAN:  # pragma: no cover - the page is little-endian
+            words.byteswap()
+        page[at : at + _PAIR_BYTES * n] = words
         return bytes(page)
 
-    def root_snapshot(self, config: SystemConfig, total_bytes: int,
-                      rightmost_alloc: int) -> Callable[[], bytes]:
-        """A builder of this root's page image as it is now: copies of
+    def snapshot(self, config: SystemConfig, *, is_root: bool = False,
+                 total_bytes: int = 0,
+                 rightmost_alloc: int = 0) -> Callable[[], bytes]:
+        """A builder of this node's page image as it is now: copies of
         the columns, packed by :meth:`serialize` when the image is read.
+        The copies keep the image fixed while the node changes (a split
+        or splice after the flush, a freed page recovery still reads).
         An overfull node is refused now, as :meth:`serialize` refuses it."""
-        _check_fits(len(self.cums), config.page_size, True)
+        _check_fits(len(self.cums), config.page_size, is_root)
         return functools.partial(
-            _root_image, config, self.page_id, self.level, self.data_base,
-            self.meta_base, self.cums[:], self.refs[:], total_bytes,
-            rightmost_alloc,
+            _image, config, self.level, self.meta_base, self.cums[:],
+            self.refs[:], is_root, total_bytes, rightmost_alloc,
         )
 
     @classmethod
@@ -392,11 +352,6 @@ class IndexNode:
             ]
         else:
             node.refs = [meta_base + pointer for pointer in flat[1::2]]
-        # The page up to its last pair is exactly the packed image.
-        end = offset + _PAIR_BYTES * n
-        node._packed = bytearray(data[:end].ljust(len(data), b"\x00"))
-        node._packed_at = offset
-        node._packed_pairs = node._packed_upto = n
         return node, total, rightmost_alloc
 
 
@@ -410,14 +365,13 @@ def _check_fits(n: int, page_size: int, is_root: bool) -> int:
     return at
 
 
-def _root_image(config: SystemConfig, page_id: int, level: int,
-                data_base: int, meta_base: int, cums: list[int],
-                refs: list[int], total_bytes: int,
-                rightmost_alloc: int) -> bytes:
-    """The root image :meth:`IndexNode.root_snapshot` took, packed."""
-    node = IndexNode(page_id, level, data_base, meta_base)
+def _image(config: SystemConfig, level: int, meta_base: int,
+           cums: list[int], refs: list[int], is_root: bool,
+           total_bytes: int, rightmost_alloc: int) -> bytes:
+    """The image :meth:`IndexNode.snapshot` took, packed."""
+    node = IndexNode(0, level, 0, meta_base)
     node.cums, node.refs = cums, refs
-    return node.serialize(config, is_root=True, total_bytes=total_bytes,
+    return node.serialize(config, is_root=is_root, total_bytes=total_bytes,
                           rightmost_alloc=rightmost_alloc)
 
 

@@ -28,7 +28,7 @@ from repro.core.errors import (
     ObjectTooLargeError,
     StorageCorruptionError,
 )
-from repro.disk.disk import contiguous_runs
+from repro.disk.disk import PendingImage, contiguous_runs
 from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
@@ -196,7 +196,7 @@ class PositionalTree:
         The root write is the commit point: the batch engine calls this
         once per batch for every tree whose root changed, after every
         shadowed index page is safely on disk.  The disk gets a snapshot
-        of the root (:meth:`IndexNode.root_snapshot`), packed only when
+        of the root (:meth:`IndexNode.snapshot`), packed only when
         the page is read (recovery, reopen, fsck), seldom before the
         next commit replaces it.  Under ``REPRO_CHECKS=1`` the eager
         image is serialized too, for the build to match.  The root
@@ -208,7 +208,10 @@ class PositionalTree:
         root = self._nodes[root_page_id]
         parent = self._rightmost_leaf_parent()
         rightmost = parent.allocs[-1] if parent and parent.allocs else 0
-        build = root.root_snapshot(self.config, self.total_bytes, rightmost)
+        build = root.snapshot(
+            self.config, is_root=True, total_bytes=self.total_bytes,
+            rightmost_alloc=rightmost,
+        )
         expect = root.serialize(
             self.config, is_root=True, total_bytes=self.total_bytes,
             rightmost_alloc=rightmost,
@@ -233,16 +236,23 @@ class PositionalTree:
         self._dirty.add(self.root_page_id)
 
     def _flush_non_root(self) -> None:
+        """One charged write per run of dirty non-root nodes, each page a
+        snapshot of its node built only if the page is read (recovery,
+        reopen, fsck; the tree reads its nodes from memory).  Under
+        ``REPRO_CHECKS=1`` the eager image comes along for the build."""
         if not self._dirty:
             return
         nodes, config = self._nodes, self.config
+        checks = checks_enabled()
         for run_start, run_len in contiguous_runs(sorted(self._dirty)):
             run = [nodes[run_start + i] for i in range(run_len)]
-            images = [node.serialize(config, is_root=False) for node in run]
-            # (One shadowed leaf parent is the usual flush: its image goes
-            # down as it is, not through a join.)
-            data = images[0] if run_len == 1 else b"".join(images)
-            self.pool.write_run(run_start, run_len, data, record=True)
+            self.pool.write_run(run_start, run_len, [
+                PendingImage(
+                    node.snapshot(config),
+                    node.serialize(config, is_root=False) if checks else None,
+                )
+                for node in run
+            ], record=True)
             for node in run:
                 node.dirty = False
                 node.shadowed_this_op = False

@@ -5,7 +5,7 @@ import pytest
 from repro.buffer.pool import BufferPool, PoolStats
 from repro.core.config import small_page_config
 from repro.core.errors import BufferPoolError, IOFaultError
-from repro.disk.disk import SimulatedDisk, contiguous_runs
+from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, every
@@ -18,6 +18,48 @@ def make_pool(pool_pages=4, page_size=128):
     cost = CostModel(config)
     disk = SimulatedDisk(config, cost)
     return config, cost, disk, BufferPool(config, disk)
+
+
+class TestPendingPages:
+    """A page written as a pending image, as a shadowed index flush
+    writes it: the pool charges its miss and builds it only when its
+    bytes are handed out."""
+
+    IMAGE = b"\x03" * 128
+
+    @staticmethod
+    def builder(calls, image=IMAGE):
+        def build():
+            calls.append(1)
+            return image
+        return PendingImage(build, None)
+
+    def test_a_miss_leaves_it_unbuilt_until_its_bytes_are_read(self):
+        _config, cost, disk, pool = make_pool()
+        calls = []
+        pool.write_run(5, 1, [self.builder(calls)])
+        frame = pool.access(5)
+        assert calls == []
+        assert (cost.stats.read_calls, pool.stats.misses) == (1, 1)
+        assert list(pool.frames()) == [(5, 0, False)]
+        assert pool.resident_image(5) == self.IMAGE
+        assert calls == [1]
+        assert pool.read_run(5, 1) == frame.content() == self.IMAGE
+        assert disk.peek_pages(5, 1) == self.IMAGE
+        assert calls == [1]
+        assert (cost.stats.read_calls, pool.stats.hits) == (1, 2)
+
+    def test_a_resident_copy_is_refreshed_unbuilt(self):
+        _config, cost, disk, pool = make_pool()
+        disk.poke_pages(5, b"old")
+        pool.access(5)
+        calls = []
+        pool.write_run(5, 1, [self.builder(calls)])
+        assert calls == []
+        assert list(pool.frames()) == [(5, 0, False)]
+        assert pool.resident_image(5) == self.IMAGE
+        assert calls == [1]
+        assert cost.stats.read_calls == 1
 
 
 class TestFixUnfix:

@@ -15,6 +15,7 @@ from repro.core.errors import (
     ContractViolationError,
     CrashError,
     InvalidArgumentError,
+    IOFaultError,
 )
 from repro.core.payload import SizedPayload
 from repro.disk.disk import (
@@ -599,6 +600,158 @@ class TestDeferredImage:
             disk.peek_pages(self.PAGE, 1)
 
 
+class _Flaky:
+    """A fault site whose every first write attempt fails transiently."""
+
+    def read_attempt(self, disk, start, n_pages, attempt):
+        return None
+
+    def write_attempt(self, disk, start, n_pages, record, attempt):
+        if attempt == 0:
+            raise IOFaultError("flaky write", transient=True)
+        return None
+
+    def after_write(self, disk, start, n_pages, record):
+        return None
+
+
+class TestPendingWrite:
+    """A charged ``write_pages`` of pending images (a shadowed index
+    flush) against ``write_pages`` of the bytes they build."""
+
+    START = 7  # after a recorded page (6), before a phantom one
+
+    @staticmethod
+    def twins(config, n_pages, site=None):
+        """A disk written with one pending image per page and one written
+        with their bytes, after the same history; the builds are
+        counted.  A ``site`` (a fault-site class) is installed on both
+        for the write; a crash it raises is left to the caller."""
+        start = TestPendingWrite.START
+        images = [bytes([i + 1]) * 64 + bytes(range(64))
+                  for i in range(n_pages)]
+        calls: list[int] = []
+
+        def pending(i):
+            def build():
+                calls.append(start + i)
+                return images[i]
+            return PendingImage(build, None)
+
+        disks = []
+        for data in ([pending(i) for i in range(n_pages)], b"".join(images)):
+            disk = SimulatedDisk(config, CostModel(config))
+            disk.write_pages(start - 1, 1, b"\x05" * 128)
+            disk.write_pages(start + n_pages, 1, b"", record=False)
+            if site is not None:
+                disk.install_fault_site(site())
+            try:
+                disk.write_pages(start, n_pages, data)
+            except CrashError:
+                pass
+            disks.append(disk)
+        lazy, eager = disks
+        assert lazy.cost.stats == eager.cost.stats
+        assert calls == []
+        return lazy, eager, calls
+
+    @staticmethod
+    def assert_same(lazy, eager):
+        assert lazy.image() == eager.image()
+        assert lazy.pages_in_use == eager.pages_in_use
+        assert lazy.cost.stats == eager.cost.stats
+
+    @pytest.mark.parametrize("n_pages", [1, 3])
+    @pytest.mark.parametrize("read", [
+        "peek_pages", "read_pages", "read_page_views", "unbuilt", "image",
+    ])
+    def test_reads_back_as_its_bytes(self, disk, n_pages, read):
+        lazy, eager, calls = self.twins(disk.config, n_pages)
+        run = (self.START - 2, n_pages + 4)
+        if read == "image":
+            assert lazy.image() == eager.image()
+        elif read == "unbuilt":
+            # One charged read that builds nothing; its builder builds once.
+            got = lazy.read_pages(self.START, 1, build=False)
+            expected = eager.read_pages(self.START, 1, build=False)
+            assert callable(got) and calls == []
+            assert lazy.cost.stats == eager.cost.stats
+            assert lazy.cost.stats.read_calls == 1
+            assert got() == got() == expected
+            assert calls == [self.START]
+            self.assert_same(lazy, eager)
+            return
+        else:
+            assert getattr(lazy, read)(*run) == getattr(eager, read)(*run)
+        assert sorted(calls) == list(range(self.START, self.START + n_pages))
+        # Built once, stored in place: later reads build nothing.
+        assert lazy.peek_pages(*run) == eager.peek_pages(*run)
+        assert len(calls) == n_pages
+        self.assert_same(lazy, eager)
+
+    @pytest.mark.parametrize("n_pages", [1, 3])
+    @pytest.mark.parametrize(
+        "replace", ["write", "write-phantom", "poke", "defer", "discard"]
+    )
+    def test_replaced_or_freed_before_read_is_never_built(
+        self, disk, n_pages, replace
+    ):
+        lazy, eager, calls = self.twins(disk.config, n_pages)
+        for d in (lazy, eager):
+            if replace == "poke":
+                d.poke_pages(self.START, b"\x09" * 3)
+            elif replace == "defer":
+                d.defer_image(self.START, lambda: b"\x0a" * 128)
+            elif replace == "discard":
+                d.discard_pages(self.START, n_pages)
+            else:
+                d.write_pages(self.START, n_pages, b"\x09" * 100 * n_pages,
+                              record=replace == "write")
+        assert calls == []
+        self.assert_same(lazy, eager)
+
+    @pytest.mark.parametrize("n_pages", [1, 3])
+    def test_corrupting_a_pending_page_corrupts_its_built_image(
+        self, disk, n_pages
+    ):
+        lazy, eager, calls = self.twins(disk.config, n_pages)
+        last = self.START + n_pages - 1
+        for d in (lazy, eager):
+            d.corrupt_page(last, 9)
+        assert calls == [last]
+        assert lazy.verify_checksums() == eager.verify_checksums() == [last]
+        for d in (lazy, eager):
+            with pytest.raises(ChecksumError):
+                d.read_pages(self.START, n_pages)
+        self.assert_same(lazy, eager)
+
+    def test_a_torn_write_persists_a_pending_prefix(self, disk):
+        lazy, eager, calls = self.twins(disk.config, 3, site=lambda: _Tear(2))
+        assert lazy.halted and eager.halted
+        assert calls == []
+        for d in (lazy, eager):
+            d.clear_fault_site()
+        assert not lazy.was_written(self.START + 2)
+        self.assert_same(lazy, eager)
+        assert calls == [self.START, self.START + 1]
+
+    @pytest.mark.parametrize("n_pages", [1, 3])
+    def test_a_retried_write_stores_the_images_once(self, disk, n_pages):
+        lazy, eager, calls = self.twins(disk.config, n_pages, site=_Flaky)
+        assert lazy.cost.stats.retries == 1
+        self.assert_same(lazy, eager)
+        assert len(calls) == n_pages
+
+    def test_a_build_that_misses_its_expected_bytes_raises(self, disk):
+        disk.write_pages(self.START, 2, [
+            PendingImage(lambda: bytes(128), bytes(128)),
+            PendingImage(lambda: bytes(128), b"\x01" * 128),
+        ])
+        assert disk.peek_pages(self.START, 1) == bytes(128)
+        with pytest.raises(ContractViolationError):
+            disk.read_pages(self.START, 2)
+
+
 # ----------------------------------------------------------------------
 # Commit-point images of the managers
 # ----------------------------------------------------------------------
@@ -690,6 +843,38 @@ def test_per_op_appends_build_no_image(scheme, builds):
     for n in range(300):
         store.append(oid, SizedPayload(137 + n % 7 * 50))
     assert isinstance(store.env.disk._pages[oid], PendingImage)
+    assert builds == []
+
+
+@pytest.mark.parametrize("scheme", ["esm", "eos"])
+def test_tree_updates_build_no_image(scheme, builds):
+    """``update_mix_tree``'s shape on a height-2 tree: each insert or
+    delete flushes its shadowed leaf parent as a pending image, and the
+    next descent's pool miss on that page leaves it unbuilt."""
+    store = LargeObjectStore(
+        scheme, small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    page = store.config.page_size
+    oid = store.create(SizedPayload(200 * page + 5))
+    rng = random.Random(44)
+    reads = store.stats.read_calls
+    for _ in range(200):
+        size = store.size(oid)
+        roll = rng.random()
+        if roll < 0.4:
+            store.read(oid, rng.randrange(size - 300), 300)
+        elif roll < 0.7 or size < 190 * page:
+            store.insert(oid, rng.randrange(size), SizedPayload(
+                rng.randint(50, 400)
+            ))
+        else:
+            store.delete(oid, rng.randrange(size - 400), rng.randint(50, 400))
+    assert store.manager.tree_of(oid).height >= 2
+    pending = [
+        page_id for page_id, content in store.env.disk._pages.items()
+        if isinstance(content, PendingImage) and page_id != oid
+    ]
+    assert pending and store.stats.read_calls > reads
     assert builds == []
 
 

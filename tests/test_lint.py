@@ -583,6 +583,13 @@ class _NaughtyReader:
             self.disk.write_pages(0, 1, bytes(16))
         elif how == "poke":
             self.disk.poke_pages(10**6, b"fresh page")
+        elif how == "repoke":
+            # Over a written page, with its own bytes: no page is added.
+            self.disk.poke_pages(_RECORDED_PAGE, self.disk.peek_pages(
+                _RECORDED_PAGE, 1
+            ))
+        elif how == "defer":
+            self.disk.defer_image(_RECORDED_PAGE, lambda: bytes(128))
         else:
             self.disk.discard_pages(_PHANTOM_PAGE, 1)
         return True
@@ -590,6 +597,8 @@ class _NaughtyReader:
 
 #: Written in phantom mode by the fixture, for the discard to forget.
 _PHANTOM_PAGE = 10**6 + 1
+#: Written with bytes by the fixture, for a poke or deferral to cover.
+_RECORDED_PAGE = 10**6 + 2
 
 
 class TestRuntimeContracts:
@@ -597,6 +606,7 @@ class TestRuntimeContracts:
     def disk(self):
         disk = LargeObjectStore("eos", small_page_config()).env.disk
         disk.write_pages(_PHANTOM_PAGE, 1, b"", record=False)
+        disk.write_pages(_RECORDED_PAGE, 1, b"\x07" * 128)
         return disk
 
     def test_flag_detection(self, monkeypatch):
@@ -615,6 +625,18 @@ class TestRuntimeContracts:
         monkeypatch.setenv("REPRO_CHECKS", "1")
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty(how)
+
+    @pytest.mark.parametrize("how", ["repoke", "defer"])
+    def test_in_place_change_of_a_written_page_raises_under_debug(
+        self, disk, monkeypatch, how
+    ):
+        """A poke or deferral over a page that is already written adds
+        no page and charges no write; the contract sees it anyway."""
+        monkeypatch.setenv("REPRO_CHECKS", "1")
+        in_use = disk.pages_in_use
+        with pytest.raises(ContractViolationError):
+            _NaughtyReader(disk).naughty(how)
+        assert disk.pages_in_use == in_use
 
     def test_passthrough_without_debug(self, disk, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)

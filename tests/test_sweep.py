@@ -15,6 +15,7 @@ from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.fsck import check
 from repro.disk.disk import contiguous_runs
+from repro.faults import FaultInjector, FaultPlan
 from repro.recovery.sweep import (
     FAILED,
     MUTATING_OPS,
@@ -72,6 +73,27 @@ class MultiChunkCopy(SingleOp):
             problems.append("the op after the restart missed the post-state")
         if problems:
             report.add(self, kind, k, FAILED, problems)
+
+
+class DeepInsert(SingleOp):
+    """An ESM or EOS insert that splits a full leaf parent of a two-level
+    tree: recovery reads non-root index images, and the last write is a
+    run of them, so the torn variant persists a pending prefix.
+
+    ``FILLS`` inserts fill the leaf parent under byte ``3 * 128`` until
+    :class:`SingleOp`'s own insert splits it.
+    """
+
+    FILLS = {"esm": 12, "eos": 18}
+
+    def build(self):
+        store = LargeObjectStore(self.scheme, small_page_config(),
+                                 leaf_pages=2, threshold_pages=2)
+        oid = store.create(pattern_bytes(18 * 128 + 37))
+        for i in range(self.FILLS[self.scheme]):
+            store.insert(oid, 3 * 128 + 17 + i * 61,
+                         pattern_bytes(128 + 5 * i, salt=10 + i))
+        return store, [oid]
 
 
 class TestMultiChunkCopy:
@@ -138,6 +160,45 @@ class TestExhaustiveSweep:
         assert report.clean, report.summary()
         assert len(report.outcomes) > 30
         assert "CLEAN" in report.summary()
+
+
+class TestDeepSweep:
+    """The insert that splits a full leaf parent of a two-level tree:
+    recovery reads non-root index images, and the torn variant tears a
+    run of pending ones."""
+
+    @pytest.mark.parametrize("scheme", ["esm", "eos"])
+    def test_the_insert_splits_a_leaf_parent_below_the_root(self, scheme):
+        scenario = DeepInsert(scheme, "insert")
+        store, oids = scenario.build()
+        tree = store.manager.tree_of(oids[0])
+        height, pages = tree.height, tree.index_page_count()
+        assert height >= 2
+        pool, index_runs = store.env.pool, []
+        write_run = pool.write_run
+
+        def recording(start, n_pages, data, record=True):
+            if isinstance(data, list):
+                index_runs.append(n_pages)
+            write_run(start, n_pages, data, record)
+
+        pool.write_run = recording
+        # Armed as the sweep arms it: freed pages are held, which moves
+        # where the shadowed pages land.
+        with FaultInjector(store.env, FaultPlan()):
+            scenario.act(store, oids)
+        assert (tree.height, tree.index_page_count()) == (height, pages + 1)
+        assert max(index_runs) >= 2
+
+    @pytest.mark.parametrize("scheme", ["esm", "eos"])
+    def test_every_crash_and_torn_point_recovers(self, scheme):
+        report = sweep(DeepInsert(scheme, "insert", kinds=BOTH))
+        assert report.clean, report.summary()
+        crashes = [o.write for o in report.outcomes if o.kind == "crash"]
+        torn = [o.write for o in report.outcomes if o.kind == "torn"]
+        # The index flush is the last write, and it tears.
+        assert torn == crashes and report.atomic_skips == 0
+        assert {o.outcome for o in report.outcomes} == {"pre"}
 
 
 class TestNegativeControl:

@@ -3,6 +3,7 @@
 import itertools
 import random
 import struct
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -105,11 +106,11 @@ class TestSerialization:
             node.serialize(CONFIG, is_root=False)
         # A root commit refuses it too, before anything is deferred.
         with pytest.raises(StorageCorruptionError):
-            node.root_snapshot(CONFIG, 100, 0)
+            node.snapshot(CONFIG, is_root=True, total_bytes=100)
 
     def test_one_node_laid_out_both_ways_and_at_two_page_sizes(self):
-        """The kept page buffer belongs to one header layout and one page
-        size; asking for another starts it again."""
+        """One node serializes under both header layouts and at two page
+        sizes, in any order."""
         node = IndexNode(META_AREA_BASE + 1, 1, DATA_AREA_BASE, META_AREA_BASE)
         node.splice(0, 0, [LeafExtent(DATA_AREA_BASE + i, 10 + i, 1)
                            for i in range(5)])
@@ -242,6 +243,8 @@ class _Model:
         self.counts: list[int] = []
         self.pointers: list[int] = []
         self.allocs: list[int] = []
+        #: Every snapshot a check took, with the image it built then.
+        self.snapshots: list[tuple[Callable[[], bytes], bytes]] = []
 
     def check(self) -> None:
         node, counts, pointers = self.node, self.counts, self.pointers
@@ -274,9 +277,17 @@ class _Model:
             level, counts, pointers, DIFF_CONFIG.page_size,
             root=root if self.is_root else None,
         )
-        assert node._packed == image and node._packed_upto == n
+        # The snapshot builds the from-scratch encoding now, and the last
+        # few earlier ones still build theirs after the node changed.
+        build = node.snapshot(
+            DIFF_CONFIG, is_root=self.is_root,
+            total_bytes=root[0], rightmost_alloc=root[1],
+        )
+        self.snapshots.append((build, image))
+        for earlier, then in self.snapshots[-3:]:
+            assert earlier() == then
 
-        # The page decodes to the same columns and the same kept image.
+        # The page decodes to the same columns and the same image.
         # The allocations are not on the page: the hook hands them back
         # in order, and must be asked pair by pair with the right flags.
         asked = []
@@ -299,8 +310,10 @@ class _Model:
             [(c, self.is_root and i == n - 1) for i, c in enumerate(counts)]
             if level == 1 else []
         )
-        assert rebuilt._packed == node._packed
-        assert rebuilt._packed_upto == node._packed_upto == n
+        assert rebuilt.serialize(
+            DIFF_CONFIG, is_root=self.is_root,
+            total_bytes=root[0], rightmost_alloc=root[1],
+        ) == image
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -465,13 +478,17 @@ def test_tree_rebalancing_matches_a_naive_model(seed):
             )
             if root is None:
                 assert node.serialize(config, is_root=False) == image
+                assert node.snapshot(config)() == image
             else:
                 total, rightmost = root
                 assert node.serialize(
                     config, is_root=True, total_bytes=total,
                     rightmost_alloc=rightmost,
                 ) == image
-                assert node.root_snapshot(config, total, rightmost)() == image
+                assert node.snapshot(
+                    config, is_root=True, total_bytes=total,
+                    rightmost_alloc=rightmost,
+                )() == image
 
     def extents(count: int) -> list[LeafExtent]:
         new = []
