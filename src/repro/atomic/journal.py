@@ -17,9 +17,12 @@ PREPARE write persists only a prefix, fails the CRC, and therefore
 commit needs.  All journal writes go through the buffer pool's
 sanctioned :meth:`~repro.buffer.pool.BufferPool.write_run` path: they
 are charged physical writes, carry the disk's page-checksum envelope,
-and are intercepted by an armed fault injector like any other I/O.  Journal
-*reads* during recovery use ``disk.peek_pages`` — recovery works from
-the image alone and charges nothing for the forensic scan.
+and are intercepted by an armed fault injector like any other I/O.
+A record is sized by arithmetic and handed to the disk as one
+:class:`~repro.disk.disk.PendingImage` per page, framed only when first
+read (``REPRO_CHECKS=1`` checks the build against the eager bytes).
+Journal *reads* during recovery use ``disk.peek_pages`` — recovery works
+from the image alone and charges nothing for the forensic scan.
 
 Marker validity is keyed by batch id: an APPLIED or DECISION page left
 over from an earlier batch names that older batch and is ignored when
@@ -29,6 +32,7 @@ write I/O to blank stale markers.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from typing import NamedTuple, Sequence
@@ -36,8 +40,9 @@ from typing import NamedTuple, Sequence
 from repro.core.env import StorageEnvironment
 from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload, SizedPayload
-from repro.disk.disk import SimulatedDisk
+from repro.disk.disk import PendingImage, SimulatedDisk
 from repro.exec.plan import APPEND, DELETE, INSERT, READ, REPLACE, BatchOp, MultiOp
+from repro.lint.contracts import checks_enabled
 
 #: Journal record kinds.
 PREPARE = 1
@@ -160,14 +165,16 @@ def _frame(
     batch_id: int,
     coordinator: int,
     shard: int,
-    payload: bytes,
+    participants: Sequence[int],
+    mops: Sequence[MultiOp],
     size: int,
 ) -> bytes:
-    """One record of ``size`` bytes: header, ``payload``, zero padding.
+    """One record of ``size`` bytes: header, payload, zero padding.
 
     The header is packed once with its CRC field zeroed; the CRC-32 of
     that header followed by the payload then takes the field's place.
     """
+    payload = _encode_payload(participants, mops)
     header = _HEADER.pack(
         _MAGIC, kind, batch_id, coordinator, shard, len(payload), 0
     )
@@ -180,6 +187,25 @@ def _frame(
     ))
 
 
+def _sized(
+    participants: Sequence[int], mops: Sequence[MultiOp]
+) -> tuple[tuple[MultiOp, ...], int]:
+    """``mops`` with every ``bytearray`` or ``memoryview`` payload copied
+    (so a caller's later change to its buffer cannot reach a pending
+    record), and the record's unpadded size by arithmetic: header,
+    counts, participants, then each op and the bytes it records (a
+    :class:`SizedPayload` records none)."""
+    size = _HEADER.size + 8 + 4 * len(participants) + _OP.size * len(mops)
+    for _, op in mops:
+        if type(op.data) is bytes:
+            size += len(op.data)
+        elif not isinstance(op.data, SizedPayload):
+            return _sized(participants, [MultiOp(oid, op._replace(
+                data=op.data if isinstance(op.data, SizedPayload)
+                else bytes(op.data))) for oid, op in mops])
+    return tuple(mops), size
+
+
 def encode_record(
     kind: int,
     batch_id: int,
@@ -189,11 +215,8 @@ def encode_record(
     mops: Sequence[MultiOp] = (),
 ) -> bytes:
     """Serialize one journal record to its CRC-framed wire form."""
-    payload = _encode_payload(participants, mops)
-    return _frame(
-        kind, batch_id, coordinator, shard, payload,
-        _HEADER.size + len(payload),
-    )
+    return _frame(kind, batch_id, coordinator, shard, participants, mops,
+                  _sized(participants, mops)[1])
 
 
 def decode_record(image: bytes) -> JournalRecord | None:
@@ -312,12 +335,11 @@ class IntentJournal:
         shard: int,
         participants: Sequence[int] = (),
         mops: Sequence[MultiOp] = (),
-    ) -> bytes:
-        """A record padded to whole pages, refused before anything is
-        written if it needs more than ``limit_pages``."""
-        payload = _encode_payload(participants, mops)
+    ) -> list[PendingImage]:
+        """A record as one pending image per whole page, refused before
+        anything is written if it needs more than ``limit_pages``."""
+        mops, size = _sized(participants, mops)
         page_size = self.env.config.page_size
-        size = _HEADER.size + len(payload)
         n_pages = -(-size // page_size)
         if n_pages > limit_pages:
             raise InvalidArgumentError(
@@ -325,16 +347,22 @@ class IntentJournal:
                 f"pages but the area holds {limit_pages}; raise "
                 "journal_pages (or shrink the batch)"
             )
-        return _frame(
-            kind, batch_id, coordinator, shard, payload, n_pages * page_size
-        )
+        build = functools.partial(_frame, kind, batch_id, coordinator, shard,
+                                  tuple(participants), mops, n_pages * page_size)
+        expect = build() if checks_enabled() else None
+        if n_pages == 1:
+            return [PendingImage(build, expect)]
+        whole = functools.cache(build)  # built once, sliced per page
+        return [PendingImage(
+            lambda lo=lo: whole()[lo : lo + page_size],
+            None if expect is None else expect[lo : lo + page_size],
+        ) for lo in range(0, n_pages * page_size, page_size)]
 
-    def _write(self, page_id: int, record: bytes) -> int:
-        """Write a padded record; returns its pages."""
-        n_pages = len(record) // self.env.config.page_size
+    def _write(self, page_id: int, record: list[PendingImage]) -> int:
+        """Write a record's pages; returns how many."""
         # Charged, checksummed, fault-interceptable — one physical write.
-        self.env.pool.write_run(page_id, n_pages, record, record=True)
-        return n_pages
+        self.env.pool.write_run(page_id, len(record), record, record=True)
+        return len(record)
 
     def encode_prepare(
         self,
@@ -343,7 +371,7 @@ class IntentJournal:
         shard: int,
         participants: Sequence[int],
         mops: Sequence[MultiOp],
-    ) -> bytes:
+    ) -> list[PendingImage]:
         """The shard's PREPARE record, ready for :meth:`write_prepare`.
 
         Raises :class:`InvalidArgumentError` if the PREPARE area cannot
@@ -354,7 +382,7 @@ class IntentJournal:
             participants, mops,
         )
 
-    def write_prepare(self, record: bytes) -> int:
+    def write_prepare(self, record: list[PendingImage]) -> int:
         """Journal the shard's intent (from :meth:`encode_prepare`);
         returns the pages written.
 
@@ -429,13 +457,8 @@ class IntentJournal:
         if state.resolved:
             return []
         assert state.prepare is not None
-        record = encode_record(
-            PREPARE, state.prepare.batch_id, state.prepare.coordinator,
-            state.prepare.shard, state.prepare.participants,
-            state.prepare.mops,
-        )
-        page_size = self.env.config.page_size
-        n_pages = -(-len(record) // page_size)
+        _, size = _sized(state.prepare.participants, state.prepare.mops)
+        n_pages = -(-size // self.env.config.page_size)
         residue = list(range(self.base_page, self.base_page + n_pages))
         if state.decision is not None:
             residue.append(self.decision_page)

@@ -89,9 +89,9 @@ class AtomicCoordinator:
         batch_id = self._batch_seq + 1
         participants = tuple(sorted(groups))
         coordinator = participants[0]
-        # Every PREPARE is encoded and fitted to its journal before the
-        # first write, so a record too large for its area refuses the
-        # batch with nothing changed on any shard.
+        # Every PREPARE is sized and snapshotted before the first write,
+        # so a record too large for its area refuses the batch with
+        # nothing changed on any shard.
         prepares = {
             shard: self.journals[shard].encode_prepare(
                 batch_id, coordinator, shard, participants, groups[shard][1]

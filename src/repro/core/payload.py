@@ -77,13 +77,16 @@ class SizedPayload:
 
     # -- slicing -------------------------------------------------------
     def __getitem__(self, key: "slice | int") -> "SizedPayload | int":
-        if isinstance(key, slice):
+        if type(key) is slice:
             start, stop, step = key.indices(self._length)
             if step != 1:
                 raise InvalidArgumentError(
                     "SizedPayload slicing requires step 1"
                 )
-            return SizedPayload(max(0, stop - start))
+            # Clamped, so ``__init__``'s length check is skipped safely.
+            result = object.__new__(SizedPayload)
+            result._length = stop - start if stop > start else 0
+            return result
         index = key
         if index < 0:
             index += self._length

@@ -16,12 +16,12 @@ Page state is kept *by the run*, the paper's unit of space and of I/O
 (Sections 3.1, 4.1), not by the page.  ``_pages`` holds recorded images
 only: ``bytes``, or a :class:`PendingImage` from
 :meth:`SimulatedDisk.defer_image` or from a charged
-:meth:`SimulatedDisk.write_pages` of shadowed index pages, which the
-page's first read builds and replaces by its bytes.  "written in
-phantom mode" and "has a recorded image" are two bitmaps of one Python
-``int`` per chunk of ``1 << _CHUNK_BITS`` consecutive page ids (page ids
-start at ``1 << 40``, so one area-wide ``int`` would make every
-operation cost the area).
+:meth:`SimulatedDisk.write_pages` of shadowed index pages or journal
+records, which the page's first read builds and replaces by its
+bytes.  "written in phantom mode" and "has a recorded image" are two
+bitmaps of one Python ``int`` per chunk of ``1 << _CHUNK_BITS``
+consecutive page ids (page ids start at ``1 << 40``, so one area-wide
+``int`` would make every operation cost the area).
 Writing, discarding or reading a run that holds no recorded bytes is one
 mask operation per chunk it touches — a maximal 8,192-page segment
 touches three — however long the run is; only pages that carry bytes are
@@ -433,8 +433,8 @@ class SimulatedDisk:
             for i in range(stop):
                 pages[start + i] = zero
         elif stop == 1 and len(data) == page_size and type(data) is bytes:
-            # One whole page that is already immutable (a journal record,
-            # a records page) is kept as it is.
+            # One whole page that is already immutable (a records page)
+            # is kept as it is.
             pages[start] = data
         elif isinstance(data, list):
             for i in range(stop):

@@ -510,13 +510,16 @@ def sweep(scenario: Any, report: SweepReport | None = None) -> SweepReport:
         report = SweepReport()
 
     # Dry run: learn the faulted disk's write count (journal writes
-    # included) and the exact pre/post content.
+    # included) and the exact pre/post content, under an idle plan armed
+    # as the faulted runs are: an armed injector holds freed pages, which
+    # moves where shadowed pages land and with them the write count.
     store, oids = scenario.build()
-    stats = scenario.faulted(store).stats
+    faulted = scenario.faulted(store)
     pre = _contents(store, oids)
-    writes_before = stats.write_calls
-    scenario.act(store, oids)
-    n_writes = stats.write_calls - writes_before
+    writes_before = faulted.stats.write_calls
+    with FaultInjector(faulted.env, FaultPlan()):
+        scenario.act(store, oids)
+    n_writes = faulted.stats.write_calls - writes_before
     post = _contents(store, oids)
     if n_writes < 1 or n_writes > _MAX_WRITES:
         raise ReproError(

@@ -37,6 +37,7 @@ from repro.core.config import small_page_config
 from repro.core.errors import ChecksumError, CrashError, InvalidArgumentError
 from repro.core.fsck import check, check_atomic_sharded
 from repro.core.payload import SizedPayload
+from repro.disk.disk import PendingImage
 from repro.exec.plan import BatchOp, MultiOp, append_op
 from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
@@ -607,3 +608,105 @@ def test_journal_region_geometry_is_deterministic() -> None:
         assert ja.pages() == jb.pages()
         assert ja.applied_page in ja.pages()
         assert ja.decision_page in ja.pages()
+
+
+# ----------------------------------------------------------------------
+# 6. Journal records are built when read
+# ----------------------------------------------------------------------
+def _count_journal_builds(store: ShardedStore) -> dict[str, int]:
+    """Count the journal writes the shards' pools make from now on, and
+    the builds of the pending pages they write."""
+    counts = {"writes": 0, "builds": 0}
+
+    def counted(build):
+        def counting():
+            counts["builds"] += 1
+            return build()
+        return counting
+
+    for shard, journal in zip(store.shards, store.coordinator.journals):
+        pool, region = shard.env.pool, journal.pages()
+
+        def recording(start, n_pages, data, record=True,
+                      write_run=pool.write_run, region=region):
+            if start in region:
+                assert isinstance(data, list)
+                counts["writes"] += 1
+                data = [PendingImage(counted(image.build), image.expect)
+                        for image in data]
+            write_run(start, n_pages, data, record)
+
+        pool.write_run = recording
+    return counts
+
+
+def test_atomic_batches_build_no_journal_record() -> None:
+    """A phantom 4-shard store's batches hand the disk nine pending
+    journal pages each and build none; recovery's read builds them."""
+    store = _store("esm", shards=4, atomic=True, record_data=False)
+    page = store.config.page_size
+    oids = [store.create(SizedPayload(4 * page)) for _ in range(4)]
+    assert sorted(store.shard_of(oid) for oid in oids) == [0, 1, 2, 3]
+    counts = _count_journal_builds(store)
+    rng = random.Random(5)
+    for _ in range(50):
+        store.submit_many([
+            MultiOp(oid, BatchOp("replace", rng.randrange(3 * page), 0,
+                                 SizedPayload(16)))
+            for oid in oids
+        ])
+    # 4 PREPARE + 1 DECISION + 4 APPLIED single-page writes per batch.
+    assert counts == {"writes": 50 * 9, "builds": 0}
+    states = [j.read_state() for j in store.coordinator.journals]
+    assert counts["builds"] > 0
+    assert all(s.resolved and s.prepare.batch_id == 50 for s in states)
+    assert all(len(s.prepare.mops) == 1 for s in states)
+
+
+@pytest.mark.parametrize("checked", [False, True],
+                         ids=["unchecked", "checked"])
+def test_torn_three_page_prepare_persists_a_pending_prefix(
+    checked: bool, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """Tearing a 3-page PREPARE after 2 pages stores those 2 unbuilt;
+    built, they are the record's first 2 pages, which fail the CRC, so
+    the batch never prepared there and recovery rolls it back."""
+    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
+    store = _store("eos", shards=2, atomic=True)
+    page = store.config.page_size
+    oids = [store.create(_pattern(page + 9, salt=i)) for i in range(2)]
+    assert [store.shard_of(oid) for oid in oids] == [0, 1]
+    pre = _contents(store, oids)
+    mops = [MultiOp(oid, append_op(_pattern(2 * page, salt=7 + oid)))
+            for oid in oids]
+    local = (MultiOp(oids[1] // 2, mops[1].op),)
+    record = _reference_encode_record(PREPARE, 1, 0, 1, (0, 1), local)
+    assert -(-len(record) // page) == 3
+    counts = _count_journal_builds(store)
+    plan = FaultPlan(torn_writes=at(1), torn_prefix_pages=2)
+    with store.fault_injector(plan, shard=1):
+        with pytest.raises(CrashError, match="only 2 of 3 pages"):
+            store.submit_many(mops)
+    assert counts == {"writes": 2, "builds": 0}  # shard 0's PREPARE too
+    journal = store.coordinator.journals[1]
+    disk = store.shards[1].env.disk
+    assert disk.peek_pages(journal.base_page, 2) == record[: 2 * page]
+    assert counts["builds"] > 0
+    assert journal.read_state().prepare is None
+    report = recover_sharded_store(store)
+    assert report.shards[0].action == "rolled-back"
+    assert _contents(store, oids) == pre
+    assert all(r.clean for r in fsck_sharded_store(store))
+
+
+def test_a_buffer_changed_after_submit_is_journaled_as_submitted() -> None:
+    store = _store("eos", shards=1, atomic=True)
+    oid = store.create(_pattern(64))
+    buffer = bytearray(_pattern(40, salt=3))
+    store.submit_many([MultiOp(oid, append_op(buffer))])
+    buffer[:] = b"\xff" * 90
+    prepare = store.coordinator.journals[0].read_state().prepare
+    assert prepare is not None
+    (mop,) = prepare.mops
+    assert mop.op.data == _pattern(40, salt=3)
+    assert _contents(store, [oid]) == [_pattern(64) + _pattern(40, salt=3)]

@@ -54,6 +54,24 @@ class TestSizedPayload:
         with pytest.raises(InvalidArgumentError):
             p[::2]
 
+    @pytest.mark.parametrize("length", [0, 1, 7, 100])
+    def test_slice_lengths_match_bytes(self, length):
+        """Negative, open, out-of-range and reversed bounds clamp as
+        ``bytes`` clamps them; a step other than 1 is refused."""
+        p, real = SizedPayload(length), bytes(length)
+        bounds = (None, 0, 3, -3, length, length + 5, -length - 5)
+        for start in bounds:
+            for stop in bounds:
+                sliced = p[start:stop]
+                assert type(sliced) is SizedPayload
+                assert len(sliced) == len(real[start:stop]), (start, stop)
+                assert p[start:stop:1] == real[start:stop]
+        for step in (-1, 2):
+            with pytest.raises(InvalidArgumentError, match="step 1"):
+                p[::step]
+        with pytest.raises(ValueError):  # as ``bytes`` refuses it
+            p[::0]
+
     def test_indexing_and_iteration_yield_zeros(self):
         p = SizedPayload(3)
         assert p[0] == 0 and p[-1] == 0

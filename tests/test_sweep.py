@@ -80,20 +80,31 @@ class DeepInsert(SingleOp):
     tree: recovery reads non-root index images, and the last write is a
     run of them, so the torn variant persists a pending prefix.
 
-    ``FILLS`` inserts fill the leaf parent under byte ``3 * 128`` until
-    :class:`SingleOp`'s own insert splits it.
+    ``FILLS`` inserts into an object of ``PAGES`` pages fill the leaf
+    parent under byte ``3 * 128`` until :class:`SingleOp`'s own insert
+    splits it.
     """
 
+    PAGES = 18
     FILLS = {"esm": 12, "eos": 18}
 
     def build(self):
         store = LargeObjectStore(self.scheme, small_page_config(),
                                  leaf_pages=2, threshold_pages=2)
-        oid = store.create(pattern_bytes(18 * 128 + 37))
+        oid = store.create(pattern_bytes(self.PAGES * 128 + 37))
         for i in range(self.FILLS[self.scheme]):
             store.insert(oid, 3 * 128 + 17 + i * 61,
                          pattern_bytes(128 + 5 * i, salt=10 + i))
         return store, [oid]
+
+
+class ArmedCountInsert(DeepInsert):
+    """A :class:`DeepInsert` on a 16-page ESM object with 14 fills, whose
+    insert makes 4 writes unarmed but 3 armed: an armed injector holds
+    the freed pages, so the shadowed index pages land elsewhere."""
+
+    PAGES = 16
+    FILLS = {"esm": 14}
 
 
 class TestMultiChunkCopy:
@@ -199,6 +210,30 @@ class TestDeepSweep:
         # The index flush is the last write, and it tears.
         assert torn == crashes and report.atomic_skips == 0
         assert {o.outcome for o in report.outcomes} == {"pre"}
+
+
+    def test_the_write_count_is_taken_armed(self):
+        """The sweep crashes exactly the writes an armed run makes: none
+        is left unswept, and no armed crash point goes unfired."""
+        scenario = ArmedCountInsert("esm", "insert", kinds=BOTH)
+        counts = []
+        for plan in (None, FaultPlan()):
+            store, oids = scenario.build()
+            before = store.stats.write_calls
+            if plan is None:
+                scenario.act(store, oids)
+            else:
+                with FaultInjector(store.env, plan):
+                    scenario.act(store, oids)
+            counts.append(store.stats.write_calls - before)
+        assert counts == [4, 3]
+        report = sweep(scenario)
+        assert report.clean, report.summary()
+        for kind in BOTH:
+            assert [o.write for o in report.outcomes if o.kind == kind] == [
+                1, 2, 3
+            ]
+        assert report.atomic_skips == 0
 
 
 class TestNegativeControl:
