@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 from repro.core.env import StorageEnvironment
 from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload, SizedPayload
-from repro.disk.disk import PendingImage, SimulatedDisk
+from repro.disk.disk import PendingImage, SimulatedDisk, pending_image
 from repro.exec.plan import APPEND, DELETE, INSERT, READ, REPLACE, BatchOp, MultiOp
 from repro.lint.contracts import checks_enabled
 
@@ -351,9 +351,9 @@ class IntentJournal:
                                   tuple(participants), mops, n_pages * page_size)
         expect = build() if checks_enabled() else None
         if n_pages == 1:
-            return [PendingImage(build, expect)]
+            return [pending_image(build, expect)]
         whole = functools.cache(build)  # built once, sliced per page
-        return [PendingImage(
+        return [pending_image(
             lambda lo=lo: whole()[lo : lo + page_size],
             None if expect is None else expect[lo : lo + page_size],
         ) for lo in range(0, n_pages * page_size, page_size)]

@@ -1,6 +1,5 @@
 """Buffer management (paper Section 3.2)."""
 
-from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool, PoolStats
 
-__all__ = ["BufferPool", "Frame", "PoolStats"]
+__all__ = ["BufferPool", "PoolStats"]

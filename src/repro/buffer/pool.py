@@ -5,6 +5,15 @@ an LRU policy that prefers evicting clean pages: "we start first by freeing
 the least recently used clean pages followed by dirty pages that, of
 course, have to be written back to disk".
 
+A resident page is one entry of an ``OrderedDict`` in recency order: its
+image, or a builder of it (a pending index image's ``peek_pages``, a buddy
+directory's serializer), called only when the bytes are handed out or
+written back.  Dirty pages and pins live in two side tables: ``_dirty``
+maps a dirty page to the ``record`` flag of its writeback, fixed when the
+page first becomes dirty (``fix_new``'s ``record``, else True), and
+``_pins`` holds pin counts, with :attr:`~BufferPool.headroom` kept equal
+to ``capacity`` minus the pinned pages.
+
 The pool supports the usual fix/unfix interface with pin counts, a
 one-page touch that holds no pin (:meth:`~BufferPool.access`), plus
 multi-page runs: :meth:`read_run` reads a run of physically adjacent pages
@@ -13,8 +22,8 @@ segments of up to ``max_buffered_segment_pages`` pages are buffered.
 Larger segments bypass the pool entirely (see :mod:`repro.segio`).
 
 No path of the storage stack takes a pin: ``access``, ``access_new`` and
-``read_run`` leave every pin count at zero, and ``fix``/``fix_new``/
-``unfix`` remain for callers that hold a page across other pool calls.
+``read_run`` leave ``_pins`` empty, and ``fix``/``fix_new``/``unfix``
+remain for callers that hold a page across other pool calls.
 A phantom run (``record=False``, Section 4.1) of two or more pages is
 read for its length alone: the pool charges and caches it as any run and
 returns a :class:`~repro.core.payload.SizedPayload`.
@@ -26,14 +35,16 @@ import collections
 import dataclasses
 import functools
 import sys
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Union
 
-from repro.buffer.frame import Frame
 from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
 from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
 from repro.lint.contracts import checks_enabled, pure_read
+
+#: What a resident page holds: its image, or a builder of it.
+Resident = Union[Payload, Callable[[], bytes]]
 
 
 @dataclasses.dataclass
@@ -66,15 +77,19 @@ class BufferPool:
         self.config = config
         self.disk = disk
         self.capacity = config.buffer_pool_pages
-        #: Resident frames in recency order: every :meth:`_touch` moves the
-        #: frame to the end, so victim selection reads from the front
-        #: instead of scanning every frame for the least recent.
-        self._frames: collections.OrderedDict[int, Frame] = (
+        #: Resident pages in recency order, each to its image or its
+        #: builder: a hit moves the page to the end, so victim selection
+        #: reads from the front instead of ranking every page.
+        self._frames: collections.OrderedDict[int, Resident] = (
             collections.OrderedDict()
         )
-        #: Number of resident frames with pin_count > 0, maintained on
-        #: every pin/unpin so availability queries are O(1).
-        self._pinned = 0
+        #: Dirty resident page -> the ``record`` flag of its writeback.
+        self._dirty: dict[int, bool] = {}
+        #: Pinned resident page -> its pin count (never zero).
+        self._pins: dict[int, int] = {}
+        #: ``capacity`` minus the pinned pages, kept by fix/fix_new/unfix:
+        #: the frames a page or run can be brought into now.
+        self.headroom = self.capacity
         self.stats = PoolStats()
         #: ``REPRO_CHECKS=1`` bookkeeping: page id -> acquisition sites of
         #: the pins currently held on it, for leak attribution.  Empty
@@ -85,98 +100,97 @@ class BufferPool:
     # Access / fix / unfix
     # ------------------------------------------------------------------
     def access(self, page_id: int,
-               provider: Callable[[], bytes] | None = None) -> Frame:
+               provider: Callable[[], bytes] | None = None) -> None:
         """One charged touch of the page, with no pin held after it.
 
         Counts, orders and evicts exactly as :meth:`fix` then
-        :meth:`unfix` would: a hit moves the frame to the recency end, a
+        :meth:`unfix` would: a hit moves the page to the recency end, a
         miss makes room and reads the page from disk.  A miss on a page
         whose image is still pending (a shadowed index page) keeps the
-        disk's builder as the frame's provider, so the image is built
-        only when its bytes are handed out.  With a ``provider`` the
-        frame takes it and is left dirty, so the content is produced
-        only when the page reaches disk.  The returned frame is valid
-        until the next call that can evict.
+        disk's builder in its place, so the image is built only when its
+        bytes are handed out (:meth:`page`).  With a ``provider`` the page
+        takes it and is left dirty, so the content is produced only when
+        the page reaches disk.
 
         Raises :class:`BufferPoolError`, before anything is counted, if
         every frame is pinned and the page is not resident.
         """
         frames = self._frames
-        frame = frames.get(page_id)
-        if frame is not None:
+        if page_id in frames:
             self.stats.hits += 1
             frames.move_to_end(page_id)
         else:
-            if self._pinned >= self.capacity:
+            if not self.headroom:
                 raise BufferPoolError("all buffer frames are pinned")
             self.stats.misses += 1
             if len(frames) >= self.capacity:
                 self._evict_many(1)
-            content = self.disk.read_pages(page_id, 1, build=False)
-            frame = (Frame(page_id, provider=content) if callable(content)
-                     else Frame(page_id, content))
-            frames[page_id] = frame
+            frames[page_id] = self.disk.read_pages(page_id, 1, build=False)
         if provider is not None:
-            frame.provider = provider
-            frame.dirty = True
-        return frame
+            frames[page_id] = provider
+            self._dirty.setdefault(page_id, True)
 
-    def fix(self, page_id: int) -> Frame:
+    def fix(self, page_id: int) -> None:
         """Pin the page in the pool: :meth:`access`, then one pin.
 
         Raises :class:`BufferPoolError`, before anything is counted, if
         every frame is pinned and the page is not resident.
         """
-        frame = self.access(page_id)
-        frame.pin_count += 1
-        if frame.pin_count == 1:
-            self._pinned += 1
+        self.access(page_id)
+        pins = self._pins
+        count = pins.get(page_id, 0)
+        if not count:
+            self.headroom -= 1
+        pins[page_id] = count + 1
         if checks_enabled():
             self._san_note(page_id)
-        return frame
 
     def fix_new(self, page_id: int, data: Payload | None = None,
-                record: bool = True) -> Frame:
+                record: bool = True) -> None:
         """Pin a freshly allocated page without reading it from disk.
 
-        The frame starts dirty: the caller is responsible for the content
-        reaching disk (via :meth:`flush_page` or eviction).
+        The page starts dirty, written back with ``record``: the caller is
+        responsible for the content reaching disk (via :meth:`flush_page`
+        or eviction).
         """
-        if page_id in self._frames:
+        frames = self._frames
+        if page_id in frames:
             raise BufferPoolError(f"page {page_id} is already resident")
         self._make_room(1)
-        frame = Frame(page_id=page_id, data=data, dirty=True,
-                      pin_count=1, record=record)
-        self._frames[page_id] = frame
-        self._pinned += 1
-        self._touch(frame)
+        frames[page_id] = data if data is not None else b""
+        self._dirty[page_id] = record
+        self._pins[page_id] = 1
+        self.headroom -= 1
         if checks_enabled():
             self._san_note(page_id)
-        return frame
 
     def access_new(self, page_id: int, provider: Callable[[], bytes]) -> None:
         """Install a freshly allocated page, dirty, with no pin held.
 
         :meth:`fix_new`, :meth:`set_provider` and a dirty :meth:`unfix`
-        in one call: no read, no count, the same victim, and the frame
+        in one call: no read, no count, the same victim, and the page
         ends at the recency end with ``provider`` as its content.
         """
         frames = self._frames
         if page_id in frames:
             raise BufferPoolError(f"page {page_id} is already resident")
         self._make_room(1)
-        frames[page_id] = Frame(page_id, dirty=True, provider=provider)
+        frames[page_id] = provider
+        self._dirty[page_id] = True
 
     def unfix(self, page_id: int, dirty: bool = False) -> None:
         """Release one pin on the page, optionally marking it dirty."""
-        frame = self._frames.get(page_id)
-        if frame is None or frame.pin_count <= 0:
+        pins = self._pins
+        count = pins.get(page_id)
+        if not count:
             raise BufferPoolError(f"page {page_id} is not fixed")
-        frame.pin_count -= 1
-        if frame.pin_count == 0:
-            self._pinned -= 1
+        if count == 1:
+            del pins[page_id]
+            self.headroom += 1
+        else:
+            pins[page_id] = count - 1
         if dirty:
-            frame.dirty = True
+            self._dirty.setdefault(page_id, True)
         if self._san_pins:
             sites = self._san_pins.get(page_id)
             if sites:
@@ -201,20 +215,17 @@ class BufferPool:
 
         The one pin-balance check: called between operations
         (``REPRO_CHECKS=1`` hooks it into every manager op span, on normal
-        and failed exits), when no frame may still be pinned.  The message
+        and failed exits), when no page may still be pinned.  The message
         names the leaked pages and, when the sanitizer recorded them,
         the exact fix()/fix_new() call sites that acquired the pins.
         """
-        leaked = {
-            page_id: frame.pin_count
-            for page_id, frame in self._frames.items()
-            if frame.pin_count > 0
-        }
+        leaked = self._pins
         where = f" after {context}" if context else ""
         if not leaked:
-            if self._pinned:
+            if self.headroom != self.capacity:
                 raise ContractViolationError(
-                    f"pin accounting drift{where}: _pinned={self._pinned} "
+                    f"pin accounting drift{where}: "
+                    f"_pinned={self.capacity - self.headroom} "
                     "but no frame holds a pin"
                 )
             return
@@ -231,18 +242,23 @@ class BufferPool:
 
     def set_provider(self, page_id: int, provider: Callable[[], bytes]) -> None:
         """Attach a lazy content provider to a resident page."""
-        frame = self._frames.get(page_id)
-        if frame is None:
+        if page_id not in self._frames:
             raise BufferPoolError(f"page {page_id} is not resident")
-        frame.provider = provider
+        self._frames[page_id] = provider
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @pure_read
-    def lookup(self, page_id: int) -> Frame | None:
-        """Return the resident frame for the page, if any (no I/O)."""
-        return self._frames.get(page_id)
+    def page(self, page_id: int) -> Payload:
+        """A resident page's content, as stored: no count, no I/O, no
+        change to the recency order.  A builder (a pending image, a
+        provider) is called for it.  Raises :class:`BufferPoolError` if
+        the page is not resident.
+        """
+        content = self._frames.get(page_id)
+        if content is None:
+            raise BufferPoolError(f"page {page_id} is not resident")
+        return content() if callable(content) else content
 
     @pure_read
     def is_resident(self, page_id: int) -> bool:
@@ -255,11 +271,12 @@ class BufferPool:
         return len(self._frames)
 
     def frames(self) -> Iterator[tuple[int, int, bool]]:
-        """``(page_id, pin_count, dirty)`` of every resident frame, least
+        """``(page_id, pin_count, dirty)`` of every resident page, least
         recently used first.  No I/O and no change to the recency order.
         """
-        for page_id, frame in self._frames.items():
-            yield page_id, frame.pin_count, frame.dirty
+        pins, dirty = self._pins, self._dirty
+        for page_id in self._frames:
+            yield page_id, pins.get(page_id, 0), page_id in dirty
 
     def resident_image(self, page_id: int) -> Payload | None:
         """The full image of a cached page, counted as a hit, else None.
@@ -270,28 +287,13 @@ class BufferPool:
         caller decides how it is fetched.  A plain method, not a
         ``@pure_read`` bracket: it sits on every unaligned segment read.
         """
-        frame = self._frames.get(page_id)
-        if frame is None:
+        content = self._frames.get(page_id)
+        if content is None:
             return None
         self.stats.hits += 1
-        return _page_image(frame.content(), self.config.page_size)
-
-    @pure_read
-    def free_or_evictable(self) -> int:
-        """Number of frames that are empty or hold unpinned pages.
-
-        Empty slots plus unpinned residents is ``capacity - pinned``, and
-        the pinned count is maintained incrementally, so this is O(1).
-        """
-        return self.capacity - self._pinned
-
-    @property
-    def headroom(self) -> int:
-        """``capacity - pinned``: the contract-free twin of
-        :meth:`free_or_evictable` for checks that guard every segment
-        access (the ``@pure_read`` bracketing alone is measurable there).
-        """
-        return self.capacity - self._pinned
+        if callable(content):
+            content = content()
+        return _page_image(content, self.config.page_size)
 
     @pure_read
     def can_accommodate(self, n_pages: int) -> bool:
@@ -299,10 +301,9 @@ class BufferPool:
 
         This is the run-time "buffer availability" criterion of Section 3.2
         (after Effelsberg & Haerder): the run must fit the pool and enough
-        unpinned frames must exist to make room.  (``free_or_evictable``
-        inlined: this query guards every segment access.)
+        unpinned frames must exist to make room.
         """
-        return n_pages <= self.capacity and n_pages <= self.capacity - self._pinned
+        return n_pages <= self.capacity and n_pages <= self.headroom
 
     # ------------------------------------------------------------------
     # Multi-page runs
@@ -313,13 +314,13 @@ class BufferPool:
         Pages already resident are reused (and counted as hits); each
         maximal missing sub-run is read with a single physical I/O, after
         evicting around the run's own pages the way eviction steps around
-        pinned frames, so the run takes no pin.  Every page of the run then
+        pinned pages, so the run takes no pin.  Every page of the run then
         ends at the recency end, in request order.  Returns the
         concatenated content of the whole run; a ``record=False`` run of
         two or more pages returns its length alone, a
         :class:`~repro.core.payload.SizedPayload`, with no byte work.
 
-        A run the pool cannot hold beside the frames pinned outside it
+        A run the pool cannot hold beside the pages pinned outside it
         is refused with :class:`BufferPoolError` before anything is
         counted, evicted or read (the criterion of
         :meth:`can_accommodate`, exact for a run that is partly resident).
@@ -329,38 +330,40 @@ class BufferPool:
         capacity = self.capacity
         if n_pages == 1:
             # The usual run (a boundary page, an index page): one probe.
-            frame = frames.get(start)
-            if frame is not None:
+            content = frames.get(start)
+            if content is not None:
                 stats.hits += 1
                 frames.move_to_end(start)
-                return _page_image(frame.content(), self.config.page_size)
-            if self._pinned >= capacity:
+                if callable(content):
+                    content = content()
+                return _page_image(content, self.config.page_size)
+            if not self.headroom:
                 raise BufferPoolError("all buffer frames are pinned")
             stats.misses += 1
             if len(frames) >= capacity:
                 self._evict_many(1)
-            view = self.disk.read_page_views(start, 1)[0]
-            frames[start] = Frame(start, view, False, 0, record)
-            return view
+            content = frames[start] = self.disk.read_page_views(start, 1)[0]
+            return content
         # One probe per page decides hit or miss.
         end = start + n_pages
-        get = frames.get
         missing = []
-        pinned_in_run = 0
         for page_id in range(start, end):
-            frame = get(page_id)
-            if frame is None:
+            if page_id not in frames:
                 missing.append(page_id)
-            elif frame.pin_count:
-                pinned_in_run += 1
         n_missing = len(missing)
         if n_missing:
-            if n_pages + self._pinned - pinned_in_run > capacity:
+            pins = self._pins
+            pinned_in_run = 0
+            if pins:
+                for page_id in range(start, end):
+                    if page_id in pins:
+                        pinned_in_run += 1
+            if n_pages - pinned_in_run > self.headroom:
                 raise BufferPoolError("all buffer frames are pinned")
             stats.misses += n_missing
         stats.hits += n_pages - n_missing
         # Each missing sub-run in order: room made around the run's own
-        # pages, one disk call, frames appended unpinned.  When nothing
+        # pages, one disk call, pages appended unpinned.  When nothing
         # was resident the one sub-run is the run, appended in request
         # order, which is already its recency order.
         runs = (
@@ -371,10 +374,10 @@ class BufferPool:
             need = len(frames) + run_len - capacity
             if need > 0:
                 self._evict_many(need, start, end)
-            page_id = run_start
-            for data in self.disk.read_page_views(run_start, run_len):
-                frames[page_id] = Frame(page_id, data, False, 0, record)
-                page_id += 1
+            frames.update(zip(
+                range(run_start, run_start + run_len),
+                self.disk.read_page_views(run_start, run_len),
+            ))
         if n_missing < n_pages:
             move_to_end = frames.move_to_end
             for page_id in range(start, end):
@@ -385,7 +388,7 @@ class BufferPool:
                 self._check_phantom_run(start, n_pages)
             return SizedPayload(n_pages * page_size)
         return payload_concat([
-            _page_image(frames[page_id].content(), page_size)
+            _page_image(self.page(page_id), page_size)
             for page_id in range(start, end)
         ])
 
@@ -394,7 +397,7 @@ class BufferPool:
         the run is returned as its length, so each of its pages, resident
         now, must read as zeros."""
         for page_id in range(start, start + n_pages):
-            content = self._frames[page_id].content()
+            content = self.page(page_id)
             if content != bytes(len(content)):
                 raise ContractViolationError(
                     f"phantom run {start}+{n_pages} holds recorded bytes "
@@ -410,48 +413,53 @@ class BufferPool:
         """Write a run of adjacent pages in one I/O, refreshing the cache.
 
         The sanctioned path for layers above the pool to put page-aligned
-        images on disk without fixing frames: the write is charged as one
+        images on disk without fixing pages: the write is charged as one
         physical access and any resident copy is refreshed (clean) so
         later buffered reads see the new content.  ``data`` may be one
         :class:`~repro.disk.disk.PendingImage` per page, which the disk
         keeps unbuilt; a resident copy then reads it back from the disk.
         """
         self.disk.write_pages(start, n_pages, data, record=record)
+        resident = self.resident_in(start, n_pages)
+        if not resident:
+            return
+        frames = self._frames
+        dirty = self._dirty
+        if isinstance(data, list):
+            peek_pages = self.disk.peek_pages
+            for page_id in resident:
+                frames[page_id] = functools.partial(peek_pages, page_id, 1)
+                dirty.pop(page_id, None)
+            return
         page_size = self.config.page_size
-        for page_id in self.resident_in(start, n_pages):
-            if isinstance(data, list):
-                frame = self._frames[page_id]
-                frame.data, frame.dirty = None, False
-                frame.provider = functools.partial(
-                    self.disk.peek_pages, page_id, 1
-                )
-                continue
-            # Slice the page once and hand the finished image through;
-            # update_if_resident stores it as-is.
+        for page_id in resident:
+            # Slice the page once and store the finished image, clean:
+            # update_if_resident's refresh, inlined.
             lo = (page_id - start) * page_size
-            page = _page_image(data[lo : lo + page_size], page_size)
-            self.update_if_resident(page_id, page)
+            frames[page_id] = _page_image(data[lo : lo + page_size], page_size)
+            dirty.pop(page_id, None)
 
     def update_if_resident(self, page_id: int, data: Payload,
                            dirty: bool = False) -> None:
         """Refresh the cached copy of a page after it was written to disk."""
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            frame.data = data
-            frame.provider = None
-            frame.dirty = dirty
+        if page_id in self._frames:
+            self._frames[page_id] = data
+            if dirty:
+                self._dirty.setdefault(page_id, True)
+            else:
+                self._dirty.pop(page_id, None)
 
     def invalidate(self, page_id: int) -> None:
         """Drop a page from the pool, discarding any dirty content.
 
         Used when the page's disk space is freed; raises if pinned.
         """
-        frame = self._frames.get(page_id)
-        if frame is None:
+        if page_id not in self._frames:
             return
-        if frame.pin_count:
+        if page_id in self._pins:
             raise BufferPoolError(f"cannot invalidate pinned page {page_id}")
         del self._frames[page_id]
+        self._dirty.pop(page_id, None)
 
     def invalidate_run(self, start: int, n_pages: int) -> None:
         """Invalidate every resident page in the run, or none of them.
@@ -459,20 +467,22 @@ class BufferPool:
         Raises if any of them is pinned, before dropping anything.
         """
         frames = self._frames
+        dirty = self._dirty
         resident = self.resident_in(start, n_pages)
         for page_id in resident:
-            if frames[page_id].pin_count:
+            if page_id in self._pins:
                 raise BufferPoolError(
                     f"cannot invalidate pinned page {page_id}"
                 )
         for page_id in resident:
             del frames[page_id]
+            dirty.pop(page_id, None)
 
     def resident_in(self, start: int, n_pages: int) -> list[int]:
         """The run's resident page ids, ascending.
 
         Whichever is smaller is probed, the run or the pool: a freed
-        Starburst tail is ~1,000 pages against at most ``capacity`` frames.
+        Starburst tail is ~1,000 pages against at most ``capacity`` pages.
         """
         frames = self._frames
         if n_pages <= len(frames):
@@ -489,144 +499,143 @@ class BufferPool:
         )
 
     def reset(self) -> None:
-        """Drop every frame without writeback: reboot semantics.
+        """Drop every page without writeback: reboot semantics.
 
         Crash recovery restarts the pool from the disk image alone —
-        whatever was resident (including dirty frames that never made
+        whatever was resident (including dirty pages that never made
         it to disk) is lost, exactly as a power failure loses RAM.
-        Raises if any frame is still pinned: a pinned frame means an
+        Raises if any page is still pinned: a pinned page means an
         operation is mid-flight and "rebooting" under it would be a
         caller bug, not a crash simulation.
         """
-        for page_id, frame in self._frames.items():
-            if frame.pin_count:
+        for page_id in self._frames:
+            if page_id in self._pins:
                 raise BufferPoolError(
                     f"cannot reset pool with pinned page {page_id}"
                 )
         self._frames.clear()
-        self._pinned = 0
+        self._dirty.clear()
+        self._pins.clear()
+        self.headroom = self.capacity
         self._san_pins.clear()
 
     def flush_page(self, page_id: int) -> None:
         """Write the page to disk now if it is resident and dirty."""
-        frame = self._frames.get(page_id)
-        if frame is not None and frame.dirty:
-            self._writeback(frame)
+        if page_id in self._dirty:
+            self._writeback(page_id)
 
     def flush_all(self) -> None:
         """Write every dirty page to disk, grouping contiguous runs."""
-        dirty_ids = sorted(
-            page_id for page_id, f in self._frames.items() if f.dirty
-        )
-        for run_start, run_len in contiguous_runs(dirty_ids):
+        dirty = self._dirty
+        page_size = self.config.page_size
+        for run_start, run_len in contiguous_runs(sorted(dirty)):
+            run = range(run_start, run_start + run_len)
             data = payload_concat([
-                _page_image(
-                    self._frames[run_start + i].content(),
-                    self.config.page_size,
-                )
-                for i in range(run_len)
+                _page_image(self.page(page_id), page_size) for page_id in run
             ])
-            record = all(
-                self._frames[run_start + i].record for i in range(run_len)
-            )
+            record = all(dirty[page_id] for page_id in run)
             tracer = self.disk.tracer
             if tracer is not None:
                 tracer.event("pool.writeback", page=run_start, pages_n=run_len)
             self.disk.write_pages(run_start, run_len, data, record=record)
-            for i in range(run_len):
-                frame = self._frames[run_start + i]
-                frame.dirty = False
+            for page_id in run:
+                del dirty[page_id]
                 self.stats.dirty_writebacks += 1
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _touch(self, frame: Frame) -> None:
-        self._frames.move_to_end(frame.page_id)
-
     def _make_room(self, n_frames: int) -> None:
         need = len(self._frames) + n_frames - self.capacity
         if need > 0:
             self._evict_many(need)
 
     def _evict_many(self, k: int, start: int = 0, end: int = 0) -> None:
-        """Evict ``k`` frames, bulk fast path for the all-clean case.
+        """Evict ``k`` pages, bulk fast path for the all-clean case.
 
-        Pinned frames and the pages of the run ``[start, end)`` being read
+        Pinned pages and the pages of the run ``[start, end)`` being read
         are never victims: :meth:`read_run` keeps its own pages this way
         instead of pinning them.  ``k`` successive :meth:`_evict_one`
         calls each take the first such candidate that is *clean* in
-        recency order, and removing a clean frame leaves every other
-        frame's state untouched — so when the first ``k`` clean candidates
+        recency order, and removing a clean page leaves every other
+        page's state untouched — so when the first ``k`` clean candidates
         exist, they are exactly the victims the sequential loop would
         pick, in the same order, and can be dropped in one pass (same
         eviction counts, no writebacks, same tracer events).  Any dirty or
-        skipped frame short of ``k`` falls back to the exact sequential
+        skipped page short of ``k`` falls back to the exact sequential
         loop.
         """
-        victims: list[Frame] = []
-        for frame in self._frames.values():
-            if frame.pin_count or frame.dirty or start <= frame.page_id < end:
+        skip = self._dirty
+        if self._pins:
+            skip = skip.keys() | self._pins.keys()
+        frames = self._frames
+        victims = []
+        left = k
+        for page_id in frames:
+            if page_id in skip or start <= page_id < end:
                 continue
-            victims.append(frame)
-            if len(victims) == k:
+            victims.append(page_id)
+            left -= 1
+            if not left:
                 break
-        if len(victims) < k:
+        else:
             for _ in range(k):
                 self._evict_one(start, end)
             return
-        frames = self._frames
         tracer = self.disk.tracer
-        for frame in victims:
-            del frames[frame.page_id]
+        for page_id in victims:
+            del frames[page_id]
             if tracer is not None:
-                tracer.event("pool.evict", page=frame.page_id, dirty=False)
+                tracer.event("pool.evict", page=page_id, dirty=False)
         self.stats.evictions += k
 
     def _evict_one(self, start: int, end: int) -> None:
         victim = self._choose_victim(start, end)
         if victim is None:
             raise BufferPoolError("all buffer frames are pinned")
-        was_dirty = victim.dirty
+        was_dirty = victim in self._dirty
         if was_dirty:
             self._writeback(victim)
         self.stats.evictions += 1
-        del self._frames[victim.page_id]
+        del self._frames[victim]
         tracer = self.disk.tracer
         if tracer is not None:
-            tracer.event("pool.evict", page=victim.page_id, dirty=was_dirty)
+            tracer.event("pool.evict", page=victim, dirty=was_dirty)
 
-    def _choose_victim(self, start: int, end: int) -> Frame | None:
-        """LRU among clean unpinned frames, then dirty unpinned frames,
+    def _choose_victim(self, start: int, end: int) -> int | None:
+        """LRU among clean unpinned pages, then dirty unpinned pages,
         outside the run ``[start, end)``.
 
         ``_frames`` iterates in recency order, so the first unpinned
-        clean frame *is* the clean LRU victim — the scan usually stops
-        after one or two frames instead of ranking every frame — and the
-        first unpinned dirty frame seen is the exact dirty-LRU fallback.
+        clean page *is* the clean LRU victim — the scan usually stops
+        after one or two pages instead of ranking every page — and the
+        first unpinned dirty page seen is the exact dirty-LRU fallback.
         """
-        fallback: Frame | None = None
-        for frame in self._frames.values():
-            if frame.pin_count or start <= frame.page_id < end:
+        dirty = self._dirty
+        pins = self._pins
+        fallback: int | None = None
+        for page_id in self._frames:
+            if page_id in pins or start <= page_id < end:
                 continue
-            if not frame.dirty:
-                return frame
+            if page_id not in dirty:
+                return page_id
             if fallback is None:
-                fallback = frame
+                fallback = page_id
         return fallback
 
     # _choose_victim's recency-order scan is also what makes
     # _evict_many's bulk fast path exact: both read _frames front to
-    # back, so "first k clean unpinned frames" is the same victim
+    # back, so "first k clean unpinned pages" is the same victim
     # sequence either way.
 
-    def _writeback(self, frame: Frame) -> None:
+    def _writeback(self, page_id: int) -> None:
         tracer = self.disk.tracer
         if tracer is not None:
-            tracer.event("pool.writeback", page=frame.page_id)
-        content = _page_image(frame.content(), self.config.page_size)
-        self.disk.write_pages(frame.page_id, 1, content, record=frame.record)
-        frame.dirty = False
+            tracer.event("pool.writeback", page=page_id)
+        content = _page_image(self.page(page_id), self.config.page_size)
+        self.disk.write_pages(page_id, 1, content,
+                              record=self._dirty[page_id])
+        del self._dirty[page_id]
         self.stats.dirty_writebacks += 1
 
 

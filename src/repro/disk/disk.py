@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import Callable, NamedTuple, Protocol, cast, overload
+from typing import Any, Callable, NamedTuple, Protocol, cast, overload
 
 from repro.core.config import SystemConfig
 from repro.core.errors import (
@@ -123,6 +123,17 @@ class PendingImage(NamedTuple):
 
     build: Callable[[], bytes]
     expect: bytes | None
+
+
+def pending_image(
+    build: Callable[[], bytes],
+    expect: bytes | None = None,
+    _new: Callable[..., Any] = tuple.__new__,
+) -> PendingImage:
+    """``PendingImage(build, expect)`` through ``tuple.__new__``: the same
+    type and fields without the generated ``__new__``, a Python-level
+    function whose argument handling doubles the cost of a construction."""
+    return _new(PendingImage, (build, expect))  # type: ignore[no-any-return]
 
 
 #: Page-state bitmaps are one ``int`` per ``1 << _CHUNK_BITS`` page ids.
@@ -719,7 +730,7 @@ class SimulatedDisk:
             self._checksums.pop(page_id, None)
         pages = self._pages
         known = len(pages)
-        pages[page_id] = PendingImage(build, expect)
+        pages[page_id] = pending_image(build, expect)
         if len(pages) != known:
             self._mark_recorded(page_id, 1)
 

@@ -206,11 +206,12 @@ class RecordStore:
             # The page was freed when its last record was deleted.
             raise ObjectNotFoundError(f"no record page {page_id}")
         # Charged like any small-object page touch, cached or not.
-        frame = self.env.pool.access(page_id)
+        pool = self.env.pool
+        pool.access(page_id)
         if page_id not in self._cache:
             self._cache[page_id] = SlottedPage(
                 self.env.config.page_size,
-                frame.content().ljust(self.env.config.page_size, b"\x00"),
+                pool.page(page_id).ljust(self.env.config.page_size, b"\x00"),
             )
         return self._cache[page_id]
 

@@ -362,9 +362,9 @@ class SegmentIO:
     # ------------------------------------------------------------------
     def _should_buffer(self, n_pages: int) -> bool:
         pool = self.pool
-        # pool.can_accommodate(n_pages) inlined via the contract-free
-        # headroom property: the wrapped call guards every segment
-        # access, and the wrapper alone shows up at paper scale.
+        # pool.can_accommodate(n_pages) inlined via the plain headroom
+        # attribute: the wrapped call guards every segment access, and
+        # the wrapper alone shows up at paper scale.
         return (
             n_pages <= self.config.max_buffered_segment_pages
             and n_pages <= pool.capacity

@@ -28,7 +28,7 @@ from repro.core.errors import (
     ObjectTooLargeError,
     StorageCorruptionError,
 )
-from repro.disk.disk import PendingImage, contiguous_runs
+from repro.disk.disk import contiguous_runs, pending_image
 from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
@@ -247,7 +247,7 @@ class PositionalTree:
         for run_start, run_len in contiguous_runs(sorted(self._dirty)):
             run = [nodes[run_start + i] for i in range(run_len)]
             self.pool.write_run(run_start, run_len, [
-                PendingImage(
+                pending_image(
                     node.snapshot(config),
                     node.serialize(config, is_root=False) if checks else None,
                 )
@@ -705,10 +705,10 @@ class PositionalTree:
             # root is memory-resident with the object descriptor, so its
             # accesses are never charged.
             return node
-        frame = self.pool.access(page_id)
+        self.pool.access(page_id)
         if node is None:
             node, _total, _rightmost = IndexNode.deserialize(
-                frame.content().ljust(self.config.page_size, b"\x00"),
+                self.pool.page(page_id).ljust(self.config.page_size, b"\x00"),
                 page_id,
                 is_root=False,
                 data_base=self.data_base,

@@ -69,7 +69,7 @@ def fingerprint(
         "pool": dataclasses.astuple(pool.stats),
         "frames": [
             (page_id, pins, dirty,
-             pool.lookup(page_id).content() if contents else None)
+             pool.page(page_id) if contents else None)
             for page_id, pins, dirty in pool.frames()
         ],
     }

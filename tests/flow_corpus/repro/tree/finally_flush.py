@@ -29,7 +29,7 @@ class BadBracket:
     def unfix_in_finally_is_sanctioned(self, page_id):
         self.pool.fix(page_id)
         try:
-            return self.pool.lookup(page_id)
+            return self.pool.page(page_id)
         finally:
             self.pool.unfix(page_id)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.buffer.pool import BufferPool, PoolStats
 from repro.core.config import small_page_config
 from repro.core.errors import BufferPoolError, IOFaultError
+from repro.core.payload import SizedPayload
 from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
 from repro.faults.injector import FaultInjector
@@ -38,13 +39,13 @@ class TestPendingPages:
         _config, cost, disk, pool = make_pool()
         calls = []
         pool.write_run(5, 1, [self.builder(calls)])
-        frame = pool.access(5)
+        assert pool.access(5) is None
         assert calls == []
         assert (cost.stats.read_calls, pool.stats.misses) == (1, 1)
         assert list(pool.frames()) == [(5, 0, False)]
         assert pool.resident_image(5) == self.IMAGE
         assert calls == [1]
-        assert pool.read_run(5, 1) == frame.content() == self.IMAGE
+        assert pool.read_run(5, 1) == pool.page(5) == self.IMAGE
         assert disk.peek_pages(5, 1) == self.IMAGE
         assert calls == [1]
         assert (cost.stats.read_calls, pool.stats.hits) == (1, 2)
@@ -66,8 +67,8 @@ class TestFixUnfix:
     def test_miss_reads_from_disk(self):
         _config, cost, disk, pool = make_pool()
         disk.poke_pages(5, b"content")
-        frame = pool.fix(5)
-        assert frame.data[:7] == b"content"
+        pool.fix(5)
+        assert pool.page(5)[:7] == b"content"
         assert cost.stats.read_calls == 1
         pool.unfix(5)
 
@@ -95,8 +96,9 @@ class TestFixUnfix:
 
     def test_fix_new_does_not_read(self):
         _config, cost, _disk, pool = make_pool()
-        frame = pool.fix_new(7, b"fresh")
-        assert frame.dirty
+        pool.fix_new(7, b"fresh")
+        assert list(pool.frames()) == [(7, 1, True)]
+        assert pool.page(7) == b"fresh"
         assert cost.stats.read_calls == 0
         pool.unfix(7)
 
@@ -137,8 +139,8 @@ class TestEviction:
 
     def test_dirty_eviction_writes_back(self):
         _config, cost, disk, pool = make_pool(pool_pages=1)
-        frame = pool.fix(1)
-        frame.data = b"dirty!"
+        pool.fix(1)
+        pool.update_if_resident(1, b"dirty!", dirty=True)
         pool.unfix(1, dirty=True)
         pool.fix(2)
         pool.unfix(2)
@@ -292,11 +294,12 @@ def _occupied_pool():
 
 
 def _frame_states(pool):
-    """Every frame in recency order, with all that a caller can observe."""
+    """Every page in recency order, with all that a caller can observe,
+    and whether the pool holds its image or a builder of it."""
     return [
-        (page_id, bytes(frame.content()), frame.dirty,
-         frame.provider is None, frame.pin_count)
-        for page_id, frame in pool._frames.items()
+        (page_id, bytes(pool.page(page_id)), dirty,
+         not callable(pool._frames[page_id]), pins)
+        for page_id, pins, dirty in pool.frames()
     ]
 
 
@@ -370,9 +373,8 @@ class TestAccessAgainstFixUnfix:
         (cost, disk, pool), (ref_cost, ref_disk, reference) = sides
         for step, (page, touch_provider) in enumerate(steps):
             directory[0] = step
-            frame = pool.access(page, touch_provider)
+            assert pool.access(page, touch_provider) is None
             self._by_pair(reference, page, touch_provider)
-            assert frame is pool.lookup(page)
             assert pool.stats == reference.stats
             assert list(pool.frames()) == list(reference.frames())
             assert _frame_states(pool) == _frame_states(reference)
@@ -380,7 +382,7 @@ class TestAccessAgainstFixUnfix:
             assert cost.stats == ref_cost.stats
         assert pool.stats.evictions == 4
         assert pool.stats.dirty_writebacks == 1
-        assert bytes(pool.lookup(3).content()) == bytes([8]) + bytes(63)
+        assert bytes(pool.page(3)) == bytes([8]) + bytes(63)
 
     def test_access_new_matches_the_fix_new_bracket(self):
         # A new page into free frames, then into a full pool whose only
@@ -406,6 +408,38 @@ class TestAccessAgainstFixUnfix:
         with pytest.raises(BufferPoolError, match="already resident"):
             pool.access_new(11, provider)
         assert _frame_states(pool) == _frame_states(reference)
+
+
+class TestDirtyRecordFlag:
+    """A dirty page is written back recorded or phantom by the flag fixed
+    when it first became dirty: ``fix_new``'s ``record``, else True."""
+
+    def test_an_unrecorded_new_page_writes_back_phantom(self):
+        _config, _cost, disk, pool = make_pool(pool_pages=1)
+        pool.fix_new(7, b"fresh", record=False)
+        pool.unfix(7, dirty=True)
+        pool.read_run(8, 1)                     # evicts 7, dirty
+        assert pool.stats.dirty_writebacks == 1
+        assert disk.image() == {7: None}
+
+    def test_a_page_dirtied_by_a_provider_writes_back_recorded(self):
+        _config, _cost, disk, pool = make_pool(pool_pages=1)
+        pool.access(7, lambda: b"directory")
+        pool.read_run(8, 1)                     # evicts 7, dirty
+        assert pool.stats.dirty_writebacks == 1
+        assert disk.image() == {7: b"directory".ljust(128, b"\x00")}
+
+    def test_a_phantom_read_page_dirtied_later_writes_back_recorded(self):
+        # The read's record=False is not kept with the clean page: it is
+        # dirtied as any page is, and its writeback records its bytes.
+        _config, _cost, disk, pool = make_pool(pool_pages=1)
+        disk.write_pages(7, 1, SizedPayload(128), record=False)
+        pool.read_run(7, 1, record=False)
+        pool.fix(7)
+        pool.unfix(7, dirty=True)
+        pool.flush_all()
+        assert pool.stats.dirty_writebacks == 1
+        assert disk.image() == {7: bytes(128)}
 
 
 class TestFlush:

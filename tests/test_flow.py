@@ -202,7 +202,7 @@ class TestCrashSafeCleanup:
                 def op(self, page_id):
                     self.pool.fix(page_id)
                     try:
-                        return self.pool.lookup(page_id)
+                        return self.pool.page(page_id)
                     finally:
                         self.pool.unfix(page_id)
             """)

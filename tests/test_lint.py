@@ -647,8 +647,8 @@ class TestRuntimeContracts:
         store = LargeObjectStore("eos", small_page_config())
         oid = store.create(b"x" * 4096)
         pool = store.env.pool
-        assert pool.lookup(10**9) is None
-        assert isinstance(pool.free_or_evictable(), int)
+        assert pool.is_resident(10**9) is False
+        assert pool.can_accommodate(1) is True
         assert store.read(oid, 0, 16) == b"x" * 16
 
 

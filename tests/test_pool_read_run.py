@@ -21,7 +21,6 @@ import random
 
 import pytest
 
-from repro.buffer.frame import Frame
 from repro.buffer.pool import BufferPool, _page_image
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
@@ -47,69 +46,68 @@ def _three_branch_read_run(
     page_size = self.config.page_size
     stats = self.stats
     get = frames.get
+    pins = self._pins
     resident = [get(page) for page in pages]
     n_missing = resident.count(None)
     if n_missing == 0:
         stats.hits += n_pages
         chunks = []
-        for frame in resident:
-            self._touch(frame)
-            chunks.append(_page_image(frame.content(), page_size))
+        for page in pages:
+            frames.move_to_end(page)
+            chunks.append(_page_image(self.page(page), page_size))
         return payload_concat(chunks)
     if n_missing == n_pages:
         stats.misses += n_pages
         self._make_room(n_pages)
         views = self.disk.read_page_views(start, n_pages)
         for i, data in enumerate(views):
-            frames[start + i] = Frame(start + i, data, False, 0, record)
+            frames[start + i] = data
         return payload_concat(views)
     missing = []
-    for page, frame in zip(pages, resident):
-        if frame is None:
+    for page, content in zip(pages, resident):
+        if content is None:
             missing.append(page)
         else:
-            frame.pin_count += 1
-            if frame.pin_count == 1:
-                self._pinned += 1
+            count = pins.get(page, 0)
+            pins[page] = count + 1
+            if count == 0:
+                self.headroom -= 1
     stats.hits += n_pages - len(missing)
     stats.misses += len(missing)
     for run_start, run_len in contiguous_runs(missing):
         self._make_room(run_len)
         views = self.disk.read_page_views(run_start, run_len)
         for i, data in enumerate(views):
-            frame = Frame(
-                page_id=run_start + i,
-                data=data,
-                record=record,
-                pin_count=1,
-            )
-            frames[run_start + i] = frame
-        self._pinned += run_len
+            frames[run_start + i] = data
+            pins[run_start + i] = 1
+        self.headroom -= run_len
     chunks = []
     for page in pages:
-        frame = frames[page]
-        frame.pin_count -= 1
-        if frame.pin_count == 0:
-            self._pinned -= 1
-        self._touch(frame)
-        chunks.append(_page_image(frame.content(), page_size))
+        count = pins[page] - 1
+        if count == 0:
+            del pins[page]
+            self.headroom += 1
+        else:
+            pins[page] = count
+        frames.move_to_end(page)
+        chunks.append(_page_image(self.page(page), page_size))
     return payload_concat(chunks)
 
 
 def fits(pool: BufferPool, start: int, n_pages: int) -> bool:
     """Whether the run can be held beside the frames pinned outside it."""
-    in_run = [pool.lookup(page) for page in range(start, start + n_pages)]
-    if None not in in_run:
+    pages = range(start, start + n_pages)
+    if all(pool.is_resident(page) for page in pages):
         return True
     pinned_outside = pool.capacity - pool.headroom - sum(
-        1 for frame in in_run if frame is not None and frame.pin_count
+        1 for page, pins, _ in pool.frames() if page in pages and pins
     )
     return n_pages + pinned_outside <= pool.capacity
 
 
-def resident_frames(pool: BufferPool) -> list[Frame]:
-    """The resident frames, least recently used first."""
-    return [pool.lookup(page) for page, _, _ in pool.frames()]
+def resident_frames(pool: BufferPool) -> list[tuple[int, int, bool]]:
+    """``(page, pins, dirty)`` of the resident pages, least recent first."""
+    return list(pool.frames())
 
 
 def reference_read_run(
@@ -156,9 +154,9 @@ class Twin:
             "io": dataclasses.astuple(self.env.cost.stats),
             "headroom": pool.headroom,
             "frames": [
-                (frame.page_id, frame.pin_count, frame.dirty, frame.record,
-                 type(frame.data), bytes(frame.content()))
-                for frame in resident_frames(pool)
+                (page, pins, dirty, type(pool.page(page)),
+                 bytes(pool.page(page)))
+                for page, pins, dirty in resident_frames(pool)
             ],
             "events since the last look": events,
         }
@@ -170,7 +168,7 @@ def outcome(call):
         result = call()
     except BufferPoolError as error:
         return ("refused", str(error))
-    if result is None or isinstance(result, Frame):
+    if result is None:
         return ("done",)
     return ("payload", type(result), len(result), bytes(result))
 
@@ -207,13 +205,11 @@ def situations(pool: BufferPool, start: int, n_pages: int) -> set[str]:
     if 0 < len(missing) < n_pages and len(contiguous_runs(missing)) == 2:
         seen.add("mixed run with two missing sub-runs")
     if missing and len(frames) + len(missing) > pool.capacity:
-        unpinned = [f for f in frames if not f.pin_count]
-        if unpinned[0].page_id in pages:
+        unpinned = [(page, dirty) for page, pins, dirty in frames if not pins]
+        if unpinned[0][0] in pages:
             seen.add("the run's resident page would have been the victim")
-        candidates = [f for f in unpinned if f.page_id not in pages]
-        if candidates and candidates[0].dirty and any(
-            not f.dirty for f in candidates
-        ):
+        candidates = [dirty for page, dirty in unpinned if page not in pages]
+        if candidates and candidates[0] and not all(candidates):
             seen.add("eviction skips a dirty frame for a clean one")
     return seen
 
@@ -267,7 +263,7 @@ def test_one_pass_matches_the_three_branches(frames, recorded):
             image = bytes([rng.randrange(256)]) * PAGE if recorded else None
             for twin in (new, old):
                 if op == "dirty" and image is not None:
-                    twin.pool.lookup(page).data = image
+                    twin.pool.update_if_resident(page, image, dirty=True)
                 twin.pool.unfix(page, dirty=op == "dirty")
             results = []
         elif op == "write":

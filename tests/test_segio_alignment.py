@@ -377,8 +377,9 @@ def test_write_pages(nbytes, resident, policy):
             first, n_pages
         )
         if resident:
-            frame = stack.pool.lookup(first)
-            assert frame.content() == model.content[first] and not frame.dirty
+            dirty = {page: flag for page, _, flag in stack.pool.frames()}
+            assert stack.pool.page(first) == model.content[first]
+            assert not dirty[first]
 
 
 def _unaligned(byte_off, nbytes):

@@ -122,7 +122,7 @@ class BufferPoolMachine(RuleBasedStateMachine):
 
     @rule(page=pages)
     def fix_page(self, page):
-        if self.pool.free_or_evictable() == 0 and not self.pool.is_resident(
+        if self.pool.headroom == 0 and not self.pool.is_resident(
             page
         ):
             try:
@@ -130,8 +130,8 @@ class BufferPoolMachine(RuleBasedStateMachine):
             except BufferPoolError:
                 return  # all frames pinned: correct refusal
             raise AssertionError("fix should have failed with all pins")
-        frame = self.pool.fix(page)
-        assert frame.content() == self.content[page]
+        self.pool.fix(page)
+        assert self.pool.page(page) == self.content[page]
         self.pins[page] = self.pins.get(page, 0) + 1
 
     @rule(page=pages)
@@ -167,8 +167,7 @@ class BufferPoolMachine(RuleBasedStateMachine):
     def resident_content_is_current(self):
         for page_id, _, dirty in self.pool.frames():
             if not dirty:
-                frame = self.pool.lookup(page_id)
-                assert frame.content() == self.content[page_id]
+                assert self.pool.page(page_id) == self.content[page_id]
 
 
 class BuddyAllocatorMachine(RuleBasedStateMachine):
