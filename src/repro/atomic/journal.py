@@ -18,9 +18,8 @@ commit needs.  All journal writes go through the buffer pool's
 sanctioned :meth:`~repro.buffer.pool.BufferPool.write_run` path: they
 are charged physical writes, carry the disk's page-checksum envelope,
 and are intercepted by an armed fault injector like any other I/O.
-A record is sized by arithmetic and handed to the disk as one
-:class:`~repro.disk.disk.PendingImage` per page, framed only when first
-read (``REPRO_CHECKS=1`` checks the build against the eager bytes).
+A record is sized by arithmetic and handed to the disk as one builder
+per page, framed only when the page is first read.
 Journal *reads* during recovery use ``disk.peek_pages`` — recovery works
 from the image alone and charges nothing for the forensic scan.
 
@@ -35,14 +34,13 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.env import StorageEnvironment
 from repro.core.errors import InvalidArgumentError
 from repro.core.payload import Payload, SizedPayload
-from repro.disk.disk import PendingImage, SimulatedDisk, pending_image
+from repro.disk.disk import SimulatedDisk
 from repro.exec.plan import APPEND, DELETE, INSERT, READ, REPLACE, BatchOp, MultiOp
-from repro.lint.contracts import checks_enabled
 
 #: Journal record kinds.
 PREPARE = 1
@@ -335,9 +333,11 @@ class IntentJournal:
         shard: int,
         participants: Sequence[int] = (),
         mops: Sequence[MultiOp] = (),
-    ) -> list[PendingImage]:
-        """A record as one pending image per whole page, refused before
-        anything is written if it needs more than ``limit_pages``."""
+    ) -> list[Callable[[], bytes]]:
+        """A record as one builder per whole page, refused before
+        anything is written if it needs more than ``limit_pages``.  Each
+        page frames the whole record: a shared framing would let the
+        disk's check at the write answer every later build."""
         mops, size = _sized(participants, mops)
         page_size = self.env.config.page_size
         n_pages = -(-size // page_size)
@@ -349,16 +349,12 @@ class IntentJournal:
             )
         build = functools.partial(_frame, kind, batch_id, coordinator, shard,
                                   tuple(participants), mops, n_pages * page_size)
-        expect = build() if checks_enabled() else None
         if n_pages == 1:
-            return [pending_image(build, expect)]
-        whole = functools.cache(build)  # built once, sliced per page
-        return [pending_image(
-            lambda lo=lo: whole()[lo : lo + page_size],
-            None if expect is None else expect[lo : lo + page_size],
-        ) for lo in range(0, n_pages * page_size, page_size)]
+            return [build]
+        return [lambda lo=lo: build()[lo : lo + page_size]
+                for lo in range(0, n_pages * page_size, page_size)]
 
-    def _write(self, page_id: int, record: list[PendingImage]) -> int:
+    def _write(self, page_id: int, record: list[Callable[[], bytes]]) -> int:
         """Write a record's pages; returns how many."""
         # Charged, checksummed, fault-interceptable — one physical write.
         self.env.pool.write_run(page_id, len(record), record, record=True)
@@ -371,7 +367,7 @@ class IntentJournal:
         shard: int,
         participants: Sequence[int],
         mops: Sequence[MultiOp],
-    ) -> list[PendingImage]:
+    ) -> list[Callable[[], bytes]]:
         """The shard's PREPARE record, ready for :meth:`write_prepare`.
 
         Raises :class:`InvalidArgumentError` if the PREPARE area cannot
@@ -382,7 +378,7 @@ class IntentJournal:
             participants, mops,
         )
 
-    def write_prepare(self, record: list[PendingImage]) -> int:
+    def write_prepare(self, record: list[Callable[[], bytes]]) -> int:
         """Journal the shard's intent (from :meth:`encode_prepare`);
         returns the pages written.
 

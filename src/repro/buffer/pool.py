@@ -35,13 +35,13 @@ import collections
 import dataclasses
 import functools
 import sys
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from repro.core.config import SystemConfig
 from repro.core.errors import BufferPoolError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
-from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
-from repro.lint.contracts import checks_enabled, pure_read
+from repro.disk.disk import SimulatedDisk, contiguous_runs
+from repro.lint.contracts import pure_read
 
 #: What a resident page holds: its image, or a builder of it.
 Resident = Union[Payload, Callable[[], bytes]]
@@ -76,6 +76,8 @@ class BufferPool:
     def __init__(self, config: SystemConfig, disk: SimulatedDisk) -> None:
         self.config = config
         self.disk = disk
+        #: The disk's runtime-checks switch (see ``SimulatedDisk.checks``).
+        self.checks = disk.checks
         self.capacity = config.buffer_pool_pages
         #: Resident pages in recency order, each to its image or its
         #: builder: a hit moves the page to the end, so victim selection
@@ -142,7 +144,7 @@ class BufferPool:
         if not count:
             self.headroom -= 1
         pins[page_id] = count + 1
-        if checks_enabled():
+        if self.checks:
             self._san_note(page_id)
 
     def fix_new(self, page_id: int, data: Payload | None = None,
@@ -161,15 +163,15 @@ class BufferPool:
         self._dirty[page_id] = record
         self._pins[page_id] = 1
         self.headroom -= 1
-        if checks_enabled():
+        if self.checks:
             self._san_note(page_id)
 
     def access_new(self, page_id: int, provider: Callable[[], bytes]) -> None:
         """Install a freshly allocated page, dirty, with no pin held.
 
-        :meth:`fix_new`, :meth:`set_provider` and a dirty :meth:`unfix`
-        in one call: no read, no count, the same victim, and the page
-        ends at the recency end with ``provider`` as its content.
+        :meth:`fix_new` and a dirty :meth:`unfix` in one call, with
+        ``provider`` as the page's content: no read, no count, the same
+        victim, and the page ends at the recency end.
         """
         frames = self._frames
         if page_id in frames:
@@ -239,12 +241,6 @@ class BufferPool:
         raise ContractViolationError(
             f"pin leak{where}: " + "; ".join(details)
         )
-
-    def set_provider(self, page_id: int, provider: Callable[[], bytes]) -> None:
-        """Attach a lazy content provider to a resident page."""
-        if page_id not in self._frames:
-            raise BufferPoolError(f"page {page_id} is not resident")
-        self._frames[page_id] = provider
 
     # ------------------------------------------------------------------
     # Queries
@@ -384,7 +380,7 @@ class BufferPool:
                 move_to_end(page_id)
         page_size = self.config.page_size
         if not record:
-            if checks_enabled():
+            if self.checks:
                 self._check_phantom_run(start, n_pages)
             return SizedPayload(n_pages * page_size)
         return payload_concat([
@@ -408,7 +404,7 @@ class BufferPool:
     # Writeback and invalidation
     # ------------------------------------------------------------------
     def write_run(self, start: int, n_pages: int,
-                  data: Payload | list[PendingImage],
+                  data: Payload | list[Callable[[], bytes]],
                   record: bool = True) -> None:
         """Write a run of adjacent pages in one I/O, refreshing the cache.
 
@@ -416,27 +412,44 @@ class BufferPool:
         images on disk without fixing pages: the write is charged as one
         physical access and any resident copy is refreshed (clean) so
         later buffered reads see the new content.  ``data`` may be one
-        :class:`~repro.disk.disk.PendingImage` per page, which the disk
-        keeps unbuilt; a resident copy then reads it back from the disk.
+        builder per page, which the disk keeps unbuilt
+        (:meth:`~repro.disk.disk.SimulatedDisk.write_pages`); a resident
+        copy then reads it back from the disk.
         """
         self.disk.write_pages(start, n_pages, data, record=record)
         resident = self.resident_in(start, n_pages)
         if not resident:
             return
+        if isinstance(data, list):
+            self._read_back(resident)
+            return
         frames = self._frames
         dirty = self._dirty
-        if isinstance(data, list):
-            peek_pages = self.disk.peek_pages
-            for page_id in resident:
-                frames[page_id] = functools.partial(peek_pages, page_id, 1)
-                dirty.pop(page_id, None)
-            return
         page_size = self.config.page_size
         for page_id in resident:
             # Slice the page once and store the finished image, clean:
             # update_if_resident's refresh, inlined.
             lo = (page_id - start) * page_size
             frames[page_id] = _page_image(data[lo : lo + page_size], page_size)
+            dirty.pop(page_id, None)
+
+    def commit_image(self, page_id: int, build: Callable[[], bytes]) -> None:
+        """Commit a metadata page, uncharged: the commit point of a root
+        or descriptor.  The disk keeps ``build`` unbuilt
+        (:meth:`~repro.disk.disk.SimulatedDisk.defer_image`) and a
+        resident copy is refreshed clean to read it back from there."""
+        self.disk.defer_image(page_id, build)
+        if page_id in self._frames:
+            self._read_back((page_id,))
+
+    def _read_back(self, page_ids: Iterable[int]) -> None:
+        """Refresh resident pages, clean, with a read of their disk image
+        when their bytes are handed out: a pending image stays unbuilt."""
+        frames = self._frames
+        dirty = self._dirty
+        peek_pages = self.disk.peek_pages
+        for page_id in page_ids:
+            frames[page_id] = functools.partial(peek_pages, page_id, 1)
             dirty.pop(page_id, None)
 
     def update_if_resident(self, page_id: int, data: Payload,

@@ -23,7 +23,6 @@ from repro.core.errors import (
 from repro.core.payload import Payload
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
-from repro.lint.contracts import checks_enabled
 from repro.obs.tracer import NULL_SPAN
 
 
@@ -95,7 +94,7 @@ class LargeObjectManager(abc.ABC):
             span = tracer.span(f"op.{op}", scheme=self.scheme)
         else:
             span = tracer.span(f"op.{op}", scheme=self.scheme, oid=oid)
-        if checks_enabled():
+        if self.env.disk.checks:
             return _san_guarded(self.env.pool, f"op.{op}", span)
         return span
 

@@ -14,14 +14,15 @@ two database areas (Section 4.1):
 
 Page state is kept *by the run*, the paper's unit of space and of I/O
 (Sections 3.1, 4.1), not by the page.  ``_pages`` holds recorded images
-only: ``bytes``, or a :class:`PendingImage` from
-:meth:`SimulatedDisk.defer_image` or from a charged
-:meth:`SimulatedDisk.write_pages` of shadowed index pages or journal
-records, which the page's first read builds and replaces by its
-bytes.  "written in phantom mode" and "has a recorded image" are two
-bitmaps of one Python ``int`` per chunk of ``1 << _CHUNK_BITS``
-consecutive page ids (page ids start at ``1 << 40``, so one area-wide
-``int`` would make every operation cost the area).
+only: ``bytes``, or a :class:`PendingImage` of the builder a writer
+handed to :meth:`SimulatedDisk.defer_image` or a charged
+:meth:`SimulatedDisk.write_pages`, which the page's first read builds
+(and, with :attr:`SimulatedDisk.checks` on, checks against its build at
+the write) and replaces by its bytes.  "written in phantom mode" and
+"has a recorded image" are two bitmaps of one Python ``int`` per chunk
+of ``1 << _CHUNK_BITS`` consecutive page ids (page ids start at
+``1 << 40``, so one area-wide ``int`` would make every operation cost
+the area).
 Writing, discarding or reading a run that holds no recorded bytes is one
 mask operation per chunk it touches — a maximal 8,192-page segment
 touches three — however long the run is; only pages that carry bytes are
@@ -76,7 +77,7 @@ from repro.core.errors import (
 )
 from repro.core.payload import Payload, SizedPayload
 from repro.disk.iomodel import DEFAULT_RETRY_POLICY, CostModel, RetryPolicy
-from repro.lint.contracts import pure_read
+from repro.lint.contracts import checks_enabled, pure_read
 from repro.obs.tracer import Tracer
 
 
@@ -119,21 +120,16 @@ class FaultSite(Protocol):
 
 class PendingImage(NamedTuple):
     """A page image built when the page is first read: ``build()``
-    returns the whole page; ``expect``, if set, is what it must return."""
+    returns the whole page; ``expect``, set when the disk's checks are
+    on, is what ``build()`` returned at the write."""
 
     build: Callable[[], bytes]
     expect: bytes | None
 
 
-def pending_image(
-    build: Callable[[], bytes],
-    expect: bytes | None = None,
-    _new: Callable[..., Any] = tuple.__new__,
-) -> PendingImage:
-    """``PendingImage(build, expect)`` through ``tuple.__new__``: the same
-    type and fields without the generated ``__new__``, a Python-level
-    function whose argument handling doubles the cost of a construction."""
-    return _new(PendingImage, (build, expect))  # type: ignore[no-any-return]
+#: ``_new(PendingImage, (build, expect))`` skips the generated ``__new__``,
+#: whose argument handling doubles the cost of a construction.
+_new: Callable[..., Any] = tuple.__new__
 
 
 #: Page-state bitmaps are one ``int`` per ``1 << _CHUNK_BITS`` page ids.
@@ -178,6 +174,9 @@ class SimulatedDisk:
     def __init__(self, config: SystemConfig, cost_model: CostModel) -> None:
         self.config = config
         self.cost = cost_model
+        #: ``REPRO_CHECKS=1`` as the disk was built: the runtime checks'
+        #: one switch.  On, each pending image is built when written too.
+        self.checks = checks_enabled()
         #: Recorded page images only; :attr:`_recorded` mirrors its keys.
         self._pages: dict[int, bytes | PendingImage] = {}
         #: Chunk -> bitmap of the pages that hold a recorded image (the
@@ -356,7 +355,7 @@ class SimulatedDisk:
         self,
         start: int,
         n_pages: int,
-        data: Payload | list[PendingImage],
+        data: Payload | list[Callable[[], bytes]],
         record: bool = True,
     ) -> None:
         """Write ``n_pages`` physically adjacent pages in one I/O call.
@@ -367,16 +366,23 @@ class SimulatedDisk:
         :class:`SizedPayload` is all zeros by definition, so recording it
         stores the shared zero page for every page of the run — the stored
         images are bit-identical to writing materialized zeros.  A list of
-        one :class:`PendingImage` per page is stored unbuilt, charged the same.
+        one builder per page is stored unbuilt, as :class:`PendingImage`
+        slots, and charged the same; a list of any other length is
+        refused, as an oversized buffer is, before anything is charged.
         """
         self._check_range(start, n_pages)
-        self.page_changes += 1
         page_size = self.config.page_size
-        if len(data) > n_pages * page_size:
+        if isinstance(data, list):
+            if len(data) != n_pages:
+                raise AllocationError(
+                    f"writing {len(data)} page builders into {n_pages} pages"
+                )
+        elif len(data) > n_pages * page_size:
             raise AllocationError(
                 f"writing {len(data)} bytes into {n_pages} pages of "
                 f"{page_size} bytes each"
             )
+        self.page_changes += 1
         site = self._fault_site
         tear_at: int | None = None
         if site is not None:
@@ -406,7 +412,7 @@ class SimulatedDisk:
         self,
         start: int,
         n_pages: int,
-        data: Payload | list[PendingImage],
+        data: Payload | list[Callable[[], bytes]],
         record: bool,
         limit: int | None = None,
     ) -> None:
@@ -449,7 +455,7 @@ class SimulatedDisk:
             pages[start] = data
         elif isinstance(data, list):
             for i in range(stop):
-                pages[start + i] = data[i]
+                pages[start + i] = self._pending(data[i])
         else:
             # Store per-page images straight from the caller's buffer: one
             # copy per page instead of the old pad-whole-buffer-then-slice
@@ -470,6 +476,13 @@ class SimulatedDisk:
         if len(pages) != known:
             self._mark_recorded(start, stop)
 
+    def _pending(self, build: Callable[[], bytes]) -> PendingImage:
+        """The slot of a page written as ``build``, built now as well when
+        :attr:`checks` is on, for every later build to match."""
+        return _new(  # type: ignore[no-any-return]
+            PendingImage, (build, build() if self.checks else None)
+        )
+
     def _built(self, page_id: int) -> bytes:
         """A recorded page's bytes, building a pending image in place."""
         content = self._pages[page_id]
@@ -478,7 +491,7 @@ class SimulatedDisk:
             if content.expect is not None and image != content.expect:
                 raise ContractViolationError(
                     f"page {page_id}: the image built on read differs from "
-                    "the bytes serialized when it was written"
+                    "the one built when it was written"
                 )
             content = self._pages[page_id] = image
         return content
@@ -709,19 +722,14 @@ class SimulatedDisk:
         if len(self._pages) != known:
             self._mark_recorded(start, n_pages)
 
-    def defer_image(
-        self,
-        page_id: int,
-        build: Callable[[], bytes],
-        expect: bytes | None = None,
-    ) -> None:
+    def defer_image(self, page_id: int, build: Callable[[], bytes]) -> None:
         """:meth:`poke_pages` of one page, with ``build()`` as its image.
 
         The first read, peek, :meth:`image` or :meth:`corrupt_page` of
         the page runs ``build`` and stores the bytes in place; a poke,
         write or discard before then drops the :class:`PendingImage`
-        unbuilt.  Under ``REPRO_CHECKS=1`` callers pass ``expect``, the
-        eager serializer's bytes, which the build must reproduce.
+        unbuilt.  With :attr:`checks` on, ``build`` also runs now, and
+        the read's build must reproduce those bytes.
         """
         self._check_halted()
         self._check_range(page_id, 1)
@@ -730,7 +738,7 @@ class SimulatedDisk:
             self._checksums.pop(page_id, None)
         pages = self._pages
         known = len(pages)
-        pages[page_id] = pending_image(build, expect)
+        pages[page_id] = self._pending(build)
         if len(pages) != known:
             self._mark_recorded(page_id, 1)
 

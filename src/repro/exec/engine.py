@@ -13,7 +13,7 @@ two batch-scoped strategies apply to every op:
   to the engine, which commits each distinct root/descriptor exactly
   once at the batch boundary — the shadowing commit point of Section
   3.3 — as a snapshot the disk builds into bytes only when the page is
-  read (``SimulatedDisk.defer_image``).  Charged index-page flushes
+  read (``BufferPool.commit_image``).  Charged index-page flushes
   still run inside each operation — deferring those would change the
   paper's cost model.
 

@@ -2,19 +2,18 @@
 
 :func:`pure_read` declares that a method never mutates the simulated disk:
 it may read pages (and charge read cost) but must not write, poke, defer,
-discard or corrupt them.  When the environment variable
-``REPRO_CHECKS=1`` is set, the decorator reads the disk's
-``page_changes`` counter, which every one of those calls bumps, around
-each call and raises :class:`~repro.core.errors.ContractViolationError`
-if it moved.
+discard or corrupt them.  With the runtime checks on, the decorator reads
+the disk's ``page_changes`` counter, which every one of those calls
+bumps, around each call and raises
+:class:`~repro.core.errors.ContractViolationError` if it moved.
 
-``REPRO_CHECKS=1`` is the one switch for every runtime self-check: these
-purity contracts, the buffer pool's pin-balance sanitizer (acquisition
-sites recorded on every fix, balance asserted after every manager
-operation, failed ones included while the disk is not halted) and a
-private throwaway tracer for every untraced environment
-(:func:`repro.obs.runtime.resolve_tracer`), so the tracing code paths run
-under the whole test suite.  Unset, each check is one cheap test.
+``REPRO_CHECKS=1`` is the one switch for every runtime self-check, read
+once when a :class:`~repro.disk.disk.SimulatedDisk` is built and kept as
+its ``checks`` flag: these contracts; the disk's check that each pending
+page image builds on read as it built at the write; the pool's
+pin-balance sanitizer; and a private tracer for every untraced
+environment (:func:`repro.obs.runtime.resolve_tracer`).  Off, each check
+is one attribute test.
 """
 
 from __future__ import annotations
@@ -30,23 +29,9 @@ F = TypeVar("F", bound=Callable[..., Any])
 #: Environment variable that switches the runtime checks on.
 CHECKS_FLAG = "REPRO_CHECKS"
 
-# ``os.environ.get`` costs ~1 microsecond per call (key encode + mapping
-# lookup) and the flag guards paths invoked hundreds of thousands of
-# times per experiment run, so it is read through the environment's
-# underlying dict: still dynamic (tests monkeypatch the variable
-# mid-process) at plain-dict-lookup cost.
-try:
-    _ENV: dict[Any, Any] | None = os.environ._data  # type: ignore[attr-defined]
-    _KEY = os.environ.encodekey(CHECKS_FLAG)  # type: ignore[attr-defined]
-    _ON = os.environ.encodevalue("1")  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - non-CPython environ layout
-    _ENV = None
-
 
 def checks_enabled() -> bool:
-    """True when ``REPRO_CHECKS=1`` is set in the environment."""
-    if _ENV is not None:
-        return _ENV.get(_KEY) == _ON
+    """True when ``REPRO_CHECKS=1`` is set in the environment now."""
     return os.environ.get(CHECKS_FLAG, "") == "1"
 
 
@@ -69,17 +54,17 @@ def _find_disk(obj: Any) -> Any | None:
 
 
 def pure_read(func: F) -> F:
-    """Declare (and under ``REPRO_CHECKS=1`` assert) disk purity.
+    """Declare (and, with the checks on, assert) disk purity.
 
     The decorated method must not mutate the simulated disk: no page
     writes, pokes, deferrals, discards or corruptions, directly or
     transitively.  Reading — including charged reads through the cost
-    model — is allowed.
+    model — is allowed.  The owner carries its disk's ``checks`` flag.
     """
 
     @functools.wraps(func)
     def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-        if not checks_enabled():
+        if not self.checks:
             return func(self, *args, **kwargs)
         disk = _find_disk(self)
         if disk is None:

@@ -106,7 +106,7 @@ _DISK_MUTATORS = frozenset(
 )
 _POOL_MUTATORS = frozenset({
     "write_run", "flush_all", "flush_page", "invalidate", "invalidate_run",
-    "update_if_resident", "set_provider", "access_new",
+    "update_if_resident", "access_new", "commit_image",
 })
 _ALLOC_MUTATORS = frozenset({"allocate", "free", "free_range"})
 

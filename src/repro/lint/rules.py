@@ -587,12 +587,11 @@ SEAMS: tuple[Seam, ...] = (
         "dirty set",
     ),
     Seam(
-        "SEAM008", "pool fix/unfix/fix_new/set_provider only in repro/buffer/ "
-        "and tests/",
+        "SEAM008", "pool fix/unfix/fix_new only in repro/buffer/ and tests/",
         lambda node: (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("fix", "unfix", "fix_new", "set_provider")
+            and node.func.attr in ("fix", "unfix", "fix_new")
         ),
         under("repro/buffer/", "tests/"),
         "no pin outlives one pool call outside the pool: a page touch is "

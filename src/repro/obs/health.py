@@ -313,14 +313,16 @@ def _check(condition: bool, message: str) -> None:
 class HealthProbe:
     """Read-only walker over one :class:`LargeObjectStore`.
 
-    Holds ``self.env`` so the ``@pure_read`` contract can fingerprint
-    the store's simulated disk under ``REPRO_CHECKS=1`` — any charged
-    write attempted during a probe raises ``ContractViolationError``.
+    Holds ``self.env`` and its disk's ``checks`` flag so the
+    ``@pure_read`` contract can fingerprint the store's simulated disk
+    with the checks on — any charged write attempted during a probe
+    raises ``ContractViolationError``.
     """
 
     def __init__(self, store: "LargeObjectStore", shard: int = 0) -> None:
         self.store = store
         self.env = store.env
+        self.checks = store.env.disk.checks
         self.shard = shard
 
     # -- per-area -------------------------------------------------------

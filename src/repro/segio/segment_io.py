@@ -42,7 +42,6 @@ from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
-from repro.lint.contracts import checks_enabled
 
 #: The runs one segment read charged: the head page, the middle run and
 #: the tail page of the 3-step read (each None when not read), or a
@@ -270,7 +269,7 @@ class SegmentIO:
         disk = pool.disk
         tracer = disk.tracer
         record = self.record_leaf_data
-        checked = checks_enabled()
+        checked = disk.checks
         read_covering = self._read_covering
         parts: list[Payload] = []
         remaining = sum(nbytes for _page, nbytes in sinks)
@@ -391,7 +390,7 @@ class SegmentIO:
         charged (a lone phantom ``middle`` of that length as it is): every
         leaf page of the store is phantom or never written, so reads as
         zeros, as ``REPRO_CHECKS=1`` checks."""
-        if checks_enabled() and any(
+        if self.pool.checks and any(
             run is not None and run != bytes(len(run))
             for run in (head, middle, last)
         ):

@@ -27,7 +27,6 @@ from repro.core.payload import (
     payload_concat,
     payload_view,
 )
-from repro.lint.contracts import checks_enabled
 from repro.starburst.descriptor import (
     LongFieldDescriptor,
     Segment,
@@ -345,8 +344,7 @@ class StarburstManager(LargeObjectManager):
         The batch engine calls this at the batch boundary, once per
         distinct descriptor the batch changed.  The disk gets a snapshot
         (:meth:`LongFieldDescriptor.snapshot`), packed only when the page
-        is read; under ``REPRO_CHECKS=1`` it is also packed now, for the
-        build to match.
+        is read (:meth:`~repro.buffer.pool.BufferPool.commit_image`).
         """
         tracer = self.env.tracer
         if tracer is not None:
@@ -355,13 +353,9 @@ class StarburstManager(LargeObjectManager):
                 page=descriptor.page_id,
                 segments=len(descriptor.segments),
             )
-        page_id = descriptor.page_id
-        build = descriptor.snapshot(DATA_AREA_BASE)
-        expect = build() if checks_enabled() else None
-        pool = self.env.pool
-        pool.disk.defer_image(page_id, build, expect)
-        if pool.is_resident(page_id):
-            pool.update_if_resident(page_id, pool.disk.peek_pages(page_id, 1))
+        self.env.pool.commit_image(
+            descriptor.page_id, descriptor.snapshot(DATA_AREA_BASE)
+        )
 
     def _allocate_segment(self, alloc_pages: int) -> Segment:
         page_id = self.env.areas.data.allocate(alloc_pages)

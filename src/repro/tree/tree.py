@@ -28,8 +28,7 @@ from repro.core.errors import (
     ObjectTooLargeError,
     StorageCorruptionError,
 )
-from repro.disk.disk import contiguous_runs, pending_image
-from repro.lint.contracts import checks_enabled
+from repro.disk.disk import contiguous_runs
 from repro.obs.tracer import span_of
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
 from repro.tree.node import MAX_OBJECT_BYTES, IndexNode, LeafExtent
@@ -198,8 +197,8 @@ class PositionalTree:
         shadowed index page is safely on disk.  The disk gets a snapshot
         of the root (:meth:`IndexNode.snapshot`), packed only when
         the page is read (recovery, reopen, fsck), seldom before the
-        next commit replaces it.  Under ``REPRO_CHECKS=1`` the eager
-        image is serialized too, for the build to match.  The root
+        next commit replaces it
+        (:meth:`~repro.buffer.pool.BufferPool.commit_image`).  The root
         never relocates and is always readable from memory, so
         committing the *final* state once is image-equivalent to
         committing after every operation.
@@ -208,20 +207,10 @@ class PositionalTree:
         root = self._nodes[root_page_id]
         parent = self._rightmost_leaf_parent()
         rightmost = parent.allocs[-1] if parent and parent.allocs else 0
-        build = root.snapshot(
+        self.pool.commit_image(root_page_id, root.snapshot(
             self.config, is_root=True, total_bytes=self.total_bytes,
             rightmost_alloc=rightmost,
-        )
-        expect = root.serialize(
-            self.config, is_root=True, total_bytes=self.total_bytes,
-            rightmost_alloc=rightmost,
-        ) if checks_enabled() else None
-        disk = self.pool.disk
-        disk.defer_image(root_page_id, build, expect)
-        if self.pool.is_resident(root_page_id):
-            self.pool.update_if_resident(
-                root_page_id, disk.peek_pages(root_page_id, 1)
-            )
+        ))
 
     def mark_root_dirty(self) -> None:
         """Re-mark the root dirty (in-memory only; no I/O).
@@ -238,20 +227,14 @@ class PositionalTree:
     def _flush_non_root(self) -> None:
         """One charged write per run of dirty non-root nodes, each page a
         snapshot of its node built only if the page is read (recovery,
-        reopen, fsck; the tree reads its nodes from memory).  Under
-        ``REPRO_CHECKS=1`` the eager image comes along for the build."""
+        reopen, fsck; the tree reads its nodes from memory)."""
         if not self._dirty:
             return
         nodes, config = self._nodes, self.config
-        checks = checks_enabled()
         for run_start, run_len in contiguous_runs(sorted(self._dirty)):
             run = [nodes[run_start + i] for i in range(run_len)]
             self.pool.write_run(run_start, run_len, [
-                pending_image(
-                    node.snapshot(config),
-                    node.serialize(config, is_root=False) if checks else None,
-                )
-                for node in run
+                node.snapshot(config) for node in run
             ], record=True)
             for node in run:
                 node.dirty = False

@@ -9,8 +9,22 @@ import pytest
 from repro.core.api import LargeObjectStore
 from repro.core.config import SystemConfig, small_page_config
 from repro.core.env import StorageEnvironment
+from repro.lint.contracts import CHECKS_FLAG
 from repro.shard.router import ShardedStore
 from repro.tree.tree import PositionalTree
+
+
+@pytest.fixture
+def checked(request: pytest.FixtureRequest,
+            monkeypatch: pytest.MonkeyPatch) -> bool:
+    """Switch the runtime checks on (``REPRO_CHECKS=1``) for the test, or
+    off where an indirect parametrization gives ``False``; returns which.
+    A disk reads the switch when it is built, so the test builds its
+    stores after this fixture: list it before any fixture that builds one.
+    """
+    on = getattr(request, "param", True)
+    monkeypatch.setenv(CHECKS_FLAG, "1" if on else "0")
+    return on
 
 
 @pytest.fixture

@@ -37,7 +37,6 @@ from repro.core.config import small_page_config
 from repro.core.errors import ChecksumError, CrashError, InvalidArgumentError
 from repro.core.fsck import check, check_atomic_sharded
 from repro.core.payload import SizedPayload
-from repro.disk.disk import PendingImage
 from repro.exec.plan import BatchOp, MultiOp, append_op
 from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
@@ -615,7 +614,8 @@ def test_journal_region_geometry_is_deterministic() -> None:
 # ----------------------------------------------------------------------
 def _count_journal_builds(store: ShardedStore) -> dict[str, int]:
     """Count the journal writes the shards' pools make from now on, and
-    the builds of the pending pages they write."""
+    the builds of the pending pages they write: with the checks on, the
+    disk builds each page it stores once at the write too."""
     counts = {"writes": 0, "builds": 0}
 
     def counted(build):
@@ -632,8 +632,7 @@ def _count_journal_builds(store: ShardedStore) -> dict[str, int]:
             if start in region:
                 assert isinstance(data, list)
                 counts["writes"] += 1
-                data = [PendingImage(counted(image.build), image.expect)
-                        for image in data]
+                data = [counted(build) for build in data]
             write_run(start, n_pages, data, record)
 
         pool.write_run = recording
@@ -656,22 +655,22 @@ def test_atomic_batches_build_no_journal_record() -> None:
             for oid in oids
         ])
     # 4 PREPARE + 1 DECISION + 4 APPLIED single-page writes per batch.
-    assert counts == {"writes": 50 * 9, "builds": 0}
+    written = 50 * 9 if store.shards[0].env.disk.checks else 0
+    assert counts == {"writes": 50 * 9, "builds": written}
     states = [j.read_state() for j in store.coordinator.journals]
-    assert counts["builds"] > 0
+    assert counts["builds"] > written
     assert all(s.resolved and s.prepare.batch_id == 50 for s in states)
     assert all(len(s.prepare.mops) == 1 for s in states)
 
 
 @pytest.mark.parametrize("checked", [False, True],
-                         ids=["unchecked", "checked"])
+                         ids=["unchecked", "checked"], indirect=True)
 def test_torn_three_page_prepare_persists_a_pending_prefix(
-    checked: bool, monkeypatch: pytest.MonkeyPatch
+    checked: bool,
 ) -> None:
     """Tearing a 3-page PREPARE after 2 pages stores those 2 unbuilt;
     built, they are the record's first 2 pages, which fail the CRC, so
     the batch never prepared there and recovery rolls it back."""
-    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
     store = _store("eos", shards=2, atomic=True)
     page = store.config.page_size
     oids = [store.create(_pattern(page + 9, salt=i)) for i in range(2)]
@@ -687,11 +686,14 @@ def test_torn_three_page_prepare_persists_a_pending_prefix(
     with store.fault_injector(plan, shard=1):
         with pytest.raises(CrashError, match="only 2 of 3 pages"):
             store.submit_many(mops)
-    assert counts == {"writes": 2, "builds": 0}  # shard 0's PREPARE too
+    # Shard 0's PREPARE too; checked, its 3 pages and the 2 persisted here
+    # are built as they are written.
+    written = 5 if checked else 0
+    assert counts == {"writes": 2, "builds": written}
     journal = store.coordinator.journals[1]
     disk = store.shards[1].env.disk
     assert disk.peek_pages(journal.base_page, 2) == record[: 2 * page]
-    assert counts["builds"] > 0
+    assert counts["builds"] == written + 2
     assert journal.read_state().prepare is None
     report = recover_sharded_store(store)
     assert report.shards[0].action == "rolled-back"

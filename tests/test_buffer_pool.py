@@ -6,7 +6,7 @@ from repro.buffer.pool import BufferPool, PoolStats
 from repro.core.config import small_page_config
 from repro.core.errors import BufferPoolError, IOFaultError
 from repro.core.payload import SizedPayload
-from repro.disk.disk import PendingImage, SimulatedDisk, contiguous_runs
+from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, every
@@ -33,12 +33,19 @@ class TestPendingPages:
         def build():
             calls.append(1)
             return image
-        return PendingImage(build, None)
+        return build
+
+    def write(self, pool, calls):
+        """Write page 5 as a pending image, and forget the build the disk
+        makes at the write when its checks are on."""
+        pool.write_run(5, 1, [self.builder(calls)])
+        assert calls == ([1] if pool.checks else [])
+        calls.clear()
 
     def test_a_miss_leaves_it_unbuilt_until_its_bytes_are_read(self):
         _config, cost, disk, pool = make_pool()
         calls = []
-        pool.write_run(5, 1, [self.builder(calls)])
+        self.write(pool, calls)
         assert pool.access(5) is None
         assert calls == []
         assert (cost.stats.read_calls, pool.stats.misses) == (1, 1)
@@ -55,12 +62,29 @@ class TestPendingPages:
         disk.poke_pages(5, b"old")
         pool.access(5)
         calls = []
-        pool.write_run(5, 1, [self.builder(calls)])
+        self.write(pool, calls)
         assert calls == []
         assert list(pool.frames()) == [(5, 0, False)]
         assert pool.resident_image(5) == self.IMAGE
         assert calls == [1]
         assert cost.stats.read_calls == 1
+
+    def test_a_commit_refreshes_a_resident_copy_clean_and_unbuilt(self):
+        """``commit_image``, the root and descriptor commit point: an
+        uncharged deferral, and a resident copy, dirty or not, reads the
+        pending image back when its bytes are handed out."""
+        _config, cost, disk, pool = make_pool()
+        pool.access(5, lambda: b"dirty")
+        calls = []
+        pool.commit_image(5, self.builder(calls))
+        pool.commit_image(6, self.builder(calls))  # not resident
+        assert calls == ([1, 1] if pool.checks else [])
+        calls.clear()
+        assert list(pool.frames()) == [(5, 0, False)]
+        assert pool.resident_image(5) == self.IMAGE
+        assert calls == [1]
+        assert cost.stats.write_calls == 0
+        assert disk.peek_pages(6, 1) == self.IMAGE
 
 
 class TestFixUnfix:
@@ -284,12 +308,13 @@ def _occupied_pool():
     """A pool holding pages 10, 13, 12, 17 (in that recency order) in
     every mix of clean/dirty and plain/provider-backed."""
     config, _cost, disk, pool = make_pool(pool_pages=6, page_size=64)
-    for page in (10, 13, 12, 17):
+    for page in (10, 12):
         disk.poke_pages(page, bytes([page]) * 64)
+    disk.defer_image(13, lambda: b"p" * 64)  # read back as its builder
+    for page in (10, 13, 12):
         pool.fix(page)
-        pool.unfix(page, dirty=page in (12, 17))
-    pool.set_provider(13, lambda: b"p" * 64)
-    pool.set_provider(17, lambda: b"q" * 64)
+        pool.unfix(page, dirty=page == 12)
+    pool.access(17, lambda: b"q" * 64)
     return config, disk, pool
 
 
@@ -337,14 +362,14 @@ class TestRunsAgainstThePerPageLoop:
 
 class TestAccessAgainstFixUnfix:
     """``access`` is one charged touch with no pin held: it must leave
-    what ``fix`` then ``unfix`` (with ``set_provider`` and a dirty unfix
-    when given a provider) leave, step by step."""
+    what ``fix`` then ``unfix`` (with the provider put in the frame and a
+    dirty unfix when given one) leave, step by step."""
 
     @staticmethod
     def _by_pair(pool, page, provider):
         pool.fix(page)
         if provider is not None:
-            pool.set_provider(page, provider)
+            pool._frames[page] = provider
         pool.unfix(page, dirty=provider is not None)
 
     def test_same_counts_order_flags_and_image(self):
@@ -398,7 +423,7 @@ class TestAccessAgainstFixUnfix:
             provider = lambda page=page: bytes([page]) * 64
             pool.access_new(page, provider)
             reference.fix_new(page)
-            reference.set_provider(page, provider)
+            reference._frames[page] = provider
             reference.unfix(page, dirty=True)
             assert pool.stats == reference.stats
             assert _frame_states(pool) == _frame_states(reference)
@@ -454,9 +479,7 @@ class TestFlush:
 
     def test_provider_supplies_content_at_writeback(self):
         _config, _cost, disk, pool = make_pool()
-        pool.fix(1)
-        pool.set_provider(1, lambda: b"lazy" + bytes(124))
-        pool.unfix(1, dirty=True)
+        pool.access(1, lambda: b"lazy" + bytes(124))
         pool.flush_page(1)
         assert disk.peek_pages(1, 1)[:4] == b"lazy"
 

@@ -7,7 +7,10 @@ import pytest
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.api import LargeObjectStore
+from repro.atomic import journal as journal_module
+from repro.atomic.journal import IntentJournal
 from repro.core.config import small_page_config
+from repro.core.env import StorageEnvironment
 from repro.core.errors import (
     AllocationError,
     ByteRangeError,
@@ -27,8 +30,9 @@ from repro.disk.disk import (
 from repro.disk.iomodel import CostModel
 from repro.exec.plan import REPLACE, BatchOp, MultiOp, append_op, replace_op
 from repro.faults import NEVER, FaultInjector, FaultPlan, at
-from repro.lint.contracts import CHECKS_FLAG
 from repro.shard.router import ShardedStore
+from repro.starburst import descriptor as descriptor_module
+from repro.tree import node as node_module
 
 
 @pytest.fixture
@@ -55,6 +59,22 @@ class TestReadWrite:
     def test_oversized_write_rejected(self, disk):
         with pytest.raises(AllocationError):
             disk.write_pages(0, 1, bytes(129))
+
+    @pytest.mark.parametrize("n_builders", [0, 2, 4])
+    def test_a_list_of_the_wrong_length_is_refused_first(
+        self, disk, n_builders
+    ):
+        """One builder per page or nothing: a list that is too long or too
+        short is refused before the write is charged, the fault site is
+        asked or any page changes."""
+        disk.install_fault_site(_Flaky())
+        before = (disk.cost.stats, disk.page_changes, disk.image(),
+                  dict(disk._recorded))
+        with pytest.raises(AllocationError, match="page builders"):
+            disk.write_pages(5, 3, [lambda: bytes(128)] * n_builders)
+        assert (disk.cost.stats, disk.page_changes, disk.image(),
+                dict(disk._recorded)) == before
+        assert disk.pages_in_use == 0
 
     def test_negative_page_rejected(self, disk):
         with pytest.raises(AllocationError):
@@ -525,6 +545,9 @@ class TestDeferredImage:
         deferred, poked = disks
         deferred.defer_image(TestDeferredImage.PAGE, build)
         poked.poke_pages(TestDeferredImage.PAGE, image)
+        # With the checks on, the deferral builds once itself.
+        assert calls == ([1] if deferred.checks else [])
+        calls.clear()
         return deferred, poked, calls
 
     @pytest.mark.parametrize("earlier", [None, True, False])
@@ -594,8 +617,13 @@ class TestDeferredImage:
         assert deferred.verify_checksums() == []
         assert deferred.read_pages(self.PAGE, 1) == bytes(128)
 
-    def test_a_build_that_misses_its_expected_bytes_raises(self, disk):
-        disk.defer_image(self.PAGE, lambda: bytes(128), expect=b"\x01" * 128)
+    def test_a_build_that_misses_its_expected_bytes_raises(self, checked,
+                                                           disk):
+        """With the checks on, the read's build must match the bytes the
+        deferral built."""
+        image = bytearray(128)
+        disk.defer_image(self.PAGE, lambda: bytes(image))
+        image[0] = 1
         with pytest.raises(ContractViolationError):
             disk.peek_pages(self.PAGE, 1)
 
@@ -623,8 +651,8 @@ class TestPendingWrite:
 
     @staticmethod
     def twins(config, n_pages, site=None):
-        """A disk written with one pending image per page and one written
-        with their bytes, after the same history; the builds are
+        """A disk written with one builder per page and one written with
+        their bytes, after the same history; the builds on read are
         counted.  A ``site`` (a fault-site class) is installed on both
         for the write; a crash it raises is left to the caller."""
         start = TestPendingWrite.START
@@ -636,7 +664,7 @@ class TestPendingWrite:
             def build():
                 calls.append(start + i)
                 return images[i]
-            return PendingImage(build, None)
+            return build
 
         disks = []
         for data in ([pending(i) for i in range(n_pages)], b"".join(images)):
@@ -652,7 +680,12 @@ class TestPendingWrite:
             disks.append(disk)
         lazy, eager = disks
         assert lazy.cost.stats == eager.cost.stats
-        assert calls == []
+        # With the checks on, each page stored is built once as written.
+        assert calls == ([
+            page for page in range(start, start + n_pages)
+            if lazy.was_written(page)
+        ] if lazy.checks else [])
+        calls.clear()
         return lazy, eager, calls
 
     @staticmethod
@@ -742,11 +775,13 @@ class TestPendingWrite:
         self.assert_same(lazy, eager)
         assert len(calls) == n_pages
 
-    def test_a_build_that_misses_its_expected_bytes_raises(self, disk):
+    def test_a_build_that_misses_its_expected_bytes_raises(self, checked,
+                                                           disk):
+        second = bytearray(128)
         disk.write_pages(self.START, 2, [
-            PendingImage(lambda: bytes(128), bytes(128)),
-            PendingImage(lambda: bytes(128), b"\x01" * 128),
+            lambda: bytes(128), lambda: bytes(second),
         ])
+        second[0] = 1
         assert disk.peek_pages(self.START, 1) == bytes(128)
         with pytest.raises(ContractViolationError):
             disk.read_pages(self.START, 2)
@@ -756,7 +791,7 @@ class TestPendingWrite:
 # Commit-point images of the managers
 # ----------------------------------------------------------------------
 # ESM and EOS commit their root page, Starburst its long-field
-# descriptor page, at the batch boundary through ``defer_image``: the
+# descriptor page, at the batch boundary through ``commit_image``: the
 # disk keeps a builder over a snapshot taken at the commit.  What happens
 # to the object in memory after that commit, without another commit,
 # must not reach the image; and in the streams the benchmark runs, no
@@ -782,15 +817,14 @@ def _committed(scheme: str) -> tuple[LargeObjectStore, int, PendingImage]:
 
 
 @pytest.mark.parametrize("scheme", MANAGED)
-def test_a_failed_batch_leaves_the_committed_image(scheme, monkeypatch):
+def test_a_failed_batch_leaves_the_committed_image(scheme, checked):
     """A batch that raises after its first op (the shape of the refusal
     row ``atomic-batch-with-a-range-past-the-end``) changes the object
-    in memory and commits nothing: the page still reads as the eager
-    serializer's bytes from the last commit."""
-    monkeypatch.setenv(CHECKS_FLAG, "1")
+    in memory and commits nothing: the page still reads as the disk
+    built it at the last commit."""
     store, oid, pending = _committed(scheme)
-    eager = pending.expect
-    assert eager is not None and len(eager) == store.config.page_size
+    written = pending.expect
+    assert written is not None and len(written) == store.config.page_size
     page = store.config.page_size
     with pytest.raises(ByteRangeError):
         store.submit_ops(oid, [
@@ -799,15 +833,14 @@ def test_a_failed_batch_leaves_the_committed_image(scheme, monkeypatch):
         ])
     disk = store.env.disk
     assert disk._pages[oid] is pending
-    assert disk.peek_pages(oid, 1) == eager
+    assert disk.peek_pages(oid, 1) == written
     assert type(disk._pages[oid]) is bytes
 
 
 @pytest.mark.parametrize("scheme", MANAGED)
-def test_deferred_image_checks_its_premise(scheme, monkeypatch):
-    """Under ``REPRO_CHECKS=1`` a build that differs from the bytes the
-    eager serializer produced at the commit raises when read."""
-    monkeypatch.setenv(CHECKS_FLAG, "1")
+def test_deferred_image_checks_its_premise(scheme, checked):
+    """Under ``REPRO_CHECKS=1`` a build that differs from the one the
+    disk made at the commit raises when read."""
     store, oid, pending = _committed(scheme)
     disk = store.env.disk
     disk._pages[oid] = pending._replace(
@@ -815,6 +848,105 @@ def test_deferred_image_checks_its_premise(scheme, monkeypatch):
     )
     with pytest.raises(ContractViolationError):
         disk.peek_pages(oid, 1)
+
+
+# Each writer of a pending image, as (module, packer, write): ``packer`` is
+# the module function that packs its images, and ``write()`` makes the write
+# on a fresh store and returns (disk, first page, pages, change), where
+# ``change()`` alters the live state the write took its snapshot of.
+def _write_root():
+    store = LargeObjectStore(
+        "esm", small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    oid = store.create(_pattern(6 * store.config.page_size + 37))
+    root = store.manager.tree_of(oid).locate(0).path[0][0]
+
+    def change():
+        root.cums[-1] += 1
+        root.refs[-1] += 1
+    return store.env.disk, oid, 1, change
+
+
+def _write_non_root():
+    store = LargeObjectStore(
+        "esm", small_page_config(), leaf_pages=2, threshold_pages=2
+    )
+    oid = store.create(SizedPayload(200 * store.config.page_size + 5))
+    path = store.manager.tree_of(oid).locate(0).path
+    assert len(path) >= 2
+    node = path[-1][0]
+
+    def change():
+        node.cums[-1] += 1
+        node.refs[-1] += 1
+    return store.env.disk, node.page_id, 1, change
+
+
+def _write_descriptor():
+    store = LargeObjectStore("starburst", small_page_config())
+    oid = store.create()
+    for n in range(4):
+        store.append(oid, _pattern(3 * store.config.page_size, salt=n))
+    segments = store.manager.descriptor_of(oid).segments
+    assert len(segments) >= 2
+
+    def change():
+        segments.reverse()
+    return store.env.disk, oid, 1, change
+
+
+def _write_prepare():
+    env = StorageEnvironment(small_page_config())
+    journal = IntentJournal.reserve(env)
+    participants = [0, 1]
+    mops = [MultiOp(7, append_op(_pattern(2 * env.config.page_size)))]
+    record = journal.encode_prepare(1, 0, 0, participants, mops)
+    assert journal.write_prepare(record) == 3
+
+    def change():
+        participants.append(2)
+        mops.append(MultiOp(8, append_op(b"late")))
+    return env.disk, journal.base_page, 3, change
+
+
+WRITERS = {
+    "root": (node_module, "_image", _write_root),
+    "non-root": (node_module, "_image", _write_non_root),
+    "descriptor": (descriptor_module, "_image", _write_descriptor),
+    "prepare": (journal_module, "_frame", _write_prepare),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_a_pending_page_reads_back_as_it_was_written(
+    checked, monkeypatch, writer
+):
+    """Snapshot isolation of every writer of a pending image: after the
+    write, a change to the live node, descriptor or ops it wrote from
+    does not reach the page.  A twin store read straight after the same
+    write gives the bytes; with the checks on the disk also built each
+    page at the write, and the read must build every page again from
+    the snapshot (a build cached at the write would only compare the
+    write-time bytes with themselves)."""
+    module, name, write = WRITERS[writer]
+    packs: list[int] = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        packs.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    twin, start, n_pages, _change = write()
+    expected = twin.peek_pages(start, n_pages)
+    disk, start, n_pages, change = write()
+    pending = [disk._pages[page] for page in range(start, start + n_pages)]
+    assert all(isinstance(image, PendingImage) and image.expect is not None
+               for image in pending)
+    change()
+    before = len(packs)
+    assert disk.peek_pages(start, n_pages) == expected
+    assert len(packs) - before == n_pages
 
 
 @pytest.fixture

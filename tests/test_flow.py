@@ -167,6 +167,19 @@ class TestCrashSafeCleanup:
         assert rule_ids(violations) == ["FLOW002"]
         assert "defer_image" in violations[0].message
 
+    def test_committed_image_in_finally(self, tmp_path):
+        path = write(tmp_path, "repro/starburst/mod.py", """\
+            class M:
+                def op(self, descriptor):
+                    try:
+                        self.apply(descriptor)
+                    finally:
+                        self.env.pool.commit_image(0, descriptor.snapshot(0))
+            """)
+        violations = flow(path)
+        assert rule_ids(violations) == ["FLOW002"]
+        assert "commit_image" in violations[0].message
+
     def test_transitive_mutation_in_finally(self, tmp_path):
         path = write(tmp_path, "repro/tree/mod.py", """\
             class Tree:

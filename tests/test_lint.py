@@ -283,21 +283,20 @@ SEAM_CASES = [
         def touch(pool, page, provider):
             pool.access(page, provider)
             frame = pool.fix(page)
-            pool.set_provider(page, provider)
             pool.unfix(page, dirty=True)
             return pool.fix_new(page + 1), frame
-        """, [3, 4, 5, 6]),
+        """, [3, 4, 5]),
     case("SEAM008", "buddy_pin_flagged", "repro/buddy/allocator.py", """\
         def grow(pool, page, provider):
             pool.access_new(page, provider)
             pool.fix_new(page)
-            pool.set_provider(page, provider)
+            pool.access(page, provider)
             pool.unfix(page, dirty=True)
-        """, [3, 4, 5]),
+        """, [3, 5]),
     case("SEAM008", "buffer_package_allowed", "repro/buffer/pool.py", """\
         def grow(pool, page, provider):
             pool.fix_new(page)
-            pool.set_provider(page, provider)
+            pool.access(page, provider)
             pool.unfix(page, dirty=True)
         """, []),
 ]
@@ -576,6 +575,7 @@ class _NaughtyReader:
 
     def __init__(self, disk):
         self.disk = disk
+        self.checks = disk.checks
 
     @pure_read
     def naughty(self, how="write"):
@@ -601,13 +601,17 @@ _PHANTOM_PAGE = 10**6 + 1
 _RECORDED_PAGE = 10**6 + 2
 
 
+def _written_disk():
+    disk = LargeObjectStore("eos", small_page_config()).env.disk
+    disk.write_pages(_PHANTOM_PAGE, 1, b"", record=False)
+    disk.write_pages(_RECORDED_PAGE, 1, b"\x07" * 128)
+    return disk
+
+
 class TestRuntimeContracts:
     @pytest.fixture
     def disk(self):
-        disk = LargeObjectStore("eos", small_page_config()).env.disk
-        disk.write_pages(_PHANTOM_PAGE, 1, b"", record=False)
-        disk.write_pages(_RECORDED_PAGE, 1, b"\x07" * 128)
-        return disk
+        return _written_disk()
 
     def test_flag_detection(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
@@ -615,35 +619,31 @@ class TestRuntimeContracts:
         monkeypatch.setenv("REPRO_CHECKS", "1")
         assert checks_enabled()
 
-    def test_violation_raises_under_debug(self, disk, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKS", "1")
+    def test_violation_raises_under_debug(self, checked, disk):
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty()
 
     @pytest.mark.parametrize("how", ["poke", "discard"])
-    def test_uncharged_mutation_raises_under_debug(self, disk, monkeypatch, how):
-        monkeypatch.setenv("REPRO_CHECKS", "1")
+    def test_uncharged_mutation_raises_under_debug(self, checked, disk, how):
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty(how)
 
     @pytest.mark.parametrize("how", ["repoke", "defer"])
     def test_in_place_change_of_a_written_page_raises_under_debug(
-        self, disk, monkeypatch, how
+        self, checked, disk, how
     ):
         """A poke or deferral over a page that is already written adds
         no page and charges no write; the contract sees it anyway."""
-        monkeypatch.setenv("REPRO_CHECKS", "1")
         in_use = disk.pages_in_use
         with pytest.raises(ContractViolationError):
             _NaughtyReader(disk).naughty(how)
         assert disk.pages_in_use == in_use
 
-    def test_passthrough_without_debug(self, disk, monkeypatch):
+    def test_passthrough_without_debug(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
-        assert _NaughtyReader(disk).naughty() is True
+        assert _NaughtyReader(_written_disk()).naughty() is True
 
-    def test_pure_methods_pass_under_debug(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKS", "1")
+    def test_pure_methods_pass_under_debug(self, checked):
         store = LargeObjectStore("eos", small_page_config())
         oid = store.create(b"x" * 4096)
         pool = store.env.pool

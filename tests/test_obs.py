@@ -387,10 +387,10 @@ class TestRuntime:
             env = StorageEnvironment(CONFIG, tracer=explicit)
         assert env.tracer is explicit
 
-    def test_selfcheck_flag_resolves_private_tracer(self, monkeypatch):
+    def test_selfcheck_flag_resolves_private_tracer(self, checked,
+                                                    monkeypatch):
         from repro.obs.runtime import resolve_tracer
 
-        monkeypatch.setenv("REPRO_CHECKS", "1")
         tracer = resolve_tracer(None)
         assert tracer is not None
         monkeypatch.delenv("REPRO_CHECKS")

@@ -335,9 +335,10 @@ WARM_UP = {
 }
 
 
-@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"],
+                         indirect=True)
 @pytest.mark.parametrize("case", list(WARM_UP))
-def test_phantom_run_checks_its_premise(case, checked, monkeypatch):
+def test_phantom_run_checks_its_premise(case, checked):
     """A ``record=False`` run of two or more pages returns its length
     because every page of it reads as zeros; under ``REPRO_CHECKS=1`` a
     recorded non-zero page in it is a contract violation."""
@@ -348,7 +349,6 @@ def test_phantom_run_checks_its_premise(case, checked, monkeypatch):
     pool = env.pool
     for start, n_pages in WARM_UP[case]:
         pool.read_run(start, n_pages)
-    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
     if checked:
         with pytest.raises(ContractViolationError, match="recorded bytes"):
             pool.read_run(BASE, 3, record=False)

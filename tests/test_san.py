@@ -38,16 +38,14 @@ from repro.tree.tree import PositionalTree
 from tests.conftest import end_op, pattern_bytes
 
 
-@pytest.fixture
-def san(monkeypatch):
-    """Run the test with the REPRO_CHECKS sanitizer switched on."""
-    monkeypatch.setenv("REPRO_CHECKS", "1")
+def make_pool():
+    config = small_page_config()
+    return BufferPool(config, SimulatedDisk(config, CostModel(config)))
 
 
 @pytest.fixture
 def pool():
-    config = small_page_config()
-    return BufferPool(config, SimulatedDisk(config, CostModel(config)))
+    return make_pool()
 
 
 def make_env():
@@ -66,26 +64,27 @@ def make_tree(env):
 # The sanitizer itself
 # ----------------------------------------------------------------------
 class TestSanitizerFlag:
-    def test_off_by_default(self, monkeypatch, pool):
+    def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
         assert not checks_enabled()
+        pool = make_pool()  # the disk reads the flag when it is built
         pool.fix(0)
         with pytest.raises(ContractViolationError) as exc:
             pool.assert_pin_balanced()
         assert "fixed at" not in str(exc.value)  # no site was recorded
         pool.unfix(0)
 
-    def test_on_when_flag_set(self, san):
+    def test_on_when_flag_set(self, checked):
         assert checks_enabled()
 
-    def test_balanced_pool_passes(self, san, pool):
+    def test_balanced_pool_passes(self, checked, pool):
         pool.fix(0)
         pool.fix(1)
         pool.unfix(1)
         pool.unfix(0)
         pool.assert_pin_balanced("op.test")
 
-    def test_leak_raises_with_site_attribution(self, san, pool):
+    def test_leak_raises_with_site_attribution(self, checked, pool):
         pool.fix(3)
         with pytest.raises(ContractViolationError) as exc:
             pool.assert_pin_balanced("op.test")
@@ -96,14 +95,14 @@ class TestSanitizerFlag:
         assert "test_san.py" in message
         assert "test_leak_raises_with_site_attribution" in message
 
-    def test_double_pin_reports_both_sites(self, san, pool):
+    def test_double_pin_reports_both_sites(self, checked, pool):
         pool.fix(2)
         pool.fix(2)
         with pytest.raises(ContractViolationError) as exc:
             pool.assert_pin_balanced()
         assert "page 2 x2" in str(exc.value)
 
-    def test_site_popped_on_unfix(self, san, pool):
+    def test_site_popped_on_unfix(self, checked, pool):
         def sites():
             with pytest.raises(ContractViolationError) as exc:
                 pool.assert_pin_balanced()
@@ -119,16 +118,16 @@ class TestSanitizerFlag:
         assert sites() == 1
         pool.unfix(5)
 
-    def test_accounting_drift_detected(self, san, pool):
+    def test_accounting_drift_detected(self, checked, pool):
         pool.headroom -= 1  # simulate a bookkeeping bug: no page is pinned
         with pytest.raises(ContractViolationError, match="drift"):
             pool.assert_pin_balanced("op.test")
 
-    def test_without_flag_no_sites_but_leak_still_caught(self, monkeypatch,
-                                                         pool):
+    def test_without_flag_no_sites_but_leak_still_caught(self, monkeypatch):
         # assert_pin_balanced works regardless of the flag; only the
         # call-site attribution needs REPRO_CHECKS=1.
         monkeypatch.delenv("REPRO_CHECKS", raising=False)
+        pool = make_pool()
         pool.fix(4)
         with pytest.raises(ContractViolationError) as exc:
             pool.assert_pin_balanced()
@@ -143,7 +142,7 @@ SCHEMES = ("esm", "starburst", "eos", "blockbased")
 
 
 class TestOpSpanGuard:
-    def test_leak_across_an_op_is_reported(self, san):
+    def test_leak_across_an_op_is_reported(self, checked):
         env = make_env()
         manager = make_manager("esm", env, leaf_pages=2)
         oid = manager.create(pattern_bytes(64))
@@ -152,7 +151,7 @@ class TestOpSpanGuard:
             manager.read(oid, 0, 16)
         env.pool.unfix(0)
 
-    def test_failed_op_does_not_mask_its_error(self, san):
+    def test_failed_op_does_not_mask_its_error(self, checked):
         # A failing operation that leaves no pin surfaces its own error.
         env = make_env()
         manager = make_manager("esm", env, leaf_pages=2)
@@ -160,7 +159,7 @@ class TestOpSpanGuard:
         with pytest.raises(ByteRangeError):
             manager.read(oid, 10_000, 16)
 
-    def test_leak_across_a_failed_op_is_chained_to_its_error(self, san):
+    def test_leak_across_a_failed_op_is_chained_to_its_error(self, checked):
         # On a live environment the guard also checks a failing
         # operation; the report keeps the operation's error as its cause.
         env = make_env()
@@ -176,7 +175,7 @@ class TestOpSpanGuard:
         assert isinstance(exc.value.__cause__, IOFaultError)
         env.pool.unfix(0)
 
-    def test_crashed_op_surfaces_the_crash(self, san):
+    def test_crashed_op_surfaces_the_crash(self, checked):
         # After an injected crash the disk is halted and nothing is
         # checked: the crash is the error, whatever pins the op held.
         env = make_env()
@@ -189,7 +188,7 @@ class TestOpSpanGuard:
             assert env.disk.halted
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_clean_roundtrip_per_scheme(self, san, scheme):
+    def test_clean_roundtrip_per_scheme(self, checked, scheme):
         env = make_env()
         manager = make_manager(scheme, env, leaf_pages=2, threshold_pages=2)
         page = env.config.page_size
@@ -351,7 +350,7 @@ class TestPinLeakRegressions:
 # ----------------------------------------------------------------------
 # Full-stack smoke: the suite's own env matches the CI job's
 # ----------------------------------------------------------------------
-def test_sanitized_store_survives_mixed_workload(san):
+def test_sanitized_store_survives_mixed_workload(checked):
     env = make_env()
     manager = make_manager("eos", env, threshold_pages=2)
     page = env.config.page_size

@@ -402,14 +402,14 @@ PLANTED = {
 }
 
 
-@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"],
+                         indirect=True)
 @pytest.mark.parametrize("case", list(PLANTED))
-def test_length_only_read_checks_its_premise(case, checked, monkeypatch):
+def test_length_only_read_checks_its_premise(case, checked):
     """A phantom read returns a length because every page it charges
     reads as zeros; under ``REPRO_CHECKS=1`` a recorded page among them
     is a contract violation, not a silently dropped byte."""
     policy, planted, read, nbytes = PLANTED[case]
-    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
     stack = Stack(False, policy, [], False, recorded=False)
     stack.disk.poke_pages(SEGMENT + planted, page_bytes(SEGMENT + planted))
     if checked:
@@ -444,15 +444,15 @@ PLANTED_UNDER_COPY = {
 }
 
 
-@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("checked", [True, False], ids=["checked", "unchecked"],
+                         indirect=True)
 @pytest.mark.parametrize("case", list(PLANTED_UNDER_COPY))
-def test_phantom_copy_checks_its_premise(case, checked, monkeypatch):
+def test_phantom_copy_checks_its_premise(case, checked):
     """A phantom staged copy assembles nothing from its reads; under
     ``REPRO_CHECKS=1`` a recorded page among the runs a read charged is a
     contract violation, and without checks the copy charges what it
     charges over a clean store."""
     policy, planted, copy = PLANTED_UNDER_COPY[case]
-    monkeypatch.setenv("REPRO_CHECKS", "1" if checked else "0")
     stack = Stack(False, policy, [], False, recorded=False)
     stack.disk.poke_pages(SEGMENT + planted, page_bytes(SEGMENT + planted))
     if checked:
