@@ -25,8 +25,12 @@ assumed (see ``benchmarks/test_baseline_blockbased.py``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from repro.buddy.area import DATA_AREA_BASE
 from repro.core.env import StorageEnvironment
@@ -42,14 +46,77 @@ from repro.core.payload import (
 _DIR_HEADER = struct.Struct("<4sHHI")  # magic, n_slots, pad, next+1
 _SLOT = struct.Struct("<IH2x")  # page pointer (data-area relative), used
 _DIR_MAGIC = b"BBLO"
+#: Pages per block of an object's offset sums: an update re-sums the
+#: blocks it touches and shifts the totals of the blocks after them.
+_BLOCK = 64
 
 
-@dataclasses.dataclass
-class DataPage:
-    """One single-block piece of the object."""
+class DataPage(NamedTuple):
+    """One single-block piece of the object.  Immutable, so a slice of
+    a page list is a snapshot of those slots."""
 
     page_id: int
     used_bytes: int
+
+
+_USED = itemgetter(1)
+
+
+def _image(page_size: int, slots: list[DataPage], next_link: int) -> bytes:
+    """Pack one directory page from the slots :meth:`_sync_directory`
+    took."""
+    return b"".join([
+        _DIR_HEADER.pack(_DIR_MAGIC, len(slots), 0, next_link),
+        *[_SLOT.pack(page_id - DATA_AREA_BASE, used)
+          for page_id, used in slots],
+    ]).ljust(page_size, b"\x00")
+
+
+class _PageList:
+    """An object's data pages, with byte offsets summed per block of
+    pages as a tree node keeps ``cums`` per node: ``stops[b]`` is the
+    index past block ``b``'s last page, ``ends[b]`` the object's bytes
+    through it."""
+
+    __slots__ = ("pages", "stops", "ends")
+
+    def __init__(self) -> None:
+        self.pages: list[DataPage] = []
+        self.stops: list[int] = []
+        self.ends: list[int] = []
+
+    def size(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def locate(self, offset: int) -> tuple[int, int]:
+        """(index of the page holding byte ``offset`` < size, offset
+        within it); empty pages are skipped."""
+        block = bisect_right(self.ends, offset)
+        lo = self.stops[block - 1] if block else 0
+        offset -= self.ends[block - 1] if block else 0
+        cums = list(accumulate(map(_USED, self.pages[lo:self.stops[block]])))
+        index = bisect_right(cums, offset)
+        return lo + index, offset - (cums[index - 1] if index else 0)
+
+    def splice(self, lo: int, hi: int, new: list[DataPage]) -> None:
+        """``pages[lo:hi] = new``, re-summing only the blocks it touches."""
+        pages, stops, ends = self.pages, self.stops, self.ends
+        last_block = max(len(stops) - 1, 0)
+        first = min(bisect_right(stops, lo), last_block)
+        last = min(max(first, bisect_left(stops, hi)), last_block)
+        start = stops[first - 1] if first else 0
+        base = ends[first - 1] if first else 0
+        old_stop, old_end = (stops[last], ends[last]) if stops else (0, 0)
+        pages[lo:hi] = new
+        stop = old_stop + len(new) - (hi - lo)
+        cuts = range(start, stop, _BLOCK)
+        new_stops = [min(cut + _BLOCK, stop) for cut in cuts]
+        sums = [sum(map(_USED, pages[cut:end]))
+                for cut, end in zip(cuts, new_stops)]
+        new_ends = list(accumulate(sums, initial=base))
+        moved, grown = stop - old_stop, new_ends[-1] - old_end
+        stops[first:] = new_stops + [s + moved for s in stops[last + 1 :]]
+        ends[first:] = new_ends[1:] + [e + grown for e in ends[last + 1 :]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,11 +139,9 @@ class BlockBasedManager(LargeObjectManager):
     ) -> None:
         super().__init__(env)
         self.options = options or BlockBasedOptions()
-        #: oid -> list of data pages; the serialized form lives in the
+        #: oid -> its data pages; the serialized form lives in the
         #: object's directory pages.
-        self._objects: dict[int, list[DataPage]] = {}
-        #: oid -> object size in bytes, kept in step with its page list.
-        self._sizes: dict[int, int] = {}
+        self._objects: dict[int, _PageList] = {}
         #: oid -> directory page ids (first one doubles as the oid).
         self._directories: dict[int, list[int]] = {}
 
@@ -96,8 +161,7 @@ class BlockBasedManager(LargeObjectManager):
         """Create an object as a chain of single data pages plus directory."""
         with self._op_span("create"):
             oid = self.env.areas.meta.allocate(1)
-            self._objects[oid] = []
-            self._sizes[oid] = 0
+            self._objects[oid] = _PageList()
             self._directories[oid] = [oid]
             if data:
                 self.append(oid, data)
@@ -107,20 +171,18 @@ class BlockBasedManager(LargeObjectManager):
 
     def destroy(self, oid: int) -> None:
         """Free every data page and directory page of the object."""
-        pages = self._pages(oid)
+        pages = self._pages(oid).pages
         with self._op_span("destroy", oid):
             for page in pages:
                 self.env.areas.data.free(page.page_id, 1)
             for dir_page in self._directories[oid]:
                 self.env.areas.meta.free(dir_page, 1)
             del self._objects[oid]
-            del self._sizes[oid]
             del self._directories[oid]
 
     def size(self, oid: int) -> int:
-        """Current object size in bytes, kept beside the page list."""
-        self._pages(oid)  # an unknown oid raises here
-        return self._sizes[oid]
+        """Current object size in bytes, kept in the page list's sums."""
+        return self._pages(oid).size()
 
     def oids(self) -> list[int]:
         """Ids of every live object, sorted."""
@@ -133,27 +195,22 @@ class BlockBasedManager(LargeObjectManager):
         """Read a byte range one page per I/O call — the class's defining one-
         seek-per-page cost.
         """
-        pages = self._pages(oid)
+        pages = self._pages(oid).pages
         self._check_range(oid, offset, nbytes)
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):
-            self._charge_directory_walk(oid, offset, nbytes)
+            index, within = self._charge_directory_walk(oid, offset, nbytes)
             chunks: list[Payload] = []
-            position = 0
             remaining = nbytes
-            for page in pages:
-                end = position + page.used_bytes
-                if offset < end and remaining > 0:
-                    within = max(offset - position, 0)
-                    take = min(page.used_bytes - within, remaining)
-                    # One I/O call per page: the defining block-based cost.
-                    content = self.env.segio.read_pages(page.page_id, 1)
-                    chunks.append(content[within : within + take])
-                    remaining -= take
-                position = end
-                if remaining <= 0:
-                    break
+            while remaining > 0:
+                page = pages[index]
+                take = min(page.used_bytes - within, remaining)
+                # One I/O call per page: the defining block-based cost.
+                content = self.env.segio.read_pages(page.page_id, 1)
+                chunks.append(content[within : within + take])
+                remaining -= take
+                index, within = index + 1, 0
             return payload_concat(chunks)
 
     # ------------------------------------------------------------------
@@ -163,12 +220,15 @@ class BlockBasedManager(LargeObjectManager):
         """Append bytes, filling the last page before allocating new single-
         block pages.
         """
-        pages = self._pages(oid)
+        obj = self._pages(oid)
         if not data:
             return
         with self._op_span("append", oid):
+            pages = obj.pages
             page_size = self.config.page_size
             view = payload_view(data)
+            lo = len(pages)
+            new: list[DataPage] = []
             if pages and pages[-1].used_bytes < page_size:
                 last = pages[-1]
                 take = min(page_size - last.used_bytes, len(view))
@@ -179,33 +239,32 @@ class BlockBasedManager(LargeObjectManager):
                         [old[: last.used_bytes], payload_bytes(view[:take])]
                     ),
                 )
-                last.used_bytes += take
-                self._sizes[oid] += take
+                lo -= 1
+                new.append(last._replace(used_bytes=last.used_bytes + take))
                 view = view[take:]
             while view:
                 take = min(page_size, len(view))
                 page_id = self.env.areas.data.allocate(1)
                 self.env.segio.write_pages(page_id, payload_bytes(view[:take]))
-                pages.append(DataPage(page_id=page_id, used_bytes=take))
-                self._sizes[oid] += take
+                new.append(DataPage(page_id=page_id, used_bytes=take))
                 view = view[take:]
+            obj.splice(lo, len(pages), new)
             self._sync_directory(oid)
 
     def insert(self, oid: int, offset: int, data: Payload) -> None:
         """Insert bytes by splitting the affected page (no neighbour
         rebalancing, so utilization degrades).
         """
-        pages = self._pages(oid)
+        obj = self._pages(oid)
         self._check_offset(oid, offset)
         if not data:
             return
-        if offset == self.size(oid):
+        if offset == obj.size():
             self.append(oid, data)
             return
         with self._op_span("insert", oid):
-            self._charge_directory_walk(oid, offset, 1)
-            index, within = self._locate(pages, offset)
-            page = pages[index]
+            index, within = self._charge_directory_walk(oid, offset, 1)
+            page = obj.pages[index]
             content = self.env.segio.read_pages(page.page_id, 1)
             spliced = payload_concat(
                 [content[:within], data, content[within : page.used_bytes]]
@@ -214,28 +273,30 @@ class BlockBasedManager(LargeObjectManager):
             if fits and not self.env.shadow.overwrite_needs_new_segment():
                 # Without shadowing a fitting splice is written in place.
                 self.env.segio.write_pages(page.page_id, spliced)
-                page.used_bytes = len(spliced)
+                replacement = [page._replace(used_bytes=len(spliced))]
             else:
                 replacement = self._write_chain(spliced)
                 self.env.areas.data.free(page.page_id, 1)
-                pages[index : index + 1] = replacement
-            self._sizes[oid] += len(data)
+            obj.splice(index, index + 1, replacement)
             self._sync_directory(oid)
 
     def delete(self, oid: int, offset: int, nbytes: int) -> None:
         """Delete a byte range, dropping pages that become empty."""
-        pages = self._pages(oid)
+        obj = self._pages(oid)
         self._check_range(oid, offset, nbytes)
         if nbytes == 0:
             return
         with self._op_span("delete", oid):
-            self._charge_directory_walk(oid, offset, nbytes)
-            position = 0
+            first, within = self._charge_directory_walk(oid, offset, nbytes)
+            stop = offset + nbytes
+            position = offset - within
+            index = first
             survivors: list[DataPage] = []
-            for page in pages:
+            while position < stop:
+                page = obj.pages[index]
                 end = position + page.used_bytes
                 cut_lo = max(offset, position)
-                cut_hi = min(offset + nbytes, end)
+                cut_hi = min(stop, end)
                 if cut_lo >= cut_hi:
                     survivors.append(page)
                 elif cut_lo == position and cut_hi == end:
@@ -248,41 +309,36 @@ class BlockBasedManager(LargeObjectManager):
                         content[cut_hi - position : page.used_bytes],
                     ])
                     if kept or not self.options.free_empty_pages:
-                        new_page = self._rewrite_page(page, kept)
-                        survivors.append(new_page)
+                        survivors.append(self._rewrite_page(page, kept))
                     else:
                         self.env.areas.data.free(page.page_id, 1)
                 position = end
-            self._objects[oid] = survivors
-            self._sizes[oid] -= nbytes
+                index += 1
+            obj.splice(first, index, survivors)
             self._sync_directory(oid)
 
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite bytes page by page, shadowing each affected page."""
-        pages = self._pages(oid)
+        pages = self._pages(oid).pages
         self._check_range(oid, offset, len(data))
         if not data:
             return
         with self._op_span("replace", oid):
-            self._charge_directory_walk(oid, offset, len(data))
-            position = 0
+            index, within = self._charge_directory_walk(oid, offset, len(data))
             cursor = 0
-            for index, page in enumerate(pages):
-                end = position + page.used_bytes
-                if offset < end and cursor < len(data):
-                    within = max(offset - position, 0)
-                    take = min(page.used_bytes - within, len(data) - cursor)
-                    content = self.env.segio.read_pages(page.page_id, 1)
-                    patched = payload_concat([
-                        content[:within],
-                        data[cursor : cursor + take],
-                        content[within + take : page.used_bytes],
-                    ])
-                    pages[index] = self._rewrite_page(page, patched)
-                    cursor += take
-                position = end
-                if cursor >= len(data):
-                    break
+            while cursor < len(data):
+                page = pages[index]
+                take = min(page.used_bytes - within, len(data) - cursor)
+                content = self.env.segio.read_pages(page.page_id, 1)
+                patched = payload_concat([
+                    content[:within],
+                    data[cursor : cursor + take],
+                    content[within + take : page.used_bytes],
+                ])
+                # Same byte count, so the offset sums stand.
+                pages[index] = self._rewrite_page(page, patched)
+                cursor += take
+                index, within = index + 1, 0
             self._sync_directory(oid)
 
     # ------------------------------------------------------------------
@@ -290,11 +346,11 @@ class BlockBasedManager(LargeObjectManager):
     # ------------------------------------------------------------------
     def allocated_pages(self, oid: int) -> int:
         """Data pages plus directory pages allocated to the object."""
-        return len(self._pages(oid)) + len(self._directories[oid])
+        return len(self._pages(oid).pages) + len(self._directories[oid])
 
     def pages_of(self, oid: int) -> list[DataPage]:
         """The object's data pages (for tests and inspection)."""
-        return list(self._pages(oid))
+        return list(self._pages(oid).pages)
 
     def directory_of(self, oid: int) -> list[int]:
         """The object's directory page ids, the oid first (for tests and
@@ -303,8 +359,10 @@ class BlockBasedManager(LargeObjectManager):
         return list(self._directories[oid])
 
     def check_invariants(self, oid: int) -> None:
-        """Verify page counts and directory capacity; for tests."""
-        pages = self._pages(oid)
+        """Verify page counts, directory capacity and offset sums; for
+        tests."""
+        obj = self._pages(oid)
+        pages = obj.pages
         page_size = self.config.page_size
         for page in pages:
             assert 0 < page.used_bytes <= page_size or (
@@ -313,27 +371,22 @@ class BlockBasedManager(LargeObjectManager):
         assert len(self._directories[oid]) == self._directory_pages_needed(
             len(pages)
         ), "directory page count drift"
-        assert self._sizes[oid] == sum(
-            page.used_bytes for page in pages
-        ), "object size drift"
+        starts = [0, *obj.stops[:-1]]
+        assert obj.stops[-1:] == ([len(pages)] if pages else []) and all(
+            lo < hi for lo, hi in zip(starts, obj.stops)
+        ), "offset block drift"
+        assert obj.ends == list(accumulate(
+            sum(map(_USED, pages[lo:hi])) for lo, hi in zip(starts, obj.stops)
+        )), "object size drift"
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _pages(self, oid: int) -> list[DataPage]:
+    def _pages(self, oid: int) -> _PageList:
         try:
             return self._objects[oid]
         except KeyError:
             raise self._missing(oid) from None
-
-    @staticmethod
-    def _locate(pages: list[DataPage], offset: int) -> tuple[int, int]:
-        position = 0
-        for index, page in enumerate(pages):
-            if offset < position + page.used_bytes:
-                return index, offset - position
-            position += page.used_bytes
-        return len(pages) - 1, pages[-1].used_bytes if pages else 0
 
     def _write_chain(self, data: Payload) -> list[DataPage]:
         """Write bytes into freshly allocated single pages (no batching)."""
@@ -359,29 +412,30 @@ class BlockBasedManager(LargeObjectManager):
     # ------------------------------------------------------------------
     # Directory maintenance
     # ------------------------------------------------------------------
-    def _charge_directory_walk(self, oid: int, offset: int, nbytes: int) -> None:
-        """Fix the directory pages covering the touched slot range.
+    def _charge_directory_walk(
+        self, oid: int, offset: int, nbytes: int
+    ) -> tuple[int, int]:
+        """Fix the directory pages covering the touched slot range, and
+        return where byte ``offset`` is (:meth:`_PageList.locate`).
 
         The first directory page is the object descriptor and, like the
         other schemes' roots, memory-resident; overflow directory pages
         go through the buffer pool.
         """
-        pages = self._pages(oid)
-        if not pages:
-            return
-        first, _ = self._locate(pages, offset)
-        last, _ = self._locate(pages, min(offset + max(nbytes, 1),
-                                          self.size(oid)) - 1)
+        obj = self._objects[oid]
+        first = obj.locate(offset)
+        last, _ = obj.locate(min(offset + max(nbytes, 1), obj.size()) - 1)
         per_page = self._slots_per_directory_page()
         directory = self._directories[oid]
-        for dir_index in range(first // per_page, last // per_page + 1):
-            if dir_index == 0 or dir_index >= len(directory):
-                continue
-            self.env.pool.access(directory[dir_index])
+        covered = directory[max(first[0] // per_page, 1):last // per_page + 1]
+        for dir_page in covered:
+            self.env.pool.access(dir_page)
+        return first
 
     def _sync_directory(self, oid: int) -> None:
-        """Grow/shrink directory pages and refresh their disk images."""
-        pages = self._pages(oid)
+        """Grow/shrink directory pages and commit their images, each a
+        builder over its slice of the page list, packed when read."""
+        pages = self._objects[oid].pages
         directory = self._directories[oid]
         needed = self._directory_pages_needed(len(pages))
         while len(directory) < needed:
@@ -389,34 +443,21 @@ class BlockBasedManager(LargeObjectManager):
         while len(directory) > needed:
             self.env.areas.meta.free(directory.pop(), 1)
         per_page = self._slots_per_directory_page()
-        page_size = self.config.page_size
-        images = []
-        for dir_index, dir_page in enumerate(directory):
-            slots = pages[dir_index * per_page : (dir_index + 1) * per_page]
-            next_link = (
-                directory[dir_index + 1] + 1
-                if dir_index + 1 < len(directory)
-                else 0
+        builds = [
+            functools.partial(
+                _image, self.config.page_size,
+                pages[index * per_page : (index + 1) * per_page],
+                directory[index + 1] + 1 if index + 1 < len(directory) else 0,
             )
-            image = _DIR_HEADER.pack(
-                _DIR_MAGIC, len(slots), 0, next_link
-            ) + b"".join(
-                _SLOT.pack(slot.page_id - DATA_AREA_BASE, slot.used_bytes)
-                for slot in slots
-            )
-            if len(image) > page_size:
-                raise StorageCorruptionError("directory slot overflow")
-            images.append((dir_page, image))
+            for index in range(len(directory))
+        ]
         # Overflow directory pages are flushed first (one write each); the
         # first page rides with the object descriptor, uncharged, and its
         # update is the operation's commit point — it must land only after
         # every page it links to is safely on disk.
-        for dir_page, image in images[1:]:
-            self.env.pool.write_run(
-                dir_page, 1, image.ljust(page_size, b"\x00"), record=True
-            )
-        first_page, first_image = images[0]
-        self.env.pool.disk.poke_pages(first_page, first_image)
+        for dir_page, build in zip(directory[1:], builds[1:]):
+            self.env.pool.write_run(dir_page, 1, [build], record=True)
+        self.env.pool.commit_image(directory[0], builds[0])
 
     @classmethod
     def load_directory(

@@ -701,12 +701,12 @@ class SimulatedDisk:
     def poke_pages(self, start: int, data: bytes) -> None:
         """Overwrite page contents without charging any I/O cost.
 
-        Used by tests to set up scenarios and by the block-based manager
-        for its uncharged first directory page (the roots and
-        descriptors of the other managers go through
-        :meth:`defer_image`).  A halted disk refuses pokes like any other
-        write: the commit-point image update must not survive a crash
-        that interrupted the operation before it.
+        Only tests call it, to set up scenarios (every commit point goes
+        through :meth:`defer_image`); it stays because the host-time
+        benchmark (``perfbench``) wraps it by name.  A halted disk
+        refuses pokes like any other write: the commit-point image
+        update must not survive a crash that interrupted the operation
+        before it.
         """
         self._check_halted()
         page_size = self.config.page_size

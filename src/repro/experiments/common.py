@@ -149,6 +149,13 @@ def resolve_scale(name: str | None = None) -> Scale:
 _RESULTS: dict[tuple[Callable[..., Any], tuple[Any, ...]], Any] = {}
 
 
+#: Objects a Figure 5 build leaves for the Figure 6 scan of the same
+#: object ("the n-byte scan was performed on the object created by
+#: n-byte appends"): build arguments -> (store, oid), each taken once.
+#: A scan with no entry builds its own object.
+BUILT: dict[tuple[Any, ...], tuple[LargeObjectStore, int]] = {}
+
+
 def memoized(compute: Callable[..., Any], *args: Any) -> Any:
     """``compute(*args)``, computed at most once per process."""
     key = (compute, args)
@@ -167,8 +174,10 @@ def prime(
 
 
 def clear() -> None:
-    """Forget every memoized result (tests use this for isolation)."""
+    """Forget every memoized result and kept object (tests use this for
+    isolation)."""
     _RESULTS.clear()
+    BUILT.clear()
 
 
 def make_store(

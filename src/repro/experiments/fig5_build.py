@@ -13,6 +13,7 @@ import dataclasses
 from repro.analysis.report import format_series
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.experiments.common import (
+    BUILT,
     ESM_LEAF_PAGES,
     KB,
     Scale,
@@ -65,10 +66,12 @@ def compute_build_time(
     leaf_pages: int,
     config: SystemConfig,
 ) -> float:
-    """Measure one build point (no memoization)."""
+    """Measure one build point (no memoization), and keep the object for
+    the scan of it (:data:`~repro.experiments.common.BUILT`)."""
     store = make_store(scheme, leaf_pages=leaf_pages, config=config)
     before = store.snapshot()
-    build_object(store, object_bytes, append_kb * KB)
+    oid = build_object(store, object_bytes, append_kb * KB)
+    BUILT[scheme, append_kb, object_bytes, leaf_pages, config] = store, oid
     return store.elapsed_ms(before) / 1000.0
 
 

@@ -12,6 +12,7 @@ import dataclasses
 from repro.analysis.report import format_series
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.experiments.common import (
+    BUILT,
     ESM_LEAF_PAGES,
     KB,
     Scale,
@@ -63,9 +64,14 @@ def compute_scan_time(
     leaf_pages: int,
     config: SystemConfig,
 ) -> float:
-    """Measure one scan point (no memoization)."""
-    store = make_store(scheme, leaf_pages=leaf_pages, config=config)
-    oid = build_object(store, object_bytes, scan_kb * KB)
+    """Measure one scan point (no memoization) on the object its Figure 5
+    twin built, or on a new one if there is none."""
+    key = (scheme, scan_kb, object_bytes, leaf_pages, config)
+    built = BUILT.pop(key, None)
+    if built is None:
+        store = make_store(scheme, leaf_pages=leaf_pages, config=config)
+        built = store, build_object(store, object_bytes, scan_kb * KB)
+    store, oid = built
     before = store.snapshot()
     chunk = scan_kb * KB
     position = 0

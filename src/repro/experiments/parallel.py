@@ -2,9 +2,12 @@
 
 Every :class:`~repro.experiments.grid.GridPoint` builds its own simulated
 disk, cost ledger, and workload generator (seeded per point with the
-fixed :data:`~repro.experiments.random_ops.WORKLOAD_SEED`), so points
-share no state and each result is a pure function of its point.  The
-runner has two steps:
+fixed :data:`~repro.experiments.random_ops.WORKLOAD_SEED`), with one
+exception: a Figure 5 build point keeps the object it built
+(:data:`~repro.experiments.common.BUILT`), and its Figure 6 twin scans
+that object instead of building the same one again.  The scan starts
+from exactly the state a build of its own would leave, so each result
+is still a pure function of its point.  The runner has two steps:
 
 1. :func:`precompute` computes every point of the selected experiments in
    grid order, in this process, and records each result in the one result
@@ -82,7 +85,8 @@ def binding(point: GridPoint) -> tuple[Callable[..., Any], tuple[Any, ...]]:
 
 
 def compute_point(point: GridPoint) -> Any:
-    """Compute one grid point from scratch.
+    """Compute one grid point from scratch, except that a scan point
+    takes the object its build twin kept, if that was computed first.
 
     Returns the point's raw result: a
     :class:`~repro.experiments.random_ops.RunResult` for random-update
@@ -120,5 +124,6 @@ def precompute(names: list[str], scale: Scale | None = None) -> int:
 
 
 def clear_caches() -> None:
-    """Forget every memoized experiment result (tests: isolation)."""
+    """Forget every memoized experiment result and kept object (tests:
+    isolation)."""
     clear()

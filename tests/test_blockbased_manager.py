@@ -1,10 +1,16 @@
 """Tests for the block-based baseline manager (Section 1's first class)."""
 
+import random
+
 import pytest
 
+from repro.blockbased.manager import DataPage
 from repro.core.api import LargeObjectStore
-from repro.core.config import PAPER_CONFIG
+from repro.core.config import PAPER_CONFIG, small_page_config
 from repro.core.errors import ObjectNotFoundError
+from repro.core.fsck import check as fsck_check
+from repro.exec.plan import BatchOp, MultiOp
+from repro.workload.model import ObjectModel
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -140,6 +146,64 @@ class TestDirectory:
         assert [(e.page_id, e.used_bytes) for e in image if not e.meta] == [
             (p.page_id, p.used_bytes) for p in store.manager.pages_of(oid)
         ]
+
+
+    def test_a_stream_across_directory_pages_matches_the_model(self, store):
+        """Inserts, deletes, replaces and reads located by the per-block
+        offset sums, on an object spanning many directory pages and sum
+        blocks: after every op the bytes match the model, the committed
+        directory chain lists the live pages, and fsck is clean."""
+        slots = store.manager._slots_per_directory_page()
+        rng = random.Random(49)
+        model = ObjectModel()
+        oid = store.create(pattern_bytes(10 * slots * PAGE + 41))
+        model.create(oid, pattern_bytes(10 * slots * PAGE + 41))
+        assert len(store.manager.directory_of(oid)) >= 3
+        for step in range(160):
+            kind = rng.choice(["insert", "delete", "replace", "read"])
+            size = model.size(oid)
+            nbytes = rng.randrange(1, 4 * PAGE)
+            if kind == "insert":
+                op = BatchOp(kind, rng.randrange(size + 1),
+                             data=pattern_bytes(nbytes, salt=step))
+            else:
+                offset = rng.randrange(size)
+                nbytes = min(nbytes, size - offset)
+                op = BatchOp(kind, offset, nbytes,
+                             pattern_bytes(nbytes, salt=step))
+            got = model.run(store, MultiOp(oid, op))
+            assert got is None or got == model.read(oid, op.offset, op.nbytes)
+            assert model.differences(store) == []
+            store.manager.check_invariants(oid)
+            image = list(store.manager.image_extents(oid))
+            listed = [(e.page_id, e.used_bytes) for e in image if not e.meta]
+            assert listed == [
+                (p.page_id, p.used_bytes) for p in store.manager.pages_of(oid)
+            ]
+            report = fsck_check([(store.manager, [oid])])
+            assert report.clean, report.summary()
+        assert len(store.manager.directory_of(oid)) >= 3
+
+
+def write_directory():
+    """A recorded object whose directory spans two adjacent pages, as a
+    writer row of ``tests/test_disk.py``'s snapshot test: (disk, first
+    directory page, pages, change), where ``change()`` edits the live
+    page list the directory images were sliced from."""
+    store = LargeObjectStore("blockbased", small_page_config())
+    slots = store.manager._slots_per_directory_page()
+    oid = store.create(pattern_bytes((slots + 6) * store.config.page_size))
+    assert store.manager.directory_of(oid) == [oid, oid + 1]
+    pages = store.manager._objects[oid].pages
+
+    def change():
+        slot = pages[1]
+        try:
+            slot.used_bytes = 1  # a page that allows it is edited in place
+        except AttributeError:
+            pages[1] = slot._replace(used_bytes=1)
+        pages.append(DataPage(pages[-1].page_id + 1, 9))
+    return store.env.disk, oid, 2, change
 
 
 class TestDestroy:

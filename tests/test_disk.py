@@ -9,6 +9,7 @@ from repro.buddy.area import DATA_AREA_BASE
 from repro.core.api import LargeObjectStore
 from repro.atomic import journal as journal_module
 from repro.atomic.journal import IntentJournal
+from repro.blockbased import manager as blockbased_module
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
 from repro.core.errors import (
@@ -33,6 +34,7 @@ from repro.faults import NEVER, FaultInjector, FaultPlan, at
 from repro.shard.router import ShardedStore
 from repro.starburst import descriptor as descriptor_module
 from repro.tree import node as node_module
+from tests.test_blockbased_manager import write_directory
 
 
 @pytest.fixture
@@ -914,6 +916,7 @@ WRITERS = {
     "non-root": (node_module, "_image", _write_non_root),
     "descriptor": (descriptor_module, "_image", _write_descriptor),
     "prepare": (journal_module, "_frame", _write_prepare),
+    "directory": (blockbased_module, "_image", write_directory),
 }
 
 

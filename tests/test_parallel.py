@@ -148,3 +148,33 @@ class TestOneResultTable:
         common.prime(compute, (5,), "primed")
         common.prime(compute, (5,), "second")
         assert common.memoized(compute, 5) == "primed"
+
+
+class TestKeptStores:
+    """A Figure 5 point keeps the object it built for its Figure 6 twin,
+    which scans it instead of building the same object again."""
+
+    def test_a_scan_after_its_build_returns_what_it_returns_alone(
+        self, built_envs
+    ):
+        scale = resolve_scale("tiny")
+        builds, scans = grid_for("fig5", scale), grid_for("fig6", scale)
+        assert len(scans) == 20
+        alone = [parallel.compute_point(point) for point in scans]
+        built = built_envs()
+        for build, scan, expected in zip(builds, scans, alone):
+            parallel.compute_point(build)
+            envs = len(built)
+            assert parallel.compute_point(scan) == expected
+            assert len(built) == envs  # the scan took the kept store
+        assert common.BUILT == {}
+
+    def test_clear_caches_drops_the_kept_stores(self, built_envs):
+        for point in grid_for("fig5"):
+            parallel.compute_point(point)
+        assert len(common.BUILT) == len(grid_for("fig5"))
+        parallel.clear_caches()
+        assert common.BUILT == {}
+        built = built_envs()
+        run("fig6")
+        assert len(built) == len(grid_for("fig6"))
