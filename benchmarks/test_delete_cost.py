@@ -4,14 +4,14 @@
 import pytest
 
 from repro.experiments.common import MEAN_OP_SIZES
-from repro.experiments.fig11_12_insert import run_update_cost
+from repro.experiments.figures import run_metric
 
 
 @pytest.mark.parametrize("scheme", ["esm", "eos"])
 def test_delete_cost_trends(benchmark, scale, report, scheme):
     mean_op = MEAN_OP_SIZES[-1]
     result = benchmark.pedantic(
-        run_update_cost,
+        run_metric,
         args=(scheme, mean_op, "delete", scale),
         rounds=1,
         iterations=1,

@@ -3,22 +3,24 @@
 import pytest
 
 from repro.experiments.common import MEAN_OP_SIZES
-from repro.experiments.fig9_10_read import run_read_cost
+from repro.experiments.figures import run_metric
 from repro.experiments.random_ops import run_random_ops
 
 
 @pytest.mark.parametrize("sub,mean_op", zip("abc", MEAN_OP_SIZES))
 def test_fig10_eos_read_cost(benchmark, scale, report, sub, mean_op):
     result = benchmark.pedantic(
-        run_read_cost, args=("eos", mean_op, scale), rounds=1, iterations=1
+        run_metric,
+        args=("eos", mean_op, "read", scale),
+        rounds=1,
+        iterations=1,
     )
     report(result.format(f"10.{sub}"))
     if mean_op >= 10 * 1024:
         # Larger thresholds read cheaper once the structure degrades.
         assert result.steady("T=16p") < result.steady("T=1p")
         # EOS reads beat or match ESM's for the same (1-page) setting.
-        from repro.experiments.fig9_10_read import run_read_cost as esm_run
-        esm = esm_run("esm", mean_op, scale)
+        esm = run_metric("esm", mean_op, "read", scale)
         assert result.steady("T=1p") <= esm.steady("leaf=1p") * 1.05
     # A threshold of 16 is adequate to approach Starburst's read cost.
     if mean_op == MEAN_OP_SIZES[-1]:

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.experiments.common import MEAN_OP_SIZES
-from repro.experiments.fig11_12_insert import run_update_cost
+from repro.experiments.figures import run_metric
 
 
 @pytest.mark.parametrize("sub,mean_op", zip("abc", MEAN_OP_SIZES))
 def test_fig12_eos_insert_cost(benchmark, scale, report, sub, mean_op):
     result = benchmark.pedantic(
-        run_update_cost,
+        run_metric,
         args=("eos", mean_op, "insert", scale),
         rounds=1,
         iterations=1,

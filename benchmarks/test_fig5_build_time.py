@@ -1,13 +1,13 @@
 """Figure 5: object creation time vs. append size."""
 
-from repro.experiments.fig5_build import run_fig5
+from repro.experiments.figures import run_sizes
 
 
 def test_fig5_build_time(benchmark, scale, report):
-    result = benchmark.pedantic(run_fig5, args=(scale,), rounds=1,
+    result = benchmark.pedantic(run_sizes, args=("fig5", scale), rounds=1,
                                 iterations=1)
     report(result.format())
-    sizes = list(result.append_sizes_kb)
+    sizes = list(result.sizes_kb)
     esm1 = result.series["ESM 1p"]
     sb = result.series["Starburst/EOS"]
     # Exact leaf-size match is the per-leaf-size optimum (the paper's

@@ -1,13 +1,13 @@
 """Figure 6: sequential scan time vs. scan size."""
 
-from repro.experiments.fig6_scan import run_fig6
+from repro.experiments.figures import run_sizes
 
 
 def test_fig6_scan_time(benchmark, scale, report):
-    result = benchmark.pedantic(run_fig6, args=(scale,), rounds=1,
+    result = benchmark.pedantic(run_sizes, args=("fig6", scale), rounds=1,
                                 iterations=1)
     report(result.format())
-    sizes = list(result.scan_sizes_kb)
+    sizes = list(result.sizes_kb)
     esm1 = result.series["ESM 1p"]
     sb = result.series["Starburst/EOS"]
     # ESM 1-page leaves are worst and roughly flat for scans > page size.

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.experiments.common import MEAN_OP_SIZES
-from repro.experiments.fig7_8_utilization import run_utilization
+from repro.experiments.figures import run_metric
 
 
 @pytest.mark.parametrize("sub,mean_op", zip("abc", MEAN_OP_SIZES))
 def test_fig7_esm_utilization(benchmark, scale, report, sub, mean_op):
     result = benchmark.pedantic(
-        run_utilization, args=("esm", mean_op, scale), rounds=1, iterations=1
+        run_metric,
+        args=("esm", mean_op, "utilization", scale),
+        rounds=1,
+        iterations=1,
     )
     report(result.format(f"7.{sub}"))
     for series in result.series.values():

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.experiments.common import MEAN_OP_SIZES
-from repro.experiments.fig9_10_read import run_read_cost
+from repro.experiments.figures import run_metric
 
 
 @pytest.mark.parametrize("sub,mean_op", zip("abc", MEAN_OP_SIZES))
 def test_fig9_esm_read_cost(benchmark, scale, report, sub, mean_op):
     result = benchmark.pedantic(
-        run_read_cost, args=("esm", mean_op, scale), rounds=1, iterations=1
+        run_metric,
+        args=("esm", mean_op, "read", scale),
+        rounds=1,
+        iterations=1,
     )
     report(result.format(f"9.{sub}"))
     if mean_op >= 10 * 1024:

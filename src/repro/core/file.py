@@ -14,7 +14,7 @@ import os
 
 from repro.core.errors import ByteRangeError, InvalidArgumentError
 from repro.core.manager import LargeObjectManager
-from repro.core.payload import Payload, SizedPayload
+from repro.core.payload import Payload, SizedPayload, payload_concat
 
 
 class LargeObjectFile(io.RawIOBase):
@@ -87,15 +87,18 @@ class LargeObjectFile(io.RawIOBase):
         end = self.size()
         if self._position > end:
             # Sparse writes zero-fill the gap, like POSIX files.
-            self._manager.append(
-                self._oid, SizedPayload(self._position - end)
-            )
-            end = self._position
-        overlap = min(len(data), end - self._position)
+            overlap = 0
+            tail = payload_concat([SizedPayload(self._position - end), data])
+        else:
+            overlap = min(len(data), end - self._position)
+            tail = data[overlap:]
+        # The growth is one append, made before the replace: a manager
+        # that refuses it (the object would grow past its limit) refuses
+        # the write before any byte of it lands.
+        if tail:
+            self._manager.append(self._oid, tail)
         if overlap:
             self._manager.replace(self._oid, self._position, data[:overlap])
-        if overlap < len(data):
-            self._manager.append(self._oid, data[overlap:])
         self._position += len(data)
         return len(data)
 

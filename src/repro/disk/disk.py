@@ -545,9 +545,12 @@ class SimulatedDisk:
         """Install a fault injector on this disk's physical I/O paths.
 
         Only one site may be installed at a time; installing the same
-        object twice is a no-op.
+        object twice is a no-op (a crash it injected keeps the disk
+        halted).
         """
-        if self._fault_site is not None and self._fault_site is not site:
+        if self._fault_site is site:
+            return
+        if self._fault_site is not None:
             raise InvalidArgumentError(
                 "another fault site is already installed on this disk"
             )

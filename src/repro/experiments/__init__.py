@@ -1,1 +1,1 @@
-"""Experiment harness: one module per table/figure of the paper."""
+"""Experiment harness: the paper's tables and figures, and extensions."""

@@ -1,12 +1,13 @@
 """The experiment grid: every figure/table decomposed into work points.
 
 Each experiment in the registry is a sweep over (scheme × setting ×
-operation-size / append-size) points.  Historically the figure runners
-looped over those points internally; this module makes the loop structure
-explicit so the runner (:mod:`repro.experiments.parallel`) can compute
-the points in grid order and prime the one result table
+operation-size / append-size) points.  This module makes the loop
+structure explicit so the runner (:mod:`repro.experiments.parallel`) can
+compute the points in grid order and prime the one result table
 (:func:`repro.experiments.common.memoized`) with the results before the
-(deterministic) assembly pass renders the reports.
+(deterministic) assembly pass renders the reports.  The points of
+Figures 5-12 come from the curves :mod:`repro.experiments.figures`
+renders (``SIZE_CURVES``, ``SETTING_CURVES``), in the order it reads them.
 
 A :class:`GridPoint` is a frozen value object.  Seeding is per
 point: every point's workload generator is seeded with the fixed
@@ -17,17 +18,18 @@ computation, so results are independent of the order points run in.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable
 
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.errors import InvalidArgumentError
-from repro.experiments.common import (
-    EOS_THRESHOLDS,
-    ESM_LEAF_PAGES,
-    KB,
-    MEAN_OP_SIZES,
-    Scale,
-    resolve_scale,
+from repro.experiments.common import KB, MEAN_OP_SIZES, Scale, resolve_scale
+from repro.experiments.figures import (
+    METRIC_FIGURES,
+    SETTING_CURVES,
+    SIZE_CURVES,
+    SIZE_FIGURES,
+    SizeFigure,
 )
 from repro.experiments.summary import matched_setting
 
@@ -38,9 +40,6 @@ POINT_KINDS = (
 
 #: Mean operation size used by the Section 4.6 summary table.
 SUMMARY_MEAN_OP = 10 * KB
-
-#: Default ESM leaf size (pages) used where a sweep does not vary it.
-DEFAULT_LEAF_PAGES = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,22 +60,20 @@ class GridPoint:
     config: SystemConfig = PAPER_CONFIG
 
 
-def _random_update_points(scale: Scale) -> list[GridPoint]:
+def _metric_points(scale: Scale) -> list[GridPoint]:
     """The shared ESM/EOS random-update sweep behind Figures 7-12."""
-    points = []
-    for scheme, settings in (("esm", ESM_LEAF_PAGES), ("eos", EOS_THRESHOLDS)):
-        for mean_op in MEAN_OP_SIZES:
-            for setting in settings:
-                points.append(
-                    GridPoint(
-                        kind="random-ops",
-                        scheme=scheme,
-                        scale_name=scale.name,
-                        setting=setting,
-                        mean_op=mean_op,
-                    )
-                )
-    return points
+    return [
+        GridPoint(
+            kind="random-ops",
+            scheme=scheme,
+            scale_name=scale.name,
+            setting=setting,
+            mean_op=mean_op,
+        )
+        for scheme, (_label, settings) in SETTING_CURVES.items()
+        for mean_op in MEAN_OP_SIZES
+        for setting in settings
+    ]
 
 
 def _starburst_points(scale: Scale) -> list[GridPoint]:
@@ -93,31 +90,19 @@ def _starburst_points(scale: Scale) -> list[GridPoint]:
     ]
 
 
-def _sweep_points(kind: str, scale: Scale) -> list[GridPoint]:
-    """Build or scan sweeps of Figures 5/6: leaf sizes × append sizes."""
-    points = []
-    for leaf_pages in ESM_LEAF_PAGES:
-        for kb in scale.append_sizes_kb:
-            points.append(
-                GridPoint(
-                    kind=kind,
-                    scheme="esm",
-                    scale_name=scale.name,
-                    setting=leaf_pages,
-                    append_kb=kb,
-                )
-            )
-    for kb in scale.append_sizes_kb:
-        points.append(
-            GridPoint(
-                kind=kind,
-                scheme="starburst",
-                scale_name=scale.name,
-                setting=DEFAULT_LEAF_PAGES,
-                append_kb=kb,
-            )
+def _size_points(figure: SizeFigure, scale: Scale) -> list[GridPoint]:
+    """Build or scan sweeps of Figures 5/6: curves × append sizes."""
+    return [
+        GridPoint(
+            kind=figure.kind,
+            scheme=scheme,
+            scale_name=scale.name,
+            setting=leaf_pages,
+            append_kb=kb,
         )
-    return points
+        for scheme, leaf_pages in SIZE_CURVES.values()
+        for kb in scale.append_sizes_kb
+    ]
 
 
 def _scaling_points(scale: Scale) -> list[GridPoint]:
@@ -180,11 +165,8 @@ def _summary_points(scale: Scale) -> list[GridPoint]:
 GRID_BUILDERS: dict[str, Callable[[Scale], list[GridPoint]]] = {
     "table1": lambda scale: [],
     "tables23": _starburst_points,
-    "fig5": lambda scale: _sweep_points("build", scale),
-    "fig6": lambda scale: _sweep_points("scan", scale),
-    "fig7-8": _random_update_points,
-    "fig9-10": _random_update_points,
-    "fig11-12": _random_update_points,
+    **{name: partial(_size_points, fig) for name, fig in SIZE_FIGURES.items()},
+    **dict.fromkeys(METRIC_FIGURES, _metric_points),
     "scaling": _scaling_points,
     "shards": _shard_points,
     "summary": _summary_points,

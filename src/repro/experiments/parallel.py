@@ -13,7 +13,7 @@ is still a pure function of its point.  The runner has two steps:
    grid order, in this process, and records each result in the one result
    table (:func:`repro.experiments.common.memoized`) under the key
    :func:`binding` gives it — the same ``(compute function, arguments)``
-   pair the figure modules' memo wrappers look up.
+   pair the renderers' memo lookups use.
 2. The caller then runs the ordinary assembly
    (:func:`repro.experiments.registry.run`), which finds every expensive
    point already memoized.
@@ -31,8 +31,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core.errors import InvalidArgumentError
 from repro.experiments import (
-    fig5_build,
-    fig6_scan,
+    figures,
     random_ops,
     scaling,
     shard_scaling,
@@ -46,8 +45,8 @@ from repro.obs import timeline as obs_timeline
 def binding(point: GridPoint) -> tuple[Callable[..., Any], tuple[Any, ...]]:
     """The one ``GridPoint -> (compute function, arguments)`` binding.
 
-    Each pair is exactly what the kind's public memo wrapper
-    (``run_random_ops``, ``build_time_seconds``, ...) hands to
+    Each pair is exactly what the kind's renderer (``run_random_ops``,
+    :func:`repro.experiments.figures.run_sizes`, ...) hands to
     :func:`repro.experiments.common.memoized`, so :func:`compute_point`
     and :func:`prime_results` agree with the assembly's lookups by
     construction.
@@ -59,12 +58,12 @@ def binding(point: GridPoint) -> tuple[Callable[..., Any], tuple[Any, ...]]:
         )
         return random_ops.compute_run, (key, point.config)
     if point.kind == "build":
-        return fig5_build.compute_build_time, (
+        return figures.compute_build_time, (
             point.scheme, point.append_kb, scale.object_bytes,
             point.setting, point.config,
         )
     if point.kind == "scan":
-        return fig6_scan.compute_scan_time, (
+        return figures.compute_scan_time, (
             point.scheme, point.append_kb, scale.object_bytes,
             point.setting, point.config,
         )

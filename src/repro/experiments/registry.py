@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.core.errors import InvalidArgumentError
-from repro.experiments import (
-    fig5_build,
-    fig6_scan,
-    fig7_8_utilization,
-    fig9_10_read,
-    fig11_12_insert,
-    scaling,
-    shard_scaling,
-    summary,
-    tables,
-)
+from repro.experiments import figures, scaling, shard_scaling, summary, tables
 from repro.experiments.grid import GRID_BUILDERS, GridPoint, full_grid, grid_for
 
 #: name -> callable returning the experiment's textual report.
@@ -27,11 +18,10 @@ EXPERIMENTS: dict[str, Callable[[], str]] = {
             tables.run_starburst_costs().format_table3(),
         ]
     ),
-    "fig5": fig5_build.main,
-    "fig6": fig6_scan.main,
-    "fig7-8": fig7_8_utilization.main,
-    "fig9-10": fig9_10_read.main,
-    "fig11-12": fig11_12_insert.main,
+    **{
+        name: partial(figures.render, name)
+        for name in (*figures.SIZE_FIGURES, *figures.METRIC_FIGURES)
+    },
     "scaling": scaling.main,
     "shards": shard_scaling.main,
     "summary": summary.main,
@@ -68,18 +58,10 @@ def run(name: str) -> str:
     return runner()
 
 
-def _fig5_plot() -> str:
-    return fig5_build.run_fig5().format_plot()
-
-
-def _fig6_plot() -> str:
-    return fig6_scan.run_fig6().format_plot()
-
-
 #: Figure experiments that can additionally render an ASCII chart.
 PLOTTABLE: dict[str, Callable[[], str]] = {
-    "fig5": _fig5_plot,
-    "fig6": _fig6_plot,
+    name: lambda name=name: figures.run_sizes(name).format_plot()
+    for name in figures.SIZE_FIGURES
 }
 
 
@@ -95,20 +77,10 @@ def run_plot(name: str) -> str:
     return plotter()
 
 
-def _fig5_csv() -> tuple[str, list, dict]:
-    result = fig5_build.run_fig5()
-    return "append_kb", list(result.append_sizes_kb), result.series
-
-
-def _fig6_csv() -> tuple[str, list, dict]:
-    result = fig6_scan.run_fig6()
-    return "scan_kb", list(result.scan_sizes_kb), result.series
-
-
 #: Figure experiments exportable as CSV series.
 CSV_EXPORTS: dict[str, Callable[[], tuple[str, list, dict]]] = {
-    "fig5": _fig5_csv,
-    "fig6": _fig6_csv,
+    name: lambda name=name: figures.run_sizes(name).csv_series()
+    for name in figures.SIZE_FIGURES
 }
 
 

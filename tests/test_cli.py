@@ -70,6 +70,13 @@ def test_plot_flag_renders_chart(capsys):
     assert "o=ESM 1p" in out  # the ASCII chart legend
 
 
+def test_plot_flag_renders_fig6_chart(capsys):
+    assert main(["--plot", "fig6"]) == 0
+    out = capsys.readouterr().out
+    assert "Figure 6: 256 KB scan time" in out  # the chart's title
+    assert "o=ESM 1p" in out
+
+
 def test_registry_plot_unknown():
     from repro.experiments.registry import run_plot
 

@@ -155,6 +155,8 @@ class ModelDisk:
     def write(self, start, n_pages, data, record, limit=None):
         size = self.page_size
         stop = n_pages if limit is None else min(limit, n_pages)
+        if isinstance(data, list):  # one pending-image builder per page
+            data = b"".join(build() for build in data)
         raw = bytes(data).ljust(n_pages * size, b"\x00")
         for i in range(stop):
             self.clean.pop(start + i, None)
@@ -183,6 +185,11 @@ class ModelDisk:
 
     def recorded(self) -> list[int]:
         return [page for page, image in self.pages.items() if image is not None]
+
+
+def _builders(images):
+    """One pending-image builder per page image, as the meta area writes."""
+    return [lambda image=image: image for image in images]
 
 
 class _Tear:
@@ -276,17 +283,20 @@ def test_run_state_matches_the_page_model(seed):
         start, n_pages = _random_run(rng)
         kind = rng.choice(
             ["bytes", "bytes", "sized", "phantom", "phantom", "poke",
-             "discard", "discard", "retained", "torn", "corrupt"]
+             "discard", "discard", "retained", "torn", "corrupt",
+             "builders", "torn-builders", "defer"]
         )
         record = kind != "phantom" and rng.random() < 0.9
         if kind in ("bytes", "torn"):
             data = rng.randbytes(rng.randint(0, n_pages * size))
+        elif kind in ("builders", "torn-builders"):
+            data = _builders([rng.randbytes(size) for _ in range(n_pages)])
         else:
             data = SizedPayload(rng.randint(0, n_pages * size))
-        if kind in ("bytes", "sized", "phantom"):
+        if kind in ("bytes", "sized", "phantom", "builders"):
             disk.write_pages(start, n_pages, data, record=record)
             model.write(start, n_pages, data, record)
-        elif kind == "torn":
+        elif kind in ("torn", "torn-builders"):
             keep = rng.randint(0, n_pages)
             disk.install_fault_site(_Tear(keep))
             with pytest.raises(CrashError):
@@ -300,6 +310,11 @@ def test_run_state_matches_the_page_model(seed):
             disk.poke_pages(start, data)
             n_pages = -(-len(data) // size)
             model.write(start, n_pages, data, True)
+        elif kind == "defer":
+            image = rng.randbytes(size)
+            disk.defer_image(start, lambda: image)
+            n_pages = 1
+            model.write(start, n_pages, image, True)
         elif kind == "discard":
             disk.discard_pages(start, n_pages)
             model.discard(start, n_pages)
@@ -628,6 +643,22 @@ class TestDeferredImage:
         image[0] = 1
         with pytest.raises(ContractViolationError):
             disk.peek_pages(self.PAGE, 1)
+
+
+def test_reinstalling_the_site_keeps_its_crash(disk):
+    """Installing the installed fault site again is a no-op: the disk
+    stays halted by the crash that site injected, so a poke after it
+    cannot write post-crash bytes into the image."""
+    disk.write_pages(3, 1, b"\x07" * 128)
+    site = _Tear(0)
+    disk.install_fault_site(site)
+    with pytest.raises(CrashError):
+        disk.write_pages(3, 1, b"x")
+    disk.install_fault_site(site)
+    assert disk.halted
+    with pytest.raises(CrashError):
+        disk.poke_pages(3, b"\x09" * 128)
+    assert disk.peek_pages(3, 1) == b"\x07" * 128
 
 
 class _Flaky:

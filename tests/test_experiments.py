@@ -12,11 +12,7 @@ from repro.experiments.common import (
     TINY_SCALE,
     resolve_scale,
 )
-from repro.experiments.fig5_build import run_fig5
-from repro.experiments.fig6_scan import run_fig6
-from repro.experiments.fig7_8_utilization import run_utilization
-from repro.experiments.fig9_10_read import run_read_cost
-from repro.experiments.fig11_12_insert import run_update_cost
+from repro.experiments.figures import run_metric, run_sizes
 from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.tables import run_starburst_costs, table1
 
@@ -76,7 +72,7 @@ class TestTable1:
 
 class TestFig5:
     def test_series_and_shape(self):
-        result = run_fig5(TINY_SCALE)
+        result = run_sizes("fig5", TINY_SCALE)
         assert set(result.series) == {
             "ESM 1p", "ESM 4p", "ESM 16p", "ESM 64p", "Starburst/EOS",
         }
@@ -92,7 +88,7 @@ class TestFig5:
 
 class TestFig6:
     def test_series_and_shape(self):
-        result = run_fig6(TINY_SCALE)
+        result = run_sizes("fig6", TINY_SCALE)
         sizes = list(TINY_SCALE.append_sizes_kb)
         large = sizes.index(64)
         esm1 = result.series["ESM 1p"]
@@ -119,30 +115,30 @@ class TestRandomOpsRuns:
 
 class TestUtilizationExperiment:
     def test_eos_threshold_ordering(self):
-        result = run_utilization("eos", 100 * 1024, TINY_SCALE)
+        result = run_metric("eos", 100 * 1024, "utilization", TINY_SCALE)
         assert result.final("T=64p") > result.final("T=1p")
 
     def test_esm_100k_leaf_ordering(self):
-        result = run_utilization("esm", 100 * 1024, TINY_SCALE)
+        result = run_metric("esm", 100 * 1024, "utilization", TINY_SCALE)
         assert result.final("leaf=1p") > result.final("leaf=64p")
 
     def test_format_mentions_figure(self):
-        result = run_utilization("eos", 100, TINY_SCALE)
+        result = run_metric("eos", 100, "utilization", TINY_SCALE)
         assert "Figure 8.x" in result.format("8.x")
 
 
 class TestCostExperiments:
     def test_read_cost_series(self):
-        result = run_read_cost("eos", 100 * 1024, TINY_SCALE)
+        result = run_metric("eos", 100 * 1024, "read", TINY_SCALE)
         assert result.steady("T=16p") <= result.steady("T=1p")
 
     def test_update_cost_kinds(self):
-        insert = run_update_cost("eos", 100, "insert", TINY_SCALE)
-        delete = run_update_cost("eos", 100, "delete", TINY_SCALE)
+        insert = run_metric("eos", 100, "insert", TINY_SCALE)
+        delete = run_metric("eos", 100, "delete", TINY_SCALE)
         assert insert.kind == "insert"
         assert delete.kind == "delete"
         with pytest.raises(ValueError):
-            run_update_cost("eos", 100, "upsert", TINY_SCALE)
+            run_metric("eos", 100, "upsert", TINY_SCALE)
 
 
 class TestStarburstTables:

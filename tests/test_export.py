@@ -42,6 +42,16 @@ class TestRegistryExport:
         assert "Starburst/EOS" in series
         assert all(value > 0 for value in series["ESM 1p"])
 
+    def test_fig6_export(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        common.clear()
+        path = export_csv("fig6", str(tmp_path))
+        x_header, xs, series = read_series_csv(path)
+        assert x_header == "scan_kb"
+        assert xs == ["3", "4", "8", "64"]
+        assert "Starburst/EOS" in series
+        assert all(value > 0 for value in series["ESM 1p"])
+
     def test_unknown_export_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_csv("table1", str(tmp_path))

@@ -38,6 +38,7 @@ from repro.core.errors import (
     ReproError,
     StorageCorruptionError,
 )
+from repro.core.file import LargeObjectFile
 from repro.core.fsck import check
 from repro.core.payload import SizedPayload
 from repro.exec.plan import MultiOp, append_op, replace_op
@@ -356,6 +357,38 @@ for name, build, refused, then in (
     REFUSALS[f"starburst-{name}-past-the-descriptor"] = Refusal(
         build, refused, LongFieldTooLargeError, "holds at most 25 pointers",
         then,
+    )
+
+# A file view's write grows the object by one append, of the zero gap
+# and the bytes past the end, before it replaces the bytes it overlaps:
+# the field refuses it before a byte lands.  It used to append the gap,
+# or replace the overlap, first.
+
+
+def _file_write(offset: int, data: bytes) -> Callable[[Subject], object]:
+    """Write ``data`` at ``offset`` through a file view of the object."""
+
+    def write(s: Subject) -> object:
+        view = LargeObjectFile(s.target.manager, s.ids[0])
+        view.seek(offset)
+        return view.write(data)
+
+    return write
+
+
+_FULL_FIELD = 25 * _SEGMENT_BYTES
+for name, build, offset, data in (
+    ("past-the-end-of-an-empty-field",
+     lambda: _holding(LargeObjectStore("starburst", SMALL), b""),
+     _FULL_FIELD - 3, b"0123456789"),
+    ("across-the-end-of-a-nearly-full-field", _nearly_full_field,
+     _FULL_FIELD - PAGE - 5, pattern_bytes(PAGE + 10)),
+):
+    REFUSALS[f"file-write-{name}"] = Refusal(
+        build, _file_write(offset, data),
+        LongFieldTooLargeError, "holds at most 25 pointers",
+        # Up to the last byte the field holds, the same write works.
+        _file_write(_FULL_FIELD - 10, b"0123456789"),
     )
 
 # A byte range outside the object is refused before any I/O.

@@ -21,7 +21,7 @@ from repro.core.errors import BufferPoolError, CrashError, OutOfSpaceError
 from repro.core.payload import SizedPayload
 from repro.disk.disk import _CHUNK_PAGES, SimulatedDisk
 from repro.disk.iomodel import CostModel
-from tests.test_disk import ModelDisk, _Tear, assert_disk_matches
+from tests.test_disk import ModelDisk, _builders, _Tear, assert_disk_matches
 
 CONFIG = small_page_config(page_size=128, buffer_pool_pages=4)
 
@@ -39,27 +39,37 @@ class SimulatedDiskMachine(RuleBasedStateMachine):
 
     starts = st.integers(min_value=LOW, max_value=HIGH - 1)
     counts = st.integers(min_value=1, max_value=12)
+    page_images = st.binary(
+        min_size=CONFIG.page_size, max_size=CONFIG.page_size
+    )
+    #: Bytes, a sized payload, or a list of one builder per page.
     payloads = st.one_of(
         st.binary(max_size=3 * CONFIG.page_size),
         st.integers(min_value=0, max_value=3 * CONFIG.page_size).map(
             SizedPayload
         ),
+        st.lists(page_images, min_size=1, max_size=12).map(_builders),
     )
 
-    def _clip(self, start, count, data=b""):
+    def _clip(self, start, count, data):
+        """The run's page count and data, inside the window: a builder
+        list fixes the count, so it is cut to the window instead."""
+        if isinstance(data, list):
+            data = data[: self.HIGH - start]
+            return len(data), data
         needed = -(-len(data) // CONFIG.page_size)
-        return max(needed, min(count, self.HIGH - start))
+        return max(needed, min(count, self.HIGH - start)), data
 
     @rule(start=starts, count=counts, data=payloads, record=st.booleans())
     def write(self, start, count, data, record):
-        count = self._clip(start, count, data)
+        count, data = self._clip(start, count, data)
         self.disk.write_pages(start, count, data, record=record)
         self.model.write(start, count, data, record)
 
     @rule(start=starts, count=counts, data=payloads, record=st.booleans(),
           keep=st.integers(min_value=0, max_value=12))
     def torn_write(self, start, count, data, record, keep):
-        count = self._clip(start, count, data)
+        count, data = self._clip(start, count, data)
         self.disk.install_fault_site(_Tear(keep))
         try:
             self.disk.write_pages(start, count, data, record=record)
@@ -74,6 +84,11 @@ class SimulatedDiskMachine(RuleBasedStateMachine):
     def poke(self, start, data):
         self.disk.poke_pages(start, data)
         self.model.write(start, -(-len(data) // CONFIG.page_size), data, True)
+
+    @rule(start=starts, image=page_images)
+    def defer(self, start, image):
+        self.disk.defer_image(start, lambda: image)
+        self.model.write(start, 1, image, True)
 
     @rule(start=starts, count=counts, retain=st.booleans())
     def discard(self, start, count, retain):
