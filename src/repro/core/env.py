@@ -16,7 +16,6 @@ from repro.disk.disk import SimulatedDisk
 from repro.disk.iomodel import CostModel, IOStats
 from repro.exec.engine import BatchEngine
 from repro.obs.runtime import resolve_tracer
-from repro.obs.timeline import TimelineSampler, resolve_sampler
 from repro.obs.tracer import Tracer
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
 from repro.segio import SegmentIO
@@ -31,7 +30,6 @@ class StorageEnvironment:
         record_leaf_data: bool = True,
         shadow: ShadowPolicy = DEFAULT_SHADOW,
         tracer: Tracer | None = None,
-        sampler: TimelineSampler | None = None,
     ) -> None:
         """Create a fresh simulated installation.
 
@@ -45,11 +43,6 @@ class StorageEnvironment:
         (``repro.obs.runtime.installed``) is picked up instead.  Tracing
         is strictly observational — costs and counters are identical with
         or without it.
-
-        ``sampler`` likewise enables :mod:`repro.obs.timeline` sampling
-        (explicit, else ambient via ``repro.obs.timeline.installed``);
-        it only reads costs the measurement paths already compute, so it
-        too leaves every counter and disk image bit-identical.
         """
         self.config = config
         self.cost = CostModel(config)
@@ -66,14 +59,8 @@ class StorageEnvironment:
             config, self.pool, record_leaf_data=record_leaf_data
         )
         self.exec = BatchEngine(self)
-        self.sampler = resolve_sampler(sampler)
-        #: Which shard of a ShardedStore this environment backs (0 for
-        #: unsharded stores); keys the sampler's latency series.
-        self.shard_index = 0
         if self.tracer is not None:
             self.tracer.bind(config, self.cost.stats, self.pool.stats)
-        if self.sampler is not None:
-            self.sampler.bind(config)
 
     # ------------------------------------------------------------------
     # Cost measurement helpers

@@ -413,8 +413,6 @@ class BatchEngine:
         config = self.env.config
         seek = config.seek_ms
         transfer = config.transfer_ms_per_page
-        sampler = self.env.sampler
-        shard = self.env.shard_index
         if not self.begin():
             raise InvalidArgumentError("op batches do not nest")
         try:
@@ -437,21 +435,16 @@ class BatchEngine:
                     assert kind == REPLACE
                     manager.replace(oid, op.offset, op.data)
                     results.append(None)
-                op_cost = (
+                costs.append((
                     stats.read_calls + stats.write_calls - calls
                 ) * seek + (
                     stats.pages_read + stats.pages_written - pages
-                ) * transfer
-                costs.append(op_cost)
-                if sampler is not None:
-                    sampler.record_op(kind, manager.scheme, shard, op_cost)
+                ) * transfer)
         except BaseException:
             # On error nothing reaches the disk (see abort).
             self.abort()
             raise
         self.commit()
-        if sampler is not None:
-            sampler.tick()
         return BatchResult(tuple(results), tuple(costs))
 
 

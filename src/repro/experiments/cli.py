@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from repro.core.errors import InvalidArgumentError
@@ -36,9 +37,8 @@ from repro.experiments.registry import (
     run_plot,
 )
 from repro.obs import runtime as obs_runtime
-from repro.obs import timeline as obs_timeline
 from repro.obs.export import dump_trace
-from repro.obs.tracer import Tracer, span_of
+from repro.obs.tracer import Tracer
 
 _EPILOG = """\
 --list prints the known experiments, their grid sizes, and the
@@ -108,22 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--timeline",
-        metavar="PATH",
-        help=(
-            "record a repro.obs.timeline JSONL time series (per-op "
-            "latency histograms + periodic snapshots) to PATH (inspect "
-            "with repro-obs timeline)"
-        ),
-    )
-    parser.add_argument(
-        "--timeline-every-ops",
-        type=int,
-        default=None,
-        metavar="K",
-        help="with --timeline, snapshot every K ops (default: 256)",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         dest="list_only",
@@ -152,11 +136,6 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown experiment(s) {', '.join(unknown)}; "
             f"known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    if args.timeline_every_ops is not None:
-        if not args.timeline:
-            parser.error("--timeline-every-ops needs --timeline")
-        if args.timeline_every_ops < 1:
-            parser.error("--timeline-every-ops must be at least 1")
     try:
         scale = resolve_scale()
     except InvalidArgumentError as exc:
@@ -165,28 +144,29 @@ def main(argv: list[str] | None = None) -> int:
         print(_list_text())
         return 0
     names = args.experiments or sorted(EXPERIMENTS)
+    # Both output paths are made before anything is computed: a bad path
+    # is a usage error, not a traceback after the whole run.
     tracer = None
     if args.trace:
+        try:
+            open(args.trace, "w", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"--trace: cannot write {args.trace}: {exc}")
         tracer = Tracer(meta={"tool": "repro-experiments",
                               "experiments": names})
-    sampler = None
-    if args.timeline:
-        sampler = obs_timeline.TimelineSampler(
-            every_ops=(
-                obs_timeline.DEFAULT_EVERY_OPS
-                if args.timeline_every_ops is None
-                else args.timeline_every_ops
-            ),
-            meta={"tool": "repro-experiments", "experiments": names},
-        )
-    with contextlib.ExitStack() as stack:
-        # Ambient tracer/sampler are picked up by every
-        # StorageEnvironment built from here on: the grid's points first,
-        # in grid order, then whatever the assembly itself computes.
-        if tracer is not None:
-            stack.enter_context(obs_runtime.installed(tracer))
-        if sampler is not None:
-            stack.enter_context(obs_timeline.installed(sampler))
+    if args.csv:
+        try:
+            os.makedirs(args.csv, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--csv: cannot make directory {args.csv}: {exc}")
+    # An ambient tracer is picked up by every StorageEnvironment built
+    # from here on: the grid's points first, in grid order, then
+    # whatever the assembly itself computes.
+    with (
+        obs_runtime.installed(tracer)
+        if tracer is not None
+        else contextlib.nullcontext()
+    ):
         precompute(names, scale=scale)
         for name in names:
             print(run(name))
@@ -196,10 +176,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.csv and name in CSV_EXPORTS:
                 print(f"wrote {export_csv(name, args.csv)}")
             print()
-    if sampler is not None:
-        with span_of(tracer, "obs.timeline", samples=len(sampler.samples)):
-            obs_timeline.dump_timeline(sampler, args.timeline)
-        print(f"wrote timeline {args.timeline}")
     if tracer is not None:
         dump_trace(tracer, args.trace)
         print(f"wrote trace {args.trace}")

@@ -18,9 +18,8 @@ is still a pure function of its point.  The runner has two steps:
    (:func:`repro.experiments.registry.run`), which finds every expensive
    point already memoized.
 
-Points run under whatever tracer and timeline sampler are installed
-ambiently, so a traced run records the grid in grid order.  The module
-keeps its name, and :func:`compute_point` / :func:`prime_results` /
+Points run under whatever tracer is installed ambiently, so a traced
+run records the grid in grid order.  The module keeps its name, and :func:`compute_point` / :func:`prime_results` /
 :func:`clear_caches` keep their signatures, because the host-time
 benchmark (``perfbench``) drives the grid through them.
 """
@@ -39,7 +38,6 @@ from repro.experiments import (
 )
 from repro.experiments.common import Scale, clear, prime, resolve_scale
 from repro.experiments.grid import GridPoint, full_grid
-from repro.obs import timeline as obs_timeline
 
 
 def binding(point: GridPoint) -> tuple[Callable[..., Any], tuple[Any, ...]]:
@@ -113,12 +111,8 @@ def precompute(names: list[str], scale: Scale | None = None) -> int:
     memoized.
     """
     points = full_grid(names, scale or resolve_scale())
-    sampler = obs_timeline.current()
     for point in points:
         prime(*binding(point), compute_point(point))
-        if sampler is not None:
-            # Restart the snapshot cadence per point, as the goldens pin.
-            sampler.flush()
     return len(points)
 
 

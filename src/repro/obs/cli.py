@@ -7,7 +7,6 @@ Usage::
     repro-obs flame TRACE [--out PATH]   # collapsed stacks for flamegraphs
     repro-obs validate TRACE             # schema check, non-zero on problems
     repro-obs health [--scheme S]        # probe a deterministic store
-    repro-obs timeline FILE [--diff B]   # render/diff/drift-flag a timeline
 
 ``diff`` follows diff(1) conventions: exit 0 when the traces attribute
 cost identically, 1 when they differ.  ``flame`` output feeds directly
@@ -17,9 +16,7 @@ collapsed-stack consumer); the sample value is simulated microseconds.
 ``health`` builds a deterministic sharded store, exercises it with a
 fixed batch workload, and prints the :mod:`repro.obs.health` gauge
 report — every gauge cross-checked against allocator/pool ground truth
-as it is computed.  ``timeline`` renders a timeline JSONL file (see
-``repro-experiments --timeline``), diffs two of them, and flags
-cost-per-op drift.
+as it is computed.
 """
 
 from __future__ import annotations
@@ -38,13 +35,6 @@ from repro.obs.summarize import (
     render_diff,
     render_summary,
     summarize,
-)
-from repro.obs.timeline import (
-    detect_drift,
-    load_timeline,
-    render_diff as render_timeline_diff,
-    render_summary as render_timeline_summary,
-    validate_timeline,
 )
 
 
@@ -137,32 +127,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    document = load_timeline(args.timeline)
-    problems = validate_timeline(document)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}", file=sys.stderr)
-        return 1
-    if args.diff:
-        other = load_timeline(args.diff)
-        text = render_timeline_diff(document, other)
-        if not text:
-            print(
-                f"timelines identical: {args.timeline} == {args.diff}"
-            )
-            return 0
-        print(text)
-        return 1
-    print(render_timeline_summary(document))
-    drift = detect_drift(document, threshold=args.drift_threshold)
-    if drift is not None:
-        print(drift.render())
-        if args.fail_on_drift:
-            return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -231,26 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit machine-readable JSON"
     )
     health.set_defaults(func=_cmd_health)
-
-    timeline = subparsers.add_parser(
-        "timeline",
-        help="render a timeline JSONL file, diff two, or flag drift",
-    )
-    timeline.add_argument("timeline", help="timeline JSONL path")
-    timeline.add_argument(
-        "--diff", metavar="OTHER",
-        help="compare against another timeline (exit 1 when they differ)",
-    )
-    timeline.add_argument(
-        "--drift-threshold", type=float, default=1.5, metavar="X",
-        help="cost/op ratio (late vs early half) that flags drift "
-        "(default: 1.5)",
-    )
-    timeline.add_argument(
-        "--fail-on-drift", action="store_true",
-        help="exit 1 when drift is flagged",
-    )
-    timeline.set_defaults(func=_cmd_timeline)
 
     args = parser.parse_args(argv)
     try:

@@ -32,16 +32,17 @@ import json
 from pathlib import Path
 
 from repro.core.config import SystemConfig
-from repro.core.errors import TraceError
+from repro.core.errors import InvalidArgumentError, TraceError
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import _IO_EVENT_KINDS, Tracer
 
 #: Version stamped into every trace header.
 TRACE_FORMAT_VERSION = 1
 
-_SPAN_REQUIRED = (
-    "id", "parent", "kind", "seq0", "seq1",
+#: A span's fields that must be non-negative integers.
+_SPAN_COUNTS = (
+    "id", "seq0", "seq1",
     "read_calls", "write_calls", "pages_read", "pages_written", "retries",
     "self_read_calls", "self_write_calls",
     "self_pages_read", "self_pages_written", "self_retries",
@@ -95,8 +96,9 @@ def dump_trace(tracer: Tracer, path: str | Path) -> None:
         handle.write(json.dumps(trailer, sort_keys=True) + "\n")
 
 
-def load_trace(path: str | Path) -> TraceDocument:
-    """Parse a JSONL trace file, raising :class:`TraceError` on malformed input."""
+def _parse(path: str | Path) -> TraceDocument:
+    """Read a trace's records, raising :class:`TraceError` on the first
+    line that is not one."""
     header: dict[str, object] | None = None
     metrics: MetricsRegistry | None = None
     records: list[dict[str, object]] = []
@@ -119,7 +121,11 @@ def load_trace(path: str | Path) -> TraceDocument:
             elif kind == "metrics":
                 if metrics is not None:
                     raise TraceError(f"{path}:{lineno}: duplicate metrics trailer")
-                metrics = MetricsRegistry.from_dict(record)
+                try:
+                    metrics = MetricsRegistry.from_dict(record)
+                except (InvalidArgumentError, LookupError, TypeError,
+                        ValueError, AttributeError) as exc:
+                    raise TraceError(f"{path}:{lineno}: bad metrics: {exc!r}") from exc
             elif kind in ("span", "event"):
                 records.append(record)
             else:
@@ -131,18 +137,17 @@ def load_trace(path: str | Path) -> TraceDocument:
     return TraceDocument(header=header, records=records, metrics=metrics)
 
 
-def validate_trace(path: str | Path) -> list[str]:
-    """Check a trace file against the schema; return a list of problems.
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
-    An empty list means the trace is well-formed: parseable, one header
-    and one metrics line, all required fields present, span ids unique,
-    every parent/span reference resolvable, and event sequence numbers
-    strictly increasing.
-    """
-    try:
-        document = load_trace(path)
-    except (TraceError, OSError) as exc:
-        return [str(exc)]
+
+def _resolves(ref: object, span_ids: set[object]) -> bool:
+    """True for ``None`` (no span) or one of ``span_ids``."""
+    return isinstance(ref, (int, type(None))) and ref in span_ids
+
+
+def _problems(document: TraceDocument) -> list[str]:
+    """Every way a parsed trace breaks the schema."""
     problems: list[str] = []
     header = document.header
     if header.get("version") != TRACE_FORMAT_VERSION:
@@ -152,32 +157,33 @@ def validate_trace(path: str | Path) -> list[str]:
     for field in ("seek_ms", "transfer_ms_per_page"):
         if not isinstance(header.get(field), (int, float)):
             problems.append(f"header field {field!r} missing or non-numeric")
-    span_ids: set[int] = set()
-    for record in document.spans():
-        missing = [f for f in _SPAN_REQUIRED if f not in record]
-        if missing:
-            problems.append(f"span record missing fields: {', '.join(missing)}")
-            continue
-        span_id = record["id"]
-        if span_id in span_ids:
-            problems.append(f"duplicate span id {span_id}")
-        span_ids.add(span_id)  # type: ignore[arg-type]
-    for record in document.spans():
-        parent = record.get("parent")
-        if parent is not None and parent not in span_ids:
+    # A span closes before its parent, so walking the file backwards, a
+    # span's parent (if any) is already among the ids seen.
+    span_ids: set[object] = {None}
+    for record in reversed(document.spans()):
+        bad = [f for f in _SPAN_COUNTS if not _is_count(record.get(f))]
+        bad += [f for f in ("parent", "kind") if f not in record]
+        if bad:
+            problems.append(f"span record missing or bad fields: {', '.join(bad)}")
+        elif record["id"] in span_ids:
+            problems.append(f"duplicate span id {record['id']}")
+        elif not _resolves(record["parent"], span_ids):
             problems.append(
-                f"span {record.get('id')} references unknown parent {parent}"
+                f"span {record['id']} has parent {record['parent']!r}, "
+                "which is no span closed after it"
             )
+        if not bad:
+            span_ids.add(record["id"])
     last_seq = -1
     for record in document.events():
         missing = [f for f in _EVENT_REQUIRED if f not in record]
         if missing:
             problems.append(f"event record missing fields: {', '.join(missing)}")
             continue
-        span = record["span"]
-        if span is not None and span not in span_ids:
+        kind = str(record["kind"])
+        if not _resolves(record["span"], span_ids):
             problems.append(
-                f"event {record['kind']!r} references unknown span {span}"
+                f"event {kind!r} references unknown span {record['span']!r}"
             )
         seq = record["seq"]
         if not isinstance(seq, int) or seq <= last_seq:
@@ -186,10 +192,33 @@ def validate_trace(path: str | Path) -> list[str]:
             )
         else:
             last_seq = seq
-        if "pages" in record and (
-            not isinstance(record["pages"], int) or record["pages"] <= 0  # type: ignore[operator]
+        pages = record.get("pages")
+        if (kind in _IO_EVENT_KINDS or "pages" in record) and not (
+            _is_count(pages) and pages  # a physical access moves >= 1 page
         ):
-            problems.append(
-                f"event {record['kind']!r} has non-positive pages {record['pages']!r}"
-            )
+            problems.append(f"event {kind!r} has non-positive pages {pages!r}")
     return problems
+
+
+def load_trace(path: str | Path) -> TraceDocument:
+    """Parse a JSONL trace file, raising :class:`TraceError` that names
+    the first problem :func:`validate_trace` reports."""
+    document = _parse(path)
+    problems = _problems(document)
+    if problems:
+        raise TraceError(f"{path}: {problems[0]}")
+    return document
+
+
+def validate_trace(path: str | Path) -> list[str]:
+    """Check a trace file against the schema; return a list of problems.
+
+    An empty list means the trace is well-formed: parseable, one header
+    and one metrics line, all required fields present, span ids unique,
+    every parent/span reference resolvable (a parent closes after its
+    child), and event sequence numbers strictly increasing.
+    """
+    try:
+        return _problems(_parse(path))
+    except (TraceError, OSError) as exc:
+        return [str(exc)]

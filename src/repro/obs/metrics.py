@@ -66,45 +66,6 @@ class Histogram:
         self.count += 1
         self.sum_value += value
 
-    @property
-    def mean(self) -> float:
-        """Mean of all observations (0.0 when empty)."""
-        return self.sum_value / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile.
-
-        Deterministic by construction: the answer is the bound of the
-        first bucket whose cumulative count reaches ``ceil(q * count)``,
-        so it is a pure function of the bucket counts.
-        Observations past the last bound report ``inf``; an empty
-        histogram reports ``0.0``.
-        """
-        if not 0.0 < q <= 1.0:
-            raise InvalidArgumentError(
-                f"percentile must be in (0, 1], got {q}"
-            )
-        if not self.count:
-            return 0.0
-        rank = -(-int(self.count * q * 10**9) // 10**9)  # ceil, float-safe
-        rank = max(1, min(rank, self.count))
-        cumulative = 0
-        for i, n in enumerate(self.counts):
-            cumulative += n
-            if cumulative >= rank:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                return float("inf")
-        return float("inf")
-
-    def percentiles(self) -> dict[str, float]:
-        """The standard latency trio (p50/p95/p99) as a dict."""
-        return {
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-        }
-
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation."""
         return {

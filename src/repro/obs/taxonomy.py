@@ -57,7 +57,6 @@ INTERIOR_SPAN_KINDS: frozenset[str] = frozenset({
     "atomic.commit",
     "atomic.recover",
     "obs.health",
-    "obs.timeline",
 })
 
 #: Every legal ``tracer.span(...)`` kind.
@@ -90,28 +89,23 @@ EVENT_KINDS: frozenset[str] = frozenset({
 ALL_KINDS: frozenset[str] = SPAN_KINDS | EVENT_KINDS
 
 
-#: Exact metric names the health probe and timeline sampler may emit.
-#: Names that carry a dynamic component (buddy area, op kind, scheme,
-#: shard index, free-extent order) instead belong to a family in
+#: Exact metric names the health probe may emit.
+#: Names that carry a dynamic component (buddy area, shard index,
+#: free-extent order) instead belong to a family in
 #: :data:`METRIC_FAMILY_PREFIXES`; everything else must be listed here
 #: verbatim.  The names are checked once, where they leave the process:
-#: ``HealthReport.to_metrics`` raises on a name in neither set, and
-#: ``validate_timeline`` reports one, so a typo cannot mint a metric the
-#: catalogue does not know about.
+#: ``HealthReport.to_metrics`` raises on a name in neither set, so a typo
+#: cannot mint a metric the catalogue does not know about.
 METRIC_NAMES: frozenset[str] = frozenset({
     "health.objects",
     "health.bytes",
     "health.probes",
-    "timeline.samples",
-    "timeline.ops",
-    "timeline.sim_ms",
 })
 
 #: Leading prefixes of metric families whose full names embed dynamic
 #: components.  ``health.<area>.*`` gauges carry the buddy area name,
 #: ``health.scheme.*`` / ``health.pool.*`` / ``health.journal.*`` /
-#: ``health.skew.*`` group the remaining gauges, ``latency.*``
-#: histograms are keyed ``latency.<op>.<scheme>.shard<N>``, and
+#: ``health.skew.*`` group the remaining gauges, and
 #: ``span.``/``io.``/``pool.`` are the tracer's own counter families.
 METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
     "health.data.",
@@ -121,7 +115,6 @@ METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
     "health.journal.",
     "health.skew.",
     "health.shard.",
-    "latency.",
     "span.",
     "io.",
     "pool.",

@@ -100,8 +100,6 @@ class ShardedStore:
             )
             for _ in range(shards)
         )
-        for index, store in enumerate(self.shards):
-            store.env.shard_index = index
         self._next_shard = 0
         self.atomic = atomic
         self.coordinator: "AtomicCoordinator | None" = None

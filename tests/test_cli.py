@@ -141,13 +141,14 @@ def test_chaos_table_works_without_shards(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["tables23", "nosuch"],
-    ["tables23", "--timeline", "t.jsonl", "--timeline-every-ops", "0"],
-    ["table1", "--timeline-every-ops", "5"],
+    ["tables23", "--trace", "no-such-dir/t.jsonl"],
+    ["fig5", "--csv", "a-file"],
 ])
 def test_bad_experiment_arguments_are_usage_errors(
     argv, capsys, tmp_path, monkeypatch
 ):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-file").write_text("")  # a --csv DIR that is a file
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -167,14 +168,13 @@ def test_unknown_repro_scale_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == ""  # rejected before any experiment ran
 
 
-def test_trace_and_timeline_match_the_golden(tmp_path, monkeypatch, capsys):
-    """The committed checksums of four tiny-scale observed runs."""
+def test_traces_match_the_golden(tmp_path, monkeypatch, capsys):
+    """The committed checksums of three tiny-scale traced runs."""
     monkeypatch.chdir(tmp_path)
     for argv in (
         ["fig5", "--trace", "trace-fig5.jsonl"],
         ["shards", "--trace", "trace-shards.jsonl"],
         ["tables23", "--trace", "trace-tables23.jsonl"],
-        ["fig7-8", "--timeline", "timeline-fig7-8.jsonl"],
     ):
         common.clear()
         assert main(argv) == 0

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.health and repro.obs.timeline.
+"""Tests for repro.obs.health.
 
 The contracts under test mirror the tracing ones in ``test_obs.py``:
 
@@ -6,12 +6,7 @@ The contracts under test mirror the tracing ones in ``test_obs.py``:
   allocator / manager / pool structures it summarizes, with ``==``
   (the probe itself cross-checks and raises on drift; these tests
   recompute independently).
-* **Zero observable effect** — probing a store charges no I/O, and the
-  full experiment grid reports bit-identically with a timeline sampler
-  installed or not.
-* **Deterministic merging** — timeline dumps are byte-identical across
-  worker counts, and log-bucket percentiles are exact under any
-  partition of the observations.
+* **Zero observable effect** — probing a store charges no I/O.
 """
 
 from __future__ import annotations
@@ -23,23 +18,13 @@ import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import ContractViolationError, InvalidArgumentError
-from repro.experiments import parallel, registry
+from repro.core.errors import ContractViolationError
 from repro.obs.health import (
     probe_any,
     probe_sharded_store,
     probe_store,
 )
-from repro.obs.metrics import Histogram
 from repro.obs.taxonomy import is_known_metric
-from repro.obs.timeline import (
-    TimelineSampler,
-    detect_drift,
-    dump_timeline,
-    installed as sampler_installed,
-    load_timeline,
-    validate_timeline,
-)
 from repro.obs.cli import main as obs_main
 from repro.shard.router import ShardedStore
 from tests.conftest import pattern_bytes
@@ -190,155 +175,6 @@ class TestHealthGauges:
 
 
 # ----------------------------------------------------------------------
-# Percentiles: exact log-bucket ranks
-# ----------------------------------------------------------------------
-class TestPercentiles:
-    def test_percentile_returns_bucket_upper_bound(self):
-        histogram = Histogram()
-        for value in (0.5, 3.0, 40.0, 900.0):
-            histogram.observe(value)
-        # Ranks: p50 -> 2nd of 4 (bucket <=5.0), p99 -> 4th (<=1000.0).
-        assert histogram.percentile(0.50) == 5.0
-        assert histogram.percentile(0.99) == 1000.0
-        assert histogram.percentiles() == {
-            "p50": 5.0,
-            "p95": 1000.0,
-            "p99": 1000.0,
-        }
-
-    def test_percentile_of_empty_histogram_is_zero(self):
-        assert Histogram().percentile(0.5) == 0.0
-
-    def test_percentile_rejects_bad_quantile(self):
-        with pytest.raises(InvalidArgumentError):
-            Histogram().percentile(0.0)
-        with pytest.raises(InvalidArgumentError):
-            Histogram().percentile(1.5)
-
-    def test_overflow_bucket_reports_infinity(self):
-        histogram = Histogram()
-        histogram.observe(10**9)
-        assert histogram.percentile(0.5) == float("inf")
-
-
-# ----------------------------------------------------------------------
-# Timeline sampling
-# ----------------------------------------------------------------------
-class TestTimelineSampler:
-    def _run(self, sampler: TimelineSampler) -> LargeObjectStore:
-        """Run a small sampled workload (op recording lives in the
-        exec engine and workload runner, not the direct store API)."""
-        from repro.workload.generator import WorkloadGenerator
-        from repro.workload.runner import WorkloadRunner
-
-        with sampler_installed(sampler):
-            store = LargeObjectStore("eos", CONFIG, shadowing=True)
-            oid = store.create(pattern_bytes(40_000))
-            generator = WorkloadGenerator(
-                object_size=store.size(oid), mean_op_size=2000, seed=7
-            )
-            WorkloadRunner(store.manager, oid, generator).run(
-                60, window=10
-            )
-        return store
-
-    def test_ops_and_sim_ms_match_the_ledger(self):
-        from repro.workload.generator import WorkloadGenerator
-        from repro.workload.runner import WorkloadRunner
-
-        sampler = TimelineSampler(every_ops=2)
-        store = self._run(sampler)
-        plain = LargeObjectStore("eos", CONFIG, shadowing=True)
-        oid = plain.create(pattern_bytes(40_000))
-        generator = WorkloadGenerator(
-            object_size=plain.size(oid), mean_op_size=2000, seed=7
-        )
-        WorkloadRunner(plain.manager, oid, generator).run(60, window=10)
-        assert store.stats == plain.stats
-        assert sampler.ops == 60
-        assert sampler.samples, "every_ops=2 must have sampled"
-        total = sum(h.count for h in sampler.metrics.histograms.values())
-        assert total == sampler.ops
-
-    def test_dump_validates_and_renders(self, tmp_path):
-        sampler = TimelineSampler(every_ops=2, meta={"suite": "test"})
-        self._run(sampler)
-        path = tmp_path / "timeline.jsonl"
-        dump_timeline(sampler, path)
-        document = load_timeline(path)
-        assert validate_timeline(document) == []
-        assert document.summary["ops"] == sampler.ops
-        assert document.header["meta"] == {"suite": "test"}
-
-    def test_validate_refuses_an_unregistered_histogram(self, tmp_path):
-        sampler = TimelineSampler(every_ops=2)
-        self._run(sampler)
-        sampler.metrics.observe("made_up.read", 1.0)
-        path = tmp_path / "timeline.jsonl"
-        dump_timeline(sampler, path)
-        assert validate_timeline(load_timeline(path)) == [
-            "histogram 'made_up.read' outside the registered latency family"
-        ]
-
-    def test_same_run_dumps_byte_identical(self, tmp_path):
-        dumps = []
-        for index in range(2):
-            sampler = TimelineSampler(every_ops=2)
-            self._run(sampler)
-            path = tmp_path / f"t{index}.jsonl"
-            dump_timeline(sampler, path)
-            dumps.append(path.read_bytes())
-        assert dumps[0] == dumps[1]
-
-    def test_drift_flag_fires_on_cost_blowup(self):
-        sampler = TimelineSampler(every_ops=4)
-        for index in range(12):
-            cost = 10.0 if index < 8 else 500.0
-            sampler.record_op("read", "eos", 0, cost)
-        sampler.flush()
-
-        class Doc:
-            samples = sampler.samples
-            header = {}
-
-        flag = detect_drift(Doc(), threshold=1.5)
-        assert flag is not None
-        assert flag.ratio > 1.5
-        assert "drift" in flag.render()
-
-    def test_grid_reports_identical_sampled_vs_unsampled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        names = sorted(registry.EXPERIMENTS)
-        parallel.clear_caches()
-        plain = [registry.run(name) for name in names]
-        parallel.clear_caches()
-        sampler = TimelineSampler()
-        with sampler_installed(sampler):
-            sampled = [registry.run(name) for name in names]
-        parallel.clear_caches()
-        assert sampled == plain
-        assert sampler.ops > 0
-
-
-# ----------------------------------------------------------------------
-# Sampling the precomputed grid
-# ----------------------------------------------------------------------
-class TestParallelTimelines:
-    def test_sampled_results_match_unsampled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        parallel.clear_caches()
-        plain = registry.run("fig7-8")
-        parallel.clear_caches()
-        sampler = TimelineSampler()
-        with sampler_installed(sampler):
-            parallel.precompute(["fig7-8"])
-        sampled = registry.run("fig7-8")
-        parallel.clear_caches()
-        assert sampled == plain
-        assert sampler.ops > 0
-
-
-# ----------------------------------------------------------------------
 # CLI smoke
 # ----------------------------------------------------------------------
 class TestHealthCli:
@@ -356,46 +192,3 @@ class TestHealthCli:
         document = json.loads(capsys.readouterr().out)
         assert len(document["shards"]) == 3
         assert document["shards"][0]["journal"] is not None
-
-    def test_timeline_subcommand_roundtrip(self, tmp_path, capsys):
-        from repro.workload.generator import WorkloadGenerator
-        from repro.workload.runner import WorkloadRunner
-
-        sampler = TimelineSampler(every_ops=2)
-        with sampler_installed(sampler):
-            store = LargeObjectStore("eos", CONFIG, shadowing=True)
-            oid = store.create(pattern_bytes(40_000))
-            generator = WorkloadGenerator(
-                object_size=store.size(oid), mean_op_size=2000, seed=7
-            )
-            WorkloadRunner(store.manager, oid, generator).run(
-                40, window=10
-            )
-        path = tmp_path / "timeline.jsonl"
-        dump_timeline(sampler, path)
-        assert obs_main(["timeline", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "latency." in out
-        assert obs_main(
-            ["timeline", str(path), "--diff", str(path)]
-        ) == 0
-        assert "identical" in capsys.readouterr().out
-
-    def test_timeline_subcommand_rejects_garbage(self, tmp_path, capsys):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n", encoding="utf-8")
-        assert obs_main(["timeline", str(path)]) == 2
-
-    def test_experiments_timeline_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        from repro.experiments.cli import main as experiments_main
-
-        parallel.clear_caches()
-        path = tmp_path / "timeline.jsonl"
-        assert experiments_main(["fig7-8", "--timeline", str(path)]) == 0
-        parallel.clear_caches()
-        document = load_timeline(path)
-        assert validate_timeline(document) == []
-        assert document.summary["ops"] > 0
-        assert obs_main(["timeline", str(path)]) == 0
-        assert "latency." in capsys.readouterr().out

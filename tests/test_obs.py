@@ -77,7 +77,7 @@ class TestMetrics:
         histogram.observe(1.0)
         histogram.observe(3.0)
         assert histogram.count == 2
-        assert histogram.mean == 2.0
+        assert histogram.sum_value == 4.0
 
     def test_histogram_roundtrip(self):
         histogram = Histogram()
@@ -288,6 +288,25 @@ class TestParallelTraces:
 # ----------------------------------------------------------------------
 # Export, summaries, flame, CLI
 # ----------------------------------------------------------------------
+def _first(records, t):
+    return next(r for r in records if r["t"] == t)
+
+
+#: Ways to break one record of a dumped trace, each a schema violation.
+BREAKAGES = {
+    "span-without-counters": lambda rs: _first(rs, "span").pop(
+        "self_read_calls"
+    ),
+    "header-without-seek": lambda rs: _first(rs, "header").pop("seek_ms"),
+    "event-of-unknown-span": lambda rs: _first(rs, "event").update(
+        span=99999
+    ),
+    "histogram-bucket-count": lambda rs: next(
+        iter(_first(rs, "metrics")["histograms"].values())
+    )["counts"].pop(),
+}
+
+
 class TestExportAndCli:
     def _dump(self, tmp_path, scheme="esm"):
         tracer = Tracer()
@@ -369,6 +388,50 @@ class TestExportAndCli:
     def test_cli_missing_file_exits_two(self, tmp_path, capsys):
         assert obs_main(["summary", str(tmp_path / "nope.jsonl")]) == 2
         capsys.readouterr()
+
+    def _doctored(self, tmp_path, breakage):
+        """A dumped trace with one record broken by ``breakage``."""
+        path = self._dump(tmp_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        BREAKAGES[breakage](records)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path, bad
+
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    @pytest.mark.parametrize("command", ["summary", "diff", "flame"])
+    def test_cli_refuses_a_trace_validate_rejects(
+        self, tmp_path, capsys, command, breakage
+    ):
+        good, bad = self._doctored(tmp_path, breakage)
+        argv = [command, str(good), str(bad)] if command == "diff" else [
+            command, str(bad)
+        ]
+        assert obs_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    def test_validate_reports_what_load_refuses(
+        self, tmp_path, capsys, breakage
+    ):
+        _, bad = self._doctored(tmp_path, breakage)
+        problems = validate_trace(bad)
+        assert problems
+        with pytest.raises(TraceError) as excinfo:
+            load_trace(bad)
+        assert problems[0] in str(excinfo.value)
+        assert obs_main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("INVALID: ")
+
+    def test_validate_flags_a_span_that_is_its_own_parent(self, tmp_path):
+        path = self._dump(tmp_path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        span = next(r for r in records if r["t"] == "span")
+        span["parent"] = span["id"]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert any("parent" in problem for problem in validate_trace(path))
 
 
 # ----------------------------------------------------------------------
