@@ -195,8 +195,9 @@ class BlockBasedManager(LargeObjectManager):
         """Read a byte range one page per I/O call — the class's defining one-
         seek-per-page cost.
         """
-        pages = self._pages(oid).pages
-        self._check_range(oid, offset, nbytes)
+        obj = self._pages(oid)
+        pages = obj.pages
+        self._check_range(oid, offset, nbytes, obj.size())
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):
@@ -256,7 +257,7 @@ class BlockBasedManager(LargeObjectManager):
         rebalancing, so utilization degrades).
         """
         obj = self._pages(oid)
-        self._check_offset(oid, offset)
+        self._check_offset(oid, offset, obj.size())
         if not data:
             return
         if offset == obj.size():
@@ -283,7 +284,7 @@ class BlockBasedManager(LargeObjectManager):
     def delete(self, oid: int, offset: int, nbytes: int) -> None:
         """Delete a byte range, dropping pages that become empty."""
         obj = self._pages(oid)
-        self._check_range(oid, offset, nbytes)
+        self._check_range(oid, offset, nbytes, obj.size())
         if nbytes == 0:
             return
         with self._op_span("delete", oid):
@@ -319,8 +320,9 @@ class BlockBasedManager(LargeObjectManager):
 
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite bytes page by page, shadowing each affected page."""
-        pages = self._pages(oid).pages
-        self._check_range(oid, offset, len(data))
+        obj = self._pages(oid)
+        pages = obj.pages
+        self._check_range(oid, offset, len(data), obj.size())
         if not data:
             return
         with self._op_span("replace", oid):

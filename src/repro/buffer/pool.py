@@ -340,43 +340,50 @@ class BufferPool:
                 self._evict_many(1)
             content = frames[start] = self.disk.read_page_views(start, 1)[0]
             return content
-        # One probe per page decides hit or miss.
         end = start + n_pages
-        missing = []
-        for page_id in range(start, end):
-            if page_id not in frames:
-                missing.append(page_id)
-        n_missing = len(missing)
-        if n_missing:
-            pins = self._pins
-            pinned_in_run = 0
-            if pins:
-                for page_id in range(start, end):
-                    if page_id in pins:
-                        pinned_in_run += 1
-            if n_pages - pinned_in_run > self.headroom:
+        pages = range(start, end)
+        if not any(map(frames.__contains__, pages)):
+            # No page resident, so none pinned: the refusal is the
+            # headroom alone, then room once, one disk call, and the
+            # pages appended in request order, their recency order.
+            if n_pages > self.headroom:
                 raise BufferPoolError("all buffer frames are pinned")
-            stats.misses += n_missing
-        stats.hits += n_pages - n_missing
-        # Each missing sub-run in order: room made around the run's own
-        # pages, one disk call, pages appended unpinned.  When nothing
-        # was resident the one sub-run is the run, appended in request
-        # order, which is already its recency order.
-        runs = (
-            contiguous_runs(missing) if n_missing < n_pages
-            else ((start, n_pages),)
-        )
-        for run_start, run_len in runs:
-            need = len(frames) + run_len - capacity
+            stats.misses += n_pages
+            need = len(frames) + n_pages - capacity
             if need > 0:
                 self._evict_many(need, start, end)
-            frames.update(zip(
-                range(run_start, run_start + run_len),
-                self.disk.read_page_views(run_start, run_len),
-            ))
-        if n_missing < n_pages:
+            frames.update(zip(pages, self.disk.read_page_views(start, n_pages)))
+        else:
+            # Partly resident: one probe per page decides hit or miss.
+            missing = []
+            for page_id in pages:
+                if page_id not in frames:
+                    missing.append(page_id)
+            n_missing = len(missing)
+            if n_missing:
+                pins = self._pins
+                pinned_in_run = 0
+                if pins:
+                    for page_id in pages:
+                        if page_id in pins:
+                            pinned_in_run += 1
+                if n_pages - pinned_in_run > self.headroom:
+                    raise BufferPoolError("all buffer frames are pinned")
+                stats.misses += n_missing
+            stats.hits += n_pages - n_missing
+            # Each missing sub-run in order: room made around the run's
+            # own pages, one disk call, pages appended unpinned; then
+            # every page of the run moves to the recency end in order.
+            for run_start, run_len in contiguous_runs(missing):
+                need = len(frames) + run_len - capacity
+                if need > 0:
+                    self._evict_many(need, start, end)
+                frames.update(zip(
+                    range(run_start, run_start + run_len),
+                    self.disk.read_page_views(run_start, run_len),
+                ))
             move_to_end = frames.move_to_end
-            for page_id in range(start, end):
+            for page_id in pages:
                 move_to_end(page_id)
         page_size = self.config.page_size
         if not record:
@@ -384,8 +391,7 @@ class BufferPool:
                 self._check_phantom_run(start, n_pages)
             return SizedPayload(n_pages * page_size)
         return payload_concat([
-            _page_image(self.page(page_id), page_size)
-            for page_id in range(start, end)
+            _page_image(self.page(page_id), page_size) for page_id in pages
         ])
 
     def _check_phantom_run(self, start: int, n_pages: int) -> None:

@@ -226,16 +226,17 @@ class LargeObjectManager(abc.ABC):
     # ------------------------------------------------------------------
     # Shared validation helpers
     # ------------------------------------------------------------------
-    def _check_range(self, oid: int, offset: int, nbytes: int) -> None:
-        size = self.size(oid)
+    # Each check takes the size the op already holds (its tree's total,
+    # its descriptor's or page list's sum): no second lookup of ``oid``.
+    def _check_range(self, oid: int, offset: int, nbytes: int,
+                     size: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > size:
             raise ByteRangeError(
                 f"range [{offset}, {offset + nbytes}) outside object "
                 f"{oid} of {size} bytes"
             )
 
-    def _check_offset(self, oid: int, offset: int) -> None:
-        size = self.size(oid)
+    def _check_offset(self, oid: int, offset: int, size: int) -> None:
         if not 0 <= offset <= size:
             raise ByteRangeError(
                 f"offset {offset} outside object {oid} of {size} bytes"

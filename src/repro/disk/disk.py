@@ -306,8 +306,10 @@ class SimulatedDisk:
         length-only :class:`SizedPayload` page, and never-written pages as
         the shared zero page, so no slicing or zero-buffer materialization
         happens at all.  Charges the same cost as :meth:`read_pages`.
+        Its one caller, :meth:`~repro.buffer.pool.BufferPool.read_run`,
+        asks for one or more pages of a segment the layer above located,
+        so the argument check of the other reads is not repeated here.
         """
-        self._check_range(start, n_pages)
         if self._fault_site is not None:
             self._attempt_read(start, n_pages)
         self.cost.charge_read(n_pages)

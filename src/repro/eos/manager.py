@@ -160,7 +160,7 @@ class EOSManager(TreeBackedManager):
         that fit within the threshold T together.
         """
         tree = self._tree(oid)
-        self._check_offset(oid, offset)
+        self._check_offset(oid, offset, tree.total_bytes)
         if not data:
             return
         if offset == tree.total_bytes:
@@ -230,7 +230,7 @@ class EOSManager(TreeBackedManager):
         the threshold T.
         """
         tree = self._tree(oid)
-        self._check_range(oid, offset, nbytes)
+        self._check_range(oid, offset, nbytes, tree.total_bytes)
         if nbytes == 0:
             return
         with self._op_span("delete", oid), self._op(tree):
@@ -270,7 +270,7 @@ class EOSManager(TreeBackedManager):
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite bytes in place, shadowing each affected segment."""
         tree = self._tree(oid)
-        self._check_range(oid, offset, len(data))
+        self._check_range(oid, offset, len(data), tree.total_bytes)
         if not data:
             return
         with self._op_span("replace", oid), self._op(tree):

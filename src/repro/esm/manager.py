@@ -165,7 +165,7 @@ class ESMManager(TreeBackedManager):
         neighbour under the improved algorithm of [Care86].
         """
         tree = self._tree(oid)
-        self._check_offset(oid, offset)
+        self._check_offset(oid, offset, tree.total_bytes)
         if not data:
             return
         if offset == tree.total_bytes:
@@ -268,7 +268,7 @@ class ESMManager(TreeBackedManager):
     def delete(self, oid: int, offset: int, nbytes: int) -> None:
         """Delete a byte range, merging or rebalancing underfull leaves."""
         tree = self._tree(oid)
-        self._check_range(oid, offset, nbytes)
+        self._check_range(oid, offset, nbytes, tree.total_bytes)
         if nbytes == 0:
             return
         with self._op_span("delete", oid), self._op(tree):
@@ -345,7 +345,7 @@ class ESMManager(TreeBackedManager):
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite bytes in place, shadowing each affected leaf."""
         tree = self._tree(oid)
-        self._check_range(oid, offset, len(data))
+        self._check_range(oid, offset, len(data), tree.total_bytes)
         if not data:
             return
         with self._op_span("replace", oid), self._op(tree):

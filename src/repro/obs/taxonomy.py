@@ -105,8 +105,10 @@ METRIC_NAMES: frozenset[str] = frozenset({
 #: Leading prefixes of metric families whose full names embed dynamic
 #: components.  ``health.<area>.*`` gauges carry the buddy area name,
 #: ``health.scheme.*`` / ``health.pool.*`` / ``health.journal.*`` /
-#: ``health.skew.*`` group the remaining gauges, and
-#: ``span.``/``io.``/``pool.`` are the tracer's own counter families.
+#: ``health.skew.*`` / ``health.shard.*`` group the remaining gauges.
+#: The rest are the tracer's metrics trailer: the ``span.<kind>``,
+#: ``event.<kind>``, ``io.*`` and ``pool.*`` counters and the
+#: ``op.<kind>.cost_ms`` histograms.
 METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
     "health.data.",
     "health.meta.",
@@ -116,8 +118,10 @@ METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
     "health.skew.",
     "health.shard.",
     "span.",
+    "event.",
     "io.",
     "pool.",
+    "op.",
 )
 
 

@@ -21,10 +21,12 @@ batch ends), and nothing reads a fresh page before the copy writes it but
 the copy's own mid-page read-back; so no other page of it can be
 resident, and those writes skip the refresh and go to the disk.
 
-A byte-range read has two halves: :meth:`SegmentIO._read_covering`
-makes the pool and disk calls and returns the runs it charged, and
-:meth:`SegmentIO._assembled` slices and joins them.  The staged copy
-calls the first half directly, once per source piece of a chunk.
+A byte-range read is one frame here: a run short enough to buffer is
+one :meth:`~repro.buffer.pool.BufferPool.read_run` and a slice of it.
+Only the 3-step read has two halves: :meth:`SegmentIO._read_covering`
+makes its pool and disk calls and :meth:`SegmentIO._assembled` slices
+and joins the pages it charged.  The staged copy reads each source piece
+of a chunk the same way.
 
 A phantom store (``record_leaf_data=False``, Section 4.1) makes the
 same pool and disk calls in the same order, but carries lengths, not
@@ -43,9 +45,8 @@ from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, ContractViolationError
 from repro.core.payload import Payload, SizedPayload, payload_concat
 
-#: The runs one segment read charged: the head page, the middle run and
-#: the tail page of the 3-step read (each None when not read), or a
-#: buffered read's one run as the middle.
+#: The runs a 3-step read charged: the head page, the middle run and the
+#: tail page (each None when not read).
 _Runs = tuple[Payload | None, Payload | None, Payload | None]
 
 
@@ -123,10 +124,9 @@ class SegmentIO:
         n_middle = start_page + n_pages - (last_cached is not None) - first
         middle = pool.disk.read_pages(first, n_middle) if n_middle else None
         if not self.record_leaf_data:
-            return self._length_only(
-                n_pages * self.config.page_size,
-                first_cached, middle, last_cached,
-            )
+            if pool.checks:
+                _check_phantom(first_cached, middle, last_cached)
+            return SizedPayload(n_pages * self.config.page_size)
         return _joined(first_cached, middle, last_cached)
 
     def read_boundary_unaligned(
@@ -138,6 +138,10 @@ class SegmentIO:
         *and* the byte range does not match block boundaries, the first
         and/or last block goes through the buffer pool (and stays cached)
         while the interior is read directly — the 3-step I/O of Figure 4.
+        A run short enough to buffer is one
+        :meth:`~repro.buffer.pool.BufferPool.read_run`, sliced here (a
+        phantom store's length alone).  Traced, the I/O is one
+        ``segio.read_unaligned`` span.
         """
         if nbytes < 0 or byte_off < 0:
             raise ByteRangeError("negative byte range")
@@ -147,36 +151,48 @@ class SegmentIO:
         first = byte_off // page_size
         n_pages = (byte_off + nbytes - 1) // page_size - first + 1
         start = byte_off - first * page_size
-        buffered = self._should_buffer(n_pages)
-        tracer = self.pool.disk.tracer
-        if tracer is None:
-            runs = self._read_covering(
-                segment_page + first, n_pages, buffered, start, nbytes
-            )
-        else:
-            with tracer.span(
-                "segio.read_unaligned",
-                start=segment_page + first,
-                pages_n=n_pages,
-                buffered=buffered,
-            ):
-                runs = self._read_covering(
-                    segment_page + first, n_pages, buffered, start, nbytes
-                )
-        return self._assembled(runs, buffered, start, nbytes)
-
-    def _read_covering(self, start_page: int, n_pages: int, buffered: bool,
-                       start: int, nbytes: int) -> _Runs:
-        """The I/O half of :meth:`read_boundary_unaligned`, traced or not:
-        the pool and disk calls that cover ``nbytes`` bytes from ``start``
-        bytes into ``start_page``.  Returns the runs it charged: ``(head,
-        middle, tail)`` pages of the 3-step read, or a buffered read's one
-        run as ``middle``."""
+        segment_page += first
         pool = self.pool
-        if buffered:
-            return None, pool.read_run(
-                start_page, n_pages, record=self.record_leaf_data
-            ), None
+        record = self.record_leaf_data
+        tracer = pool.disk.tracer
+        # _should_buffer, inlined: this is every charged read's path.
+        if (n_pages <= self.config.max_buffered_segment_pages
+                and n_pages <= pool.capacity and n_pages <= pool.headroom):
+            if tracer is None:
+                run = pool.read_run(segment_page, n_pages, record=record)
+            else:
+                with tracer.span("segio.read_unaligned", start=segment_page,
+                                 pages_n=n_pages, buffered=True):
+                    run = pool.read_run(segment_page, n_pages, record=record)
+            if not record:
+                # (A run of 2+ pages is a length the pool checked.)
+                if pool.checks and type(run) is not SizedPayload:
+                    _check_phantom(run)
+                return SizedPayload(nbytes)
+            # A page-aligned whole-run request needs no slice at all.
+            if start == 0 and nbytes == len(run):
+                return run
+            return run[start : start + nbytes]
+        if tracer is None:
+            runs = self._read_covering(segment_page, n_pages, start, nbytes)
+        else:
+            with tracer.span("segio.read_unaligned", start=segment_page,
+                             pages_n=n_pages, buffered=False):
+                runs = self._read_covering(
+                    segment_page, n_pages, start, nbytes
+                )
+        if not record:
+            if pool.checks:
+                _check_phantom(*runs)
+            return SizedPayload(nbytes)
+        return self._assembled(runs, start, nbytes)
+
+    def _read_covering(self, start_page: int, n_pages: int, start: int,
+                       nbytes: int) -> _Runs:
+        """The I/O of the 3-step read: the pool and disk calls that cover
+        ``nbytes`` bytes from ``start`` bytes into ``start_page``, a run
+        too long to buffer.  Returns the ``(head, middle, tail)`` pages it
+        charged."""
         # A page the range cuts goes through the pool, the pages between
         # the cuts are one direct read.  ``tail`` is what the range uses
         # of its last page; a single page cut at both ends is the head.
@@ -186,28 +202,16 @@ class SegmentIO:
         cut_tail = tail > 0 and n_middle > 0
         n_middle -= cut_tail
         head = self._boundary_page(start_page) if start else None
-        middle = pool.disk.read_pages(first, n_middle) if n_middle else None
+        middle = (
+            self.pool.disk.read_pages(first, n_middle) if n_middle else None
+        )
         last = self._boundary_page(first + n_middle) if cut_tail else None
         return head, middle, last
 
-    def _assembled(self, runs: _Runs, buffered: bool, start: int,
-                   nbytes: int) -> Payload:
-        """The assembly half of :meth:`read_boundary_unaligned`: the
-        ``nbytes`` bytes from ``start`` bytes into the runs
-        :meth:`_read_covering` charged, sliced and joined (a phantom
-        store's length alone)."""
+    def _assembled(self, runs: _Runs, start: int, nbytes: int) -> Payload:
+        """The ``nbytes`` bytes from ``start`` bytes into the runs
+        :meth:`_read_covering` charged, sliced and joined."""
         head, middle, last = runs
-        if not self.record_leaf_data:
-            if buffered and type(middle) is SizedPayload:
-                # A run of 2+ pages is a length the pool checked.
-                return middle if len(middle) == nbytes else SizedPayload(nbytes)
-            return self._length_only(nbytes, head, middle, last)
-        if buffered:
-            assert middle is not None
-            # A page-aligned whole-run request needs no slice at all.
-            if start == 0 and nbytes == len(middle):
-                return middle
-            return middle[start : start + nbytes]
         # Each boundary page is sliced to its bytes before the one join.
         tail = (start + nbytes) % self.config.page_size
         return _joined(head and head[start : start + nbytes], middle,
@@ -257,12 +261,9 @@ class SegmentIO:
         that page.  Only a read-back page can be resident, so every other
         write goes straight to the disk.
 
-        Each read is :meth:`read_boundary_unaligned`'s I/O half,
-        :meth:`_read_covering`, called directly, inside the same
-        ``segio.read_unaligned`` span when traced.  A recorded store
-        assembles the parts and the chunk from what it charged; a phantom
-        store assembles nothing (``REPRO_CHECKS=1`` checks the premise of
-        each read), and each write's data is a length.
+        Each read is one :meth:`read_boundary_unaligned`.  A recorded
+        store joins what they return into the chunk; a phantom store
+        keeps only lengths, and each write's data is a length.
         """
         page_size = self.config.page_size
         pool = self.pool
@@ -270,7 +271,7 @@ class SegmentIO:
         tracer = disk.tracer
         record = self.record_leaf_data
         checked = disk.checks
-        read_covering = self._read_covering
+        read = self.read_boundary_unaligned
         parts: list[Payload] = []
         remaining = sum(nbytes for _page, nbytes in sinks)
         piece_index = piece_done = sink_index = written = 0
@@ -283,32 +284,9 @@ class SegmentIO:
                 if isinstance(piece, tuple):
                     page_id, byte_off, length = piece
                     take = min(length - piece_done, need)
-                    byte_off += piece_done
-                    first = byte_off // page_size
-                    n_pages = (byte_off + take - 1) // page_size - first + 1
-                    start = byte_off - first * page_size
-                    buffered = self._should_buffer(n_pages)
-                    page_id += first
-                    if tracer is None:
-                        runs = read_covering(
-                            page_id, n_pages, buffered, start, take
-                        )
-                    else:
-                        with tracer.span(
-                            "segio.read_unaligned",
-                            start=page_id,
-                            pages_n=n_pages,
-                            buffered=buffered,
-                        ):
-                            runs = read_covering(
-                                page_id, n_pages, buffered, start, take
-                            )
+                    got = read(page_id, byte_off + piece_done, take)
                     if record:
-                        parts.append(
-                            self._assembled(runs, buffered, start, take)
-                        )
-                    elif checked:
-                        self._assembled(runs, buffered, start, take)
+                        parts.append(got)
                 else:
                     length = len(piece)
                     take = min(length - piece_done, need)
@@ -363,7 +341,8 @@ class SegmentIO:
         pool = self.pool
         # pool.can_accommodate(n_pages) inlined via the plain headroom
         # attribute: the wrapped call guards every segment access, and
-        # the wrapper alone shows up at paper scale.
+        # the wrapper alone shows up at paper scale.  (Inlined in turn in
+        # read_boundary_unaligned.)
         return (
             n_pages <= self.config.max_buffered_segment_pages
             and n_pages <= pool.capacity
@@ -384,23 +363,15 @@ class SegmentIO:
         pool.stats.misses += 1
         return pool.disk.read_pages(page_id, 1)
 
-    def _length_only(self, nbytes: int, head: Payload | None,
-                     middle: Payload | None, last: Payload | None) -> Payload:
-        """A phantom store's read returns ``nbytes`` alone, not the runs it
-        charged (a lone phantom ``middle`` of that length as it is): every
-        leaf page of the store is phantom or never written, so reads as
-        zeros, as ``REPRO_CHECKS=1`` checks."""
-        if self.pool.checks and any(
-            run is not None and run != bytes(len(run))
-            for run in (head, middle, last)
-        ):
-            raise ContractViolationError(
-                "a phantom read charged a run holding recorded bytes"
-            )
-        if (head is None and last is None and type(middle) is SizedPayload
-                and len(middle) == nbytes):
-            return middle
-        return SizedPayload(nbytes)
+
+def _check_phantom(*runs: Payload | None) -> None:
+    """The premise of a phantom read, under ``REPRO_CHECKS=1``: it returns
+    its length alone, not the runs it charged, because every leaf page of
+    the store is phantom or never written, so each run reads as zeros."""
+    if any(run is not None and run != bytes(len(run)) for run in runs):
+        raise ContractViolationError(
+            "a phantom read charged a run holding recorded bytes"
+        )
 
 
 def _joined(*runs: Payload | None) -> Payload:

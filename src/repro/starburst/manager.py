@@ -126,24 +126,27 @@ class StarburstManager(LargeObjectManager):
         descriptor lives in the small object that owns the long field
         (Section 2.2), so like the ESM/EOS root page it costs no
         large-object I/O (Starburst's 100-byte read in Table 2 is exactly
-        one data-page access).
+        one data-page access).  One walk over the segments finds the runs
+        and, ending at the range's end or else the field's, checks it.
         """
         descriptor = self._descriptor(oid)
-        self._check_range(oid, offset, nbytes)
+        end = offset + nbytes
+        runs = []
+        seg_start = 0
+        for segment in descriptor.segments:
+            if seg_start >= end:
+                break
+            seg_end = seg_start + segment.used_bytes
+            if seg_end > offset:
+                within = offset - seg_start if offset > seg_start else 0
+                take = min(seg_end, end) - seg_start - within
+                runs.append((segment.page_id, within, take, 0))
+            seg_start = seg_end
+        if offset < 0 or nbytes < 0 or end > seg_start:
+            self._check_range(oid, offset, nbytes, descriptor.total_bytes)
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):
-            index, within = descriptor.locate(offset)
-            segments = descriptor.segments
-            runs = []
-            remaining = nbytes
-            while remaining > 0:
-                segment = segments[index]
-                take = min(segment.used_bytes - within, remaining)
-                runs.append((segment.page_id, within, take, 0))
-                remaining -= take
-                within = 0
-                index += 1
             return self.env.exec.execute_read(runs)
 
     # ------------------------------------------------------------------
@@ -202,7 +205,7 @@ class StarburstManager(LargeObjectManager):
         through the staging buffer (Section 3.5).
         """
         descriptor = self._descriptor(oid)
-        self._check_offset(oid, offset)
+        self._check_offset(oid, offset, descriptor.total_bytes)
         if not data:
             return
         if not descriptor.segments or offset == descriptor.total_bytes:
@@ -223,7 +226,7 @@ class StarburstManager(LargeObjectManager):
         buffer (Section 3.5).
         """
         descriptor = self._descriptor(oid)
-        self._check_range(oid, offset, nbytes)
+        self._check_range(oid, offset, nbytes, descriptor.total_bytes)
         if nbytes == 0:
             return
         with self._op_span("delete", oid), self._op(descriptor):
@@ -242,7 +245,7 @@ class StarburstManager(LargeObjectManager):
     def replace(self, oid: int, offset: int, data: Payload) -> None:
         """Overwrite bytes in place, shadowing whole affected segments."""
         descriptor = self._descriptor(oid)
-        self._check_range(oid, offset, len(data))
+        self._check_range(oid, offset, len(data), descriptor.total_bytes)
         if not data:
             return
         with self._op_span("replace", oid), self._op(descriptor):

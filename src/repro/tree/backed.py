@@ -95,7 +95,7 @@ class TreeBackedManager(LargeObjectManager):
         ``bytes``.
         """
         tree = self._tree(oid)
-        self._check_range(oid, offset, nbytes)
+        self._check_range(oid, offset, nbytes, tree.total_bytes)
         if nbytes == 0:
             return b""
         with self._op_span("read", oid):

@@ -284,7 +284,11 @@ class PositionalTree:
     def extents_covering(
         self, offset: int, nbytes: int
     ) -> list[tuple[LeafExtent, int]]:
-        """All (extent, extent_start) pairs overlapping the byte range."""
+        """All (extent, extent_start) pairs overlapping the byte range.
+
+        Each pair after the first is read from its leaf parent's columns,
+        uncharged; :meth:`_advance` only crosses into the next node.
+        """
         if nbytes <= 0:
             return []
         if offset < 0 or offset + nbytes > self.total_bytes:
@@ -296,14 +300,22 @@ class PositionalTree:
         result = [(cursor.extent, cursor.extent_start)]
         end = offset + nbytes
         position = cursor.extent_start + cursor.extent.used_bytes
-        path = list(cursor.path)
+        path = cursor.path
+        node, index = path[-1]
         while position < end:
-            step = self._advance(path)
-            if step is None:
-                raise StorageCorruptionError("ran off the end of the tree")
-            extent, extent_start = step
-            result.append((extent, extent_start))
-            position = extent_start + extent.used_bytes
+            index += 1
+            if index == len(node.cums):
+                path[-1] = (node, index - 1)
+                if self._advance(path) is None:
+                    raise StorageCorruptionError("ran off the end of the tree")
+                node, index = path[-1]
+            # IndexNode.extent's value, without the call.
+            cums = node.cums
+            used = cums[index] - cums[index - 1] if index else cums[0]
+            result.append((tuple.__new__(LeafExtent, (
+                node.data_base + node.refs[index], used, node.allocs[index]
+            )), position))
+            position += used
         return result
 
     def neighbors(
@@ -339,10 +351,10 @@ class PositionalTree:
             yield cursor.extent
             path = list(cursor.path)
             while True:
-                step = self._advance(path)
-                if step is None:
+                extent = self._advance(path)
+                if extent is None:
                     return
-                yield step[0]
+                yield extent
         else:
             yield from self._iter_extents_uncharged(
                 self._peek_node(self.root_page_id)
@@ -792,7 +804,7 @@ class PositionalTree:
 
     def _advance(
         self, path: list[tuple[IndexNode, int]]
-    ) -> tuple[LeafExtent, int] | None:
+    ) -> LeafExtent | None:
         """Move a descent path to the next extent, charging node accesses."""
         depth = len(path) - 1
         while depth >= 0:
@@ -805,21 +817,12 @@ class PositionalTree:
         node, index = path[depth]
         path[depth] = (node, index + 1)
         del path[depth + 1 :]
-        node_start = self._path_prefix_bytes(path)
         node = path[-1][0]
         while node.level != 1:
             child = self._get_node(node.refs[path[-1][1]])
             path.append((child, 0))
             node = child
-        return node.extent(path[-1][1]), node_start
-
-    def _path_prefix_bytes(self, path: list[tuple[IndexNode, int]]) -> int:
-        """Byte offset of the pair selected by the path's last element."""
-        total = 0
-        for node, index in path:
-            if index:
-                total += node.cums[index - 1]
-        return total
+        return node.extent(path[-1][1])
 
     # ------------------------------------------------------------------
     # Invariants

@@ -7,6 +7,8 @@ import pytest
 
 from repro.experiments import common
 from repro.experiments.cli import main
+from repro.obs.export import load_trace
+from repro.obs.taxonomy import is_known_metric
 
 
 @pytest.fixture(autouse=True)
@@ -184,3 +186,15 @@ def test_traces_match_the_golden(tmp_path, monkeypatch, capsys):
         digest, name = line.split()
         observed = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert observed == digest, name
+
+
+def test_every_traced_metric_name_is_registered(tmp_path, capsys):
+    """Each name of a traced run's metrics trailer is in the catalogue."""
+    path = tmp_path / "trace.jsonl"
+    assert main(["shards", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    metrics = load_trace(path).metrics
+    names = [*metrics.counters, *metrics.gauges, *metrics.histograms]
+    assert any(name.startswith("event.") for name in names)
+    assert any(name.startswith("op.") for name in names)
+    assert [name for name in names if not is_known_metric(name)] == []

@@ -1,7 +1,7 @@
 """Paper-scale pin tests: exact and near-exact numeric matches.
 
 These run the paper's full 10 MB configuration, so they are skipped
-unless ``REPRO_SCALE=paper`` (they take a couple of minutes); the regular
+unless ``REPRO_SCALE=paper`` (they take about 10 s); the regular
 suite asserts the same *shapes* at reduced scale.  Numbers quoted from
 the paper; see EXPERIMENTS.md for the complete accounting.
 """
@@ -64,4 +64,7 @@ class TestOrderingPins:
         sb = run_random_ops("starburst", 0, 10 * 1024, PAPER_SCALE)
         eos = run_random_ops("eos", 64, 10 * 1024, PAPER_SCALE)
         ratio = sb.steady_insert_ms() / eos.steady_insert_ms()
-        assert ratio > 10
+        # The model gives 25.1 (15,469.6 ms against 616.5 ms), pinned
+        # within 5 %.  The paper's "approximately 30 times" is a gap the
+        # model leaves open; EXPERIMENTS.md reports it.
+        assert ratio == pytest.approx(25.1, rel=0.05)

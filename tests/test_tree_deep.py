@@ -33,16 +33,83 @@ def extent(env, nbytes):
     return LeafExtent(page_id=page_id, used_bytes=nbytes, alloc_pages=pages)
 
 
+def leaf_parents(tree):
+    """``(start byte, non-root path pages top-down)`` of every leaf
+    parent, left to right, from an uncharged walk."""
+    found = []
+
+    def walk(node, start, path):
+        if node.is_leaf_parent:
+            found.append((start, path))
+            return
+        for index, ref in enumerate(node.refs):
+            child_start = start + (node.cums[index - 1] if index else 0)
+            walk(tree._peek_node(ref), child_start, path + [ref])
+
+    walk(tree._peek_node(tree.root_page_id), 0, [])
+    return found
+
+
 class TestMultiLevelNavigation:
     def test_extents_covering_across_node_boundaries(self, env):
         fanout = env.config.root_fanout
-        count = fanout * 3  # three leaf-parent nodes after splitting
+        count = fanout * 3  # four leaf-parent nodes after splitting
         tree = make_tree(env, extents=count, size=10)
         assert tree.height >= 2
         covering = tree.extents_covering(0, count * 10)
         assert len(covering) == count
         starts = [start for _extent, start in covering]
         assert starts == list(range(0, count * 10, 10))
+        for height in (2, 3):
+            for crossings in (0, 1, 2):
+                self.check_covering_from_mid_node(height, crossings)
+
+    @staticmethod
+    def check_covering_from_mid_node(height, crossings):
+        """A range from mid-node across ``crossings`` leaf-parent
+        boundaries: the extents and their starts, one pool access per
+        non-root node entered and none for a step within a node, and
+        those nodes left at the recency end in the order entered."""
+        env = StorageEnvironment(small_page_config(page_size=128))
+        config = env.config
+        count = (
+            config.root_fanout * 3 if height == 2
+            else config.root_fanout * config.node_fanout + 5
+        )
+        tree = make_tree(env, extents=count, size=10)
+        assert tree.height == height
+        parents = leaf_parents(tree)
+        # In the 3-level tree the second crossing also leaves the first
+        # level-2 node, so it enters two nodes.
+        first = 1 if height == 2 else len(
+            tree._peek_node(parents[0][1][0]).refs
+        ) - 2
+        last = first + crossings
+        offset = parents[first][0] + 15  # inside the node's second extent
+        end = parents[last][0] + 45
+        entered = list(parents[first][1])
+        for index in range(first + 1, last + 1):
+            previous = parents[index - 1][1]
+            entered += [page for page in parents[index][1]
+                        if page not in previous]
+        assert len(entered) == height - 1 + crossings + (
+            height == 3 and crossings == 2
+        )
+        expected, start = [], 0
+        for extent in tree.iter_extents(charged=False):
+            if start < end and start + extent.used_bytes > offset:
+                expected.append((extent, start))
+            start += extent.used_bytes
+        assert len(expected) > crossings + 1  # same-node steps as well
+        pool = env.pool
+        for resident in (False, True):  # cold, then every node a hit
+            before = (pool.stats.hits, pool.stats.misses)
+            assert tree.extents_covering(offset, end - offset) == expected
+            assert (
+                pool.stats.hits - before[0], pool.stats.misses - before[1]
+            ) == ((len(entered), 0) if resident else (0, len(entered)))
+            recency = [page for page, _pins, _dirty in pool.frames()]
+            assert recency[-len(entered):] == entered, (height, crossings)
 
     def test_locate_every_extent_in_three_level_tree(self, env):
         count = env.config.root_fanout * env.config.node_fanout + 5
