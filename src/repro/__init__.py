@@ -14,7 +14,7 @@ with long-field descriptors, a file-like object view, and crash-injection
 machinery that verifies the recoverability shadowing buys.
 """
 
-from repro.blockbased.manager import BlockBasedManager, BlockBasedOptions
+from repro.blockbased.manager import BlockBasedManager
 from repro.core.api import ALL_SCHEMES, SCHEMES, LargeObjectStore, make_manager
 from repro.core.config import PAPER_CONFIG, SystemConfig, small_page_config
 from repro.core.env import StorageEnvironment
@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ALL_SCHEMES",
     "BlockBasedManager",
-    "BlockBasedOptions",
     "Database",
     "DuplicateNameError",
     "EOSManager",

@@ -82,11 +82,7 @@ def ascii_plot(
 
 
 def _make_transform(y_min: float, y_max: float, log_y: bool):
-    if log_y:
-        floor = min(v for v in (y_min,) if True)
-        if floor <= 0:
-            log_y = False  # cannot log-scale non-positive data
-    if log_y:
+    if log_y and y_min > 0:  # non-positive data cannot be log-scaled
         lo, hi = math.log10(y_min), math.log10(y_max)
 
         def transform(value: float) -> float:

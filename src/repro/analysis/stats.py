@@ -63,15 +63,6 @@ class Summary:
     maximum: float
     stdev: float
 
-    def format(self, unit: str = "ms") -> str:
-        """One-line human rendering."""
-        return (
-            f"n={self.count} mean={self.mean:.1f}{unit} "
-            f"median={self.median:.1f}{unit} p95={self.p95:.1f}{unit} "
-            f"min={self.minimum:.1f}{unit} max={self.maximum:.1f}{unit} "
-            f"sd={self.stdev:.1f}{unit}"
-        )
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Compute the full summary of a sample set."""

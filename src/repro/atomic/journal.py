@@ -48,8 +48,7 @@ DECISION = 2
 APPLIED = 3
 CLEAN = 4
 
-_KIND_NAMES = {PREPARE: "PREPARE", DECISION: "DECISION",
-               APPLIED: "APPLIED", CLEAN: "CLEAN"}
+_KINDS = frozenset({PREPARE, DECISION, APPLIED, CLEAN})
 
 #: Frame: magic, kind, batch id, coordinator shard, this shard,
 #: payload length, CRC-32 (computed with the CRC field zeroed).
@@ -87,11 +86,6 @@ class JournalRecord(NamedTuple):
     participants: tuple[int, ...]
     #: The journaled shard-local ops (PREPARE only).
     mops: tuple[MultiOp, ...]
-
-    @property
-    def kind_name(self) -> str:
-        """Human name of the record kind."""
-        return _KIND_NAMES.get(self.kind, f"kind{self.kind}")
 
 
 class JournalState(NamedTuple):
@@ -228,7 +222,7 @@ def decode_record(image: bytes) -> JournalRecord | None:
     magic, kind, batch_id, coordinator, shard, length, crc = (
         _HEADER.unpack_from(image)
     )
-    if magic != _MAGIC or kind not in _KIND_NAMES:
+    if magic != _MAGIC or kind not in _KINDS:
         return None
     if _HEADER.size + length > len(image):
         return None

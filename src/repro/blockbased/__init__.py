@@ -1,9 +1,5 @@
 """Block-based large-object storage: the baseline class of Section 1."""
 
-from repro.blockbased.manager import (
-    BlockBasedManager,
-    BlockBasedOptions,
-    DataPage,
-)
+from repro.blockbased.manager import BlockBasedManager, DataPage
 
-__all__ = ["BlockBasedManager", "BlockBasedOptions", "DataPage"]
+__all__ = ["BlockBasedManager", "DataPage"]

@@ -24,7 +24,6 @@ assumed (see ``benchmarks/test_baseline_blockbased.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import struct
 from bisect import bisect_left, bisect_right
@@ -119,26 +118,13 @@ class _PageList:
         ends[first:] = new_ends[1:] + [e + grown for e in ends[last + 1 :]]
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockBasedOptions:
-    """Client-visible knobs of the block-based baseline."""
-
-    #: Free a data page when a delete leaves it completely empty.
-    free_empty_pages: bool = True
-
-
 class BlockBasedManager(LargeObjectManager):
     """Single-block storage with a paged slot directory."""
 
     scheme = "blockbased"
 
-    def __init__(
-        self,
-        env: StorageEnvironment,
-        options: BlockBasedOptions | None = None,
-    ) -> None:
+    def __init__(self, env: StorageEnvironment) -> None:
         super().__init__(env)
-        self.options = options or BlockBasedOptions()
         #: oid -> its data pages; the serialized form lives in the
         #: object's directory pages.
         self._objects: dict[int, _PageList] = {}
@@ -309,10 +295,7 @@ class BlockBasedManager(LargeObjectManager):
                         content[: cut_lo - position],
                         content[cut_hi - position : page.used_bytes],
                     ])
-                    if kept or not self.options.free_empty_pages:
-                        survivors.append(self._rewrite_page(page, kept))
-                    else:
-                        self.env.areas.data.free(page.page_id, 1)
+                    survivors.append(self._rewrite_page(page, kept))
                 position = end
                 index += 1
             obj.splice(first, index, survivors)
@@ -367,9 +350,7 @@ class BlockBasedManager(LargeObjectManager):
         pages = obj.pages
         page_size = self.config.page_size
         for page in pages:
-            assert 0 < page.used_bytes <= page_size or (
-                not self.options.free_empty_pages
-            ), "page fill out of range"
+            assert 0 < page.used_bytes <= page_size, "page fill out of range"
         assert len(self._directories[oid]) == self._directory_pages_needed(
             len(pages)
         ), "directory page count drift"

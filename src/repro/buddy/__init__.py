@@ -2,7 +2,7 @@
 
 from repro.buddy.allocator import BuddyAllocator
 from repro.buddy.area import DATA_AREA_BASE, META_AREA_BASE, DatabaseAreas
-from repro.buddy.space import BuddySpace, ceil_log2
+from repro.buddy.space import BuddySpace
 
 __all__ = [
     "BuddyAllocator",
@@ -10,5 +10,4 @@ __all__ = [
     "DatabaseAreas",
     "DATA_AREA_BASE",
     "META_AREA_BASE",
-    "ceil_log2",
 ]

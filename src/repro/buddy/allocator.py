@@ -65,10 +65,6 @@ class BuddyAllocator:
     # ------------------------------------------------------------------
     # Address arithmetic
     # ------------------------------------------------------------------
-    @property
-    def _stride(self) -> int:
-        return self._stride_pages
-
     def _directory_page(self, space_index: int) -> int:
         return self.base_page_id + space_index * self._stride_pages
 
@@ -104,7 +100,7 @@ class BuddyAllocator:
                 f"segment of {n_pages} pages exceeds the maximum of "
                 f"{self.config.max_segment_pages} pages"
             )
-        needed_order = (n_pages - 1).bit_length()  # ceil_log2, n_pages > 0
+        needed_order = (n_pages - 1).bit_length()  # ceil(log2), n_pages > 0
         superdirectory = self._superdirectory
         stride = self._stride_pages
         data_base = self.base_page_id + 1
@@ -223,8 +219,8 @@ class BuddyAllocator:
         space = self._spaces[index]
         page_id = self.base_page_id + index * self._stride_pages
         offset: int | None = None
-        # max_free_order() inlined (same package): the largest free
-        # order is the top bit of the space's free-list index.
+        # The largest free order is the top bit of the space's
+        # free-list index.
         if space._order_mask.bit_length() - 1 >= needed_order:
             self.pool.access(page_id, self._providers[index])
             offset = space.allocate(n_pages)

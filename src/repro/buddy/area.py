@@ -52,11 +52,6 @@ class DatabaseAreas:
         data = BuddyAllocator(config, pool, DATA_AREA_BASE, name="data")
         return cls(meta=meta, data=data, record_leaf_data=record_leaf_data)
 
-    @property
-    def total_allocated_pages(self) -> int:
-        """Pages allocated in both areas (excluding directory overhead)."""
-        return self.meta.allocated_pages + self.data.allocated_pages
-
     def check_invariants(self) -> None:
         """Verify both areas' buddy structures."""
         self.meta.check_invariants()

@@ -98,11 +98,15 @@ def _carve(space: BuddySpace, offset: int, k: int) -> None:
         j += 1
     else:
         raise StorageCorruptionError("bitmap marks an unallocatable block used")
-    space._free_discard(j, base)
+    free_sets = space._free_sets
+    free_sets[j].discard(base)
+    if not free_sets[j]:
+        space._order_mask &= ~(1 << j)
     # Split down, keeping the halves that do not contain our extent free.
     while j > k:
         j -= 1
         half_with_target = offset & ~((1 << j) - 1)
         other_half = base if half_with_target != base else base + (1 << j)
-        space._free_add(j, other_half)
+        free_sets[j].add(other_half)
+        space._order_mask |= 1 << j
         base = half_with_target

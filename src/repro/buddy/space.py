@@ -29,13 +29,6 @@ from repro.core.errors import (
 )
 
 
-def ceil_log2(n: int) -> int:
-    """Smallest ``k`` with ``2**k >= n`` (``n`` must be positive)."""
-    if n <= 0:
-        raise InvalidArgumentError("n must be positive")
-    return (n - 1).bit_length()
-
-
 class BuddySpace:
     """Binary-buddy manager of ``2**order`` blocks, offsets 0-based."""
 
@@ -68,10 +61,6 @@ class BuddySpace:
         """Total number of currently allocated blocks."""
         return self.total_blocks - self._free_blocks
 
-    def max_free_order(self) -> int:
-        """Order of the largest free extent, or -1 if the space is full."""
-        return self._order_mask.bit_length() - 1
-
     def is_block_allocated(self, offset: int) -> bool:
         """True if the block at ``offset`` is currently allocated."""
         self._check_offset(offset)
@@ -95,7 +84,7 @@ class BuddySpace:
                 f"segment of {n_blocks} blocks exceeds space of "
                 f"{self.total_blocks} blocks"
             )
-        k = (n_blocks - 1).bit_length()  # ceil_log2; positivity checked
+        k = (n_blocks - 1).bit_length()  # ceil(log2); positivity checked
         offset = self._take_extent(k)
         if offset is None:
             raise OutOfSpaceError(
@@ -200,18 +189,6 @@ class BuddySpace:
             offset += step
             n_blocks -= step
         self._order_mask = mask
-
-    def _free_add(self, k: int, offset: int) -> None:
-        """Add a free extent, keeping the order index in sync."""
-        self._free_sets[k].add(offset)
-        self._order_mask |= 1 << k
-
-    def _free_discard(self, k: int, offset: int) -> None:
-        """Remove a free extent, keeping the order index in sync."""
-        extents = self._free_sets[k]
-        extents.discard(offset)
-        if not extents:
-            self._order_mask &= ~(1 << k)
 
     def _check_offset(self, offset: int) -> None:
         if not 0 <= offset < self.total_blocks:

@@ -62,13 +62,6 @@ class PoolStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def add(self, other: "PoolStats") -> None:
-        """Accumulate another pool's counters into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.dirty_writebacks += other.dirty_writebacks
-
 
 class BufferPool:
     """LRU buffer pool over a :class:`~repro.disk.disk.SimulatedDisk`."""
@@ -291,16 +284,6 @@ class BufferPool:
             content = content()
         return _page_image(content, self.config.page_size)
 
-    @pure_read
-    def can_accommodate(self, n_pages: int) -> bool:
-        """Whether a run of ``n_pages`` can be brought into the pool now.
-
-        This is the run-time "buffer availability" criterion of Section 3.2
-        (after Effelsberg & Haerder): the run must fit the pool and enough
-        unpinned frames must exist to make room.
-        """
-        return n_pages <= self.capacity and n_pages <= self.headroom
-
     # ------------------------------------------------------------------
     # Multi-page runs
     # ------------------------------------------------------------------
@@ -318,8 +301,8 @@ class BufferPool:
 
         A run the pool cannot hold beside the pages pinned outside it
         is refused with :class:`BufferPoolError` before anything is
-        counted, evicted or read (the criterion of
-        :meth:`can_accommodate`, exact for a run that is partly resident).
+        counted, evicted or read (exact for a run that is partly
+        resident).
         """
         frames = self._frames
         stats = self.stats
@@ -570,19 +553,19 @@ class BufferPool:
             self._evict_many(need)
 
     def _evict_many(self, k: int, start: int = 0, end: int = 0) -> None:
-        """Evict ``k`` pages, bulk fast path for the all-clean case.
+        """Evict ``k`` pages: the LRU clean ones first, then the LRU dirty
+        ones, each written back as it goes.
 
         Pinned pages and the pages of the run ``[start, end)`` being read
         are never victims: :meth:`read_run` keeps its own pages this way
-        instead of pinning them.  ``k`` successive :meth:`_evict_one`
-        calls each take the first such candidate that is *clean* in
-        recency order, and removing a clean page leaves every other
-        page's state untouched — so when the first ``k`` clean candidates
-        exist, they are exactly the victims the sequential loop would
-        pick, in the same order, and can be dropped in one pass (same
-        eviction counts, no writebacks, same tracer events).  Any dirty or
-        skipped page short of ``k`` falls back to the exact sequential
-        loop.
+        instead of pinning them.  ``_frames`` iterates in recency order,
+        so one scan finds the clean victims; removing a clean page leaves
+        every other page's state untouched, so when ``k`` of them exist
+        they are dropped in one pass.  Short of ``k``, every clean
+        candidate goes, then dirty candidates in recency order, one at a
+        time (a writeback that crashes leaves its page and the ones after
+        it resident and uncounted), and a pool with no candidate left
+        refuses the rest with :class:`BufferPoolError`.
         """
         skip = self._dirty
         if self._pins:
@@ -598,8 +581,31 @@ class BufferPool:
             if not left:
                 break
         else:
-            for _ in range(k):
-                self._evict_one(start, end)
+            # Short of k clean candidates: every one of them goes, then
+            # the LRU dirty candidates, each written back first.
+            stats = self.stats
+            tracer = self.disk.tracer
+            for page_id in victims:
+                stats.evictions += 1
+                del frames[page_id]
+                if tracer is not None:
+                    tracer.event("pool.evict", page=page_id, dirty=False)
+            # Every candidate left is dirty.  A loop, not a comprehension:
+            # one would turn start and end into closure cells, which the
+            # scan above then reads more slowly.
+            pins = self._pins
+            victims = []
+            for page_id in frames:
+                if page_id not in pins and not start <= page_id < end:
+                    victims.append(page_id)
+            for page_id in victims[:left]:
+                self._writeback(page_id)
+                stats.evictions += 1
+                del frames[page_id]
+                if tracer is not None:
+                    tracer.event("pool.evict", page=page_id, dirty=True)
+            if len(victims) < left:
+                raise BufferPoolError("all buffer frames are pinned")
             return
         tracer = self.disk.tracer
         for page_id in victims:
@@ -607,45 +613,6 @@ class BufferPool:
             if tracer is not None:
                 tracer.event("pool.evict", page=page_id, dirty=False)
         self.stats.evictions += k
-
-    def _evict_one(self, start: int, end: int) -> None:
-        victim = self._choose_victim(start, end)
-        if victim is None:
-            raise BufferPoolError("all buffer frames are pinned")
-        was_dirty = victim in self._dirty
-        if was_dirty:
-            self._writeback(victim)
-        self.stats.evictions += 1
-        del self._frames[victim]
-        tracer = self.disk.tracer
-        if tracer is not None:
-            tracer.event("pool.evict", page=victim, dirty=was_dirty)
-
-    def _choose_victim(self, start: int, end: int) -> int | None:
-        """LRU among clean unpinned pages, then dirty unpinned pages,
-        outside the run ``[start, end)``.
-
-        ``_frames`` iterates in recency order, so the first unpinned
-        clean page *is* the clean LRU victim — the scan usually stops
-        after one or two pages instead of ranking every page — and the
-        first unpinned dirty page seen is the exact dirty-LRU fallback.
-        """
-        dirty = self._dirty
-        pins = self._pins
-        fallback: int | None = None
-        for page_id in self._frames:
-            if page_id in pins or start <= page_id < end:
-                continue
-            if page_id not in dirty:
-                return page_id
-            if fallback is None:
-                fallback = page_id
-        return fallback
-
-    # _choose_victim's recency-order scan is also what makes
-    # _evict_many's bulk fast path exact: both read _frames front to
-    # back, so "first k clean unpinned pages" is the same victim
-    # sequence either way.
 
     def _writeback(self, page_id: int) -> None:
         tracer = self.disk.tracer

@@ -123,11 +123,6 @@ class SystemConfig:
         """Largest segment, in pages, the buddy system will allocate."""
         return 1 << self.max_segment_order
 
-    @property
-    def staging_buffer_pages(self) -> int:
-        """Staging buffer capacity in whole pages (at least one)."""
-        return max(1, self.staging_buffer_bytes // self.page_size)
-
     def pages_for_bytes(self, nbytes: int) -> int:
         """Number of pages needed to store ``nbytes`` bytes (ceiling)."""
         if nbytes < 0:

@@ -72,7 +72,3 @@ class StorageEnvironment:
     def elapsed_ms_since(self, snapshot: IOStats) -> float:
         """Simulated milliseconds of I/O since the snapshot."""
         return self.cost.elapsed_since(snapshot)
-
-    def io_since(self, snapshot: IOStats) -> IOStats:
-        """I/O activity since the snapshot."""
-        return self.cost.stats.delta(snapshot)

@@ -155,7 +155,3 @@ class CostModel:
     def elapsed_since(self, snapshot: IOStats) -> float:
         """Simulated milliseconds of I/O performed since ``snapshot``."""
         return self.stats.delta(snapshot).elapsed_ms(self.config)
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.stats = IOStats()

@@ -74,10 +74,6 @@ class Cell:
         if self.nbytes < 0:
             self.nbytes = sum(piece.nbytes for piece in self.pieces)
 
-    def pages(self, page_size: int) -> int:
-        """Pages the cell's segment will occupy."""
-        return -(-self.nbytes // page_size)
-
     @property
     def in_place(self) -> bool:
         """True if the cell is exactly one kept prefix (no copying needed)."""

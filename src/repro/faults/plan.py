@@ -51,11 +51,6 @@ class Schedule:
             and (call - self.start) % self.period == 0
         )
 
-    @property
-    def empty(self) -> bool:
-        """True when this schedule can never fire."""
-        return not self.points and self.period == 0
-
 
 #: The schedule that never fires (the default for every fault kind).
 NEVER = Schedule()

@@ -59,10 +59,6 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
         self.package_parts = _package_parts(path)
-        self._parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self._parents[child] = parent
         self._line_suppressions: dict[int, set[str]] = {}
         self._file_suppressions: set[str] = set()
         #: (line, rule_id) pairs for suppressions written without a
@@ -87,10 +83,6 @@ class FileContext:
     def package_path(self) -> str:
         """Path relative to the package root, e.g. ``repro/buffer/pool.py``."""
         return "/".join(self.package_parts) if self.package_parts else self.path.name
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        """AST parent of ``node`` (None for the module node)."""
-        return self._parents.get(node)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         """True when the violation at ``line`` is silenced by a comment."""

@@ -69,9 +69,6 @@ class FunctionInfo:
         self.node = node
         self.ctx = ctx
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FunctionInfo {self.qualname}>"
-
 
 class ClassInfo:
     """One class definition: its base names and methods."""

@@ -21,6 +21,7 @@ suppression without the ``--`` rationale is itself reported (FLOW000).
 
 from __future__ import annotations
 
+import abc
 import ast
 import pathlib
 from typing import Iterable, Iterator
@@ -45,15 +46,15 @@ def register(cls: type["FlowRule"]) -> type["FlowRule"]:
     return cls
 
 
-class FlowRule:
+class FlowRule(abc.ABC):
     """One whole-program check with a stable id and one-line summary."""
 
     rule_id: str = ""
     summary: str = ""
 
+    @abc.abstractmethod
     def check(self, program: Program) -> Iterator[Violation]:
         """Yield every violation found in ``program``."""
-        raise NotImplementedError
 
     def violation(self, ctx: FileContext, node: ast.AST | None, line: int,
                   message: str) -> Violation:

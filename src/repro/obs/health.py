@@ -512,10 +512,3 @@ def probe_sharded_store(store: "ShardedStore") -> HealthReport:
         skew_bytes=_imbalance(s.layout.bytes for s in shards),
         skew_cost=_imbalance(s.cost_ms for s in shards),
     )
-
-
-def probe_any(store: object) -> HealthReport:
-    """Dispatch on store shape (sharded or single)."""
-    if hasattr(store, "shards"):
-        return probe_sharded_store(store)  # type: ignore[arg-type]
-    return probe_store(store)  # type: ignore[arg-type]

@@ -103,18 +103,12 @@ METRIC_NAMES: frozenset[str] = frozenset({
 })
 
 #: Leading prefixes of metric families whose full names embed dynamic
-#: components.  ``health.<area>.*`` gauges carry the buddy area name,
-#: ``health.scheme.*`` / ``health.pool.*`` / ``health.journal.*`` /
-#: ``health.skew.*`` / ``health.shard.*`` group the remaining gauges.
-#: The rest are the tracer's metrics trailer: the ``span.<kind>``,
-#: ``event.<kind>``, ``io.*`` and ``pool.*`` counters and the
-#: ``op.<kind>.cost_ms`` histograms.
+#: components.  The health probe's are ``health.skew.*`` (the cross-shard
+#: imbalance ratios) and ``health.shard.<n>.*`` (every per-shard gauge:
+#: buddy areas, layout, pool and journal).  The rest are the tracer's
+#: metrics trailer: the ``span.<kind>``, ``event.<kind>``, ``io.*`` and
+#: ``pool.*`` counters and the ``op.<kind>.cost_ms`` histograms.
 METRIC_FAMILY_PREFIXES: tuple[str, ...] = (
-    "health.data.",
-    "health.meta.",
-    "health.scheme.",
-    "health.pool.",
-    "health.journal.",
     "health.skew.",
     "health.shard.",
     "span.",

@@ -338,11 +338,11 @@ class SegmentIO:
     # Internals
     # ------------------------------------------------------------------
     def _should_buffer(self, n_pages: int) -> bool:
+        """Section 3.2's buffer-availability test (after Effelsberg &
+        Haerder): the run is small enough to buffer, fits the pool, and
+        enough unpinned frames exist to make room.  Inlined in
+        :meth:`read_boundary_unaligned`, every charged read's path."""
         pool = self.pool
-        # pool.can_accommodate(n_pages) inlined via the plain headroom
-        # attribute: the wrapped call guards every segment access, and
-        # the wrapper alone shows up at paper scale.  (Inlined in turn in
-        # read_boundary_unaligned.)
         return (
             n_pages <= self.config.max_buffered_segment_pages
             and n_pages <= pool.capacity

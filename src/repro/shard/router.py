@@ -28,13 +28,11 @@ interleaving.
 
 from __future__ import annotations
 
-import contextlib
-from typing import TYPE_CHECKING, ContextManager, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.atomic.twophase import AtomicCoordinator
 
-from repro.buffer.pool import PoolStats
 from repro.core.api import LargeObjectStore
 from repro.core.config import PAPER_CONFIG, SystemConfig
 from repro.core.errors import InvalidArgumentError
@@ -42,8 +40,6 @@ from repro.core.payload import Payload
 from repro.disk.iomodel import IOStats
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.obs.tracer import span_of
 
 
@@ -247,55 +243,6 @@ class ShardedStore:
         return self._submit_many_plain(mops)
 
     # ------------------------------------------------------------------
-    # Per-shard fault installation
-    # ------------------------------------------------------------------
-    def fault_injector(
-        self,
-        plan: FaultPlan,
-        *,
-        shard: int | None = None,
-        plans: "dict[int, FaultPlan] | None" = None,
-    ) -> ContextManager[object]:
-        """Arm fault plans against individual shards' disks.
-
-        Fault schedules count *logical I/O calls of one disk*, and a
-        sharded store has no store-wide I/O counter — each shard counts
-        its own calls.  This arms an independent
-        :class:`~repro.faults.injector.FaultInjector` (own counters, own
-        RNG, own retain-freed bookkeeping) on each selected shard, in
-        ascending shard order, so schedules fire on that shard's own
-        deterministic counters and sibling shards' counters are never
-        perturbed.  The shards are armed on return, so use the result
-        as a ``with`` block at once: leaving it disarms every shard
-        however the block ends.
-
-        ``shard=k`` arms only shard ``k``; ``plans`` maps shard index
-        to a per-shard plan (overriding ``plan``); with neither, every
-        shard is armed with ``plan``.
-        """
-        if shard is not None and plans is not None:
-            raise InvalidArgumentError(
-                "pass either shard= or plans=, not both"
-            )
-        if shard is not None:
-            selected = {shard: plan}
-        elif plans is not None:
-            selected = dict(plans)
-        else:
-            selected = {index: plan for index in range(self.n_shards)}
-        for index in selected:
-            if not 0 <= index < self.n_shards:
-                raise InvalidArgumentError(
-                    f"shard {index} out of range for {self.n_shards} shards"
-                )
-        with contextlib.ExitStack() as stack:
-            for index in sorted(selected):
-                stack.enter_context(
-                    FaultInjector(self.shards[index].env, selected[index])
-                )
-            return stack.pop_all()
-
-    # ------------------------------------------------------------------
     # Cost accounting (merged in shard order)
     # ------------------------------------------------------------------
     @property
@@ -304,14 +251,6 @@ class ShardedStore:
         merged = IOStats()
         for store in self.shards:
             merged.add(store.stats)
-        return merged
-
-    @property
-    def pool_stats(self) -> PoolStats:
-        """Buffer-pool counters summed over shards in shard order."""
-        merged = PoolStats()
-        for store in self.shards:
-            merged.add(store.env.pool.stats)
         return merged
 
     def snapshot(self) -> IOStats:
@@ -324,8 +263,3 @@ class ShardedStore:
         if since is not None:
             stats = stats.delta(since)
         return stats.elapsed_ms(self.config)
-
-    def per_shard_stats(self) -> Iterator[IOStats]:
-        """Each shard's own ledger, in shard order (copies)."""
-        for store in self.shards:
-            yield store.stats.copy()

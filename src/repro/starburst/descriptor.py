@@ -128,10 +128,6 @@ class LongFieldDescriptor:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def serialize(self, data_base: int) -> bytes:
-        """Encode the descriptor as page content."""
-        return self.snapshot(data_base)()
-
     def snapshot(self, data_base: int) -> Callable[[], bytes]:
         """A builder of the page image as the descriptor is now: the
         header's values and a copy of the pointers.  A descriptor that

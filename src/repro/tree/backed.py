@@ -8,6 +8,7 @@ variable-size threshold-constrained segments).
 
 from __future__ import annotations
 
+import abc
 from typing import TYPE_CHECKING, Iterator
 
 from repro.buddy.area import DATA_AREA_BASE
@@ -192,9 +193,9 @@ class TreeBackedManager(LargeObjectManager):
         """The operation bracket of ``tree`` (see :class:`_TreeOp`)."""
         return _TreeOp(self.env.exec, tree)
 
+    @abc.abstractmethod
     def _extend_fresh(self, tree: PositionalTree, data: Payload) -> None:
         """Lay brand-new bytes out at the end of an (empty) object."""
-        raise NotImplementedError
 
 
 class _TreeOp:

@@ -74,10 +74,6 @@ class LeafExtent(NamedTuple):
         """Pages of the segment that contain useful bytes."""
         return -(-self.used_bytes // page_size)
 
-    def free_bytes(self, page_size: int) -> int:
-        """Unused capacity within the allocated pages."""
-        return self.alloc_pages * page_size - self.used_bytes
-
 
 class IndexNode:
     """One index page of the positional tree.
@@ -373,13 +369,3 @@ def _image(config: SystemConfig, level: int, meta_base: int,
     node.cums, node.refs = cums, refs
     return node.serialize(config, is_root=is_root, total_bytes=total_bytes,
                           rightmost_alloc=rightmost_alloc)
-
-
-def root_header_size() -> int:
-    """Bytes of the root-page header (must match config.ROOT_HEADER_BYTES)."""
-    return _ROOT_HEADER.size
-
-
-def node_header_size() -> int:
-    """Bytes of a non-root index-page header (must match NODE_HEADER_BYTES)."""
-    return _NODE_HEADER.size

@@ -367,11 +367,6 @@ class PositionalTree:
         cursor = self.locate(self.total_bytes)
         return cursor.extent, cursor.extent_start
 
-    @property
-    def extent_count(self) -> int:
-        """Number of leaf extents (uncharged; for accounting and tests)."""
-        return sum(1 for _ in self.iter_extents(charged=False))
-
     def index_page_count(self) -> int:
         """Number of index pages including the root (uncharged)."""
         return sum(1 for _ in self._walk_nodes())

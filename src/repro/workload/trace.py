@@ -18,7 +18,7 @@ Format (one operation per line, '#' starts a comment):
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.errors import InvalidArgumentError, TraceError
 from repro.core.manager import LargeObjectManager
@@ -117,12 +117,6 @@ class Trace:
                 for op in generator.operations(count)
             ]
         )
-
-    @classmethod
-    def from_ops(cls, ops: Iterable[tuple[str, int, int]]) -> "Trace":
-        """Build a trace from (kind, offset, nbytes) tuples."""
-        return cls([TraceOp(kind, offset, nbytes)
-                    for kind, offset, nbytes in ops])
 
 
 @dataclasses.dataclass

@@ -49,7 +49,7 @@ class TestDefiningCost:
         oid = store.create(bytes(n_pages * PAPER_CONFIG.page_size))
         before = store.snapshot()
         store.read(oid, 0, n_pages * PAPER_CONFIG.page_size)
-        delta = store.env.io_since(before)
+        delta = store.stats.delta(before)
         assert delta.read_calls == n_pages
 
     def test_sequential_scan_slower_than_any_segment_scheme(self):

@@ -130,7 +130,7 @@ def _twin_churn(order: int, seed: int, steps: int) -> None:
                 reference.free_range(offset, n_blocks)
         else:
             n_blocks = rng.randrange(1, min(24, space.free_blocks) + 1)
-            if (1 << space.max_free_order()) < n_blocks:
+            if (1 << (space._order_mask.bit_length() - 1)) < n_blocks:
                 continue
             got_space = space.allocate(n_blocks)
             got_ref = reference.allocate(n_blocks)

@@ -81,4 +81,4 @@ def test_roundtrip_preserves_allocation_state(script):
     rebuilt.check_invariants()
     assert serialize_directory(rebuilt) == serialize_directory(space)
     assert rebuilt.free_blocks == space.free_blocks
-    assert rebuilt.max_free_order() == space.max_free_order()
+    assert rebuilt._order_mask == space._order_mask

@@ -19,7 +19,7 @@ def allocator():
 
 
 def space_of(allocator, page_id):
-    return (page_id - allocator.base_page_id) // allocator._stride
+    return (page_id - allocator.base_page_id) // allocator._stride_pages
 
 
 class TestSegmentsNeverCrossSpaces:
@@ -31,7 +31,7 @@ class TestSegmentsNeverCrossSpaces:
             ), "segment crosses a buddy space boundary"
 
     def test_directory_pages_never_allocated_as_data(self, allocator):
-        stride = allocator._stride
+        stride = allocator._stride_pages
         seen = []
         for _ in range(300):
             start = allocator.allocate(7)

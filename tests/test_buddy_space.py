@@ -4,21 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buddy.space import BuddySpace, ceil_log2
+from repro.buddy.space import BuddySpace
 from repro.core.errors import AllocationError, OutOfSpaceError
-
-
-class TestCeilLog2:
-    def test_values(self):
-        assert ceil_log2(1) == 0
-        assert ceil_log2(2) == 1
-        assert ceil_log2(3) == 2
-        assert ceil_log2(4) == 2
-        assert ceil_log2(5) == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ceil_log2(0)
 
 
 class TestAllocate:
@@ -67,7 +54,7 @@ class TestFree:
         space = BuddySpace(4)
         offset = space.allocate(16)
         space.free_range(offset, 16)
-        assert space.max_free_order() == 4
+        assert space._free_sets[4] == {0}
         space.check_invariants()
 
     def test_partial_free(self):
@@ -96,7 +83,7 @@ class TestFree:
         offsets = [space.allocate(1) for _ in range(16)]
         for offset in offsets:
             space.free_range(offset, 1)
-        assert space.max_free_order() == 4
+        assert space._free_sets[4] == {0}
 
 
 class TestBitmap:

@@ -4,12 +4,14 @@ import pytest
 
 from repro.buffer.pool import BufferPool, PoolStats
 from repro.core.config import small_page_config
-from repro.core.errors import BufferPoolError, IOFaultError
+from repro.core.env import StorageEnvironment
+from repro.core.errors import BufferPoolError, CrashError, IOFaultError
 from repro.core.payload import SizedPayload
 from repro.disk.disk import SimulatedDisk, contiguous_runs
 from repro.disk.iomodel import CostModel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, every
+from repro.faults.plan import FaultPlan, at, every
+from repro.obs.tracer import Tracer
 
 
 def make_pool(pool_pages=4, page_size=128):
@@ -171,6 +173,52 @@ class TestEviction:
         assert cost.stats.write_calls == 1
         assert disk.peek_pages(1, 1)[:6] == b"dirty!"
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_a_run_short_of_clean_frames_takes_dirty_ones_in_lru_order(
+        self, crash
+    ):
+        # One three-frame eviction with one clean candidate: the clean
+        # frame goes first, then the dirty ones in recency order, each
+        # written back first; a pinned frame is never a victim.  A
+        # crashed second writeback leaves its page and the rest resident.
+        config = small_page_config(page_size=128, buffer_pool_pages=5)
+        tracer = Tracer()
+        env = StorageEnvironment(config, tracer=tracer)
+        pool = env.pool
+        for page, dirty in ((1, True), (2, False), (3, True), (4, True),
+                            (5, True)):
+            pool.fix(page)
+            pool.unfix(page, dirty=dirty)
+        pool.fix(3)
+        seen = len(tracer.records)
+        if crash:
+            with FaultInjector(env.disk, FaultPlan(crash_writes=at(2))):
+                with pytest.raises(CrashError):
+                    pool.read_run(20, 3)
+        else:
+            pool.read_run(20, 3)
+        events = [
+            (r["kind"], r["attrs"]["page"], r["attrs"].get("dirty"))
+            for r in tracer.records[seen:] if r["kind"].startswith("pool.")
+        ]
+        expected = [
+            ("pool.evict", 2, False),
+            ("pool.writeback", 1, None), ("pool.evict", 1, True),
+            ("pool.writeback", 4, None), ("pool.evict", 4, True),
+        ]
+        if crash:
+            assert events == expected[:-1]
+            assert list(pool.frames()) == [
+                (4, 0, True), (5, 0, True), (3, 1, True),
+            ]
+            assert pool.stats.evictions == 2
+            assert pool.stats.dirty_writebacks == 1
+        else:
+            assert events == expected
+            assert [page for page, _, _ in pool.frames()] == [5, 3, 20, 21, 22]
+            assert pool.stats.evictions == 3
+            assert pool.stats.dirty_writebacks == 2
+
 
 class TestReadRun:
     def test_single_io_for_missing_run(self):
@@ -207,7 +255,20 @@ class TestReadRun:
                 pool.read_run(100, 4)
         assert list(pool.frames()) == [(100, 0, False)]
         assert pool.stats == PoolStats(hits=1, misses=4)
-        assert pool.can_accommodate(pool.capacity)
+        assert pool.headroom == pool.capacity
+        pool.assert_pin_balanced()
+
+    def test_can_accommodate(self):
+        # Section 3.2's availability test reads capacity and headroom: a
+        # pin outside the run takes a frame from what the run may use.
+        _config, _cost, _disk, pool = make_pool(pool_pages=3)
+        assert pool.headroom == pool.capacity == 3
+        pool.fix(1)
+        assert pool.headroom == 2
+        with pytest.raises(BufferPoolError):
+            pool.read_run(10, 3)
+        pool.read_run(10, 2)
+        pool.unfix(1)
         pool.assert_pin_balanced()
 
     def test_mixed_read_evicts_around_its_own_pages_without_pins(self):
@@ -230,14 +291,6 @@ class TestReadRun:
         assert [page for page, _, _ in pool.frames()] == [21, 22, 10, 11]
         assert pool.stats == PoolStats(hits=1, misses=5, evictions=1)
         pool.assert_pin_balanced()
-
-    def test_can_accommodate(self):
-        _config, _cost, _disk, pool = make_pool(pool_pages=3)
-        assert pool.can_accommodate(3)
-        assert not pool.can_accommodate(4)
-        pool.fix(1)
-        assert pool.can_accommodate(2)
-        assert not pool.can_accommodate(3)
 
 
 class TestResidentImage:

@@ -8,7 +8,14 @@ import pytest
 from repro.experiments import common
 from repro.experiments.cli import main
 from repro.obs.export import load_trace
-from repro.obs.taxonomy import is_known_metric
+from repro.core.config import small_page_config
+from repro.obs.health import probe_sharded_store
+from repro.obs.taxonomy import (
+    METRIC_FAMILY_PREFIXES,
+    METRIC_NAMES,
+    is_known_metric,
+)
+from repro.shard.router import ShardedStore
 
 
 @pytest.fixture(autouse=True)
@@ -198,3 +205,21 @@ def test_every_traced_metric_name_is_registered(tmp_path, capsys):
     assert any(name.startswith("event.") for name in names)
     assert any(name.startswith("op.") for name in names)
     assert [name for name in names if not is_known_metric(name)] == []
+
+
+def test_every_catalogue_entry_has_an_emitter(tmp_path, capsys):
+    """Each exact name and each family of the metric catalogue is
+    produced by a health probe of an atomic sharded store or by a traced
+    tiny run, so the catalogue admits no name that nothing emits."""
+    path = tmp_path / "trace.jsonl"
+    assert main(["shards", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    store = ShardedStore("eos", small_page_config(), shards=2, atomic=True)
+    store.create(bytes(3000))
+    names = []
+    for metrics in (load_trace(path).metrics,
+                    probe_sharded_store(store).to_metrics()):
+        names += [*metrics.counters, *metrics.gauges, *metrics.histograms]
+    assert sorted(METRIC_NAMES.difference(names)) == []
+    assert [prefix for prefix in METRIC_FAMILY_PREFIXES
+            if not any(name.startswith(prefix) for name in names)] == []

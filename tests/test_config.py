@@ -32,7 +32,7 @@ class TestPaperDefaults:
 
     def test_staging_buffer_is_512_kb(self):
         assert PAPER_CONFIG.staging_buffer_bytes == 512 * 1024
-        assert PAPER_CONFIG.staging_buffer_pages == 128
+        assert PAPER_CONFIG.staging_buffer_bytes // PAPER_CONFIG.page_size == 128
 
 
 class TestValidation:

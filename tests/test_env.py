@@ -51,7 +51,7 @@ class TestSnapshots:
         snapshot = env.snapshot()
         env.disk.read_pages(0, 3)
         env.disk.write_pages(5, 1, b"x")
-        delta = env.io_since(snapshot)
+        delta = env.cost.stats.delta(snapshot)
         assert delta.read_calls == 1
         assert delta.pages_read == 3
         assert delta.write_calls == 1
@@ -67,4 +67,5 @@ class TestSnapshots:
     def test_total_allocated_pages(self, env):
         env.areas.meta.allocate(2)
         env.areas.data.allocate(5)
-        assert env.areas.total_allocated_pages == 7
+        areas = env.areas
+        assert areas.meta.allocated_pages + areas.data.allocated_pages == 7

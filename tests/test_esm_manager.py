@@ -235,5 +235,5 @@ class TestWholeLeafIOAblation:
             oid = s.create(pattern_bytes(8 * PAGE))
             before = s.snapshot()
             s.read(oid, 0, 10)
-            s.io_pages = s.env.io_since(before).pages_read
+            s.io_pages = s.stats.delta(before).pages_read
         assert whole.io_pages > partial.io_pages

@@ -45,9 +45,9 @@ class TestSchedule:
         assert [c for c in range(1, 10) if schedule.fires(c)] == [2, 5, 8]
 
     def test_never_is_empty(self):
-        assert NEVER.empty
-        assert not at(1).empty
-        assert not every(4).empty
+        assert not any(NEVER.fires(call) for call in range(1, 100))
+        assert at(1).fires(1)
+        assert any(every(4).fires(call) for call in range(1, 9))
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

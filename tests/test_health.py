@@ -20,7 +20,6 @@ from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.errors import ContractViolationError
 from repro.obs.health import (
-    probe_any,
     probe_sharded_store,
     probe_store,
 )
@@ -118,14 +117,6 @@ class TestHealthGauges:
             assert shard.journal is not None
             assert shard.journal.resolved
             assert shard.journal.residue_pages == 0
-
-    def test_probe_any_dispatches_on_shape(self):
-        single = LargeObjectStore("eos", CONFIG, shadowing=True)
-        exercise(single)
-        sharded = ShardedStore("eos", CONFIG, shards=2)
-        sharded.create(pattern_bytes(1000))
-        assert len(probe_any(single).shards) == 1
-        assert len(probe_any(sharded).shards) == 2
 
     def test_every_emitted_metric_name_is_registered(self):
         store = ShardedStore("starburst", CONFIG, shards=2, atomic=True)

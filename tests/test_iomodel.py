@@ -83,12 +83,6 @@ class TestCostModel:
         model.charge_read(3)
         assert model.elapsed_since(snapshot) == pytest.approx(45.0)
 
-    def test_reset(self):
-        model = CostModel(PAPER_CONFIG)
-        model.charge_write(5)
-        model.reset()
-        assert model.stats.io_calls == 0
-
 
 def test_every_priced_surface_follows_the_configured_model(tmp_path):
     """Off Table 1's constants, every surface that prices simulated I/O

@@ -648,7 +648,6 @@ class TestRuntimeContracts:
         oid = store.create(b"x" * 4096)
         pool = store.env.pool
         assert pool.is_resident(10**9) is False
-        assert pool.can_accommodate(1) is True
         assert store.read(oid, 0, 16) == b"x" * 16
 
 

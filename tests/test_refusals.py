@@ -510,6 +510,11 @@ def test_a_refused_call_changes_nothing(row: Refusal) -> None:
     assert fingerprint(subject.target) == fingerprint(twin.target)
 
 
+def _pool_counters(store: ShardedStore) -> list:
+    """Each shard's buffer-pool counters, copied."""
+    return [dataclasses.replace(s.env.pool.stats) for s in store.shards]
+
+
 def _busy(scheme: str, shards: int) -> ShardedStore:
     """A store after creates, updates and reads on every shard."""
     store = ShardedStore(scheme, SMALL, shards=shards)
@@ -527,8 +532,8 @@ def test_the_fingerprint_is_stable_free_and_twin_equal(scheme, shards):
     """Taken twice in a row it is equal and charges nothing; a twin built
     alike has the same one."""
     store = _busy(scheme, shards)
-    charged = store.stats, store.pool_stats         # summed afresh per read
+    charged = store.stats, _pool_counters(store)    # taken afresh per read
     first = fingerprint(store)
     assert fingerprint(store) == first and len(first) == shards
-    assert (store.stats, store.pool_stats) == charged
+    assert (store.stats, _pool_counters(store)) == charged
     assert fingerprint(_busy(scheme, shards)) == first

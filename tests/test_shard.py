@@ -110,7 +110,7 @@ def test_one_shard_store_is_bit_identical(scheme: str) -> None:
     assert observed_sharded == observed_plain
     assert fingerprint(sharded.shards[0]) == fingerprint(plain)
     assert sharded.stats == plain.stats
-    assert sharded.pool_stats == plain.env.pool.stats
+    assert sharded.shards[0].env.pool.stats == plain.env.pool.stats
     assert sharded.elapsed_ms() == plain.elapsed_ms()
 
 

@@ -100,7 +100,7 @@ class TestLocate:
 class TestSerialization:
     def test_roundtrip(self):
         d = descriptor_with([1, 2, 4], used_last=300)
-        data = d.serialize(DATA_AREA_BASE)
+        data = d.snapshot(DATA_AREA_BASE)()
         rebuilt = LongFieldDescriptor.deserialize(
             data, d.page_id, CONFIG, DATA_AREA_BASE
         )
@@ -114,7 +114,7 @@ class TestSerialization:
     def test_trimmed_last_roundtrip(self):
         d = descriptor_with([1, 2, 2], used_last=300)  # last trimmed to 2
         rebuilt = LongFieldDescriptor.deserialize(
-            d.serialize(DATA_AREA_BASE), d.page_id, CONFIG, DATA_AREA_BASE
+            d.snapshot(DATA_AREA_BASE)(), d.page_id, CONFIG, DATA_AREA_BASE
         )
         assert rebuilt.segments[-1].alloc_pages == 2
         assert rebuilt.segments[-1].used_bytes == 300
@@ -122,7 +122,7 @@ class TestSerialization:
     def test_empty_roundtrip(self):
         d = LongFieldDescriptor(page_id=1, config=CONFIG)
         rebuilt = LongFieldDescriptor.deserialize(
-            d.serialize(DATA_AREA_BASE), 1, CONFIG, DATA_AREA_BASE
+            d.snapshot(DATA_AREA_BASE)(), 1, CONFIG, DATA_AREA_BASE
         )
         assert rebuilt.segments == []
 

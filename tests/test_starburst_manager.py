@@ -90,7 +90,7 @@ class TestReads:
         oid = store.create(pattern_bytes(20 * PAGE))
         before = store.snapshot()
         store.read(oid, 5 * PAGE + 10, 20)
-        delta = store.env.io_since(before)
+        delta = store.stats.delta(before)
         assert delta.read_calls == 1
         assert delta.pages_read == 1
 
@@ -139,7 +139,7 @@ class TestLengthChangingUpdates:
         before = store.snapshot()
         store.insert(oid, 4 * PAGE, b"tail")
         # No tail rewrite: just the rightmost page read+write.
-        assert store.env.io_since(before).pages_transferred <= 3
+        assert store.stats.delta(before).pages_transferred <= 3
 
     def test_update_cost_dominated_by_tail_copy(self, store):
         # Inserts get more expensive the earlier they land in the object

@@ -16,16 +16,14 @@ CONFIG = small_page_config()
 
 
 def sample_trace():
-    return Trace.from_ops(
-        [
-            ("append", 0, 500),
-            ("append", 0, 300),
-            ("insert", 100, 50),
-            ("read", 0, 200),
-            ("replace", 40, 10),
-            ("delete", 700, 80),
-        ]
-    )
+    return Trace([
+        TraceOp("append", 0, 500),
+        TraceOp("append", 0, 300),
+        TraceOp("insert", 100, 50),
+        TraceOp("read", 0, 200),
+        TraceOp("replace", 40, 10),
+        TraceOp("delete", 700, 80),
+    ])
 
 
 class TestSerialization:

@@ -19,12 +19,7 @@ from repro.core.config import (
 from repro.core.env import StorageEnvironment
 from repro.core.errors import StorageCorruptionError
 from repro.recovery.crash import rebuild_content
-from repro.tree.node import (
-    IndexNode,
-    LeafExtent,
-    node_header_size,
-    root_header_size,
-)
+from repro.tree.node import _NODE_HEADER, _ROOT_HEADER, IndexNode, LeafExtent
 from tests.conftest import end_op
 from tests.test_tree import make_tree
 
@@ -37,17 +32,16 @@ def leaf_alloc(used, _rightmost, page_size=256):
 
 class TestHeaderSizes:
     def test_root_header_matches_config_constant(self):
-        assert root_header_size() == ROOT_HEADER_BYTES
+        assert _ROOT_HEADER.size == ROOT_HEADER_BYTES
 
     def test_node_header_matches_config_constant(self):
-        assert node_header_size() == NODE_HEADER_BYTES
+        assert _NODE_HEADER.size == NODE_HEADER_BYTES
 
 
 class TestLeafExtent:
     def test_used_pages(self):
         extent = LeafExtent(page_id=0, used_bytes=257, alloc_pages=2)
         assert extent.used_pages(256) == 2
-        assert extent.free_bytes(256) == 255
 
 
 class TestSerialization:

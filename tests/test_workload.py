@@ -21,7 +21,7 @@ class TestOperationMix:
         mix = OperationMix()
         assert mix.insert_fraction == pytest.approx(0.30)
         assert mix.delete_fraction == pytest.approx(0.30)
-        assert mix.read_fraction == pytest.approx(0.40)
+        assert 1 - mix.insert_fraction - mix.delete_fraction == pytest.approx(0.40)
 
     def test_rejects_overfull_mix(self):
         with pytest.raises(ValueError):

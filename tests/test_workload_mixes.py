@@ -42,7 +42,6 @@ class TestCustomMixes:
     def test_paper_mix_is_the_default(self):
         gen = WorkloadGenerator(10_000, 100)
         assert gen.mix == OperationMix()
-        assert gen.mix.read_fraction == pytest.approx(0.40)
 
 
 class TestRunnerWithMixes:
