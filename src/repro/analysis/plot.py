@@ -23,13 +23,13 @@ def ascii_plot(
     height: int = 18,
     title: str = "",
     y_label: str = "",
-    log_y: bool = False,
 ) -> str:
     """Render named series as an ASCII scatter/line chart.
 
     X positions use the *index* of each sample (the paper's figures use
     roughly logarithmic x spacing, which index position approximates);
-    the y axis is linear, or logarithmic with ``log_y=True``.
+    the y axis is logarithmic, like the paper's, or linear when a value
+    is not positive (which no logarithm places).
     """
     if not xs or not series:
         raise InvalidArgumentError("nothing to plot")
@@ -39,7 +39,7 @@ def ascii_plot(
     if not values:
         raise InvalidArgumentError("series contain no values")
     y_min, y_max = min(values), max(values)
-    transform = _make_transform(y_min, y_max, log_y)
+    transform = _make_transform(y_min, y_max)
 
     grid = [[" "] * width for _ in range(height)]
     for (name, ys), marker in zip(series.items(), _MARKERS):
@@ -77,17 +77,17 @@ def ascii_plot(
     lines.append(f"{'':>{left}}  {legend}")
     if y_label:
         lines.append(f"{'':>{left}}  y: {y_label}"
-                     + (" (log scale)" if log_y else ""))
+                     + (" (log scale)" if y_min > 0 else ""))
     return "\n".join(lines)
 
 
-def _make_transform(y_min: float, y_max: float, log_y: bool):
-    if log_y and y_min > 0:  # non-positive data cannot be log-scaled
+def _make_transform(y_min: float, y_max: float):
+    """Map a value to [0, 1]: by its logarithm when every value is
+    positive, else linearly."""
+    if y_min > 0:
         lo, hi = math.log10(y_min), math.log10(y_max)
 
         def transform(value: float) -> float:
-            if value <= 0:
-                return 0.0
             if hi == lo:
                 return 0.5
             return (math.log10(value) - lo) / (hi - lo)

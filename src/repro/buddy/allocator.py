@@ -27,6 +27,7 @@ from repro.buddy.space import BuddySpace
 from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import AllocationError, BufferPoolError, OutOfSpaceError
+from repro.lint.contracts import refuse_in_cleanup
 
 
 class BuddyAllocator:
@@ -42,6 +43,8 @@ class BuddyAllocator:
         check_directory_fits(config)
         self.config = config
         self.pool = pool
+        #: The disk's runtime-checks switch (see ``SimulatedDisk.checks``).
+        self.checks = pool.checks
         self.base_page_id = base_page_id
         self.name = name
         #: Pages per (directory + buddy space) unit; the config is frozen,
@@ -93,6 +96,8 @@ class BuddyAllocator:
         grows by a new buddy space when no existing space can satisfy the
         request.
         """
+        if self.checks:
+            refuse_in_cleanup(f"{self.name}.allocate({n_pages})")
         if n_pages <= 0:
             raise AllocationError("segment size must be positive")
         if n_pages > self.config.max_segment_pages:
@@ -125,6 +130,8 @@ class BuddyAllocator:
         fault-armed batch), the free is journaled instead and applied at
         the batch boundary.
         """
+        if self.checks:
+            refuse_in_cleanup(f"{self.name}.free({page_id}, {n_pages})")
         if n_pages <= 0:
             raise AllocationError("free size must be positive")
         sink = self.free_sink

@@ -77,7 +77,7 @@ from repro.core.errors import (
 )
 from repro.core.payload import Payload, SizedPayload
 from repro.disk.iomodel import DEFAULT_RETRY_POLICY, CostModel, RetryPolicy
-from repro.lint.contracts import checks_enabled, pure_read
+from repro.lint.contracts import checks_enabled, pure_read, refuse_in_cleanup
 from repro.obs.tracer import Tracer
 
 
@@ -372,6 +372,8 @@ class SimulatedDisk:
         slots, and charged the same; a list of any other length is
         refused, as an oversized buffer is, before anything is charged.
         """
+        if self.checks:
+            refuse_in_cleanup(f"write_pages({start}, {n_pages})")
         self._check_range(start, n_pages)
         page_size = self.config.page_size
         if isinstance(data, list):
@@ -713,6 +715,8 @@ class SimulatedDisk:
         update must not survive a crash that interrupted the operation
         before it.
         """
+        if self.checks:
+            refuse_in_cleanup(f"poke_pages({start})")
         self._check_halted()
         page_size = self.config.page_size
         n_pages = -(-len(data) // page_size)
@@ -736,6 +740,8 @@ class SimulatedDisk:
         unbuilt.  With :attr:`checks` on, ``build`` also runs now, and
         the read's build must reproduce those bytes.
         """
+        if self.checks:
+            refuse_in_cleanup(f"defer_image({page_id})")
         self._check_halted()
         self._check_range(page_id, 1)
         self.page_changes += 1
@@ -777,6 +783,8 @@ class SimulatedDisk:
         content until reuse, and crash recovery reads it.  Discarding is a
         memory-saving artifact of the simulation, not device behaviour.
         """
+        if self.checks:
+            refuse_in_cleanup(f"discard_pages({start}, {n_pages})")
         self._check_range(start, n_pages)
         self._check_halted()
         self.page_changes += 1

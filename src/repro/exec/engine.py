@@ -248,8 +248,10 @@ class BatchEngine:
 
         Nothing is poked at the disk — after an injected crash the
         environment is dead, and cleanup must not push post-crash state
-        into the image (FLOW002).  Deferred roots are re-marked dirty in
-        memory so the next successful op commits their images.
+        into the image (under ``REPRO_CHECKS=1`` the disk and the
+        allocator refuse it: ``repro.lint.contracts.refuse_in_cleanup``).
+        Deferred roots are re-marked dirty in memory so the next
+        successful op commits their images.
         Deferred frees are dropped: their ops never committed.
         """
         for tree in self._pending_roots.values():

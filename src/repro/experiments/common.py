@@ -162,8 +162,12 @@ def memoized(compute: Callable[..., Any], *args: Any) -> Any:
     try:
         return _RESULTS[key]
     except KeyError:
-        result = _RESULTS[key] = compute(*args)
-        return result
+        pass
+    # Computed after the handler: a point's stores must not be built
+    # while the lookup's KeyError is being handled (the cleanup contract
+    # of ``repro.lint.contracts``).
+    result = _RESULTS[key] = compute(*args)
+    return result
 
 
 def prime(

@@ -169,7 +169,6 @@ class SizeSweep:
             self.series,
             title=self._title(self.figure.chart),
             y_label="seconds",
-            log_y=True,
         )
 
     def csv_series(self) -> tuple[str, list, dict]:

@@ -38,14 +38,6 @@ def main(argv: list[str] | None = None) -> int:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "additionally run the whole-program flow analysis "
-            "(FLOW002, FLOW000) over the given paths"
-        ),
-    )
-    parser.add_argument(
         "--select",
         metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
@@ -67,10 +59,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     known = set(RULES)
-    if args.flow:
-        from repro.lint.flow.rules import FLOW_RULES
-
-        known |= set(FLOW_RULES) | {"FLOW000"}
     select = _parse_rule_set(parser, args.select, known)
     ignore = _parse_rule_set(parser, args.ignore, known)
     paths = [pathlib.Path(p) for p in args.paths]
@@ -78,13 +66,6 @@ def main(argv: list[str] | None = None) -> int:
         if not path.exists():
             parser.error(f"no such file or directory: {path}")
     violations = lint_paths(paths, select=select, ignore=ignore)
-    if args.flow:
-        from repro.lint.flow.rules import analyze_paths
-
-        violations = sorted(
-            set(violations)
-            | set(analyze_paths(paths, select=select, ignore=ignore))
-        )
     renderer = render_json if args.format == "json" else render_text
     print(renderer(violations))
     return 1 if violations else 0

@@ -1,4 +1,4 @@
-"""Purity contracts, checked on demand at runtime.
+"""Purity and cleanup contracts, checked on demand at runtime.
 
 :func:`pure_read` declares that a method never mutates the simulated disk:
 it may read pages (and charge read cost) but must not write, poke, defer,
@@ -6,6 +6,13 @@ discard or corrupt them.  With the runtime checks on, the decorator reads
 the disk's ``page_changes`` counter, which every one of those calls
 bumps, around each call and raises
 :class:`~repro.core.errors.ContractViolationError` if it moved.
+
+:func:`refuse_in_cleanup` is the cleanup contract: no page may change
+and no space may be allocated or freed while an exception is being
+handled (in an ``except`` body, a ``finally`` body an exception reached,
+or an ``__exit__`` called with one).  A failed operation's cleanup must
+leave the committed image (paper Section 3.3's shadow) as it was.  The
+disk's page-changing methods and the buddy allocator call it first.
 
 ``REPRO_CHECKS=1`` is the one switch for every runtime self-check, read
 once when a :class:`~repro.disk.disk.SimulatedDisk` is built and kept as
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 from typing import Any, Callable, TypeVar
 
 from repro.core.errors import ContractViolationError
@@ -51,6 +59,18 @@ def _find_disk(obj: Any) -> Any | None:
         if hasattr(candidate, "discard_pages") and hasattr(candidate, "cost"):
             return candidate
     return None
+
+
+def refuse_in_cleanup(what: str) -> None:
+    """Raise :class:`ContractViolationError` if an exception is being
+    handled: ``what`` (a page change, an allocation or a free) would run
+    as cleanup of a failed call.  Callers test their ``checks`` flag."""
+    handled = sys.exc_info()[1]
+    if handled is not None:
+        raise ContractViolationError(
+            f"{what} while handling {type(handled).__name__}: cleanup must "
+            "not change pages or allocate or free space"
+        )
 
 
 def pure_read(func: F) -> F:

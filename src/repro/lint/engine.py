@@ -16,17 +16,13 @@ import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
-    from repro.lint.rules import Rule
+    from repro.lint.rules import Rule, Seam
 
 #: ``# repro-lint: disable=LAY001`` (same line) or
-#: ``# repro-lint: disable-file=LAY001`` (anywhere in the file), with an
-#: optional trailing rationale: ``disable=FLOW002 -- deliberate undo of
-#: the objects this call created``.  Flow rules *require* the rationale
-#: (FLOW000).
+#: ``# repro-lint: disable-file=LAY001`` (anywhere in the file).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(?P<scope>disable|disable-file)\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*|all)"
-    r"(?:\s*--\s*(?P<rationale>\S.*))?"
 )
 
 
@@ -61,10 +57,6 @@ class FileContext:
         self.package_parts = _package_parts(path)
         self._line_suppressions: dict[int, set[str]] = {}
         self._file_suppressions: set[str] = set()
-        #: (line, rule_id) pairs for suppressions written without a
-        #: ``-- rationale`` (file-level suppressions use the directive's
-        #: own line number).
-        self._bare_suppressions: list[tuple[int, str]] = []
         self._collect_suppressions()
 
     @property
@@ -91,20 +83,12 @@ class FileContext:
         rules = self._line_suppressions.get(line, set())
         return rule_id in rules or "all" in rules
 
-    def suppressions_missing_rationale(self) -> list[tuple[int, str]]:
-        """``(line, rule_id)`` for suppressions lacking a ``--`` rationale."""
-        return list(self._bare_suppressions)
-
     def _collect_suppressions(self) -> None:
         for lineno, text in enumerate(self.lines, start=1):
             match = _SUPPRESS_RE.search(text)
             if match is None:
                 continue
             rules = {r.strip() for r in match.group("rules").split(",")}
-            if match.group("rationale") is None:
-                self._bare_suppressions.extend(
-                    (lineno, rule) for rule in sorted(rules)
-                )
             if match.group("scope") == "disable-file":
                 self._file_suppressions |= rules
             else:
@@ -135,7 +119,7 @@ def iter_python_files(paths: Iterable[pathlib.Path]) -> Iterator[pathlib.Path]:
 
 
 def lint_file(
-    path: pathlib.Path, rules: Iterable[Rule] | None = None
+    path: pathlib.Path, rules: Iterable[Rule | Seam] | None = None
 ) -> list[Violation]:
     """Lint one file; returns unsuppressed violations sorted by location."""
     from repro.lint.rules import Seam, active_rules, check_seams

@@ -34,16 +34,7 @@ def render_json(violations: list[Violation]) -> str:
 
 
 def render_rule_list() -> str:
-    """One line per registered rule: id and summary, flow rules last."""
-    lines = [f"{rule_id}  {rule.summary}" for rule_id, rule in RULES.items()]
-    from repro.lint.flow.rules import FLOW_RULES
-
-    lines.append(
-        "FLOW000  flow-rule suppressions must carry a `--` rationale "
-        "(--flow only)"
+    """One line per registered rule: id and summary."""
+    return "\n".join(
+        f"{rule_id}  {rule.summary}" for rule_id, rule in RULES.items()
     )
-    lines.extend(
-        f"{rule_id}  {rule.summary} (--flow only)"
-        for rule_id, rule in FLOW_RULES.items()
-    )
-    return "\n".join(lines)

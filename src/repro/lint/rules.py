@@ -2,9 +2,10 @@
 
 Each rule is registered in :data:`RULES`: a visitor class, a small AST
 pass whose verdict needs more than a path, or a row of :data:`SEAMS`,
-*pattern X may appear only where P allows, because R*.  Rules are
-stateless; they receive a :class:`~repro.lint.engine.FileContext` and
-yield :class:`~repro.lint.engine.Violation` objects.  A visitor's
+*pattern X may appear only where P allows, because R*: a plain value
+that :func:`check_seams` runs.  Rules are stateless; they receive a
+:class:`~repro.lint.engine.FileContext` and yield
+:class:`~repro.lint.engine.Violation` objects.  A visitor's
 docstring and a seam's ``reason`` state what it enforces and why
 (mirrored in ``docs/static_analysis.md``).
 """
@@ -20,8 +21,8 @@ from typing import Callable, Iterable, Iterator
 
 from repro.lint.engine import FileContext, Violation
 
-#: rule id -> rule instance, in registration order.
-RULES: dict[str, "Rule"] = {}
+#: rule id -> visitor or seam row, in registration order.
+RULES: dict[str, "Rule | Seam"] = {}
 
 
 def register(cls: type["Rule"]) -> type["Rule"]:
@@ -30,7 +31,7 @@ def register(cls: type["Rule"]) -> type["Rule"]:
     return cls
 
 
-def active_rules() -> list["Rule"]:
+def active_rules() -> list["Rule | Seam"]:
     """All registered rules, in registration order."""
     return list(RULES.values())
 
@@ -384,17 +385,15 @@ def outside(*fragments: str) -> Scope:
 
 
 @dataclasses.dataclass(frozen=True)
-class Seam(Rule):
-    """One row of :data:`SEAMS`; its ``reason`` is the violation message."""
+class Seam:
+    """One row of :data:`SEAMS`, a plain value: :func:`check_seams` runs
+    every row in one walk, and ``reason`` is the violation message."""
 
     rule_id: str
     summary: str
     match: Callable[[ast.AST], bool]
     allowed: Scope
     reason: str
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        return check_seams(ctx, [self])
 
 
 def check_seams(ctx: FileContext, seams: Iterable[Seam]) -> Iterator[Violation]:
@@ -406,7 +405,10 @@ def check_seams(ctx: FileContext, seams: Iterable[Seam]) -> Iterator[Violation]:
     for node in ast.walk(ctx.tree):
         for seam in live:
             if seam.match(node):
-                yield seam.violation(ctx, node, seam.reason)
+                yield Violation(
+                    ctx.display_path, getattr(node, "lineno", 1),
+                    getattr(node, "col_offset", 0), seam.rule_id, seam.reason,
+                )
 
 
 def _name_of(node: ast.AST) -> str:

@@ -24,6 +24,11 @@ _SLOT = struct.Struct("<HH")  # offset, length (offset 0 => empty slot)
 _MAGIC = b"SP"
 
 
+def max_record_bytes(page_size: int) -> int:
+    """The longest record an empty page of ``page_size`` bytes holds."""
+    return page_size - _HEADER.size - _SLOT.size
+
+
 class SlottedPage:
     """One page of variable-length records with a slot directory."""
 

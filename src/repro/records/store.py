@@ -19,7 +19,7 @@ import dataclasses
 from repro.core.env import StorageEnvironment
 from repro.core.errors import ObjectNotFoundError, ReproError
 from repro.core.manager import LargeObjectManager
-from repro.records.page import PageFullError, SlottedPage
+from repro.records.page import PageFullError, SlottedPage, max_record_bytes
 from repro.records.schema import FieldKind, Schema, SchemaError
 
 
@@ -52,20 +52,43 @@ class RecordStore:
         """Insert a record.
 
         LONG field values are given as ``bytes``; the store creates the
-        large object and stores its descriptor in the record.
+        large object and stores its descriptor in the record.  A record
+        no empty page could hold is refused before any object is created
+        or any page allocated: a LONG field serializes as a fixed-size
+        oid, so the record's size is known up front.
         """
         self.schema.check_names(values)  # before any object is created
-        prepared, created = self._prepare(values)
-        body = self.schema.serialize(prepared)
+        contents = self._contents(values)
+        body = self.schema.serialize({**values, **dict.fromkeys(contents, 0)})
+        limit = max_record_bytes(self.env.config.page_size)
+        if len(body) > limit:
+            raise PageFullError(
+                f"record of {len(body)} bytes does not fit a page "
+                f"(at most {limit})"
+            )
+        created = [self.manager.create(data) for data in contents.values()]
+        body = self.schema.serialize({**values, **dict(zip(contents, created))})
+        page_id = None
         try:
-            return self._place(body)
-        except Exception:
-            for oid in created:
-                # Compensation, not cleanup: the record never existed, so
-                # rolling back its LONG objects restores the pre-insert
-                # image; nothing half-written survives into the store.
-                self.manager.destroy(oid)  # repro-lint: disable=FLOW002 -- deliberate undo of freshly created objects on a failed insert; restores pre-op state rather than flushing post-crash state
-            raise
+            page_id, page, slot = self._place(body)
+            self.env.pool.write_run(page_id, 1, page.image, record=True)
+        except Exception as exc:
+            if self.env.disk.halted:
+                raise  # a crash: recovery, not an undo, restores the image
+            error = exc
+        else:
+            if page_id not in self._pages:
+                self._pages.append(page_id)
+            self._cache[page_id] = page
+            return RecordId(page_id, slot)
+        # The record never existed: its LONG objects and a fresh page are
+        # given back once the handler has ended, as an undo of their own
+        # and not as cleanup of the failed write (the cleanup contract).
+        for oid in created:
+            self.manager.destroy(oid)
+        if page_id is not None and page_id not in self._pages:
+            self.env.areas.meta.free(page_id, 1)
+        raise error
 
     def get(self, rid: RecordId) -> dict[str, object]:
         """Fetch a record; LONG fields come back as object ids."""
@@ -166,40 +189,33 @@ class RecordStore:
             raise SchemaError(f"{field!r} is not a long field")
         return int(self.get(rid)[field])  # type: ignore[arg-type]
 
-    def _prepare(
-        self, values: dict[str, object]
-    ) -> tuple[dict[str, object], list[int]]:
-        prepared = dict(values)
-        created: list[int] = []
+    def _contents(self, values: dict[str, object]) -> dict[str, bytes]:
+        """The content of every LONG field given as bytes (absent: empty);
+        an oid given as an int is stored as it is."""
+        contents: dict[str, bytes] = {}
         for field in self.schema.long_fields():
-            value = prepared.get(field.name, b"")
+            value = values.get(field.name, b"")
             if isinstance(value, (bytes, bytearray, memoryview)):
-                oid = self.manager.create(bytes(value))
-                prepared[field.name] = oid
-                created.append(oid)
+                contents[field.name] = bytes(value)
             elif not isinstance(value, int):
                 raise SchemaError(
                     f"{field.name!r} must be bytes (content) or an oid"
                 )
-        return prepared, created
+        return contents
 
-    def _place(self, body: bytes) -> RecordId:
+    def _place(self, body: bytes) -> tuple[int, SlottedPage, int]:
+        """The first page with room for ``body`` (a fresh one when none
+        has room), a copy of it holding ``body`` and the slot it took:
+        the store's own page changes only once the copy is written."""
+        page_size = self.env.config.page_size
         for page_id in self._pages:
             page = self._load_page(page_id)
             if len(body) + 8 <= page.usable_space_after_compaction():
-                try:
-                    slot = page.insert(body)
-                except PageFullError:
-                    continue
-                self._flush_page(page_id)
-                return RecordId(page_id, slot)
-        page_id = self.env.areas.meta.allocate(1)
-        page = SlottedPage(self.env.config.page_size)
-        self._pages.append(page_id)
-        self._cache[page_id] = page
-        slot = page.insert(body)  # may raise PageFullError: record > page
-        self._flush_page(page_id)
-        return RecordId(page_id, slot)
+                copy = SlottedPage(page_size, page.image)
+                return page_id, copy, copy.insert(body)
+        page = SlottedPage(page_size)
+        slot = page.insert(body)
+        return self.env.areas.meta.allocate(1), page, slot
 
     def _load_page(self, page_id: int) -> SlottedPage:
         if page_id not in self._pages:

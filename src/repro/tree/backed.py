@@ -204,9 +204,11 @@ class _TreeOp:
     The flush must NOT run when the body raised — after an injected
     crash the environment is dead, and pushing half-applied index state
     at the disk from cleanup is exactly the bug class the disk's halt
-    latch contains at runtime (and FLOW002 rejects statically in
-    ``finally:`` blocks).  A failed operation leaves its dirty marks in
-    place; the next successful operation flushes them.
+    latch contains after a crash, and the cleanup contract
+    (``repro.lint.contracts.refuse_in_cleanup``, ``REPRO_CHECKS=1``)
+    refuses in every ``__exit__`` called with an exception.  A failed
+    operation leaves its dirty marks in place; the next successful
+    operation flushes them.
 
     The op runs inside a batch: the one ``submit_ops`` opened, or else a
     batch of one that the bracket opens and closes itself.  The charged

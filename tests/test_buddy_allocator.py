@@ -112,6 +112,19 @@ class TestFree:
         assert pool.stats.evictions == evictions
 
 
+class TestIsAllocated:
+    def test_only_allocated_data_pages_are(self, checked, setup):
+        _config, _cost, allocator = setup
+        page = allocator.allocate(1)
+        assert allocator.is_allocated(page)
+        allocator.free(page, 1)
+        assert not allocator.is_allocated(page)
+        # A directory page and a page past the area are no data pages:
+        # is_allocated catches the refused lookup and answers False.
+        assert not allocator.is_allocated(0)
+        assert not allocator.is_allocated(10**6)
+
+
 class TestSuperdirectory:
     def test_starts_optimistic(self, setup):
         config, _cost, allocator = setup

@@ -11,7 +11,7 @@ from repro.core.config import small_page_config
 from repro.core.errors import ContractViolationError
 from repro.lint import RULES, lint_file, lint_paths
 from repro.lint.cli import main as lint_main
-from repro.lint.contracts import checks_enabled, pure_read
+from repro.lint.contracts import checks_enabled, pure_read, refuse_in_cleanup
 from repro.lint.rules import SEAMS
 
 #: The shipped package and the test tree, linted by the meta-test below.
@@ -565,6 +565,13 @@ class TestCli:
             lint_main([str(tmp_path / "nope")])
         assert exc.value.code == 2
 
+    def test_flow_flag_is_a_usage_error(self, tmp_path):
+        # Crash-safe cleanup is checked at run time (TestCleanupContract).
+        write(tmp_path, "ok.py", "X = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--flow", str(tmp_path)])
+        assert exc.value.code == 2
+
 
 # ----------------------------------------------------------------------
 # Runtime contracts (REPRO_CHECKS=1)
@@ -649,6 +656,135 @@ class TestRuntimeContracts:
         pool = store.env.pool
         assert pool.is_resident(10**9) is False
         assert store.read(oid, 0, 16) == b"x" * 16
+
+
+class _Boom(Exception):
+    pass
+
+
+def _fail_then(cleanup, how="finally"):
+    """Run ``cleanup`` as the cleanup of a failed call: in a ``finally``
+    the exception reaches, an ``except`` body, or an ``__exit__``."""
+    if how == "finally":
+        try:
+            raise _Boom
+        finally:
+            cleanup()
+    elif how == "except":
+        try:
+            raise _Boom
+        except _Boom:
+            cleanup()
+            raise
+    else:
+
+        class Bracket:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                cleanup()
+
+        with Bracket():
+            raise _Boom
+
+
+class TestCleanupContract:
+    """With the checks on, no page changes and no space is allocated or
+    freed while an exception is being handled: a failed call's cleanup
+    leaves the committed image as it was."""
+
+    @pytest.fixture
+    def env(self, checked):
+        return LargeObjectStore("eos", small_page_config()).env
+
+    def test_direct_disk_mutation_in_finally(self, env):
+        with pytest.raises(ContractViolationError, match="poke_pages"):
+            _fail_then(lambda: env.disk.poke_pages(10**6, b"x"))
+        assert not env.disk.was_written(10**6)
+
+    def test_deferred_image_in_finally(self, env):
+        with pytest.raises(ContractViolationError, match="defer_image"):
+            _fail_then(lambda: env.disk.defer_image(10**6, bytes))
+
+    def test_committed_image_in_finally(self, env):
+        with pytest.raises(ContractViolationError, match="defer_image"):
+            _fail_then(lambda: env.pool.commit_image(10**6, bytes))
+
+    def test_transitive_mutation_in_finally(self, env):
+        def flush():
+            env.pool.write_run(10**6, 1, b"x")
+
+        with pytest.raises(ContractViolationError, match="write_pages"):
+            _fail_then(lambda: flush())
+        assert not env.disk.was_written(10**6)
+
+    def test_pool_mutation_in_except(self, env):
+        with pytest.raises(ContractViolationError, match="write_pages"):
+            _fail_then(lambda: env.pool.write_run(10**6, 1, b"x"), "except")
+
+    def test_discard_in_exit(self, env):
+        with pytest.raises(ContractViolationError, match="discard_pages"):
+            _fail_then(lambda: env.disk.discard_pages(10**6, 1), "exit")
+
+    @pytest.mark.parametrize("how", ["finally", "except", "exit"])
+    def test_allocation_in_cleanup(self, env, how):
+        data = env.areas.data
+        in_use = data.allocated_pages
+        with pytest.raises(ContractViolationError, match="data.allocate"):
+            _fail_then(lambda: data.allocate(1), how)
+        assert data.allocated_pages == in_use
+
+    def test_free_in_except(self, env):
+        data = env.areas.data
+        page = data.allocate(1)
+        with pytest.raises(ContractViolationError, match="data.free"):
+            _fail_then(lambda: data.free(page, 1), "except")
+        assert data.is_allocated(page)
+
+    def test_the_violation_chains_the_handled_error(self, env):
+        with pytest.raises(ContractViolationError) as caught:
+            _fail_then(lambda: env.disk.poke_pages(10**6, b"x"), "except")
+        assert isinstance(caught.value.__context__, _Boom)
+
+    def test_success_path_flush_is_fine(self, env):
+        try:
+            pass
+        finally:
+            env.pool.write_run(10**6, 1, b"x")
+        assert env.disk.was_written(10**6)
+
+    def test_an_undo_after_the_handler_is_fine(self, env):
+        """The post-handler form: save the error, undo, then re-raise."""
+        data = env.areas.data
+        page = data.allocate(1)
+        try:
+            raise _Boom
+        except _Boom as exc:
+            error = exc
+        data.free(page, 1)
+        assert not data.is_allocated(page)
+        assert isinstance(error, _Boom)
+
+    def test_unfix_in_finally_is_sanctioned(self, env):
+        pool = env.pool
+        pool.fix(0)
+        with pytest.raises(_Boom):
+            try:
+                raise _Boom
+            finally:
+                pool.unfix(0)
+        pool.assert_pin_balanced()
+
+    def test_passthrough_without_checks(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHECKS", raising=False)
+        env = LargeObjectStore("eos", small_page_config()).env
+        with pytest.raises(_Boom):
+            _fail_then(lambda: env.disk.poke_pages(10**6, b"x"))
+        assert env.disk.was_written(10**6)
+
+    def test_outside_a_handler_the_contract_holds(self):
+        refuse_in_cleanup("nothing")
 
 
 # ----------------------------------------------------------------------

@@ -26,22 +26,23 @@ class TestAsciiPlot:
         assert "0.000" in lines[4]
 
     def test_log_scale(self):
-        out = ascii_plot(
-            [1, 2, 3], {"s": [1.0, 10.0, 100.0]},
-            log_y=True, y_label="ms",
-        )
-        assert "(log scale)" in out
-        # In log scale the three decade-spaced points sit evenly: count
-        # markers inside the plotting area (between the pipes) only.
-        grid_rows = [
-            line[line.index("|") + 1 : line.rindex("|")]
-            for line in out.splitlines()
-            if line.count("|") == 2
-        ]
-        marker_rows = [i for i, row in enumerate(grid_rows) if "o" in row]
+        out = ascii_plot([1, 2, 3], {"s": [1.0, 10.0, 100.0]}, y_label="ms")
+        assert out.endswith("y: ms (log scale)")
+        # In log scale the three decade-spaced points sit evenly.
+        marker_rows = _marker_rows(out)
         assert len(marker_rows) == 3
         spacing = [b - a for a, b in zip(marker_rows, marker_rows[1:])]
         assert abs(spacing[0] - spacing[1]) <= 1
+
+    def test_non_positive_data_is_plotted_linearly(self):
+        # No logarithm places 0.0, so the axis is linear and its label
+        # does not claim a log scale.
+        out = ascii_plot(
+            [1, 2, 3], {"s": [0.0, 50.0, 100.0]}, height=5, y_label="ms"
+        )
+        assert out.endswith("y: ms")
+        # Linearly, 50 sits on the middle row of five.
+        assert _marker_rows(out) == [0, 2, 4]
 
     def test_constant_series(self):
         out = ascii_plot([1, 2], {"s": [5.0, 5.0]})
@@ -64,3 +65,13 @@ class TestAsciiPlot:
         out = ascii_plot([1, 2], series)
         for marker in "ox+*#":
             assert marker in out
+
+
+def _marker_rows(out: str) -> list[int]:
+    """Rows of the plotting area (between the pipes) holding an ``o``."""
+    grid_rows = [
+        line[line.index("|") + 1 : line.rindex("|")]
+        for line in out.splitlines()
+        if line.count("|") == 2
+    ]
+    return [i for i, row in enumerate(grid_rows) if "o" in row]

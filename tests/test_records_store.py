@@ -5,7 +5,9 @@ import pytest
 from repro.core.api import make_manager
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.errors import ObjectNotFoundError, ReproError
+from repro.core.errors import IOFaultError, ObjectNotFoundError, ReproError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, at
 from repro.records.schema import Schema, SchemaError
 from repro.records.store import RecordId, RecordStore
 from tests.conftest import pattern_bytes
@@ -14,13 +16,16 @@ PAGE = 128
 SCHEMES = ("esm", "starburst", "eos", "blockbased")
 
 
-@pytest.fixture(params=SCHEMES)
-def store(request):
+def _record_store(scheme):
     env = StorageEnvironment(small_page_config())
-    manager = make_manager(request.param, env, leaf_pages=2,
-                           threshold_pages=2)
+    manager = make_manager(scheme, env, leaf_pages=2, threshold_pages=2)
     schema = Schema.of(name="text", age="int", picture="long", voice="long")
     return RecordStore(schema, manager)
+
+
+@pytest.fixture(params=SCHEMES)
+def store(request):
+    return _record_store(request.param)
 
 
 class TestRecords:
@@ -150,8 +155,50 @@ class TestRecords:
 
     def test_oversized_record_update(self, store):
         rid = store.insert(name="small", age=0, picture=b"p", voice=b"v")
-        with pytest.raises(ReproError):
+        stats = store.env.cost.stats
+        writes = stats.write_calls
+        with pytest.raises(ReproError, match="overflows its page"):
             store.update(rid, name="N" * (PAGE * 2))
+        assert stats.write_calls == writes
+        assert store.get(rid)["name"] == "small"
+
+
+#: The record a failed insert tries to place.
+_NEW = dict(name="new", age=7, picture=pattern_bytes(3 * PAGE), voice=b"v")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("placed", [0, 1], ids=["fresh-page", "beside-one"])
+def test_a_failed_record_write_leaves_nothing_behind(scheme, placed):
+    """The record page's write fails for good: the insert destroys the
+    LONG objects it created and frees a fresh page once the handler has
+    ended, and the store's pages keep their records."""
+    dry, store = _record_store(scheme), _record_store(scheme)
+    for each in (dry, store):
+        for age in range(placed):
+            each.insert(name="old", age=age, picture=b"p", voice=b"v")
+    # The record page's write is the insert's last: count on a twin.
+    with FaultInjector(dry.env, FaultPlan()) as idle:
+        dry.insert(**_NEW)
+    areas = store.env.areas
+    before = (
+        sorted(store.manager.oids()), list(store.scan()),
+        list(areas.meta.allocated_page_ids()),
+        list(areas.data.allocated_page_ids()),
+    )
+    plan = FaultPlan(write_faults=at(idle.write_calls), transient=False)
+    with FaultInjector(store.env, plan) as injector:
+        with pytest.raises(IOFaultError):
+            store.insert(**_NEW)
+    assert injector.write_calls == idle.write_calls
+    assert (
+        sorted(store.manager.oids()), list(store.scan()),
+        list(areas.meta.allocated_page_ids()),
+        list(areas.data.allocated_page_ids()),
+    ) == before
+    rid = store.insert(**_NEW)
+    assert store.get(rid)["name"] == "new"
+    assert len(list(store.scan())) == placed + 1
 
 
 class TestRecordId:

@@ -35,6 +35,7 @@ from repro.core.errors import (
     InvalidArgumentError,
     LongFieldTooLargeError,
     ObjectTooLargeError,
+    PageFullError,
     ReproError,
     StorageCorruptionError,
 )
@@ -444,6 +445,18 @@ REFUSALS["records-insert-of-unknown-fields"] = Refusal(
     lambda s: s.records.insert(name="x", content=b"abc", **_UNKNOWN),
     SchemaError,
     "^" + re.escape("unknown fields: ['alpha', 'echo', 'kilo', 'mike', 'zulu']")
+    + "$",
+    lambda s: s.records.insert(name="x", content=b"abc"),
+)
+
+# A record longer than a page is refused before its long field is
+# created or a record page allocated: the long field serializes as an
+# 8-byte oid, so the record's size is known first.
+REFUSALS["records-insert-larger-than-a-page"] = Refusal(
+    _records,
+    lambda s: s.records.insert(name="x" * PAGE, content=pattern_bytes(300)),
+    PageFullError,
+    "^" + re.escape("record of 140 bytes does not fit a page (at most 116)")
     + "$",
     lambda s: s.records.insert(name="x", content=b"abc"),
 )

@@ -288,7 +288,7 @@ class TestPinLeakRegressions:
     def test_tree_backed_op_flushes_on_success_only(self):
         # TreeBackedManager._op used to call end_op() from a finally:,
         # pushing half-applied index state at the disk on failure — the
-        # crash-safety bug class FLOW002 rejects statically.
+        # crash-safety bug class the cleanup contract refuses at run time.
         env = make_env()
         manager = make_manager("esm", env, leaf_pages=2)
 
