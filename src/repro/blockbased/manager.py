@@ -19,7 +19,7 @@ neighbour rebalancing, so utilization degrades under updates.
 
 It is not one of the paper's three measured systems; it exists so the
 intro's block-based-vs-segment-based claim can be measured rather than
-assumed (see ``benchmarks/test_baseline_blockbased.py``).
+assumed (``tests/test_paper_numbers.py`` pins its full scan).
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ class StorageEnvironment:
 
         ``record_leaf_data=False`` runs the leaf area in the paper's
         phantom mode (I/O is counted but object bytes are not stored),
-        which is how the benchmarks reach 10 MB objects quickly; tests
+        which is how the experiments reach 10 MB objects quickly; tests
         keep it ``True`` to verify byte-level correctness.
 
         ``tracer`` enables :mod:`repro.obs` tracing for everything built

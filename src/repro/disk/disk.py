@@ -213,10 +213,6 @@ class SimulatedDisk:
         self._halted = False
         #: Bounded retry policy for transient injected faults.
         self.retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY
-        #: While True, :meth:`discard_pages` keeps the bytes of freed
-        #: pages (a real disk retains freed blocks until reuse; crash
-        #: recovery reads them).  Set by armed fault injectors.
-        self.retain_freed = False
         #: Bumped by every call that can change a page: what the
         #: ``@pure_read`` contract compares.
         self.page_changes = 0
@@ -778,17 +774,17 @@ class SimulatedDisk:
     def discard_pages(self, start: int, n_pages: int) -> None:
         """Forget page contents (called when space is freed).
 
-        While :attr:`retain_freed` is set (a fault injector is armed), the
-        bytes and checksums are kept: a real disk retains freed blocks'
-        content until reuse, and crash recovery reads it.  Discarding is a
-        memory-saving artifact of the simulation, not device behaviour.
+        While a fault site is installed, the bytes and checksums are
+        kept: a real disk retains freed blocks' content until reuse, and
+        crash recovery reads it.  Discarding is a memory-saving artifact
+        of the simulation, not device behaviour.
         """
         if self.checks:
             refuse_in_cleanup(f"discard_pages({start}, {n_pages})")
         self._check_range(start, n_pages)
         self._check_halted()
         self.page_changes += 1
-        if self.retain_freed:
+        if self._fault_site is not None:
             return
         offset = start & _CHUNK_MASK
         if offset + n_pages <= _CHUNK_PAGES:

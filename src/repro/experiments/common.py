@@ -2,9 +2,9 @@
 
 All experiments default to the paper's setup (Section 4.1): Table 1
 system parameters and a 10 MB object.  Because a pure-Python simulation
-of the full parameter sweep takes minutes, the pytest-benchmark harness
-runs a scaled-down configuration by default; set ``REPRO_SCALE=paper``
-to reproduce the paper-size runs, exactly as recorded in EXPERIMENTS.md.
+of the full parameter sweep takes minutes, ``repro-experiments`` runs a
+scaled-down configuration by default; set ``REPRO_SCALE=paper`` to
+reproduce the paper-size runs, exactly as recorded in EXPERIMENTS.md.
 
 This module also owns the harness's one result table (:func:`memoized`,
 :func:`prime`, :func:`clear`): the paper's figures are columns of the
@@ -71,7 +71,7 @@ PAPER_SCALE = Scale(
     append_sizes_kb=APPEND_SIZES_KB,
 )
 
-#: Default benchmark scale: same shapes, ~100x faster.
+#: Default scale: same shapes, ~100x faster.
 SMALL_SCALE = Scale(
     name="small",
     object_bytes=1 * MB,

@@ -245,16 +245,6 @@ class MetricSweep:
             ),
         )
 
-    def final(self, name: str) -> float:
-        """Value of a series at the last mark."""
-        return self.series[name][-1]
-
-    def steady(self, name: str) -> float:
-        """Average of a series over the second half of the run."""
-        values = self.series[name]
-        half = values[len(values) // 2 :] or values
-        return sum(half) / len(half)
-
 
 def run_metric(
     scheme: str,

@@ -45,7 +45,6 @@ class FaultInjector:
         self.events: list[str] = []
         self._rng = random.Random(plan.seed)
         self._installed = False
-        self._saved_retain = False
 
     # ------------------------------------------------------------------
     # Arming
@@ -54,9 +53,6 @@ class FaultInjector:
         """Hook the plan into the disk's physical I/O paths."""
         if not self._installed:
             self.disk.install_fault_site(self)
-            self._saved_retain = self.disk.retain_freed
-            if self.plan.retain_freed:
-                self.disk.retain_freed = True
             self._installed = True
         return self
 
@@ -64,7 +60,6 @@ class FaultInjector:
         """Unhook; the disk behaves normally again.  Always safe."""
         if self._installed:
             self.disk.clear_fault_site()
-            self.disk.retain_freed = self._saved_retain
             self._installed = False
 
     def __enter__(self) -> "FaultInjector":

@@ -101,10 +101,6 @@ class FaultPlan:
         effectively permanent.
     transient:
         Whether injected I/O faults are marked transient (retryable).
-    retain_freed:
-        Keep the bytes of freed pages while the plan is armed, so crash
-        recovery can read pre-crash content (on by default; real disks
-        keep freed blocks until reuse).
     seed:
         Seed for the injector's private RNG (corruption page/bit choice).
         Everything else in the plan is already deterministic.
@@ -118,7 +114,6 @@ class FaultPlan:
     transient_failures: int = 1
     transient: bool = True
     torn_prefix_pages: int | None = None
-    retain_freed: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

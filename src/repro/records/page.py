@@ -103,6 +103,19 @@ class SlottedPage:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    def _free_slot(self) -> int | None:
+        """The first tombstoned slot, which a new record reuses."""
+        return next(
+            (i for i in range(self.n_slots) if not self.slot_in_use(i)), None
+        )
+
+    def fits(self, record: bytes) -> bool:
+        """Whether :meth:`insert` can store ``record``: its body plus a
+        new slot entry (none when a tombstoned slot is reused), counting
+        the space compaction recovers."""
+        growth = 0 if self._free_slot() is not None else _SLOT.size
+        return len(record) + growth <= self.usable_space_after_compaction()
+
     def insert(self, record: bytes) -> int:
         """Store a record; returns its slot index.
 
@@ -112,14 +125,12 @@ class SlottedPage:
         """
         if not record:
             raise InvalidArgumentError("empty records are not storable")
-        reuse = next(
-            (i for i in range(self.n_slots) if not self.slot_in_use(i)), None
-        )
-        slot_growth = 0 if reuse is not None else _SLOT.size
-        if len(record) + slot_growth > self.usable_space_after_compaction():
+        if not self.fits(record):
             raise PageFullError(
                 f"record of {len(record)} bytes does not fit"
             )
+        reuse = self._free_slot()
+        slot_growth = 0 if reuse is not None else _SLOT.size
         if len(record) + slot_growth > self.free_space():
             self.compact()
         index = reuse if reuse is not None else self.n_slots

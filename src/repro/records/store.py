@@ -92,10 +92,7 @@ class RecordStore:
 
     def get(self, rid: RecordId) -> dict[str, object]:
         """Fetch a record; LONG fields come back as object ids."""
-        page = self._load_page(rid.page_id)
-        if rid.slot >= page.n_slots or not page.slot_in_use(rid.slot):
-            raise ObjectNotFoundError(f"no record at {rid}")
-        return self.schema.deserialize(page.get(rid.slot))
+        return self._record(self._load_page(rid.page_id), rid)
 
     def update(self, rid: RecordId, **values: object) -> None:
         """Update short (INT/TEXT) fields of a record in place."""
@@ -104,10 +101,10 @@ class RecordStore:
                 raise SchemaError(
                     f"{name!r} is a long field; use the *_long methods"
                 )
-        record = self.get(rid)
+        page = self._load_page(rid.page_id)
+        record = self._record(page, rid)
         record.update(values)
         body = self.schema.serialize(record)
-        page = self._load_page(rid.page_id)
         try:
             page.update(rid.slot, body)
         except PageFullError:
@@ -210,12 +207,17 @@ class RecordStore:
         page_size = self.env.config.page_size
         for page_id in self._pages:
             page = self._load_page(page_id)
-            if len(body) + 8 <= page.usable_space_after_compaction():
+            if page.fits(body):
                 copy = SlottedPage(page_size, page.image)
                 return page_id, copy, copy.insert(body)
         page = SlottedPage(page_size)
         slot = page.insert(body)
         return self.env.areas.meta.allocate(1), page, slot
+
+    def _record(self, page: SlottedPage, rid: RecordId) -> dict[str, object]:
+        if rid.slot >= page.n_slots or not page.slot_in_use(rid.slot):
+            raise ObjectNotFoundError(f"no record at {rid}")
+        return self.schema.deserialize(page.get(rid.slot))
 
     def _load_page(self, page_id: int) -> SlottedPage:
         if page_id not in self._pages:

@@ -13,7 +13,7 @@ physically adjacent, the granularity of shadowing is the whole segment:
   flushed at the end of the operation.
 
 ``ShadowPolicy.enabled = False`` turns shadowing off for the ablation
-benchmarks, which reproduces the paper's example that, without shadowing,
+test, which reproduces the paper's example that, without shadowing,
 updating one page of a 2-block segment costs the same as updating one page
 of a 64-block segment — and with shadowing the latter is ~6-7x dearer.
 """

@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from contextlib import nullcontext
 
 import pytest
 
@@ -208,6 +209,13 @@ class _Tear:
         raise AssertionError("a torn write never completes")
 
 
+def discard(disk, start, n_pages, retain=False):
+    """Discard a run; with ``retain``, under an idle fault site (an empty
+    plan armed), so the disk keeps the freed bytes for recovery."""
+    with FaultInjector(disk, FaultPlan()) if retain else nullcontext():
+        disk.discard_pages(start, n_pages)
+
+
 def assert_disk_matches(disk, model, probes):
     """Everything observable of ``disk`` agrees with ``model``; the runs
     in ``probes`` are read back through every read spelling."""
@@ -319,9 +327,7 @@ def test_run_state_matches_the_page_model(seed):
             disk.discard_pages(start, n_pages)
             model.discard(start, n_pages)
         elif kind == "retained":
-            disk.retain_freed = True
-            disk.discard_pages(start, n_pages)
-            disk.retain_freed = False
+            discard(disk, start, n_pages, retain=True)
         else:
             recorded = model.recorded()
             if recorded:
@@ -393,7 +399,7 @@ class EagerEnvelopeDisk(SimulatedDisk):
 
     def discard_pages(self, start, n_pages):
         super().discard_pages(start, n_pages)
-        if not self.retain_freed:
+        if self.fault_site is None:
             for page_id in range(start, start + n_pages):
                 self.crcs.pop(page_id, None)
 
@@ -486,9 +492,7 @@ def test_envelope_matches_the_eager_reference(seed):
                 disk.poke_pages(start, data)
         elif kind in ("discard", "retained"):
             for disk in (lazy, eager):
-                disk.retain_freed = kind == "retained"
-                disk.discard_pages(start, n_pages)
-                disk.retain_freed = False
+                discard(disk, start, n_pages, retain=kind == "retained")
         else:
             data = (
                 SizedPayload(rng.randint(0, n_pages * size))

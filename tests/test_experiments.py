@@ -17,6 +17,12 @@ from repro.experiments.registry import EXPERIMENTS, run
 from repro.experiments.tables import run_starburst_costs, table1
 
 
+def steady(scheme, setting, mean_op, kind):
+    """A tiny run's steady-state cost of one op kind (ms)."""
+    result = random_ops.run_random_ops(scheme, setting, mean_op, TINY_SCALE)
+    return getattr(result, f"steady_{kind}_ms")()
+
+
 @pytest.fixture(autouse=True)
 def fresh_cache():
     common.clear()
@@ -94,6 +100,11 @@ class TestFig6:
         esm1 = result.series["ESM 1p"]
         esm64 = result.series["ESM 64p"]
         assert esm64[large] < esm1[large]
+        # Starburst/EOS match or beat the best ESM leaf at every size.
+        for index, best in enumerate(map(min, zip(*(
+            result.series[f"ESM {pages}p"] for pages in ESM_LEAF_PAGES
+        )))):
+            assert result.series["Starburst/EOS"][index] <= best * 1.10
         assert "Figure 6" in result.format()
 
 
@@ -115,12 +126,23 @@ class TestRandomOpsRuns:
 
 class TestUtilizationExperiment:
     def test_eos_threshold_ordering(self):
-        result = run_metric("eos", 100 * 1024, "utilization", TINY_SCALE)
-        assert result.final("T=64p") > result.final("T=1p")
+        # Figure 8: "the larger the segment size threshold, the better
+        # the utilization", and T=16 is already high.
+        for mean_op in MEAN_OP_SIZES:
+            result = run_metric("eos", mean_op, "utilization", TINY_SCALE)
+            final = {name: v[-1] for name, v in result.series.items()}
+            assert final["T=64p"] >= final["T=4p"] >= 0.8 * final["T=1p"]
+            assert final["T=64p"] > final["T=1p"]
+            assert final["T=16p"] > 0.9
 
     def test_esm_100k_leaf_ordering(self):
-        result = run_metric("esm", 100 * 1024, "utilization", TINY_SCALE)
-        assert result.final("leaf=1p") > result.final("leaf=64p")
+        for mean_op in MEAN_OP_SIZES:
+            result = run_metric("esm", mean_op, "utilization", TINY_SCALE)
+            for values in result.series.values():
+                assert all(0.5 < value <= 1.0 for value in values)
+        # Figure 7.c: "the larger the leaf, the worse the utilization".
+        series = result.series
+        assert series["leaf=1p"][-1] > series["leaf=64p"][-1]
 
     def test_format_mentions_figure(self):
         result = run_metric("eos", 100, "utilization", TINY_SCALE)
@@ -129,8 +151,26 @@ class TestUtilizationExperiment:
 
 class TestCostExperiments:
     def test_read_cost_series(self):
-        result = run_metric("eos", 100 * 1024, "read", TINY_SCALE)
-        assert result.steady("T=16p") <= result.steady("T=1p")
+        # Figures 9 and 10 at 10 KB and 100 KB: larger segments read
+        # cheaper, and EOS reads at least match ESM's at the 1-page
+        # setting.
+        for mean_op in MEAN_OP_SIZES[1:]:
+            esm_one = steady("esm", 1, mean_op, "read")
+            eos_one = steady("eos", 1, mean_op, "read")
+            assert steady("esm", 16, mean_op, "read") < esm_one
+            assert steady("eos", 16, mean_op, "read") < eos_one
+            assert eos_one <= 1.05 * esm_one
+        # Figure 10.c: T=16 approaches Starburst's reads, and "when the
+        # first updates are applied ... the I/O cost for reads is
+        # independent of the segment size threshold": the first mark's
+        # spread across T is no wider than the steady state's.
+        mean_op = MEAN_OP_SIZES[-1]
+        starburst = steady("starburst", 0, mean_op, "read")
+        assert steady("eos", 16, mean_op, "read") <= 2.0 * starburst
+        series = run_metric("eos", mean_op, "read", TINY_SCALE).series
+        first = [values[0] for values in series.values()]
+        last = [steady("eos", t, mean_op, "read") for t in EOS_THRESHOLDS]
+        assert max(first) - min(first) <= 1.1 * (max(last) - min(last))
 
     def test_update_cost_kinds(self):
         insert = run_metric("eos", 100, "insert", TINY_SCALE)
@@ -139,6 +179,24 @@ class TestCostExperiments:
         assert delete.kind == "delete"
         with pytest.raises(ValueError):
             run_metric("eos", 100, "upsert", TINY_SCALE)
+        # Figure 12: "with a value of segment size threshold of 1 to 4,
+        # the insert cost remains the same.  As this value increases
+        # above 4, the insert cost increases too".
+        for mean_op in MEAN_OP_SIZES:
+            eos = {t: steady("eos", t, mean_op, "insert") for t in (1, 4, 64)}
+            assert eos[4] <= 1.6 * eos[1]
+            assert eos[64] > eos[1]
+        # Figure 11: 64-page leaves cost most for 100 B inserts, 4-page
+        # leaves least for 10 KB ones ("leaves whose size are closer to
+        # the insert size"), 1-page leaves poorly for 100 KB ones.
+        esm = {
+            (mean_op, pages): steady("esm", pages, mean_op, "insert")
+            for mean_op in MEAN_OP_SIZES
+            for pages in ESM_LEAF_PAGES
+        }
+        assert esm[100, 64] > esm[100, 1]
+        assert min(ESM_LEAF_PAGES, key=lambda p: esm[10240, p]) == 4
+        assert esm[102400, 1] > esm[102400, 16]
 
 
 class TestStarburstTables:
@@ -149,6 +207,8 @@ class TestStarburstTables:
         assert 20.0 <= costs.read_ms[0] <= 41.0
         # Insert/delete costs are constant across op sizes (Table 3).
         assert max(costs.insert_s) < 4 * min(costs.insert_s)
+        assert max(costs.delete_s) < 4 * min(costs.delete_s)
+        assert min(costs.insert_s) > 0.1  # seconds, not milliseconds
         assert "Table 2" in costs.format_table2()
         assert "Table 3" in costs.format_table3()
 
@@ -175,7 +235,14 @@ class TestSummaryExperiment:
         assert any("Starburst" in label for label in labels)
         assert any("block-based" in label for label in labels)
         by = {row.label.split(" ")[0]: row for row in rows}
-        assert by["Starburst"].insert_ms > by["EOS"].insert_ms
+        starburst, eos, esm = by["Starburst"], by["EOS"], by["ESM"]
+        # Starburst: the best utilization, dreadful updates; EOS: the
+        # cheapest updates; block-based: the slowest scans.
+        assert starburst.utilization >= max(eos.utilization, esm.utilization)
+        assert starburst.insert_ms > 2 * eos.insert_ms
+        assert eos.insert_ms <= 1.1 * esm.insert_ms
+        assert by["block-based"].scan_s > 3 * min(eos.scan_s,
+                                                  starburst.scan_s)
         out = format_summary(rows, 10 * 1024)
         assert "Section 4.6 summary" in out
 
@@ -184,11 +251,15 @@ class TestScalingExperiment:
     def test_exponents(self):
         from repro.experiments.scaling import run_scaling
 
-        esm = run_scaling("esm", TINY_SCALE, steps=3)
-        sb = run_scaling("starburst", TINY_SCALE, steps=3)
-        assert 0.8 < esm.build_exponent < 1.2
+        esm, sb, eos = (
+            run_scaling(scheme, TINY_SCALE, steps=3)
+            for scheme in ("esm", "starburst", "eos")
+        )
+        for result in (esm, sb, eos):
+            assert 0.8 < result.build_exponent < 1.2
         assert abs(esm.insert_exponent) < 0.35
-        assert sb.insert_exponent > esm.insert_exponent
+        assert abs(eos.insert_exponent) < 0.3
+        assert sb.insert_exponent > max(0.4, esm.insert_exponent)
 
     def test_format(self):
         from repro.experiments.scaling import format_scaling, run_scaling

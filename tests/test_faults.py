@@ -311,15 +311,17 @@ class TestInjectorLifecycle:
         first.uninstall()
         FaultInjector(store.env, FaultPlan()).install().uninstall()
 
-    def test_uninstall_is_idempotent_and_restores_retain_freed(self):
-        store = make_store()
-        disk = store.env.disk
-        assert disk.retain_freed is False
-        injector = FaultInjector(store.env, FaultPlan()).install()
-        assert disk.retain_freed is True
+    def test_uninstall_is_idempotent_and_ends_retention(self):
+        disk = make_store().env.disk
+        for page in (3, 4):
+            disk.write_pages(page, 1, bytes([page]) * PAGE)
+        injector = FaultInjector(disk, FaultPlan()).install()
+        disk.discard_pages(3, 1)
+        assert disk.peek_pages(3, 1) == bytes([3]) * PAGE
         injector.uninstall()
         injector.uninstall()
-        assert disk.retain_freed is False
+        disk.discard_pages(4, 1)
+        assert not disk.was_written(4)
 
     def test_context_manager_uninstalls_on_exception(self):
         store = make_store()

@@ -1,18 +1,25 @@
 """Paper-scale pin tests: exact and near-exact numeric matches.
 
 These run the paper's full 10 MB configuration, so they are skipped
-unless ``REPRO_SCALE=paper`` (they take about 10 s); the regular
+unless ``REPRO_SCALE=paper`` (they take about 20 s); the regular
 suite asserts the same *shapes* at reduced scale.  Numbers quoted from
-the paper; see EXPERIMENTS.md for the complete accounting.
+the paper; see EXPERIMENTS.md for the complete accounting.  The §3
+design ablations run on a quarter of the paper's object
+(:data:`QUARTER`), each against the design the paper rejects.
 """
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.experiments.common import PAPER_SCALE
+from repro.core.api import LargeObjectStore
+from repro.core.config import PAPER_CONFIG
+from repro.experiments.common import KB, PAPER_SCALE, build_object, make_store
 from repro.experiments.random_ops import run_random_ops
 from repro.experiments.tables import run_starburst_costs
+
+QUARTER = PAPER_SCALE.object_bytes // 4
 
 paper_scale = pytest.mark.skipif(
     os.environ.get("REPRO_SCALE") != "paper",
@@ -81,3 +88,127 @@ class TestOrderingPins:
         # within 5 %.  The paper's "approximately 30 times" is a gap the
         # model leaves open; EXPERIMENTS.md reports it.
         assert ratio == pytest.approx(25.1, rel=0.05)
+
+
+@paper_scale
+class TestDeleteCostPins:
+    def test_delete_cost_follows_the_insert_trends(self):
+        # Paper (§4.4.3): "the trends mentioned for inserts are also valid
+        # for the delete operations" (the series is in its technical
+        # report).  At 100 KB ops the model gives 91.2 / 119.9 / 273.9 /
+        # 628.9 ms for EOS T = 1 / 4 / 16 / 64 and 244.6 / 242.0 / 329.6 /
+        # 744.4 ms for ESM leaves of 1 / 4 / 16 / 64 pages, pinned
+        # within 1 %.
+        expected = {
+            "eos": (91.2, 119.9, 273.9, 628.9),
+            "esm": (244.6, 242.0, 329.6, 744.4),
+        }
+        for scheme, costs in expected.items():
+            for setting, cost in zip((1, 4, 16, 64), costs):
+                result = run_random_ops(scheme, setting, 100 * KB, PAPER_SCALE)
+                assert result.steady_delete_ms() == pytest.approx(
+                    cost, rel=0.01
+                )
+
+
+@paper_scale
+class TestDesignAblations:
+    def test_hybrid_buffering(self):
+        # Paper (§3.2): small segments go through the pool, larger ones
+        # bypass it.  Two 2 KB-chunk scans of an EOS object: the model
+        # gives 47.36 s for the hybrid rule (4 pages) and for buffering
+        # everything, 94.72 s for buffering nothing; pinned within 0.5 %.
+        def rescans(max_buffered):
+            config = dataclasses.replace(
+                PAPER_CONFIG, max_buffered_segment_pages=max_buffered
+            )
+            store = make_store("eos", config=config)
+            oid = build_object(store, QUARTER, 64 * KB)
+            before = store.snapshot()
+            for _ in range(2):
+                for position in range(0, QUARTER, 2 * KB):
+                    store.read(oid, position, 2 * KB)
+            return store.elapsed_ms(before) / 1000
+
+        pool = PAPER_CONFIG.buffer_pool_pages
+        for pages, seconds in ((4, 47.36), (0, 94.72), (pool, 47.36)):
+            assert rescans(pages) == pytest.approx(seconds, rel=0.005)
+
+    @staticmethod
+    def esm_store(**options):
+        store = LargeObjectStore("esm", record_data=False, **options)
+        return store, build_object(store, QUARTER, 64 * KB)
+
+    def test_esm_improved_insert(self):
+        # Paper (§3.4, after [Care86]): "significant gains in storage
+        # utilization with minimal additional insert cost".  3,000 10 KB
+        # inserts on 4-page leaves: the model gives utilization 0.8168
+        # against 0.6434 and 646.9 s against 604.7 s (+7.0 %) for the
+        # improved and the basic algorithm, pinned within 0.5 %.
+        results = []
+        for improved in (True, False):
+            store, oid = self.esm_store(leaf_pages=4, improved_insert=improved)
+            before = store.snapshot()
+            for i in range(PAPER_SCALE.n_ops // 4):
+                position = (i * 37777) % store.size(oid)
+                store.insert(oid, position, bytes(10 * KB))
+            results.append(
+                (store.utilization(oid), store.elapsed_ms(before) / 1000)
+            )
+        improved, basic = results
+        assert improved == pytest.approx((0.8168, 646.9), rel=0.005)
+        assert basic == pytest.approx((0.6434, 604.7), rel=0.005)
+
+    def test_partial_leaf_io(self):
+        # Paper (§4.5): only a leaf's needed pages are read, where
+        # [Care86] read whole leaves.  1,200 1 KB reads on 16-page leaves:
+        # the model gives 38.52 ms against 98.54 ms, pinned within 0.5 %.
+        def read_ms(partial):
+            store, oid = self.esm_store(leaf_pages=16, partial_leaf_io=partial)
+            before = store.snapshot()
+            reads = PAPER_SCALE.n_ops // 10
+            for i in range(reads):
+                store.read(oid, (i * 23333) % (store.size(oid) - KB), KB)
+            return store.elapsed_ms(before) / reads
+
+        assert read_ms(True) == pytest.approx(38.52, rel=0.005)
+        assert read_ms(False) == pytest.approx(98.54, rel=0.005)
+
+    def test_eos_threshold_rule(self):
+        # Paper (§4.6): "segments less than 4 blocks must be avoided ...
+        # with 4-block segments, better storage utilization and read
+        # performance comes for free."  At 10 KB ops the model gives, for
+        # T = 1 / 2 / 4 / 8 / 16, utilization, steady read and insert ms
+        # below, pinned within 0.5 %.
+        expected = {
+            1: (0.7174, 160.0, 224.1),
+            2: (0.7889, 129.2, 240.5),
+            4: (0.8753, 102.9, 221.1),
+            8: (0.9287, 64.84, 202.6),
+            16: (0.9626, 59.11, 281.7),
+        }
+        for threshold, values in expected.items():
+            result = run_random_ops("eos", threshold, 10 * KB, PAPER_SCALE)
+            measured = (
+                result.utilizations()[-1],
+                result.steady_read_ms(),
+                result.steady_insert_ms(),
+            )
+            assert measured == pytest.approx(values, rel=0.005)
+
+    def test_block_based_scan(self):
+        # Paper (§1): block-based storage scans slowly because "virtually
+        # every disk page fetch will most likely result in a disk seek".
+        # A 256 KB-chunk scan of the 10 MB object: the model gives 96.09 s
+        # block-based, 15.52 s ESM (16-page leaves) and 11.79 s Starburst
+        # and EOS (T = 16), pinned within 0.5 %.
+        for scheme, seconds in (("blockbased", 96.09), ("esm", 15.52),
+                                ("starburst", 11.79), ("eos", 11.79)):
+            store = make_store(scheme, leaf_pages=16, threshold_pages=16)
+            oid = build_object(store, PAPER_SCALE.object_bytes, 64 * KB)
+            before = store.snapshot()
+            for position in range(0, store.size(oid), 256 * KB):
+                store.read(oid, position, 256 * KB)
+            assert store.elapsed_ms(before) / 1000 == pytest.approx(
+                seconds, rel=0.005
+            )

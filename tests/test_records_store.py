@@ -163,6 +163,39 @@ class TestRecords:
         assert store.get(rid)["name"] == "small"
 
 
+class TestOnePage:
+    """A 128-byte page holds 120 bytes of bodies and 4-byte slots; a
+    text field serializes as its characters plus 4 bytes."""
+
+    @staticmethod
+    def text_store():
+        env = StorageEnvironment(small_page_config())
+        return RecordStore(Schema.of(name="text"), make_manager("eos", env))
+
+    def test_a_record_takes_the_last_usable_bytes(self):
+        store = self.text_store()
+        first = store.insert(name="x" * 90)  # 94 + 4: 22 bytes left
+        second = store.insert(name="y" * 11)  # 15 + 4
+        assert second.page_id == first.page_id
+
+    def test_a_record_reuses_a_tombstoned_slot_at_the_usable_size(self):
+        store = self.text_store()
+        first = store.insert(name="x" * 46)
+        store.insert(name="y" * 11)
+        store.delete(first)  # 120 - 8 - 15 = 97 usable, slot 0 free
+        assert store.insert(name="z" * 93) == first
+
+    def test_an_update_touches_its_page_once(self):
+        store = self.text_store()
+        rid = store.insert(name="Ada")
+        store.get(rid)  # resident from here on
+        stats = store.env.pool.stats
+        hits, misses = stats.hits, stats.misses
+        store.update(rid, name="Bob")
+        assert (stats.hits, stats.misses) == (hits + 1, misses)
+        assert store.get(rid) == {"name": "Bob"}
+
+
 #: The record a failed insert tries to place.
 _NEW = dict(name="new", age=7, picture=pattern_bytes(3 * PAGE), voice=b"v")
 

@@ -60,10 +60,15 @@ class TestPaperExample:
         assert 4.0 < ratio < 10.0  # the paper says approximately 6-7x
 
     def test_shadowing_always_at_least_as_expensive(self):
-        for pages in (2, 8, 64):
-            assert self.update_cost(pages, True) >= self.update_cost(
-                pages, False
+        # The model gives 82 / 130 / 578 ms with shadowing for 2 / 8 /
+        # 64-block segments (7.0x, the paper's "6 to 7 times") and 74 ms
+        # each without, pinned within 0.5 %.
+        for pages, shadowed in ((2, 82.0), (8, 130.0), (64, 578.0)):
+            shadow, plain = (
+                self.update_cost(pages, True), self.update_cost(pages, False)
             )
+            assert shadow == pytest.approx(shadowed, rel=0.005)
+            assert plain == pytest.approx(74.0, rel=0.005)
 
 
 class TestAppendInPlace:

@@ -21,7 +21,8 @@ from repro.core.errors import BufferPoolError, CrashError, OutOfSpaceError
 from repro.core.payload import SizedPayload
 from repro.disk.disk import _CHUNK_PAGES, SimulatedDisk
 from repro.disk.iomodel import CostModel
-from tests.test_disk import ModelDisk, _builders, _Tear, assert_disk_matches
+from tests.test_disk import (ModelDisk, _builders, _Tear,
+                             assert_disk_matches, discard)
 
 CONFIG = small_page_config(page_size=128, buffer_pool_pages=4)
 
@@ -92,9 +93,7 @@ class SimulatedDiskMachine(RuleBasedStateMachine):
 
     @rule(start=starts, count=counts, retain=st.booleans())
     def discard(self, start, count, retain):
-        self.disk.retain_freed = retain
-        self.disk.discard_pages(start, count)
-        self.disk.retain_freed = False
+        discard(self.disk, start, count, retain)
         if not retain:
             self.model.discard(start, count)
 
